@@ -1,9 +1,9 @@
 //! Vectorized-batch speedup gate.
 //!
-//! The batch path (`Cursor::next_batch`, engine batch width > 1) must
-//! beat the tuple-at-a-time drain it replaces: whole-page decodes with
-//! one pool fetch per page instead of one per record, and one closure
-//! environment setup per batch instead of per tuple. This bench times
+//! Pulling the cursor pipeline (`Cursor::next_batch_into`) in wide
+//! batches must beat pulling it one tuple per call: one closure
+//! environment setup and one kernel dispatch per batch instead of per
+//! tuple. This bench times
 //! the same selection pipeline at batch widths 1 / 64 / 1024, each with
 //! the expression compiler on and off, plus a compiled/interpreted
 //! search-join pair. Two CI smokes gate regressions:

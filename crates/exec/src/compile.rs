@@ -1002,16 +1002,6 @@ pub fn compile_gated(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<
     }
 }
 
-/// [`compile_gated`] without the counters: for transient per-call
-/// lowerings (the parallel executor's [`crate::parallel::PureFun`]) that
-/// would otherwise inflate the per-plan compile statistics.
-pub fn compile_silent(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<CompiledFun>> {
-    if !engine.compile_exprs_enabled() {
-        return None;
-    }
-    CompiledFun::compile(engine, closure).ok().map(Arc::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,10 +36,12 @@ pub struct ExecEngine {
     /// by [`crate::parallel`]). An override via [`ExecEngine::add_op`]
     /// clears the mark — a replaced implementation may do anything.
     atomic: std::collections::HashSet<Symbol>,
-    /// Worker threads for intra-operator parallelism; `1` disables it.
+    /// Worker threads for intra-operator parallelism; `1` keeps every
+    /// drain on the calling thread.
     workers: usize,
-    /// Tuples pulled per `next_batch` call; `1` selects the exact legacy
-    /// tuple-at-a-time drains (see [`crate::stream::Cursor::next_batch`]).
+    /// Tuples pulled per [`crate::stream::Cursor::next_batch_into`] call
+    /// by the draining consumers — a parameter of the one pipeline, so
+    /// `1` is tuple-at-a-time through the same code.
     batch: usize,
     /// Whether closures are lowered to bytecode where possible (see
     /// [`crate::compile`]); `false` keeps the interpreter everywhere.
@@ -108,8 +110,8 @@ impl ExecEngine {
         self.workers
     }
 
-    /// Set the vectorized batch width (min 1). `1` restores the exact
-    /// tuple-at-a-time legacy behavior in every consumer.
+    /// Set the vectorized batch width (min 1); `1` pulls one tuple per
+    /// call through the same pipeline.
     pub fn set_batch_size(&mut self, n: usize) {
         self.batch = n.max(1);
     }
@@ -261,6 +263,8 @@ pub struct EvalCtx<'a> {
     pub store: &'a mut HashMap<Symbol, Value>,
     pub catalog: &'a mut Catalog,
     vars: Vec<(Symbol, Value)>,
+    /// What the scan sources pulled under this context have read.
+    pub(crate) scanned: crate::stream::ScanTally,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -274,6 +278,7 @@ impl<'a> EvalCtx<'a> {
             store,
             catalog,
             vars: Vec::new(),
+            scanned: Default::default(),
         }
     }
 

@@ -139,23 +139,6 @@ pub fn register(e: &mut ExecEngine) {
         }
     });
 
-    // exactmatch[k] — all tuples with key exactly k.
-    e.add_op("exactmatch", |ctx, _, args| {
-        let k = encode_key("exactmatch", &args[1])?;
-        match &args[0] {
-            Value::BTree(h) => Ok(range_cursor(h, k.clone(), k)),
-            Value::Part(h) => {
-                let mask = if key_aligned(h, false) {
-                    h.candidate_mask(&[KeyCond::Eq(args[1].clone())])
-                } else {
-                    keep_all(h)
-                };
-                part_range_cursor("exactmatch", ctx.engine, h, mask, k.clone(), k)
-            }
-            other => Err(mismatch("exactmatch", "btree", &other.kind_name())),
-        }
-    });
-
     // prefixmatch[v] — multi-attribute B-tree: all tuples whose first
     // key attribute equals v (Section 4's "query operator specifying
     // values for a prefix of the attributes used for indexing").
@@ -202,81 +185,109 @@ pub fn register(e: &mut ExecEngine) {
         }
     });
 
-    // point_search — all tuples whose indexed rectangle contains the point.
-    e.add_op("point_search", |ctx, _, args| {
-        let Value::Point(p) = &args[1] else {
-            return Err(mismatch("point_search", "point", &args[1].kind_name()));
-        };
-        match &args[0] {
-            Value::LsdTree(h) => {
-                let mut out = Vec::new();
-                for entry in h.tree.point_search(*p)? {
-                    out.push(Value::decode_tuple(&entry.payload)?);
-                }
-                Ok(Value::Stream(out))
-            }
-            Value::Part(h) => {
-                let mask = h.cover_mask(|c| c.contains_point(p));
-                let out = part_spatial_search("point_search", ctx.engine, h, &mask, |t| {
-                    t.point_search(*p)
-                })?;
-                Ok(Value::Stream(out))
-            }
-            other => Err(mismatch("point_search", "lsdtree", &other.kind_name())),
-        }
-    });
-
-    // overlap_search — all tuples whose rectangle overlaps the query rect.
-    e.add_op("overlap_search", |ctx, _, args| {
-        let Value::Rect(r) = &args[1] else {
-            return Err(mismatch("overlap_search", "rect", &args[1].kind_name()));
-        };
-        match &args[0] {
-            Value::LsdTree(h) => {
-                let mut out = Vec::new();
-                for entry in h.tree.overlap_search(*r)? {
-                    out.push(Value::decode_tuple(&entry.payload)?);
-                }
-                Ok(Value::Stream(out))
-            }
-            Value::Part(h) => {
-                let mask = h.cover_mask(|c| c.intersects(r));
-                let out = part_spatial_search("overlap_search", ctx.engine, h, &mask, |t| {
-                    t.overlap_search(*r)
-                })?;
-                Ok(Value::Stream(out))
-            }
-            other => Err(mismatch("overlap_search", "lsdtree", &other.kind_name())),
-        }
-    });
+    // exactmatch[k], point_search[p], overlap_search[r] — the key
+    // probes, shared with the parallel search join.
+    for (op, probe) in PROBE_OPS {
+        e.add_op(op, move |ctx, _, args| {
+            probe(ctx.engine, &args[0], &args[1])
+        });
+    }
 }
 
-/// The same spatial probe against every surviving LSD-tree partition,
-/// concatenated in partition order.
-fn part_spatial_search(
+/// Probe an index — or, pruning first, a partitioned index — with one
+/// key value. Needs no evaluation context, so worker threads call it
+/// directly.
+pub(crate) type ProbeFn = fn(&ExecEngine, &Value, &Value) -> ExecResult<Value>;
+
+/// The index operators that probe with one key value: the single
+/// implementation behind both the registered operator and the
+/// per-outer-tuple probe of the parallel search join.
+pub(crate) const PROBE_OPS: [(&str, ProbeFn); 3] = [
+    ("exactmatch", exactmatch),
+    ("point_search", point_search),
+    ("overlap_search", overlap_search),
+];
+
+/// exactmatch[k] — all tuples with key exactly k (a pipelined B-tree
+/// range cursor).
+fn exactmatch(engine: &ExecEngine, target: &Value, key: &Value) -> ExecResult<Value> {
+    let k = encode_key("exactmatch", key)?;
+    match target {
+        Value::BTree(h) => Ok(range_cursor(h, k.clone(), k)),
+        Value::Part(h) => {
+            let mask = if key_aligned(h, false) {
+                h.candidate_mask(&[KeyCond::Eq(key.clone())])
+            } else {
+                keep_all(h)
+            };
+            part_range_cursor("exactmatch", engine, h, mask, k.clone(), k)
+        }
+        other => Err(mismatch("exactmatch", "btree", &other.kind_name())),
+    }
+}
+
+/// point_search — all tuples whose indexed rectangle contains the point.
+fn point_search(engine: &ExecEngine, target: &Value, key: &Value) -> ExecResult<Value> {
+    let Value::Point(p) = key else {
+        return Err(mismatch("point_search", "point", &key.kind_name()));
+    };
+    spatial_search(
+        "point_search",
+        engine,
+        target,
+        |c| c.contains_point(p),
+        |t| t.point_search(*p),
+    )
+}
+
+/// overlap_search — all tuples whose rectangle overlaps the query rect.
+fn overlap_search(engine: &ExecEngine, target: &Value, key: &Value) -> ExecResult<Value> {
+    let Value::Rect(r) = key else {
+        return Err(mismatch("overlap_search", "rect", &key.kind_name()));
+    };
+    spatial_search(
+        "overlap_search",
+        engine,
+        target,
+        |c| c.intersects(r),
+        |t| t.overlap_search(*r),
+    )
+}
+
+/// One spatial probe against an LSD-tree, or against every partition of
+/// a partitioned one whose root cover passes `covers`, concatenated in
+/// partition order.
+fn spatial_search(
     op: &'static str,
     engine: &ExecEngine,
-    h: &Arc<PartHandle>,
-    mask: &[bool],
+    target: &Value,
+    covers: impl Fn(&sos_geom::Rect) -> bool,
     search: impl Fn(
         &sos_storage::lsdtree::LsdTree,
     ) -> sos_storage::StorageResult<Vec<sos_storage::lsdtree::Entry>>,
-) -> ExecResult<Vec<Value>> {
-    let total = h.part_count() as u64;
-    let mut pruned = 0u64;
+) -> ExecResult<Value> {
     let mut out = Vec::new();
-    for (p, keep) in h.parts.iter().zip(mask) {
-        if !*keep {
-            pruned += 1;
-            continue;
-        }
-        let Value::LsdTree(lh) = p else {
+    let mut probe_tree = |p: &Value| -> ExecResult<()> {
+        let Value::LsdTree(h) = p else {
             return Err(mismatch(op, "lsdtree", &p.kind_name()));
         };
-        for entry in search(&lh.tree).map_err(ExecError::Storage)? {
+        for entry in search(&h.tree).map_err(ExecError::Storage)? {
             out.push(Value::decode_tuple(&entry.payload)?);
         }
+        Ok(())
+    };
+    match target {
+        Value::Part(h) => {
+            let mask = h.cover_mask(covers);
+            for (p, _) in h.parts.iter().zip(&mask).filter(|(_, keep)| **keep) {
+                probe_tree(p)?;
+            }
+            let pruned = mask.iter().filter(|keep| !**keep).count();
+            engine
+                .stats
+                .record_partitions(op, h.part_count() as u64, pruned as u64);
+        }
+        single => probe_tree(single)?,
     }
-    engine.stats.record_partitions(op, total, pruned);
-    Ok(out)
+    Ok(Value::Stream(out))
 }

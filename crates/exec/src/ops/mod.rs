@@ -2,7 +2,7 @@
 //! model and representation algebras.
 
 pub mod basic;
-mod indexes;
+pub(crate) mod indexes;
 pub mod relational;
 pub mod streams;
 pub mod updates;

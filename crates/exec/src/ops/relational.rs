@@ -1,8 +1,9 @@
 //! Model-level relational operators (Section 2.2): `select`, `join`,
 //! `union`, `mktuple`, `count` — pure functions over in-memory relations.
 
-use crate::engine::{EvalCtx, ExecEngine};
+use crate::engine::ExecEngine;
 use crate::error::{mismatch, ExecError, ExecResult};
+use crate::stream::Cursor;
 use crate::value::Value;
 use sos_core::typed::TypedExpr;
 
@@ -16,23 +17,6 @@ pub fn tuples_of(v: &Value, op: &str) -> ExecResult<Vec<Value>> {
     }
 }
 
-/// Evaluate a predicate closure on tuples, keeping those where it holds.
-pub fn filter_tuples(
-    ctx: &mut EvalCtx,
-    tuples: Vec<Value>,
-    pred: &Value,
-    op: &str,
-) -> ExecResult<Vec<Value>> {
-    let closure = pred.as_closure(op)?.clone();
-    let mut out = Vec::with_capacity(tuples.len());
-    for t in tuples {
-        if ctx.call(&closure, vec![t.clone()])?.as_bool(op)? {
-            out.push(t);
-        }
-    }
-    Ok(out)
-}
-
 /// Concatenate the fields of two tuples (the semantics of `join` and
 /// `search_join` result construction).
 pub fn concat_tuples(a: &Value, b: &Value, op: &str) -> ExecResult<Value> {
@@ -42,28 +26,17 @@ pub fn concat_tuples(a: &Value, b: &Value, op: &str) -> ExecResult<Value> {
 }
 
 pub fn register(e: &mut ExecEngine) {
+    // select[pred] over an in-memory relation is a `Filter` over the
+    // materialized tuples, drained like any other pipeline.
     e.add_op("select", |ctx, _, args| {
         let tuples = tuples_of(&args[0], "select")?;
-        if let Some(res) = crate::parallel::try_par_filter(ctx.engine, &tuples, &args[1], "select")
-        {
+        let n_in = tuples.len();
+        let pred = args[1].as_closure("select")?.clone();
+        let mut cursor = Cursor::filter(ctx.engine, Cursor::materialized(tuples), pred);
+        if let Some(res) = crate::parallel::try_par_drain(ctx.engine, &mut cursor, "select") {
             return Ok(Value::Rel(res?));
         }
-        let n_in = tuples.len();
-        // Serial path: compiled mask when the predicate lowers (same
-        // per-row order and errors as the interpreted loop below).
-        if let Ok(closure) = args[1].as_closure("select") {
-            if let Some(cf) = crate::compile::compile_gated(ctx.engine, closure) {
-                let mask = cf.eval_mask(&tuples, "select")?;
-                let out: Vec<Value> = tuples
-                    .into_iter()
-                    .zip(mask)
-                    .filter_map(|(t, keep)| keep.then_some(t))
-                    .collect();
-                ctx.engine.stats.record("select", 1, n_in, out.len(), 0);
-                return Ok(Value::Rel(out));
-            }
-        }
-        let out = filter_tuples(ctx, tuples, &args[1], "select")?;
+        let out = cursor.drain_as(ctx, "select")?;
         ctx.engine.stats.record("select", 1, n_in, out.len(), 0);
         Ok(Value::Rel(out))
     });
@@ -130,31 +103,11 @@ pub fn register(e: &mut ExecEngine) {
             if let Some(res) = crate::parallel::try_par_count(ctx.engine, &mut cursor) {
                 return Ok(Value::Int(res?));
             }
-            // ...else drain the pipeline without buffering: whole
-            // batches when the engine's batch width allows, one tuple
-            // at a time otherwise.
-            let width = ctx.engine.batch_size();
-            let mut n = 0i64;
-            if width > 1 {
-                let mut batches = 0u64;
-                let mut buf = Vec::with_capacity(width.min(4096));
-                loop {
-                    buf.clear();
-                    let got = cursor.next_batch_into(ctx, width, &mut buf)?;
-                    if got == 0 {
-                        break;
-                    }
-                    n += got as i64;
-                    batches += 1;
-                }
-                ctx.engine.stats.record_batches("count", batches, n as u64);
-            } else {
-                while cursor.next(ctx)?.is_some() {
-                    n += 1;
-                }
-            }
+            // ...else drain the pipeline without buffering.
+            let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
+            ctx.engine.stats.record_batches("count", batches, n);
             ctx.engine.stats.record("count", 1, n as usize, 1, 0);
-            Ok(Value::Int(n))
+            Ok(Value::Int(n as i64))
         }
         Value::SRel(h) | Value::TidRel(h) => {
             let workers = ctx.engine.workers();

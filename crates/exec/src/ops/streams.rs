@@ -76,47 +76,7 @@ fn aggregate(op: &str, tuples: &[Value], idx: usize) -> ExecResult<Value> {
 /// Scan any relation representation into a stream of tuple values
 /// (the `feed` of the `relrep` subtype hierarchy).
 pub fn feed_value(v: &Value) -> ExecResult<Vec<Value>> {
-    match v {
-        Value::SRel(h) | Value::TidRel(h) => {
-            let mut out = Vec::new();
-            for item in h.scan() {
-                let (_, bytes) = item?;
-                out.push(Value::decode_tuple(&bytes)?);
-            }
-            Ok(out)
-        }
-        Value::BTree(h) => {
-            let mut out = Vec::new();
-            for item in h.tree.scan()? {
-                let (_, bytes) = item?;
-                out.push(Value::decode_tuple(&bytes)?);
-            }
-            Ok(out)
-        }
-        Value::LsdTree(h) => {
-            let mut out = Vec::new();
-            for e in h.tree.scan()? {
-                out.push(Value::decode_tuple(&e.payload)?);
-            }
-            Ok(out)
-        }
-        // A partitioned object feeds its partitions in order.
-        Value::Part(h) => {
-            let mut out = Vec::new();
-            for p in &h.parts {
-                out.extend(feed_value(p)?);
-            }
-            Ok(out)
-        }
-        // Hybrid convenience: an in-memory relation also feeds.
-        Value::Rel(ts) | Value::Stream(ts) => Ok(ts.clone()),
-        Value::Undefined => Ok(Vec::new()),
-        other => Err(mismatch(
-            "feed",
-            "relation representation",
-            &other.kind_name(),
-        )),
-    }
+    Cursor::scan_of(v)?.scan_all()
 }
 
 fn cursor_value(c: Cursor) -> Value {
@@ -168,20 +128,16 @@ pub fn register(e: &mut ExecEngine) {
     // feed produces a *pipelined* cursor for page-backed structures
     // (Section 4's pipelined processing); in-memory relations and
     // LSD-trees come back materialized.
-    e.add_op("feed", |ctx, _, args| match &args[0] {
-        Value::SRel(h) | Value::TidRel(h) => Ok(cursor_value(Cursor::heap_scan(h.clone()))),
-        Value::BTree(h) => Ok(cursor_value(Cursor::btree_range(
-            h.clone(),
-            sos_storage::keys::bottom(),
-            sos_storage::keys::top(),
-        ))),
-        Value::Part(h) => {
+    e.add_op("feed", |ctx, _, args| {
+        if let Value::Part(h) = &args[0] {
             ctx.engine
                 .stats
                 .record_partitions("feed", h.part_count() as u64, 0);
-            Ok(cursor_value(Cursor::part_scan(h.clone())?))
         }
-        other => Ok(Value::Stream(feed_value(other)?)),
+        Ok(match Cursor::scan_of(&args[0])? {
+            Cursor::Mat(tuples) => Value::Stream(tuples.into()),
+            pipelined => cursor_value(pipelined),
+        })
     });
 
     e.add_op("filter", |ctx, _, args| {
@@ -223,29 +179,13 @@ pub fn register(e: &mut ExecEngine) {
     e.add_op("collect", |ctx, _, args| {
         let mut input = into_cursor(args[0].clone())?;
         let heap = HeapFile::create(ctx.engine.pool.clone())?;
-        let width = ctx.engine.batch_size();
-        if width > 1 {
-            let mut batches = 0u64;
-            let mut rows = 0u64;
-            let mut buf = Vec::with_capacity(width.min(4096));
-            loop {
-                buf.clear();
-                let got = input.next_batch_into(ctx, width, &mut buf)?;
-                if got == 0 {
-                    break;
-                }
-                batches += 1;
-                rows += got as u64;
-                for t in &buf {
-                    heap.insert(&t.encode_tuple("collect")?)?;
-                }
-            }
-            ctx.engine.stats.record_batches("collect", batches, rows);
-        } else {
-            while let Some(t) = input.next(ctx)? {
+        let (batches, rows) = input.for_each_batch(ctx, |batch| {
+            for t in batch.iter() {
                 heap.insert(&t.encode_tuple("collect")?)?;
             }
-        }
+            Ok(())
+        })?;
+        ctx.engine.stats.record_batches("collect", batches, rows);
         Ok(Value::SRel(Arc::new(heap)))
     });
 
@@ -420,7 +360,7 @@ pub fn register(e: &mut ExecEngine) {
             // The scan beneath already ran parallel where possible (see
             // `materialize`); the fold itself stays serial so that
             // floating-point accumulation order — and thus the result —
-            // is bit-identical to the legacy path.
+            // is bit-identical at every worker count.
             ctx.engine.stats.record(agg, 1, tuples.len(), 1, 0);
             aggregate(agg, tuples, idx)
         });

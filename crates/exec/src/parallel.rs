@@ -1,21 +1,26 @@
-//! Intra-operator parallelism: data-parallel drains of heap-backed
-//! cursor pipelines and chunked evaluation over in-memory relations.
+//! Intra-operator parallelism: a parallel drain is N ordinary cursors
+//! over disjoint slices of one scan source.
 //!
-//! The serial engine stays the source of truth: a pipeline is only
-//! parallelized when every function it applies is *pure* (built from the
-//! context-free operators of [`crate::ops::basic`] plus attribute
-//! access), and the parallel path then evaluates the exact same operator
-//! implementations over page partitions, reducing per-worker results in
-//! page order. The outcome is extensionally equal to the serial drain by
-//! construction — `tests/par_vs_serial.rs` checks this differentially.
+//! A pipeline is only parallelized when every function it applies is
+//! *pure* (built from the context-free operators of [`crate::ops::basic`]
+//! plus attribute access). The driver then splits the spine's source
+//! into scan units in serial scan order, and each worker rebuilds the
+//! spine's `Filter`/`Project`/`Replace` steps over its slice of units
+//! and pulls it through [`Cursor::next_batch_into`] — the same kernel,
+//! the same compiled programs, a context of its own. Per-worker results
+//! are concatenated in unit order, so the outcome is extensionally equal
+//! to the serial drain by construction — `tests/par_vs_serial.rs` checks
+//! this differentially.
 //!
-//! `workers == 1` (the default on single-core machines) never spawns and
-//! never takes any code path here, preserving exact legacy behavior.
+//! `workers == 1` (the default on single-core machines) never spawns:
+//! every hook here returns `None` and the caller drains on its own
+//! thread.
 
-use crate::engine::ExecEngine;
-use crate::error::{ExecError, ExecResult};
-use crate::ops::basic;
-use crate::stream::Cursor;
+use crate::compile::{compile_gated, CompiledFun};
+use crate::engine::{EvalCtx, ExecEngine};
+use crate::error::ExecResult;
+use crate::ops::relational::concat_tuples;
+use crate::stream::{Cursor, ScanTally};
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_storage::heap::HeapFile;
@@ -23,7 +28,8 @@ use sos_storage::keys::KeyBytes;
 use sos_storage::PageId;
 use std::sync::Arc;
 
-/// Minimum heap pages before a scan is worth partitioning.
+/// Minimum scan units (heap pages, partitions, tuple ranges) before a
+/// scan is worth splitting.
 pub const PAR_MIN_PAGES: usize = 2;
 /// Minimum in-memory tuples before chunked evaluation is worth spawning.
 pub const PAR_MIN_TUPLES: usize = 64;
@@ -32,103 +38,33 @@ pub const PAR_MIN_TUPLES: usize = 64;
 // Pure functions: closures safe to evaluate on worker threads.
 // ---------------------------------------------------------------------
 
-/// A closure verified to be context-free: its body touches no database
-/// object, applies only atomic operators and attribute access, and
-/// contains no nested function values. Such a closure can be evaluated
-/// on any thread without an [`crate::engine::EvalCtx`].
-///
-/// When the engine's expression compiler is on, a `PureFun` also carries
-/// the closure lowered to bytecode ([`crate::compile`]) and workers run
-/// that instead of the tree walker — the pure subset is a superset of
-/// the compilable one except for unbound variables, and the bytecode is
-/// extensionally equal where it exists, so the parallel result is
-/// unchanged either way.
+/// A closure proven context-free: its body touches no database object,
+/// applies only atomic operators and attribute access, and contains no
+/// nested function values — so evaluating it reads neither the object
+/// store nor the catalog, and any thread may do so under a context of
+/// its own ([`with_worker_ctx`]).
 pub struct PureFun {
     closure: Arc<Closure>,
-    compiled: Option<Arc<crate::compile::CompiledFun>>,
+    compiled: Option<Arc<CompiledFun>>,
 }
 
 impl PureFun {
     /// Verify purity; `None` means the closure needs the serial engine.
-    /// Lowers to bytecode as a side benefit (without touching the
-    /// engine's compile counters — these are transient per-call
-    /// programs, not plan construction).
-    pub fn compile(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<PureFun> {
-        Self::with_program(engine, closure, None)
-    }
-
-    /// Like [`PureFun::compile`], but reuses an already-lowered program
-    /// (e.g. the one attached to the cursor being parallelized) instead
-    /// of lowering the closure again.
-    pub fn with_program(
-        engine: &ExecEngine,
-        closure: &Arc<Closure>,
-        program: Option<Arc<crate::compile::CompiledFun>>,
-    ) -> Option<PureFun> {
-        if !is_pure_expr(engine, &closure.body) {
-            return None;
-        }
-        let compiled = program.or_else(|| crate::compile::compile_silent(engine, closure));
-        Some(PureFun {
+    /// Compiles through the engine's gate like any other plan closure.
+    pub fn new(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<PureFun> {
+        is_pure_expr(engine, &closure.body).then(|| PureFun {
             closure: closure.clone(),
-            compiled,
+            compiled: compile_gated(engine, closure),
         })
     }
 
-    /// Apply to argument values. Mirrors `EvalCtx::call` exactly
-    /// (environment layout, arity errors) for the pure subset.
-    pub fn call(&self, engine: &ExecEngine, args: &[Value]) -> ExecResult<Value> {
-        if let Some(cf) = &self.compiled {
-            return cf.call(args);
+    /// Apply to argument values: the bytecode when the closure
+    /// compiled, [`EvalCtx::call`] otherwise.
+    pub fn call(&self, ctx: &mut EvalCtx, args: &[Value]) -> ExecResult<Value> {
+        match &self.compiled {
+            Some(cf) => cf.call(args),
+            None => ctx.call(&self.closure, args.to_vec()),
         }
-        if self.closure.params.len() != args.len() {
-            return Err(ExecError::Other(format!(
-                "function expects {} argument(s), got {}",
-                self.closure.params.len(),
-                args.len()
-            )));
-        }
-        let mut env = self.closure.captured.clone();
-        for ((name, _), v) in self.closure.params.iter().zip(args) {
-            env.push((name.clone(), v.clone()));
-        }
-        eval_pure(engine, &self.closure.body, &env)
-    }
-
-    /// Evaluate as a predicate over a whole batch: the columnar kernel
-    /// when the program has one, else per-row calls. Mirrors
-    /// `CompiledFun::eval_mask` so batched parallel chunks keep the
-    /// serial vectorized path's evaluation strategy.
-    fn eval_mask(
-        &self,
-        engine: &ExecEngine,
-        batch: &[Value],
-        op: &'static str,
-    ) -> ExecResult<Vec<bool>> {
-        if let Some(cf) = &self.compiled {
-            return cf.eval_mask(batch, op);
-        }
-        let mut mask = Vec::with_capacity(batch.len());
-        for t in batch {
-            mask.push(self.call(engine, std::slice::from_ref(t))?.as_bool(op)?);
-        }
-        Ok(mask)
-    }
-
-    /// Evaluate as a column over a whole batch (see [`PureFun::eval_mask`]).
-    fn eval_column(&self, engine: &ExecEngine, batch: &[Value]) -> ExecResult<Vec<Value>> {
-        if let Some(cf) = &self.compiled {
-            return cf.eval_column(batch);
-        }
-        batch
-            .iter()
-            .map(|t| self.call(engine, std::slice::from_ref(t)))
-            .collect()
-    }
-
-    /// Columnar evaluation if the whole batch runs clean, else `None`.
-    fn try_columnar(&self, batch: &[Value]) -> Option<Vec<Value>> {
-        self.compiled.as_ref()?.try_columnar(batch)
     }
 }
 
@@ -151,523 +87,283 @@ fn is_pure_expr(engine: &ExecEngine, te: &TypedExpr) -> bool {
     }
 }
 
-/// Evaluate a pure term: the context-free subset of `EvalCtx::eval`,
-/// with identical dispatch order (registered atomic operator first, then
-/// attribute access) and identical errors.
-fn eval_pure(
-    engine: &ExecEngine,
-    te: &TypedExpr,
-    env: &[(sos_core::Symbol, Value)],
-) -> ExecResult<Value> {
-    match &te.node {
-        TypedNode::Const(c) => Ok(Value::from_const(c)),
-        TypedNode::Var(name) => env
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| ExecError::Other(format!("unbound variable `{name}`"))),
-        TypedNode::List(items) => Ok(Value::List(
-            items
-                .iter()
-                .map(|i| eval_pure(engine, i, env))
-                .collect::<ExecResult<_>>()?,
-        )),
-        TypedNode::Tuple(items) => Ok(Value::Pair(
-            items
-                .iter()
-                .map(|i| eval_pure(engine, i, env))
-                .collect::<ExecResult<_>>()?,
-        )),
-        TypedNode::Apply { op, args, .. } => {
-            let argv = args
-                .iter()
-                .map(|a| eval_pure(engine, a, env))
-                .collect::<ExecResult<Vec<_>>>()?;
-            if engine.is_atomic_op(op) {
-                return basic::eval_atomic(op.as_str(), &argv)
-                    .unwrap_or_else(|| Err(ExecError::NoImpl(op.clone())));
-            }
-            if let [arg_node] = &args[..] {
-                if let Some(idx) = crate::handles::attr_index(&arg_node.ty, op) {
-                    let tuple = argv[0].as_tuple(op.as_str())?;
-                    return tuple.get(idx).cloned().ok_or_else(|| {
-                        ExecError::Other(format!("tuple too short for attribute `{op}`"))
-                    });
-                }
-            }
-            Err(ExecError::NoImpl(op.clone()))
-        }
-        TypedNode::Object(_) | TypedNode::Lambda { .. } | TypedNode::ApplyFun { .. } => Err(
-            ExecError::Other("impure term reached the pure evaluator".into()),
-        ),
-    }
+/// Run `f` under an evaluation context of the calling worker's own: an
+/// empty object store and a scratch catalog, which a pure closure never
+/// reads.
+fn with_worker_ctx<R>(engine: &ExecEngine, f: impl FnOnce(&mut EvalCtx) -> R) -> R {
+    let mut store = std::collections::HashMap::new();
+    let mut catalog = sos_catalog::Catalog::new();
+    f(&mut EvalCtx::new(engine, &mut store, &mut catalog))
 }
 
 // ---------------------------------------------------------------------
-// Scan plans: a cursor spine rewritten as scan units + pure steps.
+// Scan units: a fresh source split for the workers.
 // ---------------------------------------------------------------------
-
-enum Step {
-    Filter(PureFun),
-    Project(Vec<PureFun>),
-    Replace { idx: usize, fun: PureFun },
-}
 
 /// One independently scannable fragment of a source: a single heap page,
 /// a B-tree leaf-chain range (one partition of a partitioned B-tree), or
-/// an already-materialized partition (LSD-trees materialize on scan).
-/// Units are listed in serial scan order, so concatenating per-unit
-/// results reproduces the serial drain.
+/// a run of in-memory tuples (a materialized LSD partition, a tuple
+/// range of an in-memory relation). Units are listed in serial scan
+/// order, so concatenating per-unit results reproduces the serial drain.
 enum ScanUnit {
     HeapPage(Arc<HeapFile>, PageId),
     BTreeRange(Arc<crate::handles::BTreeHandle>, KeyBytes, KeyBytes),
     Mem(Vec<Value>),
 }
 
-/// An undrained scan plus the pure pipeline steps stacked on it — the
-/// fragment of a cursor spine that can run data-parallel. Sources are a
-/// plain heap scan (one unit per page, as in the original heap plan) or
-/// a partition scan (heap partitions contribute per-page units, B-tree
-/// partitions one leaf-walk unit each, LSD partitions their
-/// materialized tuples).
-pub struct HeapPlan {
-    units: Vec<ScanUnit>,
-    /// Applied innermost-first, exactly as the serial cursor would.
-    steps: Vec<Step>,
+/// Split a cursor spine's source into scan units. `None` whenever any
+/// part of the spine must stay serial: a partially drained or
+/// non-scannable source, an impure function, a `head` (early termination
+/// is the point of pipelining), a `search_join`, or a shared link
+/// another value still holds.
+fn scan_units(engine: &ExecEngine, cursor: &Cursor, workers: usize) -> Option<Vec<ScanUnit>> {
+    let pure = |f: &Arc<Closure>| is_pure_expr(engine, &f.body);
+    match cursor {
+        Cursor::Filter { input, pred, .. } if pure(pred) => scan_units(engine, input, workers),
+        Cursor::Project { input, funs, .. } if funs.iter().all(pure) => {
+            scan_units(engine, input, workers)
+        }
+        Cursor::Replace { input, fun, .. } if pure(fun) => scan_units(engine, input, workers),
+        // A shared link inside a spine is parallel-safe only when the
+        // spine is its sole owner (a clone elsewhere could observe a
+        // partial drain).
+        Cursor::Shared(arc) if Arc::strong_count(arc) == 1 => {
+            scan_units(engine, &arc.lock(), workers)
+        }
+        // An in-memory relation splits into one tuple range per worker.
+        Cursor::Mat(buf) if buf.len() >= PAR_MIN_TUPLES => {
+            let per = buf.len().div_ceil(workers);
+            let mut rows = buf.iter().cloned();
+            Some(
+                (0..buf.len().div_ceil(per))
+                    .map(|_| ScanUnit::Mem(rows.by_ref().take(per).collect()))
+                    .collect(),
+            )
+        }
+        Cursor::PartScan {
+            cursors, idx: 0, ..
+        } => {
+            let mut units = Vec::new();
+            for c in cursors {
+                units.extend(source_units(c)?);
+            }
+            Some(units)
+        }
+        Cursor::Heap { .. } | Cursor::BTreeRange { .. } => source_units(cursor),
+        _ => None,
+    }
 }
 
-impl HeapPlan {
-    /// Extract a plan from a cursor spine. `None` whenever any part of
-    /// the spine must stay serial: a partially drained or non-scannable
-    /// source, an impure function, a `head` (early termination is the
-    /// point of pipelining), or a shared link another value still holds.
-    fn from_cursor(engine: &ExecEngine, cursor: &Cursor) -> Option<HeapPlan> {
-        match cursor {
-            Cursor::Heap {
-                heap,
-                pages,
-                page_idx,
-                buf,
-            } => {
-                if *page_idx != 0 || !buf.is_empty() {
-                    return None;
+/// The units of one fresh (undrained) scan source, in scan order.
+fn source_units(source: &Cursor) -> Option<Vec<ScanUnit>> {
+    match source {
+        Cursor::Heap {
+            heap,
+            pages,
+            page_idx: 0,
+            buf,
+        } if buf.is_empty() => Some(
+            pages
+                .iter()
+                .map(|p| ScanUnit::HeapPage(heap.clone(), *p))
+                .collect(),
+        ),
+        Cursor::BTreeRange {
+            handle,
+            lo,
+            hi,
+            primed: false,
+            done: false,
+            buf,
+            ..
+        } if buf.is_empty() => Some(vec![ScanUnit::BTreeRange(
+            handle.clone(),
+            lo.clone(),
+            hi.clone(),
+        )]),
+        Cursor::Mat(buf) => Some(vec![ScanUnit::Mem(buf.iter().cloned().collect())]),
+        _ => None,
+    }
+}
+
+/// The source cursors over one worker's slice of units: runs of pages of
+/// one heap become one `Heap` cursor over that page sub-list, so batches
+/// still span pages.
+fn unit_cursors(part: &[ScanUnit]) -> Vec<Cursor> {
+    let mut out: Vec<Cursor> = Vec::new();
+    for unit in part {
+        match unit {
+            ScanUnit::HeapPage(heap, pid) => match out.last_mut() {
+                Some(Cursor::Heap { heap: h, pages, .. }) if Arc::ptr_eq(h, heap) => {
+                    pages.push(*pid)
                 }
-                Some(HeapPlan {
-                    units: pages
-                        .iter()
-                        .map(|p| ScanUnit::HeapPage(heap.clone(), *p))
-                        .collect(),
-                    steps: Vec::new(),
-                })
+                _ => out.push(Cursor::Heap {
+                    heap: heap.clone(),
+                    pages: vec![*pid],
+                    page_idx: 0,
+                    buf: Default::default(),
+                }),
+            },
+            ScanUnit::BTreeRange(handle, lo, hi) => {
+                out.push(Cursor::btree_range(handle.clone(), lo.clone(), hi.clone()))
             }
-            Cursor::PartScan { cursors, idx, .. } => {
-                if *idx != 0 {
-                    return None;
-                }
-                let mut units = Vec::new();
-                for c in cursors {
-                    match c {
-                        Cursor::Heap {
-                            heap,
-                            pages,
-                            page_idx,
-                            buf,
-                        } => {
-                            if *page_idx != 0 || !buf.is_empty() {
-                                return None;
-                            }
-                            units
-                                .extend(pages.iter().map(|p| ScanUnit::HeapPage(heap.clone(), *p)));
-                        }
-                        Cursor::BTreeRange {
-                            handle,
-                            lo,
-                            hi,
-                            primed,
-                            done,
-                            buf,
-                            ..
-                        } => {
-                            if *primed || *done || !buf.is_empty() {
-                                return None;
-                            }
-                            units.push(ScanUnit::BTreeRange(
-                                handle.clone(),
-                                lo.clone(),
-                                hi.clone(),
-                            ));
-                        }
-                        Cursor::Mat(buf) => {
-                            units.push(ScanUnit::Mem(buf.iter().cloned().collect()));
-                        }
-                        _ => return None,
-                    }
-                }
-                Some(HeapPlan {
-                    units,
-                    steps: Vec::new(),
-                })
-            }
+            ScanUnit::Mem(rows) => out.push(Cursor::materialized(rows.clone())),
+        }
+    }
+    out
+}
+
+impl Cursor {
+    /// This spine's `Filter`/`Project`/`Replace` steps rebuilt over
+    /// another source, sharing the closures and their compiled programs.
+    fn with_source(&self, source: Cursor) -> Cursor {
+        match self {
             Cursor::Filter {
                 input,
                 pred,
                 compiled,
-            } => {
-                let mut plan = Self::from_cursor(engine, input)?;
-                plan.steps.push(Step::Filter(PureFun::with_program(
-                    engine,
-                    pred,
-                    compiled.clone(),
-                )?));
-                Some(plan)
-            }
+            } => Cursor::Filter {
+                input: Box::new(input.with_source(source)),
+                pred: pred.clone(),
+                compiled: compiled.clone(),
+            },
             Cursor::Project {
                 input,
                 funs,
                 compiled,
-            } => {
-                let mut plan = Self::from_cursor(engine, input)?;
-                let pure = funs
-                    .iter()
-                    .zip(compiled)
-                    .map(|(f, c)| PureFun::with_program(engine, f, c.clone()))
-                    .collect::<Option<Vec<_>>>()?;
-                plan.steps.push(Step::Project(pure));
-                Some(plan)
-            }
+            } => Cursor::Project {
+                input: Box::new(input.with_source(source)),
+                funs: funs.clone(),
+                compiled: compiled.clone(),
+            },
             Cursor::Replace {
                 input,
                 idx,
                 fun,
                 compiled,
-            } => {
-                let mut plan = Self::from_cursor(engine, input)?;
-                plan.steps.push(Step::Replace {
-                    idx: *idx,
-                    fun: PureFun::with_program(engine, fun, compiled.clone())?,
-                });
-                Some(plan)
-            }
-            // A shared link inside a spine is parallel-safe only when the
-            // spine is its sole owner (a clone elsewhere could observe a
-            // partial drain).
-            Cursor::Shared(arc) => {
-                if Arc::strong_count(arc) != 1 {
-                    return None;
-                }
-                let guard = arc.lock();
-                Self::from_cursor(engine, &guard)
-            }
-            Cursor::Mat(_)
-            | Cursor::BTreeRange { .. }
-            | Cursor::Head { .. }
-            | Cursor::SearchJoin { .. } => None,
-        }
-    }
-
-    /// Run the plan's steps over every record of a contiguous unit chunk
-    /// on each worker: one accumulator per chunk (no per-record
-    /// allocation or reduce), records decoded in place via the storage
-    /// `visit_page`/`visit_leaf` helpers. When the engine's batch width
-    /// is above 1, decoded rows are accumulated into width-sized batches
-    /// and pushed through the steps batch-at-a-time — the same
-    /// mask/column evaluation the serial vectorized path uses (columnar
-    /// kernels included) — instead of tuple-at-a-time. Chunk results
-    /// come back in unit order, so concatenation matches the serial
-    /// scan; the first error in unit order wins.
-    fn scan_chunks<T, F>(
-        &self,
-        engine: &ExecEngine,
-        workers: usize,
-        emit: F,
-    ) -> ExecResult<Vec<(T, ChunkStats)>>
-    where
-        T: Default + Send,
-        F: Fn(&mut T, Vec<Value>) + Sync,
-    {
-        let width = engine.batch_size().max(1);
-        let chunks = par_chunks(
-            &self.units,
-            workers,
-            |_, part| -> ExecResult<(T, ChunkStats)> {
-                let mut acc = T::default();
-                let mut cs = ChunkStats::default();
-                let mut batch: Vec<Value> = Vec::with_capacity(width.min(4096));
-                let flush =
-                    |rows: Vec<Value>, acc: &mut T, cs: &mut ChunkStats| -> ExecResult<()> {
-                        if rows.is_empty() {
-                            return Ok(());
-                        }
-                        let kept = if width > 1 {
-                            cs.batches += 1;
-                            cs.batched_rows += rows.len() as u64;
-                            apply_steps_batch(engine, &self.steps, rows)?
-                        } else {
-                            let mut out = Vec::with_capacity(rows.len());
-                            for t in rows {
-                                if let Some(t) = apply_steps(engine, &self.steps, t)? {
-                                    out.push(t);
-                                }
-                            }
-                            out
-                        };
-                        emit(acc, kept);
-                        Ok(())
-                    };
-                for unit in part {
-                    match unit {
-                        ScanUnit::HeapPage(heap, pid) => {
-                            cs.pages += 1;
-                            heap.visit_page::<ExecError, _>(*pid, |_, rec| {
-                                cs.read += 1;
-                                batch.push(Value::decode_tuple(rec)?);
-                                Ok(())
-                            })?;
-                        }
-                        ScanUnit::BTreeRange(handle, lo, hi) => {
-                            let mut pid = Some(handle.tree.find_leaf(lo)?);
-                            let mut past_hi = false;
-                            while let Some(p) = pid {
-                                if past_hi {
-                                    break;
-                                }
-                                cs.pages += 1;
-                                let next =
-                                    handle.tree.visit_leaf::<ExecError, _>(p, |k, bytes| {
-                                        if past_hi || k < lo.as_slice() {
-                                            return Ok(());
-                                        }
-                                        if k > hi.as_slice() {
-                                            past_hi = true;
-                                            return Ok(());
-                                        }
-                                        cs.read += 1;
-                                        batch.push(Value::decode_tuple(bytes)?);
-                                        Ok(())
-                                    })?;
-                                pid = next;
-                                while batch.len() >= width {
-                                    let rest = batch.split_off(width);
-                                    flush(std::mem::replace(&mut batch, rest), &mut acc, &mut cs)?;
-                                }
-                            }
-                        }
-                        ScanUnit::Mem(rows) => {
-                            cs.read += rows.len();
-                            batch.extend(rows.iter().cloned());
-                        }
-                    }
-                    while batch.len() >= width {
-                        let rest = batch.split_off(width);
-                        flush(std::mem::replace(&mut batch, rest), &mut acc, &mut cs)?;
-                    }
-                }
-                flush(batch, &mut acc, &mut cs)?;
-                Ok((acc, cs))
+            } => Cursor::Replace {
+                input: Box::new(input.with_source(source)),
+                idx: *idx,
+                fun: fun.clone(),
+                compiled: compiled.clone(),
             },
-        );
-        chunks.into_iter().collect()
-    }
-
-    fn collect(&self, engine: &ExecEngine, workers: usize) -> ExecResult<Vec<Value>> {
-        let chunks = self.scan_chunks(engine, workers, |rows: &mut Vec<Value>, kept| {
-            rows.extend(kept);
-        })?;
-        let mut cs = ChunkStats::default();
-        let mut out = Vec::new();
-        for (mut rows, c) in chunks {
-            cs.merge(&c);
-            out.append(&mut rows);
-        }
-        engine
-            .stats
-            .record("feed", workers, cs.read, out.len(), cs.pages);
-        engine.stats.record_batches(
-            "feed",
-            cs.pages.max(cs.batches as usize) as u64,
-            cs.read as u64,
-        );
-        Ok(out)
-    }
-
-    fn count(&self, engine: &ExecEngine, workers: usize) -> ExecResult<i64> {
-        let chunks = self.scan_chunks(engine, workers, |n: &mut i64, kept| {
-            *n += kept.len() as i64;
-        })?;
-        let mut cs = ChunkStats::default();
-        let mut total = 0i64;
-        for (n, c) in chunks {
-            cs.merge(&c);
-            total += n;
-        }
-        // `count` emits one value; tuples_out = 1 matches the serial path.
-        engine.stats.record("count", workers, cs.read, 1, cs.pages);
-        engine.stats.record_batches(
-            "count",
-            cs.pages.max(cs.batches as usize) as u64,
-            cs.read as u64,
-        );
-        Ok(total)
-    }
-}
-
-/// Per-chunk scan accounting, merged in unit order.
-#[derive(Default)]
-struct ChunkStats {
-    read: usize,
-    pages: usize,
-    batches: u64,
-    batched_rows: u64,
-}
-
-impl ChunkStats {
-    fn merge(&mut self, other: &ChunkStats) {
-        self.read += other.read;
-        self.pages += other.pages;
-        self.batches += other.batches;
-        self.batched_rows += other.batched_rows;
-    }
-}
-
-fn apply_steps(engine: &ExecEngine, steps: &[Step], mut t: Value) -> ExecResult<Option<Value>> {
-    for step in steps {
-        match step {
-            Step::Filter(pred) => {
-                if !pred
-                    .call(engine, std::slice::from_ref(&t))?
-                    .as_bool("filter")?
-                {
-                    return Ok(None);
-                }
-            }
-            Step::Project(funs) => {
-                let mut fields = Vec::with_capacity(funs.len());
-                for f in funs {
-                    fields.push(f.call(engine, std::slice::from_ref(&t))?);
-                }
-                t = Value::tuple(fields);
-            }
-            Step::Replace { idx, fun } => {
-                let mut fields = t.as_tuple("replace")?.to_vec();
-                fields[*idx] = fun.call(engine, std::slice::from_ref(&t))?;
-                t = Value::tuple(fields);
-            }
+            Cursor::Shared(arc) => arc.lock().with_source(source),
+            _ => source,
         }
     }
-    Ok(Some(t))
-}
-
-/// Batched counterpart of [`apply_steps`]: each step consumes the whole
-/// batch via mask/column evaluation — the identical strategy (columnar
-/// kernels first, per-row bytecode otherwise) the serial vectorized
-/// cursor path uses in `Cursor::next_batch_into`.
-fn apply_steps_batch(
-    engine: &ExecEngine,
-    steps: &[Step],
-    mut batch: Vec<Value>,
-) -> ExecResult<Vec<Value>> {
-    for step in steps {
-        if batch.is_empty() {
-            break;
-        }
-        match step {
-            Step::Filter(pred) => {
-                let mask = pred.eval_mask(engine, &batch, "filter")?;
-                let mut kept = Vec::with_capacity(batch.len());
-                for (t, keep) in batch.into_iter().zip(mask) {
-                    if keep {
-                        kept.push(t);
-                    }
-                }
-                batch = kept;
-            }
-            Step::Project(funs) => {
-                let rows = batch.len();
-                let mut cols = Vec::with_capacity(funs.len());
-                for f in funs {
-                    cols.push(f.eval_column(engine, &batch)?);
-                }
-                let mut iters: Vec<_> = cols.into_iter().map(|c| c.into_iter()).collect();
-                batch = (0..rows)
-                    .map(|_| {
-                        Value::tuple(
-                            iters
-                                .iter_mut()
-                                .map(|it| it.next().expect("column length matches batch"))
-                                .collect(),
-                        )
-                    })
-                    .collect();
-            }
-            Step::Replace { idx, fun } => {
-                let vals = fun.try_columnar(&batch);
-                let mut out = Vec::with_capacity(batch.len());
-                for (r, t) in batch.iter().enumerate() {
-                    let v = match &vals {
-                        Some(vs) => vs[r].clone(),
-                        None => fun.call(engine, std::slice::from_ref(t))?,
-                    };
-                    let mut fields = t.as_tuple("replace")?.to_vec();
-                    fields[*idx] = v;
-                    out.push(Value::tuple(fields));
-                }
-                batch = out;
-            }
-        }
-    }
-    Ok(batch)
 }
 
 // ---------------------------------------------------------------------
 // Drain hooks: entry points called by the serial operators.
 // ---------------------------------------------------------------------
 
-/// Try to drain a cursor in parallel. `None` falls back to the serial
-/// drain; `Some` returns the tuples in serial page order and leaves the
-/// cursor consumed (as a serial drain would).
-pub fn try_par_drain(engine: &ExecEngine, cursor: &mut Cursor) -> Option<ExecResult<Vec<Value>>> {
+/// Try to fold a cursor's tuples in parallel on behalf of operator `op`.
+/// `None` falls back to the serial drain. Otherwise each worker folds
+/// the batches of its unit slice into a `T` with `fold`, `finish` turns
+/// the per-worker `T`s (in unit order) into the result plus the
+/// operator's `tuples_out`, and the cursor is left consumed (as a serial
+/// drain would). The first error in unit order wins.
+fn try_par_fold<T, R>(
+    engine: &ExecEngine,
+    cursor: &mut Cursor,
+    op: &'static str,
+    fold: impl Fn(&mut T, &mut Vec<Value>) + Sync,
+    finish: impl FnOnce(Vec<T>) -> (R, usize),
+) -> Option<ExecResult<R>>
+where
+    T: Default + Send,
+{
     if let Cursor::Shared(arc) = cursor {
         let arc = arc.clone();
         let mut guard = arc.lock();
-        return try_par_drain(engine, &mut guard);
+        return try_par_fold(engine, &mut guard, op, fold, finish);
     }
     let workers = engine.workers();
     if workers <= 1 {
         return None;
     }
-    let plan = HeapPlan::from_cursor(engine, cursor)?;
-    if plan.units.len() < PAR_MIN_PAGES {
+    let units = scan_units(engine, cursor, workers)?;
+    if units.len() < PAR_MIN_PAGES {
         return None;
     }
-    let result = plan.collect(engine, workers);
+    let spine: &Cursor = cursor;
+    let chunks = par_chunks(&units, workers, |_, part| {
+        with_worker_ctx(engine, |ctx| -> ExecResult<(T, ScanTally, (u64, u64))> {
+            let mut acc = T::default();
+            let (mut batches, mut rows) = (0, 0);
+            for source in unit_cursors(part) {
+                let (b, r) = spine.with_source(source).for_each_batch(ctx, |batch| {
+                    fold(&mut acc, batch);
+                    Ok(())
+                })?;
+                batches += b;
+                rows += r;
+            }
+            Ok((acc, ctx.scanned, (batches, rows)))
+        })
+    });
+    // Collecting surfaces the first error in unit order.
+    let result = chunks
+        .into_iter()
+        .collect::<ExecResult<Vec<_>>>()
+        .map(|chunks| {
+            let mut accs = Vec::with_capacity(chunks.len());
+            let mut scanned = ScanTally::default();
+            let (mut batches, mut rows) = (0, 0);
+            for (acc, tally, (b, r)) in chunks {
+                accs.push(acc);
+                scanned.rows += tally.rows;
+                scanned.pages += tally.pages;
+                batches += b;
+                rows += r;
+            }
+            let (out, tuples_out) = finish(accs);
+            engine
+                .stats
+                .record(op, workers, scanned.rows, tuples_out, scanned.pages);
+            engine.stats.record_batches(op, batches, rows);
+            out
+        });
     if result.is_ok() {
         *cursor = Cursor::Mat(Default::default());
     }
     Some(result)
 }
 
+/// Try to drain a cursor in parallel, recorded as an invocation of `op`
+/// (see [`try_par_fold`]): the tuples come back in serial scan order.
+pub fn try_par_drain(
+    engine: &ExecEngine,
+    cursor: &mut Cursor,
+    op: &'static str,
+) -> Option<ExecResult<Vec<Value>>> {
+    try_par_fold(
+        engine,
+        cursor,
+        op,
+        |acc: &mut Vec<Value>, batch| acc.append(batch),
+        |accs| {
+            let mut out = Vec::with_capacity(accs.iter().map(Vec::len).sum());
+            for mut acc in accs {
+                out.append(&mut acc);
+            }
+            let n = out.len();
+            (out, n)
+        },
+    )
+}
+
 /// Try to count a cursor's tuples in parallel without materializing them
 /// (the filter + count pushdown). Same contract as [`try_par_drain`].
 pub fn try_par_count(engine: &ExecEngine, cursor: &mut Cursor) -> Option<ExecResult<i64>> {
-    if let Cursor::Shared(arc) = cursor {
-        let arc = arc.clone();
-        let mut guard = arc.lock();
-        return try_par_count(engine, &mut guard);
-    }
-    let workers = engine.workers();
-    if workers <= 1 {
-        return None;
-    }
-    let plan = HeapPlan::from_cursor(engine, cursor)?;
-    if plan.units.len() < PAR_MIN_PAGES {
-        return None;
-    }
-    let result = plan.count(engine, workers);
-    if result.is_ok() {
-        *cursor = Cursor::Mat(Default::default());
-    }
-    Some(result)
+    try_par_fold(
+        engine,
+        cursor,
+        "count",
+        |n: &mut i64, batch| *n += batch.len() as i64,
+        // `count` emits one value; tuples_out = 1 matches the serial path.
+        |accs| (accs.into_iter().sum(), 1),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -685,25 +381,13 @@ pub fn try_par_count(engine: &ExecEngine, cursor: &mut Cursor) -> Option<ExecRes
 ///   be pure; workers probe the index (partition-pruned for partitioned
 ///   indexes) per outer tuple.
 enum SjInner {
-    FilterMat { pred: PureFun },
-    Probe { op: ProbeOp, key: PureFun },
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum ProbeOp {
-    Exact,
-    Point,
-    Overlap,
-}
-
-impl ProbeOp {
-    fn name(self) -> &'static str {
-        match self {
-            ProbeOp::Exact => "exactmatch",
-            ProbeOp::Point => "point_search",
-            ProbeOp::Overlap => "overlap_search",
-        }
-    }
+    FilterMat {
+        pred: PureFun,
+    },
+    Probe {
+        probe: crate::ops::indexes::ProbeFn,
+        key: PureFun,
+    },
 }
 
 /// Whether `attr` occurs as a variable anywhere in `te`. Conservative:
@@ -787,26 +471,23 @@ pub fn try_par_search_join(
                 captured: fun.captured.clone(),
             });
             SjInner::FilterMat {
-                pred: PureFun::compile(engine, &pred)?,
+                pred: PureFun::new(engine, &pred)?,
             }
         }
-        probe @ ("exactmatch" | "point_search" | "overlap_search") => {
-            let op = match probe {
-                "exactmatch" => ProbeOp::Exact,
-                "point_search" => ProbeOp::Point,
-                _ => ProbeOp::Overlap,
-            };
+        op => {
+            let (_, probe) = *crate::ops::indexes::PROBE_OPS
+                .iter()
+                .find(|(name, _)| *name == op)?;
             let key = Arc::new(Closure {
                 params: vec![(outer_param.clone(), outer_ty.clone())],
                 body: second.clone(),
                 captured: fun.captured.clone(),
             });
             SjInner::Probe {
-                op,
-                key: PureFun::compile(engine, &key)?,
+                probe,
+                key: PureFun::new(engine, &key)?,
             }
         }
-        _ => return None,
     };
     // Evaluate the outer-invariant inner source once, under the closure's
     // captured environment (exactly the environment the serial per-tuple
@@ -818,75 +499,46 @@ pub fn try_par_search_join(
     };
     let mut run = || -> ExecResult<Vec<Value>> {
         let src_value = ctx.call(&src_closure, Vec::new())?;
-        let outer_tuples = match try_par_drain(engine, outer) {
-            Some(r) => r?,
-            None => outer.drain(ctx)?,
+        let outer_tuples = outer.drain_any(ctx)?;
+        let (src_value, inner_tuples) = match &plan {
+            SjInner::FilterMat { .. } => (
+                Value::Undefined,
+                crate::stream::materialize(ctx, src_value)?,
+            ),
+            SjInner::Probe { .. } => (src_value, Vec::new()),
         };
-        let (out, inner_len) = match &plan {
-            SjInner::FilterMat { pred } => {
-                let inner_tuples = crate::stream::materialize(ctx, src_value)?;
-                let chunks = par_chunks(
-                    &outer_tuples,
-                    workers,
-                    |_, part| -> ExecResult<Vec<Value>> {
-                        let mut out = Vec::new();
-                        for o in part {
+        let chunks = par_chunks(&outer_tuples, workers, |_, part| {
+            with_worker_ctx(engine, |ctx| -> ExecResult<Vec<Value>> {
+                let mut out = Vec::new();
+                for o in part {
+                    match &plan {
+                        SjInner::FilterMat { pred } => {
                             for i in &inner_tuples {
-                                if pred
-                                    .call(engine, &[o.clone(), i.clone()])?
-                                    .as_bool("filter")?
-                                {
-                                    out.push(crate::ops::relational::concat_tuples(
-                                        o,
-                                        i,
-                                        "search_join",
-                                    )?);
+                                if pred.call(ctx, &[o.clone(), i.clone()])?.as_bool("filter")? {
+                                    out.push(concat_tuples(o, i, "search_join")?);
                                 }
                             }
                         }
-                        Ok(out)
-                    },
-                );
-                (merge_chunks(chunks)?, inner_tuples.len())
-            }
-            SjInner::Probe { op, key } => {
-                let chunks = par_chunks(
-                    &outer_tuples,
-                    workers,
-                    |_, part| -> ExecResult<(Vec<Value>, u64, u64)> {
-                        let mut out = Vec::new();
-                        let (mut total, mut pruned) = (0u64, 0u64);
-                        for o in part {
-                            let k = key.call(engine, std::slice::from_ref(o))?;
-                            let matches =
-                                probe_index(&src_value, *op, &k, &mut total, &mut pruned)?;
-                            for m in &matches {
-                                out.push(crate::ops::relational::concat_tuples(
-                                    o,
-                                    m,
-                                    "search_join",
-                                )?);
+                        SjInner::Probe { probe, key } => {
+                            let k = key.call(ctx, std::slice::from_ref(o))?;
+                            let hits = match probe(engine, &src_value, &k)? {
+                                Value::Stream(ts) => ts,
+                                cursor => crate::stream::into_cursor(cursor)?.scan_all()?,
+                            };
+                            for m in &hits {
+                                out.push(concat_tuples(o, m, "search_join")?);
                             }
                         }
-                        Ok((out, total, pruned))
-                    },
-                );
-                let mut out = Vec::new();
-                let (mut total, mut pruned) = (0u64, 0u64);
-                for c in chunks {
-                    let (mut rows, t, p) = c?;
-                    out.append(&mut rows);
-                    total += t;
-                    pruned += p;
+                    }
                 }
-                engine.stats.record_partitions("search_join", total, pruned);
-                (out, 0)
-            }
-        };
+                Ok(out)
+            })
+        });
+        let out = merge_chunks(chunks)?;
         engine.stats.record(
             "search_join",
             workers,
-            outer_tuples.len() + inner_len,
+            outer_tuples.len() + inner_tuples.len(),
             out.len(),
             0,
         );
@@ -897,110 +549,6 @@ pub fn try_par_search_join(
         *cursor = Cursor::Mat(Default::default());
     }
     Some(result)
-}
-
-/// Probe one index value with a key — the operator semantics of
-/// `exactmatch`/`point_search`/`overlap_search` evaluated directly
-/// against storage (safe on worker threads: no engine context). For
-/// partitioned indexes the probe is pruned to candidate partitions
-/// (equality routing for B-trees, cover intersection for LSD-trees) and
-/// surviving partitions are probed in partition order.
-fn probe_index(
-    target: &Value,
-    op: ProbeOp,
-    key: &Value,
-    total: &mut u64,
-    pruned: &mut u64,
-) -> ExecResult<Vec<Value>> {
-    match (target, op) {
-        (Value::BTree(h), ProbeOp::Exact) => {
-            let k = crate::handles::encode_key("exactmatch", key)?;
-            btree_range_collect(h, &k, &k)
-        }
-        (Value::LsdTree(h), ProbeOp::Point) => {
-            let Value::Point(p) = key else {
-                return Err(ExecError::TypeMismatch {
-                    op: "point_search".into(),
-                    expected: "point".into(),
-                    found: key.kind_name().into(),
-                });
-            };
-            let mut out = Vec::new();
-            for e in h.tree.point_search(*p)? {
-                out.push(Value::decode_tuple(&e.payload)?);
-            }
-            Ok(out)
-        }
-        (Value::LsdTree(h), ProbeOp::Overlap) => {
-            let Value::Rect(r) = key else {
-                return Err(ExecError::TypeMismatch {
-                    op: "overlap_search".into(),
-                    expected: "rect".into(),
-                    found: key.kind_name().into(),
-                });
-            };
-            let mut out = Vec::new();
-            for e in h.tree.overlap_search(*r)? {
-                out.push(Value::decode_tuple(&e.payload)?);
-            }
-            Ok(out)
-        }
-        (Value::Part(h), _) => {
-            *total += h.part_count() as u64;
-            let mask = match (op, key) {
-                (ProbeOp::Exact, _) => {
-                    h.candidate_mask(&[crate::partition::KeyCond::Eq(key.clone())])
-                }
-                (ProbeOp::Point, Value::Point(p)) => h.cover_mask(|c| c.contains_point(p)),
-                (ProbeOp::Overlap, Value::Rect(r)) => h.cover_mask(|c| c.intersects(r)),
-                _ => vec![true; h.part_count()],
-            };
-            let mut out = Vec::new();
-            for (p, keep) in h.parts.iter().zip(&mask) {
-                if !keep {
-                    *pruned += 1;
-                    continue;
-                }
-                out.extend(probe_index(p, op, key, total, pruned)?);
-            }
-            Ok(out)
-        }
-        (other, op) => Err(ExecError::TypeMismatch {
-            op: op.name().into(),
-            expected: "index representation".into(),
-            found: other.kind_name().into(),
-        }),
-    }
-}
-
-/// Collect a B-tree's `[lo, hi]` leaf range without an engine context
-/// (the worker-thread counterpart of the `BTreeRange` cursor).
-fn btree_range_collect(
-    h: &Arc<crate::handles::BTreeHandle>,
-    lo: &[u8],
-    hi: &[u8],
-) -> ExecResult<Vec<Value>> {
-    let mut out = Vec::new();
-    let mut pid = Some(h.tree.find_leaf(lo)?);
-    let mut past_hi = false;
-    while let Some(p) = pid {
-        if past_hi {
-            break;
-        }
-        let next = h.tree.visit_leaf::<ExecError, _>(p, |k, bytes| {
-            if past_hi || k < lo {
-                return Ok(());
-            }
-            if k > hi {
-                past_hi = true;
-                return Ok(());
-            }
-            out.push(Value::decode_tuple(bytes)?);
-            Ok(())
-        })?;
-        pid = next;
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -1047,37 +595,6 @@ fn merge_chunks(chunks: Vec<ExecResult<Vec<Value>>>) -> ExecResult<Vec<Value>> {
     Ok(out)
 }
 
-/// Parallel `select`/`filter` over an in-memory relation. `None` when
-/// the predicate is impure or the input is too small to bother.
-pub fn try_par_filter(
-    engine: &ExecEngine,
-    tuples: &[Value],
-    pred: &Value,
-    op: &'static str,
-) -> Option<ExecResult<Vec<Value>>> {
-    let workers = engine.workers();
-    if workers <= 1 || tuples.len() < PAR_MIN_TUPLES {
-        return None;
-    }
-    let fun = PureFun::compile(engine, pred.as_closure(op).ok()?)?;
-    let chunks = par_chunks(tuples, workers, |_, part| -> ExecResult<Vec<Value>> {
-        let mut keep = Vec::new();
-        for t in part {
-            if fun.call(engine, std::slice::from_ref(t))?.as_bool(op)? {
-                keep.push(t.clone());
-            }
-        }
-        Ok(keep)
-    });
-    let out = merge_chunks(chunks);
-    if let Ok(kept) = &out {
-        engine
-            .stats
-            .record(op, workers, tuples.len(), kept.len(), 0);
-    }
-    Some(out)
-}
-
 /// Parallel nested-loop `join`: partitions the left side, each worker
 /// joins its chunk against the whole right side.
 pub fn try_par_join(
@@ -1090,17 +607,19 @@ pub fn try_par_join(
     if workers <= 1 || left.len().saturating_mul(right.len()) < PAR_MIN_TUPLES {
         return None;
     }
-    let fun = PureFun::compile(engine, pred.as_closure("join").ok()?)?;
-    let chunks = par_chunks(left, workers, |_, part| -> ExecResult<Vec<Value>> {
-        let mut out = Vec::new();
-        for l in part {
-            for r in right {
-                if fun.call(engine, &[l.clone(), r.clone()])?.as_bool("join")? {
-                    out.push(crate::ops::relational::concat_tuples(l, r, "join")?);
+    let fun = PureFun::new(engine, pred.as_closure("join").ok()?)?;
+    let chunks = par_chunks(left, workers, |_, part| {
+        with_worker_ctx(engine, |ctx| -> ExecResult<Vec<Value>> {
+            let mut out = Vec::new();
+            for l in part {
+                for r in right {
+                    if fun.call(ctx, &[l.clone(), r.clone()])?.as_bool("join")? {
+                        out.push(concat_tuples(l, r, "join")?);
+                    }
                 }
             }
-        }
-        Ok(out)
+            Ok(out)
+        })
     });
     let out = merge_chunks(chunks);
     if let Ok(joined) = &out {
@@ -1147,16 +666,17 @@ mod tests {
             },
             int_ty(),
         );
-        let f = PureFun::compile(&e, &closure_of(body)).expect("x + 1 is pure");
-        assert_eq!(f.call(&e, &[Value::Int(41)]).unwrap(), Value::Int(42));
-        assert!(PureFun::compile(&e, &closure_of(var)).is_some());
+        let f = PureFun::new(&e, &closure_of(body)).expect("x + 1 is pure");
+        let got = with_worker_ctx(&e, |ctx| f.call(ctx, &[Value::Int(41)]));
+        assert_eq!(got.unwrap(), Value::Int(42));
+        assert!(PureFun::new(&e, &closure_of(var)).is_some());
     }
 
     #[test]
     fn object_references_are_impure() {
         let e = engine();
         let body = TypedExpr::new(TypedNode::Object(Symbol::new("cities")), int_ty());
-        assert!(PureFun::compile(&e, &closure_of(body)).is_none());
+        assert!(PureFun::new(&e, &closure_of(body)).is_none());
     }
 
     #[test]
@@ -1173,11 +693,11 @@ mod tests {
             },
             int_ty(),
         );
-        assert!(PureFun::compile(&e, &closure_of(body.clone())).is_some());
+        assert!(PureFun::new(&e, &closure_of(body.clone())).is_some());
         // A user override of `+` may do anything; the pure evaluator must
         // no longer claim it.
         e.add_op("+", |_, _, _| Ok(Value::Int(0)));
-        assert!(PureFun::compile(&e, &closure_of(body)).is_none());
+        assert!(PureFun::new(&e, &closure_of(body)).is_none());
     }
 
     #[test]

@@ -25,6 +25,16 @@ use sos_storage::PageId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Rows decoded and pages visited by the scan sources pulled under one
+/// [`EvalCtx`]. Each worker of a parallel drain owns its context, so
+/// the sum over workers is what the drain reports as its operator's
+/// `tuples_in` / `pages_scanned`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ScanTally {
+    pub rows: usize,
+    pub pages: usize,
+}
+
 /// A pull-based tuple stream.
 pub enum Cursor {
     /// Materialized tuples (the degenerate cursor).
@@ -122,14 +132,12 @@ impl Cursor {
     }
 
     /// Full scan of a partitioned object: one sub-cursor per partition,
-    /// drained in order. Heap and B-tree partitions stay pipelined;
-    /// LSD-tree partitions materialize (their `scan` is bulk, exactly
-    /// like `feed` over an unpartitioned lsdtree).
+    /// drained in order.
     pub fn part_scan(handle: Arc<crate::partition::PartHandle>) -> ExecResult<Cursor> {
         let cursors = handle
             .parts
             .iter()
-            .map(Cursor::part_cursor)
+            .map(Cursor::scan_of)
             .collect::<ExecResult<Vec<_>>>()?;
         Ok(Cursor::PartScan {
             handle,
@@ -138,9 +146,12 @@ impl Cursor {
         })
     }
 
-    /// The scan cursor of one partition's value.
-    fn part_cursor(part: &Value) -> ExecResult<Cursor> {
-        match part {
+    /// The scan source over any relation representation (the `feed` of
+    /// the `relrep` subtype hierarchy). Heaps, B-trees and partitioned
+    /// objects stay pipelined; LSD-trees materialize (their `scan` is
+    /// bulk), as do in-memory relations.
+    pub(crate) fn scan_of(v: &Value) -> ExecResult<Cursor> {
+        match v {
             Value::SRel(h) | Value::TidRel(h) => Ok(Cursor::heap_scan(h.clone())),
             Value::BTree(h) => Ok(Cursor::btree_range(
                 h.clone(),
@@ -155,10 +166,15 @@ impl Cursor {
                     .collect::<ExecResult<Vec<_>>>()?;
                 Ok(Cursor::materialized(tuples))
             }
-            other => Err(ExecError::Other(format!(
-                "cannot scan a {} partition",
-                other.kind_name()
-            ))),
+            Value::Part(h) => Cursor::part_scan(h.clone()),
+            // Hybrid convenience: an in-memory relation also feeds.
+            Value::Rel(ts) | Value::Stream(ts) => Ok(Cursor::materialized(ts.clone())),
+            Value::Undefined => Ok(Cursor::materialized(Vec::new())),
+            other => Err(crate::error::mismatch(
+                "feed",
+                "relation representation",
+                &other.kind_name(),
+            )),
         }
     }
 
@@ -196,209 +212,32 @@ impl Cursor {
         }
     }
 
-    /// Pull the next tuple, touching pages only as needed.
+    /// Pull the next tuple: [`Cursor::next_batch_into`] at width 1.
     pub fn next(&mut self, ctx: &mut EvalCtx) -> ExecResult<Option<Value>> {
-        match self {
-            Cursor::Mat(buf) => Ok(buf.pop_front()),
-            Cursor::Heap {
-                heap,
-                pages,
-                page_idx,
-                buf,
-            } => loop {
-                if let Some(v) = buf.pop_front() {
-                    return Ok(Some(v));
-                }
-                if *page_idx >= pages.len() {
-                    return Ok(None);
-                }
-                let page = pages[*page_idx];
-                *page_idx += 1;
-                for item in heap.scan_pages(vec![page]) {
-                    let (_, bytes) = item?;
-                    buf.push_back(Value::decode_tuple(&bytes)?);
-                }
-            },
-            Cursor::BTreeRange {
-                handle,
-                lo,
-                hi,
-                next_page,
-                primed,
-                done,
-                buf,
-            } => loop {
-                if let Some(v) = buf.pop_front() {
-                    return Ok(Some(v));
-                }
-                if *done {
-                    return Ok(None);
-                }
-                let pid = if !*primed {
-                    *primed = true;
-                    handle.tree.find_leaf(lo)?
-                } else {
-                    match *next_page {
-                        Some(p) => p,
-                        None => {
-                            *done = true;
-                            return Ok(None);
-                        }
-                    }
-                };
-                let (entries, next) = handle.tree.read_leaf(pid)?;
-                *next_page = next;
-                let mut past_hi = false;
-                for (k, v) in entries {
-                    if k.as_slice() < lo.as_slice() {
-                        continue;
-                    }
-                    if k.as_slice() > hi.as_slice() {
-                        past_hi = true;
-                        break;
-                    }
-                    buf.push_back(Value::decode_tuple(&v)?);
-                }
-                // `done` stops further page reads; buffered tuples still
-                // drain through the loop head above.
-                if past_hi || next.is_none() {
-                    *done = true;
-                }
-            },
-            Cursor::Filter {
-                input,
-                pred,
-                compiled,
-            } => loop {
-                let Some(t) = input.next(ctx)? else {
-                    return Ok(None);
-                };
-                let keep = if let Some(cf) = compiled {
-                    cf.call(std::slice::from_ref(&t))?.as_bool("filter")?
-                } else {
-                    let pred = pred.clone();
-                    ctx.call(&pred, vec![t.clone()])?.as_bool("filter")?
-                };
-                if keep {
-                    return Ok(Some(t));
-                }
-            },
-            Cursor::Project {
-                input,
-                funs,
-                compiled,
-            } => {
-                let Some(t) = input.next(ctx)? else {
-                    return Ok(None);
-                };
-                let funs = funs.clone();
-                let compiled = compiled.clone();
-                let mut fields = Vec::with_capacity(funs.len());
-                for (f, cf) in funs.iter().zip(&compiled) {
-                    fields.push(match cf {
-                        Some(cf) => cf.call(std::slice::from_ref(&t))?,
-                        None => ctx.call(f, vec![t.clone()])?,
-                    });
-                }
-                Ok(Some(Value::tuple(fields)))
-            }
-            Cursor::Replace {
-                input,
-                idx,
-                fun,
-                compiled,
-            } => {
-                let Some(t) = input.next(ctx)? else {
-                    return Ok(None);
-                };
-                let (idx, fun, compiled) = (*idx, fun.clone(), compiled.clone());
-                let mut fields = t.as_tuple("replace")?.to_vec();
-                fields[idx] = match &compiled {
-                    Some(cf) => cf.call(std::slice::from_ref(&t))?,
-                    None => ctx.call(&fun, vec![t.clone()])?,
-                };
-                Ok(Some(Value::tuple(fields)))
-            }
-            Cursor::SearchJoin {
-                outer,
-                fun,
-                current_outer,
-                inner,
-            } => loop {
-                if let Some(i) = inner.pop_front() {
-                    let o = current_outer.as_ref().expect("outer set with inner");
-                    return Ok(Some(crate::ops::relational::concat_tuples(
-                        o,
-                        &i,
-                        "search_join",
-                    )?));
-                }
-                let fun = fun.clone();
-                let Some(o) = outer.next(ctx)? else {
-                    return Ok(None);
-                };
-                let produced = ctx.call(&fun, vec![o.clone()])?;
-                *inner = materialize(ctx, produced)?.into();
-                *current_outer = Some(o);
-            },
-            Cursor::PartScan { cursors, idx, .. } => loop {
-                let Some(c) = cursors.get_mut(*idx) else {
-                    return Ok(None);
-                };
-                if let Some(t) = c.next(ctx)? {
-                    return Ok(Some(t));
-                }
-                *idx += 1;
-            },
-            Cursor::Shared(c) => {
-                let mut guard = c.lock();
-                guard.next(ctx)
-            }
-            Cursor::Head { input, remaining } => {
-                if *remaining == 0 {
-                    return Ok(None);
-                }
-                match input.next(ctx)? {
-                    Some(t) => {
-                        *remaining -= 1;
-                        Ok(Some(t))
-                    }
-                    None => {
-                        *remaining = 0;
-                        Ok(None)
-                    }
-                }
-            }
-        }
+        let mut one = Vec::with_capacity(1);
+        self.next_batch_into(ctx, 1, &mut one)?;
+        Ok(one.pop())
     }
 
-    /// Pull up to `n` tuples in one call — the vectorized counterpart of
-    /// [`Cursor::next`]. Returns `None` once exhausted, otherwise
-    /// `1..=n` tuples in the same order `next` would produce them.
+    /// The pipeline kernel: append up to `n` tuples to `out` and return
+    /// how many were appended (0 once exhausted). Every pipeline step
+    /// and every scan source is evaluated here and nowhere else — the
+    /// width is a parameter (`n = 1` is tuple-at-a-time), and a
+    /// parallel drain is this same function pulled by several workers
+    /// over disjoint slices of the source (see [`crate::parallel`]).
     ///
-    /// Sources decode a whole page per refill (one fetch and latch via
-    /// the storage `visit_page`/`visit_leaf` helpers, spilling the
-    /// remainder past `n` into the cursor's buffer); `Filter`, `Project`
-    /// and `Replace` evaluate their closures over the whole batch inside
-    /// one installed [`crate::engine::CallFrame`], paying the captured-
-    /// environment clone once per batch instead of per tuple.
+    /// Sources decode a whole page per refill ([`Cursor::scan_into`]);
+    /// `Filter`, `Project` and `Replace` evaluate their closures over
+    /// the whole batch — through the bytecode when the closure compiled,
+    /// otherwise through [`EvalCtx::call_bound1`] inside one installed
+    /// [`crate::engine::CallFrame`], paying the captured-environment
+    /// clone once per batch instead of per tuple.
     ///
-    /// Semantics match the tuple-at-a-time path, with one documented
+    /// The first error in row order surfaces, with one documented
     /// exception: `Project` evaluates column-wise (each function over
     /// the whole batch), so when several projection functions fail
     /// within one batch the error surfaced is the first in (function,
     /// row) order rather than (row, function) order.
-    pub fn next_batch(&mut self, ctx: &mut EvalCtx, n: usize) -> ExecResult<Option<Vec<Value>>> {
-        let mut out = Vec::with_capacity(n.clamp(1, 4096));
-        let got = self.next_batch_into(ctx, n, &mut out)?;
-        Ok((got > 0).then_some(out))
-    }
-
-    /// [`Cursor::next_batch`] into a caller-owned buffer: appends up to
-    /// `n` tuples to `out` and returns how many were appended (0 once
-    /// exhausted). Batched consumers (`count`, `collect`, the
-    /// statement-boundary drain) reuse one buffer across the whole
-    /// drain instead of allocating a fresh vector per batch.
     pub fn next_batch_into(
         &mut self,
         ctx: &mut EvalCtx,
@@ -409,88 +248,11 @@ impl Cursor {
         let start = out.len();
         let target = start + n;
         match self {
-            Cursor::Mat(buf) => {
-                let take = n.min(buf.len());
-                out.extend(buf.drain(..take));
-            }
-            Cursor::Heap {
-                heap,
-                pages,
-                page_idx,
-                buf,
-            } => {
-                while out.len() < target {
-                    if let Some(v) = buf.pop_front() {
-                        out.push(v);
-                        continue;
-                    }
-                    if *page_idx >= pages.len() {
-                        break;
-                    }
-                    let page = pages[*page_idx];
-                    *page_idx += 1;
-                    heap.visit_page::<ExecError, _>(page, |_, bytes| {
-                        let v = Value::decode_tuple(bytes)?;
-                        if out.len() < target {
-                            out.push(v);
-                        } else {
-                            buf.push_back(v);
-                        }
-                        Ok(())
-                    })?;
-                }
-            }
-            Cursor::BTreeRange {
-                handle,
-                lo,
-                hi,
-                next_page,
-                primed,
-                done,
-                buf,
-            } => {
-                while out.len() < target {
-                    if let Some(v) = buf.pop_front() {
-                        out.push(v);
-                        continue;
-                    }
-                    if *done {
-                        break;
-                    }
-                    let pid = if !*primed {
-                        *primed = true;
-                        handle.tree.find_leaf(lo)?
-                    } else {
-                        match *next_page {
-                            Some(p) => p,
-                            None => {
-                                *done = true;
-                                break;
-                            }
-                        }
-                    };
-                    let mut past_hi = false;
-                    let next = handle.tree.visit_leaf::<ExecError, _>(pid, |k, bytes| {
-                        if past_hi || k < lo.as_slice() {
-                            return Ok(());
-                        }
-                        if k > hi.as_slice() {
-                            past_hi = true;
-                            return Ok(());
-                        }
-                        let v = Value::decode_tuple(bytes)?;
-                        if out.len() < target {
-                            out.push(v);
-                        } else {
-                            buf.push_back(v);
-                        }
-                        Ok(())
-                    })?;
-                    *next_page = next;
-                    if past_hi || next.is_none() {
-                        *done = true;
-                    }
-                }
+            Cursor::Mat(_)
+            | Cursor::Heap { .. }
+            | Cursor::BTreeRange { .. }
+            | Cursor::PartScan { .. } => {
+                self.scan_into(n, out, &mut ctx.scanned)?;
             }
             Cursor::Filter {
                 input,
@@ -637,47 +399,209 @@ impl Cursor {
                     *remaining = if got == 0 { 0 } else { *remaining - got };
                 }
             }
-            Cursor::PartScan { cursors, idx, .. } => {
-                while out.len() < target {
-                    let Some(c) = cursors.get_mut(*idx) else {
-                        break;
-                    };
-                    if c.next_batch_into(ctx, target - out.len(), out)? == 0 {
-                        *idx += 1;
-                    }
-                }
-            }
             Cursor::Shared(c) => {
                 let c = c.clone();
                 let mut guard = c.lock();
                 guard.next_batch_into(ctx, n, out)?;
             }
-            // The search join refills its inner buffer per outer tuple;
-            // batching adds nothing, so it stays on the tuple path.
-            Cursor::SearchJoin { .. } => {
+            // One outer tuple per refill of the inner buffer, so a
+            // `head` above stops the outer scan as early as it can.
+            Cursor::SearchJoin {
+                outer,
+                fun,
+                current_outer,
+                inner,
+            } => {
                 while out.len() < target {
-                    match self.next(ctx)? {
-                        Some(t) => out.push(t),
-                        None => break,
+                    if let Some(i) = inner.pop_front() {
+                        let o = current_outer.as_ref().expect("outer set with inner");
+                        out.push(crate::ops::relational::concat_tuples(o, &i, "search_join")?);
+                        continue;
                     }
+                    let Some(o) = outer.next(ctx)? else {
+                        break;
+                    };
+                    let produced = ctx.call(fun, vec![o.clone()])?;
+                    *inner = materialize(ctx, produced)?.into();
+                    *current_outer = Some(o);
                 }
             }
         }
         Ok(out.len() - start)
     }
 
-    /// Drain the remaining tuples. With an engine batch width above 1
-    /// the drain pulls whole batches (recorded under the `materialize`
-    /// operator); width 1 is the exact legacy tuple-at-a-time loop.
-    pub fn drain(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
-        let width = ctx.engine.batch_size();
-        if width <= 1 {
-            let mut out = Vec::new();
-            while let Some(t) = self.next(ctx)? {
-                out.push(t);
+    /// The source half of the kernel: append up to `n` tuples of a scan
+    /// source (`Mat`, `Heap`, `BTreeRange`, or a `PartScan` over those)
+    /// to `out`, a whole page per refill (one fetch and latch via the
+    /// storage `visit_page`/`visit_leaf` helpers, spilling the remainder
+    /// past `n` into the cursor's buffer). Sources read storage only, so
+    /// callers without an evaluation context ([`Cursor::scan_all`]) pull
+    /// them here directly.
+    pub(crate) fn scan_into(
+        &mut self,
+        n: usize,
+        out: &mut Vec<Value>,
+        tally: &mut ScanTally,
+    ) -> ExecResult<usize> {
+        let start = out.len();
+        let target = start + n.max(1);
+        match self {
+            Cursor::Mat(buf) => {
+                let take = n.min(buf.len());
+                out.extend(buf.drain(..take));
+                tally.rows += take;
             }
-            return Ok(out);
+            Cursor::Heap {
+                heap,
+                pages,
+                page_idx,
+                buf,
+            } => {
+                while out.len() < target {
+                    if let Some(v) = buf.pop_front() {
+                        out.push(v);
+                        continue;
+                    }
+                    if *page_idx >= pages.len() {
+                        break;
+                    }
+                    let page = pages[*page_idx];
+                    *page_idx += 1;
+                    let before = out.len();
+                    heap.visit_page::<ExecError, _>(page, |_, bytes| {
+                        let v = Value::decode_tuple(bytes)?;
+                        if out.len() < target {
+                            out.push(v);
+                        } else {
+                            buf.push_back(v);
+                        }
+                        Ok(())
+                    })?;
+                    tally.pages += 1;
+                    tally.rows += out.len() - before + buf.len();
+                }
+            }
+            Cursor::BTreeRange {
+                handle,
+                lo,
+                hi,
+                next_page,
+                primed,
+                done,
+                buf,
+            } => {
+                while out.len() < target {
+                    if let Some(v) = buf.pop_front() {
+                        out.push(v);
+                        continue;
+                    }
+                    if *done {
+                        break;
+                    }
+                    let pid = if !*primed {
+                        *primed = true;
+                        handle.tree.find_leaf(lo)?
+                    } else {
+                        match *next_page {
+                            Some(p) => p,
+                            None => {
+                                *done = true;
+                                break;
+                            }
+                        }
+                    };
+                    let before = out.len();
+                    let mut past_hi = false;
+                    let next = handle.tree.visit_leaf::<ExecError, _>(pid, |k, bytes| {
+                        if past_hi || k < lo.as_slice() {
+                            return Ok(());
+                        }
+                        if k > hi.as_slice() {
+                            past_hi = true;
+                            return Ok(());
+                        }
+                        let v = Value::decode_tuple(bytes)?;
+                        if out.len() < target {
+                            out.push(v);
+                        } else {
+                            buf.push_back(v);
+                        }
+                        Ok(())
+                    })?;
+                    *next_page = next;
+                    tally.pages += 1;
+                    tally.rows += out.len() - before + buf.len();
+                    // `done` stops further page reads; buffered tuples
+                    // still drain through the loop head above.
+                    if past_hi || next.is_none() {
+                        *done = true;
+                    }
+                }
+            }
+            Cursor::PartScan { cursors, idx, .. } => {
+                while out.len() < target {
+                    let Some(c) = cursors.get_mut(*idx) else {
+                        break;
+                    };
+                    if c.scan_into(target - out.len(), out, tally)? == 0 {
+                        *idx += 1;
+                    }
+                }
+            }
+            other => {
+                return Err(ExecError::Other(format!("{other:?} is not a scan source")));
+            }
         }
+        Ok(out.len() - start)
+    }
+
+    /// Drain a scan source to its tuples (see [`Cursor::scan_into`]).
+    pub(crate) fn scan_all(mut self) -> ExecResult<Vec<Value>> {
+        let mut out = Vec::new();
+        let mut tally = ScanTally::default();
+        while self.scan_into(crate::engine::DEFAULT_BATCH, &mut out, &mut tally)? > 0 {}
+        Ok(out)
+    }
+
+    /// Pull every remaining tuple through `f` in batches of the engine's
+    /// width, reusing one buffer; returns `(batches, rows)` delivered.
+    /// Every consumer that drains a cursor — serial or on a worker —
+    /// does so through this loop.
+    pub(crate) fn for_each_batch(
+        &mut self,
+        ctx: &mut EvalCtx,
+        mut f: impl FnMut(&mut Vec<Value>) -> ExecResult<()>,
+    ) -> ExecResult<(u64, u64)> {
+        let width = ctx.engine.batch_size();
+        let mut buf = Vec::with_capacity(width.min(4096));
+        let (mut batches, mut rows) = (0u64, 0u64);
+        loop {
+            buf.clear();
+            let got = self.next_batch_into(ctx, width, &mut buf)?;
+            if got == 0 {
+                return Ok((batches, rows));
+            }
+            batches += 1;
+            rows += got as u64;
+            f(&mut buf)?;
+        }
+    }
+
+    /// Drain the remaining tuples serially, recording the batch traffic
+    /// under the `materialize` pseudo-operator.
+    pub fn drain(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
+        self.drain_as(ctx, "materialize")
+    }
+
+    /// [`Cursor::drain`] on behalf of operator `op`.
+    pub(crate) fn drain_as(
+        &mut self,
+        ctx: &mut EvalCtx,
+        op: &'static str,
+    ) -> ExecResult<Vec<Value>> {
+        // Batches land in the result directly: no per-batch buffer to
+        // copy out of, unlike the folding consumers of `for_each_batch`.
+        let width = ctx.engine.batch_size();
         let mut out = Vec::new();
         let mut batches = 0u64;
         while self.next_batch_into(ctx, width, &mut out)? > 0 {
@@ -685,8 +609,21 @@ impl Cursor {
         }
         ctx.engine
             .stats
-            .record_batches("materialize", batches, out.len() as u64);
+            .record_batches(op, batches, out.len() as u64);
         Ok(out)
+    }
+
+    /// Drain the remaining tuples, data-parallel when the spine allows
+    /// (see [`crate::parallel`]); the result is identical to the serial
+    /// drain, in the same order.
+    pub(crate) fn drain_any(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
+        if let Some(res) = crate::parallel::try_par_drain(ctx.engine, self, "feed") {
+            return res;
+        }
+        if let Some(res) = crate::parallel::try_par_search_join(ctx, self) {
+            return res;
+        }
+        self.drain(ctx)
     }
 }
 
@@ -710,25 +647,12 @@ impl std::fmt::Debug for Cursor {
     }
 }
 
-/// Turn any stream-like value into its tuples, draining cursors.
-///
-/// When the engine has more than one worker and the cursor is an
-/// undrained heap scan under pure pipeline steps, the drain runs
-/// data-parallel (see [`crate::parallel`]); the result is identical to
-/// the serial drain, in the same order.
+/// Turn any stream-like value into its tuples, draining cursors
+/// ([`Cursor::drain_any`]).
 pub fn materialize(ctx: &mut EvalCtx, v: Value) -> ExecResult<Vec<Value>> {
     match v {
         Value::Stream(ts) | Value::Rel(ts) => Ok(ts),
-        Value::Cursor(c) => {
-            let mut guard = c.lock();
-            if let Some(res) = crate::parallel::try_par_drain(ctx.engine, &mut guard) {
-                return res;
-            }
-            if let Some(res) = crate::parallel::try_par_search_join(ctx, &mut guard) {
-                return res;
-            }
-            guard.drain(ctx)
-        }
+        Value::Cursor(c) => c.lock().drain_any(ctx),
         Value::Undefined => Ok(Vec::new()),
         other => Err(ExecError::TypeMismatch {
             op: "stream".into(),

@@ -129,3 +129,41 @@ fn head_batch_arm_is_exact_when_limit_falls_mid_batch() {
         assert!(head.next(&mut ctx).unwrap().is_none());
     }
 }
+
+#[test]
+fn next_is_the_batch_kernel_at_width_one() {
+    // `next` has no arms of its own: interleaving it with batch pulls of
+    // a width that never divides a page's tuple count must hand out
+    // every tuple exactly once, in scan order, through the page spill.
+    let (engine, heap) = engine_with_heap(500);
+    let mut store = HashMap::new();
+    let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    let mut c = Cursor::heap_scan(heap);
+    let mut seen = Vec::new();
+    loop {
+        match c.next(&mut ctx).unwrap() {
+            Some(t) => seen.push(t),
+            None => break,
+        }
+        c.next_batch_into(&mut ctx, 7, &mut seen).unwrap();
+    }
+    let expected: Vec<Value> = (0..500)
+        .map(|i| Value::tuple(vec![Value::Int(i)]))
+        .collect();
+    assert_eq!(seen, expected);
+    assert_eq!(c.next_batch_into(&mut ctx, 7, &mut seen).unwrap(), 0);
+}
+
+#[test]
+fn feed_value_drains_the_same_scan_sources_the_pipeline_pulls() {
+    let (engine, heap) = engine_with_heap(300);
+    let mut store = HashMap::new();
+    let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    let fed = sos_exec::ops::streams::feed_value(&Value::TidRel(heap.clone())).unwrap();
+    let pulled = Cursor::heap_scan(heap).drain(&mut ctx).unwrap();
+    assert_eq!(fed.len(), 300);
+    assert_eq!(fed, pulled);
+    assert!(sos_exec::ops::streams::feed_value(&Value::Int(1)).is_err());
+}

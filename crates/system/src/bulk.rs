@@ -126,9 +126,8 @@ impl Database {
     ///   pass, then loads its partitions in parallel across the
     ///   engine's workers,
     /// * on a durable database the load runs under
-    ///   [`SyncPolicy::NoSync`] (unless [`crate::DatabaseBuilder::bulk_nosync`]
-    ///   disabled it) and is closed by a single checkpoint, so it pays
-    ///   one fsync total.
+    ///   [`SyncPolicy::NoSync`] and is closed by a single checkpoint,
+    ///   so it pays one fsync total.
     ///
     /// Returns the number of tuples loaded.
     pub fn bulk_load(&mut self, name: &str, tuples: Vec<Value>) -> Result<usize, SystemError> {
@@ -157,15 +156,10 @@ impl Database {
         // Relax the sync policy for the duration; every exit path below
         // restores it (and the closing checkpoint syncs what NoSync
         // deferred).
-        let saved_policy = if self.bulk_nosync {
-            let prev = self.sync_policy();
-            if prev.is_some() {
-                self.set_sync_policy(SyncPolicy::NoSync)?;
-            }
-            prev
-        } else {
-            None
-        };
+        let saved_policy = self.sync_policy();
+        if saved_policy.is_some() {
+            self.set_sync_policy(SyncPolicy::NoSync)?;
+        }
         let result = self.bulk_load_inner(&target, tuples);
         if let Some(p) = saved_policy {
             // Checkpoint first: it flushes and syncs the log, making the

@@ -219,7 +219,6 @@ pub struct DatabaseBuilder {
     optimize: Option<bool>,
     trace: bool,
     strict_lint: bool,
-    bulk_nosync: Option<bool>,
     validate_plans: Option<bool>,
     plan_cache: Option<bool>,
     cost_based: Option<bool>,
@@ -337,8 +336,8 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Vectorized batch width for cursor drains (default: 1024; `1` is
-    /// exactly the tuple-at-a-time engine).
+    /// Vectorized batch width for cursor drains (default: 1024; `1`
+    /// pulls one tuple per call through the same pipeline).
     pub fn batch_size(mut self, n: usize) -> DatabaseBuilder {
         self.batch_size = Some(n);
         self
@@ -372,15 +371,6 @@ impl DatabaseBuilder {
     /// reject; [`Database::lint`] reports everything either way.
     pub fn strict_lint(mut self, enabled: bool) -> DatabaseBuilder {
         self.strict_lint = enabled;
-        self
-    }
-
-    /// Whether [`Database::bulk_load`] on a durable database relaxes
-    /// the commit policy to [`SyncPolicy::NoSync`] for the duration of
-    /// the load, closing with one checkpoint (default: on). Disable to
-    /// bulk load under the configured per-commit policy.
-    pub fn bulk_nosync(mut self, enabled: bool) -> DatabaseBuilder {
-        self.bulk_nosync = Some(enabled);
         self
     }
 
@@ -484,7 +474,6 @@ impl DatabaseBuilder {
             total_opt_stats: OptimizerStats::default(),
             tracer: Tracer::new(self.trace),
             strict_lint: self.strict_lint,
-            bulk_nosync: self.bulk_nosync.unwrap_or(true),
             validate_plans: self.validate_plans.unwrap_or(true),
             plan_cache: plancache::PlanCache::default(),
             plan_cache_enabled: self.plan_cache.unwrap_or(false),
@@ -514,9 +503,6 @@ pub struct Database {
     tracer: Tracer,
     /// Reject spec/rule registrations with error-severity diagnostics.
     strict_lint: bool,
-    /// `bulk_load` relaxes a durable commit policy to `NoSync` + one
-    /// closing checkpoint (see [`DatabaseBuilder::bulk_nosync`]).
-    bulk_nosync: bool,
     /// Re-typecheck rewritten plans against the pre-rewrite result type
     /// (see [`DatabaseBuilder::validate_plans`]).
     validate_plans: bool,
@@ -669,9 +655,9 @@ impl Database {
         self.engine.workers()
     }
 
-    /// Set the vectorized batch width at runtime. `1` restores the
-    /// exact tuple-at-a-time drains; larger widths pull whole batches
-    /// through the cursor pipeline. (Initial value:
+    /// Set the vectorized batch width at runtime: how many tuples the
+    /// draining consumers pull per call through the cursor pipeline
+    /// (`1` = one tuple per call, same code). (Initial value:
     /// [`DatabaseBuilder::batch_size`], default 1024.)
     pub fn set_batch_size(&mut self, n: usize) {
         self.engine.set_batch_size(n);

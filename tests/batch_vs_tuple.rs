@@ -1,23 +1,39 @@
-//! Differential batch-vs-tuple harness: every query must produce the
-//! identical result (same tuples, same order, same errors) whether the
-//! cursor pipeline is drained one tuple at a time (batch width 1 — the
-//! exact legacy path), in vectorized batches, or in batches with the
-//! parallel operators engaged on top.
+//! Differential batch-width harness: every query must produce the
+//! identical result (same tuples, same order, same errors) whatever
+//! width the one cursor pipeline is pulled at — one tuple per call
+//! (width 1), vectorized batches, or batches with the parallel
+//! operators engaged on top — and that result must equal the expected
+//! value computed here, outside the engine.
 //!
-//! Batch widths 1, 7 and 1024 are exercised deliberately: 1 is the
-//! legacy A/B switch, 7 never divides a page's tuple count (so every
+//! Batch widths 1, 7 and 1024 are exercised deliberately: 1 is
+//! tuple-at-a-time, 7 never divides a page's tuple count (so every
 //! refill spills a remainder into the cursor buffer — the boundary
 //! bugs), and 1024 is the production default.
 
+mod oracle;
+
+use oracle::Expect::{Agree, Int, Len, Rows};
+use oracle::{ints, item, replaced, small, Expect};
 use sos_exec::Value;
-use sos_system::Database;
+use sos_system::{Database, PartMethod, PartSpec};
 
 /// Batch widths exercised against the tuple-at-a-time baseline.
 const BATCHES: &[usize] = &[1, 7, 1024];
 /// Worker counts layered on top of each batch width.
 const WORKERS: &[usize] = &[1, 4];
 
-/// ~35 tuples per page; heap + clustering B-tree + small model relation.
+/// `item(i)` joined with its `probes` row.
+fn joined(i: usize) -> Value {
+    let mut fields = match item(i) {
+        Value::Tuple(fs) => fs.to_vec(),
+        other => panic!("{other:?}"),
+    };
+    fields.extend([Value::Int(i as i64), Value::Str(format!("p{i}"))]);
+    Value::tuple(fields)
+}
+
+/// ~35 tuples per page; heap + clustering B-tree + hash-partitioned heap
+/// + small model relation + a 100-row probe index.
 fn rep_db(n: usize) -> Database {
     let mut db = Database::builder().build();
     db.run(
@@ -25,31 +41,29 @@ fn rep_db(n: usize) -> Database {
         type item = tuple(<(k, int), (grp, int), (pad, string)>);
         create heap_rep : tidrel(item);
         create items_rep : btree(item, k, int);
+        create part_rep : tidrel(item);
         create items : rel(item);
+        type probe = tuple(<(pk, int), (plabel, string)>);
+        create probes : btree(probe, pk, int);
     "#,
     )
     .unwrap();
-    let tuples: Vec<Value> = (0..n)
-        .map(|i| {
-            Value::tuple(vec![
-                Value::Int(i as i64),
-                Value::Int((i % 10) as i64),
-                Value::Str(format!("{:0180}", i)),
-            ])
-        })
-        .collect();
+    let tuples: Vec<Value> = (0..n).map(item).collect();
     db.bulk_insert("heap_rep", tuples.clone()).unwrap();
-    db.bulk_insert("items_rep", tuples).unwrap();
-    let small: Vec<Value> = (0..200)
-        .map(|i| {
-            Value::tuple(vec![
-                Value::Int(i as i64),
-                Value::Int((i % 10) as i64),
-                Value::Str(format!("i{i}")),
-            ])
-        })
-        .collect();
-    db.bulk_insert("items", small).unwrap();
+    db.bulk_insert("items_rep", tuples.clone()).unwrap();
+    db.partition_object(
+        "part_rep",
+        PartSpec {
+            attr: sos_core::Symbol::new("k"),
+            method: PartMethod::Hash { parts: 4 },
+        },
+    )
+    .unwrap();
+    db.bulk_load("part_rep", tuples).unwrap();
+    db.bulk_insert("items", (0..200).map(small).collect())
+        .unwrap();
+    let probes = (0..100).map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]));
+    db.bulk_insert("probes", probes.collect()).unwrap();
     db
 }
 
@@ -57,18 +71,26 @@ fn run(db: &mut Database, q: &str) -> Result<Value, String> {
     db.query(q).map_err(|e| e.to_string())
 }
 
-/// Run every query tuple-at-a-time serially, then under each batch
-/// width and worker count, and require identical outcomes (values *and*
+/// Run every query tuple-at-a-time serially and hold it against its
+/// engine-independent expectation, then run it under each batch width
+/// and worker count and require identical outcomes (values *and*
 /// errors).
-fn assert_differential(db: &mut Database, queries: &[&str]) {
+fn assert_differential(db: &mut Database, queries: &[(&str, Expect)]) {
     db.set_batch_size(1);
     db.set_parallelism(1);
-    let baseline: Vec<Result<Value, String>> = queries.iter().map(|q| run(db, q)).collect();
+    let baseline: Vec<Result<Value, String>> = queries
+        .iter()
+        .map(|(q, expect)| {
+            let got = run(db, q);
+            expect.check(q, &got);
+            got
+        })
+        .collect();
     for &b in BATCHES {
         for &w in WORKERS {
             db.set_batch_size(b);
             db.set_parallelism(w);
-            for (q, expected) in queries.iter().zip(&baseline) {
+            for ((q, _), expected) in queries.iter().zip(&baseline) {
                 let got = run(db, q);
                 assert_eq!(
                     &got, expected,
@@ -87,12 +109,54 @@ fn scans_filters_and_counts_match_tuple_at_a_time() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed count",
-            "heap_rep feed consume",
-            "heap_rep feed filter[k mod 7 = 0] count",
-            "heap_rep feed filter[grp = 3] consume",
-            "heap_rep feed filter[k < 0] count",
-            "heap_rep feed filter[pad != \"x\"] filter[k mod 2 = 1] count",
+            ("heap_rep feed count", Int(3000)),
+            ("heap_rep feed consume", Rows(3000, item(0), item(2999))),
+            // k in {0, 7, .., 2996}
+            ("heap_rep feed filter[k mod 7 = 0] count", Int(429)),
+            (
+                "heap_rep feed filter[grp = 3] consume",
+                Rows(300, item(3), item(2993)),
+            ),
+            ("heap_rep feed filter[k < 0] count", Int(0)),
+            (
+                "heap_rep feed filter[pad != \"x\"] filter[k mod 2 = 1] count",
+                Int(1500),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn partition_scans_match_tuple_at_a_time() {
+    // Four hash partitions: counts are layout-independent, the order of
+    // a full drain is not.
+    let mut db = rep_db(3000);
+    assert_differential(
+        &mut db,
+        &[
+            ("part_rep feed count", Int(3000)),
+            ("part_rep feed consume", Len(3000)),
+            ("part_rep feed filter[k mod 7 = 0] count", Int(429)),
+            ("part_rep feed filter[grp = 3] consume", Len(300)),
+            (
+                "part_rep feed replace[k, fun (t: item) t k + 1] filter[k > 2990] count",
+                Int(10),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn in_memory_selects_match_tuple_at_a_time() {
+    // 200 model-level rows: above the chunking floor, so workers = 4
+    // splits the `select` while workers = 1 filters in place.
+    let mut db = rep_db(100);
+    assert_differential(
+        &mut db,
+        &[
+            ("items select[k mod 2 = 0] count", Int(100)),
+            ("items select[grp > 5]", Rows(80, small(6), small(199))),
+            ("items select[k < 0]", Len(0)),
         ],
     );
 }
@@ -105,12 +169,21 @@ fn btree_ranges_match_tuple_at_a_time() {
     assert_differential(
         &mut db,
         &[
-            "items_rep feed count",
-            "items_rep range[100, 250] count",
-            "items_rep range[100, 250] consume",
-            "items_rep feed filter[k <= 250] filter[k >= 100] count",
-            "items_rep range[2995, 9999] consume",
-            "items_rep range[9999, 10000] count",
+            ("items_rep feed count", Int(3000)),
+            ("items_rep range[100, 250] count", Int(151)),
+            (
+                "items_rep range[100, 250] consume",
+                Rows(151, item(100), item(250)),
+            ),
+            (
+                "items_rep feed filter[k <= 250] filter[k >= 100] count",
+                Int(151),
+            ),
+            (
+                "items_rep range[2995, 9999] consume",
+                Rows(5, item(2995), item(2999)),
+            ),
+            ("items_rep range[9999, 10000] count", Int(0)),
         ],
     );
 }
@@ -121,15 +194,30 @@ fn projections_replacements_and_heads_match_tuple_at_a_time() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed project[(k2, fun (t: item) t k * 2)] consume",
-            "heap_rep feed project[(k2, fun (t: item) t k * 2), (g, fun (t: item) t grp)] count",
-            "heap_rep feed replace[k, fun (t: item) t k + 1000000] consume",
-            "heap_rep feed filter[k mod 3 = 0] replace[grp, fun (t: item) t grp * t grp] consume",
+            (
+                "heap_rep feed project[(k2, fun (t: item) t k * 2)] consume",
+                Rows(3000, ints(&[0]), ints(&[5998])),
+            ),
+            (
+                "heap_rep feed project[(k2, fun (t: item) t k * 2), (g, fun (t: item) t grp)] count",
+                Int(3000),
+            ),
+            (
+                "heap_rep feed replace[k, fun (t: item) t k + 1000000] consume",
+                Rows(3000, replaced(0, 1_000_000, 0), replaced(2999, 1_002_999, 9)),
+            ),
+            (
+                "heap_rep feed filter[k mod 3 = 0] replace[grp, fun (t: item) t grp * t grp] consume",
+                Rows(1000, replaced(0, 0, 0), replaced(2997, 2997, 49)),
+            ),
             // head boundaries around the batch widths in play.
-            "heap_rep feed head[1] consume",
-            "heap_rep feed head[7] consume",
-            "heap_rep feed head[8] consume",
-            "heap_rep feed filter[grp = 2] head[25] consume",
+            ("heap_rep feed head[1] consume", Rows(1, item(0), item(0))),
+            ("heap_rep feed head[7] consume", Rows(7, item(0), item(6))),
+            ("heap_rep feed head[8] consume", Rows(8, item(0), item(7))),
+            (
+                "heap_rep feed filter[grp = 2] head[25] consume",
+                Rows(25, item(2), item(242)),
+            ),
         ],
     );
 }
@@ -140,13 +228,30 @@ fn blocking_operators_and_joins_match_tuple_at_a_time() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed sum[k]",
-            "heap_rep feed avg[k]",
-            "heap_rep feed collect feed count",
-            "heap_rep feed sortby[grp] head[25] consume",
-            "heap_rep feed project[(g, fun (t: item) t grp)] sortby[g] rdup consume",
-            "items_rep feed (fun (t: item) heap_rep feed filter[fun (u: item) t k = u k] head[1]) \
-             search_join count",
+            ("heap_rep feed sum[k]", Int(2999 * 3000 / 2)),
+            ("heap_rep feed avg[k]", Agree),
+            ("heap_rep feed collect feed count", Int(3000)),
+            // Stable sort: the first 25 of the 300 rows with grp = 0.
+            (
+                "heap_rep feed sortby[grp] head[25] consume",
+                Rows(25, item(0), item(240)),
+            ),
+            (
+                "heap_rep feed project[(g, fun (t: item) t grp)] sortby[g] rdup consume",
+                Rows(10, ints(&[0]), ints(&[9])),
+            ),
+            // Both search-join shapes the parallel executor recognizes
+            // (index probe, filtered scan), over the first 50 keys.
+            (
+                "items_rep range[0, 49] (fun (t: item) probes exactmatch[t k]) search_join consume",
+                Rows(50, joined(0), joined(49)),
+            ),
+            (
+                "items_rep range[0, 49] \
+                 (fun (t: item) probes feed filter[fun (p: probe) p pk = t k]) \
+                 search_join count",
+                Int(50),
+            ),
         ],
     );
 }
@@ -174,9 +279,9 @@ fn e3_style_programs_match_tuple_at_a_time() {
     assert_differential(
         &mut db,
         &[
-            "cities select[pop > 1000000]",
-            "french_cities select[pop > 1000000]",
-            r#"cities_in ("Germany") count"#,
+            ("cities select[pop > 1000000]", Len(1)),
+            ("french_cities select[pop > 1000000]", Len(1)),
+            (r#"cities_in ("Germany") count"#, Int(1)),
         ],
     );
 }
@@ -189,8 +294,11 @@ fn runtime_errors_match_tuple_at_a_time() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed filter[100 div k = 1] count",
-            "heap_rep feed replace[k, fun (t: item) t k div t grp] consume",
+            ("heap_rep feed filter[100 div k = 1] count", Agree),
+            (
+                "heap_rep feed replace[k, fun (t: item) t k div t grp] consume",
+                Agree,
+            ),
         ],
     );
 }
@@ -210,12 +318,13 @@ fn batched_drains_are_visible_in_metrics() {
         "count stats: {count:?}"
     );
 
-    // Width 1 takes the legacy path: no batch traffic recorded.
+    // Width 1 is the same path pulled one tuple per call.
     db.set_batch_size(1);
     db.reset_metrics();
     db.query("heap_rep feed filter[grp = 3] count").unwrap();
     let count = db.op_stats("count").expect("count ran");
-    assert_eq!(count.batches, 0, "count stats: {count:?}");
+    assert_eq!(count.batched_rows, 300, "count stats: {count:?}");
+    assert_eq!(count.batches, count.batched_rows, "count stats: {count:?}");
 }
 
 #[test]

@@ -1,16 +1,22 @@
 //! Differential serial-vs-parallel harness: every query must produce
 //! the identical result (same tuples, same order, same errors) whether
-//! the engine runs with 1 worker (the legacy serial path) or N workers
-//! (page-/chunk-partitioned intra-operator parallelism).
+//! the engine runs with 1 worker (every drain on the calling thread) or
+//! N workers (N cursors over disjoint unit slices of the source) — and
+//! that result must equal the expected value computed in plain Rust
+//! from the fixture's row formulas.
 //!
 //! The parallel executor is designed to be extensionally equal to the
-//! serial engine by construction — same operator implementations, page-
-//! ordered reduction — and these tests check that equality end to end
+//! serial engine by construction — the same cursor kernel, unit-ordered
+//! concatenation — and these tests check that equality end to end
 //! through the full parse/check/optimize/execute stack.
 
+mod oracle;
+
+use oracle::Expect::{Agree, Int, Rows};
+use oracle::{ints, item, replaced, small, Expect};
 use proptest::prelude::*;
 use sos_exec::Value;
-use sos_system::Database;
+use sos_system::{Database, PartMethod, PartSpec};
 use std::sync::Arc;
 
 /// Worker counts exercised against the serial baseline.
@@ -24,34 +30,33 @@ fn heap_db(pool: Arc<sos_storage::BufferPool>, n: usize) -> Database {
         type item = tuple(<(k, int), (grp, int), (pad, string)>);
         type mate = tuple(<(j, int), (tag, string)>);
         create heap_rep : tidrel(item);
+        create part_rep : tidrel(item);
         create mate_rep : tidrel(mate);
         create items : rel(item);
         create mates : rel(mate);
     "#,
     )
     .unwrap();
-    let items: Vec<Value> = (0..n)
-        .map(|i| {
-            Value::tuple(vec![
-                Value::Int(i as i64),
-                Value::Int((i % 10) as i64),
-                Value::Str(format!("{:0180}", i)),
-            ])
-        })
-        .collect();
-    db.bulk_insert("heap_rep", items).unwrap();
+    let items: Vec<Value> = (0..n).map(item).collect();
+    db.bulk_insert("heap_rep", items.clone()).unwrap();
+    db.partition_object(
+        "part_rep",
+        PartSpec {
+            attr: sos_core::Symbol::new("k"),
+            method: PartMethod::Range {
+                bounds: vec![
+                    sos_core::Const::Int(n as i64 / 3),
+                    sos_core::Const::Int(2 * n as i64 / 3),
+                ],
+            },
+        },
+    )
+    .unwrap();
+    db.bulk_load("part_rep", items).unwrap();
     // Model-level relations stay small: bulk model inserts are O(n^2),
     // and the chunked in-memory paths engage from 64 tuples anyway.
-    let small: Vec<Value> = (0..300)
-        .map(|i| {
-            Value::tuple(vec![
-                Value::Int(i as i64),
-                Value::Int((i % 10) as i64),
-                Value::Str(format!("i{i}")),
-            ])
-        })
-        .collect();
-    db.bulk_insert("items", small).unwrap();
+    db.bulk_insert("items", (0..300).map(small).collect())
+        .unwrap();
     let mates: Vec<Value> = (0..90)
         .map(|i| {
             Value::tuple(vec![
@@ -69,14 +74,22 @@ fn run(db: &mut Database, q: &str) -> Result<Value, String> {
     db.query(q).map_err(|e| e.to_string())
 }
 
-/// Run every query serially, then under each parallel worker count, and
+/// Run every query serially and hold it against its engine-independent
+/// expectation, then run it under each parallel worker count and
 /// require identical outcomes (values *and* errors).
-fn assert_differential(db: &mut Database, queries: &[&str]) {
+fn assert_differential(db: &mut Database, queries: &[(&str, Expect)]) {
     db.set_parallelism(1);
-    let serial: Vec<Result<Value, String>> = queries.iter().map(|q| run(db, q)).collect();
+    let serial: Vec<Result<Value, String>> = queries
+        .iter()
+        .map(|(q, expect)| {
+            let got = run(db, q);
+            expect.check(q, &got);
+            got
+        })
+        .collect();
     for &w in WORKERS {
         db.set_parallelism(w);
-        for (q, expected) in queries.iter().zip(&serial) {
+        for ((q, _), expected) in queries.iter().zip(&serial) {
             let got = run(db, q);
             assert_eq!(&got, expected, "query `{q}` diverged at workers={w}");
         }
@@ -90,12 +103,40 @@ fn scans_filters_and_counts_match_serial() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed count",
-            "heap_rep feed consume",
-            "heap_rep feed filter[k mod 7 = 0] count",
-            "heap_rep feed filter[grp = 3] consume",
-            "heap_rep feed filter[k < 0] count",
-            "heap_rep feed filter[pad != \"x\"] filter[k mod 2 = 1] count",
+            ("heap_rep feed count", Int(3000)),
+            ("heap_rep feed consume", Rows(3000, item(0), item(2999))),
+            // k in {0, 7, .., 2996}
+            ("heap_rep feed filter[k mod 7 = 0] count", Int(429)),
+            (
+                "heap_rep feed filter[grp = 3] consume",
+                Rows(300, item(3), item(2993)),
+            ),
+            ("heap_rep feed filter[k < 0] count", Int(0)),
+            (
+                "heap_rep feed filter[pad != \"x\"] filter[k mod 2 = 1] count",
+                Int(1500),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn partition_scans_match_serial() {
+    // Three range partitions on k: partition order is key order, so
+    // even the full drain has a known first and last tuple.
+    let mut db = heap_db(sos_storage::mem_pool(4096), 3000);
+    assert_differential(
+        &mut db,
+        &[
+            ("part_rep feed count", Int(3000)),
+            ("part_rep feed consume", Rows(3000, item(0), item(2999))),
+            ("part_rep feed filter[k mod 7 = 0] count", Int(429)),
+            (
+                "part_rep feed filter[grp = 3] consume",
+                Rows(300, item(3), item(2993)),
+            ),
+            // Prunes to the last partition.
+            ("part_rep feed filter[k >= 2500] count", Int(500)),
         ],
     );
 }
@@ -106,10 +147,26 @@ fn projections_and_replacements_match_serial() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed project[(k2, fun (t: item) t k * 2)] consume",
-            "heap_rep feed project[(k2, fun (t: item) t k * 2), (g, fun (t: item) t grp)] count",
-            "heap_rep feed replace[k, fun (t: item) t k + 1000000] consume",
-            "heap_rep feed filter[k mod 3 = 0] replace[grp, fun (t: item) t grp * t grp] consume",
+            (
+                "heap_rep feed project[(k2, fun (t: item) t k * 2)] consume",
+                Rows(3000, ints(&[0]), ints(&[5998])),
+            ),
+            (
+                "heap_rep feed project[(k2, fun (t: item) t k * 2), (g, fun (t: item) t grp)] count",
+                Int(3000),
+            ),
+            (
+                "heap_rep feed replace[k, fun (t: item) t k + 1000000] consume",
+                Rows(
+                    3000,
+                    replaced(0, 1_000_000, 0),
+                    replaced(2999, 1_002_999, 9),
+                ),
+            ),
+            (
+                "heap_rep feed filter[k mod 3 = 0] replace[grp, fun (t: item) t grp * t grp] consume",
+                Rows(1000, replaced(0, 0, 0), replaced(2997, 2997, 49)),
+            ),
         ],
     );
 }
@@ -120,15 +177,26 @@ fn aggregates_and_blocking_operators_match_serial() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed sum[k]",
-            "heap_rep feed min[k]",
-            "heap_rep feed max[k]",
-            "heap_rep feed avg[k]",
-            "heap_rep feed filter[grp = 7] sum[k]",
-            "heap_rep feed collect feed count",
-            "heap_rep feed sortby[grp] head[25] consume",
-            "heap_rep feed project[(g, fun (t: item) t grp)] sortby[g] rdup consume",
-            "heap_rep feed head[7] consume",
+            ("heap_rep feed sum[k]", Int(2999 * 3000 / 2)),
+            ("heap_rep feed min[k]", Int(0)),
+            ("heap_rep feed max[k]", Int(2999)),
+            ("heap_rep feed avg[k]", Agree),
+            // 7 + 17 + .. + 2997
+            (
+                "heap_rep feed filter[grp = 7] sum[k]",
+                Int(300 * (7 + 2997) / 2),
+            ),
+            ("heap_rep feed collect feed count", Int(3000)),
+            // Stable sort: the first 25 of the 300 rows with grp = 0.
+            (
+                "heap_rep feed sortby[grp] head[25] consume",
+                Rows(25, item(0), item(240)),
+            ),
+            (
+                "heap_rep feed project[(g, fun (t: item) t grp)] sortby[g] rdup consume",
+                Rows(10, ints(&[0]), ints(&[9])),
+            ),
+            ("heap_rep feed head[7] consume", Rows(7, item(0), item(6))),
         ],
     );
 }
@@ -139,12 +207,14 @@ fn model_select_and_joins_match_serial() {
     assert_differential(
         &mut db,
         &[
-            "items select[k mod 2 = 0] count",
-            "items select[grp > 5]",
-            "items mates join[k = j] count",
-            "items mates join[k < j] count",
-            "heap_rep feed mate_rep feed hashjoin[k, j] consume",
-            "heap_rep feed mate_rep feed hashjoin[k, j] count",
+            ("items select[k mod 2 = 0] count", Int(150)),
+            ("items select[grp > 5]", Rows(120, small(6), small(299))),
+            // mates: j = 0, 3, .., 267 — all below 300.
+            ("items mates join[k = j] count", Int(90)),
+            // For j = 3m: the m * 3 items with k < j.
+            ("items mates join[k < j] count", Int(3 * 89 * 90 / 2)),
+            ("heap_rep feed mate_rep feed hashjoin[k, j] consume", Agree),
+            ("heap_rep feed mate_rep feed hashjoin[k, j] count", Int(90)),
         ],
     );
 }
@@ -157,8 +227,11 @@ fn runtime_errors_match_serial() {
     assert_differential(
         &mut db,
         &[
-            "heap_rep feed filter[100 div k = 1] count",
-            "heap_rep feed replace[k, fun (t: item) t k div t grp] consume",
+            ("heap_rep feed filter[100 div k = 1] count", Agree),
+            (
+                "heap_rep feed replace[k, fun (t: item) t k div t grp] consume",
+                Agree,
+            ),
         ],
     );
 }
