@@ -29,7 +29,7 @@ pub use pattern::{OpPat, TermPattern};
 pub use rewrite::{
     OptimizeOpts, Optimizer, OptimizerStats, Rule, RuleAlt, RuleApplication, RuleStep, Strategy,
 };
-pub use ruleparse::parse_rules;
+pub use ruleparse::{parse_rules, parse_rules_with_spans};
 pub use validate::{types_equivalent, Validation};
 
 /// Errors raised during optimization.

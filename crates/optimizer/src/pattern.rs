@@ -68,43 +68,6 @@ impl TermPattern {
             args,
         }
     }
-
-    pub fn apply_var(op: &str, args: Vec<TermPattern>) -> TermPattern {
-        TermPattern::Apply {
-            op: OpPat::Var(Symbol::new(op)),
-            args,
-        }
-    }
-
-    pub fn lambda(params: &[&str], body: TermPattern) -> TermPattern {
-        TermPattern::Lambda {
-            params: params.iter().map(|p| Symbol::new(p)).collect(),
-            body: Box::new(body),
-        }
-    }
-
-    pub fn param(name: &str) -> TermPattern {
-        TermPattern::Param(Symbol::new(name))
-    }
-
-    pub fn bind_as(name: &str, inner: TermPattern) -> TermPattern {
-        TermPattern::As(Symbol::new(name), Box::new(inner))
-    }
-
-    pub fn fun_app(fvar: &str, args: &[&str]) -> TermPattern {
-        TermPattern::FunApp {
-            fvar: Symbol::new(fvar),
-            args: args.iter().map(|a| Symbol::new(a)).collect(),
-        }
-    }
-
-    pub fn as_fun(fvar: &str, args: &[&str], inner: TermPattern) -> TermPattern {
-        TermPattern::AsFun {
-            fvar: Symbol::new(fvar),
-            args: args.iter().map(|a| Symbol::new(a)).collect(),
-            inner: Box::new(inner),
-        }
-    }
 }
 
 /// Bindings accumulated by matching a rule.

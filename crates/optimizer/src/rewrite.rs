@@ -3,13 +3,14 @@
 
 use crate::condition::Condition;
 use crate::cost::CostModel;
-use crate::pattern::{match_term, RuleBindings, TermPattern};
+use crate::pattern::{free_vars, match_term, RuleBindings, TermPattern};
 use crate::validate::{types_equivalent, Validation};
 use crate::OptError;
 use sos_catalog::Catalog;
 use sos_core::check::Checker;
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{Const, DataType, Expr, Symbol, TypeArg};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// One optimization rule: pattern, conditions, template.
@@ -590,8 +591,18 @@ fn replace_at(args: &[TypedExpr], i: usize, child: Expr) -> Vec<Expr> {
         .collect()
 }
 
-/// Instantiate a template from the rule bindings.
+/// Instantiate a template from the rule bindings, avoiding capture: a
+/// template lambda parameter that occurs free in a bound term is renamed
+/// (primed) before the term is spliced under it.
 pub fn instantiate(template: &Expr, b: &RuleBindings) -> Expr {
+    let mut free = Vec::new();
+    for t in b.terms.values() {
+        free_vars(t, &mut Vec::new(), &mut free);
+    }
+    subst(template, b, &free)
+}
+
+fn subst(template: &Expr, b: &RuleBindings, free: &[Symbol]) -> Expr {
     match template {
         Expr::Name(v) => {
             if let Some(t) = b.terms.get(v) {
@@ -606,7 +617,7 @@ pub fn instantiate(template: &Expr, b: &RuleBindings) -> Expr {
         }
         Expr::Const(_) => template.clone(),
         Expr::Apply { op, args } => {
-            let new_args: Vec<Expr> = args.iter().map(|a| instantiate(a, b)).collect();
+            let new_args: Vec<Expr> = args.iter().map(|a| subst(a, b, free)).collect();
             // A bound function variable in operator position becomes an
             // application of the bound lambda.
             if let Some(f) = b.terms.get(op) {
@@ -629,16 +640,47 @@ pub fn instantiate(template: &Expr, b: &RuleBindings) -> Expr {
                 args: new_args,
             }
         }
-        Expr::Lambda { params, body } => Expr::Lambda {
-            params: params
+        Expr::Lambda { params, body } => {
+            let mut body = Cow::Borrowed(body.as_ref());
+            let params = params
                 .iter()
-                .map(|(n, t)| (n.clone(), instantiate_type(t, b)))
-                .collect(),
-            body: Box::new(instantiate(body, b)),
-        },
-        Expr::List(items) => Expr::List(items.iter().map(|e| instantiate(e, b)).collect()),
-        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| instantiate(e, b)).collect()),
+                .map(|(n, t)| {
+                    let mut fresh = n.clone();
+                    while free.contains(&fresh) {
+                        fresh = Symbol::new(&format!("{fresh}'"));
+                    }
+                    if fresh != *n {
+                        body = Cow::Owned(rename(&body, n, &fresh));
+                    }
+                    (fresh, instantiate_type(t, b))
+                })
+                .collect();
+            Expr::Lambda {
+                params,
+                body: Box::new(subst(&body, b, free)),
+            }
+        }
+        Expr::List(items) => Expr::List(items.iter().map(|e| subst(e, b, free)).collect()),
+        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|e| subst(e, b, free)).collect()),
         Expr::Seq(_) => template.clone(),
+    }
+}
+
+/// Rename the free occurrences of template variable `from` to `to`.
+fn rename(e: &Expr, from: &Symbol, to: &Symbol) -> Expr {
+    match e {
+        Expr::Name(v) if v == from => Expr::Name(to.clone()),
+        Expr::Apply { op, args } => Expr::Apply {
+            op: if op == from { to.clone() } else { op.clone() },
+            args: args.iter().map(|a| rename(a, from, to)).collect(),
+        },
+        Expr::Lambda { params, body } if params.iter().all(|(n, _)| n != from) => Expr::Lambda {
+            params: params.clone(),
+            body: Box::new(rename(body, from, to)),
+        },
+        Expr::List(items) => Expr::List(items.iter().map(|a| rename(a, from, to)).collect()),
+        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|a| rename(a, from, to)).collect()),
+        _ => e.clone(),
     }
 }
 

@@ -29,10 +29,18 @@
 //! * `where` conditions: `rep(model, repvar)` (or any catalog via
 //!   `link(catalog, model, repvar)`), `v : <type pattern>`, `key(b, a)`,
 //!   `not key(b, a)`, `lsdbbox(lsd, funvar)`, `const(v)`.
+//! * A rule name is dashed identifiers (`select-scan`) or a quoted
+//!   string for names with operator characters (`"select-btree->="`).
+//! * In the LHS, `v as p` binds the whole subterm matched by `p` to `v`,
+//!   and `f(t) as p` (a declared funvar) binds `f` to the lambda
+//!   abstraction of a subterm that also matches `p`.
+//! * After the `where` clause, each `or name: <rhs> [where <conds>];` is
+//!   a cost-based alternative: the same LHS, extra conditions, another
+//!   template (considered only under cost-based optimization).
 
 use crate::condition::Condition;
 use crate::pattern::{OpPat, TermPattern};
-use crate::rewrite::Rule;
+use crate::rewrite::{Rule, RuleAlt};
 use sos_core::pattern::{PatternNode, TypePattern};
 use sos_core::{sym, DataType, Expr, Symbol, TypeArg};
 use sos_parser::cursor::Cursor;
@@ -42,12 +50,20 @@ use std::collections::{HashMap, HashSet};
 /// Parse a rule file into rules (to wrap in a
 /// [`crate::RuleStep`]).
 pub fn parse_rules(src: &str) -> Result<Vec<Rule>, ParseError> {
+    parse_rules_with_spans(src).map(|(rules, _)| rules)
+}
+
+/// Like [`parse_rules`], also returning the byte offset of each rule's
+/// `rule` keyword (parallel to the rules), so diagnostics can name lines.
+pub fn parse_rules_with_spans(src: &str) -> Result<(Vec<Rule>, Vec<usize>), ParseError> {
     let mut cur = Cursor::new(tokenize(src)?);
     let mut rules = Vec::new();
+    let mut offsets = Vec::new();
     while !cur.at_eof() {
+        offsets.push(cur.pos());
         rules.push(parse_rule(&mut cur)?);
     }
-    Ok(rules)
+    Ok((rules, offsets))
 }
 
 #[derive(Default)]
@@ -63,12 +79,7 @@ struct Decls {
 
 fn parse_rule(cur: &mut Cursor) -> Result<Rule, ParseError> {
     cur.expect_keyword("rule")?;
-    let mut name = cur.ident()?;
-    // Allow dashed rule names (ident - ident ...).
-    while cur.eat(&TokenKind::Minus) {
-        name.push('-');
-        name.push_str(&cur.ident()?);
-    }
+    let name = rule_name(cur)?;
     cur.expect(&TokenKind::Colon)?;
 
     let mut decls = Decls::default();
@@ -128,13 +139,25 @@ fn parse_rule(cur: &mut Cursor) -> Result<Rule, ParseError> {
 
     let mut conditions = Vec::new();
     if cur.eat_keyword("where") {
-        loop {
-            conditions.push(parse_condition(cur)?);
-            if !cur.eat(&TokenKind::Comma) {
-                break;
-            }
+        conditions = parse_conditions(cur)?;
+        cur.expect(&TokenKind::Semicolon)?;
+    }
+
+    let mut alternatives = Vec::new();
+    while cur.eat_keyword("or") {
+        let name = rule_name(cur)?;
+        cur.expect(&TokenKind::Colon)?;
+        let rhs = parse_rhs(cur)?;
+        let mut conditions = Vec::new();
+        if cur.eat_keyword("where") {
+            conditions = parse_conditions(cur)?;
         }
         cur.expect(&TokenKind::Semicolon)?;
+        alternatives.push(RuleAlt {
+            name,
+            conditions,
+            rhs,
+        });
     }
 
     Ok(Rule {
@@ -142,12 +165,46 @@ fn parse_rule(cur: &mut Cursor) -> Result<Rule, ParseError> {
         lhs,
         conditions,
         rhs,
-        alternatives: Vec::new(),
+        alternatives,
     })
 }
 
-/// LHS patterns in abstract prefix syntax.
+/// A quoted name (`"select-btree->="`) or dashed identifiers
+/// (`ident - ident ...`).
+fn rule_name(cur: &mut Cursor) -> Result<String, ParseError> {
+    if let TokenKind::Str(s) = cur.peek().clone() {
+        cur.next();
+        return Ok(s);
+    }
+    let mut name = cur.ident()?;
+    while cur.eat(&TokenKind::Minus) {
+        name.push('-');
+        name.push_str(&cur.ident()?);
+    }
+    Ok(name)
+}
+
+/// LHS patterns in abstract prefix syntax, each optionally followed by
+/// `as <pattern>` when it is a term variable or a funvar application.
 fn parse_lhs(cur: &mut Cursor, decls: &mut Decls) -> Result<TermPattern, ParseError> {
+    let pat = parse_lhs_term(cur, decls)?;
+    if !cur.at_keyword("as") {
+        return Ok(pat);
+    }
+    let misplaced = cur.error("`as` must follow a term variable or a funvar application");
+    cur.next();
+    match pat {
+        TermPattern::Var(v) => Ok(TermPattern::As(v, Box::new(parse_lhs(cur, decls)?))),
+        TermPattern::FunApp { fvar, args } => Ok(TermPattern::AsFun {
+            fvar,
+            args,
+            inner: Box::new(parse_lhs(cur, decls)?),
+        }),
+        _ => Err(misplaced),
+    }
+}
+
+fn parse_lhs_term(cur: &mut Cursor, decls: &mut Decls) -> Result<TermPattern, ParseError> {
     match cur.peek().clone() {
         TokenKind::Int(v) => {
             cur.next();
@@ -202,8 +259,10 @@ fn parse_lhs(cur: &mut Cursor, decls: &mut Decls) -> Result<TermPattern, ParseEr
                             "funvar `{name}` must be applied to its declared parameters"
                         )));
                     }
-                    let params: Vec<&str> = fparams.iter().map(|p| p.as_str()).collect();
-                    return Ok(TermPattern::fun_app(name.as_str(), &params));
+                    return Ok(TermPattern::FunApp {
+                        fvar: name,
+                        args: fparams.clone(),
+                    });
                 }
                 let op = if decls.opvars.contains(&name) {
                     OpPat::Var(name)
@@ -335,6 +394,15 @@ fn parse_template_type(cur: &mut Cursor) -> Result<DataType, ParseError> {
         return Ok(DataType::Cons(sym(&name), args));
     }
     Ok(DataType::Cons(sym(&name), Vec::new()))
+}
+
+/// A comma-separated condition list (the body of a `where` clause).
+fn parse_conditions(cur: &mut Cursor) -> Result<Vec<Condition>, ParseError> {
+    let mut conditions = vec![parse_condition(cur)?];
+    while cur.eat(&TokenKind::Comma) {
+        conditions.push(parse_condition(cur)?);
+    }
+    Ok(conditions)
 }
 
 fn parse_condition(cur: &mut Cursor) -> Result<Condition, ParseError> {
@@ -479,6 +547,91 @@ mod tests {
                funvars f(t1);
                lhs select(r, fun (t1) f(x));
                rhs r;",
+        );
+        assert!(err.is_err());
+    }
+
+    #[test]
+    fn parses_quoted_rule_names() {
+        let rules = parse_rules(
+            r#"rule "select-btree->=": lhs f(x); rhs x;
+               rule "a->b": lhs g(x); rhs x;"#,
+        )
+        .unwrap();
+        assert_eq!(rules[0].name, "select-btree->=");
+        assert_eq!(rules[1].name, "a->b");
+    }
+
+    #[test]
+    fn parses_as_over_a_lambda() {
+        let rules = parse_rules(
+            "rule r:
+               vars rel1 obj, a op, c const;
+               lhs select(rel1, pred as fun (t) >=(a(t), c));
+               rhs consume(filter(feed(rel1), pred));",
+        )
+        .unwrap();
+        let TermPattern::Apply { args, .. } = &rules[0].lhs else {
+            panic!("{:?}", rules[0].lhs)
+        };
+        assert!(
+            matches!(&args[1], TermPattern::As(v, inner)
+                if v.as_str() == "pred" && matches!(**inner, TermPattern::Lambda { .. })),
+            "{:?}",
+            args[1]
+        );
+    }
+
+    #[test]
+    fn parses_as_over_a_funvar_application() {
+        let rules = parse_rules(
+            "rule r:
+               vars rel1 obj, a op, c const;
+               funvars cmpf(t), restf(t);
+               lhs select(rel1, fun (t) and(cmpf(t) as =(a(t), c), restf(t)));
+               rhs rel1;",
+        )
+        .unwrap();
+        let shown = format!("{:?}", rules[0].lhs);
+        assert!(shown.contains("AsFun { fvar: `cmpf`"), "{shown}");
+    }
+
+    #[test]
+    fn parses_an_alternative_with_its_own_conditions() {
+        let rules = parse_rules(
+            r#"rule "select-btree-=":
+                 vars rel1 obj, a op, c const;
+                 lhs select(rel1, pred as fun (t) =(a(t), c));
+                 rhs consume(exactmatch(b1, c));
+                 where rep(rel1, b1), key(b1, a);
+                 or "select-btree-=-scan": consume(filter(feed(rep1), pred))
+                   where rep(rel1, rep1);"#,
+        )
+        .unwrap();
+        let r = &rules[0];
+        assert_eq!(r.conditions.len(), 2);
+        assert_eq!(r.alternatives.len(), 1);
+        assert_eq!(r.alternatives[0].name, "select-btree-=-scan");
+        assert_eq!(r.alternatives[0].conditions.len(), 1);
+    }
+
+    #[test]
+    fn rejects_as_after_a_non_funvar_application() {
+        let err = parse_rules(
+            "rule bad:
+               lhs select(r, fun (t) g(t) as =(t, 1));
+               rhs r;",
+        );
+        assert!(err.is_err());
+    }
+
+    #[test]
+    fn rejects_an_alternative_before_rhs() {
+        let err = parse_rules(
+            r#"rule bad:
+                 lhs f(x);
+                 or "alt": x;
+                 rhs x;"#,
         );
         assert!(err.is_err());
     }

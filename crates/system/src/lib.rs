@@ -796,13 +796,15 @@ impl Database {
     /// A name ending in `.rules` is parsed as one exhaustive optimizer
     /// step (named after the file stem) and checked against the
     /// built-in signature; anything else is parsed as a specification
-    /// *extending* the built-in signature, and diagnostics are mapped
-    /// back to 1-based source lines through the parser's span table.
-    /// The built-in signature lints clean, so every returned finding is
-    /// about `src`. Errors are parse failures, not lint findings.
+    /// *extending* the built-in signature. Either way diagnostics are
+    /// mapped back to 1-based source lines through the parser's span
+    /// table. The built-in signature lints clean, so every returned
+    /// finding is about `src`. Errors are parse failures, not lint
+    /// findings.
     pub fn lint_source(name: &str, src: &str) -> Result<Vec<sos_lint::Diagnostic>, String> {
         if name.ends_with(".rules") {
-            let rules = sos_optimizer::parse_rules(src).map_err(|e| e.to_string())?;
+            let (rules, offsets) =
+                sos_optimizer::parse_rules_with_spans(src).map_err(|e| e.to_string())?;
             let step = std::path::Path::new(name)
                 .file_stem()
                 .and_then(|s| s.to_str())
@@ -810,7 +812,15 @@ impl Database {
             let opt = sos_optimizer::Optimizer::new(vec![sos_optimizer::RuleStep::exhaustive(
                 step, rules,
             )]);
-            Ok(sos_lint::lint_rules(&opt, &builtin::builtin_signature()))
+            let mut diags = sos_lint::lint_rules(&opt, &builtin::builtin_signature());
+            for d in &mut diags {
+                if let sos_lint::Anchor::Rule { rule, .. } = &d.anchor {
+                    if let Some(i) = opt.steps[0].rules.iter().position(|r| r.name == *rule) {
+                        d.line = Some(sos_parser::line_of(src, offsets[i]));
+                    }
+                }
+            }
+            Ok(diags)
         } else {
             let mut sig = builtin::builtin_signature();
             let spans =

@@ -1,603 +1,30 @@
 //! The built-in optimizer: translation of model-level queries and
 //! updates into representation-level plans (Sections 5 and 6).
 //!
-//! The rule set is organized as in the Gral optimizer \[BeG92\]: an early
-//! step applies *index access* rules (specific, profitable), a later step
-//! applies the generic translation rules that are always applicable when
-//! a representation exists. Every rule's applicability is guarded by
-//! `rep(...)` catalog conditions exactly as written in the paper's
-//! Section 5 example.
+//! The rules are written in the textual rule language that user rules
+//! use too (`sos_optimizer::parse_rules`), in two files under `rules/`.
+//! As in the Gral optimizer \[BeG92\], an early step applies the *index
+//! access* rules (specific, profitable), a later step the generic
+//! translation rules that are always applicable when a representation
+//! exists. Each file is one exhaustive step named after its file stem,
+//! the convention `sos lint <file>.rules` uses.
 
-use sos_core::pattern::TypePattern;
-use sos_core::{sym, DataType, Expr, Symbol};
-use sos_optimizer::{Condition, Optimizer, Rule, RuleAlt, RuleStep, TermPattern};
-
-/// Shorthand: `Name(v)` template reference.
-fn name(v: &str) -> Expr {
-    Expr::Name(Symbol::new(v))
-}
-
-/// Shorthand: template application.
-fn app(op: &str, args: Vec<Expr>) -> Expr {
-    Expr::Apply {
-        op: Symbol::new(op),
-        args,
-    }
-}
-
-/// Shorthand: a template lambda with `$`-placeholder parameter types.
-fn lam(params: &[(&str, &str)], body: Expr) -> Expr {
-    Expr::Lambda {
-        params: params
-            .iter()
-            .map(|(n, tv)| (Symbol::new(n), DataType::atom(&format!("${tv}"))))
-            .collect(),
-        body: Box::new(body),
-    }
-}
-
-/// A template lambda whose parameter is `stream($tuplevar)` — used by the
-/// modification rules whose stream function parameter type depends on a
-/// bound tuple type.
-fn stream_lam(param: &str, tuplevar: &str, body: Expr) -> Expr {
-    Expr::Lambda {
-        params: vec![(
-            Symbol::new(param),
-            DataType::stream(DataType::atom(&format!("${tuplevar}"))),
-        )],
-        body: Box::new(body),
-    }
-}
-
-/// `rel(tuplevar)` type pattern.
-fn rel_pattern(tuplevar: &str) -> TypePattern {
-    TypePattern::cons("rel", vec![TypePattern::var(tuplevar)])
-}
+use sos_optimizer::{parse_rules, Optimizer, RuleStep};
 
 /// The built-in optimizer.
 pub fn builtin_optimizer() -> Optimizer {
+    let step = |name: &str, src: &str| {
+        let rules = parse_rules(src)
+            .unwrap_or_else(|e| panic!("built-in rules `{name}.rules` must parse: {e}"));
+        RuleStep::exhaustive(name, rules)
+    };
     Optimizer::new(vec![
-        RuleStep::exhaustive("index-access", index_rules()),
-        RuleStep::exhaustive("generic-translation", generic_rules()),
+        step("index-access", include_str!("rules/index-access.rules")),
+        step(
+            "generic-translation",
+            include_str!("rules/generic-translation.rules"),
+        ),
     ])
-}
-
-/// Step 1: rules that exploit index representations.
-fn index_rules() -> Vec<Rule> {
-    let mut rules = Vec::new();
-
-    // --- selection on a B-tree key: exact match and ranges -------------
-    // select(rel1, fun (t) a(t) OP c)  with rep(rel1, b1), b1 a btree on a
-    //   =   ->  consume(exactmatch(b1, c))
-    //   >=  ->  consume(range_from(b1, c))
-    //   <=  ->  consume(range_to(b1, c))
-    //   >,< ->  halfrange plus the original predicate as a filter.
-    for (op, target, needs_filter) in [
-        ("=", "exactmatch", false),
-        (">=", "range_from", false),
-        ("<=", "range_to", false),
-        (">", "range_from", true),
-        ("<", "range_to", true),
-    ] {
-        let lhs = TermPattern::apply(
-            "select",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::bind_as(
-                    "pred",
-                    TermPattern::lambda(
-                        &["t"],
-                        TermPattern::Apply {
-                            op: sos_optimizer::OpPat::Exact(sym(op)),
-                            args: vec![
-                                TermPattern::apply_var("a", vec![TermPattern::param("t")]),
-                                TermPattern::ConstVar(sym("c")),
-                            ],
-                        },
-                    ),
-                ),
-            ],
-        );
-        let search = app(target, vec![name("b1"), name("c")]);
-        let rhs = if needs_filter {
-            app("consume", vec![app("filter", vec![search, name("pred")])])
-        } else {
-            app("consume", vec![search])
-        };
-        rules.push(Rule {
-            name: format!("select-btree-{op}"),
-            lhs,
-            conditions: vec![
-                Condition::catalog_link("rep", "rel1", "b1"),
-                Condition::btree_key_is("b1", "a"),
-            ],
-            rhs,
-            // Cost-based alternative: a plain scan-and-filter over any
-            // representation. Wins when the predicate qualifies most of
-            // the relation (reading every leaf through the index is
-            // slower than one sequential pass).
-            alternatives: vec![RuleAlt {
-                name: format!("select-btree-{op}-scan"),
-                conditions: vec![Condition::catalog_link("rep", "rel1", "rep1")],
-                rhs: app(
-                    "consume",
-                    vec![app(
-                        "filter",
-                        vec![app("feed", vec![name("rep1")]), name("pred")],
-                    )],
-                ),
-            }],
-        });
-    }
-
-    // --- deletion via an index search (the Section 6 trace:
-    //     `delete (cities, cities ... range)`) ---------------------------
-    // delete(rel1, fun (t) a(t) OP c) with a B-tree on a: find the doomed
-    // tuples by an index search instead of a scan.
-    for (op, target, needs_filter) in [
-        ("=", "exactmatch", false),
-        (">=", "range_from", false),
-        ("<=", "range_to", false),
-        (">", "range_from", true),
-        ("<", "range_to", true),
-    ] {
-        let lhs = TermPattern::apply(
-            "delete",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::bind_as(
-                    "pred",
-                    TermPattern::lambda(
-                        &["t"],
-                        TermPattern::Apply {
-                            op: sos_optimizer::OpPat::Exact(sym(op)),
-                            args: vec![
-                                TermPattern::apply_var("a", vec![TermPattern::param("t")]),
-                                TermPattern::ConstVar(sym("c")),
-                            ],
-                        },
-                    ),
-                ),
-            ],
-        );
-        let search = app(target, vec![name("b1"), name("c")]);
-        let doomed = if needs_filter {
-            app("filter", vec![search, name("pred")])
-        } else {
-            search
-        };
-        rules.push(Rule {
-            name: format!("delete-btree-{op}"),
-            lhs,
-            conditions: vec![
-                Condition::type_is("rel1", rel_pattern("tuple1")),
-                Condition::catalog_link("rep", "rel1", "b1"),
-                Condition::btree_key_is("b1", "a"),
-            ],
-            rhs: app("delete", vec![name("b1"), doomed]),
-            alternatives: Vec::new(),
-        });
-    }
-
-    // --- conjunctive selection with an indexable conjunct ---------------
-    // select(rel1, fun (t) a(t) OP c and REST(t))
-    //   -> consume(filter(<index search>, fun (t) REST(t)))
-    // (the index prunes by the indexable conjunct; the residue filters.)
-    for (op, target, strict) in [
-        ("=", "exactmatch", false),
-        (">=", "range_from", false),
-        ("<=", "range_to", false),
-        (">", "range_from", true),
-        ("<", "range_to", true),
-    ] {
-        let lhs = TermPattern::apply(
-            "select",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::lambda(
-                    &["t"],
-                    TermPattern::apply(
-                        "and",
-                        vec![
-                            TermPattern::as_fun(
-                                "cmpf",
-                                &["t"],
-                                TermPattern::Apply {
-                                    op: sos_optimizer::OpPat::Exact(sym(op)),
-                                    args: vec![
-                                        TermPattern::apply_var("a", vec![TermPattern::param("t")]),
-                                        TermPattern::ConstVar(sym("c")),
-                                    ],
-                                },
-                            ),
-                            TermPattern::fun_app("restf", &["t"]),
-                        ],
-                    ),
-                ),
-            ],
-        );
-        let search = app(target, vec![name("b1"), name("c")]);
-        // For strict comparisons the halfrange over-approximates at the
-        // boundary: keep the comparison in the residual filter too.
-        let residual = if strict {
-            lam(
-                &[("t", "t")],
-                app(
-                    "and",
-                    vec![app("cmpf", vec![name("t")]), app("restf", vec![name("t")])],
-                ),
-            )
-        } else {
-            lam(&[("t", "t")], app("restf", vec![name("t")]))
-        };
-        let conditions = vec![
-            Condition::catalog_link("rep", "rel1", "b1"),
-            Condition::btree_key_is("b1", "a"),
-        ];
-        rules.push(Rule {
-            name: format!("select-btree-and-{op}"),
-            lhs,
-            conditions,
-            rhs: app("consume", vec![app("filter", vec![search, residual])]),
-            alternatives: Vec::new(),
-        });
-    }
-
-    // --- equi-join via hash join ----------------------------------------
-    // join(rel1, rel2, fun (t1, t2) a1(t1) = a2(t2))
-    //   -> consume(hashjoin(feed(rep1), feed(rep2), a1, a2))
-    rules.push(Rule {
-        name: "join-equi-hashjoin".into(),
-        lhs: TermPattern::apply(
-            "join",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::ObjectVar(sym("rel2")),
-                TermPattern::lambda(
-                    &["t1", "t2"],
-                    TermPattern::apply(
-                        "=",
-                        vec![
-                            TermPattern::apply_var("a1", vec![TermPattern::param("t1")]),
-                            TermPattern::apply_var("a2", vec![TermPattern::param("t2")]),
-                        ],
-                    ),
-                ),
-            ],
-        ),
-        conditions: vec![
-            Condition::catalog_link("rep", "rel1", "rep1"),
-            Condition::catalog_link("rep", "rel2", "rep2"),
-        ],
-        rhs: app(
-            "consume",
-            vec![app(
-                "hashjoin",
-                vec![
-                    app("feed", vec![name("rep1")]),
-                    app("feed", vec![name("rep2")]),
-                    name("a1"),
-                    name("a2"),
-                ],
-            )],
-        ),
-        // Cost-based alternative: probe a B-tree on the right join
-        // attribute once per left tuple. Wins at high cardinality skew
-        // (small outer, large indexed inner); the attribute order of the
-        // result (tuple1 ++ tuple2) matches the hash join's.
-        alternatives: vec![RuleAlt {
-            name: "join-equi-index-probe".into(),
-            conditions: vec![
-                Condition::catalog_link("rep", "rel2", "b2"),
-                Condition::btree_key_is("b2", "a2"),
-            ],
-            rhs: app(
-                "consume",
-                vec![app(
-                    "search_join",
-                    vec![
-                        app("feed", vec![name("rep1")]),
-                        lam(
-                            &[("t1", "t1")],
-                            app("exactmatch", vec![name("b2"), app("a1", vec![name("t1")])]),
-                        ),
-                    ],
-                )],
-            ),
-        }],
-    });
-
-    // --- the Section 5 rule: geometric join via LSD-tree ---------------
-    // rel1 rel2 join[fun (t1, t2) (t1 point) inside (t2 region)]
-    //   -> rep1 feed (fun (t1) lsd2 (t1 point) point_search
-    //                 filter[fun (t2) (t1 point) inside (t2 region)])
-    //      search_join consume
-    let lhs = TermPattern::apply(
-        "join",
-        vec![
-            TermPattern::ObjectVar(sym("rel1")),
-            TermPattern::ObjectVar(sym("rel2")),
-            TermPattern::lambda(
-                &["t1", "t2"],
-                TermPattern::apply(
-                    "inside",
-                    vec![
-                        TermPattern::fun_app("pointf", &["t1"]),
-                        TermPattern::fun_app("regionf", &["t2"]),
-                    ],
-                ),
-            ),
-        ],
-    );
-    let rhs = app(
-        "consume",
-        vec![app(
-            "search_join",
-            vec![
-                app("feed", vec![name("rep1")]),
-                lam(
-                    &[("t1", "t1")],
-                    app(
-                        "filter",
-                        vec![
-                            app(
-                                "point_search",
-                                vec![name("lsd2"), app("pointf", vec![name("t1")])],
-                            ),
-                            lam(
-                                &[("t2", "t2")],
-                                app(
-                                    "inside",
-                                    vec![
-                                        app("pointf", vec![name("t1")]),
-                                        app("regionf", vec![name("t2")]),
-                                    ],
-                                ),
-                            ),
-                        ],
-                    ),
-                ),
-            ],
-        )],
-    );
-    rules.push(Rule {
-        name: "join-inside-lsdtree".into(),
-        lhs,
-        conditions: vec![
-            Condition::catalog_link("rep", "rel1", "rep1"),
-            Condition::catalog_link("rep", "rel2", "lsd2"),
-            Condition::type_is(
-                "lsd2",
-                TypePattern::cons(
-                    "lsdtree",
-                    vec![TypePattern::var("tuple2"), TypePattern::var("f")],
-                ),
-            ),
-            Condition::lsd_indexes_bbox_of("lsd2", "regionf"),
-        ],
-        rhs,
-        alternatives: Vec::new(),
-    });
-
-    // --- modify on the B-tree key attribute: re_insert (Section 6) -----
-    rules.push(Rule {
-        name: "modify-key-reinsert".into(),
-        lhs: modify_lhs(),
-        conditions: vec![
-            Condition::type_is("rel1", rel_pattern("tuple1")),
-            Condition::catalog_link("rep", "rel1", "b1"),
-            Condition::btree_key_is("b1", "a"),
-        ],
-        rhs: app(
-            "re_insert",
-            vec![
-                name("b1"),
-                app("filter", vec![app("feed", vec![name("b1")]), name("pred")]),
-                stream_lam(
-                    "s",
-                    "tuple1",
-                    app("replace", vec![name("s"), name("a"), name("f")]),
-                ),
-            ],
-        ),
-        alternatives: Vec::new(),
-    });
-
-    rules
-}
-
-/// Step 2: generic model-to-representation translation.
-#[allow(clippy::vec_init_then_push)]
-fn generic_rules() -> Vec<Rule> {
-    let mut rules = Vec::new();
-
-    // select(rel1, pred) -> consume(filter(feed(rep1), pred))
-    rules.push(Rule {
-        name: "select-scan".into(),
-        lhs: TermPattern::apply(
-            "select",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::var("pred"),
-            ],
-        ),
-        conditions: vec![
-            Condition::type_is("rel1", rel_pattern("tuple1")),
-            Condition::catalog_link("rep", "rel1", "rep1"),
-        ],
-        rhs: app(
-            "consume",
-            vec![app(
-                "filter",
-                vec![app("feed", vec![name("rep1")]), name("pred")],
-            )],
-        ),
-        alternatives: Vec::new(),
-    });
-
-    // join(rel1, rel2, pred) -> scan-based search join (Section 4's first
-    // plan): consume(search_join(feed(rep1),
-    //   fun (t1) filter(feed(rep2), fun (t2) pred(t1, t2))))
-    rules.push(Rule {
-        name: "join-scan-searchjoin".into(),
-        lhs: TermPattern::apply(
-            "join",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::ObjectVar(sym("rel2")),
-                TermPattern::bind_as(
-                    "pred",
-                    TermPattern::lambda(&["t1", "t2"], TermPattern::var("body")),
-                ),
-            ],
-        ),
-        conditions: vec![
-            Condition::catalog_link("rep", "rel1", "rep1"),
-            Condition::catalog_link("rep", "rel2", "rep2"),
-        ],
-        rhs: app(
-            "consume",
-            vec![app(
-                "search_join",
-                vec![
-                    app("feed", vec![name("rep1")]),
-                    lam(
-                        &[("t1", "t1")],
-                        app(
-                            "filter",
-                            vec![
-                                app("feed", vec![name("rep2")]),
-                                lam(&[("t2", "t2")], app("pred", vec![name("t1"), name("t2")])),
-                            ],
-                        ),
-                    ),
-                ],
-            )],
-        ),
-        alternatives: Vec::new(),
-    });
-
-    // insert(rel1, t) -> insert(rep1, t)
-    rules.push(Rule {
-        name: "insert-model-to-rep".into(),
-        lhs: TermPattern::apply(
-            "insert",
-            vec![TermPattern::ObjectVar(sym("rel1")), TermPattern::var("tup")],
-        ),
-        conditions: vec![
-            Condition::type_is("rel1", rel_pattern("tuple1")),
-            Condition::catalog_link("rep", "rel1", "rep1"),
-        ],
-        rhs: app("insert", vec![name("rep1"), name("tup")]),
-        alternatives: Vec::new(),
-    });
-
-    // rel_insert(rel1, rel2) -> stream_insert(rep1, feed(rep2)):
-    // bulk-appending one represented relation into another.
-    rules.push(Rule {
-        name: "rel-insert-model-to-rep".into(),
-        lhs: TermPattern::apply(
-            "rel_insert",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::ObjectVar(sym("rel2")),
-            ],
-        ),
-        conditions: vec![
-            Condition::type_is("rel1", rel_pattern("tuple1")),
-            Condition::catalog_link("rep", "rel1", "rep1"),
-            Condition::catalog_link("rep", "rel2", "rep2"),
-        ],
-        rhs: app(
-            "stream_insert",
-            vec![name("rep1"), app("feed", vec![name("rep2")])],
-        ),
-        alternatives: Vec::new(),
-    });
-
-    // delete(rel1, pred) -> delete(rep1, filter(feed(rep1), pred))
-    // (tuples to delete are found by a search on the representation,
-    // Section 6).
-    rules.push(Rule {
-        name: "delete-model-to-rep".into(),
-        lhs: TermPattern::apply(
-            "delete",
-            vec![
-                TermPattern::ObjectVar(sym("rel1")),
-                TermPattern::var("pred"),
-            ],
-        ),
-        conditions: vec![
-            Condition::type_is("rel1", rel_pattern("tuple1")),
-            Condition::catalog_link("rep", "rel1", "rep1"),
-        ],
-        rhs: app(
-            "delete",
-            vec![
-                name("rep1"),
-                app(
-                    "filter",
-                    vec![app("feed", vec![name("rep1")]), name("pred")],
-                ),
-            ],
-        ),
-        alternatives: Vec::new(),
-    });
-
-    // modify(rel1, pred, a, f) on a non-key attribute -> in-situ modify.
-    // The `b1 : btree(...)` guard is load-bearing: the in-situ `modify`
-    // operator only exists for B-trees, and without the guard the
-    // negated key condition holds vacuously for any non-btree
-    // representation, rewriting to an ill-typed plan (caught by L006).
-    rules.push(Rule {
-        name: "modify-model-to-rep".into(),
-        lhs: modify_lhs(),
-        conditions: vec![
-            Condition::type_is("rel1", rel_pattern("tuple1")),
-            Condition::catalog_link("rep", "rel1", "b1"),
-            Condition::type_is(
-                "b1",
-                TypePattern::cons(
-                    "btree",
-                    vec![
-                        TypePattern::var("btuple"),
-                        TypePattern::var("bkey"),
-                        TypePattern::var("bdtype"),
-                    ],
-                ),
-            ),
-            Condition::negated(Condition::btree_key_is("b1", "a")),
-        ],
-        rhs: app(
-            "modify",
-            vec![
-                name("b1"),
-                app("filter", vec![app("feed", vec![name("b1")]), name("pred")]),
-                stream_lam(
-                    "s",
-                    "tuple1",
-                    app("replace", vec![name("s"), name("a"), name("f")]),
-                ),
-            ],
-        ),
-        alternatives: Vec::new(),
-    });
-
-    rules
-}
-
-/// LHS shared by the two modify rules:
-/// `modify(rel1, pred, a, f)`.
-fn modify_lhs() -> TermPattern {
-    TermPattern::apply(
-        "modify",
-        vec![
-            TermPattern::ObjectVar(sym("rel1")),
-            TermPattern::var("pred"),
-            TermPattern::ConstVar(sym("a")),
-            TermPattern::var("f"),
-        ],
-    )
 }
 
 #[cfg(test)]

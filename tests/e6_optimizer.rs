@@ -337,3 +337,44 @@ fn optimization_lowers_the_term_level() {
     // model operator.
     assert!(!plan_src.contains("select("), "plan: {plan_src}");
 }
+
+/// Rule instantiation avoids capture: `join-scan-searchjoin` introduces
+/// its own `fun (t1: ..)` around the spliced join predicate, so a
+/// predicate mentioning an *outer* `t1` must not be captured by it. The
+/// query and its alpha-renamed twin must agree.
+#[test]
+fn rule_templates_do_not_capture_outer_variables() {
+    let mut db = Database::builder().build();
+    db.run(
+        r#"
+        type item = tuple(<(k, int), (g, int)>);
+        type ct = tuple(<(ck, int), (cv, int)>);
+        create a : rel(item);
+        create b : rel(item);
+        create c : rel(ct);
+        create a_rep : btree(item, k, int);
+        create b_rep : btree(item, k, int);
+        create c_rep : btree(ct, ck, int);
+        create rep : catalog(<ident, ident>);
+        update rep := insert(rep, a, a_rep);
+        update rep := insert(rep, b, b_rep);
+        update rep := insert(rep, c, c_rep);
+    "#,
+    )
+    .unwrap();
+    let pair = |x: i64, y: i64| Value::tuple(vec![Value::Int(x), Value::Int(y)]);
+    db.bulk_insert("a_rep", (1..=3).map(|k| pair(k, 0)).collect())
+        .unwrap();
+    db.bulk_insert("b_rep", vec![pair(1, 10), pair(2, 20)])
+        .unwrap();
+    db.bulk_insert("c_rep", vec![pair(10, 1), pair(20, 2)])
+        .unwrap();
+    let query = |outer: &str| {
+        format!(
+            "a select[fun ({outer}: item) (b c join[fun (x: item, y: ct) \
+             x g = y ck and x k = {outer} k] count) > 0] count"
+        )
+    };
+    assert_eq!(as_count(&db.query(&query("t1")).unwrap()), 2);
+    assert_eq!(as_count(&db.query(&query("u")).unwrap()), 2);
+}

@@ -1,5 +1,7 @@
-//! The textual rule language (Section 5's rules as data): rules loaded
-//! from text behave identically to the built-in programmatic rules.
+//! The textual rule language (Section 5's rules as data): user rules
+//! loaded at runtime. The built-in rules are themselves parsed from rule
+//! text (`crates/system/src/rules/*.rules`), so the builtin plans these
+//! tests compare against are text plans by construction.
 
 use sos_exec::Value;
 use sos_optimizer::{parse_rules, Optimizer, RuleStep};
