@@ -523,14 +523,30 @@ impl<'a> Checker<'a> {
                 "update operator `{op}` requires a named object as first argument"
             ));
         }
-        Ok(TypedExpr::new(
-            TypedNode::Apply {
+        // A var-named spec applied to a tuple with that attribute is a
+        // field access: record the position now, so evaluation never
+        // searches the tuple type.
+        let field = match (&spec.name, typed_args.as_slice()) {
+            (OpName::Var(_), [arg]) => arg
+                .ty
+                .tuple_attrs()
+                .and_then(|attrs| attrs.iter().position(|(a, _)| a == op)),
+            _ => None,
+        };
+        let node = match field {
+            Some(idx) => TypedNode::Field {
+                attr: op.clone(),
+                spec: spec_idx,
+                idx,
+                arg: Box::new(typed_args.remove(0)),
+            },
+            None => TypedNode::Apply {
                 op: op.clone(),
                 spec: spec_idx,
                 args: typed_args,
             },
-            ty,
-        ))
+        };
+        Ok(TypedExpr::new(node, ty))
     }
 
     // ---- argument elaboration --------------------------------------------

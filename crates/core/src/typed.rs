@@ -20,11 +20,23 @@ pub enum TypedNode {
     /// A lambda-bound variable occurrence.
     Var(Symbol),
     /// Application of a signature operator; `spec` indexes the matched
-    /// specification within the signature (for diagnostics and dispatch).
+    /// specification within the signature, and the engine runs the
+    /// operator-table entry bound to that spec.
     Apply {
         op: Symbol,
         spec: usize,
         args: Vec<TypedExpr>,
+    },
+    /// Tuple attribute access `attr(arg)`: an application of the
+    /// var-named `$attrname` spec `spec` (Section 2.2), resolved by the
+    /// checker to field `idx` of `arg`'s tuple type. The engine loads the
+    /// field; readers that care about the term's shape see the
+    /// one-argument application through [`TypedExpr::as_apply`].
+    Field {
+        attr: Symbol,
+        spec: usize,
+        idx: usize,
+        arg: Box<TypedExpr>,
     },
     /// Application of a function *value* (a view object or lambda) —
     /// `cities_in("Germany")` in Section 2.4.
@@ -47,10 +59,17 @@ impl TypedExpr {
         TypedExpr { node, ty }
     }
 
-    /// The operator name, if this is an operator application.
-    pub fn op_name(&self) -> Option<&Symbol> {
+    /// The operator-application view of this node: an `Apply` as it is,
+    /// and an attribute access `Field` as the one-argument application
+    /// `attr(arg)` it was written as. Printing, pattern matching, costing
+    /// and plan-cache keys read applications through this, so they see
+    /// the same term whether or not the checker resolved a field.
+    pub fn as_apply(&self) -> Option<(&Symbol, usize, &[TypedExpr])> {
         match &self.node {
-            TypedNode::Apply { op, .. } => Some(op),
+            TypedNode::Apply { op, spec, args } => Some((op, *spec, args)),
+            TypedNode::Field {
+                attr, spec, arg, ..
+            } => Some((attr, *spec, std::slice::from_ref(&**arg))),
             _ => None,
         }
     }
@@ -71,6 +90,7 @@ impl TypedExpr {
                 }
             }
             TypedNode::Lambda { body, .. } => body.visit(f),
+            TypedNode::Field { arg, .. } => arg.visit(f),
             TypedNode::Const(_) | TypedNode::Object(_) | TypedNode::Var(_) => {}
         }
     }
@@ -87,13 +107,16 @@ impl TypedExpr {
     /// substituting, and re-checking the whole program term.
     pub fn to_expr(&self) -> crate::types::Expr {
         use crate::types::Expr;
+        if let Some((op, _, args)) = self.as_apply() {
+            return Expr::Apply {
+                op: op.clone(),
+                args: args.iter().map(|a| a.to_expr()).collect(),
+            };
+        }
         match &self.node {
             TypedNode::Const(c) => Expr::Const(c.clone()),
             TypedNode::Object(n) | TypedNode::Var(n) => Expr::Name(n.clone()),
-            TypedNode::Apply { op, args, .. } => Expr::Apply {
-                op: op.clone(),
-                args: args.iter().map(|a| a.to_expr()).collect(),
-            },
+            TypedNode::Apply { .. } | TypedNode::Field { .. } => unreachable!("returned above"),
             TypedNode::ApplyFun { fun, args } => Expr::Apply {
                 op: Symbol::new("%call"),
                 args: std::iter::once(fun.to_expr())
@@ -112,29 +135,18 @@ impl TypedExpr {
 
 impl fmt::Display for TypedExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Some((op, _, args)) = self.as_apply() {
+            write!(f, "{op}")?;
+            return write_items(f, "(", args, ")");
+        }
         match &self.node {
             TypedNode::Const(c) => write!(f, "{c}"),
             TypedNode::Object(n) => write!(f, "{n}"),
             TypedNode::Var(v) => write!(f, "{v}"),
-            TypedNode::Apply { op, args, .. } => {
-                write!(f, "{op}(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
-            }
+            TypedNode::Apply { .. } | TypedNode::Field { .. } => unreachable!("returned above"),
             TypedNode::ApplyFun { fun, args } => {
-                write!(f, "({fun})(")?;
-                for (i, a) in args.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{a}")?;
-                }
-                write!(f, ")")
+                write!(f, "({fun})")?;
+                write_items(f, "(", args, ")")
             }
             TypedNode::Lambda { params, body } => {
                 write!(f, "fun (")?;
@@ -146,28 +158,27 @@ impl fmt::Display for TypedExpr {
                 }
                 write!(f, ") {body}")
             }
-            TypedNode::List(items) => {
-                write!(f, "<")?;
-                for (i, e) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, ">")
-            }
-            TypedNode::Tuple(items) => {
-                write!(f, "(")?;
-                for (i, e) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, ")")
-            }
+            TypedNode::List(items) => write_items(f, "<", items, ">"),
+            TypedNode::Tuple(items) => write_items(f, "(", items, ")"),
         }
     }
+}
+
+/// `open a, b, ... close`.
+fn write_items(
+    f: &mut fmt::Formatter<'_>,
+    open: &str,
+    items: &[TypedExpr],
+    close: &str,
+) -> fmt::Result {
+    write!(f, "{open}")?;
+    for (i, e) in items.iter().enumerate() {
+        if i > 0 {
+            write!(f, ", ")?;
+        }
+        write!(f, "{e}")?;
+    }
+    write!(f, "{close}")
 }
 
 impl fmt::Debug for TypedExpr {

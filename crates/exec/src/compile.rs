@@ -14,15 +14,15 @@
 //!
 //! * **Tier A (register bytecode)** — any pure body compiles: constants,
 //!   parameters, captured variables (frozen as constants — a closure's
-//!   captured environment is immutable), attribute access, and the
-//!   atomic operators of [`crate::ops::basic`]. Arithmetic and
-//!   comparison opcodes carry integer fast paths and delegate every
-//!   other operand shape to [`basic::eval_atomic`] — the same single
-//!   implementation the interpreter dispatches to — so a compiled
-//!   program is extensionally equal to the interpreted closure *by
-//!   construction*, including error text and error order (evaluation is
-//!   strict in both: argument subterms evaluate left-to-right, `and` /
-//!   `or` do not short-circuit).
+//!   captured environment is immutable), checked attribute access, and
+//!   applications whose operator-table entry is pure (the atomic
+//!   built-ins of [`crate::ops::basic`]). Binary calls carry integer
+//!   fast paths and delegate every other operand shape to
+//!   [`Atomic::eval`] — the same single implementation the interpreter's
+//!   table entry runs — so a compiled program is extensionally equal to
+//!   the interpreted closure *by construction*, including error text and
+//!   error order (evaluation is strict in both: argument subterms
+//!   evaluate left-to-right, `and` / `or` do not short-circuit).
 //! * **Tier B (columnar kernel)** — when the whole body is int/bool
 //!   typed (int field loads and constants, checked arithmetic, integer
 //!   `div`/`mod`, comparisons, logic), the program additionally lowers
@@ -35,7 +35,7 @@
 //!   pure, so the abandoned columnar attempt has no side effects).
 //!
 //! Anything outside the pure subset — object references, nested
-//! function values, non-atomic or overridden operators, unbound
+//! function values, impure or overridden operators, unbound
 //! variables — refuses to compile with a named [`Fallback`] reason; the
 //! caller keeps the interpreter path and the engine counts the fallback
 //! (surfaced through `.metrics` and EXPLAIN ANALYZE).
@@ -43,7 +43,8 @@
 //! Every lowered program additionally passes the **bytecode verifier**
 //! ([`CompiledFun::verify`]) before it is accepted: a static pass that
 //! proves single assignment, read-after-write, in-bounds register and
-//! input-slot indices, and opcode-kind consistency — the invariants the
+//! input-slot indices, that every call names a pure operator-table
+//! entry, and opcode-kind consistency — the invariants the
 //! dirty-register-file executor and the split-borrowing columnar kernel
 //! rely on. A program that fails verification is rejected with
 //! [`Fallback::Rejected`] (`verifier-reject` in the compile counters)
@@ -55,8 +56,9 @@
 
 use crate::engine::ExecEngine;
 use crate::error::{ExecError, ExecResult};
-use crate::handles::attr_index;
-use crate::ops::basic;
+use crate::handles::load_field;
+use crate::ops::basic::Atomic;
+use crate::ops::{OpId, OpTable};
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{DataType, Symbol};
@@ -72,8 +74,7 @@ pub enum Fallback {
     /// The body builds or applies a function value (re-enters the
     /// interpreter).
     Function,
-    /// An operator that is not an atomic built-in (or whose built-in
-    /// implementation was overridden via [`ExecEngine::add_op`]).
+    /// An operator whose table entry is not pure (or that has no entry).
     ImpureOp(Symbol),
     /// A variable bound neither by the parameters nor the captured
     /// environment; the interpreter owns the error.
@@ -99,65 +100,6 @@ impl Fallback {
     }
 }
 
-/// Binary opcodes with integer fast paths. Every other operand shape
-/// delegates to [`basic::eval_atomic`], so semantics (promotion rules,
-/// error text) stay the interpreter's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    DivInt,
-    Mod,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
-}
-
-impl BinOp {
-    fn of(op: &str) -> Option<BinOp> {
-        Some(match op {
-            "+" => BinOp::Add,
-            "-" => BinOp::Sub,
-            "*" => BinOp::Mul,
-            "div" => BinOp::DivInt,
-            "mod" => BinOp::Mod,
-            "=" => BinOp::Eq,
-            "!=" => BinOp::Ne,
-            "<" => BinOp::Lt,
-            "<=" => BinOp::Le,
-            ">" => BinOp::Gt,
-            ">=" => BinOp::Ge,
-            "and" => BinOp::And,
-            "or" => BinOp::Or,
-            _ => return None,
-        })
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::DivInt => "div",
-            BinOp::Mod => "mod",
-            BinOp::Eq => "=",
-            BinOp::Ne => "!=",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-        }
-    }
-}
-
 /// One bytecode instruction. Registers are allocated in postorder (SSA:
 /// each written exactly once per evaluation), so a dirty register file
 /// can be reused across rows without clearing.
@@ -170,13 +112,10 @@ enum Inst {
     /// Tuple attribute access: `dst, src, field index, attribute name`
     /// (the name only feeds the error message).
     Field(usize, usize, usize, Symbol),
-    /// Binary atomic operator: `dst, op, a, b`.
-    Bin(usize, BinOp, usize, usize),
-    /// Boolean negation: `dst, a`.
-    Not(usize, usize),
-    /// Any other atomic operator, via [`basic::eval_atomic`]:
-    /// `dst, name, argument registers`.
-    Atomic(usize, &'static str, Box<[usize]>),
+    /// A pure operator-table entry applied to argument registers:
+    /// `dst, entry, its evaluation, arguments`. Binary calls take the
+    /// fast paths of [`bin_op`].
+    Call(usize, OpId, Atomic, Box<[usize]>),
     /// `<a, b, ...>` list construction.
     MakeList(usize, Box<[usize]>),
     /// `(a, b)` product construction.
@@ -216,14 +155,14 @@ enum ColInst {
     },
     /// `+ - * div mod` over two int columns (checked; errors bail).
     Arith {
-        op: BinOp,
+        op: Atomic,
         dst: usize,
         a: usize,
         b: usize,
     },
     /// `= != < <= > >=` over two int columns into a bool column.
     Cmp {
-        op: BinOp,
+        op: Atomic,
         dst: usize,
         a: usize,
         b: usize,
@@ -304,11 +243,11 @@ impl ColProgram {
                     for r in 0..n {
                         let (x, y) = (ints[*a][r], ints[*b][r]);
                         let v = match op {
-                            BinOp::Add => x.checked_add(y),
-                            BinOp::Sub => x.checked_sub(y),
-                            BinOp::Mul => x.checked_mul(y),
-                            BinOp::DivInt => (y != 0).then(|| x.div_euclid(y)),
-                            BinOp::Mod => (y != 0).then(|| x.rem_euclid(y)),
+                            Atomic::Add => x.checked_add(y),
+                            Atomic::Sub => x.checked_sub(y),
+                            Atomic::Mul => x.checked_mul(y),
+                            Atomic::DivInt => (y != 0).then(|| x.div_euclid(y)),
+                            Atomic::Mod => (y != 0).then(|| x.rem_euclid(y)),
                             _ => unreachable!("non-arith op in Arith"),
                         };
                         match v {
@@ -321,12 +260,12 @@ impl ColProgram {
                     for r in 0..n {
                         let (x, y) = (ints[*a][r], ints[*b][r]);
                         bools[*dst][r] = match op {
-                            BinOp::Eq => x == y,
-                            BinOp::Ne => x != y,
-                            BinOp::Lt => x < y,
-                            BinOp::Le => x <= y,
-                            BinOp::Gt => x > y,
-                            BinOp::Ge => x >= y,
+                            Atomic::Eq => x == y,
+                            Atomic::Ne => x != y,
+                            Atomic::Lt => x < y,
+                            Atomic::Le => x <= y,
+                            Atomic::Gt => x > y,
+                            Atomic::Ge => x >= y,
                             _ => unreachable!("non-compare op in Cmp"),
                         };
                     }
@@ -370,10 +309,7 @@ impl ColProgram {
                     reg_write(&mut bools, *dst, pc)?;
                 }
                 ColInst::Arith { op, dst, a, b } => {
-                    if !matches!(
-                        op,
-                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::DivInt | BinOp::Mod
-                    ) {
+                    if !is_arith(*op) {
                         return Err(format!(
                             "columnar inst {pc}: `{}` is not an arithmetic opcode",
                             op.name()
@@ -384,10 +320,7 @@ impl ColProgram {
                     reg_write(&mut ints, *dst, pc)?;
                 }
                 ColInst::Cmp { op, dst, a, b } => {
-                    if !matches!(
-                        op,
-                        BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-                    ) {
+                    if !is_cmp(*op) {
                         return Err(format!(
                             "columnar inst {pc}: `{}` is not a comparison opcode",
                             op.name()
@@ -414,6 +347,22 @@ impl ColProgram {
         };
         reg_read(init, i, self.insts.len()).map_err(|e| format!("columnar output register: {e}"))
     }
+}
+
+/// The integer opcodes of the columnar `Arith` instruction.
+fn is_arith(op: Atomic) -> bool {
+    matches!(
+        op,
+        Atomic::Add | Atomic::Sub | Atomic::Mul | Atomic::DivInt | Atomic::Mod
+    )
+}
+
+/// The integer comparisons of the columnar `Cmp` instruction.
+fn is_cmp(op: Atomic) -> bool {
+    matches!(
+        op,
+        Atomic::Eq | Atomic::Ne | Atomic::Lt | Atomic::Le | Atomic::Gt | Atomic::Ge
+    )
 }
 
 /// Shared verifier step: a read of register `r` at instruction `pc` is
@@ -496,7 +445,7 @@ impl CompiledFun {
             n_regs,
             col,
         };
-        cf.verify().map_err(Fallback::Rejected)?;
+        cf.verify(engine.ops()).map_err(Fallback::Rejected)?;
         Ok(cf)
     }
 
@@ -512,14 +461,14 @@ impl CompiledFun {
     /// * every register is written exactly once, read only afterwards,
     ///   and in bounds for its register file;
     /// * input slots are within the closure's arity;
-    /// * `Atomic` names a listed atomic operator, `Arith`/`Cmp` carry
-    ///   an opcode of the right kind (the executor would panic on a
-    ///   mismatch);
+    /// * every `Call` names an entry of `ops` whose `pure` evaluation is
+    ///   the one it carries, and `Arith`/`Cmp` carry an opcode of the
+    ///   right kind (the executor would panic on a mismatch);
     /// * the output register is defined.
     ///
     /// A rejected program falls back to the interpreter and counts as
     /// `verifier-reject` in the compile statistics.
-    pub fn verify(&self) -> Result<(), String> {
+    pub fn verify(&self, ops: &OpTable) -> Result<(), String> {
         let mut init = vec![false; self.n_regs];
         for (pc, inst) in self.insts.iter().enumerate() {
             match inst {
@@ -538,19 +487,14 @@ impl CompiledFun {
                     reg_read(&init, *src, pc)?;
                     reg_write(&mut init, *dst, pc)?;
                 }
-                Inst::Bin(dst, _, a, b) => {
-                    reg_read(&init, *a, pc)?;
-                    reg_read(&init, *b, pc)?;
-                    reg_write(&mut init, *dst, pc)?;
-                }
-                Inst::Not(dst, a) => {
-                    reg_read(&init, *a, pc)?;
-                    reg_write(&mut init, *dst, pc)?;
-                }
-                Inst::Atomic(dst, name, arg_regs) => {
-                    if !basic::ATOMIC_OPS.contains(name) {
+                Inst::Call(dst, id, op, arg_regs) => {
+                    let entry = ops.entries().get(*id).ok_or_else(|| {
+                        format!("inst {pc} calls operator #{id}, which is not in the table")
+                    })?;
+                    if entry.pure != Some(*op) {
                         return Err(format!(
-                            "inst {pc} calls `{name}`, which is not an atomic operator"
+                            "inst {pc} calls `{}`, which is not a pure operator",
+                            entry.name
                         ));
                     }
                     for r in arg_regs.iter() {
@@ -645,24 +589,20 @@ impl CompiledFun {
                 Inst::Const(dst, v) => regs[*dst] = v.clone(),
                 Inst::Input(dst, slot) => regs[*dst] = args[*slot].clone(),
                 Inst::Field(dst, src, idx, attr) => {
-                    let tuple = regs[*src].as_tuple(attr.as_str())?;
-                    regs[*dst] = tuple.get(*idx).cloned().ok_or_else(|| {
-                        ExecError::Other(format!("tuple too short for attribute `{attr}`"))
-                    })?;
+                    regs[*dst] = load_field(&regs[*src], *idx, attr)?;
                 }
-                Inst::Bin(dst, op, a, b) => {
-                    regs[*dst] = bin_op(*op, &regs[*a], &regs[*b])?;
-                }
-                Inst::Not(dst, a) => {
-                    regs[*dst] = match &regs[*a] {
-                        Value::Bool(b) => Value::Bool(!b),
-                        other => basic::eval_atomic("not", std::slice::from_ref(other))
-                            .expect("not is atomic")?,
+                Inst::Call(dst, _, op, arg_regs) => {
+                    let v = match **arg_regs {
+                        [a] => op.eval(std::slice::from_ref(&regs[a])),
+                        [a, b] => bin_op(*op, &regs[a], &regs[b]),
+                        _ => op.eval(
+                            &arg_regs
+                                .iter()
+                                .map(|&r| regs[r].clone())
+                                .collect::<Vec<_>>(),
+                        ),
                     };
-                }
-                Inst::Atomic(dst, name, arg_regs) => {
-                    let argv: Vec<Value> = arg_regs.iter().map(|&r| regs[r].clone()).collect();
-                    regs[*dst] = basic::eval_atomic(name, &argv).expect("op is atomic")?;
+                    regs[*dst] = v?;
                 }
                 Inst::MakeList(dst, arg_regs) => {
                     regs[*dst] = Value::List(arg_regs.iter().map(|&r| regs[r].clone()).collect());
@@ -676,46 +616,46 @@ impl CompiledFun {
     }
 }
 
-/// One binary opcode: integer (and boolean) fast paths, everything else
+/// One binary call: integer (and boolean) fast paths, everything else
 /// through the shared atomic implementation for identical promotion and
 /// identical errors.
-fn bin_op(op: BinOp, a: &Value, b: &Value) -> ExecResult<Value> {
+fn bin_op(op: Atomic, a: &Value, b: &Value) -> ExecResult<Value> {
     match (op, a, b) {
-        (BinOp::Add, Value::Int(x), Value::Int(y)) => x
+        (Atomic::Add, Value::Int(x), Value::Int(y)) => x
             .checked_add(*y)
             .map(Value::Int)
             .ok_or_else(|| ExecError::Arithmetic("integer overflow in `+`".into())),
-        (BinOp::Sub, Value::Int(x), Value::Int(y)) => x
+        (Atomic::Sub, Value::Int(x), Value::Int(y)) => x
             .checked_sub(*y)
             .map(Value::Int)
             .ok_or_else(|| ExecError::Arithmetic("integer overflow in `-`".into())),
-        (BinOp::Mul, Value::Int(x), Value::Int(y)) => x
+        (Atomic::Mul, Value::Int(x), Value::Int(y)) => x
             .checked_mul(*y)
             .map(Value::Int)
             .ok_or_else(|| ExecError::Arithmetic("integer overflow in `*`".into())),
-        (BinOp::DivInt, Value::Int(x), Value::Int(y)) => {
+        (Atomic::DivInt, Value::Int(x), Value::Int(y)) => {
             if *y == 0 {
                 Err(ExecError::Arithmetic("division by zero".into()))
             } else {
                 Ok(Value::Int(x.div_euclid(*y)))
             }
         }
-        (BinOp::Mod, Value::Int(x), Value::Int(y)) => {
+        (Atomic::Mod, Value::Int(x), Value::Int(y)) => {
             if *y == 0 {
                 Err(ExecError::Arithmetic("modulo by zero".into()))
             } else {
                 Ok(Value::Int(x.rem_euclid(*y)))
             }
         }
-        (BinOp::Eq, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x == y)),
-        (BinOp::Ne, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x != y)),
-        (BinOp::Lt, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x < y)),
-        (BinOp::Le, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x <= y)),
-        (BinOp::Gt, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x > y)),
-        (BinOp::Ge, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x >= y)),
-        (BinOp::And, Value::Bool(x), Value::Bool(y)) => Ok(Value::Bool(*x && *y)),
-        (BinOp::Or, Value::Bool(x), Value::Bool(y)) => Ok(Value::Bool(*x || *y)),
-        _ => basic::eval_atomic(op.name(), &[a.clone(), b.clone()]).expect("op is atomic"),
+        (Atomic::Eq, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x == y)),
+        (Atomic::Ne, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x != y)),
+        (Atomic::Lt, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x < y)),
+        (Atomic::Le, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x <= y)),
+        (Atomic::Gt, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x > y)),
+        (Atomic::Ge, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x >= y)),
+        (Atomic::And, Value::Bool(x), Value::Bool(y)) => Ok(Value::Bool(*x && *y)),
+        (Atomic::Or, Value::Bool(x), Value::Bool(y)) => Ok(Value::Bool(*x || *y)),
+        _ => op.eval(&[a.clone(), b.clone()]),
     }
 }
 
@@ -772,38 +712,22 @@ impl Lowering<'_> {
                 self.insts.push(Inst::MakePair(dst, regs));
                 Ok(dst)
             }
-            TypedNode::Apply { op, args, .. } => {
-                // Same dispatch order as `EvalCtx::eval` / `is_pure_expr`:
-                // a registered operator wins over attribute access, and
-                // only the unoverridden atomic built-ins compile.
-                if self.engine.is_atomic_op(op) {
-                    let regs = self.lower_all(args)?;
-                    let dst = self.fresh();
-                    match (BinOp::of(op.as_str()), regs.as_ref()) {
-                        (Some(b), [a, bb]) => self.insts.push(Inst::Bin(dst, b, *a, *bb)),
-                        _ if op.as_str() == "not" && regs.len() == 1 => {
-                            self.insts.push(Inst::Not(dst, regs[0]))
-                        }
-                        _ => {
-                            let name = basic::ATOMIC_OPS
-                                .iter()
-                                .find(|s| **s == op.as_str())
-                                .copied()
-                                .expect("atomic op is listed");
-                            self.insts.push(Inst::Atomic(dst, name, regs));
-                        }
-                    }
-                    return Ok(dst);
-                }
-                if !self.engine.has_op(op) && args.len() == 1 {
-                    if let Some(idx) = attr_index(&args[0].ty, op) {
-                        let src = self.lower(&args[0])?;
-                        let dst = self.fresh();
-                        self.insts.push(Inst::Field(dst, src, idx, op.clone()));
-                        return Ok(dst);
-                    }
-                }
-                Err(Fallback::ImpureOp(op.clone()))
+            TypedNode::Field { attr, idx, arg, .. } => {
+                let src = self.lower(arg)?;
+                let dst = self.fresh();
+                self.insts.push(Inst::Field(dst, src, *idx, attr.clone()));
+                Ok(dst)
+            }
+            TypedNode::Apply { op, spec, args } => {
+                let Some((id, Some(pure))) =
+                    self.engine.ops().of_spec(*spec).map(|(id, e)| (id, e.pure))
+                else {
+                    return Err(Fallback::ImpureOp(op.clone()));
+                };
+                let regs = self.lower_all(args)?;
+                let dst = self.fresh();
+                self.insts.push(Inst::Call(dst, id, pure, regs));
+                Ok(dst)
             }
         }
     }
@@ -898,36 +822,35 @@ impl ColLowering<'_> {
                     _ => None,
                 }
             }
-            TypedNode::Apply { op, args, .. } => {
-                if self.engine.is_atomic_op(op) {
-                    return self.lower_atomic(op.as_str(), args);
+            // Attribute access directly on the tuple parameter, for
+            // int- and bool-typed fields.
+            TypedNode::Field { idx, arg, .. } => {
+                if !matches!(&arg.node, TypedNode::Var(n) if n == self.param) {
+                    return None;
                 }
-                // Attribute access directly on the tuple parameter, for
-                // int- and bool-typed fields.
-                if !self.engine.has_op(op) && args.len() == 1 {
-                    if !matches!(&args[0].node, TypedNode::Var(n) if n == self.param) {
-                        return None;
-                    }
-                    let field = attr_index(&args[0].ty, op)?;
-                    if is_atom(&te.ty, "int") {
-                        let dst = self.fresh_int();
-                        self.insts.push(ColInst::GatherInt { dst, field });
-                        return Some(ColReg::I(dst));
-                    }
-                    if is_atom(&te.ty, "bool") {
-                        let dst = self.fresh_bool();
-                        self.insts.push(ColInst::GatherBool { dst, field });
-                        return Some(ColReg::B(dst));
-                    }
+                let field = *idx;
+                if is_atom(&te.ty, "int") {
+                    let dst = self.fresh_int();
+                    self.insts.push(ColInst::GatherInt { dst, field });
+                    return Some(ColReg::I(dst));
+                }
+                if is_atom(&te.ty, "bool") {
+                    let dst = self.fresh_bool();
+                    self.insts.push(ColInst::GatherBool { dst, field });
+                    return Some(ColReg::B(dst));
                 }
                 None
+            }
+            TypedNode::Apply { spec, args, .. } => {
+                let pure = self.engine.ops().of_spec(*spec)?.1.pure?;
+                self.lower_atomic(pure, args)
             }
             _ => None,
         }
     }
 
-    fn lower_atomic(&mut self, op: &str, args: &[TypedExpr]) -> Option<ColReg> {
-        if op == "not" {
+    fn lower_atomic(&mut self, op: Atomic, args: &[TypedExpr]) -> Option<ColReg> {
+        if op == Atomic::Not {
             let [arg] = args else { return None };
             let ColReg::B(a) = self.lower(arg)? else {
                 return None;
@@ -936,44 +859,25 @@ impl ColLowering<'_> {
             self.insts.push(ColInst::Not { dst, a });
             return Some(ColReg::B(dst));
         }
-        let b = BinOp::of(op)?;
         let [x, y] = args else { return None };
         let (ra, rb) = (self.lower(x)?, self.lower(y)?);
-        match (b, ra, rb) {
-            (
-                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::DivInt | BinOp::Mod,
-                ColReg::I(a),
-                ColReg::I(bb),
-            ) => {
+        match (op, ra, rb) {
+            (_, ColReg::I(a), ColReg::I(b)) if is_arith(op) => {
                 let dst = self.fresh_int();
-                self.insts.push(ColInst::Arith {
-                    op: b,
-                    dst,
-                    a,
-                    b: bb,
-                });
+                self.insts.push(ColInst::Arith { op, dst, a, b });
                 Some(ColReg::I(dst))
             }
-            (
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
-                ColReg::I(a),
-                ColReg::I(bb),
-            ) => {
+            (_, ColReg::I(a), ColReg::I(b)) if is_cmp(op) => {
                 let dst = self.fresh_bool();
-                self.insts.push(ColInst::Cmp {
-                    op: b,
-                    dst,
-                    a,
-                    b: bb,
-                });
+                self.insts.push(ColInst::Cmp { op, dst, a, b });
                 Some(ColReg::B(dst))
             }
-            (BinOp::And, ColReg::B(a), ColReg::B(bb)) => {
+            (Atomic::And, ColReg::B(a), ColReg::B(bb)) => {
                 let dst = self.fresh_bool();
                 self.insts.push(ColInst::And { dst, a, b: bb });
                 Some(ColReg::B(dst))
             }
-            (BinOp::Or, ColReg::B(a), ColReg::B(bb)) => {
+            (Atomic::Or, ColReg::B(a), ColReg::B(bb)) => {
                 let dst = self.fresh_bool();
                 self.insts.push(ColInst::Or { dst, a, b: bb });
                 Some(ColReg::B(dst))
@@ -1005,6 +909,7 @@ pub fn compile_gated(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{apply, engine};
     use sos_core::{Const, TypeArg};
 
     fn ty(name: &str) -> DataType {
@@ -1038,20 +943,21 @@ mod tests {
         TypedExpr::new(TypedNode::Var(Symbol::new(name)), t)
     }
 
-    fn apply(op: &str, args: Vec<TypedExpr>, t: DataType) -> TypedExpr {
-        TypedExpr::new(
-            TypedNode::Apply {
-                op: Symbol::new(op),
-                spec: 0,
-                args,
-            },
-            t,
-        )
-    }
-
-    /// `attr(t)` — attribute access on the tuple parameter.
+    /// `attr(t)` — checked attribute access on the tuple parameter.
     fn field(attr: &str, result: &str) -> TypedExpr {
-        apply(attr, vec![var("t", item_ty())], ty(result))
+        let idx = ["k", "g", "s", "b"]
+            .iter()
+            .position(|a| *a == attr)
+            .unwrap();
+        TypedExpr::new(
+            TypedNode::Field {
+                attr: Symbol::new(attr),
+                spec: 0,
+                idx,
+                arg: Box::new(var("t", item_ty())),
+            },
+            ty(result),
+        )
     }
 
     fn closure1(body: TypedExpr) -> Closure {
@@ -1060,10 +966,6 @@ mod tests {
             body,
             captured: vec![],
         }
-    }
-
-    fn engine() -> ExecEngine {
-        ExecEngine::new(sos_storage::mem_pool(16))
     }
 
     fn item(k: i64, g: i64, s: &str, b: bool) -> Value {
@@ -1430,17 +1332,33 @@ mod tests {
             col: None,
         };
 
+        let e = engine();
+        let ops = e.ops();
+        let id = |name: &str| {
+            ops.entries()
+                .iter()
+                .position(|x| x.name.as_str() == name)
+                .unwrap()
+        };
+
         // Read before write (also covers the dst == operand aliasing the
         // executor's register reuse forbids).
-        let cf = tier_a(vec![Inst::Bin(1, BinOp::Add, 0, 0)], 1, 2);
-        let err = cf.verify().unwrap_err();
+        let cf = tier_a(
+            vec![Inst::Call(1, id("+"), Atomic::Add, vec![0, 0].into())],
+            1,
+            2,
+        );
+        let err = cf.verify(ops).unwrap_err();
         assert!(err.contains("before any instruction writes it"), "{err}");
 
         // Out-of-bounds register and input slot.
         let cf = tier_a(vec![Inst::Const(5, Value::Int(1))], 0, 1);
-        assert!(cf.verify().unwrap_err().contains("out-of-bounds register"));
+        assert!(cf
+            .verify(ops)
+            .unwrap_err()
+            .contains("out-of-bounds register"));
         let cf = tier_a(vec![Inst::Input(0, 3)], 0, 1);
-        let err = cf.verify().unwrap_err();
+        let err = cf.verify(ops).unwrap_err();
         assert!(err.contains("input slot 3"), "{err}");
 
         // Double write breaks single assignment.
@@ -1449,22 +1367,26 @@ mod tests {
             0,
             1,
         );
-        assert!(cf.verify().unwrap_err().contains("twice"));
+        assert!(cf.verify(ops).unwrap_err().contains("twice"));
 
         // Undefined output register.
         let cf = tier_a(vec![], 0, 1);
-        assert!(cf.verify().unwrap_err().contains("output register"));
+        assert!(cf.verify(ops).unwrap_err().contains("output register"));
 
-        // A non-atomic name in an Atomic slot would panic the executor.
-        let cf = tier_a(
-            vec![
-                Inst::Const(0, Value::Int(1)),
-                Inst::Atomic(1, "feed", vec![0].into_boxed_slice()),
-            ],
-            1,
-            2,
-        );
-        assert!(cf.verify().unwrap_err().contains("not an atomic operator"));
+        // A call must name a pure entry, with that entry's evaluation:
+        // `feed` reads the store, and `-` is not what `+` computes.
+        for (name, op) in [("feed", Atomic::Add), ("+", Atomic::Sub)] {
+            let cf = tier_a(
+                vec![
+                    Inst::Const(0, Value::Int(1)),
+                    Inst::Call(1, id(name), op, vec![0].into()),
+                ],
+                1,
+                2,
+            );
+            let err = cf.verify(ops).unwrap_err();
+            assert!(err.contains("not a pure operator"), "{err}");
+        }
 
         // Columnar kernel: an opcode of the wrong kind in Arith/Cmp.
         let col = ColProgram {
@@ -1472,7 +1394,7 @@ mod tests {
                 ColInst::BroadcastInt { dst: 0, v: 1 },
                 ColInst::BroadcastInt { dst: 1, v: 2 },
                 ColInst::Arith {
-                    op: BinOp::Eq,
+                    op: Atomic::Eq,
                     dst: 2,
                     a: 0,
                     b: 1,
@@ -1532,7 +1454,9 @@ mod tests {
             ),
         ];
         for body in bodies {
-            compile1(body).verify().expect("lowered program verifies");
+            compile1(body)
+                .verify(engine().ops())
+                .expect("lowered program verifies");
         }
     }
 }

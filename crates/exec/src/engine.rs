@@ -1,16 +1,21 @@
 //! The evaluator: a second-order algebra for the typed terms produced by
 //! the checker.
 //!
-//! The engine maps operator names to Rust implementations (the Ω_A
-//! functions of Section 3.3); the buffer pool beneath provides the
-//! representation structures. Evaluation is a straightforward
+//! Each operator of the signature has exactly one function here (the
+//! Ω_A functions of Section 3.3), held in the engine's [`OpTable`]; the
+//! buffer pool beneath provides the representation structures. The
+//! checker has already resolved every node, and the engine follows that
+//! resolution instead of deciding again: an `Apply` runs the table entry
+//! bound to its spec, and a `Field` (tuple attribute access) loads the
+//! field position the checker matched. Evaluation is an
 //! environment-passing interpreter: lambdas close over the current
-//! variable bindings, operator applications evaluate their arguments and
-//! dispatch by name, and tuple-attribute operators (whose names are data)
-//! fall back to positional field access.
+//! variable bindings, and operator applications evaluate their arguments
+//! and call the entry.
 
 use crate::error::{ExecError, ExecResult};
-use crate::handles::{attr_index, BTreeHandle, KeyExtractor, LsdHandle};
+use crate::handles::{attr_index, load_field, BTreeHandle, KeyExtractor, LsdHandle};
+use crate::ops::basic::Atomic;
+use crate::ops::OpTable;
 use crate::value::{Closure, Value};
 use sos_catalog::Catalog;
 use sos_core::check::Checker;
@@ -26,16 +31,12 @@ use std::sync::Arc;
 /// An operator implementation: receives the (typed) application node for
 /// schema information and the already-evaluated argument values.
 pub type OpImpl =
-    Arc<dyn Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value> + Send + Sync>;
+    Box<dyn Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value> + Send + Sync>;
 
 /// The execution engine: operator implementations over a buffer pool.
 pub struct ExecEngine {
     pub pool: Arc<BufferPool>,
-    ops: HashMap<Symbol, OpImpl>,
-    /// Operators known to be context-free (evaluable on worker threads
-    /// by [`crate::parallel`]). An override via [`ExecEngine::add_op`]
-    /// clears the mark — a replaced implementation may do anything.
-    atomic: std::collections::HashSet<Symbol>,
+    ops: OpTable,
     /// Worker threads for intra-operator parallelism; `1` keeps every
     /// drain on the calling thread.
     workers: usize,
@@ -57,12 +58,12 @@ pub const DEFAULT_BATCH: usize = 1024;
 impl ExecEngine {
     /// An engine with every built-in operator registered. Starts with
     /// one worker per available core (`1` on single-core machines, i.e.
-    /// exact serial behavior).
+    /// exact serial behavior). Applications evaluate only once a
+    /// signature is bound ([`ExecEngine::bind_signature`]).
     pub fn new(pool: Arc<BufferPool>) -> ExecEngine {
         let mut e = ExecEngine {
             pool,
-            ops: HashMap::new(),
-            atomic: std::collections::HashSet::new(),
+            ops: OpTable::default(),
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -75,29 +76,34 @@ impl ExecEngine {
     }
 
     /// Register (or override) an operator implementation — the paper's
-    /// extensibility story: new algebra operators plug in here.
+    /// extensibility story: new algebra operators plug in here. An
+    /// override of a built-in is no longer pure: a replaced
+    /// implementation may do anything. A new name is reachable once the
+    /// signature is (re)bound.
     pub fn add_op<F>(&mut self, name: &str, f: F)
     where
         F: Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value> + Send + Sync + 'static,
     {
-        let name = Symbol::new(name);
-        self.atomic.remove(&name);
-        self.ops.insert(name, Arc::new(f));
+        self.ops.add(name, Box::new(f), None);
     }
 
-    pub fn has_op(&self, name: &Symbol) -> bool {
-        self.ops.contains_key(name)
+    /// Register a built-in atomic operator with its context-free
+    /// evaluation.
+    pub(crate) fn add_pure(&mut self, op: Atomic) {
+        let imp: OpImpl = Box::new(move |_, _, args| op.eval(&args));
+        self.ops.add(op.name(), imp, Some(op));
     }
 
-    /// Mark a registered operator as context-free. Only the built-in
-    /// atomic operators qualify (see [`crate::ops::basic`]).
-    pub(crate) fn mark_atomic(&mut self, name: &str) {
-        self.atomic.insert(Symbol::new(name));
+    /// Bind the operator table to `sig`: every spec of a registered
+    /// operator name resolves to that operator's entry. Call again
+    /// whenever the signature or the set of operator names grows.
+    pub fn bind_signature(&mut self, sig: &Signature) {
+        self.ops.bind(sig);
     }
 
-    /// Whether `name` currently resolves to a context-free built-in.
-    pub fn is_atomic_op(&self, name: &Symbol) -> bool {
-        self.atomic.contains(name)
+    /// The operator table.
+    pub fn ops(&self) -> &OpTable {
+        &self.ops
     }
 
     /// Set the worker count for intra-operator parallelism (min 1).
@@ -333,25 +339,18 @@ impl<'a> EvalCtx<'a> {
                 let closure = f.as_closure("function application")?.clone();
                 self.call(&closure, argv)
             }
-            TypedNode::Apply { op, args, .. } => {
+            TypedNode::Field { attr, idx, arg, .. } => load_field(&self.eval(arg)?, *idx, attr),
+            TypedNode::Apply { op, spec, args } => {
                 let argv = args
                     .iter()
                     .map(|a| self.eval(a))
                     .collect::<ExecResult<Vec<_>>>()?;
-                if let Some(imp) = self.engine.ops.get(op).cloned() {
-                    return imp(self, te, argv);
-                }
-                // Attribute access: `pop(t)` selects the field at the
-                // attribute's position in the operand tuple type.
-                if let [arg_node] = &args[..] {
-                    if let Some(idx) = attr_index(&arg_node.ty, op) {
-                        let tuple = argv[0].as_tuple(op.as_str())?;
-                        return tuple.get(idx).cloned().ok_or_else(|| {
-                            ExecError::Other(format!("tuple too short for attribute `{op}`"))
-                        });
-                    }
-                }
-                Err(ExecError::NoImpl(op.clone()))
+                let engine = self.engine;
+                let (_, entry) = engine
+                    .ops
+                    .of_spec(*spec)
+                    .ok_or_else(|| ExecError::NoImpl(op.clone()))?;
+                (entry.imp)(self, te, argv)
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Handles tying storage structures to their SOS types: what the paper's
 //! `btree(...)`, `kbtree(...)` and `lsdtree(...)` types denote at run time.
 
-use crate::error::{mismatch, ExecResult};
+use crate::error::{mismatch, ExecError, ExecResult};
+use crate::value::Value;
 use sos_core::typed::TypedExpr;
 use sos_core::{DataType, Symbol};
 use sos_storage::btree::BTree;
@@ -40,8 +41,7 @@ pub struct LsdHandle {
 /// memcomparable key. A `Pair` of ORD values encodes as the
 /// concatenation of its components (composite keys order
 /// lexicographically; see `sos_storage::keys`).
-pub fn encode_key(op: &str, v: &crate::value::Value) -> ExecResult<KeyBytes> {
-    use crate::value::Value;
+pub fn encode_key(op: &str, v: &Value) -> ExecResult<KeyBytes> {
     match v {
         Value::Int(x) => Ok(keys::int_key(*x)),
         Value::Real(x) => Ok(keys::real_key(*x)),
@@ -61,4 +61,15 @@ pub fn encode_key(op: &str, v: &crate::value::Value) -> ExecResult<KeyBytes> {
 /// The attribute index of `attr` in a tuple type.
 pub fn attr_index(tuple_ty: &DataType, attr: &Symbol) -> Option<usize> {
     tuple_ty.tuple_attrs()?.iter().position(|(a, _)| a == attr)
+}
+
+/// Load field `idx` of a tuple value: the evaluation of a checked
+/// attribute access `attr(t)`, shared by the interpreter and the
+/// bytecode.
+pub(crate) fn load_field(tuple: &Value, idx: usize, attr: &Symbol) -> ExecResult<Value> {
+    tuple
+        .as_tuple(attr.as_str())?
+        .get(idx)
+        .cloned()
+        .ok_or_else(|| ExecError::Other(format!("tuple too short for attribute `{attr}`")))
 }

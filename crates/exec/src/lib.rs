@@ -22,6 +22,9 @@ pub mod stored;
 pub mod stream;
 pub mod txn;
 
+#[cfg(test)]
+mod testing;
+
 pub use compile::{CompiledFun, Fallback};
 pub use engine::{EvalCtx, ExecEngine};
 pub use error::{ExecError, ExecResult};

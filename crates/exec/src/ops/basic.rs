@@ -2,11 +2,11 @@
 //!
 //! Every operator here is *context-free*: a pure function from argument
 //! values to a result, touching neither the object store nor the
-//! catalog. [`eval_atomic`] is the single implementation, used both by
-//! the registered engine operators and by the parallel executor's pure
-//! evaluator ([`crate::parallel`]) — sharing one code path is what makes
-//! a parallel plan extensionally equal to its serial counterpart by
-//! construction.
+//! catalog. [`Atomic::eval`] is the single implementation: it is what
+//! the operator's table entry runs, what the bytecode calls, and what a
+//! parallel worker evaluates — sharing one code path is what makes
+//! compiled and parallel plans extensionally equal to the interpreter
+//! by construction.
 
 use crate::engine::ExecEngine;
 use crate::error::{mismatch, ExecError, ExecResult};
@@ -14,170 +14,163 @@ use crate::value::{compare, Value};
 use sos_geom::{Point, Rect};
 use std::cmp::Ordering;
 
-/// The names of all atomic (context-free) operators.
-pub const ATOMIC_OPS: &[&str] = &[
-    "=",
-    "!=",
-    "<",
-    "<=",
-    ">",
-    ">=",
-    "+",
-    "-",
-    "*",
-    "/",
-    "div",
-    "mod",
-    "and",
-    "or",
-    "not",
-    "bbox",
-    "inside",
-    "intersects",
-    "makepoint",
-    "makerect",
-    "makepgon",
-    "area",
-    "distance",
-];
-
-/// Whether `op` is an atomic operator evaluable without an engine context.
-pub fn is_atomic(op: &str) -> bool {
-    ATOMIC_OPS.contains(&op)
-}
-
-/// Evaluate an atomic operator on already-evaluated arguments. Returns
-/// `None` when `op` is not an atomic operator.
-pub fn eval_atomic(op: &str, args: &[Value]) -> Option<ExecResult<Value>> {
-    if !is_atomic(op) {
-        return None;
-    }
-    Some(eval_known_atomic(op, args))
-}
-
-fn eval_known_atomic(op: &str, args: &[Value]) -> ExecResult<Value> {
-    match op {
-        // ---- equality / comparison (polymorphic over DATA) ----
-        "=" => Ok(Value::Bool(args[0] == args[1])),
-        "!=" => Ok(Value::Bool(args[0] != args[1])),
-        "<" | "<=" | ">" | ">=" => {
-            let ord = compare(op, &args[0], &args[1])?;
-            let holds = match op {
-                "<" => ord == Ordering::Less,
-                "<=" => ord != Ordering::Greater,
-                ">" => ord == Ordering::Greater,
-                _ => ord != Ordering::Less,
-            };
-            Ok(Value::Bool(holds))
+/// Declare [`Atomic`] with one variant per operator, [`Atomic::ALL`] in
+/// declaration order, and [`Atomic::name`].
+macro_rules! atomics {
+    ($($variant:ident = $name:literal),* $(,)?) => {
+        /// The atomic operators. An operator-table entry carries one as
+        /// its `pure` evaluation (see [`crate::ops::OpEntry`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Atomic {
+            $($variant),*
         }
 
-        // ---- arithmetic with int/real promotion ----
-        "+" | "-" | "*" | "/" => numeric(&args[0], &args[1], op),
-        "div" => {
-            let (a, b) = (args[0].as_int("div")?, args[1].as_int("div")?);
-            if b == 0 {
-                return Err(ExecError::Arithmetic("division by zero".into()));
-            }
-            Ok(Value::Int(a.div_euclid(b)))
-        }
-        "mod" => {
-            let (a, b) = (args[0].as_int("mod")?, args[1].as_int("mod")?);
-            if b == 0 {
-                return Err(ExecError::Arithmetic("modulo by zero".into()));
-            }
-            Ok(Value::Int(a.rem_euclid(b)))
-        }
+        impl Atomic {
+            /// Every atomic operator, in registration order.
+            pub const ALL: &'static [Atomic] = &[$(Atomic::$variant),*];
 
-        // ---- logic ----
-        "and" => Ok(Value::Bool(
-            args[0].as_bool("and")? && args[1].as_bool("and")?,
-        )),
-        "or" => Ok(Value::Bool(
-            args[0].as_bool("or")? || args[1].as_bool("or")?,
-        )),
-        "not" => Ok(Value::Bool(!args[0].as_bool("not")?)),
-
-        // ---- geometry (Section 4's point/rect/pgon algebra) ----
-        "bbox" => match &args[0] {
-            Value::Pgon(p) => Ok(Value::Rect(p.bbox())),
-            Value::Rect(r) => Ok(Value::Rect(*r)),
-            other => Err(mismatch("bbox", "pgon", &other.kind_name())),
-        },
-        "inside" => match (&args[0], &args[1]) {
-            (Value::Point(p), Value::Pgon(g)) => Ok(Value::Bool(g.contains_point(p))),
-            (Value::Point(p), Value::Rect(r)) => Ok(Value::Bool(r.contains_point(p))),
-            (Value::Rect(a), Value::Rect(b)) => Ok(Value::Bool(b.contains_rect(a))),
-            (a, b) => Err(mismatch(
-                "inside",
-                "point x pgon / point x rect / rect x rect",
-                &format!("{} x {}", a.kind_name(), b.kind_name()),
-            )),
-        },
-        "intersects" => match (&args[0], &args[1]) {
-            (Value::Rect(a), Value::Rect(b)) => Ok(Value::Bool(a.intersects(b))),
-            (a, b) => Err(mismatch(
-                "intersects",
-                "rect x rect",
-                &format!("{} x {}", a.kind_name(), b.kind_name()),
-            )),
-        },
-        "makepoint" => {
-            let x = as_real(&args[0], "makepoint")?;
-            let y = as_real(&args[1], "makepoint")?;
-            Ok(Value::Point(Point::new(x, y)))
-        }
-        "makerect" => {
-            let vals: Vec<f64> = args
-                .iter()
-                .map(|a| as_real(a, "makerect"))
-                .collect::<ExecResult<_>>()?;
-            Ok(Value::Rect(Rect::new(vals[0], vals[1], vals[2], vals[3])))
-        }
-        "makepgon" => {
-            let Value::List(pairs) = &args[0] else {
-                return Err(mismatch("makepgon", "list of pairs", &args[0].kind_name()));
-            };
-            let mut vs = Vec::with_capacity(pairs.len());
-            for p in pairs {
-                let Value::Pair(comps) = p else {
-                    return Err(mismatch("makepgon", "(x, y) pair", &p.kind_name()));
-                };
-                if comps.len() != 2 {
-                    return Err(ExecError::Other("makepgon pairs must be binary".into()));
+            /// The signature operator this implements (also the name in
+            /// error messages).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Atomic::$variant => $name),*
                 }
-                vs.push(Point::new(
-                    as_real(&comps[0], "makepgon")?,
-                    as_real(&comps[1], "makepgon")?,
-                ));
             }
-            if vs.len() < 3 {
-                return Err(ExecError::Other(
-                    "makepgon needs at least 3 vertices".into(),
-                ));
-            }
-            Ok(Value::Pgon(sos_geom::Polygon::new(vs)))
         }
-        "area" => match &args[0] {
-            Value::Pgon(p) => Ok(Value::Real(p.area())),
-            Value::Rect(r) => Ok(Value::Real(r.area())),
-            other => Err(mismatch("area", "pgon or rect", &other.kind_name())),
-        },
-        "distance" => match (&args[0], &args[1]) {
-            (Value::Point(a), Value::Point(b)) => Ok(Value::Real(a.distance(b))),
-            (a, b) => Err(mismatch(
-                "distance",
-                "point x point",
-                &format!("{} x {}", a.kind_name(), b.kind_name()),
-            )),
-        },
-        other => unreachable!("`{other}` listed in ATOMIC_OPS but not implemented"),
+    };
+}
+
+// `Div` is `/`, real division whatever the operand types; `DivInt` is
+// `div`, the integer quotient.
+atomics! {
+    Eq = "=", Ne = "!=", Lt = "<", Le = "<=", Gt = ">", Ge = ">=",
+    Add = "+", Sub = "-", Mul = "*", Div = "/", DivInt = "div", Mod = "mod",
+    And = "and", Or = "or", Not = "not",
+    BBox = "bbox", Inside = "inside", Intersects = "intersects",
+    MakePoint = "makepoint", MakeRect = "makerect", MakePgon = "makepgon",
+    Area = "area", Distance = "distance",
+}
+
+impl Atomic {
+    /// Evaluate on already-evaluated arguments.
+    pub fn eval(self, args: &[Value]) -> ExecResult<Value> {
+        let op = self.name();
+        match self {
+            // ---- equality / comparison (polymorphic over DATA) ----
+            Atomic::Eq => Ok(Value::Bool(args[0] == args[1])),
+            Atomic::Ne => Ok(Value::Bool(args[0] != args[1])),
+            Atomic::Lt | Atomic::Le | Atomic::Gt | Atomic::Ge => {
+                let ord = compare(op, &args[0], &args[1])?;
+                let holds = match self {
+                    Atomic::Lt => ord == Ordering::Less,
+                    Atomic::Le => ord != Ordering::Greater,
+                    Atomic::Gt => ord == Ordering::Greater,
+                    _ => ord != Ordering::Less,
+                };
+                Ok(Value::Bool(holds))
+            }
+
+            // ---- arithmetic with int/real promotion ----
+            Atomic::Add | Atomic::Sub | Atomic::Mul | Atomic::Div => {
+                numeric(&args[0], &args[1], self)
+            }
+            Atomic::DivInt => {
+                let (a, b) = (args[0].as_int(op)?, args[1].as_int(op)?);
+                if b == 0 {
+                    return Err(ExecError::Arithmetic("division by zero".into()));
+                }
+                Ok(Value::Int(a.div_euclid(b)))
+            }
+            Atomic::Mod => {
+                let (a, b) = (args[0].as_int(op)?, args[1].as_int(op)?);
+                if b == 0 {
+                    return Err(ExecError::Arithmetic("modulo by zero".into()));
+                }
+                Ok(Value::Int(a.rem_euclid(b)))
+            }
+
+            // ---- logic ----
+            Atomic::And => Ok(Value::Bool(args[0].as_bool(op)? && args[1].as_bool(op)?)),
+            Atomic::Or => Ok(Value::Bool(args[0].as_bool(op)? || args[1].as_bool(op)?)),
+            Atomic::Not => Ok(Value::Bool(!args[0].as_bool(op)?)),
+
+            // ---- geometry (Section 4's point/rect/pgon algebra) ----
+            Atomic::BBox => match &args[0] {
+                Value::Pgon(p) => Ok(Value::Rect(p.bbox())),
+                Value::Rect(r) => Ok(Value::Rect(*r)),
+                other => Err(mismatch(op, "pgon", &other.kind_name())),
+            },
+            Atomic::Inside => match (&args[0], &args[1]) {
+                (Value::Point(p), Value::Pgon(g)) => Ok(Value::Bool(g.contains_point(p))),
+                (Value::Point(p), Value::Rect(r)) => Ok(Value::Bool(r.contains_point(p))),
+                (Value::Rect(a), Value::Rect(b)) => Ok(Value::Bool(b.contains_rect(a))),
+                (a, b) => Err(mismatch(
+                    op,
+                    "point x pgon / point x rect / rect x rect",
+                    &format!("{} x {}", a.kind_name(), b.kind_name()),
+                )),
+            },
+            Atomic::Intersects => match (&args[0], &args[1]) {
+                (Value::Rect(a), Value::Rect(b)) => Ok(Value::Bool(a.intersects(b))),
+                (a, b) => Err(mismatch(
+                    op,
+                    "rect x rect",
+                    &format!("{} x {}", a.kind_name(), b.kind_name()),
+                )),
+            },
+            Atomic::MakePoint => {
+                let x = as_real(&args[0], op)?;
+                let y = as_real(&args[1], op)?;
+                Ok(Value::Point(Point::new(x, y)))
+            }
+            Atomic::MakeRect => {
+                let vals: Vec<f64> = args
+                    .iter()
+                    .map(|a| as_real(a, op))
+                    .collect::<ExecResult<_>>()?;
+                Ok(Value::Rect(Rect::new(vals[0], vals[1], vals[2], vals[3])))
+            }
+            Atomic::MakePgon => {
+                let Value::List(pairs) = &args[0] else {
+                    return Err(mismatch(op, "list of pairs", &args[0].kind_name()));
+                };
+                let mut vs = Vec::with_capacity(pairs.len());
+                for p in pairs {
+                    let Value::Pair(comps) = p else {
+                        return Err(mismatch(op, "(x, y) pair", &p.kind_name()));
+                    };
+                    if comps.len() != 2 {
+                        return Err(ExecError::Other("makepgon pairs must be binary".into()));
+                    }
+                    vs.push(Point::new(as_real(&comps[0], op)?, as_real(&comps[1], op)?));
+                }
+                if vs.len() < 3 {
+                    return Err(ExecError::Other(
+                        "makepgon needs at least 3 vertices".into(),
+                    ));
+                }
+                Ok(Value::Pgon(sos_geom::Polygon::new(vs)))
+            }
+            Atomic::Area => match &args[0] {
+                Value::Pgon(p) => Ok(Value::Real(p.area())),
+                Value::Rect(r) => Ok(Value::Real(r.area())),
+                other => Err(mismatch(op, "pgon or rect", &other.kind_name())),
+            },
+            Atomic::Distance => match (&args[0], &args[1]) {
+                (Value::Point(a), Value::Point(b)) => Ok(Value::Real(a.distance(b))),
+                (a, b) => Err(mismatch(
+                    op,
+                    "point x point",
+                    &format!("{} x {}", a.kind_name(), b.kind_name()),
+                )),
+            },
+        }
     }
 }
 
 pub fn register(e: &mut ExecEngine) {
-    for op in ATOMIC_OPS {
-        e.add_op(op, move |_, _, args| eval_known_atomic(op, &args));
-        e.mark_atomic(op);
+    for &op in Atomic::ALL {
+        e.add_pure(op);
     }
 }
 
@@ -189,28 +182,29 @@ fn as_real(v: &Value, op: &str) -> ExecResult<f64> {
     }
 }
 
-fn numeric(a: &Value, b: &Value, op: &str) -> ExecResult<Value> {
+fn numeric(a: &Value, b: &Value, op: Atomic) -> ExecResult<Value> {
     use Value::*;
+    let name = op.name();
     match (a, b) {
         // `/` is real division regardless of operand types (the integer
         // quotient is `div`), matching its specification `-> real`.
-        (Int(x), Int(y)) if op != "/" => {
+        (Int(x), Int(y)) if op != Atomic::Div => {
             let r = match op {
-                "+" => x.checked_add(*y),
-                "-" => x.checked_sub(*y),
-                "*" => x.checked_mul(*y),
+                Atomic::Add => x.checked_add(*y),
+                Atomic::Sub => x.checked_sub(*y),
+                Atomic::Mul => x.checked_mul(*y),
                 _ => unreachable!(),
             };
             r.map(Int)
-                .ok_or_else(|| ExecError::Arithmetic(format!("integer overflow in `{op}`")))
+                .ok_or_else(|| ExecError::Arithmetic(format!("integer overflow in `{name}`")))
         }
         _ => {
-            let (x, y) = (as_real(a, op)?, as_real(b, op)?);
+            let (x, y) = (as_real(a, name)?, as_real(b, name)?);
             let r = match op {
-                "+" => x + y,
-                "-" => x - y,
-                "*" => x * y,
-                "/" => {
+                Atomic::Add => x + y,
+                Atomic::Sub => x - y,
+                Atomic::Mul => x * y,
+                Atomic::Div => {
                     if y == 0.0 {
                         return Err(ExecError::Arithmetic("division by zero".into()));
                     }

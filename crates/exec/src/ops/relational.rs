@@ -6,6 +6,7 @@ use crate::error::{mismatch, ExecError, ExecResult};
 use crate::stream::Cursor;
 use crate::value::Value;
 use sos_core::typed::TypedExpr;
+use sos_core::{DataType, Symbol};
 
 /// Interpret a value as a bag of tuples (relations and streams are both
 /// accepted where the specs allow).
@@ -139,32 +140,41 @@ pub fn register(e: &mut ExecEngine) {
     });
 }
 
-/// The attribute index of `attr` in the tuple type of a collection-typed
-/// node argument (rel(t), stream(t), ...).
-pub fn attr_index_of_node(node: &TypedExpr, attr: &sos_core::Symbol) -> ExecResult<usize> {
-    let coll_ty = &node.ty;
-    attr_index_in_collection(coll_ty, attr)
+// Attribute *arguments* (`sortby[a]`, `replace[a, f]`, `hashjoin[a1,
+// a2]`, aggregates) name a field by identifier; these helpers resolve it
+// against the checked types once per operator invocation.
+
+/// The argument nodes of an operator application (empty for any other
+/// node).
+pub(crate) fn arg_nodes(node: &TypedExpr) -> &[TypedExpr] {
+    node.as_apply().map_or(&[], |(_, _, args)| args)
 }
 
-/// Same, but against the node's *first argument* type (for operators
-/// whose result type is a scalar, e.g. aggregates).
-pub fn attr_index_of_first_arg(node: &TypedExpr, attr: &sos_core::Symbol) -> ExecResult<usize> {
-    let arg = match &node.node {
-        sos_core::typed::TypedNode::Apply { args, .. } => args
-            .first()
-            .ok_or_else(|| ExecError::Other("operator has no arguments".into()))?,
-        _ => return Err(ExecError::Other("not an operator application".into())),
-    };
+/// The index of `attr` in the tuple type of the collection-typed node
+/// itself (rel(t), stream(t), ...).
+pub fn attr_index_of_node(node: &TypedExpr, attr: &Symbol) -> ExecResult<usize> {
+    attr_index_in_collection(&node.ty, attr)
+}
+
+/// The index of `attr` in the tuple type of the node's `i`-th argument
+/// (for operators whose result is a scalar or a different tuple type:
+/// aggregates, `hashjoin`).
+pub(crate) fn attr_index_of_arg(node: &TypedExpr, i: usize, attr: &Symbol) -> ExecResult<usize> {
+    let arg = arg_nodes(node)
+        .get(i)
+        .ok_or_else(|| ExecError::Other(format!("operator has no argument {i}")))?;
     attr_index_in_collection(&arg.ty, attr)
 }
 
-fn attr_index_in_collection(
-    coll_ty: &sos_core::DataType,
-    attr: &sos_core::Symbol,
-) -> ExecResult<usize> {
+fn attr_index_in_collection(coll_ty: &DataType, attr: &Symbol) -> ExecResult<usize> {
     let tuple_ty = coll_ty
         .single_type_arg()
         .ok_or_else(|| ExecError::Other(format!("no tuple type in {coll_ty}")))?;
+    attr_position(tuple_ty, attr)
+}
+
+/// The index of `attr` in a tuple type.
+pub(crate) fn attr_position(tuple_ty: &DataType, attr: &Symbol) -> ExecResult<usize> {
     crate::handles::attr_index(tuple_ty, attr)
         .ok_or_else(|| ExecError::Other(format!("attribute `{attr}` not in {tuple_ty}")))
 }

@@ -108,7 +108,7 @@ fn prune_part_scan(
         return;
     }
     let total = cursors.len() as u64;
-    let conds = crate::partition::key_conds(engine, pred, &handle.spec.attr);
+    let conds = crate::partition::key_conds(pred, &handle.spec.attr);
     if conds.is_empty() {
         engine.stats.record_partitions("filter", total, 0);
         return;
@@ -201,26 +201,8 @@ pub fn register(e: &mut ExecEngine) {
                 &format!("{:?}, {:?}", args[2].kind_name(), args[3].kind_name()),
             ));
         };
-        let node_args = match &node.node {
-            sos_core::typed::TypedNode::Apply { args, .. } => args,
-            _ => unreachable!("hashjoin is an operator application"),
-        };
-        let i1 = crate::handles::attr_index(
-            node_args[0]
-                .ty
-                .single_type_arg()
-                .ok_or_else(|| crate::error::ExecError::Other("no tuple type".into()))?,
-            a1,
-        )
-        .ok_or_else(|| crate::error::ExecError::Other(format!("attribute `{a1}` missing")))?;
-        let i2 = crate::handles::attr_index(
-            node_args[1]
-                .ty
-                .single_type_arg()
-                .ok_or_else(|| crate::error::ExecError::Other("no tuple type".into()))?,
-            a2,
-        )
-        .ok_or_else(|| crate::error::ExecError::Other(format!("attribute `{a2}` missing")))?;
+        let i1 = crate::ops::relational::attr_index_of_arg(node, 0, a1)?;
+        let i2 = crate::ops::relational::attr_index_of_arg(node, 1, a2)?;
         // Co-partitioned fast path: when both sides are fresh scans of
         // objects partitioned the same way on the join attributes, the
         // global repartition is unnecessary — equal keys can only meet
@@ -356,7 +338,7 @@ pub fn register(e: &mut ExecEngine) {
             let Value::Ident(attr) = &args[1] else {
                 return Err(mismatch(agg, "attribute name", &args[1].kind_name()));
             };
-            let idx = crate::ops::relational::attr_index_of_first_arg(node, attr)?;
+            let idx = crate::ops::relational::attr_index_of_arg(node, 0, attr)?;
             // The scan beneath already ran parallel where possible (see
             // `materialize`); the fold itself stays serial so that
             // floating-point accumulation order — and thus the result —

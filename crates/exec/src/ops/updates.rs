@@ -16,7 +16,7 @@
 use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::{mismatch, ExecError, ExecResult};
 use crate::handles::encode_key;
-use crate::ops::relational::attr_index_of_node;
+use crate::ops::relational::{arg_nodes, attr_index_of_node};
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{Const, Symbol};
@@ -146,8 +146,8 @@ fn modified_pairs(
 pub fn register(e: &mut ExecEngine) {
     // insert — model rel, representation structures, and the catalog.
     e.add_op("insert", |ctx, node, args| {
-        if is_catalog(&node.args_of()[0]) {
-            let name = object_name(&node.args_of()[0])
+        if is_catalog(&arg_nodes(node)[0]) {
+            let name = object_name(&arg_nodes(node)[0])
                 .ok_or_else(|| ExecError::Other("catalog insert needs a named catalog".into()))?
                 .clone();
             let row: Vec<Const> = args[1..]
@@ -294,19 +294,4 @@ pub fn register(e: &mut ExecEngine) {
         }
         Ok(args[0].clone())
     });
-}
-
-/// Access to an Apply node's argument nodes (helper shared with other
-/// op modules).
-trait ArgsOf {
-    fn args_of(&self) -> &[TypedExpr];
-}
-
-impl ArgsOf for TypedExpr {
-    fn args_of(&self) -> &[TypedExpr] {
-        match &self.node {
-            TypedNode::Apply { args, .. } => args,
-            _ => &[],
-        }
-    }
 }

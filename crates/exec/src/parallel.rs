@@ -2,8 +2,9 @@
 //! over disjoint slices of one scan source.
 //!
 //! A pipeline is only parallelized when every function it applies is
-//! *pure* (built from the context-free operators of [`crate::ops::basic`]
-//! plus attribute access). The driver then splits the spine's source
+//! *pure*: built from attribute access and applications whose
+//! operator-table entry is pure (the context-free operators of
+//! [`crate::ops::basic`]). The driver then splits the spine's source
 //! into scan units in serial scan order, and each worker rebuilds the
 //! spine's `Filter`/`Project`/`Replace` steps over its slice of units
 //! and pulls it through [`Cursor::next_batch_into`] — the same kernel,
@@ -39,7 +40,7 @@ pub const PAR_MIN_TUPLES: usize = 64;
 // ---------------------------------------------------------------------
 
 /// A closure proven context-free: its body touches no database object,
-/// applies only atomic operators and attribute access, and contains no
+/// applies only pure operators and attribute access, and contains no
 /// nested function values — so evaluating it reads neither the object
 /// store nor the catalog, and any thread may do so under a context of
 /// its own ([`with_worker_ctx`]).
@@ -77,12 +78,13 @@ fn is_pure_expr(engine: &ExecEngine, te: &TypedExpr) -> bool {
         TypedNode::List(items) | TypedNode::Tuple(items) => {
             items.iter().all(|i| is_pure_expr(engine, i))
         }
-        TypedNode::Apply { op, args, .. } => {
-            let op_ok = engine.is_atomic_op(op)
-                || (!engine.has_op(op)
-                    && args.len() == 1
-                    && crate::handles::attr_index(&args[0].ty, op).is_some());
-            op_ok && args.iter().all(|a| is_pure_expr(engine, a))
+        TypedNode::Field { arg, .. } => is_pure_expr(engine, arg),
+        TypedNode::Apply { spec, args, .. } => {
+            engine
+                .ops()
+                .of_spec(*spec)
+                .is_some_and(|(_, entry)| entry.pure.is_some())
+                && args.iter().all(|a| is_pure_expr(engine, a))
         }
     }
 }
@@ -390,22 +392,13 @@ enum SjInner {
     },
 }
 
-/// Whether `attr` occurs as a variable anywhere in `te`. Conservative:
+/// Whether `name` occurs as a variable anywhere in `te`. Conservative:
 /// shadowing is ignored, so a shadowed occurrence still counts as a use
 /// (which only ever disables the rewrite).
 fn expr_refs_var(te: &TypedExpr, name: &sos_core::Symbol) -> bool {
-    match &te.node {
-        TypedNode::Var(v) => v == name,
-        TypedNode::Const(_) | TypedNode::Object(_) => false,
-        TypedNode::Lambda { body, .. } => expr_refs_var(body, name),
-        TypedNode::List(items) | TypedNode::Tuple(items) => {
-            items.iter().any(|i| expr_refs_var(i, name))
-        }
-        TypedNode::Apply { args, .. } => args.iter().any(|a| expr_refs_var(a, name)),
-        TypedNode::ApplyFun { fun, args } => {
-            expr_refs_var(fun, name) || args.iter().any(|a| expr_refs_var(a, name))
-        }
-    }
+    let mut found = false;
+    te.visit(&mut |n| found |= matches!(&n.node, TypedNode::Var(v) if v == name));
+    found
 }
 
 /// Try to run a `search_join` cursor data-parallel. `None` falls back to
@@ -633,6 +626,7 @@ pub fn try_par_join(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{apply, engine};
     use sos_core::{Const, DataType, Symbol};
 
     fn int_ty() -> DataType {
@@ -647,23 +641,16 @@ mod tests {
         })
     }
 
-    fn engine() -> ExecEngine {
-        ExecEngine::new(sos_storage::mem_pool(16))
-    }
-
     #[test]
     fn identity_and_arithmetic_closures_are_pure() {
         let e = engine();
         let var = TypedExpr::new(TypedNode::Var(Symbol::new("x")), int_ty());
-        let body = TypedExpr::new(
-            TypedNode::Apply {
-                op: Symbol::new("+"),
-                spec: 0,
-                args: vec![
-                    var.clone(),
-                    TypedExpr::new(TypedNode::Const(Const::Int(1)), int_ty()),
-                ],
-            },
+        let body = apply(
+            "+",
+            vec![
+                var.clone(),
+                TypedExpr::new(TypedNode::Const(Const::Int(1)), int_ty()),
+            ],
             int_ty(),
         );
         let f = PureFun::new(&e, &closure_of(body)).expect("x + 1 is pure");
@@ -682,15 +669,12 @@ mod tests {
     #[test]
     fn overriding_an_atomic_op_revokes_purity() {
         let mut e = engine();
-        let body = TypedExpr::new(
-            TypedNode::Apply {
-                op: Symbol::new("+"),
-                spec: 0,
-                args: vec![
-                    TypedExpr::new(TypedNode::Var(Symbol::new("x")), int_ty()),
-                    TypedExpr::new(TypedNode::Const(Const::Int(1)), int_ty()),
-                ],
-            },
+        let body = apply(
+            "+",
+            vec![
+                TypedExpr::new(TypedNode::Var(Symbol::new("x")), int_ty()),
+                TypedExpr::new(TypedNode::Const(Const::Int(1)), int_ty()),
+            ],
             int_ty(),
         );
         assert!(PureFun::new(&e, &closure_of(body.clone())).is_some());

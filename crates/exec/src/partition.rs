@@ -23,7 +23,7 @@
 //! a pruned partition provably contributes nothing.
 
 use crate::error::{ExecError, ExecResult};
-use crate::handles::{attr_index, encode_key};
+use crate::handles::encode_key;
 use crate::value::{compare, Closure, Value};
 use sos_catalog::{PartMethod, PartSpec};
 use sos_core::typed::{TypedExpr, TypedNode};
@@ -216,7 +216,7 @@ impl PartHandle {
 }
 
 fn resolve_attr(attr: &Symbol, tuple_ty: &DataType) -> ExecResult<usize> {
-    attr_index(tuple_ty, attr).ok_or_else(|| {
+    crate::ops::relational::attr_position(tuple_ty, attr).map_err(|_| {
         ExecError::Other(format!(
             "partition attribute `{attr}` is not an attribute of {tuple_ty}"
         ))
@@ -270,45 +270,34 @@ pub enum KeyCond {
 /// `attr(%t) cmp const` (either operand order). Anything else in the
 /// predicate is ignored — the extracted conditions are implied by the
 /// predicate, which is all pruning needs.
-pub fn key_conds(
-    engine: &crate::engine::ExecEngine,
-    pred: &Arc<Closure>,
-    attr: &Symbol,
-) -> Vec<KeyCond> {
+pub fn key_conds(pred: &Arc<Closure>, attr: &Symbol) -> Vec<KeyCond> {
     let [(param, _)] = pred.params.as_slice() else {
         return Vec::new();
     };
     let mut out = Vec::new();
-    collect_conds(engine, &pred.body, param, attr, &mut out);
+    collect_conds(&pred.body, param, attr, &mut out);
     out
 }
 
-fn collect_conds(
-    engine: &crate::engine::ExecEngine,
-    te: &TypedExpr,
-    param: &Symbol,
-    attr: &Symbol,
-    out: &mut Vec<KeyCond>,
-) {
+fn collect_conds(te: &TypedExpr, param: &Symbol, attr: &Symbol, out: &mut Vec<KeyCond>) {
     let TypedNode::Apply { op, args, .. } = &te.node else {
         return;
     };
     if op.as_str() == "and" && args.len() == 2 {
-        collect_conds(engine, &args[0], param, attr, out);
-        collect_conds(engine, &args[1], param, attr, out);
+        collect_conds(&args[0], param, attr, out);
+        collect_conds(&args[1], param, attr, out);
         return;
     }
     let [a, b] = args.as_slice() else {
         return;
     };
-    let (attr_side, const_side, flipped) = if is_attr_access(engine, a, param, attr) {
-        (a, b, false)
-    } else if is_attr_access(engine, b, param, attr) {
-        (b, a, true)
+    let (const_side, flipped) = if is_attr_access(a, param, attr) {
+        (b, false)
+    } else if is_attr_access(b, param, attr) {
+        (a, true)
     } else {
         return;
     };
-    let _ = attr_side;
     let TypedNode::Const(c) = &const_side.node else {
         return;
     };
@@ -323,24 +312,11 @@ fn collect_conds(
     out.push(cond);
 }
 
-/// Whether `te` is exactly `attr(param)` — an attribute access of the
-/// predicate's own parameter, using the same resolution rule as the
-/// evaluator (not shadowed by a registered operator).
-fn is_attr_access(
-    engine: &crate::engine::ExecEngine,
-    te: &TypedExpr,
-    param: &Symbol,
-    attr: &Symbol,
-) -> bool {
-    let TypedNode::Apply { op, args, .. } = &te.node else {
-        return false;
-    };
-    if op != attr || engine.has_op(op) {
-        return false;
-    }
-    matches!(&args[..], [arg]
-        if matches!(&arg.node, TypedNode::Var(v) if v == param)
-            && attr_index(&arg.ty, op).is_some())
+/// Whether `te` is exactly `attr(param)` — a checked attribute access
+/// of the predicate's own parameter.
+fn is_attr_access(te: &TypedExpr, param: &Symbol, attr: &Symbol) -> bool {
+    matches!(&te.node, TypedNode::Field { attr: a, arg, .. }
+        if a == attr && matches!(&arg.node, TypedNode::Var(v) if v == param))
 }
 
 #[cfg(test)]

@@ -1,15 +1,24 @@
 //! Engine-level tests: evaluation of closures, captured environments,
-//! attribute access fallback, key extraction, and operator registration —
-//! exercised without the system façade.
+//! attribute access, key extraction, the operator table and operator
+//! registration — exercised without the system façade.
 
 use sos_catalog::Catalog;
+use sos_core::spec::OpName;
 use sos_core::typed::{TypedExpr, TypedNode};
-use sos_core::{sym, Const, DataType, Symbol};
+use sos_core::{sym, Const, DataType, Signature, Symbol};
 use sos_exec::{EvalCtx, ExecEngine, Value};
 use std::collections::HashMap;
+use std::sync::OnceLock;
+
+fn builtin() -> &'static Signature {
+    static SIG: OnceLock<Signature> = OnceLock::new();
+    SIG.get_or_init(sos_system::builtin::builtin_signature)
+}
 
 fn engine() -> ExecEngine {
-    ExecEngine::new(sos_storage::mem_pool(64))
+    let mut e = ExecEngine::new(sos_storage::mem_pool(64));
+    e.bind_signature(builtin());
+    e
 }
 
 fn city_ty() -> DataType {
@@ -23,15 +32,13 @@ fn int_const(v: i64) -> TypedExpr {
     TypedExpr::new(TypedNode::Const(Const::Int(v)), DataType::atom("int"))
 }
 
+/// `op(args)` resolved to the first spec the built-in signature declares
+/// for `op` — for an undeclared name, the attribute-access spec, which
+/// no operator implements.
 fn apply(op: &str, args: Vec<TypedExpr>, ty: DataType) -> TypedExpr {
-    TypedExpr::new(
-        TypedNode::Apply {
-            op: Symbol::new(op),
-            spec: 0,
-            args,
-        },
-        ty,
-    )
+    let op = Symbol::new(op);
+    let spec = builtin().candidates(&op)[0];
+    TypedExpr::new(TypedNode::Apply { op, spec, args }, ty)
 }
 
 #[test]
@@ -84,8 +91,11 @@ fn closures_capture_outer_parameters() {
 }
 
 #[test]
-fn attribute_access_falls_back_to_positional_fields() {
-    let e = engine();
+fn attribute_access_loads_the_checked_field() {
+    let mut e = engine();
+    // A registered operator of the same name does not shadow the field:
+    // the checker resolved the access, and the engine follows it.
+    e.add_op("pop", |_, _, _| Ok(Value::Int(-1)));
     let mut store = HashMap::new();
     store.insert(
         sym("c"),
@@ -93,9 +103,49 @@ fn attribute_access_falls_back_to_positional_fields() {
     );
     let mut cat = Catalog::new();
     let mut ctx = EvalCtx::new(&e, &mut store, &mut cat);
-    let obj = TypedExpr::new(TypedNode::Object(sym("c")), city_ty());
-    let access = apply("pop", vec![obj], DataType::atom("int"));
+    let env: HashMap<Symbol, DataType> = HashMap::from([(sym("c"), city_ty())]);
+    let checker = sos_core::check::Checker::new(builtin(), &env);
+    let access = checker
+        .check_expr(&sos_core::Expr::Apply {
+            op: sym("pop"),
+            args: vec![sos_core::Expr::Name(sym("c"))],
+        })
+        .unwrap();
+    assert!(matches!(access.node, TypedNode::Field { idx: 1, .. }));
     assert_eq!(ctx.eval(&access).unwrap(), Value::Int(190_000));
+    // A tuple shorter than its checked type errors instead of panicking.
+    ctx.store
+        .insert(sym("c"), Value::tuple(vec![Value::Str("x".into())]));
+    let err = ctx.eval(&access).unwrap_err();
+    assert_eq!(err.to_string(), "tuple too short for attribute `pop`");
+}
+
+/// The signature and the operator table cover each other: every fixed
+/// operator of the built-in signature has a table entry, every entry
+/// names a signature operator, and each spec of an operator binds to
+/// that operator's one entry.
+#[test]
+fn operator_table_covers_the_builtin_signature() {
+    let e = engine();
+    let sig = builtin();
+    let ops = e.ops();
+    for name in sig.op_names() {
+        assert!(ops.get(&name).is_some(), "`{name}` has no implementation");
+    }
+    for entry in ops.entries() {
+        assert!(
+            sig.is_fixed_op(&entry.name),
+            "`{}` implements no signature operator",
+            entry.name
+        );
+    }
+    for (i, spec) in sig.specs().iter().enumerate() {
+        let bound = ops.of_spec(i).map(|(_, entry)| &entry.name);
+        match &spec.name {
+            OpName::Fixed(n) => assert_eq!(bound, Some(n), "spec #{i}"),
+            OpName::Var(_) => assert_eq!(bound, None, "spec #{i}"),
+        }
+    }
 }
 
 #[test]

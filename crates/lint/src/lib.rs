@@ -5,7 +5,7 @@
 //! type constructors, kind-quantified operator patterns, and
 //! optimization rules as typed term rewrites. That makes whole classes
 //! of spec bugs statically decidable before anything executes. This
-//! crate implements seven analyses (see DESIGN.md §7 and §12):
+//! crate implements eight analyses (see DESIGN.md §7 and §12):
 //!
 //! * **L001** — pattern overlap: two alternatives of the same operator
 //!   whose argument patterns unify, so dispatch order silently decides.
@@ -25,6 +25,10 @@
 //! * **L007** — unsuppliable conditions: a condition references a
 //!   binding whose pattern position (constant, function, ...) can never
 //!   produce the kind of value the condition needs, so it never holds.
+//!
+//! * **L009** — operators without an implementation: a fixed operator
+//!   of the signature the engine's operator table does not implement
+//!   ([`lint_impls`]; the system runs it in `Database::lint`).
 //!
 //! Entry points are [`lint_spec`] (over a [`Signature`]) and
 //! [`lint_rules`] (over an [`Optimizer`] against a signature).
@@ -73,7 +77,7 @@ pub enum Anchor {
     Global,
 }
 
-/// One finding. The code (`L001`..`L007`) and rendered text are stable:
+/// One finding. The code (`L001`..`L009`) and rendered text are stable:
 /// golden tests pin them byte-for-byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -159,6 +163,31 @@ pub fn lint_spec(sig: &Signature) -> Vec<Diagnostic> {
 /// synthesized witnesses) and L007 (unsuppliable conditions).
 pub fn lint_rules(opt: &Optimizer, sig: &Signature) -> Vec<Diagnostic> {
     let mut diags = rules::lint_optimizer(opt, sig);
+    sort(&mut diags);
+    diags
+}
+
+/// L009: fixed operators of the signature that `has_impl` (the
+/// engine's operator table) does not implement. Every application of
+/// such an operator type-checks and then fails at run time. One warning
+/// per operator name, anchored at its first spec.
+pub fn lint_impls(sig: &Signature, has_impl: impl Fn(&Symbol) -> bool) -> Vec<Diagnostic> {
+    let mut diags: Vec<Diagnostic> = sig
+        .op_names()
+        .into_iter()
+        .filter(|op| !has_impl(op))
+        .map(|op| {
+            let idx = sig.candidates(&op)[0];
+            Diagnostic::new(
+                "L009",
+                Severity::Warning,
+                Anchor::Spec(idx),
+                format!("op `{op}` (spec #{idx})"),
+                "operator has no implementation".to_string(),
+            )
+            .suggest("register one with `Database::add_op_impl`")
+        })
+        .collect();
     sort(&mut diags);
     diags
 }

@@ -289,20 +289,21 @@ pub fn plan_tree(t: &TypedExpr) -> String {
 fn tree_node(t: &TypedExpr, depth: usize, out: &mut String) {
     use std::fmt::Write;
     let pad = "  ".repeat(depth);
-    match &t.node {
-        TypedNode::Apply { op, args, .. } => {
-            // Atomic applications (no operator/lambda children) render
-            // inline to keep trees readable.
-            if args.iter().all(is_leaf) {
-                let rendered: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-                let _ = writeln!(out, "{pad}{op}({})", rendered.join(", "));
-            } else {
-                let _ = writeln!(out, "{pad}{op}");
-                for a in args {
-                    tree_node(a, depth + 1, out);
-                }
+    if let Some((op, _, args)) = t.as_apply() {
+        // Atomic applications (no operator/lambda children) render
+        // inline to keep trees readable.
+        if args.iter().all(is_leaf) {
+            let rendered: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let _ = writeln!(out, "{pad}{op}({})", rendered.join(", "));
+        } else {
+            let _ = writeln!(out, "{pad}{op}");
+            for a in args {
+                tree_node(a, depth + 1, out);
             }
         }
+        return;
+    }
+    match &t.node {
         TypedNode::ApplyFun { fun, args } => {
             let _ = writeln!(out, "{pad}apply");
             tree_node(fun, depth + 1, out);
@@ -333,7 +334,7 @@ fn tree_node(t: &TypedExpr, depth: usize, out: &mut String) {
                 }
             }
         }
-        TypedNode::Const(_) | TypedNode::Object(_) | TypedNode::Var(_) => {
+        _ => {
             let _ = writeln!(out, "{pad}{t}");
         }
     }

@@ -223,8 +223,8 @@ fn lambda_attr(f: &TypedExpr) -> Option<Symbol> {
         return None;
     };
     let (pname, _) = params.first()?;
-    match &body.node {
-        TypedNode::Apply { op, args, .. } if args.len() == 1 => match &args[0].node {
+    match body.as_apply()? {
+        (op, _, [arg]) => match &arg.node {
             TypedNode::Var(v) if v == pname => Some(op.clone()),
             _ => None,
         },

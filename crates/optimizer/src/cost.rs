@@ -96,13 +96,14 @@ impl<'a> CostModel<'a> {
     }
 
     fn collect_estimates(&self, t: &TypedExpr, out: &mut Vec<(Symbol, f64)>) {
-        match &t.node {
-            TypedNode::Apply { op, args, .. } => {
-                out.push((op.clone(), self.flow(t).est.rows));
-                for a in args {
-                    self.collect_estimates(a, out);
-                }
+        if let Some((op, _, args)) = t.as_apply() {
+            out.push((op.clone(), self.flow(t).est.rows));
+            for a in args {
+                self.collect_estimates(a, out);
             }
+            return;
+        }
+        match &t.node {
             TypedNode::Lambda { body, .. } => {
                 if matches!(&body.ty, DataType::Cons(c, args) if !args.is_empty() && c.as_str() != "tuple")
                 {
@@ -120,7 +121,7 @@ impl<'a> CostModel<'a> {
                     self.collect_estimates(a, out);
                 }
             }
-            TypedNode::Object(_) | TypedNode::Const(_) | TypedNode::Var(_) => {}
+            _ => {}
         }
     }
 
@@ -193,7 +194,7 @@ impl<'a> CostModel<'a> {
         param: Option<&Symbol>,
         source: Option<&Symbol>,
     ) -> f64 {
-        if let TypedNode::Apply { op, args, .. } = &body.node {
+        if let Some((op, _, args)) = body.as_apply() {
             match op.as_str() {
                 "and" if args.len() == 2 => {
                     return self.predicate_selectivity(&args[0], param, source)
@@ -236,6 +237,9 @@ impl<'a> CostModel<'a> {
     }
 
     fn flow(&self, term: &TypedExpr) -> Flow {
+        if let Some((op, _, args)) = term.as_apply() {
+            return self.apply_flow(op, args);
+        }
         match &term.node {
             TypedNode::Object(name) => self.object_flow(name),
             TypedNode::Const(_) | TypedNode::Var(_) => Flow {
@@ -261,7 +265,7 @@ impl<'a> CostModel<'a> {
                 }
                 f
             }
-            TypedNode::Apply { op, args, .. } => self.apply_flow(op, args),
+            TypedNode::Apply { .. } | TypedNode::Field { .. } => unreachable!("returned above"),
         }
     }
 
@@ -510,13 +514,10 @@ fn lambda_parts(t: &TypedExpr) -> (Option<&Symbol>, Option<&TypedExpr>) {
 
 /// `a(t)` for lambda parameter `t` → `Some(a)`.
 fn attr_projection(e: &TypedExpr, param: Option<&Symbol>) -> Option<Symbol> {
-    let TypedNode::Apply { op, args, .. } = &e.node else {
+    let (op, _, [arg]) = e.as_apply()? else {
         return None;
     };
-    if args.len() != 1 {
-        return None;
-    }
-    match (&args[0].node, param) {
+    match (&arg.node, param) {
         (TypedNode::Var(v), Some(p)) if v == p => Some(op.clone()),
         (TypedNode::Var(_), None) => Some(op.clone()),
         _ => None,

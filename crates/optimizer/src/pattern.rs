@@ -105,12 +105,7 @@ pub fn match_term(pat: &TermPattern, node: &TypedExpr, b: &mut RuleBindings) -> 
             _ => false,
         },
         TermPattern::Apply { op, args } => {
-            let TypedNode::Apply {
-                op: actual_op,
-                args: actual_args,
-                ..
-            } = &node.node
-            else {
+            let Some((actual_op, _, actual_args)) = node.as_apply() else {
                 return false;
             };
             if actual_args.len() != args.len() {
@@ -224,6 +219,7 @@ pub fn free_vars(node: &TypedExpr, bound: &mut Vec<Symbol>, out: &mut Vec<Symbol
                 free_vars(a, bound, out);
             }
         }
+        TypedNode::Field { arg, .. } => free_vars(arg, bound, out),
         TypedNode::Const(_) | TypedNode::Object(_) => {}
     }
 }

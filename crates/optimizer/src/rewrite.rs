@@ -455,7 +455,7 @@ fn walk_children(
             args.iter().collect()
         }
         TypedNode::ApplyFun { fun, args } => std::iter::once(&**fun).chain(args.iter()).collect(),
-        TypedNode::Lambda { body, .. } => vec![body],
+        TypedNode::Lambda { body, .. } | TypedNode::Field { arg: body, .. } => vec![body],
         _ => Vec::new(),
     };
     for (i, c) in children.into_iter().enumerate() {
@@ -559,11 +559,13 @@ fn rendered(search: &Search, primary: &[Condition], extra: &[Condition]) -> Vec<
 
 /// Rebuild a node in abstract syntax with child `i` replaced.
 fn rebuild(node: &TypedExpr, i: usize, child: Expr) -> Expr {
-    match &node.node {
-        TypedNode::Apply { op, args, .. } => Expr::Apply {
+    if let Some((op, _, args)) = node.as_apply() {
+        return Expr::Apply {
             op: op.clone(),
             args: replace_at(args, i, child),
-        },
+        };
+    }
+    match &node.node {
         TypedNode::List(args) => Expr::List(replace_at(args, i, child)),
         TypedNode::Tuple(args) => Expr::Tuple(replace_at(args, i, child)),
         TypedNode::ApplyFun { fun, args } => {

@@ -480,6 +480,7 @@ impl DatabaseBuilder {
             cost_based: self.cost_based.unwrap_or(false),
             recovery,
         };
+        db.engine.bind_signature(&db.sig);
         if let Some(bytes) = recovered_meta {
             db.install_snapshot(&bytes)?;
         }
@@ -758,16 +759,17 @@ impl Database {
     /// db.load_spec(r##"op triple : int -> int syntax "_ #""##).unwrap();
     /// db.add_op_impl("triple", |_, _, args| {
     ///     Ok(Value::Int(args[0].as_int("triple")? * 3))
-    /// });
+    /// })
+    /// .unwrap();
     /// assert_eq!(db.query("14 triple").unwrap(), Value::Int(42));
     /// ```
     pub fn load_spec(&mut self, src: &str) -> Result<(), SystemError> {
+        // Parse into a trial copy and commit only if it parses and, under
+        // strict lint, is free of error-severity diagnostics (the
+        // built-in signature lints clean, so any error is new).
+        let mut trial = self.sig.clone();
+        sos_parser::parse_spec(src, &mut trial)?;
         if self.strict_lint {
-            // Parse into a trial copy; commit only if the extended
-            // signature is free of error-severity diagnostics (the
-            // built-in signature lints clean, so any error is new).
-            let mut trial = self.sig.clone();
-            sos_parser::parse_spec(src, &mut trial)?;
             let diags = sos_lint::lint_spec(&trial);
             if sos_lint::has_errors(&diags) {
                 return Err(SystemError::Lint(
@@ -777,18 +779,23 @@ impl Database {
                         .collect(),
                 ));
             }
-            self.sig = trial;
-        } else {
-            sos_parser::parse_spec(src, &mut self.sig)?;
         }
+        self.sig = trial;
+        // New specs of an implemented name (overloads) run its entry.
+        self.engine.bind_signature(&self.sig);
         Ok(())
     }
 
     /// Run the static analyzer over the current signature and rule set
-    /// (see the `sos-lint` crate and DESIGN.md §7). The shell's `.lint`
-    /// command prints this report.
+    /// (see the `sos-lint` crate and DESIGN.md §7), plus the check that
+    /// every operator of the signature has an implementation (L009).
+    /// The shell's `.lint` command prints this report.
     pub fn lint(&self) -> Vec<sos_lint::Diagnostic> {
-        sos_lint::lint_all(&self.sig, &self.optimizer)
+        let mut diags = sos_lint::lint_all(&self.sig, &self.optimizer);
+        diags.extend(sos_lint::lint_impls(&self.sig, |op| {
+            self.engine.ops().get(op).is_some()
+        }));
+        diags
     }
 
     /// Lint a standalone source file the way `sos lint <file>` does.
@@ -841,15 +848,26 @@ impl Database {
         }
     }
 
-    /// Register an operator implementation for a loaded specification.
-    pub fn add_op_impl<F>(&mut self, name: &str, f: F)
+    /// Register the implementation of an operator a loaded
+    /// specification declares, replacing any previous one. Every
+    /// application the checker resolves to one of the operator's specs
+    /// runs it. A name no spec declares as a fixed operator is rejected:
+    /// only an attribute access could reach it, and attribute access
+    /// always loads the field.
+    pub fn add_op_impl<F>(&mut self, name: &str, f: F) -> Result<(), SystemError>
     where
         F: Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> sos_exec::ExecResult<Value>
             + Send
             + Sync
             + 'static,
     {
+        let op = Symbol::new(name);
+        if !self.sig.is_fixed_op(&op) {
+            return Err(SystemError::Check(CheckError::UnknownOperator(op)));
+        }
         self.engine.add_op(name, f);
+        self.engine.bind_signature(&self.sig);
+        Ok(())
     }
 
     /// Append an optimizer rule step. With `strict_lint` on, the step

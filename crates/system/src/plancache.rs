@@ -144,8 +144,16 @@ pub fn generalize(term: &TypedExpr, literals: &[Const]) -> (Vec<Const>, TypedExp
         .enumerate()
         .map(|(i, c)| sentinel_for(i, c))
         .collect();
-    let mut next = 0usize;
-    let sentinel_term = substitute(term, &sentinels, &mut next);
+    // The i-th stripped literal (in `write_key`'s order) becomes the
+    // i-th sentinel.
+    let mut next = 0;
+    let sentinel_term = map_consts(term, &mut |c| {
+        if !is_literal(c) {
+            return c.clone();
+        }
+        next += 1;
+        sentinels[next - 1].clone()
+    });
     (sentinels, sentinel_term)
 }
 
@@ -165,97 +173,55 @@ fn sentinel_for(i: usize, c: &Const) -> Const {
     }
 }
 
-/// Replace the i-th stripped literal (same traversal order as
-/// [`write_key`]) with its sentinel.
-fn substitute(term: &TypedExpr, sentinels: &[Const], next: &mut usize) -> TypedExpr {
-    let node = match &term.node {
-        TypedNode::Const(c) if is_literal(c) => {
-            let s = sentinels[*next].clone();
-            *next += 1;
-            TypedNode::Const(s)
-        }
-        TypedNode::Const(c) => TypedNode::Const(c.clone()),
-        TypedNode::Object(n) => TypedNode::Object(n.clone()),
-        TypedNode::Var(v) => TypedNode::Var(v.clone()),
-        TypedNode::Apply { op, spec, args } => TypedNode::Apply {
-            op: op.clone(),
-            spec: *spec,
-            args: args
-                .iter()
-                .map(|a| substitute(a, sentinels, next))
-                .collect(),
-        },
-        TypedNode::ApplyFun { fun, args } => TypedNode::ApplyFun {
-            fun: Box::new(substitute(fun, sentinels, next)),
-            args: args
-                .iter()
-                .map(|a| substitute(a, sentinels, next))
-                .collect(),
-        },
-        TypedNode::Lambda { params, body } => TypedNode::Lambda {
-            params: params.clone(),
-            body: Box::new(substitute(body, sentinels, next)),
-        },
-        TypedNode::List(items) => TypedNode::List(
-            items
-                .iter()
-                .map(|a| substitute(a, sentinels, next))
-                .collect(),
-        ),
-        TypedNode::Tuple(items) => TypedNode::Tuple(
-            items
-                .iter()
-                .map(|a| substitute(a, sentinels, next))
-                .collect(),
-        ),
-    };
-    TypedExpr::new(node, term.ty.clone())
-}
-
 /// Re-bind a cached template's sentinels to actual literals. Any
 /// constant equal to the i-th sentinel — however often the rewrite
 /// duplicated it — becomes the i-th literal.
 pub fn rebind(template: &TypedExpr, sentinels: &[Const], literals: &[Const]) -> TypedExpr {
-    let node = match &template.node {
-        TypedNode::Const(c) => match sentinels.iter().position(|s| s == c) {
-            Some(i) => TypedNode::Const(literals[i].clone()),
-            None => TypedNode::Const(c.clone()),
+    map_consts(
+        template,
+        &mut |c| match sentinels.iter().position(|s| s == c) {
+            Some(i) => literals[i].clone(),
+            None => c.clone(),
         },
+    )
+}
+
+/// Rebuild a term with every constant replaced by `f` of it, visiting
+/// constants in [`write_key`]'s traversal order.
+fn map_consts(term: &TypedExpr, f: &mut impl FnMut(&Const) -> Const) -> TypedExpr {
+    let all = |items: &[TypedExpr], f: &mut _| items.iter().map(|a| map_consts(a, f)).collect();
+    let node = match &term.node {
+        TypedNode::Const(c) => TypedNode::Const(f(c)),
         TypedNode::Object(n) => TypedNode::Object(n.clone()),
         TypedNode::Var(v) => TypedNode::Var(v.clone()),
         TypedNode::Apply { op, spec, args } => TypedNode::Apply {
             op: op.clone(),
             spec: *spec,
-            args: args
-                .iter()
-                .map(|a| rebind(a, sentinels, literals))
-                .collect(),
+            args: all(args, f),
+        },
+        TypedNode::Field {
+            attr,
+            spec,
+            idx,
+            arg,
+        } => TypedNode::Field {
+            attr: attr.clone(),
+            spec: *spec,
+            idx: *idx,
+            arg: Box::new(map_consts(arg, f)),
         },
         TypedNode::ApplyFun { fun, args } => TypedNode::ApplyFun {
-            fun: Box::new(rebind(fun, sentinels, literals)),
-            args: args
-                .iter()
-                .map(|a| rebind(a, sentinels, literals))
-                .collect(),
+            fun: Box::new(map_consts(fun, f)),
+            args: all(args, f),
         },
         TypedNode::Lambda { params, body } => TypedNode::Lambda {
             params: params.clone(),
-            body: Box::new(rebind(body, sentinels, literals)),
+            body: Box::new(map_consts(body, f)),
         },
-        TypedNode::List(items) => TypedNode::List(
-            items
-                .iter()
-                .map(|a| rebind(a, sentinels, literals))
-                .collect(),
-        ),
-        TypedNode::Tuple(items) => TypedNode::Tuple(
-            items
-                .iter()
-                .map(|a| rebind(a, sentinels, literals))
-                .collect(),
-        ),
+        TypedNode::List(items) => TypedNode::List(all(items, f)),
+        TypedNode::Tuple(items) => TypedNode::Tuple(all(items, f)),
     };
-    TypedExpr::new(node, template.ty.clone())
+    TypedExpr::new(node, term.ty.clone())
 }
 
 /// Every database object a term mentions (the eviction footprint).
@@ -269,8 +235,8 @@ pub fn referenced_objects(term: &TypedExpr, into: &mut Vec<Symbol>) {
     });
 }
 
-/// Write the shape key: operator applications verbatim (op + spec
-/// index), objects by name, lambda binders alpha-renamed to `%pN` in
+/// Write the shape key: operator applications (attribute accesses
+/// included) verbatim as op + spec index, objects by name, lambda binders alpha-renamed to `%pN` in
 /// binding order, data literals as `?int` / `?real` / `?str`
 /// placeholders (collected into `literals`), identifier and boolean
 /// constants verbatim.
@@ -306,7 +272,8 @@ fn write_key(
                 }
             }
         }
-        TypedNode::Apply { op, spec, args } => {
+        TypedNode::Apply { .. } | TypedNode::Field { .. } => {
+            let (op, spec, args) = term.as_apply().expect("an application");
             let _ = write!(out, "{op}#{spec}(");
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {

@@ -62,20 +62,24 @@ fn graph_value(nodes: Vec<Value>, edges: Vec<Value>) -> Value {
 fn register_graph_ops(db: &mut Database) {
     db.add_op_impl("nodes", |_, _, args| {
         Ok(Value::Rel(graph_parts(&args[0])?.0))
-    });
+    })
+    .expect("nodes is declared");
     db.add_op_impl("edges", |_, _, args| {
         Ok(Value::Rel(graph_parts(&args[0])?.1))
-    });
+    })
+    .expect("edges is declared");
     db.add_op_impl("add_node", |_, _, args| {
         let (mut ns, es) = graph_parts(&args[0])?;
         ns.push(args[1].clone());
         Ok(graph_value(ns, es))
-    });
+    })
+    .expect("add_node is declared");
     db.add_op_impl("add_edge", |_, _, args| {
         let (ns, mut es) = graph_parts(&args[0])?;
         es.push(args[1].clone());
         Ok(graph_value(ns, es))
-    });
+    })
+    .expect("add_edge is declared");
     db.add_op_impl("succ", |_, _, args| {
         let (ns, es) = graph_parts(&args[0])?;
         let from = args[1].as_int("succ")?;
@@ -99,7 +103,8 @@ fn register_graph_ops(db: &mut Database) {
                 })
                 .collect(),
         ))
-    });
+    })
+    .expect("succ is declared");
 }
 
 fn main() {

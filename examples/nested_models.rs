@@ -85,7 +85,8 @@ fn main() {
             expected: "a set value".into(),
             found: other.kind_name().into(),
         }),
-    });
+    })
+    .expect("ocard is declared");
 
     let n = db.query("people ocard").expect("ocard runs");
     println!("people ocard = {n:?}");

@@ -149,6 +149,38 @@ fn strict_lint_gates_registration() {
         .unwrap();
 }
 
+/// `Database::lint` checks the signature against the engine's operator
+/// table: a declared operator without an implementation is an L009
+/// warning until one is registered, and the built-in signature is fully
+/// implemented.
+#[test]
+fn declared_operator_without_implementation_is_l009() {
+    let mut db = Database::builder().build();
+    let l009 = |db: &Database| -> Vec<String> {
+        db.lint()
+            .iter()
+            .filter(|d| d.code == "L009")
+            .map(|d| d.to_string())
+            .collect()
+    };
+    assert!(l009(&db).is_empty());
+    let spec = db.signature().specs().len();
+    db.load_spec(r##"op triple : int -> int syntax "_ #""##)
+        .unwrap();
+    assert_eq!(
+        l009(&db),
+        vec![format!(
+            "warning[L009] op `triple` (spec #{spec}): operator has no implementation\n    \
+             help: register one with `Database::add_op_impl`"
+        )]
+    );
+    db.add_op_impl("triple", |_, _, args| {
+        Ok(sos_exec::Value::Int(args[0].as_int("triple")? * 3))
+    })
+    .unwrap();
+    assert!(l009(&db).is_empty());
+}
+
 /// The shipped example program runs end to end on a strict-lint
 /// database: the built-in pipeline itself is lint-clean.
 #[test]
