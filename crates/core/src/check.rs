@@ -24,6 +24,7 @@ use crate::symbol::Symbol;
 use crate::typed::{TypedExpr, TypedNode};
 use crate::types::{Const, DataType, Expr, SeqAtom, TypeArg};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Where object (database) names get their types during checking.
 pub trait ObjectEnv {
@@ -206,8 +207,8 @@ impl<'a> Checker<'a> {
                 );
                 Ok(TypedExpr::new(
                     TypedNode::Lambda {
-                        params: params.clone(),
-                        body: Box::new(body_t),
+                        params: params.as_slice().into(),
+                        body: Arc::new(body_t),
                     },
                     ty,
                 ))
@@ -757,8 +758,8 @@ impl<'a> Checker<'a> {
         let ty = DataType::Fun(expected.to_vec(), Box::new(body_t.ty.clone()));
         Ok(TypedExpr::new(
             TypedNode::Lambda {
-                params,
-                body: Box::new(body_t),
+                params: params.into(),
+                body: Arc::new(body_t),
             },
             ty,
         ))

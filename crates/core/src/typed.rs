@@ -3,6 +3,7 @@
 use crate::symbol::Symbol;
 use crate::types::{Const, DataType};
 use std::fmt;
+use std::sync::Arc;
 
 /// A fully type-annotated term of the bottom-level signature.
 #[derive(Clone, PartialEq)]
@@ -44,9 +45,12 @@ pub enum TypedNode {
         fun: Box<TypedExpr>,
         args: Vec<TypedExpr>,
     },
+    /// A lambda. Parameters and body are shared, not owned: evaluating
+    /// the node into a closure (and cloning the term) bumps two reference
+    /// counts instead of copying the subtree.
     Lambda {
-        params: Vec<(Symbol, DataType)>,
-        body: Box<TypedExpr>,
+        params: Arc<[(Symbol, DataType)]>,
+        body: Arc<TypedExpr>,
     },
     /// A list term (operator argument).
     List(Vec<TypedExpr>),
@@ -124,7 +128,7 @@ impl TypedExpr {
                     .collect(),
             },
             TypedNode::Lambda { params, body } => Expr::Lambda {
-                params: params.clone(),
+                params: params.to_vec(),
                 body: Box::new(body.to_expr()),
             },
             TypedNode::List(items) => Expr::List(items.iter().map(|i| i.to_expr()).collect()),

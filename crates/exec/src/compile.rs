@@ -88,15 +88,30 @@ pub enum Fallback {
 }
 
 impl Fallback {
+    /// Every counter key, sorted; [`Fallback::index`] positions a reason
+    /// in this list.
+    pub const REASONS: [&'static str; 5] = [
+        "impure-op",
+        "nested-function",
+        "object-ref",
+        "unbound-variable",
+        "verifier-reject",
+    ];
+
+    /// This reason's position in [`Fallback::REASONS`].
+    pub fn index(&self) -> usize {
+        match self {
+            Fallback::ImpureOp(_) => 0,
+            Fallback::Function => 1,
+            Fallback::Object(_) => 2,
+            Fallback::UnboundVar(_) => 3,
+            Fallback::Rejected(_) => 4,
+        }
+    }
+
     /// The stable counter key for this reason.
     pub fn reason(&self) -> &'static str {
-        match self {
-            Fallback::Object(_) => "object-ref",
-            Fallback::Function => "nested-function",
-            Fallback::ImpureOp(_) => "impure-op",
-            Fallback::UnboundVar(_) => "unbound-variable",
-            Fallback::Rejected(_) => "verifier-reject",
-        }
+        Self::REASONS[self.index()]
     }
 }
 
@@ -748,7 +763,7 @@ fn is_atom(ty: &DataType, name: &str) -> bool {
 /// Try to lower the body to the int/bool columnar kernel. `None` keeps
 /// tier A only — never an error, since tier A already compiled.
 fn lower_columnar(engine: &ExecEngine, closure: &Closure) -> Option<ColProgram> {
-    let [(param, _)] = closure.params.as_slice() else {
+    let [(param, _)] = &closure.params[..] else {
         return None;
     };
     let mut c = ColLowering {
@@ -900,7 +915,7 @@ pub fn compile_gated(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<
             Some(Arc::new(cf))
         }
         Err(f) => {
-            engine.stats.record_fallback(f.reason());
+            engine.stats.record_fallback(&f);
             None
         }
     }
@@ -962,8 +977,8 @@ mod tests {
 
     fn closure1(body: TypedExpr) -> Closure {
         Closure {
-            params: vec![(Symbol::new("t"), item_ty())],
-            body,
+            params: [(Symbol::new("t"), item_ty())].into(),
+            body: Arc::new(body),
             captured: vec![],
         }
     }
@@ -1003,8 +1018,8 @@ mod tests {
         );
         // Captured variables freeze as constants; parameters shadow them.
         let c = Closure {
-            params: vec![(Symbol::new("t"), item_ty())],
-            body: var("n", ty("int")),
+            params: [(Symbol::new("t"), item_ty())].into(),
+            body: Arc::new(var("n", ty("int"))),
             captured: vec![(Symbol::new("n"), Value::Int(5))],
         };
         let cf = CompiledFun::compile(&e, &c).unwrap();
@@ -1174,8 +1189,8 @@ mod tests {
         // nested-function (both lambda construction and application)
         let lam = TypedExpr::new(
             TypedNode::Lambda {
-                params: vec![(Symbol::new("x"), ty("int"))],
-                body: Box::new(cint(1)),
+                params: [(Symbol::new("x"), ty("int"))].into(),
+                body: Arc::new(cint(1)),
             },
             ty("fun"),
         );

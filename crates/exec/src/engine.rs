@@ -315,7 +315,7 @@ impl<'a> EvalCtx<'a> {
                 .ok_or_else(|| ExecError::Other(format!("unbound variable `{name}`"))),
             TypedNode::Lambda { params, body } => Ok(Value::Closure(Arc::new(Closure {
                 params: params.clone(),
-                body: (**body).clone(),
+                body: body.clone(),
                 captured: self.vars.clone(),
             }))),
             TypedNode::List(items) => Ok(Value::List(

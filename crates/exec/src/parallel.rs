@@ -438,7 +438,7 @@ pub fn try_par_search_join(
     if !inner.is_empty() {
         return None;
     }
-    let [(outer_param, outer_ty)] = fun.params.as_slice() else {
+    let [(outer_param, outer_ty)] = &fun.params[..] else {
         return None;
     };
     let TypedNode::Apply { op, args, .. } = &fun.body.node else {
@@ -455,12 +455,12 @@ pub fn try_par_search_join(
             let TypedNode::Lambda { params, body } = &second.node else {
                 return None;
             };
-            let [inner_param] = params.as_slice() else {
+            let [inner_param] = &params[..] else {
                 return None;
             };
             let pred = Arc::new(Closure {
-                params: vec![(outer_param.clone(), outer_ty.clone()), inner_param.clone()],
-                body: (**body).clone(),
+                params: [(outer_param.clone(), outer_ty.clone()), inner_param.clone()].into(),
+                body: body.clone(),
                 captured: fun.captured.clone(),
             });
             SjInner::FilterMat {
@@ -472,8 +472,8 @@ pub fn try_par_search_join(
                 .iter()
                 .find(|(name, _)| *name == op)?;
             let key = Arc::new(Closure {
-                params: vec![(outer_param.clone(), outer_ty.clone())],
-                body: second.clone(),
+                params: fun.params.clone(),
+                body: Arc::new(second.clone()),
                 captured: fun.captured.clone(),
             });
             SjInner::Probe {
@@ -486,8 +486,8 @@ pub fn try_par_search_join(
     // captured environment (exactly the environment the serial per-tuple
     // evaluation would see, minus the unused outer binding).
     let src_closure = Closure {
-        params: Vec::new(),
-        body: src.clone(),
+        params: Arc::new([]),
+        body: Arc::new(src.clone()),
         captured: fun.captured.clone(),
     };
     let mut run = || -> ExecResult<Vec<Value>> {
@@ -635,8 +635,8 @@ mod tests {
 
     fn closure_of(body: TypedExpr) -> Arc<Closure> {
         Arc::new(Closure {
-            params: vec![(Symbol::new("x"), int_ty())],
-            body,
+            params: [(Symbol::new("x"), int_ty())].into(),
+            body: Arc::new(body),
             captured: vec![],
         })
     }

@@ -271,7 +271,7 @@ pub enum KeyCond {
 /// predicate is ignored — the extracted conditions are implied by the
 /// predicate, which is all pruning needs.
 pub fn key_conds(pred: &Arc<Closure>, attr: &Symbol) -> Vec<KeyCond> {
-    let [(param, _)] = pred.params.as_slice() else {
+    let [(param, _)] = &pred.params[..] else {
         return Vec::new();
     };
     let mut out = Vec::new();

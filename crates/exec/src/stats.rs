@@ -7,8 +7,10 @@
 //! actually used. Tests and the `sos` shell's `.stats` command read this
 //! to observe whether the parallel path ran.
 
+use crate::compile::Fallback;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative counters for one operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,11 +110,15 @@ impl CompileStats {
     }
 }
 
-/// Engine-wide per-operator counters, shared behind the engine.
+/// Engine-wide per-operator counters, shared behind the engine. The
+/// compile counters are lock-free: one atomic for compiled closures and
+/// one per fallback reason (a `search_join` compiles once per outer
+/// tuple, on every worker).
 #[derive(Default)]
 pub struct ExecStats {
     ops: Mutex<HashMap<&'static str, OpStats>>,
-    compile: Mutex<(u64, HashMap<&'static str, u64>)>,
+    compiled: AtomicU64,
+    fallbacks: [AtomicU64; Fallback::REASONS.len()],
 }
 
 impl ExecStats {
@@ -182,22 +188,24 @@ impl ExecStats {
 
     /// Record one closure lowered to bytecode.
     pub fn record_compiled(&self) {
-        self.compile.lock().0 += 1;
+        self.compiled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one interpreter fallback under `reason`.
-    pub fn record_fallback(&self, reason: &'static str) {
-        *self.compile.lock().1.entry(reason).or_default() += 1;
+    /// Record one interpreter fallback under its reason.
+    pub fn record_fallback(&self, reason: &Fallback) {
+        self.fallbacks[reason.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The expression-compiler counters, fallbacks sorted by reason.
     pub fn compile_snapshot(&self) -> CompileStats {
-        let guard = self.compile.lock();
-        let mut fallbacks: Vec<(String, u64)> =
-            guard.1.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        fallbacks.sort_by(|a, b| a.0.cmp(&b.0));
+        let fallbacks = Fallback::REASONS
+            .iter()
+            .zip(&self.fallbacks)
+            .map(|(r, n)| (r.to_string(), n.load(Ordering::Relaxed)))
+            .filter(|(_, n)| *n > 0)
+            .collect();
         CompileStats {
-            compiled: guard.0,
+            compiled: self.compiled.load(Ordering::Relaxed),
             fallbacks,
         }
     }
@@ -205,9 +213,10 @@ impl ExecStats {
     /// Reset every counter (e.g. between benchmark phases).
     pub fn reset(&self) {
         self.ops.lock().clear();
-        let mut c = self.compile.lock();
-        c.0 = 0;
-        c.1.clear();
+        self.compiled.store(0, Ordering::Relaxed);
+        for n in &self.fallbacks {
+            n.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -238,12 +247,14 @@ mod tests {
     #[test]
     fn compile_counters_accumulate_delta_and_reset() {
         let s = ExecStats::default();
+        let object = Fallback::Object(sos_core::Symbol::new("r"));
+        let impure = Fallback::ImpureOp(sos_core::Symbol::new("count"));
         assert!(s.compile_snapshot().is_empty());
         s.record_compiled();
         s.record_compiled();
-        s.record_fallback("object-ref");
-        s.record_fallback("impure-op");
-        s.record_fallback("impure-op");
+        s.record_fallback(&object);
+        s.record_fallback(&impure);
+        s.record_fallback(&impure);
         let snap = s.compile_snapshot();
         assert_eq!(snap.compiled, 2);
         assert_eq!(snap.total_fallbacks(), 3);
@@ -251,9 +262,10 @@ mod tests {
         assert_eq!(snap.fallback("object-ref"), 1);
         assert_eq!(snap.fallback("never"), 0);
         // Fallbacks come back sorted by reason for stable rendering.
+        assert!(Fallback::REASONS.is_sorted());
         assert_eq!(snap.fallbacks[0].0, "impure-op");
         s.record_compiled();
-        s.record_fallback("object-ref");
+        s.record_fallback(&object);
         let d = s.compile_snapshot().delta(&snap);
         assert_eq!(d.compiled, 1);
         assert_eq!(d.fallbacks, vec![("object-ref".to_string(), 1)]);

@@ -52,10 +52,13 @@ pub enum Value {
     Undefined,
 }
 
-/// A lambda closed over its environment.
+/// A lambda closed over its environment. Parameters and body are shared
+/// with the `TypedNode::Lambda` it was evaluated from, not copied, so
+/// building a closure per outer tuple costs two reference-count bumps
+/// plus the captured-environment clone.
 pub struct Closure {
-    pub params: Vec<(Symbol, DataType)>,
-    pub body: TypedExpr,
+    pub params: Arc<[(Symbol, DataType)]>,
+    pub body: Arc<TypedExpr>,
     /// Captured variables (outer lambda parameters).
     pub captured: Vec<(Symbol, Value)>,
 }

@@ -8,7 +8,7 @@ use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{sym, Const, DataType, Signature, Symbol};
 use sos_exec::{EvalCtx, ExecEngine, Value};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn builtin() -> &'static Signature {
     static SIG: OnceLock<Signature> = OnceLock::new();
@@ -68,15 +68,15 @@ fn closures_capture_outer_parameters() {
     let var = |n: &str| TypedExpr::new(TypedNode::Var(Symbol::new(n)), int.clone());
     let inner = TypedExpr::new(
         TypedNode::Lambda {
-            params: vec![(sym("y"), int.clone())],
-            body: Box::new(apply("+", vec![var("x"), var("y")], int.clone())),
+            params: [(sym("y"), int.clone())].into(),
+            body: Arc::new(apply("+", vec![var("x"), var("y")], int.clone())),
         },
         DataType::Fun(vec![int.clone()], Box::new(int.clone())),
     );
     let outer = TypedExpr::new(
         TypedNode::Lambda {
-            params: vec![(sym("x"), int.clone())],
-            body: Box::new(inner),
+            params: [(sym("x"), int.clone())].into(),
+            body: Arc::new(inner),
         },
         DataType::Fun(
             vec![int.clone()],
@@ -88,6 +88,16 @@ fn closures_capture_outer_parameters() {
     let g = ctx.call(&fc, vec![Value::Int(10)]).unwrap();
     let Value::Closure(gc) = g else { panic!() };
     assert_eq!(ctx.call(&gc, vec![Value::Int(32)]).unwrap(), Value::Int(42));
+    // Each closure shares its lambda's parameters and body with the term
+    // instead of copying them.
+    let TypedNode::Lambda { params, body } = &outer.node else {
+        unreachable!()
+    };
+    assert!(Arc::ptr_eq(&fc.params, params) && Arc::ptr_eq(&fc.body, body));
+    let TypedNode::Lambda { params, body } = &body.node else {
+        unreachable!()
+    };
+    assert!(Arc::ptr_eq(&gc.params, params) && Arc::ptr_eq(&gc.body, body));
 }
 
 #[test]

@@ -378,8 +378,8 @@ mod tests {
                     apply("feed", vec![obj("r")]),
                     TypedExpr::new(
                         TypedNode::Lambda {
-                            params: vec![(Symbol::new("t"), DataType::atom("int"))],
-                            body: Box::new(TypedExpr::new(
+                            params: [(Symbol::new("t"), DataType::atom("int"))].into(),
+                            body: std::sync::Arc::new(TypedExpr::new(
                                 TypedNode::Const(Const::Bool(true)),
                                 DataType::atom("bool"),
                             )),

@@ -9,6 +9,7 @@
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{Const, DataType, Symbol, TypeArg};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An operator position in a pattern: a fixed name or a variable (for
 /// attribute operators, whose names are data).
@@ -142,7 +143,7 @@ pub fn match_term(pat: &TermPattern, node: &TypedExpr, b: &mut RuleBindings) -> 
             if actual_params.len() != params.len() {
                 return false;
             }
-            for (p, (an, at)) in params.iter().zip(actual_params) {
+            for (p, (an, at)) in params.iter().zip(actual_params.iter()) {
                 b.params.insert(p.clone(), (an.clone(), at.clone()));
             }
             match_term(body, actual_body, b)
@@ -171,15 +172,16 @@ pub fn match_term(pat: &TermPattern, node: &TypedExpr, b: &mut RuleBindings) -> 
             if !free.iter().all(|f| allowed.contains(f)) {
                 return false;
             }
+            let ty = DataType::Fun(
+                lam_params.iter().map(|(_, t)| t.clone()).collect(),
+                Box::new(node.ty.clone()),
+            );
             let abstraction = TypedExpr::new(
                 TypedNode::Lambda {
-                    params: lam_params.clone(),
-                    body: Box::new(node.clone()),
+                    params: lam_params.into(),
+                    body: Arc::new(node.clone()),
                 },
-                DataType::Fun(
-                    lam_params.iter().map(|(_, t)| t.clone()).collect(),
-                    Box::new(node.ty.clone()),
-                ),
+                ty,
             );
             bind_term(b, fvar, &abstraction)
         }

@@ -21,8 +21,10 @@ pub struct Rule {
     pub conditions: Vec<Condition>,
     /// Template in abstract syntax. `Name(v)` splices the term bound to
     /// `v`; `Apply{op: f}` where `f` is a bound function variable becomes
-    /// an application of the bound lambda; a type written `$v` inside a
-    /// lambda parameter splices the type bound to `v`.
+    /// the bound lambda's body with its parameters substituted by the
+    /// (variable) arguments, or else an application of the bound lambda
+    /// or view object; a type written `$v` inside a lambda parameter
+    /// splices the type bound to `v`.
     pub rhs: Expr,
     /// Alternative templates considered only under cost-based
     /// optimization: when the rule fires, each alternative whose extra
@@ -455,7 +457,8 @@ fn walk_children(
             args.iter().collect()
         }
         TypedNode::ApplyFun { fun, args } => std::iter::once(&**fun).chain(args.iter()).collect(),
-        TypedNode::Lambda { body, .. } | TypedNode::Field { arg: body, .. } => vec![body],
+        TypedNode::Lambda { body, .. } => vec![&**body],
+        TypedNode::Field { arg, .. } => vec![&**arg],
         _ => Vec::new(),
     };
     for (i, c) in children.into_iter().enumerate() {
@@ -579,7 +582,7 @@ fn rebuild(node: &TypedExpr, i: usize, child: Expr) -> Expr {
             }
         }
         TypedNode::Lambda { params, .. } => Expr::Lambda {
-            params: params.clone(),
+            params: params.to_vec(),
             body: Box::new(child),
         },
         _ => node.to_expr(),
@@ -595,7 +598,9 @@ fn replace_at(args: &[TypedExpr], i: usize, child: Expr) -> Vec<Expr> {
 
 /// Instantiate a template from the rule bindings, avoiding capture: a
 /// template lambda parameter that occurs free in a bound term is renamed
-/// (primed) before the term is spliced under it.
+/// (primed) before the term is spliced under it. Function variables
+/// applied to variables are substituted into, so the result is
+/// beta-normal wherever the template is.
 pub fn instantiate(template: &Expr, b: &RuleBindings) -> Expr {
     let mut free = Vec::new();
     for t in b.terms.values() {
@@ -620,9 +625,22 @@ fn subst(template: &Expr, b: &RuleBindings, free: &[Symbol]) -> Expr {
         Expr::Const(_) => template.clone(),
         Expr::Apply { op, args } => {
             let new_args: Vec<Expr> = args.iter().map(|a| subst(a, b, free)).collect();
-            // A bound function variable in operator position becomes an
-            // application of the bound lambda.
             if let Some(f) = b.terms.get(op) {
+                // A bound function variable applied to variables is
+                // substituted into: the lambda's body with its parameters
+                // renamed to the arguments (beta-normal, as in Fiore &
+                // Mahmoud's metavariable instantiation).
+                if let (TypedNode::Lambda { params, body }, Some(names)) =
+                    (&f.node, arg_names(&new_args))
+                {
+                    if params.len() == names.len() {
+                        let map: Vec<(Symbol, Symbol)> =
+                            params.iter().map(|(p, _)| p.clone()).zip(names).collect();
+                        return rename(&body.to_expr(), &map);
+                    }
+                }
+                // Any other application of a lambda or view object stays
+                // a function application.
                 if matches!(f.node, TypedNode::Lambda { .. } | TypedNode::Object(_)) {
                     return Expr::Apply {
                         op: Symbol::new("%call"),
@@ -652,7 +670,7 @@ fn subst(template: &Expr, b: &RuleBindings, free: &[Symbol]) -> Expr {
                         fresh = Symbol::new(&format!("{fresh}'"));
                     }
                     if fresh != *n {
-                        body = Cow::Owned(rename(&body, n, &fresh));
+                        body = Cow::Owned(rename(&body, &[(n.clone(), fresh.clone())]));
                     }
                     (fresh, instantiate_type(t, b))
                 })
@@ -668,21 +686,76 @@ fn subst(template: &Expr, b: &RuleBindings, free: &[Symbol]) -> Expr {
     }
 }
 
-/// Rename the free occurrences of template variable `from` to `to`.
-fn rename(e: &Expr, from: &Symbol, to: &Symbol) -> Expr {
+/// The arguments as variable names, or `None` if any is not a name.
+fn arg_names(args: &[Expr]) -> Option<Vec<Symbol>> {
+    args.iter()
+        .map(|a| match a {
+            Expr::Name(n) => Some(n.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Rename the free occurrences of every `from` to its `to`,
+/// simultaneously and without capture: a binder of `e` that would
+/// capture a `to` is primed first.
+fn rename(e: &Expr, map: &[(Symbol, Symbol)]) -> Expr {
+    let to = |v: &Symbol| {
+        map.iter()
+            .find(|(from, _)| from == v)
+            .map_or_else(|| v.clone(), |(_, to)| to.clone())
+    };
     match e {
-        Expr::Name(v) if v == from => Expr::Name(to.clone()),
+        Expr::Name(v) => Expr::Name(to(v)),
         Expr::Apply { op, args } => Expr::Apply {
-            op: if op == from { to.clone() } else { op.clone() },
-            args: args.iter().map(|a| rename(a, from, to)).collect(),
+            op: to(op),
+            args: args.iter().map(|a| rename(a, map)).collect(),
         },
-        Expr::Lambda { params, body } if params.iter().all(|(n, _)| n != from) => Expr::Lambda {
-            params: params.clone(),
-            body: Box::new(rename(body, from, to)),
-        },
-        Expr::List(items) => Expr::List(items.iter().map(|a| rename(a, from, to)).collect()),
-        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|a| rename(a, from, to)).collect()),
-        _ => e.clone(),
+        Expr::Lambda { params, body } => {
+            // A parameter shadows the variable of the same name.
+            let mut inner: Vec<(Symbol, Symbol)> = map
+                .iter()
+                .filter(|(from, _)| params.iter().all(|(n, _)| n != from))
+                .cloned()
+                .collect();
+            if inner.is_empty() {
+                return e.clone();
+            }
+            let params = params
+                .iter()
+                .map(|(n, t)| {
+                    let mut fresh = n.clone();
+                    while inner.iter().any(|(_, to)| *to == fresh)
+                        || (fresh != *n && mentions(body, &fresh))
+                    {
+                        fresh = Symbol::new(&format!("{fresh}'"));
+                    }
+                    if fresh != *n {
+                        inner.push((n.clone(), fresh.clone()));
+                    }
+                    (fresh, t.clone())
+                })
+                .collect();
+            Expr::Lambda {
+                params,
+                body: Box::new(rename(body, &inner)),
+            }
+        }
+        Expr::List(items) => Expr::List(items.iter().map(|a| rename(a, map)).collect()),
+        Expr::Tuple(items) => Expr::Tuple(items.iter().map(|a| rename(a, map)).collect()),
+        Expr::Const(_) | Expr::Seq(_) => e.clone(),
+    }
+}
+
+/// Whether `n` occurs anywhere in `e`, bound or free (the freshness test
+/// for a primed binder).
+fn mentions(e: &Expr, n: &Symbol) -> bool {
+    match e {
+        Expr::Name(v) => v == n,
+        Expr::Apply { op, args } => op == n || args.iter().any(|a| mentions(a, n)),
+        Expr::Lambda { params, body } => params.iter().any(|(p, _)| p == n) || mentions(body, n),
+        Expr::List(items) | Expr::Tuple(items) => items.iter().any(|a| mentions(a, n)),
+        Expr::Const(_) | Expr::Seq(_) => false,
     }
 }
 
@@ -709,5 +782,120 @@ fn instantiate_type(t: &DataType, b: &RuleBindings) -> DataType {
             params.iter().map(|p| instantiate_type(p, b)).collect(),
             Box::new(instantiate_type(res, b)),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    fn int() -> DataType {
+        DataType::atom("int")
+    }
+
+    fn var(n: &str) -> TypedExpr {
+        TypedExpr::new(TypedNode::Var(Symbol::new(n)), int())
+    }
+
+    fn app(op: &str, args: Vec<TypedExpr>) -> TypedExpr {
+        TypedExpr::new(
+            TypedNode::Apply {
+                op: Symbol::new(op),
+                spec: 0,
+                args,
+            },
+            int(),
+        )
+    }
+
+    fn lambda(params: &[&str], body: TypedExpr) -> TypedExpr {
+        let params: Vec<(Symbol, DataType)> =
+            params.iter().map(|p| (Symbol::new(p), int())).collect();
+        let ty = DataType::Fun(
+            params.iter().map(|(_, t)| t.clone()).collect(),
+            Box::new(int()),
+        );
+        TypedExpr::new(
+            TypedNode::Lambda {
+                params: params.into(),
+                body: Arc::new(body),
+            },
+            ty,
+        )
+    }
+
+    /// Bindings with function variable `f` bound to `term`.
+    fn binding(f: &str, term: TypedExpr) -> RuleBindings {
+        let mut b = RuleBindings::default();
+        b.terms.insert(Symbol::new(f), term);
+        b
+    }
+
+    fn call(f: &str, args: &[&str]) -> Expr {
+        Expr::apply(f, args.iter().map(|a| Expr::name(a)).collect())
+    }
+
+    #[test]
+    fn function_variable_instantiates_to_its_body() {
+        // pointf ↦ fun (%p0) center(%p0): pointf(t1) is center(t1), also
+        // under a template binder.
+        let b = binding("pointf", lambda(&["%p0"], app("center", vec![var("%p0")])));
+        assert_eq!(
+            instantiate(&call("pointf", &["t1"]), &b).to_string(),
+            "center(t1)"
+        );
+        let template = Expr::Lambda {
+            params: vec![(Symbol::new("t1"), int())],
+            body: Box::new(call("pointf", &["t1"])),
+        };
+        assert_eq!(
+            instantiate(&template, &b).to_string(),
+            "fun (t1: int) center(t1)"
+        );
+    }
+
+    #[test]
+    fn two_parameter_instantiation_is_simultaneous() {
+        // f ↦ fun (t1, t2) -(t1, t2) applied to (t2, t1): renaming one
+        // parameter after the other would give -(t1, t1).
+        let b = binding(
+            "f",
+            lambda(&["t1", "t2"], app("-", vec![var("t1"), var("t2")])),
+        );
+        assert_eq!(
+            instantiate(&call("f", &["t2", "t1"]), &b).to_string(),
+            "-(t2, t1)"
+        );
+    }
+
+    #[test]
+    fn inner_binder_of_the_body_is_renamed_not_captured() {
+        // f ↦ fun (p) g(fun (t1) +(p, t1)) applied to t1: the body's own
+        // t1 is primed so the argument stays free.
+        let body = app(
+            "g",
+            vec![lambda(&["t1"], app("+", vec![var("p"), var("t1")]))],
+        );
+        let b = binding("f", lambda(&["p"], body));
+        assert_eq!(
+            instantiate(&call("f", &["t1"]), &b).to_string(),
+            "g(fun (t1': int) +(t1, t1'))"
+        );
+    }
+
+    #[test]
+    fn view_objects_and_non_variable_arguments_stay_applications() {
+        let view = TypedExpr::new(TypedNode::Object(Symbol::new("cities_in")), int());
+        assert_eq!(
+            instantiate(&call("f", &["t1"]), &binding("f", view)).to_string(),
+            "%call(cities_in, t1)"
+        );
+        let b = binding("f", lambda(&["p"], app("center", vec![var("p")])));
+        let nested = Expr::apply("f", vec![call("g", &["t1"])]);
+        assert_eq!(
+            instantiate(&nested, &b).to_string(),
+            "%call(fun (p: int) center(p), g(t1))"
+        );
     }
 }

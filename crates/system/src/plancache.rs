@@ -24,6 +24,7 @@ use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{Const, Symbol};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Cached plans kept before the oldest entry is evicted.
 pub const PLAN_CACHE_CAPACITY: usize = 1024;
@@ -216,7 +217,7 @@ fn map_consts(term: &TypedExpr, f: &mut impl FnMut(&Const) -> Const) -> TypedExp
         },
         TypedNode::Lambda { params, body } => TypedNode::Lambda {
             params: params.clone(),
-            body: Box::new(map_consts(body, f)),
+            body: Arc::new(map_consts(body, f)),
         },
         TypedNode::List(items) => TypedNode::List(all(items, f)),
         TypedNode::Tuple(items) => TypedNode::Tuple(all(items, f)),
@@ -378,8 +379,8 @@ mod tests {
         let lam = |p: &str| {
             TypedExpr::new(
                 TypedNode::Lambda {
-                    params: vec![(Symbol::new(p), DataType::atom("int"))],
-                    body: Box::new(TypedExpr::new(
+                    params: [(Symbol::new(p), DataType::atom("int"))].into(),
+                    body: Arc::new(TypedExpr::new(
                         TypedNode::Var(Symbol::new(p)),
                         DataType::atom("int"),
                     )),

@@ -170,9 +170,20 @@ fn corpus_db(workers: usize, batch: usize, cost: bool) -> Database {
     db
 }
 
+/// Whether a plan tree holds a beta-redex: an `apply` node (a function
+/// value applied) whose function child is a lambda.
+fn has_redex(plan_tree: &str) -> bool {
+    let lines: Vec<&str> = plan_tree.lines().collect();
+    lines
+        .windows(2)
+        .any(|w| w[0].trim() == "apply" && w[1].trim_start().starts_with("fun ("))
+}
+
 /// The tentpole net: cost-based planning must be bag-equal to the
 /// historical rule-based planner on every query, batch width, and
-/// worker count.
+/// worker count. Every plan, with costing on and off, is beta-normal:
+/// rule instantiation substitutes function variables instead of
+/// applying lambdas.
 #[test]
 fn cost_based_plans_are_bag_equal_to_rule_based() {
     for workers in [1usize, 4] {
@@ -180,6 +191,14 @@ fn cost_based_plans_are_bag_equal_to_rule_based() {
             let mut off = corpus_db(workers, batch, false);
             let mut on = corpus_db(workers, batch, true);
             for q in QUERIES {
+                for db in [&mut off, &mut on] {
+                    let e = db.explain(q).unwrap();
+                    assert!(
+                        !has_redex(&e.plan_tree),
+                        "plan of `{q}` applies a lambda: {}",
+                        e.plan()
+                    );
+                }
                 let want = canon(&off.query(q).unwrap());
                 let got = canon(&on.query(q).unwrap());
                 assert_eq!(

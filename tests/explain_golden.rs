@@ -96,9 +96,8 @@ fn btree_range_explain_matches_golden() {
     assert_golden("btree_range_explain.txt", &report.render(false));
 }
 
-/// The Section 6 update translation as a stable report.
-#[test]
-fn update_translation_explain_matches_golden() {
+/// A keyed relation: `items` represented by a B-tree on `k`.
+fn items_db() -> Database {
     let mut db = Database::builder().build();
     db.run(
         r#"
@@ -110,6 +109,24 @@ fn update_translation_explain_matches_golden() {
     "#,
     )
     .unwrap();
+    db
+}
+
+/// A conjunctive keyed selection: the index takes `k >= 1000` and the
+/// residual conjunct is substituted into the filter's lambda — no
+/// applied lambda is left in the plan.
+#[test]
+fn btree_residual_filter_explain_matches_golden() {
+    let mut db = items_db();
+    let report = db.explain("items select[k >= 1000 and k < 1900]").unwrap();
+    assert_eq!(report.applied_rules(), vec!["select-btree-and->="]);
+    assert_golden("btree_residual_filter_explain.txt", &report.render(false));
+}
+
+/// The Section 6 update translation as a stable report.
+#[test]
+fn update_translation_explain_matches_golden() {
+    let mut db = items_db();
     let report = db
         .explain_update(r#"update items := insert(items, mktuple[(k, 7), (name, "x")]);"#)
         .unwrap();

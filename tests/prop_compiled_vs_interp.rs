@@ -10,6 +10,11 @@
 //! deep mixed arithmetic/comparison trees. Batch widths 1/7/1024 and
 //! worker counts 1/4 mirror the batch-vs-tuple suite: width 7 never
 //! divides a page, so every refill crosses a batch boundary.
+//!
+//! `bitems` is represented by a B-tree on `k`, so a conjunctive selection
+//! `k >= c and pred` is rewritten by `select-btree-and->=` into a range
+//! scan whose residual filter is the random `pred` — the differential
+//! net covers rule-produced closures, not only hand-written ones.
 
 use proptest::{run_property, ProptestConfig, TestRng};
 use sos_exec::Value;
@@ -118,6 +123,10 @@ fn build_db(rows: &[(i64, i64, bool)], compile: bool) -> Database {
         type item = tuple(<(k, int), (grp, int), (flag, bool)>);
         create heap : tidrel(item);
         create items : rel(item);
+        create bitems : rel(item);
+        create bitems_rep : btree(item, k, int);
+        create rep : catalog(<ident, ident>);
+        update rep := insert(rep, bitems, bitems_rep);
     "#,
     )
     .unwrap();
@@ -126,8 +135,15 @@ fn build_db(rows: &[(i64, i64, bool)], compile: bool) -> Database {
         .map(|(k, g, f)| Value::tuple(vec![Value::Int(*k), Value::Int(*g), Value::Bool(*f)]))
         .collect();
     db.bulk_insert("heap", tuples.clone()).unwrap();
+    db.bulk_insert("bitems_rep", tuples.clone()).unwrap();
     db.bulk_insert("items", tuples).unwrap();
     db
+}
+
+/// A conjunctive selection on `bitems` whose residual conjunct is `pred`
+/// (the index takes `k >= c`).
+fn index_residual_query(c: i64, pred: &str) -> String {
+    format!("bitems select[fun (t: item) (t k >= {c}) and {pred}] count")
 }
 
 fn run(db: &mut Database, q: &str) -> Result<Value, String> {
@@ -191,6 +207,7 @@ fn random_expressions_agree_across_modes_widths_and_workers() {
             let pred2 = gen_bool(rng, 2);
             let proj = gen_int(rng, 3);
             let repl = gen_int(rng, 2);
+            let c = edge_int(rng).max(0);
             let queries = vec![
                 format!("heap feed filter[fun (t: item) {pred}] consume"),
                 format!("heap feed filter[fun (t: item) {pred2}] count"),
@@ -199,6 +216,7 @@ fn random_expressions_agree_across_modes_widths_and_workers() {
                     "heap feed project[(a, fun (t: item) {proj}), (b, fun (t: item) {pred})] consume"
                 ),
                 format!("items select[fun (t: item) {pred}] count"),
+                index_residual_query(c, &pred2),
             ];
             assert_modes_agree(&rows, &queries);
             Ok(())
@@ -247,5 +265,35 @@ fn compiled_mode_records_compile_events_and_interp_records_none() {
     assert!(
         interp.metrics().compile.is_empty(),
         "knob off still compiled"
+    );
+}
+
+/// The index rule really fires on `bitems`, and its residual filter
+/// compiles: the plan is a range scan plus a filter whose lambda is the
+/// residual conjunct itself, and the compiled database records no
+/// interpreter fallback.
+#[test]
+fn index_residual_filters_are_rewritten_and_compiled() {
+    let rows: Vec<(i64, i64, bool)> = (0..50).map(|i| (i, i % 5, i % 2 == 0)).collect();
+    let q = index_residual_query(7, "((t grp) mod 2 = 0)");
+    let mut compiled = build_db(&rows, true);
+    let report = compiled.explain(&q).unwrap();
+    assert_eq!(report.applied_rules()[0], "select-btree-and->=");
+    assert!(
+        report
+            .plan()
+            .contains("filter(range_from(bitems_rep, 7), fun (t: "),
+        "plan: {}",
+        report.plan()
+    );
+    let mut interp = build_db(&rows, false);
+    assert_eq!(
+        run(&mut compiled, &q).unwrap(),
+        run(&mut interp, &q).unwrap()
+    );
+    let m = compiled.metrics().compile;
+    assert!(
+        m.compiled > 0 && m.total_fallbacks() == 0,
+        "compile stats: {m:?}"
     );
 }
