@@ -1412,37 +1412,10 @@ fn cost_model_json() -> String {
     )
 }
 
-/// The plan-cache Zipf replay (the `plan_cache` bench's workload): the
-/// same skewed statement sequence against a cache-off database and a
-/// warmed cache-on one, compared on accumulated optimizer time.
-fn plan_cache_json() -> String {
-    const SHAPES: usize = 24;
-    const STATEMENTS: usize = 400;
-    const ZIPF_S: f64 = 1.2;
-    let ranks = bench::zipf_ranks(SHAPES, ZIPF_S, STATEMENTS, 0xC0FFEE);
-
-    let mut off = bench::plan_cache_db(false, 2_000);
-    let (off_ns, off_results) = bench::plan_cache_replay(&mut off, &ranks);
-
-    let mut on = bench::plan_cache_db(true, 2_000);
-    bench::plan_cache_replay(&mut on, &ranks); // warm: first occurrences miss
-    let (on_ns, on_results) = bench::plan_cache_replay(&mut on, &ranks);
-    assert_eq!(off_results, on_results, "cached plans diverged");
-    let planner = on.metrics().planner;
-    format!(
-        r#"{{"shapes":{SHAPES},"statements":{STATEMENTS},"zipf_s":{ZIPF_S},"cache_hits":{},"cache_misses":{},"cache_entries":{},"optimize_off_ms":{:.3},"optimize_on_ms":{:.3},"optimize_speedup":{:.2}}}"#,
-        planner.cache_hits,
-        planner.cache_misses,
-        planner.cache_entries,
-        off_ns as f64 / 1e6,
-        on_ns as f64 / 1e6,
-        off_ns as f64 / (on_ns as f64).max(1.0)
-    )
-}
-
 /// The JSON document committed as BENCH_PR10.json: the PR9 document plus
-/// the cost-based-optimization sections — the statistics-driven plan
-/// flips and the plan-cache Zipf replay.
+/// the cost-based-optimization section — the statistics-driven plan
+/// flips. (The frozen file also holds a `plan_cache` section from the
+/// retired cache-on/off replay.)
 fn pr10_json(large: bool) -> String {
     let pr9 = pr9_json(large);
     let body = pr9
@@ -1451,8 +1424,7 @@ fn pr10_json(large: bool) -> String {
         .strip_suffix('}')
         .expect("pr9_json suffix");
     format!(
-        "{{\"bench\":\"PR10 cost-based optimization + rule-soundness verification + partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"cost_model\":{},\"plan_cache\":{},{body}}}",
-        cost_model_json(),
-        plan_cache_json()
+        "{{\"bench\":\"PR10 cost-based optimization + rule-soundness verification + partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"cost_model\":{},{body}}}",
+        cost_model_json()
     )
 }

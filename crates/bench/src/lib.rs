@@ -131,75 +131,6 @@ pub fn filter_chain(depth: usize) -> String {
     q
 }
 
-/// A Zipf-distributed sequence of shape ranks (0-based) over `n` shapes:
-/// rank r is drawn with weight `1/(r+1)^s` — the skewed query traffic
-/// the plan-cache experiments replay.
-pub fn zipf_ranks(n: usize, s: f64, count: usize, seed: u64) -> Vec<usize> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let weights: Vec<f64> = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|_| {
-            let mut x = rng.gen_range(0.0..total);
-            for (rank, w) in weights.iter().enumerate() {
-                if x < *w {
-                    return rank;
-                }
-                x -= w;
-            }
-            n - 1
-        })
-        .collect()
-}
-
-/// The keyed-items schema with the plan cache set as asked — the
-/// database the plan-cache workload replays against.
-pub fn plan_cache_db(plan_cache: bool, rows: usize) -> Database {
-    let mut db = Database::builder().plan_cache(plan_cache).build();
-    db.run(
-        r#"
-        type item = tuple(<(k, int), (payload, string)>);
-        create items : rel(item);
-        create items_rep : btree(item, k, int);
-        create rep : catalog(<ident, ident>);
-        update rep := insert(rep, items, items_rep);
-    "#,
-    )
-    .expect("keyed schema");
-    db.bulk_insert("items_rep", item_tuples(rows))
-        .expect("load items");
-    db
-}
-
-/// The query for one (shape rank, occurrence) pair of the plan-cache
-/// workload: a model selection with rank+1 conjuncts, so the optimizer
-/// runs the translation-rule search over a predicate of that width.
-/// The literals depend on the occurrence index, so a cache hit must
-/// rebind constants, never replay stale ones.
-pub fn plan_cache_shape_query(rank: usize, occurrence: usize) -> String {
-    let conjuncts: Vec<String> = (0..=rank)
-        .map(|i| format!("t k >= {}", (occurrence + i) % 100))
-        .collect();
-    format!(
-        "items select[fun (t: item) {}] count",
-        conjuncts.join(" and ")
-    )
-}
-
-/// Replay a Zipf rank sequence; returns accumulated optimizer
-/// nanoseconds and the per-statement results.
-pub fn plan_cache_replay(db: &mut Database, ranks: &[usize]) -> (u64, Vec<i64>) {
-    db.reset_metrics();
-    let results = ranks
-        .iter()
-        .enumerate()
-        .map(|(i, &rank)| as_count(&db.query(&plan_cache_shape_query(rank, i)).unwrap()))
-        .collect();
-    (db.metrics().optimizer.optimize_ns, results)
-}
-
 /// Measure the plan-validation overhead on the optimize path: every
 /// synthesized witness of every builtin rule (deduplicated) is optimized
 /// by the full builtin optimizer under `Validation::Off` and

@@ -64,10 +64,13 @@ pub struct Explain {
     pub plan: String,
     /// The final plan as an indented operator tree.
     pub plan_tree: String,
-    /// Plan-cache outcome for this statement: `Some(true)` when the
-    /// optimized template was served from the cache, `Some(false)` on a
-    /// miss, `None` when the cache was not consulted (disabled, or the
-    /// statement kind is never cached).
+    /// Statement-cache outcome, looked up without counting or filling
+    /// the cache: `Some(true)` when the cache holds the statement's shape
+    /// (the plan is the cached template rebound to this statement's
+    /// literals, and `rewrites` is empty), `Some(false)` when it does not
+    /// (the plan is a fresh optimize of this statement's own literals),
+    /// `None` when the cache is not consulted (optimizer off, or
+    /// cost-based optimization on).
     pub plan_cache: Option<bool>,
     /// Cost-model estimated output rows per operator of the final plan
     /// (summed across occurrences, in order of first appearance). Empty

@@ -30,13 +30,16 @@ pub struct MetricsSnapshot {
     /// Expression-compiler counters: closures lowered to bytecode and
     /// interpreter fallbacks keyed by reason (empty with `.compile off`).
     pub compile: CompileStats,
-    /// Plan-cache counters (all zero when the plan cache is off).
+    /// Statement-cache counters (all zero while no statement consulted
+    /// the cache: optimizer off or cost-based optimization on).
     pub planner: PlannerStats,
 }
 
-/// Plan-cache traffic: hits re-bind a cached plan and skip the
-/// rewriter; misses optimize and populate the cache; invalidations are
-/// entries evicted by DDL, re-partitioning, bulk loads, or `analyze`.
+/// Statement-cache traffic: hits rebind a cached plan and skip check
+/// and rewrite; misses check, optimize and (when the shape's typing does
+/// not depend on its literals) populate the cache; invalidations are
+/// entries evicted by DDL, new specs, re-partitioning, bulk loads, or
+/// `analyze`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerStats {
     pub cache_hits: u64,
@@ -47,8 +50,8 @@ pub struct PlannerStats {
 }
 
 impl PlannerStats {
-    /// True when the plan cache never saw traffic (rendering elides the
-    /// planner line so cache-off output is unchanged).
+    /// True when the statement cache never saw traffic (rendering
+    /// elides the planner line).
     pub fn is_empty(&self) -> bool {
         *self == PlannerStats::default()
     }

@@ -10,10 +10,7 @@
 //! Estimates are deliberately coarse: equi-width histograms on B-tree
 //! key attributes (and rect center-x for `lsdtree`) give selectivities
 //! for comparisons against known literals; everything else falls back to
-//! the classic System-R default fractions. When a plan comes out of the
-//! plan cache its literals are sentinel placeholders — those are passed
-//! in as `unknown` constants so the model uses the generic defaults
-//! instead of looking sentinels up in histograms.
+//! the classic System-R default fractions.
 
 use sos_catalog::{Catalog, ObjectStats};
 use sos_core::typed::{TypedExpr, TypedNode};
@@ -41,11 +38,9 @@ pub struct Estimate {
     pub pages: f64,
 }
 
-/// The page-touch cost model: a catalog (for statistics) plus the set of
-/// constants whose values must not be trusted (plan-cache sentinels).
+/// The page-touch cost model over a catalog's statistics.
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
-    unknown: Vec<Const>,
 }
 
 /// Internal per-node result: the estimate plus the storage object the
@@ -60,16 +55,7 @@ struct Flow {
 
 impl<'a> CostModel<'a> {
     pub fn new(catalog: &'a Catalog) -> CostModel<'a> {
-        CostModel {
-            catalog,
-            unknown: Vec::new(),
-        }
-    }
-
-    /// A model that treats the given constants as unknown parameters
-    /// (selectivity defaults instead of histogram lookups).
-    pub fn with_unknown(catalog: &'a Catalog, unknown: Vec<Const>) -> CostModel<'a> {
-        CostModel { catalog, unknown }
+        CostModel { catalog }
     }
 
     /// Total estimated page touches for a whole term — the quantity the
@@ -146,18 +132,10 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Is `c` a plan-cache sentinel whose value must not be trusted?
-    fn is_unknown(&self, c: &Const) -> bool {
-        self.unknown.contains(c)
-    }
-
     fn numeric(&self, t: &TypedExpr) -> Option<f64> {
         match &t.node {
-            TypedNode::Const(c) if !self.is_unknown(c) => match c {
-                Const::Int(v) => Some(*v as f64),
-                Const::Real(v) => Some(*v),
-                _ => None,
-            },
+            TypedNode::Const(Const::Int(v)) => Some(*v as f64),
+            TypedNode::Const(Const::Real(v)) => Some(*v),
             _ => None,
         }
     }
@@ -420,7 +398,7 @@ impl<'a> CostModel<'a> {
     }
 
     /// A one-sided B-tree probe (`exactmatch`, `range_from`, `range_to`).
-    /// An equality probe with an unknown literal uses the unique-key
+    /// An equality probe whose key is not a literal uses the unique-key
     /// assumption (≈ one row) — B-tree probes are keyed access, not a
     /// generic predicate.
     fn btree_probe(&self, tree: &TypedExpr, cmp: &str, v: Option<f64>) -> Flow {
@@ -609,31 +587,6 @@ mod tests {
             rel_ty(),
         );
         assert!(m.page_cost(&probe) < m.page_cost(&scan) / 10.0);
-    }
-
-    #[test]
-    fn sentinel_constants_fall_back_to_defaults() {
-        let cat = catalog_with_stats(64000, true);
-        let probe_const = Const::Int(999_983);
-        let tree = obj("items_btree", rel_ty());
-        let probe = TypedExpr::new(
-            TypedNode::Apply {
-                op: sym("exactmatch"),
-                spec: 0,
-                args: vec![
-                    tree,
-                    TypedExpr::new(TypedNode::Const(probe_const.clone()), DataType::atom("int")),
-                ],
-            },
-            rel_ty(),
-        );
-        let informed = CostModel::new(&cat);
-        let generic = CostModel::with_unknown(&cat, vec![probe_const]);
-        // Out-of-histogram literal → near zero rows when trusted; the
-        // generic model must not trust it and falls back to the
-        // unique-key assumption (≈ one row).
-        assert!(informed.cardinality(&probe) < 1.0);
-        assert!((generic.cardinality(&probe) - 1.0).abs() < 0.01);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::OptError;
 use sos_catalog::Catalog;
 use sos_core::check::Checker;
 use sos_core::typed::{TypedExpr, TypedNode};
-use sos_core::{Const, DataType, Expr, Symbol, TypeArg};
+use sos_core::{DataType, Expr, Symbol, TypeArg};
 use std::borrow::Cow;
 use std::time::Instant;
 
@@ -56,9 +56,6 @@ pub struct OptimizeOpts {
     /// Consider rule alternatives and pick the candidate with the lowest
     /// estimated page cost (see [`CostModel`]).
     pub cost_based: bool,
-    /// Constants whose values must not be trusted by the cost model
-    /// (plan-cache sentinels standing in for stripped literals).
-    pub unknown_consts: Vec<Const>,
 }
 
 /// Upper bound on instantiated candidates per redex under cost-based
@@ -274,7 +271,7 @@ impl Optimizer {
                 };
                 let before = trace.is_some().then(|| current.to_string());
                 let prev_ty = current.ty.clone();
-                let chosen = choose(candidates, checker, catalog, opts, &mut cost_ns)?;
+                let chosen = choose(candidates, checker, catalog, &mut cost_ns)?;
                 current = chosen.term;
                 let validation_failure = (validation != Validation::Off
                     && !types_equivalent(checker.sig, &prev_ty, &current.ty))
@@ -341,7 +338,6 @@ fn choose(
     mut candidates: Vec<Candidate>,
     checker: &Checker,
     catalog: &Catalog,
-    opts: &OptimizeOpts,
     cost_ns: &mut u64,
 ) -> Result<Chosen, OptError> {
     if candidates.len() == 1 {
@@ -358,7 +354,7 @@ fn choose(
         });
     }
     let started = Instant::now();
-    let model = CostModel::with_unknown(catalog, opts.unknown_consts.clone());
+    let model = CostModel::new(catalog);
     let mut best: Option<(f64, usize, TypedExpr)> = None;
     let mut primary_err = None;
     for (i, c) in candidates.iter().enumerate() {

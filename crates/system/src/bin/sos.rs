@@ -280,7 +280,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .partition <obj> [<attr> hash <n> | <attr> range <b>...] | .analyze [obj] | .cost [on|off] | .cache [on|off|clear] | .workers [n] | .batch [n] | .compile [on|off] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .partition <obj> [<attr> hash <n> | <attr> range <b>...] | .analyze [obj] | .cost [on|off] | .cache [clear] | .workers [n] | .batch [n] | .compile [on|off] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -426,14 +426,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             _ => println!("error: `.cost` takes `on` or `off`"),
         },
         ".cache" => match rest.trim() {
-            "on" => {
-                db.set_plan_cache_enabled(true);
-                println!("plan cache on");
-            }
-            "off" => {
-                db.set_plan_cache_enabled(false);
-                println!("plan cache off");
-            }
             "clear" => {
                 let n = db.clear_plan_cache();
                 println!("plan cache cleared ({n} entrie(s) dropped)");
@@ -441,15 +433,11 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             "" => {
                 let m = db.metrics().planner;
                 println!(
-                    "plan cache {}: {} entrie(s), {} hit(s), {} miss(es), {} invalidation(s)",
-                    if db.plan_cache_enabled() { "on" } else { "off" },
-                    m.cache_entries,
-                    m.cache_hits,
-                    m.cache_misses,
-                    m.cache_invalidations
+                    "plan cache: {} entrie(s), {} hit(s), {} miss(es), {} invalidation(s)",
+                    m.cache_entries, m.cache_hits, m.cache_misses, m.cache_invalidations
                 );
             }
-            _ => println!("error: `.cache` takes `on`, `off`, or `clear`"),
+            _ => println!("error: `.cache` takes nothing or `clear`"),
         },
         ".trace" => match rest.trim() {
             "on" => {

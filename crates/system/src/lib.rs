@@ -50,7 +50,7 @@ use sos_catalog::{Catalog, CatalogError};
 use sos_core::check::Checker;
 use sos_core::spec::Level;
 use sos_core::typed::{TypedExpr, TypedNode};
-use sos_core::{CheckError, Const, DataType, Expr, Signature, Symbol, TypeArg};
+use sos_core::{CheckError, DataType, Expr, Signature, Symbol, TypeArg};
 use sos_exec::{EvalCtx, ExecEngine, ExecError, StatementTx, Value};
 use sos_obs::explain::plan_tree;
 use sos_obs::metrics::{ops_delta, pool_delta};
@@ -220,7 +220,6 @@ pub struct DatabaseBuilder {
     trace: bool,
     strict_lint: bool,
     validate_plans: Option<bool>,
-    plan_cache: Option<bool>,
     cost_based: Option<bool>,
 }
 
@@ -374,23 +373,14 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Cache optimized query plans keyed by normalized query shape
-    /// (default: off). A hit skips the rewriter entirely and re-binds
-    /// the cached plan's literals; see [`crate::plancache`] for the
-    /// normalization and the soundness argument. Entries are
-    /// invalidated by DDL, re-partitioning, bulk loads, and
-    /// [`Database::analyze`].
-    pub fn plan_cache(mut self, enabled: bool) -> DatabaseBuilder {
-        self.plan_cache = Some(enabled);
-        self
-    }
-
     /// Choose among rule alternatives by estimated page cost (default:
     /// off). When off, the optimizer always takes a rule's primary
-    /// template — the historical behavior. When on, rules with
-    /// alternatives (index probe vs. scan, hash join vs. index-probe
-    /// join) are costed with the catalog statistics collected by
-    /// [`Database::analyze`].
+    /// template — the historical behavior — and statements are planned
+    /// through the statement cache ([`crate::plancache`]). When on,
+    /// rules with alternatives (index probe vs. scan, hash join vs.
+    /// index-probe join) are costed with the catalog statistics
+    /// collected by [`Database::analyze`], and every statement is
+    /// optimized with its own literals.
     pub fn cost_based(mut self, enabled: bool) -> DatabaseBuilder {
         self.cost_based = Some(enabled);
         self
@@ -476,7 +466,6 @@ impl DatabaseBuilder {
             strict_lint: self.strict_lint,
             validate_plans: self.validate_plans.unwrap_or(true),
             plan_cache: plancache::PlanCache::default(),
-            plan_cache_enabled: self.plan_cache.unwrap_or(false),
             cost_based: self.cost_based.unwrap_or(false),
             recovery,
         };
@@ -507,10 +496,9 @@ pub struct Database {
     /// Re-typecheck rewritten plans against the pre-rewrite result type
     /// (see [`DatabaseBuilder::validate_plans`]).
     validate_plans: bool,
-    /// Optimized plans keyed by normalized query shape (see
-    /// [`plancache`]); consulted only when `plan_cache_enabled`.
+    /// Optimized plans keyed by parsed statement (see [`plancache`]);
+    /// consulted while the optimizer is on and cost-based choice is off.
     plan_cache: plancache::PlanCache,
-    plan_cache_enabled: bool,
     /// Choose among rule alternatives by estimated page cost (see
     /// [`DatabaseBuilder::cost_based`]).
     cost_based: bool,
@@ -706,13 +694,9 @@ impl Database {
 
     /// Turn cost-based rewrite selection off/on at runtime (initial
     /// value: [`DatabaseBuilder::cost_based`], default off).
+    /// Cost-based statements bypass the statement cache, so its
+    /// rule-based entries stay valid across the switch.
     pub fn set_cost_based(&mut self, enabled: bool) {
-        if self.cost_based != enabled {
-            // Cached templates were chosen under the old costing mode;
-            // keep the cache consistent with what the rewriter would
-            // produce now.
-            self.plan_cache.invalidate_all();
-        }
         self.cost_based = enabled;
     }
 
@@ -720,18 +704,6 @@ impl Database {
     /// model.
     pub fn cost_based_enabled(&self) -> bool {
         self.cost_based
-    }
-
-    /// Turn the normalized-shape plan cache off/on at runtime (initial
-    /// value: [`DatabaseBuilder::plan_cache`], default off). Disabling
-    /// keeps entries and counters; re-enabling resumes with them.
-    pub fn set_plan_cache_enabled(&mut self, enabled: bool) {
-        self.plan_cache_enabled = enabled;
-    }
-
-    /// Whether query plans are served from the normalized-shape cache.
-    pub fn plan_cache_enabled(&self) -> bool {
-        self.plan_cache_enabled
     }
 
     /// Drop every cached plan (counters survive; evictions count as
@@ -783,6 +755,8 @@ impl Database {
         self.sig = trial;
         // New specs of an implemented name (overloads) run its entry.
         self.engine.bind_signature(&self.sig);
+        // New operators and overloads change what statements check to.
+        self.plan_cache.invalidate_all();
         Ok(())
     }
 
@@ -996,12 +970,7 @@ impl Database {
         let Statement::Query(e) = &stmts[0] else {
             unreachable!()
         };
-        let started = Instant::now();
-        let checked = self.check(&self.resolve_expr(e))?;
-        phases.push((Phase::Check, started.elapsed().as_nanos() as u64));
-        let started = Instant::now();
-        let (optimized, rewrites, cache_outcome) = self.plan_query(&checked, true)?;
-        phases.push((Phase::Optimize, started.elapsed().as_nanos() as u64));
+        let (optimized, rewrites, plan_cache) = self.explain_plan(None, e, &mut phases)?;
         let estimates = if self.cost_based {
             let model = sos_optimizer::CostModel::new(&self.catalog);
             aggregate_estimates(model.op_estimates(&optimized))
@@ -1035,7 +1004,7 @@ impl Database {
             rewrites,
             plan: optimized.to_string(),
             plan_tree: plan_tree(&optimized),
-            plan_cache: cache_outcome,
+            plan_cache,
             estimates,
             analysis,
         })
@@ -1055,13 +1024,7 @@ impl Database {
                 "explain_update expects a single update statement".into(),
             ));
         };
-        let started = Instant::now();
-        let resolved = self.resolve_expr(expr);
-        let checked = self.check(&resolved)?;
-        phases.push((Phase::Check, started.elapsed().as_nanos() as u64));
-        let started = Instant::now();
-        let (optimized, rewrites) = self.optimize_traced(&checked)?;
-        phases.push((Phase::Optimize, started.elapsed().as_nanos() as u64));
+        let (optimized, rewrites, plan_cache) = self.explain_plan(Some(name), expr, &mut phases)?;
         let target = self
             .update_target(&optimized)
             .unwrap_or_else(|| name.clone());
@@ -1074,10 +1037,43 @@ impl Database {
             rewrites,
             plan: optimized.to_string(),
             plan_tree: plan_tree(&optimized),
-            plan_cache: None,
+            plan_cache,
             estimates: Vec::new(),
             analysis: None,
         })
+    }
+
+    /// Plan one parsed query (`target` `None`) or update of `target` for
+    /// EXPLAIN, appending phase timings. A statement the cache holds
+    /// (looked up without counting) explains as its rebound cached plan
+    /// with no rewrites; any other is checked and optimized, traced,
+    /// with its own literals. EXPLAIN never fills the cache. Returns the
+    /// plan, the rewrites and the cache outcome (`None` when the cache
+    /// is not consulted).
+    #[allow(clippy::type_complexity)]
+    fn explain_plan(
+        &mut self,
+        target: Option<&Symbol>,
+        expr: &Expr,
+        phases: &mut Vec<(Phase, u64)>,
+    ) -> Result<(TypedExpr, Vec<RuleApplication>, Option<bool>), SystemError> {
+        let consulted = self.cache_consulted();
+        if consulted {
+            let started = Instant::now();
+            let (key, literals) = plancache::StmtKey::new(target, expr);
+            if let Some(entry) = self.plan_cache.peek(&key) {
+                let plan = plancache::rebind(&entry.template, &entry.sentinels, &literals);
+                phases.push((Phase::Optimize, started.elapsed().as_nanos() as u64));
+                return Ok((plan, Vec::new(), Some(true)));
+            }
+        }
+        let started = Instant::now();
+        let checked = self.check(&self.resolve_expr(expr))?;
+        phases.push((Phase::Check, started.elapsed().as_nanos() as u64));
+        let started = Instant::now();
+        let (optimized, rewrites) = self.optimize_traced(&checked)?;
+        phases.push((Phase::Optimize, started.elapsed().as_nanos() as u64));
+        Ok((optimized, rewrites, consulted.then_some(false)))
     }
 
     /// Execute one parsed statement.
@@ -1089,6 +1085,9 @@ impl Database {
                 let tx = self.begin_stmt()?;
                 self.catalog.define_type(name.clone(), resolved)?;
                 self.commit_stmt(tx)?;
+                // A statement naming the type in a lambda parameter
+                // checks differently now.
+                self.plan_cache.invalidate_all();
                 Ok(Output::TypeDefined(name.clone()))
             }
             Statement::Create(name, ty) => {
@@ -1123,12 +1122,7 @@ impl Database {
                 if self.catalog.object(name).is_none() {
                     return Err(SystemError::UnknownObject(name.clone()));
                 }
-                let span = self.tracer.start();
-                let resolved = self.resolve_expr(expr);
-                let checked = self.check(&resolved);
-                self.tracer.finish(Phase::Check, span);
-                let checked = checked?;
-                let optimized = self.optimize(&checked)?;
+                let optimized = self.plan(Some(name), expr)?;
                 // A translated model update targets the representation
                 // object named by the rewritten update operator.
                 let target = self
@@ -1169,6 +1163,9 @@ impl Database {
                 Ok(Output::Updated(target))
             }
             Statement::Delete(name) => {
+                let is_catalog = self.catalog.object(name).is_some_and(
+                    |o| matches!(&o.ty, DataType::Cons(c, _) if c.as_str() == "catalog"),
+                );
                 let tx = self.begin_stmt()?;
                 self.catalog.delete_object(name)?;
                 let prev = self.store.remove(name);
@@ -1178,16 +1175,17 @@ impl Database {
                     }
                     return Err(e);
                 }
-                self.invalidate_plans_for(name);
+                // Dropping a catalog relation (e.g. `rep`) changes which
+                // rules fire for any shape.
+                if is_catalog {
+                    self.plan_cache.invalidate_all();
+                } else {
+                    self.invalidate_plans_for(name);
+                }
                 Ok(Output::Deleted(name.clone()))
             }
             Statement::Query(expr) => {
-                let span = self.tracer.start();
-                let resolved = self.resolve_expr(expr);
-                let checked = self.check(&resolved);
-                self.tracer.finish(Phase::Check, span);
-                let checked = checked?;
-                let (optimized, _, _) = self.plan_query(&checked, false)?;
+                let optimized = self.plan(None, expr)?;
                 let value = self.eval(&optimized)?;
                 Ok(Output::Query(value))
             }
@@ -1267,7 +1265,7 @@ impl Database {
         if !self.optimize_enabled {
             return Ok(t.clone());
         }
-        let (optimized, _) = self.optimize_inner(t, &[], false)?;
+        let (optimized, _) = self.optimize_inner(t, false)?;
         Ok(optimized)
     }
 
@@ -1280,17 +1278,13 @@ impl Database {
         if !self.optimize_enabled {
             return Ok((t.clone(), Vec::new()));
         }
-        self.optimize_inner(t, &[], true)
+        self.optimize_inner(t, true)
     }
 
     /// One call into the rewriter with the database's current options.
-    /// `unknown_consts` marks constants the cost model must treat as
-    /// unknown (the plan cache passes its sentinel literals so cached
-    /// templates get generic-plan costing).
     fn optimize_inner(
         &mut self,
         t: &TypedExpr,
-        unknown_consts: &[Const],
         traced: bool,
     ) -> Result<(TypedExpr, Vec<RuleApplication>), SystemError> {
         let span = self.tracer.start();
@@ -1298,7 +1292,6 @@ impl Database {
         let opts = OptimizeOpts {
             validation: self.validation(),
             cost_based: self.cost_based,
-            unknown_consts: unknown_consts.to_vec(),
         };
         let result = self
             .optimizer
@@ -1310,69 +1303,90 @@ impl Database {
         Ok((optimized, trace.unwrap_or_default()))
     }
 
-    /// Plan a query term. With the plan cache on, the term's normalized
-    /// shape (alpha-renamed variables, literals stripped to sentinels)
-    /// is looked up first: a hit rebinds this statement's literals into
-    /// the cached template and skips the rewriter entirely; a miss
-    /// optimizes the sentinel form (generic plan), caches it, and
-    /// rebinds. Returns the executable plan, the rewrite trace (empty on
-    /// a hit), and the cache outcome (`None` when the cache was not
-    /// consulted).
-    #[allow(clippy::type_complexity)]
-    fn plan_query(
-        &mut self,
-        checked: &TypedExpr,
-        traced: bool,
-    ) -> Result<(TypedExpr, Vec<RuleApplication>, Option<bool>), SystemError> {
-        if !self.optimize_enabled {
-            return Ok((checked.clone(), Vec::new(), None));
+    /// Whether statements are planned through the statement cache. Rule
+    /// firing never depends on a literal's value, but cost-based choices
+    /// do, so a cost-based statement always optimizes its own literals.
+    fn cache_consulted(&self) -> bool {
+        self.optimize_enabled && !self.cost_based
+    }
+
+    /// Plan one parsed query (`target` `None`) or update of `target` for
+    /// execution. When the cache is consulted, a hit rebinds the cached
+    /// template to this statement's literals, skipping resolution, check
+    /// and optimize. A miss checks the statement and its sentinel shape;
+    /// if rebinding the checked shape gives exactly the checked
+    /// statement, the shape is optimized, cached and rebound, and
+    /// otherwise the statement is optimized with its own literals.
+    fn plan(&mut self, target: Option<&Symbol>, expr: &Expr) -> Result<TypedExpr, SystemError> {
+        if !self.cache_consulted() {
+            let span = self.tracer.start();
+            let checked = self.check(&self.resolve_expr(expr));
+            self.tracer.finish(Phase::Check, span);
+            return self.optimize(&checked?);
         }
-        if !self.plan_cache_enabled {
-            let (optimized, trace) = self.optimize_inner(checked, &[], traced)?;
-            return Ok((optimized, trace, None));
+        // The lookup span covers the whole hit path: keying, the probe
+        // and the rebind.
+        let span = self.tracer.start();
+        let started = Instant::now();
+        let (key, literals) = plancache::StmtKey::new(target, expr);
+        if let Some(entry) = self.plan_cache.lookup(&key) {
+            let plan = plancache::rebind(&entry.template, &entry.sentinels, &literals);
+            self.tracer.finish(Phase::Optimize, span);
+            self.record_lookup(started.elapsed().as_nanos() as u64, true);
+            return Ok(plan);
         }
-        // The lookup span covers the whole hit path — normalization, the
-        // map probe, and constant rebinding — so the reported optimizer
-        // time is what the cache actually costs, not just the probe.
-        let lookup_started = Instant::now();
-        let norm = plancache::normalize(checked);
-        if let Some(entry) = self.plan_cache.lookup(&norm.key) {
-            let plan = plancache::rebind(&entry.template, &entry.sentinels, &norm.literals);
-            let lookup_ns = lookup_started.elapsed().as_nanos() as u64;
-            let stats = OptimizerStats {
-                optimize_ns: lookup_ns,
-                cache_lookup_ns: lookup_ns,
-                ..OptimizerStats::default()
-            };
-            self.last_opt_stats = stats;
-            self.total_opt_stats.absorb(stats);
-            return Ok((plan, Vec::new(), Some(true)));
+        let lookup_ns = started.elapsed().as_nanos() as u64;
+        // Check the statement first, so errors carry its real literals.
+        let span = self.tracer.start();
+        let checked = self.check(&self.resolve_expr(expr));
+        let sentinels = plancache::sentinels(&literals);
+        let generic = match &checked {
+            Ok(checked) => self
+                .check(&self.resolve_expr(key.shape()))
+                .ok()
+                .filter(|g| plancache::rebind(g, &sentinels, &literals) == *checked),
+            Err(_) => None,
+        };
+        self.tracer.finish(Phase::Check, span);
+        let checked = checked?;
+        let plan = match generic {
+            // The shape's typing depends on a literal value: never cached.
+            None => self.optimize_inner(&checked, false)?.0,
+            Some(generic) => {
+                let (template, _) = self.optimize_inner(&generic, false)?;
+                let mut objects: Vec<Symbol> = target.into_iter().cloned().collect();
+                plancache::referenced_objects(&checked, &mut objects);
+                plancache::referenced_objects(&template, &mut objects);
+                let plan = plancache::rebind(&template, &sentinels, &literals);
+                self.plan_cache.insert(
+                    key,
+                    plancache::CachedPlan {
+                        template,
+                        sentinels,
+                        objects,
+                    },
+                );
+                plan
+            }
+        };
+        self.record_lookup(lookup_ns, false);
+        Ok(plan)
+    }
+
+    /// Account a statement-cache lookup as optimizer time: on a hit it is
+    /// the whole optimize, on a miss it adds to the rewriter run.
+    fn record_lookup(&mut self, ns: u64, hit: bool) {
+        let lookup = OptimizerStats {
+            optimize_ns: ns,
+            cache_lookup_ns: ns,
+            ..OptimizerStats::default()
+        };
+        if hit {
+            self.last_opt_stats = lookup;
+        } else {
+            self.last_opt_stats.absorb(lookup);
         }
-        let lookup_ns = lookup_started.elapsed().as_nanos() as u64;
-        let (sentinels, sentinel_term) = plancache::generalize(checked, &norm.literals);
-        let (template, trace) = self.optimize_inner(&sentinel_term, &sentinels, traced)?;
-        self.last_opt_stats.cache_lookup_ns += lookup_ns;
-        self.last_opt_stats.optimize_ns += lookup_ns;
-        self.total_opt_stats.cache_lookup_ns += lookup_ns;
-        self.total_opt_stats.optimize_ns += lookup_ns;
-        // The cache footprint is every object either term mentions: a
-        // rewrite can swap the source's objects for representation
-        // objects, and invalidation must catch changes to both.
-        let mut objects = Vec::new();
-        plancache::referenced_objects(checked, &mut objects);
-        plancache::referenced_objects(&template, &mut objects);
-        objects.sort();
-        objects.dedup();
-        let plan = plancache::rebind(&template, &sentinels, &norm.literals);
-        self.plan_cache.insert(
-            norm.key,
-            plancache::CachedPlan {
-                template,
-                sentinels,
-                objects,
-            },
-        );
-        Ok((plan, trace, Some(false)))
+        self.total_opt_stats.absorb(lookup);
     }
 
     fn eval(&mut self, t: &TypedExpr) -> Result<Value, SystemError> {

@@ -1,39 +1,81 @@
-//! A plan cache in front of the rewriter, keyed by normalized query
-//! shape.
+//! The statement cache: optimized plans keyed by the parsed statement.
 //!
-//! Two queries share a cache entry when their *checked* terms are
-//! identical after (a) canonicalizing lambda-bound variable names
-//! (alpha-renaming to `%p0`, `%p1`, …) and (b) stripping data literals
-//! (`int`, `real`, `string` constants — identifier and boolean constants
-//! are part of the shape). A miss optimizes the term with every stripped
-//! literal replaced by a distinctive *sentinel* constant of the same
-//! type and caches the optimized plan as a template; both a miss and a
-//! later hit then re-bind the template's sentinels to the query's actual
-//! literals and execute that.
+//! A query or update is keyed by its kind, the object an update assigns,
+//! and its parsed expression with every data literal (`int`, `real`,
+//! `string` constant) replaced by a *sentinel* for its position.
+//! Identifier and boolean constants stay in the key. Two statements that
+//! differ only in their literals share one entry.
+//!
+//! A miss checks the statement, checks its sentinel shape, and caches
+//! the optimized shape as a template, but only if rebinding the checked
+//! shape's sentinels gives exactly the checked statement. A shape whose
+//! typing depends on a literal's value therefore never enters the cache.
+//! A hit rebinds the template's sentinels to the statement's literals
+//! and skips resolution, check and optimize.
 //!
 //! Soundness: rule *firing* never depends on literal values — every
 //! rule condition is value-independent (enforced by the rule
 //! verification suite), so the sentinel term takes exactly the rewrites
-//! any same-shaped term takes. The cost model is told the sentinels are
-//! unknown (`OptimizeOpts::unknown_consts`), so a cached plan is a
-//! *generic* plan: selectivity defaults instead of histogram lookups.
-//! Re-binding can therefore be suboptimal for an outlier literal, never
-//! incorrect — all candidates a rule offers are semantically equivalent.
+//! any same-shaped term takes. Cost-based choices do depend on values,
+//! so the database consults this cache only while cost-based
+//! optimization is off.
 
 use sos_core::typed::{TypedExpr, TypedNode};
-use sos_core::{Const, Symbol};
-use std::collections::HashMap;
-use std::fmt::Write as _;
+use sos_core::{Const, Expr, SeqAtom, Symbol};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Cached plans kept before the oldest entry is evicted.
 pub const PLAN_CACHE_CAPACITY: usize = 1024;
 
+/// A statement's cache key: structural, so two keys are equal exactly
+/// when the statements are equal up to their data literals.
+#[derive(Clone, PartialEq)]
+pub struct StmtKey {
+    /// `None` for a query; the assigned object for an update.
+    target: Option<Symbol>,
+    /// The parsed expression, each data literal replaced by the sentinel
+    /// for its position.
+    shape: Expr,
+}
+
+// Every data literal in `shape` is a sentinel, and a literal inside a
+// lambda parameter's type comes from the parser, which has no NaN; so
+// equality is reflexive.
+impl Eq for StmtKey {}
+
+impl Hash for StmtKey {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.target.hash(h);
+        hash_expr(&self.shape, h);
+    }
+}
+
+impl StmtKey {
+    /// Key a statement. Returns the key and the data literals it
+    /// replaced, in traversal order.
+    pub fn new(target: Option<&Symbol>, expr: &Expr) -> (StmtKey, Vec<Const>) {
+        let mut literals = Vec::new();
+        let shape = strip(expr, &mut literals);
+        let key = StmtKey {
+            target: target.cloned(),
+            shape,
+        };
+        (key, literals)
+    }
+
+    /// The statement with sentinels in place of its literals: what a
+    /// miss checks and optimizes.
+    pub fn shape(&self) -> &Expr {
+        &self.shape
+    }
+}
+
 /// One cached plan: the optimized sentinel template, the sentinel
-/// constants to re-bind (position i ↔ the i-th stripped literal), and
-/// every object the source term or the plan references (the eviction
+/// constants to rebind (position i ↔ the i-th literal), and every object
+/// the statement, the plan or the update target names (the eviction
 /// footprint).
-#[derive(Clone)]
 pub struct CachedPlan {
     pub template: TypedExpr,
     pub sentinels: Vec<Const>,
@@ -43,9 +85,9 @@ pub struct CachedPlan {
 /// The cache proper, with its observability counters.
 #[derive(Default)]
 pub struct PlanCache {
-    entries: HashMap<String, CachedPlan>,
+    entries: HashMap<StmtKey, CachedPlan>,
     /// Insertion order, oldest first (capacity eviction).
-    order: Vec<String>,
+    order: VecDeque<StmtKey>,
     pub hits: u64,
     pub misses: u64,
     /// Entries evicted by DDL, re-partitioning, bulk loads, or
@@ -55,24 +97,31 @@ pub struct PlanCache {
 
 impl PlanCache {
     /// Look a key up, counting the hit or miss.
-    pub fn lookup(&mut self, key: &str) -> Option<&CachedPlan> {
-        if self.entries.contains_key(key) {
+    pub fn lookup(&mut self, key: &StmtKey) -> Option<&CachedPlan> {
+        let entry = self.entries.get(key);
+        if entry.is_some() {
             self.hits += 1;
-            self.entries.get(key)
         } else {
             self.misses += 1;
-            None
         }
+        entry
+    }
+
+    /// Look a key up without counting (EXPLAIN).
+    pub fn peek(&self, key: &StmtKey) -> Option<&CachedPlan> {
+        self.entries.get(key)
     }
 
     /// Insert a plan, evicting the oldest entry at capacity.
-    pub fn insert(&mut self, key: String, plan: CachedPlan) {
-        while self.entries.len() >= PLAN_CACHE_CAPACITY && !self.order.is_empty() {
-            let oldest = self.order.remove(0);
+    pub fn insert(&mut self, key: StmtKey, plan: CachedPlan) {
+        while self.entries.len() >= PLAN_CACHE_CAPACITY {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
             self.entries.remove(&oldest);
         }
         if self.entries.insert(key.clone(), plan).is_none() {
-            self.order.push(key);
+            self.order.push_back(key);
         }
     }
 
@@ -87,22 +136,18 @@ impl PlanCache {
     /// Drop every entry whose footprint contains `name` (DDL on one
     /// object, a re-partition, a bulk load, or fresh statistics).
     pub fn invalidate_object(&mut self, name: &Symbol) -> usize {
-        let stale: Vec<String> = self
-            .entries
-            .iter()
-            .filter(|(_, p)| p.objects.contains(name))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in &stale {
-            self.entries.remove(k);
-            self.order.retain(|o| o != k);
-        }
-        self.invalidations += stale.len() as u64;
-        stale.len()
+        let before = self.entries.len();
+        self.entries.retain(|_, p| !p.objects.contains(name));
+        let entries = &self.entries;
+        self.order.retain(|k| entries.contains_key(k));
+        let dropped = before - self.entries.len();
+        self.invalidations += dropped as u64;
+        dropped
     }
 
-    /// Drop everything (object creation, catalog-relation updates, rule
-    /// set changes — anything that can enable new rewrites anywhere).
+    /// Drop everything (object creation, type definitions, new specs,
+    /// catalog-relation updates, rule set changes — anything that can
+    /// change what any statement checks or rewrites to).
     pub fn invalidate_all(&mut self) -> usize {
         let n = self.entries.len();
         self.entries.clear();
@@ -119,62 +164,133 @@ impl PlanCache {
     }
 }
 
-/// A term's normal form: the cache key and the stripped literals in
-/// traversal order. The sentinel side ([`generalize`]) is built only on
-/// a cache miss — hits never need it.
-pub struct Normalized {
-    pub key: String,
-    pub literals: Vec<Const>,
-}
-
-/// Normalize a checked term. Total: every typed term has a normal form.
-pub fn normalize(term: &TypedExpr) -> Normalized {
-    let mut literals = Vec::new();
-    let mut key = String::new();
-    write_key(term, &mut key, &mut Vec::new(), &mut 0, &mut literals);
-    let _ = write!(key, " :: {}", term.ty);
-    Normalized { key, literals }
-}
-
-/// The generic side of a normal form: the sentinel constants (position i
-/// ↔ the i-th stripped literal) and the term with sentinels in place of
-/// the literals — what a cache miss optimizes and caches.
-pub fn generalize(term: &TypedExpr, literals: &[Const]) -> (Vec<Const>, TypedExpr) {
-    let sentinels: Vec<Const> = literals
-        .iter()
-        .enumerate()
-        .map(|(i, c)| sentinel_for(i, c))
-        .collect();
-    // The i-th stripped literal (in `write_key`'s order) becomes the
-    // i-th sentinel.
-    let mut next = 0;
-    let sentinel_term = map_consts(term, &mut |c| {
-        if !is_literal(c) {
-            return c.clone();
-        }
-        next += 1;
-        sentinels[next - 1].clone()
-    });
-    (sentinels, sentinel_term)
-}
-
-/// Whether a constant is a strippable data literal.
+/// Whether a constant is a data literal, replaced in the key.
 fn is_literal(c: &Const) -> bool {
     matches!(c, Const::Int(_) | Const::Real(_) | Const::Str(_))
 }
 
-/// The sentinel constant for the i-th stripped literal: same type,
-/// a value no plausible query or rewrite template contains.
+/// The first real sentinel; the i-th is the i-th double below it.
+const REAL_SENTINEL: f64 = -8.75e307;
+
+/// The sentinel constant for the i-th literal: same type, a value no
+/// plausible statement or rewrite template contains, distinct for every
+/// position.
 fn sentinel_for(i: usize, c: &Const) -> Const {
     match c {
         Const::Int(_) => Const::Int(i64::MIN + 0x5EED + i as i64),
-        Const::Real(_) => Const::Real(-8.75e307 - i as f64),
+        // Adjacent doubles, not `REAL_SENTINEL - i`: at this magnitude
+        // subtracting a small integer rounds back to the same value.
+        Const::Real(_) => Const::Real(f64::from_bits(REAL_SENTINEL.to_bits() + i as u64)),
         Const::Str(_) => Const::Str(format!("\u{1}?p{i}")),
         other => other.clone(),
     }
 }
 
-/// Re-bind a cached template's sentinels to actual literals. Any
+/// The sentinels standing for `literals`, position by position.
+pub fn sentinels(literals: &[Const]) -> Vec<Const> {
+    literals
+        .iter()
+        .enumerate()
+        .map(|(i, c)| sentinel_for(i, c))
+        .collect()
+}
+
+/// Copy `e` with each data literal replaced by the sentinel for its
+/// position, collecting the literals into `literals`.
+fn strip(e: &Expr, literals: &mut Vec<Const>) -> Expr {
+    fn all(items: &[Expr], literals: &mut Vec<Const>) -> Vec<Expr> {
+        items.iter().map(|a| strip(a, literals)).collect()
+    }
+    match e {
+        Expr::Const(c) if is_literal(c) => {
+            let sentinel = sentinel_for(literals.len(), c);
+            literals.push(c.clone());
+            Expr::Const(sentinel)
+        }
+        Expr::Const(_) | Expr::Name(_) => e.clone(),
+        Expr::Apply { op, args } => Expr::Apply {
+            op: op.clone(),
+            args: all(args, literals),
+        },
+        Expr::Lambda { params, body } => Expr::Lambda {
+            params: params.clone(),
+            body: Box::new(strip(body, literals)),
+        },
+        Expr::List(items) => Expr::List(all(items, literals)),
+        Expr::Tuple(items) => Expr::Tuple(all(items, literals)),
+        Expr::Seq(atoms) => Expr::Seq(
+            atoms
+                .iter()
+                .map(|a| match a {
+                    SeqAtom::Operand(e) => SeqAtom::Operand(strip(e, literals)),
+                    SeqAtom::Word {
+                        name,
+                        brackets,
+                        parens,
+                    } => SeqAtom::Word {
+                        name: name.clone(),
+                        brackets: brackets.as_ref().map(|bs| all(bs, literals)),
+                        parens: parens.as_ref().map(|ps| all(ps, literals)),
+                    },
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// Hash a key's shape. Data literals (all sentinels, fixed by position)
+/// and lambda parameter types are left to equality; hashing less than
+/// equality compares keeps equal keys hashing equally.
+fn hash_expr<H: Hasher>(e: &Expr, h: &mut H) {
+    fn all<H: Hasher>(items: &[Expr], h: &mut H) {
+        items.len().hash(h);
+        items.iter().for_each(|a| hash_expr(a, h));
+    }
+    std::mem::discriminant(e).hash(h);
+    match e {
+        Expr::Const(c) => {
+            std::mem::discriminant(c).hash(h);
+            match c {
+                Const::Bool(b) => b.hash(h),
+                Const::Ident(s) => s.hash(h),
+                Const::Int(_) | Const::Real(_) | Const::Str(_) => {}
+            }
+        }
+        Expr::Name(n) => n.hash(h),
+        Expr::Apply { op, args } => {
+            op.hash(h);
+            all(args, h);
+        }
+        Expr::Lambda { params, body } => {
+            params.iter().for_each(|(n, _)| n.hash(h));
+            hash_expr(body, h);
+        }
+        Expr::List(items) | Expr::Tuple(items) => all(items, h),
+        Expr::Seq(atoms) => {
+            atoms.len().hash(h);
+            for a in atoms {
+                match a {
+                    SeqAtom::Operand(e) => hash_expr(e, h),
+                    SeqAtom::Word {
+                        name,
+                        brackets,
+                        parens,
+                    } => {
+                        name.hash(h);
+                        for args in [brackets, parens] {
+                            args.is_some().hash(h);
+                            if let Some(args) = args {
+                                all(args, h);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Rebind a cached template's sentinels to actual literals. Any
 /// constant equal to the i-th sentinel — however often the rewrite
 /// duplicated it — becomes the i-th literal.
 pub fn rebind(template: &TypedExpr, sentinels: &[Const], literals: &[Const]) -> TypedExpr {
@@ -187,8 +303,7 @@ pub fn rebind(template: &TypedExpr, sentinels: &[Const], literals: &[Const]) -> 
     )
 }
 
-/// Rebuild a term with every constant replaced by `f` of it, visiting
-/// constants in [`write_key`]'s traversal order.
+/// Rebuild a term with every constant replaced by `f` of it.
 fn map_consts(term: &TypedExpr, f: &mut impl FnMut(&Const) -> Const) -> TypedExpr {
     let all = |items: &[TypedExpr], f: &mut _| items.iter().map(|a| map_consts(a, f)).collect();
     let node = match &term.node {
@@ -236,112 +351,21 @@ pub fn referenced_objects(term: &TypedExpr, into: &mut Vec<Symbol>) {
     });
 }
 
-/// Write the shape key: operator applications (attribute accesses
-/// included) verbatim as op + spec index, objects by name, lambda binders alpha-renamed to `%pN` in
-/// binding order, data literals as `?int` / `?real` / `?str`
-/// placeholders (collected into `literals`), identifier and boolean
-/// constants verbatim.
-fn write_key(
-    term: &TypedExpr,
-    out: &mut String,
-    scopes: &mut Vec<(Symbol, String)>,
-    binders: &mut usize,
-    literals: &mut Vec<Const>,
-) {
-    match &term.node {
-        TypedNode::Const(c) if is_literal(c) => {
-            out.push_str(match c {
-                Const::Int(_) => "?int",
-                Const::Real(_) => "?real",
-                _ => "?str",
-            });
-            literals.push(c.clone());
-        }
-        TypedNode::Const(c) => {
-            let _ = write!(out, "{c}");
-        }
-        TypedNode::Object(n) => {
-            let _ = write!(out, "obj:{n}");
-        }
-        TypedNode::Var(v) => {
-            match scopes.iter().rev().find(|(orig, _)| orig == v) {
-                Some((_, canon)) => out.push_str(canon),
-                // Unbound variables cannot occur in a checked term; keep
-                // the name so the key stays total anyway.
-                None => {
-                    let _ = write!(out, "{v}");
-                }
-            }
-        }
-        TypedNode::Apply { .. } | TypedNode::Field { .. } => {
-            let (op, spec, args) = term.as_apply().expect("an application");
-            let _ = write!(out, "{op}#{spec}(");
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_key(a, out, scopes, binders, literals);
-            }
-            out.push(')');
-        }
-        TypedNode::ApplyFun { fun, args } => {
-            out.push_str("%call(");
-            write_key(fun, out, scopes, binders, literals);
-            for a in args {
-                out.push(',');
-                write_key(a, out, scopes, binders, literals);
-            }
-            out.push(')');
-        }
-        TypedNode::Lambda { params, body } => {
-            out.push_str("fun(");
-            let depth = scopes.len();
-            for (i, (name, ty)) in params.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let canon = format!("%p{}", *binders);
-                *binders += 1;
-                let _ = write!(out, "{canon}:{ty}");
-                scopes.push((name.clone(), canon));
-            }
-            out.push(')');
-            write_key(body, out, scopes, binders, literals);
-            scopes.truncate(depth);
-        }
-        TypedNode::List(items) => {
-            out.push('<');
-            for (i, a) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_key(a, out, scopes, binders, literals);
-            }
-            out.push('>');
-        }
-        TypedNode::Tuple(items) => {
-            out.push('(');
-            for (i, a) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_key(a, out, scopes, binders, literals);
-            }
-            out.push(')');
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sos_core::DataType;
 
-    fn int_const(v: i64) -> TypedExpr {
-        TypedExpr::new(TypedNode::Const(Const::Int(v)), DataType::atom("int"))
+    fn typed_const(c: Const) -> TypedExpr {
+        let ty = match &c {
+            Const::Real(_) => "real",
+            _ => "int",
+        };
+        TypedExpr::new(TypedNode::Const(c), DataType::atom(ty))
     }
 
-    fn apply(op: &str, args: Vec<TypedExpr>, ty: DataType) -> TypedExpr {
+    fn typed_apply(op: &str, args: Vec<TypedExpr>) -> TypedExpr {
+        let ty = args[0].ty.clone();
         TypedExpr::new(
             TypedNode::Apply {
                 op: Symbol::new(op),
@@ -352,70 +376,97 @@ mod tests {
         )
     }
 
-    #[test]
-    fn same_shape_same_key_different_literals() {
-        let a = apply(
-            ">",
-            vec![int_const(7), int_const(3)],
-            DataType::atom("bool"),
-        );
-        let b = apply(
-            ">",
-            vec![int_const(100), int_const(-2)],
-            DataType::atom("bool"),
-        );
-        let na = normalize(&a);
-        let nb = normalize(&b);
-        assert_eq!(na.key, nb.key);
-        assert_eq!(na.literals, vec![Const::Int(7), Const::Int(3)]);
-        assert_eq!(nb.literals, vec![Const::Int(100), Const::Int(-2)]);
-        // Different shape (extra node) keys differently.
-        let c = apply(">", vec![int_const(7)], DataType::atom("bool"));
-        assert_ne!(normalize(&c).key, na.key);
+    /// The checked form of a stripped binary application: its two
+    /// sentinel arguments under `op`.
+    fn checked_shape(key: &StmtKey, op: &str) -> TypedExpr {
+        let Expr::Apply { args, .. } = key.shape() else {
+            panic!("an application");
+        };
+        let args = args
+            .iter()
+            .map(|a| match a {
+                Expr::Const(c) => typed_const(c.clone()),
+                other => panic!("a constant, not {other}"),
+            })
+            .collect();
+        typed_apply(op, args)
+    }
+
+    fn hash_of(key: &StmtKey) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        key.hash(&mut h);
+        h.finish()
     }
 
     #[test]
-    fn alpha_renamed_lambdas_share_a_key() {
-        let lam = |p: &str| {
-            TypedExpr::new(
-                TypedNode::Lambda {
-                    params: [(Symbol::new(p), DataType::atom("int"))].into(),
-                    body: Arc::new(TypedExpr::new(
-                        TypedNode::Var(Symbol::new(p)),
-                        DataType::atom("int"),
-                    )),
-                },
-                DataType::Fun(vec![DataType::atom("int")], Box::new(DataType::atom("int"))),
-            )
-        };
-        assert_eq!(normalize(&lam("x")).key, normalize(&lam("y")).key);
+    fn same_shape_same_key_different_literals() {
+        let a = Expr::apply(">", vec![Expr::int(7), Expr::int(3)]);
+        let b = Expr::apply(">", vec![Expr::int(100), Expr::int(-2)]);
+        let (ka, la) = StmtKey::new(None, &a);
+        let (kb, lb) = StmtKey::new(None, &b);
+        assert!(ka == kb);
+        assert_eq!(hash_of(&ka), hash_of(&kb));
+        assert_eq!(la, vec![Const::Int(7), Const::Int(3)]);
+        assert_eq!(lb, vec![Const::Int(100), Const::Int(-2)]);
+        // A different shape (one argument fewer) keys differently.
+        let c = Expr::apply(">", vec![Expr::int(7)]);
+        assert!(StmtKey::new(None, &c).0 != ka);
+        // Identifier constants are part of the shape.
+        let attr = |a: &str| Expr::apply("attr", vec![Expr::ident(a), Expr::int(1)]);
+        assert!(StmtKey::new(None, &attr("k")).0 != StmtKey::new(None, &attr("v")).0);
+        // So are the statement kind and the update target.
+        let target = Symbol::new("items");
+        assert!(StmtKey::new(Some(&target), &a).0 != ka);
     }
 
     #[test]
     fn rebind_round_trips_sentinels() {
-        let term = apply("+", vec![int_const(7), int_const(7)], DataType::atom("int"));
-        let n = normalize(&term);
-        let (sentinels, sentinel_term) = generalize(&term, &n.literals);
-        // Both 7s strip independently and re-bind independently.
+        let (key, literals) =
+            StmtKey::new(None, &Expr::apply("+", vec![Expr::int(7), Expr::int(7)]));
+        let sentinels = sentinels(&literals);
+        // Both 7s strip independently and rebind independently.
         assert_eq!(sentinels.len(), 2);
         assert_ne!(sentinels[0], sentinels[1]);
-        let rebound = rebind(&sentinel_term, &sentinels, &n.literals);
-        assert!(rebound == term);
+        let rebound = rebind(&checked_shape(&key, "+"), &sentinels, &literals);
+        let want = typed_apply(
+            "+",
+            vec![typed_const(Const::Int(7)), typed_const(Const::Int(7))],
+        );
+        assert!(rebound == want);
+    }
+
+    #[test]
+    fn real_sentinels_differ_and_rebind_in_place() {
+        let (key, literals) = StmtKey::new(
+            None,
+            &Expr::apply("-", vec![Expr::real(1.5), Expr::real(2.5)]),
+        );
+        let sentinels = sentinels(&literals);
+        assert_ne!(sentinels[0], sentinels[1]);
+        let rebound = rebind(&checked_shape(&key, "-"), &sentinels, &literals);
+        let want = typed_apply(
+            "-",
+            vec![typed_const(Const::Real(1.5)), typed_const(Const::Real(2.5))],
+        );
+        assert!(rebound == want, "rebound to {rebound}");
     }
 
     #[test]
     fn cache_counts_and_evicts_by_object() {
         let mut cache = PlanCache::default();
-        assert!(cache.lookup("k1").is_none());
+        let key = |v| StmtKey::new(None, &Expr::apply("f", vec![Expr::int(v)])).0;
+        assert!(cache.lookup(&key(1)).is_none());
         cache.insert(
-            "k1".into(),
+            key(1),
             CachedPlan {
-                template: int_const(1),
+                template: typed_const(Const::Int(1)),
                 sentinels: vec![],
                 objects: vec![Symbol::new("cities")],
             },
         );
-        assert!(cache.lookup("k1").is_some());
+        // Another literal, the same entry; peeking does not count.
+        assert!(cache.peek(&key(2)).is_some());
+        assert!(cache.lookup(&key(2)).is_some());
         assert_eq!((cache.hits, cache.misses), (1, 1));
         assert_eq!(cache.invalidate_object(&Symbol::new("rivers")), 0);
         assert_eq!(cache.invalidate_object(&Symbol::new("cities")), 1);

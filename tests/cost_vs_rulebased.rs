@@ -9,8 +9,8 @@
 //! On top of the bag-equality net, the suite pins the two plan choices
 //! the cost model is expected to flip (a non-selective keyed selection
 //! away from the index, a small-outer equi-join onto an index-probe
-//! search join), checks that plan-cache hits rebind byte-identical
-//! plans, and round-trips collected statistics through save/open and
+//! search join), checks that statement-cache hits rebind byte-identical
+//! plans for queries and updates, and round-trips collected statistics through save/open and
 //! WAL crash recovery.
 
 use proptest::prelude::*;
@@ -267,34 +267,32 @@ fn cost_model_flips_small_outer_join_to_index_probes() {
     assert_eq!(e.applied_rules(), vec!["join-equi-hashjoin"]);
 }
 
-/// A plan served from the cache must be byte-identical to the plan the
-/// miss produced for the same shape, and every cached execution must
-/// match a cache-off database.
+/// A plan served from the statement cache must be byte-identical to a
+/// fresh optimize of the same statement with its own literals, and its
+/// execution must match the cost-based database, which bypasses the
+/// cache.
 #[test]
 fn plan_cache_hits_are_byte_identical_and_result_equal() {
-    let mut cold = corpus_db(1, 1024, true);
-    let mut cached = {
-        let mut db = build_db(1, 1024, true);
-        load_db(&mut db);
-        partition_db(&mut db);
-        db.set_plan_cache_enabled(true);
-        db.analyze_all().unwrap();
-        db
-    };
+    let mut reference = corpus_db(1, 1024, true);
+    let mut cached = corpus_db(1, 1024, false);
     for q in QUERIES {
-        let miss = cached.explain(q).unwrap();
-        assert_eq!(miss.plan_cache, Some(false), "first optimize of `{q}`");
+        cached.clear_plan_cache();
+        let fresh = cached.explain(q).unwrap();
+        assert_eq!(fresh.plan_cache, Some(false), "cleared cache, `{q}`");
+        // The first run fills the cache; the second is a hit.
+        let filled = canon(&cached.query(q).unwrap());
         let hit = cached.explain(q).unwrap();
-        assert_eq!(hit.plan_cache, Some(true), "second optimize of `{q}`");
+        assert_eq!(hit.plan_cache, Some(true), "`{q}` after it ran");
         assert_eq!(
-            miss.plan(),
+            fresh.plan(),
             hit.plan(),
             "cache hit rebound a different plan for `{q}`"
         );
         assert!(hit.rewrites.is_empty(), "a hit must skip the rewriter");
-        let want = canon(&cold.query(q).unwrap());
-        let got = canon(&cached.query(q).unwrap());
-        assert_eq!(got, want, "cached execution diverged on `{q}`");
+        let again = canon(&cached.query(q).unwrap());
+        let want = canon(&reference.query(q).unwrap());
+        assert_eq!(filled, want, "cached execution diverged on `{q}`");
+        assert_eq!(again, want, "cache-hit execution diverged on `{q}`");
     }
     let m = cached.metrics().planner;
     assert!(
@@ -303,30 +301,25 @@ fn plan_cache_hits_are_byte_identical_and_result_equal() {
         m.cache_hits
     );
     assert!(m.cache_entries > 0);
+    assert_eq!(reference.metrics().planner.cache_entries, 0);
 }
 
 // ---- proptest: random literal rebindings through the cache ----
 
 /// One shared pair of databases for the rebinding property: building
-/// and loading per case would dominate the run.
+/// and loading per case would dominate the run. The cost-based one
+/// optimizes every statement with its own literals; the rule-based one
+/// serves repeated shapes from the statement cache.
 fn shared_dbs() -> &'static Mutex<(Database, Database)> {
     static DBS: OnceLock<Mutex<(Database, Database)>> = OnceLock::new();
-    DBS.get_or_init(|| {
-        let plain = corpus_db(1, 1024, false);
-        let mut cached = build_db(1, 1024, true);
-        load_db(&mut cached);
-        partition_db(&mut cached);
-        cached.set_plan_cache_enabled(true);
-        cached.analyze_all().unwrap();
-        Mutex::new((plain, cached))
-    })
+    DBS.get_or_init(|| Mutex::new((corpus_db(1, 1024, true), corpus_db(1, 1024, false))))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every literal rebinding of a cached shape must execute exactly
-    /// like a cold rule-based optimize of the same query.
+    /// Every literal rebinding of a cached shape — queries and updates —
+    /// must execute exactly like a cold optimize of the same statement.
     #[test]
     fn cached_rebindings_match_cold_optimize(a in -100i64..2200, b in -100i64..2200) {
         let (lo, hi) = (a.min(b), a.max(b));
@@ -336,12 +329,26 @@ proptest! {
             format!("bt_rep range[{lo}, {hi}] consume"),
             format!("items select[fun (t: item) t k >= {lo} and t k <= {hi}] count"),
         ];
+        let updates = [
+            format!(
+                "update items := insert(items, mktuple[(k, {a}), (grp, {}), (pad, \"ins{b}\")]);",
+                b.rem_euclid(10)
+            ),
+            format!("update items := delete(items, fun (t: item) t k = {b});"),
+        ];
         let mut dbs = shared_dbs().lock().unwrap();
-        let (plain, cached) = &mut *dbs;
+        let (cold, cached) = &mut *dbs;
         for q in &queries {
-            let want = canon(&plain.query(q).unwrap());
+            let want = canon(&cold.query(q).unwrap());
             let got = canon(&cached.query(q).unwrap());
             prop_assert!(got == want, "rebinding diverged on `{}`: {} != {}", q, got, want);
+        }
+        for u in &updates {
+            cold.run(u).unwrap();
+            cached.run(u).unwrap();
+            let want = canon(&cold.query("bt_rep feed consume").unwrap());
+            let got = canon(&cached.query("bt_rep feed consume").unwrap());
+            prop_assert!(got == want, "bags diverged after `{}`", u);
         }
     }
 }

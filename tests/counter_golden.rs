@@ -3,9 +3,9 @@
 //! in `tests/golden/counters.txt`.
 //!
 //! Timings drift from run to run; these counts do not. A change that
-//! adds a rule attempt, a page touch, a log byte, a batch or an
-//! interpreter fallback to any of the statements below fails this test
-//! with a diff, whatever the machine. Each layer runs on a fresh
+//! adds a rule attempt, a statement-cache miss, a page touch, a log
+//! byte, a batch or an interpreter fallback to any of the statements
+//! below fails this test with a diff, whatever the machine. Each layer runs on a fresh
 //! database with one worker (so batch counts do not depend on the core
 //! count), and its counters are read as the delta over the statement
 //! list only, setup excluded.
@@ -68,6 +68,8 @@ fn render(out: &mut String, name: &str, m: &MetricsSnapshot) {
     writeln!(out, "[{name}]").unwrap();
     writeln!(out, "optimizer.rule_attempts {}", m.optimizer.rule_attempts).unwrap();
     writeln!(out, "optimizer.rewrites {}", m.optimizer.rewrites).unwrap();
+    writeln!(out, "planner.cache_hits {}", m.planner.cache_hits).unwrap();
+    writeln!(out, "planner.cache_misses {}", m.planner.cache_misses).unwrap();
     writeln!(out, "pool.logical_reads {}", m.pool.logical_reads).unwrap();
     writeln!(out, "wal.bytes {}", m.wal.bytes).unwrap();
     writeln!(out, "compile.compiled {}", m.compile.compiled).unwrap();

@@ -141,11 +141,8 @@ fn update_translation_explain_matches_golden() {
 
 /// An analyzed, cost-based database over the items schema: statistics
 /// feed the estimates the report renders.
-fn analyzed_items_db(plan_cache: bool) -> Database {
-    let mut db = Database::builder()
-        .cost_based(true)
-        .plan_cache(plan_cache)
-        .build();
+fn analyzed_items_db() -> Database {
+    let mut db = Database::builder().cost_based(true).build();
     db.run(
         r#"
         type item = tuple(<(k, int), (name, string)>);
@@ -172,7 +169,7 @@ fn analyzed_items_db(plan_cache: bool) -> Database {
 /// report.
 #[test]
 fn cost_based_explain_analyze_matches_golden() {
-    let mut db = analyzed_items_db(false);
+    let mut db = analyzed_items_db();
     let report = db.explain_analyze("items select[k <= 100] count").unwrap();
     let text = report.render(false);
     assert!(text.contains("est="), "report: {text}");
@@ -181,19 +178,22 @@ fn cost_based_explain_analyze_matches_golden() {
     assert_golden("cost_select_explain_analyze.txt", &text);
 }
 
-/// The plan-cache line: a cold explain reports `plan cache: miss`, the
-/// identical shape re-explained reports `plan cache: hit` with an empty
-/// rewrite trace (the rewriter never ran).
+/// The plan-cache line: before the statement runs, explain reports
+/// `plan cache: miss`; once a statement of the same shape has run,
+/// explain reports `plan cache: hit` with an empty rewrite trace (the
+/// rewriter never ran) and this statement's literal in the plan.
 #[test]
 fn plan_cache_hit_explain_matches_golden() {
-    let mut db = analyzed_items_db(true);
+    let mut db = items_db();
     let miss = db.explain("items select[k <= 100]").unwrap();
     assert!(
         miss.render(false).contains("plan cache: miss"),
         "report: {}",
         miss.render(false)
     );
+    db.query("items select[k <= 7]").unwrap();
     let hit = db.explain("items select[k <= 100]").unwrap();
     assert!(hit.rewrites.is_empty());
+    assert_eq!(hit.plan(), miss.plan());
     assert_golden("plan_cache_hit_explain.txt", &hit.render(false));
 }

@@ -1,9 +1,11 @@
-//! Plan-cache invalidation: every code path that changes what the
-//! optimizer would produce must evict the affected cached plans — DDL,
-//! catalog-relation updates, re-partitioning, bulk loads, and
-//! `analyze`. The final test is the seeded negative: after a schema
-//! change that retypes a representation, executing the same query text
-//! must re-optimize against the new schema, never run the stale plan.
+//! Statement-cache invalidation: every code path that changes what a
+//! parsed statement checks or rewrites to must evict the affected cached
+//! plans — DDL, type definitions, new specs, catalog-relation updates,
+//! re-partitioning, bulk loads, and `analyze`. One test is the seeded
+//! negative: after a schema change that retypes a representation,
+//! executing the same query text must re-optimize against the new
+//! schema, never run the stale plan. The last pins real literals
+//! rebinding position by position.
 
 use sos_catalog::{PartMethod, PartSpec};
 use sos_core::Symbol;
@@ -14,10 +16,10 @@ fn item_tuple(i: usize) -> Value {
     Value::tuple(vec![Value::Int(i as i64), Value::Str(format!("n{i}"))])
 }
 
-/// A cache-enabled database: model relation `items` represented by a
-/// B-tree, plus an unrelated heap `other_rep`.
+/// Model relation `items` represented by a B-tree, plus an unrelated
+/// heap `other_rep`.
 fn db() -> Database {
-    let mut db = Database::builder().plan_cache(true).build();
+    let mut db = Database::builder().build();
     db.run(
         r#"
         type item = tuple(<(k, int), (name, string)>);
@@ -36,9 +38,11 @@ fn db() -> Database {
     db
 }
 
-/// Warm one query shape into the cache and prove it hits.
+/// Warm one query shape into the cache by running it, and prove it
+/// hits (EXPLAIN looks up without filling).
 fn warm(db: &mut Database, q: &str) {
-    assert_eq!(db.explain(q).unwrap().plan_cache, Some(false), "warm `{q}`");
+    assert_eq!(db.explain(q).unwrap().plan_cache, Some(false), "cold `{q}`");
+    db.query(q).unwrap();
     assert_eq!(db.explain(q).unwrap().plan_cache, Some(true), "hit `{q}`");
 }
 
@@ -73,6 +77,35 @@ fn catalog_relation_update_invalidates_every_cached_plan() {
 }
 
 #[test]
+fn type_definition_invalidates_every_cached_plan() {
+    let mut db = db();
+    warm(&mut db, "items select[k = 5]");
+    warm(&mut db, "other_rep feed count");
+    // A named type expands into every lambda parameter naming it.
+    db.run("type pair = tuple(<(a, int), (b, int)>);").unwrap();
+    assert_eq!(db.metrics().planner.cache_entries, 0);
+    assert_eq!(
+        db.explain("items select[k = 5]").unwrap().plan_cache,
+        Some(false)
+    );
+}
+
+#[test]
+fn load_spec_invalidates_every_cached_plan() {
+    let mut db = db();
+    warm(&mut db, "items select[k = 5]");
+    warm(&mut db, "other_rep feed count");
+    // New operators and overloads change what statements check to.
+    db.load_spec(r##"op triple : int -> int syntax "_ #""##)
+        .unwrap();
+    assert_eq!(db.metrics().planner.cache_entries, 0);
+    assert_eq!(
+        db.explain("other_rep feed count").unwrap().plan_cache,
+        Some(false)
+    );
+}
+
+#[test]
 fn delete_evicts_only_plans_touching_the_object() {
     let mut db = db();
     warm(&mut db, "items select[k = 5]");
@@ -85,6 +118,20 @@ fn delete_evicts_only_plans_touching_the_object() {
     assert_eq!(
         db.explain("items select[k = 5]").unwrap().plan_cache,
         Some(true)
+    );
+}
+
+#[test]
+fn deleting_a_catalog_relation_invalidates_every_cached_plan() {
+    let mut db = db();
+    warm(&mut db, "items select[k = 5] count");
+    db.run("delete rep;").unwrap();
+    assert_eq!(db.metrics().planner.cache_entries, 0);
+    // Without its rep link the model relation, which is empty, is
+    // queried itself; a stale plan would still read `items_rep`.
+    assert_eq!(
+        db.query("items select[k = 5] count").unwrap(),
+        Value::Int(0)
     );
 }
 
@@ -201,4 +248,16 @@ fn counters_surface_in_metrics_and_reset() {
     );
     // Entries survive a counter reset (it resets metrics, not state).
     assert_eq!(m.cache_entries, 1);
+}
+
+/// Two real literals in one shape rebind to their own positions: the
+/// first statement caches the shape, the second is a hit with other
+/// literals.
+#[test]
+fn real_literals_rebind_by_position() {
+    let mut db = Database::builder().build();
+    assert_eq!(db.query("1.5 - 2.5").unwrap(), Value::Real(-1.0));
+    assert_eq!(db.explain("4.0 - 1.0").unwrap().plan_cache, Some(true));
+    assert_eq!(db.query("4.0 - 1.0").unwrap(), Value::Real(3.0));
+    assert_eq!(db.metrics().planner.cache_hits, 1);
 }
