@@ -1,11 +1,6 @@
 //! B7 — Join strategies on an equi-join: the optimizer's hash join vs
 //! the scan-based search join, over growing outer sizes. The hash join
 //! is linear; the scan-based nested loop is quadratic-ish.
-//!
-//! B7p — Parallel hash join: the representation-level
-//! `feed ... hashjoin` under 1/2/4/8 intra-operator workers. Both the
-//! heap scans feeding the join and the build/probe phases partition
-//! across workers; workers = 1 is the serial baseline.
 
 use bench::as_count;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -77,22 +72,5 @@ fn bench_joins(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_hashjoin(c: &mut Criterion) {
-    let mut group = c.benchmark_group("joins-parallel");
-    group.sample_size(10);
-    let mut db = join_db(20_000, 50);
-    let q = "emps_rep feed depts_rep feed hashjoin[dept, dno] count";
-    db.set_parallelism(1);
-    let expected = as_count(&db.query(q).unwrap());
-    for workers in [1usize, 2, 4, 8] {
-        db.set_parallelism(workers);
-        assert_eq!(as_count(&db.query(q).unwrap()), expected);
-        group.bench_with_input(BenchmarkId::new("hashjoin", workers), &(), |b, _| {
-            b.iter(|| as_count(&db.query(q).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_joins, bench_parallel_hashjoin);
+criterion_group!(benches, bench_joins);
 criterion_main!(benches);

@@ -7,13 +7,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 fn bench_streams(c: &mut Criterion) {
     let n = 20_000usize;
     let mut db = keyed_db(n);
-    // A raw heap for the parallel-scan comparison.
-    let pool = sos_storage::mem_pool(4096);
-    let heap = sos_storage::heap::HeapFile::create(pool).unwrap();
-    for i in 0..n {
-        heap.insert(format!("record {i} {:width$}", "", width = i % 200).as_bytes())
-            .unwrap();
-    }
     let mut group = c.benchmark_group("streams");
     group.sample_size(10);
     group.bench_function("feed-count", |b| {
@@ -55,14 +48,6 @@ fn bench_streams(c: &mut Criterion) {
     group.bench_function("feed-head5-pipelined", |b| {
         b.iter(|| as_count(&db.query("items_rep feed head[5] count").unwrap()))
     });
-    // Page-partitioned parallel scan (intra-operator parallelism).
-    for threads in [1usize, 4] {
-        group.bench_function(format!("par-scan-{threads}-threads"), |b| {
-            b.iter(|| {
-                sos_storage::parallel::par_count(&heap, threads, |rec| rec.len() % 2 == 0).unwrap()
-            })
-        });
-    }
     group.finish();
 }
 

@@ -884,7 +884,7 @@ fn pr7_json() -> String {
 }
 
 // ---- PR8: partitioned storage — partition-wise parallel execution,
-// partition pruning, co-partitioned joins, and parallel bulk load ----
+// partition pruning, and parallel bulk load ----
 
 fn hash_spec(attr: &str, parts: usize) -> PartSpec {
     PartSpec {
@@ -976,114 +976,6 @@ fn pruning_json() -> String {
         rg.partitions,
         rg.partitions_pruned,
         unpruned_pages as f64 / (pruned_pages as f64).max(1.0)
-    )
-}
-
-/// The PR3 equi-join schema: 8000 employees over 50 departments, both
-/// heap-backed.
-fn equijoin_db() -> Database {
-    let mut db = Database::builder().build();
-    db.run(
-        r#"
-        type emp = tuple(<(ename, string), (dept, int)>);
-        type dpt = tuple(<(dno, int), (dname, string)>);
-        create emps_rep : tidrel(emp);
-        create depts_rep : tidrel(dpt);
-    "#,
-    )
-    .unwrap();
-    let emps: Vec<sos_exec::Value> = (0..8000)
-        .map(|i| {
-            sos_exec::Value::tuple(vec![
-                sos_exec::Value::Str(format!("e{i}")),
-                sos_exec::Value::Int((i % 50) as i64),
-            ])
-        })
-        .collect();
-    let depts: Vec<sos_exec::Value> = (0..50)
-        .map(|d| {
-            sos_exec::Value::tuple(vec![
-                sos_exec::Value::Int(d as i64),
-                sos_exec::Value::Str(format!("d{d}")),
-            ])
-        })
-        .collect();
-    db.bulk_insert("emps_rep", emps).unwrap();
-    db.bulk_insert("depts_rep", depts).unwrap();
-    db
-}
-
-/// Hashjoin over co-partitioned inputs: both sides hash(4) on the join
-/// attribute, so the join runs partition-by-partition with no
-/// repartitioning — each of the 4 build+probe units is independent.
-fn copartition_join_json() -> String {
-    let query = "emps_rep feed depts_rep feed hashjoin[dept, dno] count";
-    let mut configs = Vec::new();
-    let mut single_ms = f64::MAX;
-    let mut copart_ms = f64::MAX;
-    let mut copart_partitions = 0u64;
-    for copartitioned in [false, true] {
-        let mut db = equijoin_db();
-        if copartitioned {
-            db.partition_object("emps_rep", hash_spec("dept", 4))
-                .expect("partition emps");
-            db.partition_object("depts_rep", hash_spec("dno", 4))
-                .expect("partition depts");
-        }
-        db.query(query).unwrap(); // warm
-        for workers in [1usize, 4] {
-            db.set_parallelism(workers);
-            let ms = pr3_ms(&mut db, query, 7, 3);
-            if !copartitioned && workers == 1 {
-                single_ms = ms;
-            }
-            if copartitioned && workers == 4 {
-                copart_ms = ms;
-                db.reset_metrics();
-                db.query(query).unwrap();
-                copart_partitions = db.op_stats("hashjoin").map_or(0, |s| s.partitions);
-            }
-            configs.push(format!(
-                r#"{{"layout":"{}","workers":{workers},"ms":{ms:.3}}}"#,
-                if copartitioned {
-                    "copart-hash4"
-                } else {
-                    "single"
-                }
-            ));
-        }
-    }
-    assert!(
-        copart_partitions > 0,
-        "co-partitioned hashjoin fast path did not engage"
-    );
-    format!(
-        r#"{{"query":"{}","outer_rows":8000,"inner_rows":50,"configs":[{}],"copartitioned_partitions_per_join":{},"copartitioned_vs_single_speedup":{:.2}}}"#,
-        query.replace('"', "\\\""),
-        configs.join(","),
-        copart_partitions,
-        single_ms / copart_ms.max(f64::MIN_POSITIVE)
-    )
-}
-
-/// The PR3 search join with a partitioned outer: feeding a hash(4)
-/// relation gives `search_join` one probe unit per partition.
-fn search_join_parallel_json() -> String {
-    let query = "emps_rep feed (fun (e: emp) depts_rep feed \
-         filter[fun (d: dpt) e dept = d dno]) search_join count";
-    let mut db = equijoin_db();
-    db.partition_object("emps_rep", hash_spec("dept", 4))
-        .expect("partition emps");
-    db.set_batch_size(1024);
-    db.query(query).unwrap(); // warm
-    db.set_parallelism(1);
-    let serial_ms = pr3_ms(&mut db, query, 7, 3);
-    db.set_parallelism(4);
-    let par_ms = pr3_ms(&mut db, query, 7, 3);
-    format!(
-        r#"{{"query":"{}","outer_rows":8000,"serial_ms":{serial_ms:.3},"parallel_ms":{par_ms:.3},"workers":4,"parallel_vs_serial_speedup":{:.2}}}"#,
-        query.replace('"', "\\\""),
-        serial_ms / par_ms.max(f64::MIN_POSITIVE)
     )
 }
 
@@ -1242,11 +1134,9 @@ fn pr8_json(large: bool) -> String {
         .expect("pr7_json suffix");
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     format!(
-        "{{\"bench\":\"PR8 partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"cores\":{cores},\"partition_scan\":{},\"partition_pruning\":{},\"copartition_join\":{},\"search_join_parallel\":{},\"bulk_load\":{},\"overlap_join\":{},{body}}}",
+        "{{\"bench\":\"PR8 partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"cores\":{cores},\"partition_scan\":{},\"partition_pruning\":{},\"bulk_load\":{},\"overlap_join\":{},{body}}}",
         partition_scan_json(),
         pruning_json(),
-        copartition_join_json(),
-        search_join_parallel_json(),
         bulk_load_json(),
         overlap_join_json(n, grid)
     )

@@ -56,17 +56,16 @@ pub struct ExecEngine {
 pub const DEFAULT_BATCH: usize = 1024;
 
 impl ExecEngine {
-    /// An engine with every built-in operator registered. Starts with
-    /// one worker per available core (`1` on single-core machines, i.e.
-    /// exact serial behavior). Applications evaluate only once a
-    /// signature is bound ([`ExecEngine::bind_signature`]).
+    /// An engine with every built-in operator registered. Starts serial,
+    /// with one worker: every drain runs on the calling thread. Paired
+    /// runs found no workload where more workers win, so
+    /// [`ExecEngine::set_workers`] is an opt-in. Applications evaluate
+    /// only once a signature is bound ([`ExecEngine::bind_signature`]).
     pub fn new(pool: Arc<BufferPool>) -> ExecEngine {
         let mut e = ExecEngine {
             pool,
             ops: OpTable::default(),
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            workers: 1,
             batch: DEFAULT_BATCH,
             compile: true,
             stats: Arc::new(crate::stats::ExecStats::default()),
@@ -269,8 +268,6 @@ pub struct EvalCtx<'a> {
     pub store: &'a mut HashMap<Symbol, Value>,
     pub catalog: &'a mut Catalog,
     vars: Vec<(Symbol, Value)>,
-    /// What the scan sources pulled under this context have read.
-    pub(crate) scanned: crate::stream::ScanTally,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -284,7 +281,6 @@ impl<'a> EvalCtx<'a> {
             store,
             catalog,
             vars: Vec::new(),
-            scanned: Default::default(),
         }
     }
 

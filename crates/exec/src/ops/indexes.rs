@@ -186,27 +186,18 @@ pub fn register(e: &mut ExecEngine) {
     });
 
     // exactmatch[k], point_search[p], overlap_search[r] — the key
-    // probes, shared with the parallel search join.
-    for (op, probe) in PROBE_OPS {
-        e.add_op(op, move |ctx, _, args| {
-            probe(ctx.engine, &args[0], &args[1])
-        });
-    }
+    // probes: an index, or (pruning first) a partitioned index, probed
+    // with one key value.
+    e.add_op("exactmatch", |ctx, _, args| {
+        exactmatch(ctx.engine, &args[0], &args[1])
+    });
+    e.add_op("point_search", |ctx, _, args| {
+        point_search(ctx.engine, &args[0], &args[1])
+    });
+    e.add_op("overlap_search", |ctx, _, args| {
+        overlap_search(ctx.engine, &args[0], &args[1])
+    });
 }
-
-/// Probe an index — or, pruning first, a partitioned index — with one
-/// key value. Needs no evaluation context, so worker threads call it
-/// directly.
-pub(crate) type ProbeFn = fn(&ExecEngine, &Value, &Value) -> ExecResult<Value>;
-
-/// The index operators that probe with one key value: the single
-/// implementation behind both the registered operator and the
-/// per-outer-tuple probe of the parallel search join.
-pub(crate) const PROBE_OPS: [(&str, ProbeFn); 3] = [
-    ("exactmatch", exactmatch),
-    ("point_search", point_search),
-    ("overlap_search", overlap_search),
-];
 
 /// exactmatch[k] — all tuples with key exactly k (a pipelined B-tree
 /// range cursor).

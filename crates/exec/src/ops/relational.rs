@@ -34,20 +34,18 @@ pub fn register(e: &mut ExecEngine) {
         let n_in = tuples.len();
         let pred = args[1].as_closure("select")?.clone();
         let mut cursor = Cursor::filter(ctx.engine, Cursor::materialized(tuples), pred);
-        if let Some(res) = crate::parallel::try_par_drain(ctx.engine, &mut cursor, "select") {
-            return Ok(Value::Rel(res?));
-        }
-        let out = cursor.drain_as(ctx, "select")?;
-        ctx.engine.stats.record("select", 1, n_in, out.len(), 0);
+        let par = crate::parallel::try_par_drain(ctx.engine, &mut cursor, "select");
+        let (out, workers) = match par {
+            Some(res) => (res?, ctx.engine.workers()),
+            None => (cursor.drain_as(ctx, "select")?, 1),
+        };
+        ctx.engine.stats.record("select", workers, n_in, out.len());
         Ok(Value::Rel(out))
     });
 
     e.add_op("join", |ctx, _, args| {
         let left = tuples_of(&args[0], "join")?;
         let right = tuples_of(&args[1], "join")?;
-        if let Some(res) = crate::parallel::try_par_join(ctx.engine, &left, &right, &args[2]) {
-            return Ok(Value::Rel(res?));
-        }
         let pred = args[2].as_closure("join")?.clone();
         let mut out = Vec::new();
         for l in &left {
@@ -62,7 +60,7 @@ pub fn register(e: &mut ExecEngine) {
         }
         ctx.engine
             .stats
-            .record("join", 1, left.len() + right.len(), out.len(), 0);
+            .record("join", 1, left.len() + right.len(), out.len());
         Ok(Value::Rel(out))
     });
 
@@ -100,27 +98,20 @@ pub fn register(e: &mut ExecEngine) {
         Value::Rel(ts) | Value::Stream(ts) => Ok(Value::Int(ts.len() as i64)),
         Value::Cursor(_) => {
             let mut cursor = crate::stream::into_cursor(args[0].clone())?;
-            // Count page-partitioned when the pipeline allows it...
-            if let Some(res) = crate::parallel::try_par_count(ctx.engine, &mut cursor) {
-                return Ok(Value::Int(res?));
-            }
-            // ...else drain the pipeline without buffering.
-            let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
-            ctx.engine.stats.record_batches("count", batches, n);
-            ctx.engine.stats.record("count", 1, n as usize, 1, 0);
-            Ok(Value::Int(n as i64))
+            // Count page-partitioned when the pipeline allows it, else
+            // drain the pipeline without buffering.
+            let (n, workers) = match crate::parallel::try_par_count(ctx.engine, &mut cursor) {
+                Some(res) => (res?, ctx.engine.workers()),
+                None => {
+                    let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
+                    ctx.engine.stats.record_batches("count", batches, n);
+                    (n as i64, 1)
+                }
+            };
+            ctx.engine.stats.record("count", workers, n as usize, 1);
+            Ok(Value::Int(n))
         }
-        Value::SRel(h) | Value::TidRel(h) => {
-            let workers = ctx.engine.workers();
-            if workers > 1 && h.pages().len() >= crate::parallel::PAR_MIN_PAGES {
-                let n = sos_storage::parallel::par_count(h, workers, |_| true)?;
-                ctx.engine
-                    .stats
-                    .record("count", workers, n, 1, h.pages().len());
-                return Ok(Value::Int(n as i64));
-            }
-            Ok(Value::Int(h.count()? as i64))
-        }
+        Value::SRel(h) | Value::TidRel(h) => Ok(Value::Int(h.count()? as i64)),
         Value::BTree(h) => Ok(Value::Int(h.tree.len() as i64)),
         Value::LsdTree(h) => Ok(Value::Int(h.tree.len() as i64)),
         Value::Part(h) => {
@@ -129,7 +120,7 @@ pub fn register(e: &mut ExecEngine) {
             // a `feed ... count` pipeline takes the partition-parallel
             // scan path instead.
             let n = h.len()?;
-            ctx.engine.stats.record("count", 1, n, 1, 0);
+            ctx.engine.stats.record("count", 1, n, 1);
             ctx.engine
                 .stats
                 .record_partitions("count", h.part_count() as u64, 0);

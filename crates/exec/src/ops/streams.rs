@@ -203,71 +203,27 @@ pub fn register(e: &mut ExecEngine) {
         };
         let i1 = crate::ops::relational::attr_index_of_arg(node, 0, a1)?;
         let i2 = crate::ops::relational::attr_index_of_arg(node, 1, a2)?;
-        // Co-partitioned fast path: when both sides are fresh scans of
-        // objects partitioned the same way on the join attributes, the
-        // global repartition is unnecessary — equal keys can only meet
-        // within the same partition index.
-        if let Some(out) = try_copart_hashjoin(ctx, &args, a1, a2, i1, i2)? {
-            return Ok(Value::Stream(out));
-        }
         let outer = &materialize(ctx, args[0].clone())?;
         let inner = &materialize(ctx, args[1].clone())?;
-        // Build on the inner side, keyed by the memcomparable encoding.
-        // With several workers, each builds a table over a contiguous
-        // inner chunk; merging in chunk order keeps every key's match
-        // list in serial insertion order, so probe output is identical
-        // to the single-threaded build.
-        let workers = ctx.engine.workers();
-        let par = workers > 1 && inner.len() + outer.len() >= crate::parallel::PAR_MIN_TUPLES;
-        type Table = std::collections::HashMap<Vec<u8>, Vec<usize>>;
-        let build = |base: usize, part: &[Value]| -> ExecResult<Table> {
-            let mut t: Table = Table::new();
-            for (j, tup) in part.iter().enumerate() {
-                let key = crate::handles::encode_key("hashjoin", &tup.as_tuple("hashjoin")?[i2])?;
-                t.entry(key).or_default().push(base + j);
-            }
-            Ok(t)
-        };
-        let mut table: Table = Table::new();
-        let parts = if par {
-            crate::parallel::par_chunks(inner, workers, build)
-        } else {
-            vec![build(0, inner)]
-        };
-        for p in parts {
-            for (k, mut v) in p? {
-                table.entry(k).or_default().append(&mut v);
-            }
+        // Build on the inner side, keyed by the memcomparable encoding,
+        // then probe with the outer side.
+        let mut table: std::collections::HashMap<Vec<u8>, Vec<usize>> = Default::default();
+        for (j, tup) in inner.iter().enumerate() {
+            let key = crate::handles::encode_key("hashjoin", &tup.as_tuple("hashjoin")?[i2])?;
+            table.entry(key).or_default().push(j);
         }
-        // Probe with the outer side, partitioned the same way.
-        let probe = |_: usize, part: &[Value]| -> ExecResult<Vec<Value>> {
-            let mut out = Vec::new();
-            for o in part {
-                let key = crate::handles::encode_key("hashjoin", &o.as_tuple("hashjoin")?[i1])?;
-                if let Some(matches) = table.get(&key) {
-                    for &m in matches {
-                        out.push(concat_tuples(o, &inner[m], "hashjoin")?);
-                    }
+        let mut out = Vec::new();
+        for o in outer {
+            let key = crate::handles::encode_key("hashjoin", &o.as_tuple("hashjoin")?[i1])?;
+            if let Some(matches) = table.get(&key) {
+                for &m in matches {
+                    out.push(concat_tuples(o, &inner[m], "hashjoin")?);
                 }
             }
-            Ok(out)
-        };
-        let parts = if par {
-            crate::parallel::par_chunks(outer, workers, probe)
-        } else {
-            vec![probe(0, outer)]
-        };
-        let mut out = Vec::new();
-        for p in parts {
-            out.append(&mut p?);
         }
-        ctx.engine.stats.record(
-            "hashjoin",
-            if par { workers } else { 1 },
-            inner.len() + outer.len(),
-            out.len(),
-            0,
-        );
+        ctx.engine
+            .stats
+            .record("hashjoin", 1, inner.len() + outer.len(), out.len());
         Ok(Value::Stream(out))
     });
 
@@ -343,7 +299,7 @@ pub fn register(e: &mut ExecEngine) {
             // `materialize`); the fold itself stays serial so that
             // floating-point accumulation order — and thus the result —
             // is bit-identical at every worker count.
-            ctx.engine.stats.record(agg, 1, tuples.len(), 1, 0);
+            ctx.engine.stats.record(agg, 1, tuples.len(), 1);
             aggregate(agg, tuples, idx)
         });
     }
@@ -352,113 +308,4 @@ pub fn register(e: &mut ExecEngine) {
     e.add_op("consume", |ctx, _, args| {
         Ok(Value::Rel(materialize(ctx, args[0].clone())?))
     });
-}
-
-/// The co-partitioned hash join: both inputs are fresh partition scans
-/// whose objects share one partitioning method, and the join attributes
-/// are the routing attributes. Tuples with equal (encoded) join keys
-/// route to the same partition index on both sides, so the join runs
-/// partition-against-partition — one build + probe per pair, scheduled
-/// across workers — with no global repartition. Output is grouped by
-/// partition (outer scan order within each); hash join output order is
-/// bag semantics either way.
-///
-/// Returns `Ok(None)` when the fast path does not apply; on `Some` both
-/// input cursors are consumed, exactly as the materializing path would.
-fn try_copart_hashjoin(
-    ctx: &mut crate::engine::EvalCtx,
-    args: &[Value],
-    a1: &sos_core::Symbol,
-    a2: &sos_core::Symbol,
-    i1: usize,
-    i2: usize,
-) -> ExecResult<Option<Vec<Value>>> {
-    let (Value::Cursor(ca), Value::Cursor(cb)) = (&args[0], &args[1]) else {
-        return Ok(None);
-    };
-    // A self-join over one shared cursor stays serial (and the second
-    // drain sees the stream already consumed, as ever).
-    if Arc::ptr_eq(ca, cb) {
-        return Ok(None);
-    }
-    let mut ga = ca.lock();
-    let mut gb = cb.lock();
-    let (ha, hb) = match (&*ga, &*gb) {
-        (
-            Cursor::PartScan {
-                handle: ha,
-                cursors: csa,
-                idx: 0,
-            },
-            Cursor::PartScan {
-                handle: hb,
-                cursors: csb,
-                idx: 0,
-            },
-        ) if csa.len() == ha.part_count() && csb.len() == hb.part_count() => {
-            (ha.clone(), hb.clone())
-        }
-        _ => return Ok(None),
-    };
-    if ha.spec.method != hb.spec.method || ha.spec.attr != *a1 || hb.spec.attr != *a2 {
-        return Ok(None);
-    }
-    // Both scans are consumed by this join, like any drained stream.
-    *ga = Cursor::Mat(Default::default());
-    *gb = Cursor::Mat(Default::default());
-    drop(ga);
-    drop(gb);
-    let n = ha.part_count();
-    let workers = ctx.engine.workers();
-    let join_one = |i: usize| -> ExecResult<(Vec<Value>, usize)> {
-        let inner = feed_value(&hb.parts[i])?;
-        let outer = feed_value(&ha.parts[i])?;
-        let mut table: std::collections::HashMap<Vec<u8>, Vec<usize>> = Default::default();
-        for (j, tup) in inner.iter().enumerate() {
-            let key = crate::handles::encode_key("hashjoin", &tup.as_tuple("hashjoin")?[i2])?;
-            table.entry(key).or_default().push(j);
-        }
-        let mut out = Vec::new();
-        for o in &outer {
-            let key = crate::handles::encode_key("hashjoin", &o.as_tuple("hashjoin")?[i1])?;
-            if let Some(matches) = table.get(&key) {
-                for &m in matches {
-                    out.push(concat_tuples(o, &inner[m], "hashjoin")?);
-                }
-            }
-        }
-        Ok((out, inner.len() + outer.len()))
-    };
-    let idxs: Vec<usize> = (0..n).collect();
-    let par = workers > 1 && n >= 2;
-    let chunks: Vec<ExecResult<(Vec<Value>, usize)>> = if par {
-        crate::parallel::par_chunks(&idxs, workers, |_, part| {
-            let mut out = Vec::new();
-            let mut read = 0;
-            for &i in part {
-                let (rows, r) = join_one(i)?;
-                out.extend(rows);
-                read += r;
-            }
-            Ok((out, read))
-        })
-    } else {
-        idxs.iter().map(|&i| join_one(i)).collect()
-    };
-    let mut out = Vec::new();
-    let mut read = 0;
-    for c in chunks {
-        let (mut rows, r) = c?;
-        out.append(&mut rows);
-        read += r;
-    }
-    ctx.engine.stats.record(
-        "hashjoin",
-        if par { workers } else { 1 },
-        read,
-        out.len(),
-        0,
-    );
-    ctx.engine.stats.record_partitions("hashjoin", n as u64, 0);
-    Ok(Some(out))
 }

@@ -13,15 +13,14 @@
 //! to the serial drain by construction — `tests/par_vs_serial.rs` checks
 //! this differentially.
 //!
-//! `workers == 1` (the default on single-core machines) never spawns:
-//! every hook here returns `None` and the caller drains on its own
-//! thread.
+//! [`try_par_fold`] is the engine's one parallel driver; no operator
+//! keeps a parallel copy of its serial loop. The engine starts with one
+//! worker ([`ExecEngine::new`]), and at `workers == 1` every entry point
+//! here returns `None`, so the caller drains on its own thread.
 
-use crate::compile::{compile_gated, CompiledFun};
 use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::ExecResult;
-use crate::ops::relational::concat_tuples;
-use crate::stream::{Cursor, ScanTally};
+use crate::stream::Cursor;
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_storage::heap::HeapFile;
@@ -36,39 +35,14 @@ pub const PAR_MIN_PAGES: usize = 2;
 pub const PAR_MIN_TUPLES: usize = 64;
 
 // ---------------------------------------------------------------------
-// Pure functions: closures safe to evaluate on worker threads.
+// Purity: closures safe to evaluate on worker threads.
 // ---------------------------------------------------------------------
 
-/// A closure proven context-free: its body touches no database object,
-/// applies only pure operators and attribute access, and contains no
-/// nested function values — so evaluating it reads neither the object
-/// store nor the catalog, and any thread may do so under a context of
-/// its own ([`with_worker_ctx`]).
-pub struct PureFun {
-    closure: Arc<Closure>,
-    compiled: Option<Arc<CompiledFun>>,
-}
-
-impl PureFun {
-    /// Verify purity; `None` means the closure needs the serial engine.
-    /// Compiles through the engine's gate like any other plan closure.
-    pub fn new(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<PureFun> {
-        is_pure_expr(engine, &closure.body).then(|| PureFun {
-            closure: closure.clone(),
-            compiled: compile_gated(engine, closure),
-        })
-    }
-
-    /// Apply to argument values: the bytecode when the closure
-    /// compiled, [`EvalCtx::call`] otherwise.
-    pub fn call(&self, ctx: &mut EvalCtx, args: &[Value]) -> ExecResult<Value> {
-        match &self.compiled {
-            Some(cf) => cf.call(args),
-            None => ctx.call(&self.closure, args.to_vec()),
-        }
-    }
-}
-
+/// Whether a closure body is context-free: it touches no database
+/// object, applies only pure operators and attribute access, and
+/// contains no nested function values — so evaluating it reads neither
+/// the object store nor the catalog, and any thread may do so under a
+/// context of its own ([`with_worker_ctx`]).
 fn is_pure_expr(engine: &ExecEngine, te: &TypedExpr) -> bool {
     match &te.node {
         TypedNode::Const(_) | TypedNode::Var(_) => true,
@@ -256,21 +230,26 @@ impl Cursor {
 }
 
 // ---------------------------------------------------------------------
-// Drain hooks: entry points called by the serial operators.
+// The driver and its two entry points.
 // ---------------------------------------------------------------------
 
 /// Try to fold a cursor's tuples in parallel on behalf of operator `op`.
 /// `None` falls back to the serial drain. Otherwise each worker folds
 /// the batches of its unit slice into a `T` with `fold`, `finish` turns
-/// the per-worker `T`s (in unit order) into the result plus the
-/// operator's `tuples_out`, and the cursor is left consumed (as a serial
-/// drain would). The first error in unit order wins.
+/// the per-worker `T`s (in unit order) into the result, and the cursor
+/// is left consumed (as a serial drain would). The first error in unit
+/// order wins.
+///
+/// The drain's batch traffic is recorded under `op`, as the serial drain
+/// records it. The caller records the invocation itself, with the same
+/// `tuples_in`/`tuples_out` as its serial branch and the engine's worker
+/// count, so a statement reports the same rows on either path.
 fn try_par_fold<T, R>(
     engine: &ExecEngine,
     cursor: &mut Cursor,
     op: &'static str,
     fold: impl Fn(&mut T, &mut Vec<Value>) + Sync,
-    finish: impl FnOnce(Vec<T>) -> (R, usize),
+    finish: impl FnOnce(Vec<T>) -> R,
 ) -> Option<ExecResult<R>>
 where
     T: Default + Send,
@@ -290,7 +269,7 @@ where
     }
     let spine: &Cursor = cursor;
     let chunks = par_chunks(&units, workers, |_, part| {
-        with_worker_ctx(engine, |ctx| -> ExecResult<(T, ScanTally, (u64, u64))> {
+        with_worker_ctx(engine, |ctx| -> ExecResult<(T, u64, u64)> {
             let mut acc = T::default();
             let (mut batches, mut rows) = (0, 0);
             for source in unit_cursors(part) {
@@ -301,7 +280,7 @@ where
                 batches += b;
                 rows += r;
             }
-            Ok((acc, ctx.scanned, (batches, rows)))
+            Ok((acc, batches, rows))
         })
     });
     // Collecting surfaces the first error in unit order.
@@ -309,22 +288,17 @@ where
         .into_iter()
         .collect::<ExecResult<Vec<_>>>()
         .map(|chunks| {
-            let mut accs = Vec::with_capacity(chunks.len());
-            let mut scanned = ScanTally::default();
             let (mut batches, mut rows) = (0, 0);
-            for (acc, tally, (b, r)) in chunks {
-                accs.push(acc);
-                scanned.rows += tally.rows;
-                scanned.pages += tally.pages;
-                batches += b;
-                rows += r;
-            }
-            let (out, tuples_out) = finish(accs);
-            engine
-                .stats
-                .record(op, workers, scanned.rows, tuples_out, scanned.pages);
+            let accs = chunks
+                .into_iter()
+                .map(|(acc, b, r)| {
+                    batches += b;
+                    rows += r;
+                    acc
+                })
+                .collect();
             engine.stats.record_batches(op, batches, rows);
-            out
+            finish(accs)
         });
     if result.is_ok() {
         *cursor = Cursor::Mat(Default::default());
@@ -332,7 +306,7 @@ where
     Some(result)
 }
 
-/// Try to drain a cursor in parallel, recorded as an invocation of `op`
+/// Try to drain a cursor in parallel, its batches recorded under `op`
 /// (see [`try_par_fold`]): the tuples come back in serial scan order.
 pub fn try_par_drain(
     engine: &ExecEngine,
@@ -344,14 +318,7 @@ pub fn try_par_drain(
         cursor,
         op,
         |acc: &mut Vec<Value>, batch| acc.append(batch),
-        |accs| {
-            let mut out = Vec::with_capacity(accs.iter().map(Vec::len).sum());
-            for mut acc in accs {
-                out.append(&mut acc);
-            }
-            let n = out.len();
-            (out, n)
-        },
+        |accs| accs.into_iter().flatten().collect(),
     )
 }
 
@@ -363,190 +330,9 @@ pub fn try_par_count(engine: &ExecEngine, cursor: &mut Cursor) -> Option<ExecRes
         cursor,
         "count",
         |n: &mut i64, batch| *n += batch.len() as i64,
-        // `count` emits one value; tuples_out = 1 matches the serial path.
-        |accs| (accs.into_iter().sum(), 1),
+        |accs| accs.into_iter().sum(),
     )
 }
-
-// ---------------------------------------------------------------------
-// Parallel search join.
-// ---------------------------------------------------------------------
-
-/// The recognized shapes of a `search_join` parameter function whose
-/// inner side is *outer-invariant* (references no outer-tuple variable):
-///
-/// * `fun (o) SRC filter[fun (d) PRED]` — the inner source evaluates
-///   once, `PRED(o, d)` must be pure; workers then join outer chunks
-///   against the materialized inner side.
-/// * `fun (o) SRC exactmatch[K] / point_search[K] / overlap_search[K]`
-///   — the index handle evaluates once, the key expression `K(o)` must
-///   be pure; workers probe the index (partition-pruned for partitioned
-///   indexes) per outer tuple.
-enum SjInner {
-    FilterMat {
-        pred: PureFun,
-    },
-    Probe {
-        probe: crate::ops::indexes::ProbeFn,
-        key: PureFun,
-    },
-}
-
-/// Whether `name` occurs as a variable anywhere in `te`. Conservative:
-/// shadowing is ignored, so a shadowed occurrence still counts as a use
-/// (which only ever disables the rewrite).
-fn expr_refs_var(te: &TypedExpr, name: &sos_core::Symbol) -> bool {
-    let mut found = false;
-    te.visit(&mut |n| found |= matches!(&n.node, TypedNode::Var(v) if v == name));
-    found
-}
-
-/// Try to run a `search_join` cursor data-parallel. `None` falls back to
-/// the serial nested-loop drain; `Some` returns the joined tuples in
-/// serial order and leaves the cursor consumed.
-///
-/// The rewrite applies when the parameter function's inner source is
-/// outer-invariant (see [`SjInner`]): the source is evaluated *once*
-/// under the closure's captured environment instead of once per outer
-/// tuple, and the per-tuple work (pure predicate or pure key + index
-/// probe) runs on worker threads over outer chunks. Per-tuple probe
-/// results keep the serial operator's order, so concatenation in chunk
-/// order reproduces the serial join exactly.
-pub fn try_par_search_join(
-    ctx: &mut crate::engine::EvalCtx,
-    cursor: &mut Cursor,
-) -> Option<ExecResult<Vec<Value>>> {
-    if let Cursor::Shared(arc) = cursor {
-        let arc = arc.clone();
-        let mut guard = arc.lock();
-        return try_par_search_join(ctx, &mut guard);
-    }
-    let engine = ctx.engine;
-    let workers = engine.workers();
-    if workers <= 1 {
-        return None;
-    }
-    let Cursor::SearchJoin {
-        outer,
-        fun,
-        current_outer: None,
-        inner,
-    } = cursor
-    else {
-        return None;
-    };
-    if !inner.is_empty() {
-        return None;
-    }
-    let [(outer_param, outer_ty)] = &fun.params[..] else {
-        return None;
-    };
-    let TypedNode::Apply { op, args, .. } = &fun.body.node else {
-        return None;
-    };
-    let [src, second] = args.as_slice() else {
-        return None;
-    };
-    if expr_refs_var(src, outer_param) {
-        return None;
-    }
-    let plan = match op.as_str() {
-        "filter" => {
-            let TypedNode::Lambda { params, body } = &second.node else {
-                return None;
-            };
-            let [inner_param] = &params[..] else {
-                return None;
-            };
-            let pred = Arc::new(Closure {
-                params: [(outer_param.clone(), outer_ty.clone()), inner_param.clone()].into(),
-                body: body.clone(),
-                captured: fun.captured.clone(),
-            });
-            SjInner::FilterMat {
-                pred: PureFun::new(engine, &pred)?,
-            }
-        }
-        op => {
-            let (_, probe) = *crate::ops::indexes::PROBE_OPS
-                .iter()
-                .find(|(name, _)| *name == op)?;
-            let key = Arc::new(Closure {
-                params: fun.params.clone(),
-                body: Arc::new(second.clone()),
-                captured: fun.captured.clone(),
-            });
-            SjInner::Probe {
-                probe,
-                key: PureFun::new(engine, &key)?,
-            }
-        }
-    };
-    // Evaluate the outer-invariant inner source once, under the closure's
-    // captured environment (exactly the environment the serial per-tuple
-    // evaluation would see, minus the unused outer binding).
-    let src_closure = Closure {
-        params: Arc::new([]),
-        body: Arc::new(src.clone()),
-        captured: fun.captured.clone(),
-    };
-    let mut run = || -> ExecResult<Vec<Value>> {
-        let src_value = ctx.call(&src_closure, Vec::new())?;
-        let outer_tuples = outer.drain_any(ctx)?;
-        let (src_value, inner_tuples) = match &plan {
-            SjInner::FilterMat { .. } => (
-                Value::Undefined,
-                crate::stream::materialize(ctx, src_value)?,
-            ),
-            SjInner::Probe { .. } => (src_value, Vec::new()),
-        };
-        let chunks = par_chunks(&outer_tuples, workers, |_, part| {
-            with_worker_ctx(engine, |ctx| -> ExecResult<Vec<Value>> {
-                let mut out = Vec::new();
-                for o in part {
-                    match &plan {
-                        SjInner::FilterMat { pred } => {
-                            for i in &inner_tuples {
-                                if pred.call(ctx, &[o.clone(), i.clone()])?.as_bool("filter")? {
-                                    out.push(concat_tuples(o, i, "search_join")?);
-                                }
-                            }
-                        }
-                        SjInner::Probe { probe, key } => {
-                            let k = key.call(ctx, std::slice::from_ref(o))?;
-                            let hits = match probe(engine, &src_value, &k)? {
-                                Value::Stream(ts) => ts,
-                                cursor => crate::stream::into_cursor(cursor)?.scan_all()?,
-                            };
-                            for m in &hits {
-                                out.push(concat_tuples(o, m, "search_join")?);
-                            }
-                        }
-                    }
-                }
-                Ok(out)
-            })
-        });
-        let out = merge_chunks(chunks)?;
-        engine.stats.record(
-            "search_join",
-            workers,
-            outer_tuples.len() + inner_tuples.len(),
-            out.len(),
-            0,
-        );
-        Ok(out)
-    };
-    let result = run();
-    if result.is_ok() {
-        *cursor = Cursor::Mat(Default::default());
-    }
-    Some(result)
-}
-
-// ---------------------------------------------------------------------
-// Chunked evaluation over in-memory tuple slices.
-// ---------------------------------------------------------------------
 
 /// Run `f` over contiguous chunks of `items` on scoped worker threads,
 /// returning per-chunk results in chunk order (so concatenation
@@ -579,63 +365,31 @@ where
     })
 }
 
-/// Flatten chunk results, surfacing the first error in chunk order.
-fn merge_chunks(chunks: Vec<ExecResult<Vec<Value>>>) -> ExecResult<Vec<Value>> {
-    let mut out = Vec::new();
-    for c in chunks {
-        out.append(&mut c?);
-    }
-    Ok(out)
-}
-
-/// Parallel nested-loop `join`: partitions the left side, each worker
-/// joins its chunk against the whole right side.
-pub fn try_par_join(
-    engine: &ExecEngine,
-    left: &[Value],
-    right: &[Value],
-    pred: &Value,
-) -> Option<ExecResult<Vec<Value>>> {
-    let workers = engine.workers();
-    if workers <= 1 || left.len().saturating_mul(right.len()) < PAR_MIN_TUPLES {
-        return None;
-    }
-    let fun = PureFun::new(engine, pred.as_closure("join").ok()?)?;
-    let chunks = par_chunks(left, workers, |_, part| {
-        with_worker_ctx(engine, |ctx| -> ExecResult<Vec<Value>> {
-            let mut out = Vec::new();
-            for l in part {
-                for r in right {
-                    if fun.call(ctx, &[l.clone(), r.clone()])?.as_bool("join")? {
-                        out.push(concat_tuples(l, r, "join")?);
-                    }
-                }
-            }
-            Ok(out)
-        })
-    });
-    let out = merge_chunks(chunks);
-    if let Ok(joined) = &out {
-        engine
-            .stats
-            .record("join", workers, left.len() + right.len(), joined.len(), 0);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ExecError;
     use crate::testing::{apply, engine};
     use sos_core::{Const, DataType, Symbol};
+    use sos_storage::{mem_pool, BufferPool, DiskManager, MemDisk, StorageError, StorageResult};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn int_ty() -> DataType {
-        DataType::Cons(Symbol::new("int"), vec![])
+        DataType::atom("int")
     }
 
-    fn closure_of(body: TypedExpr) -> Arc<Closure> {
+    fn cint(v: i64) -> TypedExpr {
+        TypedExpr::new(TypedNode::Const(Const::Int(v)), int_ty())
+    }
+
+    fn var(name: &str) -> TypedExpr {
+        TypedExpr::new(TypedNode::Var(Symbol::new(name)), int_ty())
+    }
+
+    /// `fun (param) body`; the parameter type does not affect evaluation.
+    fn closure_of(param: &str, body: TypedExpr) -> Arc<Closure> {
         Arc::new(Closure {
-            params: [(Symbol::new("x"), int_ty())].into(),
+            params: [(Symbol::new(param), int_ty())].into(),
             body: Arc::new(body),
             captured: vec![],
         })
@@ -644,44 +398,31 @@ mod tests {
     #[test]
     fn identity_and_arithmetic_closures_are_pure() {
         let e = engine();
-        let var = TypedExpr::new(TypedNode::Var(Symbol::new("x")), int_ty());
-        let body = apply(
-            "+",
-            vec![
-                var.clone(),
-                TypedExpr::new(TypedNode::Const(Const::Int(1)), int_ty()),
-            ],
-            int_ty(),
-        );
-        let f = PureFun::new(&e, &closure_of(body)).expect("x + 1 is pure");
-        let got = with_worker_ctx(&e, |ctx| f.call(ctx, &[Value::Int(41)]));
+        let body = apply("+", vec![var("x"), cint(1)], int_ty());
+        assert!(is_pure_expr(&e, &body), "x + 1 is pure");
+        assert!(is_pure_expr(&e, &var("x")));
+        // A worker evaluates it under a context of its own.
+        let got = with_worker_ctx(&e, |ctx| {
+            ctx.call(&closure_of("x", body), vec![Value::Int(41)])
+        });
         assert_eq!(got.unwrap(), Value::Int(42));
-        assert!(PureFun::new(&e, &closure_of(var)).is_some());
     }
 
     #[test]
     fn object_references_are_impure() {
-        let e = engine();
         let body = TypedExpr::new(TypedNode::Object(Symbol::new("cities")), int_ty());
-        assert!(PureFun::new(&e, &closure_of(body)).is_none());
+        assert!(!is_pure_expr(&engine(), &body));
     }
 
     #[test]
     fn overriding_an_atomic_op_revokes_purity() {
         let mut e = engine();
-        let body = apply(
-            "+",
-            vec![
-                TypedExpr::new(TypedNode::Var(Symbol::new("x")), int_ty()),
-                TypedExpr::new(TypedNode::Const(Const::Int(1)), int_ty()),
-            ],
-            int_ty(),
-        );
-        assert!(PureFun::new(&e, &closure_of(body.clone())).is_some());
-        // A user override of `+` may do anything; the pure evaluator must
-        // no longer claim it.
+        let body = apply("+", vec![var("x"), cint(1)], int_ty());
+        assert!(is_pure_expr(&e, &body));
+        // A user override of `+` may do anything; the driver must no
+        // longer send it to a worker.
         e.add_op("+", |_, _, _| Ok(Value::Int(0)));
-        assert!(PureFun::new(&e, &closure_of(body)).is_none());
+        assert!(!is_pure_expr(&e, &body));
     }
 
     #[test]
@@ -699,6 +440,239 @@ mod tests {
             });
             let flat: Vec<i64> = chunks.into_iter().flatten().collect();
             assert_eq!(flat, items.iter().map(|v| v * 2).collect::<Vec<_>>());
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The driver over heap scans.
+    // -----------------------------------------------------------------
+
+    /// The encoded tuple `(k, pad)` with a pad of `pad` bytes.
+    fn item(k: usize, pad: usize) -> Vec<u8> {
+        let t = Value::tuple(vec![Value::Int(k as i64), Value::Str("x".repeat(pad))]);
+        t.encode_tuple("test").unwrap()
+    }
+
+    /// `n` tuples with 100–399-byte pads: a few dozen per page.
+    fn filled_heap(n: usize) -> Arc<HeapFile> {
+        let heap = HeapFile::create(mem_pool(256)).unwrap();
+        for k in 0..n {
+            heap.insert(&item(k, 100 + k % 300)).unwrap();
+        }
+        Arc::new(heap)
+    }
+
+    fn key(t: &Value) -> i64 {
+        match t.as_tuple("test").unwrap()[0] {
+            Value::Int(k) => k,
+            ref other => panic!("not an int key: {other:?}"),
+        }
+    }
+
+    fn engine_with(workers: usize) -> ExecEngine {
+        let mut e = engine();
+        e.set_workers(workers);
+        e
+    }
+
+    fn scan(heap: &Arc<HeapFile>) -> Cursor {
+        Cursor::heap_scan(heap.clone())
+    }
+
+    /// `fun (t) t k mod m = 0` over the `(k, pad)` tuple.
+    fn k_mod_is_zero(m: i64) -> Arc<Closure> {
+        let k = TypedNode::Field {
+            attr: Symbol::new("k"),
+            spec: 0,
+            idx: 0,
+            arg: Box::new(var("t")),
+        };
+        let modulo = apply("mod", vec![TypedExpr::new(k, int_ty()), cint(m)], int_ty());
+        closure_of(
+            "t",
+            apply("=", vec![modulo, cint(0)], DataType::atom("bool")),
+        )
+    }
+
+    #[test]
+    fn parallel_count_matches_sequential() {
+        let heap = filled_heap(5000);
+        let sequential = heap.count().unwrap() as i64;
+        assert!(try_par_count(&engine_with(1), &mut scan(&heap)).is_none());
+        for workers in [2, 4, 8] {
+            let got = try_par_count(&engine_with(workers), &mut scan(&heap)).expect("splits");
+            assert_eq!(got.unwrap(), sequential, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn parallel_filter_matches_sequential() {
+        let heap = filled_heap(3000);
+        let e = engine_with(4);
+        let mut c = Cursor::filter(&e, scan(&heap), k_mod_is_zero(3));
+        let got = try_par_count(&e, &mut c).expect("a pure filter splits");
+        assert_eq!(got.unwrap(), 1000);
+    }
+
+    #[test]
+    fn parallel_scan_on_empty_heap() {
+        // No pages, no units: the driver declines and the serial drain
+        // finds nothing.
+        let heap = Arc::new(HeapFile::create(mem_pool(8)).unwrap());
+        assert!(try_par_count(&engine_with(4), &mut scan(&heap)).is_none());
+        assert!(scan(&heap).scan_all().unwrap().is_empty());
+    }
+
+    #[test]
+    fn parallel_fold_collects_all_tids() {
+        let heap = filled_heap(500);
+        let rows = try_par_drain(&engine_with(3), &mut scan(&heap), "feed").expect("splits");
+        let mut keys: Vec<i64> = rows.unwrap().iter().map(key).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            (0..500).collect::<Vec<_>>(),
+            "each record exactly once"
+        );
+    }
+
+    #[test]
+    fn more_threads_than_pages() {
+        // Each worker gets at most one page; excess workers get none.
+        let heap = filled_heap(100);
+        let pages = heap.pages().len();
+        assert!(pages >= PAR_MIN_PAGES, "need a multi-page heap");
+        let e = engine_with(pages + 13);
+        assert_eq!(try_par_count(&e, &mut scan(&heap)).unwrap().unwrap(), 100);
+        let rows = try_par_drain(&e, &mut scan(&heap), "feed")
+            .unwrap()
+            .unwrap();
+        assert_eq!(rows, scan(&heap).scan_all().unwrap());
+    }
+
+    #[test]
+    fn single_page_heap() {
+        // One page is one unit, below the split floor at every worker
+        // count: the serial drain yields the records in insertion order.
+        let heap = Arc::new(HeapFile::create(mem_pool(8)).unwrap());
+        for k in 0..5 {
+            heap.insert(&item(k, 10)).unwrap();
+        }
+        assert_eq!(heap.pages().len(), 1);
+        for workers in [1, 2, 8] {
+            assert!(try_par_count(&engine_with(workers), &mut scan(&heap)).is_none());
+        }
+        let keys: Vec<i64> = scan(&heap).scan_all().unwrap().iter().map(key).collect();
+        assert_eq!(keys, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn par_collect_preserves_serial_order() {
+        let heap = filled_heap(2000);
+        let serial = scan(&heap).scan_all().unwrap();
+        for workers in [2, 3, 8] {
+            let e = engine_with(workers);
+            let got = try_par_drain(&e, &mut scan(&heap), "feed").expect("splits");
+            assert_eq!(got.unwrap(), serial, "workers={workers}");
+            // Its batches carry exactly the rows the serial drain would.
+            assert_eq!(e.stats.op("feed").batched_rows, 2000);
+        }
+    }
+
+    #[test]
+    fn par_filter_collect_preserves_serial_order() {
+        let heap = filled_heap(2000);
+        let mut serial = scan(&heap).scan_all().unwrap();
+        serial.retain(|t| key(t) % 7 == 0);
+        for workers in [2, 4] {
+            let e = engine_with(workers);
+            let mut c = Cursor::filter(&e, scan(&heap), k_mod_is_zero(7));
+            let got = try_par_drain(&e, &mut c, "feed").expect("a pure filter splits");
+            assert_eq!(got.unwrap(), serial, "workers={workers}");
+        }
+    }
+
+    /// A disk that serves a limited number of reads, then fails every
+    /// further one with the page it was asked for.
+    struct FuseDisk {
+        inner: MemDisk,
+        reads_left: AtomicUsize,
+    }
+
+    impl DiskManager for FuseDisk {
+        fn read_page(&self, pid: PageId, buf: &mut [u8]) -> StorageResult<()> {
+            let burned = self
+                .reads_left
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                .is_err();
+            if burned {
+                return Err(StorageError::PageOutOfBounds(pid));
+            }
+            self.inner.read_page(pid, buf)
+        }
+        fn write_page(&self, pid: PageId, buf: &[u8]) -> StorageResult<()> {
+            self.inner.write_page(pid, buf)
+        }
+        fn allocate_page(&self) -> StorageResult<PageId> {
+            self.inner.allocate_page()
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// A multi-page heap on a fuse disk, reopened behind a cold pool so
+    /// that every page a scan touches is a disk read.
+    fn fused_heap() -> (Arc<FuseDisk>, Arc<HeapFile>) {
+        let disk = Arc::new(FuseDisk {
+            inner: MemDisk::new(),
+            reads_left: AtomicUsize::new(usize::MAX),
+        });
+        let pool = Arc::new(BufferPool::new(disk.clone(), 64));
+        let heap = HeapFile::create(pool.clone()).unwrap();
+        for k in 0..200 {
+            heap.insert(&item(k, 300)).unwrap();
+        }
+        pool.flush_all().unwrap();
+        assert!(heap.pages().len() > 4, "need a multi-page heap");
+        let cold = Arc::new(BufferPool::new(disk.clone(), 2));
+        (disk, Arc::new(HeapFile::from_pages(cold, heap.pages())))
+    }
+
+    #[test]
+    fn worker_error_propagates_without_panicking() {
+        let (disk, heap) = fused_heap();
+        disk.reads_left.store(0, Ordering::SeqCst);
+        let parallel = try_par_count(&engine_with(4), &mut scan(&heap)).expect("splits");
+        let serial = scan(&heap).scan_all();
+        for res in [parallel.map(|_| ()), serial.map(|_| ())] {
+            assert!(
+                matches!(
+                    res,
+                    Err(ExecError::Storage(StorageError::PageOutOfBounds(_)))
+                ),
+                "expected the injected fault, got {res:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn first_error_in_page_order_wins() {
+        // Every worker's first read fails. Whichever fails first in
+        // wall-clock time, the error surfaced is the first chunk's: the
+        // heap's first page.
+        let (disk, heap) = fused_heap();
+        disk.reads_left.store(0, Ordering::SeqCst);
+        for workers in [2, 8] {
+            match try_par_count(&engine_with(workers), &mut scan(&heap)) {
+                Some(Err(ExecError::Storage(StorageError::PageOutOfBounds(pid)))) => {
+                    assert_eq!(pid, heap.pages()[0], "workers={workers}");
+                }
+                other => panic!("expected the injected fault, got {other:?}"),
+            }
         }
     }
 }

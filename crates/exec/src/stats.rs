@@ -2,10 +2,10 @@
 //!
 //! The buffer pool's [`sos_storage::PoolStats`] measures page traffic
 //! for the whole engine; `ExecStats` adds an operator-level view: how
-//! many tuples flowed into and out of each operator, how many heap pages
-//! its scans touched, and how many workers the parallel executor
-//! actually used. Tests and the `sos` shell's `.stats` command read this
-//! to observe whether the parallel path ran.
+//! many tuples flowed into and out of each operator, and how many
+//! workers the parallel executor actually used. Tests and the `sos`
+//! shell's `.stats` command read this to observe whether the parallel
+//! path ran.
 
 use crate::compile::Fallback;
 use parking_lot::Mutex;
@@ -19,13 +19,11 @@ pub struct OpStats {
     pub invocations: u64,
     /// Times the operator took a parallel path (workers > 1).
     pub parallel_invocations: u64,
-    /// Tuples consumed (for scans: records read before filtering).
+    /// Tuples that reached the operator, on the serial and the parallel
+    /// path alike.
     pub tuples_in: u64,
     /// Tuples produced.
     pub tuples_out: u64,
-    /// Heap pages scanned (parallel paths only; serial cursors account
-    /// their page traffic through `PoolStats`).
-    pub pages_scanned: u64,
     /// The largest worker count any invocation actually used.
     pub max_workers: u64,
     /// Batches emitted by the vectorized path (0 = tuple-at-a-time).
@@ -48,14 +46,13 @@ impl OpStats {
 }
 
 impl OpStats {
-    fn absorb(&mut self, workers: usize, tuples_in: usize, tuples_out: usize, pages: usize) {
+    fn absorb(&mut self, workers: usize, tuples_in: usize, tuples_out: usize) {
         self.invocations += 1;
         if workers > 1 {
             self.parallel_invocations += 1;
         }
         self.tuples_in += tuples_in as u64;
         self.tuples_out += tuples_out as u64;
-        self.pages_scanned += pages as u64;
         self.max_workers = self.max_workers.max(workers as u64);
     }
 }
@@ -123,19 +120,12 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Record one operator invocation.
-    pub fn record(
-        &self,
-        op: &'static str,
-        workers: usize,
-        tuples_in: usize,
-        tuples_out: usize,
-        pages: usize,
-    ) {
+    pub fn record(&self, op: &'static str, workers: usize, tuples_in: usize, tuples_out: usize) {
         self.ops
             .lock()
             .entry(op)
             .or_default()
-            .absorb(workers, tuples_in, tuples_out, pages);
+            .absorb(workers, tuples_in, tuples_out);
     }
 
     /// Record batch traffic for an operator that drained its input
@@ -227,14 +217,13 @@ mod tests {
     #[test]
     fn record_accumulates_and_tracks_parallelism() {
         let s = ExecStats::default();
-        s.record("count", 1, 100, 1, 0);
-        s.record("count", 4, 200, 1, 7);
+        s.record("count", 1, 100, 1);
+        s.record("count", 4, 200, 1);
         let c = s.op("count");
         assert_eq!(c.invocations, 2);
         assert_eq!(c.parallel_invocations, 1);
         assert_eq!(c.tuples_in, 300);
         assert_eq!(c.tuples_out, 2);
-        assert_eq!(c.pages_scanned, 7);
         assert_eq!(c.max_workers, 4);
         assert_eq!(s.op("feed"), OpStats::default());
         assert_eq!(s.get("feed"), None);

@@ -25,16 +25,6 @@ use sos_storage::PageId;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Rows decoded and pages visited by the scan sources pulled under one
-/// [`EvalCtx`]. Each worker of a parallel drain owns its context, so
-/// the sum over workers is what the drain reports as its operator's
-/// `tuples_in` / `pages_scanned`.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ScanTally {
-    pub rows: usize,
-    pub pages: usize,
-}
-
 /// A pull-based tuple stream.
 pub enum Cursor {
     /// Materialized tuples (the degenerate cursor).
@@ -252,7 +242,7 @@ impl Cursor {
             | Cursor::Heap { .. }
             | Cursor::BTreeRange { .. }
             | Cursor::PartScan { .. } => {
-                self.scan_into(n, out, &mut ctx.scanned)?;
+                self.scan_into(n, out)?;
             }
             Cursor::Filter {
                 input,
@@ -437,19 +427,13 @@ impl Cursor {
     /// past `n` into the cursor's buffer). Sources read storage only, so
     /// callers without an evaluation context ([`Cursor::scan_all`]) pull
     /// them here directly.
-    pub(crate) fn scan_into(
-        &mut self,
-        n: usize,
-        out: &mut Vec<Value>,
-        tally: &mut ScanTally,
-    ) -> ExecResult<usize> {
+    pub(crate) fn scan_into(&mut self, n: usize, out: &mut Vec<Value>) -> ExecResult<usize> {
         let start = out.len();
         let target = start + n.max(1);
         match self {
             Cursor::Mat(buf) => {
                 let take = n.min(buf.len());
                 out.extend(buf.drain(..take));
-                tally.rows += take;
             }
             Cursor::Heap {
                 heap,
@@ -467,7 +451,6 @@ impl Cursor {
                     }
                     let page = pages[*page_idx];
                     *page_idx += 1;
-                    let before = out.len();
                     heap.visit_page::<ExecError, _>(page, |_, bytes| {
                         let v = Value::decode_tuple(bytes)?;
                         if out.len() < target {
@@ -477,8 +460,6 @@ impl Cursor {
                         }
                         Ok(())
                     })?;
-                    tally.pages += 1;
-                    tally.rows += out.len() - before + buf.len();
                 }
             }
             Cursor::BTreeRange {
@@ -510,7 +491,6 @@ impl Cursor {
                             }
                         }
                     };
-                    let before = out.len();
                     let mut past_hi = false;
                     let next = handle.tree.visit_leaf::<ExecError, _>(pid, |k, bytes| {
                         if past_hi || k < lo.as_slice() {
@@ -529,8 +509,6 @@ impl Cursor {
                         Ok(())
                     })?;
                     *next_page = next;
-                    tally.pages += 1;
-                    tally.rows += out.len() - before + buf.len();
                     // `done` stops further page reads; buffered tuples
                     // still drain through the loop head above.
                     if past_hi || next.is_none() {
@@ -543,7 +521,7 @@ impl Cursor {
                     let Some(c) = cursors.get_mut(*idx) else {
                         break;
                     };
-                    if c.scan_into(target - out.len(), out, tally)? == 0 {
+                    if c.scan_into(target - out.len(), out)? == 0 {
                         *idx += 1;
                     }
                 }
@@ -558,8 +536,7 @@ impl Cursor {
     /// Drain a scan source to its tuples (see [`Cursor::scan_into`]).
     pub(crate) fn scan_all(mut self) -> ExecResult<Vec<Value>> {
         let mut out = Vec::new();
-        let mut tally = ScanTally::default();
-        while self.scan_into(crate::engine::DEFAULT_BATCH, &mut out, &mut tally)? > 0 {}
+        while self.scan_into(crate::engine::DEFAULT_BATCH, &mut out)? > 0 {}
         Ok(out)
     }
 
@@ -615,15 +592,18 @@ impl Cursor {
 
     /// Drain the remaining tuples, data-parallel when the spine allows
     /// (see [`crate::parallel`]); the result is identical to the serial
-    /// drain, in the same order.
+    /// drain, in the same order, and so are the rows it records.
     pub(crate) fn drain_any(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
-        if let Some(res) = crate::parallel::try_par_drain(ctx.engine, self, "feed") {
-            return res;
-        }
-        if let Some(res) = crate::parallel::try_par_search_join(ctx, self) {
-            return res;
-        }
-        self.drain(ctx)
+        let Some(res) = crate::parallel::try_par_drain(ctx.engine, self, "materialize") else {
+            return self.drain(ctx);
+        };
+        let out = res?;
+        // The serial drain records no `materialize` invocation; the
+        // parallel one records its worker count, with no tuples.
+        ctx.engine
+            .stats
+            .record("materialize", ctx.engine.workers(), 0, 0);
+        Ok(out)
     }
 }
 

@@ -166,13 +166,8 @@ impl std::fmt::Display for MetricsSnapshot {
 /// `.metrics` and `Explain` output.
 pub fn op_line(s: &OpStats) -> String {
     let mut line = format!(
-        "{} run(s) ({} parallel), {} in / {} out, {} page(s), max {} worker(s)",
-        s.invocations,
-        s.parallel_invocations,
-        s.tuples_in,
-        s.tuples_out,
-        s.pages_scanned,
-        s.max_workers
+        "{} run(s) ({} parallel), {} in / {} out, max {} worker(s)",
+        s.invocations, s.parallel_invocations, s.tuples_in, s.tuples_out, s.max_workers
     );
     if s.batches > 0 {
         line.push_str(&format!(
@@ -310,7 +305,6 @@ pub(crate) fn op_json(name: &str, s: &OpStats) -> String {
         .u64("parallel_invocations", s.parallel_invocations)
         .u64("tuples_in", s.tuples_in)
         .u64("tuples_out", s.tuples_out)
-        .u64("pages_scanned", s.pages_scanned)
         .u64("max_workers", s.max_workers)
         .u64("batches", s.batches)
         .u64("batched_rows", s.batched_rows)
@@ -351,7 +345,6 @@ pub fn ops_delta(
                 parallel_invocations: a.parallel_invocations - b.parallel_invocations,
                 tuples_in: a.tuples_in - b.tuples_in,
                 tuples_out: a.tuples_out - b.tuples_out,
-                pages_scanned: a.pages_scanned - b.pages_scanned,
                 max_workers: a.max_workers,
                 batches: a.batches - b.batches,
                 batched_rows: a.batched_rows - b.batched_rows,

@@ -137,8 +137,7 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Scan only the given pages (used by the parallel scan to give each
-    /// worker a disjoint page subset).
+    /// Scan only the given pages, in the order given.
     pub fn scan_pages(&self, pages: Vec<PageId>) -> HeapScan<'_> {
         HeapScan {
             heap: self,

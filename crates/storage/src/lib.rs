@@ -30,7 +30,6 @@ pub mod field;
 pub mod heap;
 pub mod keys;
 pub mod lsdtree;
-pub mod parallel;
 pub mod scheduler;
 pub mod wal;
 

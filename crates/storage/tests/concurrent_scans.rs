@@ -1,11 +1,12 @@
-//! Buffer pool behavior under concurrent parallel scans: pins must all
-//! be released, counters must stay consistent (`requests = hits +
+//! Buffer pool behavior under concurrent heap scans: pins must all be
+//! released, counters must stay consistent (`requests = hits +
 //! misses`), and every scan must see every record, with and without
-//! eviction pressure.
+//! eviction pressure. Each scan splits the heap's pages over scoped
+//! threads, as a parallel drain does, so scans race one another and
+//! themselves on the shared pool.
 
 use sos_storage::heap::HeapFile;
-use sos_storage::parallel::{par_count, par_scan};
-use sos_storage::{BufferPool, MemDisk, PoolStats};
+use sos_storage::{BufferPool, MemDisk, PoolStats, TupleId};
 use std::sync::Arc;
 
 fn filled_heap(pool: Arc<BufferPool>, n: usize) -> Arc<HeapFile> {
@@ -25,6 +26,30 @@ fn assert_consistent(s: &PoolStats) {
     );
 }
 
+/// Scan `heap` through its public API with `threads` scoped threads,
+/// each over a contiguous run of its pages; the tuple ids come back in
+/// page order.
+fn split_scan(heap: &HeapFile, threads: usize) -> Vec<TupleId> {
+    let pages = heap.pages();
+    let chunk = pages.len().div_ceil(threads).max(1);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = pages
+            .chunks(chunk)
+            .map(|part| {
+                scope.spawn(move || {
+                    heap.scan_pages(part.to_vec())
+                        .map(|r| r.expect("scan").0)
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("scan thread panicked"))
+            .collect()
+    })
+}
+
 #[test]
 fn concurrent_par_scans_release_all_pins() {
     let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 256));
@@ -34,7 +59,7 @@ fn concurrent_par_scans_release_all_pins() {
         for _ in 0..n_scans {
             let heap = heap.clone();
             scope.spawn(move || {
-                assert_eq!(par_count(&heap, 4, |_| true).unwrap(), 2000);
+                assert_eq!(split_scan(&heap, 4).len(), 2000);
             });
         }
     });
@@ -48,7 +73,7 @@ fn concurrent_par_scans_release_all_pins() {
 
 #[test]
 fn concurrent_par_scans_under_eviction_pressure() {
-    // A pool far smaller than the file: concurrent workers constantly
+    // A pool far smaller than the file: concurrent scans constantly
     // evict each other's pages. Counts must stay exact, pins must drain,
     // and the hit/miss split must still account for every request.
     let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 8));
@@ -62,7 +87,7 @@ fn concurrent_par_scans_under_eviction_pressure() {
         for _ in 0..6 {
             let heap = heap.clone();
             scope.spawn(move || {
-                assert_eq!(par_count(&heap, 3, |_| true).unwrap(), 1500);
+                assert_eq!(split_scan(&heap, 3).len(), 1500);
             });
         }
     });
@@ -78,7 +103,7 @@ fn concurrent_par_scans_under_eviction_pressure() {
 
 #[test]
 fn concurrent_mixed_readers_see_exactly_once_semantics() {
-    // Several concurrent parallel folds, each collecting tuple ids: every
+    // Several concurrent split scans, each collecting tuple ids: every
     // scan independently sees each record exactly once.
     let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
     let heap = filled_heap(pool.clone(), 800);
@@ -87,16 +112,7 @@ fn concurrent_mixed_readers_see_exactly_once_semantics() {
             .map(|_| {
                 let heap = heap.clone();
                 scope.spawn(move || {
-                    let tids = par_scan(
-                        &heap,
-                        4,
-                        |tid, _| vec![tid],
-                        |mut a: Vec<_>, mut b| {
-                            a.append(&mut b);
-                            a
-                        },
-                    )
-                    .unwrap();
+                    let tids = split_scan(&heap, 4);
                     let mut unique = tids.clone();
                     unique.sort();
                     unique.dedup();

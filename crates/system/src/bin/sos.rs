@@ -27,8 +27,8 @@
 //! * `.objects`      — list catalog objects
 //! * `.quit`
 //!
-//! The worker count defaults to the number of available cores and can
-//! be pinned with the `SOS_WORKERS` environment variable (`1` = serial).
+//! The worker count defaults to 1 (serial); set it with the
+//! `SOS_WORKERS` environment variable or `.workers <n>`.
 //!
 //! Besides the shell there is one batch mode:
 //!

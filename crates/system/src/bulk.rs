@@ -173,7 +173,7 @@ impl Database {
         result?;
         self.engine
             .stats
-            .record("bulk_load", self.engine.workers(), loaded, loaded, 0);
+            .record("bulk_load", self.engine.workers(), loaded, loaded);
         if let Value::Part(h) = &target {
             self.engine
                 .stats

@@ -328,8 +328,9 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Intra-operator worker count (default: one per available core;
-    /// `1` is exactly the serial engine).
+    /// Intra-operator worker count (default 1: the serial engine, every
+    /// drain on the calling thread; more workers let pure scans, counts
+    /// and in-memory selections split across threads).
     pub fn workers(mut self, n: usize) -> DatabaseBuilder {
         self.workers = Some(n);
         self
@@ -632,9 +633,10 @@ impl Database {
     }
 
     /// Set the worker count for intra-operator parallelism at runtime.
-    /// `1` is exactly the serial engine; `n > 1` lets heap scans,
-    /// filters, counts and joins run page- or chunk-partitioned across
-    /// `n` threads. (Initial value: [`DatabaseBuilder::workers`].)
+    /// `1` is exactly the serial engine; `n > 1` lets pure `feed`
+    /// pipelines, `count` and in-memory `select` run page- or
+    /// chunk-partitioned across `n` threads. (Initial value:
+    /// [`DatabaseBuilder::workers`], 1 unless set.)
     pub fn set_parallelism(&mut self, n: usize) {
         self.engine.set_workers(n);
     }

@@ -1,9 +1,10 @@
 //! Differential serial-vs-parallel harness: every query must produce
-//! the identical result (same tuples, same order, same errors) whether
-//! the engine runs with 1 worker (every drain on the calling thread) or
-//! N workers (N cursors over disjoint unit slices of the source) — and
-//! that result must equal the expected value computed in plain Rust
-//! from the fixture's row formulas.
+//! the identical result (same tuples, same order, same errors) and
+//! record the same rows per operator whether the engine runs with 1
+//! worker (every drain on the calling thread) or N workers (N cursors
+//! over disjoint unit slices of the source) — and that result must
+//! equal the expected value computed in plain Rust from the fixture's
+//! row formulas.
 //!
 //! The parallel executor is designed to be extensionally equal to the
 //! serial engine by construction — the same cursor kernel, unit-ordered
@@ -19,8 +20,9 @@ use sos_exec::Value;
 use sos_system::{Database, PartMethod, PartSpec};
 use std::sync::Arc;
 
-/// Worker counts exercised against the serial baseline.
-const WORKERS: &[usize] = &[2, 8];
+/// The worker count held against the serial baseline: every count above
+/// 1 runs the same driver, so one parallel point covers them.
+const WORKERS: &[usize] = &[4];
 
 /// ~35 tuples per page; 3000 tuples spread over ~85 heap pages.
 fn heap_db(pool: Arc<sos_storage::BufferPool>, n: usize) -> Database {
@@ -74,24 +76,48 @@ fn run(db: &mut Database, q: &str) -> Result<Value, String> {
     db.query(q).map_err(|e| e.to_string())
 }
 
+/// Per-operator `[tuples_in, tuples_out, batched_rows]`, all-zero rows
+/// left out.
+type OpRows = Vec<(String, [u64; 3])>;
+
+/// Run `q` on reset counters: its outcome and the rows each operator
+/// recorded for it.
+fn run_counted(db: &mut Database, q: &str) -> (Result<Value, String>, OpRows) {
+    db.reset_metrics();
+    let got = run(db, q);
+    let rows = db
+        .metrics()
+        .ops
+        .into_iter()
+        .map(|(op, s)| (op, [s.tuples_in, s.tuples_out, s.batched_rows]))
+        .filter(|(_, rows)| *rows != [0; 3])
+        .collect();
+    (got, rows)
+}
+
 /// Run every query serially and hold it against its engine-independent
 /// expectation, then run it under each parallel worker count and
-/// require identical outcomes (values *and* errors).
+/// require identical outcomes (values *and* errors) and identical
+/// per-operator rows.
 fn assert_differential(db: &mut Database, queries: &[(&str, Expect)]) {
     db.set_parallelism(1);
-    let serial: Vec<Result<Value, String>> = queries
+    let serial: Vec<_> = queries
         .iter()
         .map(|(q, expect)| {
-            let got = run(db, q);
-            expect.check(q, &got);
+            let got = run_counted(db, q);
+            expect.check(q, &got.0);
             got
         })
         .collect();
     for &w in WORKERS {
         db.set_parallelism(w);
-        for ((q, _), expected) in queries.iter().zip(&serial) {
-            let got = run(db, q);
+        for ((q, _), (expected, rows)) in queries.iter().zip(&serial) {
+            let (got, got_rows) = run_counted(db, q);
             assert_eq!(&got, expected, "query `{q}` diverged at workers={w}");
+            assert_eq!(
+                &got_rows, rows,
+                "query `{q}` recorded different operator rows at workers={w}"
+            );
         }
     }
     db.set_parallelism(1);
@@ -241,23 +267,28 @@ fn parallel_paths_run_and_release_every_pin() {
     let pool = sos_storage::mem_pool(4096);
     let mut db = heap_db(pool.clone(), 3000);
     db.set_parallelism(4);
+
+    // A drain at the statement boundary records under `materialize`, as
+    // the serial drain does, plus its worker count.
     db.reset_metrics();
-
     db.query("heap_rep feed consume").unwrap();
-    let feed = db.op_stats("feed").expect("feed ran");
-    assert!(feed.parallel_invocations >= 1, "feed stats: {feed:?}");
-    assert_eq!(feed.max_workers, 4);
-    assert_eq!(feed.tuples_out, 3000);
-    assert!(feed.pages_scanned >= 2, "feed stats: {feed:?}");
+    let drain = db.op_stats("materialize").expect("drain ran");
+    assert!(drain.parallel_invocations >= 1, "drain stats: {drain:?}");
+    assert_eq!(drain.max_workers, 4);
+    assert_eq!(drain.batched_rows, 3000);
 
+    // `count` takes in the rows that reach it, not the rows scanned.
+    db.reset_metrics();
     db.query("heap_rep feed filter[grp = 3] count").unwrap();
     let count = db.op_stats("count").expect("count ran");
     assert!(count.parallel_invocations >= 1, "count stats: {count:?}");
-    assert_eq!(count.tuples_in, 3000);
+    assert_eq!((count.tuples_in, count.batched_rows), (300, 300));
 
+    db.reset_metrics();
     db.query("items select[k mod 2 = 0] count").unwrap();
     let select = db.op_stats("select").expect("select ran");
     assert!(select.parallel_invocations >= 1, "select stats: {select:?}");
+    assert_eq!((select.tuples_in, select.tuples_out), (300, 150));
 
     // The buffer pool must come out quiescent and consistent.
     assert_eq!(pool.pinned_frames(), 0, "scans leaked page pins");
@@ -279,7 +310,7 @@ fn impure_predicates_fall_back_to_serial() {
     let parallel = run(&mut db, "heap_rep feed filter[k < threshold] count");
     assert_eq!(serial, parallel);
     assert_eq!(
-        db.op_stats("feed").map_or(0, |s| s.parallel_invocations),
+        db.op_stats("count").map_or(0, |s| s.parallel_invocations),
         0,
         "an object-referencing predicate must stay on the serial path"
     );

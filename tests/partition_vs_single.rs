@@ -143,8 +143,8 @@ fn layouts() -> Vec<(&'static str, Vec<(&'static str, PartSpec)>)> {
             ("heap_rep", spec("k", m.clone())),
             ("bt_rep", spec("k", m.clone())),
             // `mate_rep.j` shares `k`'s domain: under the same method the
-            // two objects are co-partitioned and the hashjoin fast path
-            // engages.
+            // equijoins meet two objects partitioned alike, which the
+            // hashjoin drains like any other stream.
             ("mate_rep", spec("j", m.clone())),
             ("cities_rep", spec("pop", m.clone())),
             ("states_rep", spec("region", m)),
