@@ -9,14 +9,13 @@
 
 use bench::{as_count, heap_db, item_tuples, keyed_db, spatial_db};
 use sos_storage::{DiskManager, FileDisk, SyncPolicy, Wal, WalOptions, PAGE_SIZE};
-use sos_system::{Database, DurabilityConfig, PartMethod, PartSpec};
+use sos_system::{Database, DurabilityConfig};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 fn main() {
-    let large = std::env::args().any(|a| a == "--large");
     if std::env::args().any(|a| a == "--json") {
-        println!("{}", pr10_json(large));
+        println!("{}", pr10_json());
         return;
     }
     println!("Second-Order Signature — experiment harness");
@@ -883,265 +882,6 @@ fn pr7_json() -> String {
     )
 }
 
-// ---- PR8: partitioned storage — partition-wise parallel execution,
-// partition pruning, and parallel bulk load ----
-
-fn hash_spec(attr: &str, parts: usize) -> PartSpec {
-    PartSpec {
-        attr: sos_core::Symbol::new(attr),
-        method: PartMethod::Hash { parts },
-    }
-}
-
-/// Scan and selection over the 100k-row heap relation: unpartitioned vs
-/// hash(8) on `k`, serial vs 4 workers. The headline number is the
-/// partitioned 4-worker configuration against the unpartitioned serial
-/// drain — on a multi-core host each partition is one scan unit.
-fn partition_scan_json() -> String {
-    let n = 100_000usize;
-    let mut workloads = Vec::new();
-    for (name, query) in [
-        ("count", "hitems feed count"),
-        ("selection", "hitems feed filter[k mod 7 = 0] count"),
-    ] {
-        let mut configs = Vec::new();
-        let mut serial_ms = f64::MAX;
-        let mut part_par_ms = f64::MAX;
-        for partitioned in [false, true] {
-            let mut db = heap_db(n);
-            if partitioned {
-                db.partition_object("hitems", hash_spec("k", 8))
-                    .expect("partition hitems");
-            }
-            db.set_batch_size(1024);
-            db.query(query).unwrap(); // warm the pool and plan path
-            for workers in [1usize, 4] {
-                db.set_parallelism(workers);
-                let ms = pr3_ms(&mut db, query, 7, 3);
-                if !partitioned && workers == 1 {
-                    serial_ms = ms;
-                }
-                if partitioned && workers == 4 {
-                    part_par_ms = ms;
-                }
-                configs.push(format!(
-                    r#"{{"layout":"{}","workers":{workers},"ms":{ms:.3},"rows_per_sec":{:.0}}}"#,
-                    if partitioned { "hash8" } else { "single" },
-                    n as f64 / (ms / 1000.0)
-                ));
-            }
-        }
-        workloads.push(format!(
-            r#"{{"workload":"{name}","query":"{}","rows":{n},"configs":[{}],"partitioned_parallel_vs_serial_speedup":{:.2}}}"#,
-            query.replace('"', "\\\""),
-            configs.join(","),
-            serial_ms / part_par_ms.max(f64::MIN_POSITIVE)
-        ));
-    }
-    format!("[{}]", workloads.join(","))
-}
-
-/// Partition pruning on a hash(8)-partitioned clustering B-tree. The
-/// two queries return the same tuples: `exactmatch[k]` routes to the
-/// one candidate partition (7 pruned), while `range[k, k]` carries
-/// range bounds a hash layout cannot prune, so it descends all 8
-/// per-partition trees. The page-touch gap is pruning's contribution.
-fn pruning_json() -> String {
-    let n = 50_000usize;
-    let key = 12_345i64;
-    let mut db = keyed_db(n);
-    db.partition_object("items_rep", hash_spec("k", 8))
-        .expect("partition items_rep");
-
-    let pruned_q = format!("items_rep exactmatch[{key}] count");
-    let unpruned_q = format!("items_rep range[{key}, {key}] count");
-    db.query(&pruned_q).unwrap(); // warm
-    db.query(&unpruned_q).unwrap();
-
-    db.reset_metrics();
-    let a = as_count(&db.query(&pruned_q).unwrap());
-    let pruned_pages = db.metrics().pool.logical_reads;
-    let em = db.op_stats("exactmatch").expect("exactmatch stats");
-
-    db.reset_metrics();
-    let b = as_count(&db.query(&unpruned_q).unwrap());
-    let unpruned_pages = db.metrics().pool.logical_reads;
-    let rg = db.op_stats("range").expect("range stats");
-
-    assert_eq!(a, b, "pruned and unpruned plans must agree");
-    format!(
-        r#"{{"rows":{n},"parts":8,"matches":{a},"exactmatch_partitions":{},"exactmatch_pruned":{},"exactmatch_pages":{pruned_pages},"range_partitions":{},"range_pruned":{},"range_pages":{unpruned_pages},"pages_saved_factor":{:.2}}}"#,
-        em.partitions,
-        em.partitions_pruned,
-        rg.partitions,
-        rg.partitions_pruned,
-        unpruned_pages as f64 / (pruned_pages as f64).max(1.0)
-    )
-}
-
-/// Bulk load into a hash(8)-partitioned clustering B-tree over a
-/// WAL-backed database: the whole load is one statement, partitions
-/// load in parallel under `SyncPolicy::NoSync`, and one closing
-/// checkpoint makes the result durable. Serial vs 4-worker, plus the
-/// unpartitioned load as the baseline.
-fn bulk_load_json() -> String {
-    let n = 100_000usize;
-    let mut rows = Vec::new();
-    for (layout, parts, workers) in [("single", 0usize, 1usize), ("hash8", 8, 1), ("hash8", 8, 4)] {
-        let dir = std::env::temp_dir().join(format!(
-            "sos-bench-bulk-{}-{layout}-{workers}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut db = Database::builder()
-            .durability(DurabilityConfig::dir(&dir))
-            .try_build()
-            .expect("durable open");
-        db.run(DURABLE_SCHEMA).expect("schema");
-        if parts > 0 {
-            db.partition_object("items_rep", hash_spec("k", parts))
-                .expect("partition items_rep");
-        }
-        db.set_parallelism(workers);
-        let t = Instant::now();
-        let loaded = db
-            .bulk_load("items_rep", item_tuples(n))
-            .expect("bulk load");
-        let ms = t.elapsed().as_secs_f64() * 1000.0;
-        assert_eq!(loaded, n);
-        assert_eq!(
-            as_count(&db.query("items_rep feed count").unwrap()),
-            n as i64
-        );
-        let wal = db.metrics().wal;
-        rows.push(format!(
-            r#"{{"layout":"{layout}","workers":{workers},"rows":{n},"ms":{ms:.3},"rows_per_sec":{:.0},"wal_syncs":{}}}"#,
-            n as f64 / (ms / 1000.0),
-            wal.syncs
-        ));
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    format!("[{}]", rows.join(","))
-}
-
-/// The overlap join: `n` points bulk-loaded (in 1M-tuple chunks) into a
-/// hash(8)-partitioned heap, probed against a range(4)-partitioned
-/// LSD-tree of `grid x grid` states via `point_search` inside
-/// `search_join`. `--large` runs the 10M-point configuration.
-fn overlap_join_json(n: usize, grid: usize) -> String {
-    use rand::Rng;
-    let mut db = Database::builder().build();
-    db.run(
-        r#"
-        type pt = tuple(<(cid, int), (center, point)>);
-        type state = tuple(<(sname, string), (region, pgon)>);
-        create pts : tidrel(pt);
-        create states_rep : lsdtree(state, fun (s: state) bbox(s region));
-    "#,
-    )
-    .unwrap();
-    db.partition_object("pts", hash_spec("cid", 8))
-        .expect("partition pts");
-    db.partition_object(
-        "states_rep",
-        PartSpec {
-            attr: sos_core::Symbol::new("region"),
-            method: PartMethod::Range {
-                bounds: vec![
-                    sos_core::Const::Real(250.0),
-                    sos_core::Const::Real(500.0),
-                    sos_core::Const::Real(750.0),
-                ],
-            },
-        },
-    )
-    .expect("partition states");
-    let states: Vec<sos_exec::Value> = sos_geom::gen::state_grid(grid, 11)
-        .into_iter()
-        .map(|(name, poly)| {
-            sos_exec::Value::tuple(vec![
-                sos_exec::Value::Str(name),
-                sos_exec::Value::Pgon(poly),
-            ])
-        })
-        .collect();
-    db.bulk_load("states_rep", states).expect("load states");
-
-    db.set_parallelism(4);
-    let world = sos_geom::gen::WORLD;
-    let mut r = sos_geom::gen::rng(17);
-    let mut next_cid = 0i64;
-    let t = Instant::now();
-    let mut remaining = n;
-    while remaining > 0 {
-        let chunk = remaining.min(1_000_000);
-        let tuples: Vec<sos_exec::Value> = (0..chunk)
-            .map(|_| {
-                let cid = next_cid;
-                next_cid += 1;
-                sos_exec::Value::tuple(vec![
-                    sos_exec::Value::Int(cid),
-                    sos_exec::Value::Point(sos_geom::Point::new(
-                        r.gen_range(world.min_x..world.max_x),
-                        r.gen_range(world.min_y..world.max_y),
-                    )),
-                ])
-            })
-            .collect();
-        let loaded = db.bulk_load("pts", tuples).expect("load points");
-        assert_eq!(loaded, chunk);
-        remaining -= chunk;
-    }
-    let load_ms = t.elapsed().as_secs_f64() * 1000.0;
-
-    let query = "pts feed (fun (c: pt) states_rep (c center) point_search) search_join count";
-    db.set_batch_size(1024);
-    let t = Instant::now();
-    let pairs = as_count(&db.query(query).unwrap());
-    let join_ms = t.elapsed().as_secs_f64() * 1000.0;
-    // The grid tiles ~92% of the world and no state bboxes overlap, so
-    // almost every point pairs with exactly one state.
-    assert!(
-        pairs as f64 > 0.8 * n as f64 && pairs <= n as i64,
-        "unexpected overlap-join cardinality: {pairs} of {n}"
-    );
-    format!(
-        r#"{{"points":{n},"states":{},"query":"{}","load_ms":{load_ms:.1},"load_rows_per_sec":{:.0},"join_ms":{join_ms:.1},"pairs":{pairs},"join_rows_per_sec":{:.0},"workers":4}}"#,
-        grid * grid,
-        query.replace('"', "\\\""),
-        n as f64 / (load_ms / 1000.0),
-        n as f64 / (join_ms / 1000.0)
-    )
-}
-
-/// The JSON document committed as BENCH_PR8.json: the PR7 document plus
-/// the partitioned-storage sections. `--large` switches the overlap
-/// join to the 10M-point configuration. The `cores` field qualifies
-/// every speedup: on a single-core host the parallel configurations
-/// time-slice one CPU and speedups sit near 1.0 by construction.
-fn pr8_json(large: bool) -> String {
-    let (n, grid) = if large {
-        (10_000_000, 32)
-    } else {
-        (200_000, 16)
-    };
-    let pr7 = pr7_json();
-    let body = pr7
-        .strip_prefix("{\"bench\":\"PR7 group commit + expression compilation + durability + static analysis + batch execution\",")
-        .expect("pr7_json prefix")
-        .strip_suffix('}')
-        .expect("pr7_json suffix");
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    format!(
-        "{{\"bench\":\"PR8 partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"cores\":{cores},\"partition_scan\":{},\"partition_pruning\":{},\"bulk_load\":{},\"overlap_join\":{},{body}}}",
-        partition_scan_json(),
-        pruning_json(),
-        bulk_load_json(),
-        overlap_join_json(n, grid)
-    )
-}
-
 /// The plan-validation overhead on the optimize path: one full pass over
 /// the builtin witness-plan set per mode, median of 9 paired samples
 /// (the `VALIDATE_OVERHEAD_SMOKE` CI gate asserts ratio < 1.05).
@@ -1169,18 +909,19 @@ fn rule_fuzzer_json() -> String {
     )
 }
 
-/// The JSON document committed as BENCH_PR9.json: the PR8 document plus
+/// The JSON document committed as BENCH_PR9.json: the PR7 document plus
 /// the rule-soundness sections — plan-validation overhead and the rule
-/// fuzzer's differential sweep.
-fn pr9_json(large: bool) -> String {
-    let pr8 = pr8_json(large);
-    let body = pr8
-        .strip_prefix("{\"bench\":\"PR8 partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",")
-        .expect("pr8_json prefix")
+/// fuzzer's differential sweep. (The frozen file also holds the PR8
+/// partitioned-storage sections, retired with partitioned storage.)
+fn pr9_json() -> String {
+    let pr7 = pr7_json();
+    let body = pr7
+        .strip_prefix("{\"bench\":\"PR7 group commit + expression compilation + durability + static analysis + batch execution\",")
+        .expect("pr7_json prefix")
         .strip_suffix('}')
-        .expect("pr8_json suffix");
+        .expect("pr7_json suffix");
     format!(
-        "{{\"bench\":\"PR9 rule-soundness verification + partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"validate_overhead\":{},\"rule_fuzzer\":{},{body}}}",
+        "{{\"bench\":\"PR9 rule-soundness verification + group commit + expression compilation + durability + static analysis + batch execution\",\"validate_overhead\":{},\"rule_fuzzer\":{},{body}}}",
         validate_overhead_json(),
         rule_fuzzer_json()
     )
@@ -1306,15 +1047,15 @@ fn cost_model_json() -> String {
 /// the cost-based-optimization section — the statistics-driven plan
 /// flips. (The frozen file also holds a `plan_cache` section from the
 /// retired cache-on/off replay.)
-fn pr10_json(large: bool) -> String {
-    let pr9 = pr9_json(large);
+fn pr10_json() -> String {
+    let pr9 = pr9_json();
     let body = pr9
-        .strip_prefix("{\"bench\":\"PR9 rule-soundness verification + partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",")
+        .strip_prefix("{\"bench\":\"PR9 rule-soundness verification + group commit + expression compilation + durability + static analysis + batch execution\",")
         .expect("pr9_json prefix")
         .strip_suffix('}')
         .expect("pr9_json suffix");
     format!(
-        "{{\"bench\":\"PR10 cost-based optimization + rule-soundness verification + partitioned storage + group commit + expression compilation + durability + static analysis + batch execution\",\"cost_model\":{},{body}}}",
+        "{{\"bench\":\"PR10 cost-based optimization + rule-soundness verification + group commit + expression compilation + durability + static analysis + batch execution\",\"cost_model\":{},{body}}}",
         cost_model_json()
     )
 }

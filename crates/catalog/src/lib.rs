@@ -103,55 +103,21 @@ fn matches_row(row: &[Const], pattern: &[Option<Const>]) -> bool {
             .all(|(c, p)| p.as_ref().map(|p| p == c).unwrap_or(true))
 }
 
-/// How a partitioned object distributes tuples across its partitions.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum PartMethod {
-    /// Hash of the key attribute's encoded bytes, modulo `parts`.
-    Hash { parts: usize },
-    /// Range partitioning: `bounds` holds the `n-1` inclusive upper
-    /// bounds of the first `n-1` partitions (sorted ascending); keys
-    /// above every bound go to the last partition. For spatially keyed
-    /// objects (lsdtree) the bounds are reals compared against the
-    /// indexed rectangle's center x.
-    Range { bounds: Vec<Const> },
-}
-
-impl PartMethod {
-    /// Number of partitions the method produces.
-    pub fn parts(&self) -> usize {
-        match self {
-            PartMethod::Hash { parts } => *parts,
-            PartMethod::Range { bounds } => bounds.len() + 1,
-        }
-    }
-}
-
-/// The partitioning spec of one storage object, recorded in the catalog
-/// so it survives save/open and WAL recovery.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PartSpec {
-    /// The key attribute tuples are routed by (for lsdtree objects this
-    /// names the indexed rect attribute only informationally; routing
-    /// uses the tree's key function).
-    pub attr: Symbol,
-    pub method: PartMethod,
-}
-
 /// The catalog: named types, named objects, catalog relations.
 #[derive(Debug, Clone, Default, serde::Serialize)]
 pub struct Catalog {
     types: HashMap<Symbol, DataType>,
     objects: HashMap<Symbol, ObjectEntry>,
     relations: HashMap<Symbol, CatalogRelation>,
-    /// Partitioning specs by object name.
-    partitions: HashMap<Symbol, PartSpec>,
     /// Per-object statistics collected by `analyze`.
     stats: HashMap<Symbol, ObjectStats>,
 }
 
-// Hand-written so `partitions` and `stats` default to empty when absent:
-// snapshots written before partitioning / statistics existed stay
-// loadable (the vendored serde derive has no `#[serde(default)]`).
+// Hand-written so `stats` defaults to empty when absent: snapshots
+// written before statistics existed stay loadable (the vendored serde
+// derive has no `#[serde(default)]`). A format-1 snapshot's
+// `partitions` map is not read here: `sos-system` refuses a snapshot
+// whose map is non-empty before it builds the catalog.
 impl<'de> serde::Deserialize<'de> for Catalog {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let json = deserializer.take_json()?;
@@ -160,10 +126,6 @@ impl<'de> serde::Deserialize<'de> for Catalog {
             types: serde::field_of(obj, "types", "Catalog")?,
             objects: serde::field_of(obj, "objects", "Catalog")?,
             relations: serde::field_of(obj, "relations", "Catalog")?,
-            partitions: match obj.iter().find(|(k, _)| k == "partitions") {
-                Some((_, v)) => serde::value_of::<_, D::Error>(v)?,
-                None => HashMap::new(),
-            },
             stats: match obj.iter().find(|(k, _)| k == "stats") {
                 Some((_, v)) => serde::value_of::<_, D::Error>(v)?,
                 None => HashMap::new(),
@@ -275,26 +237,10 @@ impl Catalog {
     /// Delete an object (the `delete <identifier>` statement).
     pub fn delete_object(&mut self, name: &Symbol) -> Result<ObjectEntry, CatalogError> {
         self.relations.remove(name);
-        self.partitions.remove(name);
         self.stats.remove(name);
         self.objects
             .remove(name)
             .ok_or_else(|| CatalogError::UnknownObject(name.clone()))
-    }
-
-    // ---- partitioning specs ----
-
-    /// Record how object `name` is partitioned.
-    pub fn set_partition_spec(&mut self, name: Symbol, spec: PartSpec) {
-        self.partitions.insert(name, spec);
-    }
-
-    pub fn partition_spec(&self, name: &Symbol) -> Option<&PartSpec> {
-        self.partitions.get(name)
-    }
-
-    pub fn remove_partition_spec(&mut self, name: &Symbol) -> Option<PartSpec> {
-        self.partitions.remove(name)
     }
 
     // ---- per-object statistics ----
@@ -524,34 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_specs_recorded_and_removed_with_object() {
-        let mut cat = Catalog::new();
-        let s = sig();
-        cat.create_object(&s, sym("cities"), DataType::rel(city()))
-            .unwrap();
-        cat.set_partition_spec(
-            sym("cities"),
-            PartSpec {
-                attr: sym("pop"),
-                method: PartMethod::Hash { parts: 4 },
-            },
-        );
-        assert_eq!(
-            cat.partition_spec(&sym("cities")).unwrap().method.parts(),
-            4
-        );
-        assert_eq!(
-            PartMethod::Range {
-                bounds: vec![Const::Int(10), Const::Int(20)]
-            }
-            .parts(),
-            3
-        );
-        cat.delete_object(&sym("cities")).unwrap();
-        assert!(cat.partition_spec(&sym("cities")).is_none());
-    }
-
-    #[test]
     fn stats_recorded_and_removed_with_object() {
         let mut cat = Catalog::new();
         let s = sig();
@@ -565,7 +483,6 @@ mod tests {
                 pages: 4,
                 key_attr: Some(sym("pop")),
                 key_histogram: Histogram::build(&values, HISTOGRAM_BUCKETS),
-                partition_rows: vec![50, 50],
                 ..ObjectStats::default()
             },
         );

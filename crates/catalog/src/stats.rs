@@ -1,7 +1,7 @@
 //! Per-object statistics for cost-based optimization.
 //!
 //! Collected by `Database::analyze`, stored in the catalog (so they ride
-//! the same snapshot/WAL machinery as object types and partition specs),
+//! the same snapshot/WAL machinery as object types),
 //! and consumed by the optimizer's page-touch cost model. The shapes are
 //! deliberately simple: a row count, a page count, and an equi-width
 //! histogram over the numeric key domain (B-tree key attribute, or the
@@ -144,8 +144,6 @@ pub struct ObjectStats {
     pub rect_histogram: Option<Histogram>,
     /// For lsdtree objects: bounding box of all indexed rects.
     pub bbox: Option<BBox>,
-    /// For partitioned objects: per-partition row counts.
-    pub partition_rows: Vec<u64>,
 }
 
 #[cfg(test)]

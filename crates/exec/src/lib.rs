@@ -16,7 +16,6 @@ pub mod compile;
 pub mod engine;
 pub mod ops;
 pub mod parallel;
-pub mod partition;
 pub mod stats;
 pub mod stored;
 pub mod stream;
@@ -29,7 +28,6 @@ pub use compile::{CompiledFun, Fallback};
 pub use engine::{EvalCtx, ExecEngine};
 pub use error::{ExecError, ExecResult};
 pub use handles::{encode_key, BTreeHandle, KeyExtractor, LsdHandle};
-pub use partition::PartHandle;
 pub use stats::{CompileStats, ExecStats, OpStats};
 pub use txn::StatementTx;
 pub use value::{compare, render, Closure, Value};

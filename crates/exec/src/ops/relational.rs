@@ -94,10 +94,10 @@ pub fn register(e: &mut ExecEngine) {
         Ok(Value::tuple(fields))
     });
 
-    e.add_op("count", |ctx, _, args| match &args[0] {
+    e.add_op("count", |ctx, _, mut args| match args.swap_remove(0) {
         Value::Rel(ts) | Value::Stream(ts) => Ok(Value::Int(ts.len() as i64)),
-        Value::Cursor(_) => {
-            let mut cursor = crate::stream::into_cursor(args[0].clone())?;
+        input @ Value::Cursor(_) => {
+            let mut cursor = crate::stream::into_cursor(input)?;
             // Count page-partitioned when the pipeline allows it, else
             // drain the pipeline without buffering.
             let (n, workers) = match crate::parallel::try_par_count(ctx.engine, &mut cursor) {
@@ -114,18 +114,6 @@ pub fn register(e: &mut ExecEngine) {
         Value::SRel(h) | Value::TidRel(h) => Ok(Value::Int(h.count()? as i64)),
         Value::BTree(h) => Ok(Value::Int(h.tree.len() as i64)),
         Value::LsdTree(h) => Ok(Value::Int(h.tree.len() as i64)),
-        Value::Part(h) => {
-            // Heap partitions walk their pages; tree partitions answer
-            // from their stored length. Cheap enough to stay serial —
-            // a `feed ... count` pipeline takes the partition-parallel
-            // scan path instead.
-            let n = h.len()?;
-            ctx.engine.stats.record("count", 1, n, 1);
-            ctx.engine
-                .stats
-                .record_partitions("count", h.part_count() as u64, 0);
-            Ok(Value::Int(n as i64))
-        }
         Value::Undefined => Ok(Value::Int(0)),
         other => Err(mismatch("count", "collection", &other.kind_name())),
     });

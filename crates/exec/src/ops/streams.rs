@@ -83,73 +83,29 @@ fn cursor_value(c: Cursor) -> Value {
     Value::Cursor(std::sync::Arc::new(parking_lot::Mutex::new(c)))
 }
 
-/// Partition pruning for `filter` over a fresh partition scan: key
-/// conditions the predicate imposes on the routing attribute drop the
-/// partitions they exclude before any page is touched. Pruning is
-/// conservative — surviving partitions still evaluate the full
-/// predicate per tuple, so the result is identical to the unpruned
-/// scan. Records partition counts under the `filter` operator.
-fn prune_part_scan(
-    engine: &ExecEngine,
-    input: &mut Cursor,
-    pred: &std::sync::Arc<crate::value::Closure>,
-) {
-    let Cursor::PartScan {
-        handle,
-        cursors,
-        idx,
-    } = input
-    else {
-        return;
-    };
-    // Only a fresh, complete scan is pruned (a partially drained or
-    // already-pruned scan keeps its remaining partitions).
-    if *idx != 0 || cursors.len() != handle.part_count() {
-        return;
-    }
-    let total = cursors.len() as u64;
-    let conds = crate::partition::key_conds(pred, &handle.spec.attr);
-    if conds.is_empty() {
-        engine.stats.record_partitions("filter", total, 0);
-        return;
-    }
-    let mask = handle.candidate_mask(&conds);
-    let kept: Vec<Cursor> = std::mem::take(cursors)
-        .into_iter()
-        .zip(&mask)
-        .filter_map(|(c, keep)| keep.then_some(c))
-        .collect();
-    let pruned = total - kept.len() as u64;
-    *cursors = kept;
-    engine.stats.record_partitions("filter", total, pruned);
-}
-
 pub fn register(e: &mut ExecEngine) {
     // feed produces a *pipelined* cursor for page-backed structures
     // (Section 4's pipelined processing); in-memory relations and
     // LSD-trees come back materialized.
-    e.add_op("feed", |ctx, _, args| {
-        if let Value::Part(h) = &args[0] {
-            ctx.engine
-                .stats
-                .record_partitions("feed", h.part_count() as u64, 0);
-        }
+    e.add_op("feed", |_, _, args| {
         Ok(match Cursor::scan_of(&args[0])? {
             Cursor::Mat(tuples) => Value::Stream(tuples.into()),
             pipelined => cursor_value(pipelined),
         })
     });
 
-    e.add_op("filter", |ctx, _, args| {
+    // The operators below read their other arguments first and then
+    // take the input out of the owned argument list, so a uniquely held
+    // pipeline is moved, not wrapped in `Cursor::Shared`.
+    e.add_op("filter", |ctx, _, mut args| {
         let pred = args[1].as_closure("filter")?.clone();
-        let mut input = into_cursor(args[0].clone())?;
-        prune_part_scan(ctx.engine, &mut input, &pred);
+        let input = into_cursor(args.swap_remove(0))?;
         Ok(cursor_value(Cursor::filter(ctx.engine, input, pred)))
     });
 
     // project[(name, fun-or-attr), ...] — generalized projection; the
     // result schema comes from the type operator at check time.
-    e.add_op("project", |ctx, _, args| {
+    e.add_op("project", |ctx, _, mut args| {
         let Value::List(pairs) = &args[1] else {
             return Err(mismatch("project", "list of pairs", &args[1].kind_name()));
         };
@@ -160,24 +116,24 @@ pub fn register(e: &mut ExecEngine) {
             };
             funs.push(comps[1].as_closure("project")?.clone());
         }
-        let input = into_cursor(args[0].clone())?;
+        let input = into_cursor(args.swap_remove(0))?;
         Ok(cursor_value(Cursor::project(ctx.engine, input, funs)))
     });
 
     // replace[attr, fun] — replace one attribute value per tuple.
-    e.add_op("replace", |ctx, node, args| {
+    e.add_op("replace", |ctx, node, mut args| {
         let Value::Ident(attr) = &args[1] else {
             return Err(mismatch("replace", "attribute name", &args[1].kind_name()));
         };
         let idx = crate::ops::relational::attr_index_of_node(node, attr)?;
         let fun = args[2].as_closure("replace")?.clone();
-        let input = into_cursor(args[0].clone())?;
+        let input = into_cursor(args.swap_remove(0))?;
         Ok(cursor_value(Cursor::replace(ctx.engine, input, idx, fun)))
     });
 
     // collect — materialize a stream into a temporary relation (srel).
-    e.add_op("collect", |ctx, _, args| {
-        let mut input = into_cursor(args[0].clone())?;
+    e.add_op("collect", |ctx, _, mut args| {
+        let mut input = into_cursor(args.swap_remove(0))?;
         let heap = HeapFile::create(ctx.engine.pool.clone())?;
         let (batches, rows) = input.for_each_batch(ctx, |batch| {
             for t in batch.iter() {
@@ -230,10 +186,10 @@ pub fn register(e: &mut ExecEngine) {
     // search_join — the paper's generalized nested-loop join: the second
     // argument maps each outer tuple to a stream of matching inner tuples
     // (a scan, an index search, whatever the plan chose).
-    e.add_op("search_join", |_, _, args| {
+    e.add_op("search_join", |_, _, mut args| {
         let fun = args[1].as_closure("search_join")?.clone();
         Ok(cursor_value(Cursor::SearchJoin {
-            outer: Box::new(into_cursor(args[0].clone())?),
+            outer: Box::new(into_cursor(args.swap_remove(0))?),
             fun,
             current_outer: None,
             inner: std::collections::VecDeque::new(),
@@ -241,9 +197,9 @@ pub fn register(e: &mut ExecEngine) {
     });
 
     // head[n] — first n tuples (a practical extension).
-    e.add_op("head", |_, _, args| {
+    e.add_op("head", |_, _, mut args| {
         let n = args[1].as_int("head")?.max(0) as usize;
-        let input = into_cursor(args[0].clone())?;
+        let input = into_cursor(args.swap_remove(0))?;
         Ok(cursor_value(Cursor::Head {
             input: Box::new(input),
             remaining: n,

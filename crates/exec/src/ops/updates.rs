@@ -60,32 +60,11 @@ pub fn insert_into(ctx: &mut EvalCtx, target: &Value, tuple: &Value) -> ExecResu
             h.tree.insert(rect, &tuple.encode_tuple("insert")?)?;
             Ok(target.clone())
         }
-        Value::Part(h) => {
-            let i = route_into(ctx, h, tuple)?;
-            insert_into(ctx, &h.parts[i], tuple)?;
-            Ok(target.clone())
-        }
         other => Err(mismatch(
             "insert",
             "updatable collection",
             &other.kind_name(),
         )),
-    }
-}
-
-/// The partition a tuple routes to: by indexed rectangle for rect-keyed
-/// (LSD-tree) partitions, by the routing attribute otherwise.
-fn route_into(
-    ctx: &mut EvalCtx,
-    h: &crate::partition::PartHandle,
-    tuple: &Value,
-) -> ExecResult<usize> {
-    match h.parts.first() {
-        Some(Value::LsdTree(lh)) => {
-            let rect = ctx.rect_value(lh, tuple)?;
-            h.route_rect(&rect)
-        }
-        _ => h.route_tuple(tuple),
     }
 }
 
@@ -110,10 +89,6 @@ fn delete_tuple(ctx: &mut EvalCtx, target: &Value, tuple: &Value) -> ExecResult<
                 }
             }
             Ok(false)
-        }
-        Value::Part(h) => {
-            let i = route_into(ctx, h, tuple)?;
-            delete_tuple(ctx, &h.parts[i], tuple)
         }
         other => Err(mismatch(
             "delete",

@@ -24,11 +24,10 @@ use crate::stream::Cursor;
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_storage::heap::HeapFile;
-use sos_storage::keys::KeyBytes;
 use sos_storage::PageId;
 use std::sync::Arc;
 
-/// Minimum scan units (heap pages, partitions, tuple ranges) before a
+/// Minimum scan units (heap pages, tuple ranges) before a
 /// scan is worth splitting.
 pub const PAR_MIN_PAGES: usize = 2;
 /// Minimum in-memory tuples before chunked evaluation is worth spawning.
@@ -76,14 +75,13 @@ fn with_worker_ctx<R>(engine: &ExecEngine, f: impl FnOnce(&mut EvalCtx) -> R) ->
 // Scan units: a fresh source split for the workers.
 // ---------------------------------------------------------------------
 
-/// One independently scannable fragment of a source: a single heap page,
-/// a B-tree leaf-chain range (one partition of a partitioned B-tree), or
-/// a run of in-memory tuples (a materialized LSD partition, a tuple
-/// range of an in-memory relation). Units are listed in serial scan
-/// order, so concatenating per-unit results reproduces the serial drain.
+/// One independently scannable fragment of a source: a single heap page
+/// or a tuple range of an in-memory relation. Units are listed in serial
+/// scan order, so concatenating per-unit results reproduces the serial
+/// drain. A B-tree range is one leaf chain, which does not split, so it
+/// always drains serially.
 enum ScanUnit {
     HeapPage(Arc<HeapFile>, PageId),
-    BTreeRange(Arc<crate::handles::BTreeHandle>, KeyBytes, KeyBytes),
     Mem(Vec<Value>),
 }
 
@@ -116,23 +114,7 @@ fn scan_units(engine: &ExecEngine, cursor: &Cursor, workers: usize) -> Option<Ve
                     .collect(),
             )
         }
-        Cursor::PartScan {
-            cursors, idx: 0, ..
-        } => {
-            let mut units = Vec::new();
-            for c in cursors {
-                units.extend(source_units(c)?);
-            }
-            Some(units)
-        }
-        Cursor::Heap { .. } | Cursor::BTreeRange { .. } => source_units(cursor),
-        _ => None,
-    }
-}
-
-/// The units of one fresh (undrained) scan source, in scan order.
-fn source_units(source: &Cursor) -> Option<Vec<ScanUnit>> {
-    match source {
+        // A fresh (undrained) heap scan splits into its pages.
         Cursor::Heap {
             heap,
             pages,
@@ -144,20 +126,6 @@ fn source_units(source: &Cursor) -> Option<Vec<ScanUnit>> {
                 .map(|p| ScanUnit::HeapPage(heap.clone(), *p))
                 .collect(),
         ),
-        Cursor::BTreeRange {
-            handle,
-            lo,
-            hi,
-            primed: false,
-            done: false,
-            buf,
-            ..
-        } if buf.is_empty() => Some(vec![ScanUnit::BTreeRange(
-            handle.clone(),
-            lo.clone(),
-            hi.clone(),
-        )]),
-        Cursor::Mat(buf) => Some(vec![ScanUnit::Mem(buf.iter().cloned().collect())]),
         _ => None,
     }
 }
@@ -180,9 +148,6 @@ fn unit_cursors(part: &[ScanUnit]) -> Vec<Cursor> {
                     buf: Default::default(),
                 }),
             },
-            ScanUnit::BTreeRange(handle, lo, hi) => {
-                out.push(Cursor::btree_range(handle.clone(), lo.clone(), hi.clone()))
-            }
             ScanUnit::Mem(rows) => out.push(Cursor::materialized(rows.clone())),
         }
     }

@@ -31,11 +31,6 @@ pub struct OpStats {
     /// Tuples carried by those batches; `batched_rows / batches` is the
     /// observed rows-per-batch.
     pub batched_rows: u64,
-    /// Partitions of partitioned inputs this operator considered.
-    pub partitions: u64,
-    /// Of those, partitions pruned away before being touched (equality /
-    /// range / spatial-cover pruning on the routing attribute).
-    pub partitions_pruned: u64,
 }
 
 impl OpStats {
@@ -139,18 +134,6 @@ impl ExecStats {
         let s = ops.entry(op).or_default();
         s.batches += batches;
         s.batched_rows += rows;
-    }
-
-    /// Record a partitioned input: how many partitions the object has
-    /// and how many this invocation pruned without touching.
-    pub fn record_partitions(&self, op: &'static str, partitions: u64, pruned: u64) {
-        if partitions == 0 {
-            return;
-        }
-        let mut ops = self.ops.lock();
-        let s = ops.entry(op).or_default();
-        s.partitions += partitions;
-        s.partitions_pruned += pruned;
     }
 
     /// Counters for one operator (zeros if it never ran). Prefer

@@ -35,11 +35,6 @@ pub enum StoredValue {
         len: usize,
     },
     LsdTree(LsdSnapshot),
-    /// A partitioned object: the spec plus one image per partition.
-    Part {
-        spec: sos_catalog::PartSpec,
-        parts: Vec<StoredValue>,
-    },
     /// A catalog object's name token.
     CatalogToken(String),
     Undefined,
@@ -73,18 +68,6 @@ pub fn to_stored(v: &Value) -> ExecResult<Option<StoredValue>> {
             len: h.tree.len(),
         },
         Value::LsdTree(h) => StoredValue::LsdTree(h.tree.snapshot()),
-        Value::Part(h) => StoredValue::Part {
-            spec: h.spec.clone(),
-            parts: h
-                .parts
-                .iter()
-                .map(|p| {
-                    to_stored(p)?.ok_or_else(|| {
-                        ExecError::Other("a partition cannot hold a function value".into())
-                    })
-                })
-                .collect::<ExecResult<_>>()?,
-        },
         // Atomic data values: one-field record.
         atomic => StoredValue::Record {
             bytes: Value::tuple(vec![atomic.clone()]).encode_tuple("save")?,
@@ -164,21 +147,6 @@ pub fn from_stored(
                 tuple_type: th.tuple_type.clone(),
                 keyfun: th.keyfun.clone(),
             })))
-        }
-        StoredValue::Part { spec, parts } => {
-            // Each partition re-attaches under the object's declared
-            // type (they all share the one shape), then the handle
-            // re-derives the routing attribute index.
-            let parts: Vec<Value> = parts
-                .into_iter()
-                .map(|p| from_stored(engine, sig, env, ty, p))
-                .collect::<ExecResult<_>>()?;
-            let tuple_ty = ty.single_type_arg().cloned();
-            Ok(Value::Part(Arc::new(crate::partition::PartHandle::new(
-                spec,
-                parts,
-                tuple_ty.as_ref(),
-            )?)))
         }
     }
 }

@@ -81,15 +81,6 @@ pub enum Cursor {
         current_outer: Option<Value>,
         inner: VecDeque<Value>,
     },
-    /// Scan of a partitioned object: the per-partition sub-cursors are
-    /// drained in partition order. Partition pruning (the `filter` and
-    /// index operators) may drop sub-cursors before the first pull;
-    /// the parallel executor schedules the survivors one per worker.
-    PartScan {
-        handle: Arc<crate::partition::PartHandle>,
-        cursors: Vec<Cursor>,
-        idx: usize,
-    },
     /// A cursor shared through a cloned stream value.
     Shared(Arc<parking_lot::Mutex<Cursor>>),
 }
@@ -121,25 +112,10 @@ impl Cursor {
         }
     }
 
-    /// Full scan of a partitioned object: one sub-cursor per partition,
-    /// drained in order.
-    pub fn part_scan(handle: Arc<crate::partition::PartHandle>) -> ExecResult<Cursor> {
-        let cursors = handle
-            .parts
-            .iter()
-            .map(Cursor::scan_of)
-            .collect::<ExecResult<Vec<_>>>()?;
-        Ok(Cursor::PartScan {
-            handle,
-            cursors,
-            idx: 0,
-        })
-    }
-
     /// The scan source over any relation representation (the `feed` of
-    /// the `relrep` subtype hierarchy). Heaps, B-trees and partitioned
-    /// objects stay pipelined; LSD-trees materialize (their `scan` is
-    /// bulk), as do in-memory relations.
+    /// the `relrep` subtype hierarchy). Heaps and B-trees stay
+    /// pipelined; LSD-trees materialize (their `scan` is bulk), as do
+    /// in-memory relations.
     pub(crate) fn scan_of(v: &Value) -> ExecResult<Cursor> {
         match v {
             Value::SRel(h) | Value::TidRel(h) => Ok(Cursor::heap_scan(h.clone())),
@@ -156,7 +132,6 @@ impl Cursor {
                     .collect::<ExecResult<Vec<_>>>()?;
                 Ok(Cursor::materialized(tuples))
             }
-            Value::Part(h) => Cursor::part_scan(h.clone()),
             // Hybrid convenience: an in-memory relation also feeds.
             Value::Rel(ts) | Value::Stream(ts) => Ok(Cursor::materialized(ts.clone())),
             Value::Undefined => Ok(Cursor::materialized(Vec::new())),
@@ -238,10 +213,7 @@ impl Cursor {
         let start = out.len();
         let target = start + n;
         match self {
-            Cursor::Mat(_)
-            | Cursor::Heap { .. }
-            | Cursor::BTreeRange { .. }
-            | Cursor::PartScan { .. } => {
+            Cursor::Mat(_) | Cursor::Heap { .. } | Cursor::BTreeRange { .. } => {
                 self.scan_into(n, out)?;
             }
             Cursor::Filter {
@@ -421,12 +393,12 @@ impl Cursor {
     }
 
     /// The source half of the kernel: append up to `n` tuples of a scan
-    /// source (`Mat`, `Heap`, `BTreeRange`, or a `PartScan` over those)
-    /// to `out`, a whole page per refill (one fetch and latch via the
-    /// storage `visit_page`/`visit_leaf` helpers, spilling the remainder
-    /// past `n` into the cursor's buffer). Sources read storage only, so
-    /// callers without an evaluation context ([`Cursor::scan_all`]) pull
-    /// them here directly.
+    /// source (`Mat`, `Heap` or `BTreeRange`) to `out`, a whole page per
+    /// refill (one fetch and latch via the storage
+    /// `visit_page`/`visit_leaf` helpers, spilling the remainder past `n`
+    /// into the cursor's buffer). Sources read storage only, so callers
+    /// without an evaluation context ([`Cursor::scan_all`]) pull them
+    /// here directly.
     pub(crate) fn scan_into(&mut self, n: usize, out: &mut Vec<Value>) -> ExecResult<usize> {
         let start = out.len();
         let target = start + n.max(1);
@@ -513,16 +485,6 @@ impl Cursor {
                     // still drain through the loop head above.
                     if past_hi || next.is_none() {
                         *done = true;
-                    }
-                }
-            }
-            Cursor::PartScan { cursors, idx, .. } => {
-                while out.len() < target {
-                    let Some(c) = cursors.get_mut(*idx) else {
-                        break;
-                    };
-                    if c.scan_into(target - out.len(), out)? == 0 {
-                        *idx += 1;
                     }
                 }
             }
@@ -618,9 +580,6 @@ impl std::fmt::Debug for Cursor {
             Cursor::Project { .. } => "project",
             Cursor::Replace { .. } => "replace",
             Cursor::SearchJoin { .. } => "search-join",
-            Cursor::PartScan { cursors, idx, .. } => {
-                return write!(f, "cursor[part-scan, {}/{} parts]", idx, cursors.len())
-            }
             Cursor::Shared(_) => "shared",
         };
         write!(f, "cursor[{kind}]")

@@ -45,9 +45,6 @@ pub enum Value {
     TidRel(Arc<sos_storage::heap::HeapFile>),
     BTree(Arc<BTreeHandle>),
     LsdTree(Arc<LsdHandle>),
-    /// A partitioned storage object: the declared shape split across
-    /// per-partition values (see [`crate::partition::PartHandle`]).
-    Part(Arc<crate::partition::PartHandle>),
     /// The value of a freshly created object before its first update.
     Undefined,
 }
@@ -111,12 +108,6 @@ impl Value {
             Value::TidRel(_) => "tidrel",
             Value::BTree(_) => "btree",
             Value::LsdTree(_) => "lsdtree",
-            // A partitioned object keeps its declared kind.
-            Value::Part(h) => h
-                .parts
-                .first()
-                .map(|p| p.kind_name())
-                .unwrap_or("partitioned"),
             Value::Undefined => "undefined",
         }
     }
@@ -234,7 +225,6 @@ impl PartialEq for Value {
             (SRel(a), SRel(b)) | (TidRel(a), TidRel(b)) => Arc::ptr_eq(a, b),
             (BTree(a), BTree(b)) => Arc::ptr_eq(a, b),
             (LsdTree(a), LsdTree(b)) => Arc::ptr_eq(a, b),
-            (Part(a), Part(b)) => Arc::ptr_eq(a, b),
             (Undefined, Undefined) => true,
             // Closures are never equal (function extensionality is
             // undecidable).
@@ -292,12 +282,6 @@ impl std::fmt::Debug for Value {
             Value::TidRel(h) => write!(f, "tidrel[{} pages]", h.pages().len()),
             Value::BTree(h) => write!(f, "btree[{} records]", h.tree.len()),
             Value::LsdTree(h) => write!(f, "lsdtree[{} entries]", h.tree.len()),
-            Value::Part(h) => write!(
-                f,
-                "partitioned {}[{} parts]",
-                self.kind_name(),
-                h.parts.len()
-            ),
             Value::Undefined => write!(f, "undefined"),
         }
     }

@@ -167,3 +167,51 @@ fn feed_value_drains_the_same_scan_sources_the_pipeline_pulls() {
     assert_eq!(fed, pulled);
     assert!(sos_exec::ops::streams::feed_value(&Value::Int(1)).is_err());
 }
+
+/// `filter` takes its input out of the owned argument list: the uniquely
+/// held `feed` pipeline over a heap is moved into the filter, not wrapped
+/// in `Cursor::Shared` (which takes a mutex on every batch).
+#[test]
+fn filter_moves_a_uniquely_held_input_pipeline() {
+    use sos_core::typed::{TypedExpr, TypedNode};
+    use sos_core::{Const, Symbol};
+    let sig = sos_system::builtin::builtin_signature();
+    let (mut engine, heap) = engine_with_heap(100);
+    engine.bind_signature(&sig);
+    let apply = |op: &str, args: Vec<TypedExpr>| {
+        let op = Symbol::new(op);
+        let spec = sig.candidates(&op)[0];
+        TypedExpr::new(TypedNode::Apply { op, spec, args }, DataType::atom("bool"))
+    };
+    let tuple = DataType::tuple(vec![(sym("k"), DataType::atom("int"))]);
+    let pred = TypedExpr::new(
+        TypedNode::Lambda {
+            params: Arc::from(vec![(sym("t"), tuple.clone())]),
+            body: Arc::new(TypedExpr::new(
+                TypedNode::Const(Const::Bool(true)),
+                DataType::atom("bool"),
+            )),
+        },
+        DataType::Fun(vec![tuple], Box::new(DataType::atom("bool"))),
+    );
+    let feed = apply(
+        "feed",
+        vec![TypedExpr::new(
+            TypedNode::Object(sym("h")),
+            DataType::atom("bool"),
+        )],
+    );
+    let filter = apply("filter", vec![feed, pred]);
+
+    let mut store = HashMap::new();
+    store.insert(sym("h"), Value::TidRel(heap));
+    let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    let Value::Cursor(c) = ctx.eval(&filter).unwrap() else {
+        panic!("feed filter over a heap is a pipelined cursor");
+    };
+    let Cursor::Filter { input, .. } = &*c.lock() else {
+        panic!("expected a filter cursor");
+    };
+    assert_eq!(format!("{input:?}"), "cursor[heap-scan]");
+}

@@ -5,7 +5,7 @@
 //! type constructors, kind-quantified operator patterns, and
 //! optimization rules as typed term rewrites. That makes whole classes
 //! of spec bugs statically decidable before anything executes. This
-//! crate implements eight analyses (see DESIGN.md §7 and §12):
+//! crate implements eight analyses (see DESIGN.md §7 and §11):
 //!
 //! * **L001** — pattern overlap: two alternatives of the same operator
 //!   whose argument patterns unify, so dispatch order silently decides.

@@ -322,9 +322,9 @@ fn scan_type_pattern(p: &TypePattern, sig: &Signature, u: &mut Unknowns) {
 }
 
 /// A kind is inhabited if a declared constructor lives in it, or if some
-/// operator's type-operator result (`-> s : KIND`) mints types into it —
-/// partition-wise plans, for example, pass streams of a kind no
-/// constructor produces directly (partscan's per-partition output).
+/// operator's type-operator result (`-> s : KIND`) mints types into it:
+/// a spec may declare a stream kind that no constructor produces and
+/// only such an operator's result inhabits.
 fn kind_inhabited(kind: &Symbol, sig: &Signature) -> bool {
     sig.constructors()
         .any(|c| sig.constructor_in_kind(&c.name, kind))

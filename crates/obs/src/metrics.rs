@@ -38,8 +38,7 @@ pub struct MetricsSnapshot {
 /// Statement-cache traffic: hits rebind a cached plan and skip check
 /// and rewrite; misses check, optimize and (when the shape's typing does
 /// not depend on its literals) populate the cache; invalidations are
-/// entries evicted by DDL, new specs, re-partitioning, bulk loads, or
-/// `analyze`.
+/// entries evicted by DDL, new specs, bulk loads, or `analyze`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerStats {
     pub cache_hits: u64,
@@ -176,12 +175,6 @@ pub fn op_line(s: &OpStats) -> String {
             s.rows_per_batch()
         ));
     }
-    if s.partitions > 0 {
-        line.push_str(&format!(
-            ", {} partition(s) ({} pruned)",
-            s.partitions, s.partitions_pruned
-        ));
-    }
     line
 }
 
@@ -308,8 +301,6 @@ pub(crate) fn op_json(name: &str, s: &OpStats) -> String {
         .u64("max_workers", s.max_workers)
         .u64("batches", s.batches)
         .u64("batched_rows", s.batched_rows)
-        .u64("partitions", s.partitions)
-        .u64("partitions_pruned", s.partitions_pruned)
         .finish()
 }
 
@@ -348,14 +339,10 @@ pub fn ops_delta(
                 max_workers: a.max_workers,
                 batches: a.batches - b.batches,
                 batched_rows: a.batched_rows - b.batched_rows,
-                partitions: a.partitions - b.partitions,
-                partitions_pruned: a.partitions_pruned - b.partitions_pruned,
             };
-            // `materialize` records only batch traffic, and index probes
-            // over partitioned objects record only partition traffic (the
-            // drain is counted downstream), so either alone also keeps a
-            // row alive in the delta.
-            (d.invocations > 0 || d.batches > 0 || d.partitions > 0).then(|| (name.clone(), d))
+            // `materialize` records only batch traffic, so that alone
+            // also keeps a row alive in the delta.
+            (d.invocations > 0 || d.batches > 0).then(|| (name.clone(), d))
         })
         .collect()
 }

@@ -167,15 +167,6 @@ impl LsdTree {
         Ok(removed)
     }
 
-    /// Bounding box of every stored entry (the root cover). `None` for an
-    /// empty tree. Partition pruning consults this to skip partitions
-    /// whose contents cannot intersect a query point or rectangle.
-    pub fn cover(&self) -> Option<Rect> {
-        match &self.inner.lock().root {
-            DirNode::Inner { cover, .. } | DirNode::Leaf { cover, .. } => *cover,
-        }
-    }
-
     /// Bulk-pack `entries` into an empty tree in one top-down pass: the
     /// entry set is recursively median-split (the same local split
     /// decision `insert` uses) until each piece fits a bucket page, then
@@ -654,7 +645,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bulk.len(), 1500);
-        assert_eq!(bulk.cover(), serial.cover());
+        let root_cover = |t: &LsdTree| match &t.inner.lock().root {
+            DirNode::Inner { cover, .. } | DirNode::Leaf { cover, .. } => *cover,
+        };
+        assert_eq!(root_cover(&bulk), root_cover(&serial));
         for p in gen::uniform_points(40, 42) {
             let norm = |mut v: Vec<Entry>| {
                 v.sort_by(|a, b| a.payload.cmp(&b.payload));

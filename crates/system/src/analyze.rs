@@ -2,14 +2,14 @@
 //!
 //! Statistics drive the cost model (see `sos_optimizer::cost`): row
 //! counts, page counts, an equi-width histogram over a B-tree's key
-//! attribute, the bounding box and a center-x histogram for LSD-trees,
-//! and per-partition row counts for partitioned objects. They live in
-//! the [`sos_catalog::Catalog`] and therefore persist through
-//! [`crate::Database::save`] / [`crate::Database::open_dir`] and through
-//! WAL crash recovery (the catalog rides in every commit's meta
-//! snapshot). Statistics are an *estimate* refreshed only by `analyze`;
-//! a stale histogram can mis-rank plans but never makes one incorrect —
-//! candidate plans are always type-checked.
+//! attribute, and the bounding box and a center-x histogram for
+//! LSD-trees. They live in the [`sos_catalog::Catalog`] and therefore
+//! persist through [`crate::Database::save`] /
+//! [`crate::Database::open_dir`] and through WAL crash recovery (the
+//! catalog rides in every commit's meta snapshot). Statistics are an
+//! *estimate* refreshed only by `analyze`; a stale histogram can
+//! mis-rank plans but never makes one incorrect — candidate plans are
+//! always type-checked.
 
 use crate::{Database, SystemError};
 use sos_catalog::{BBox, Histogram, ObjectStats, HISTOGRAM_BUCKETS};
@@ -62,7 +62,6 @@ impl Database {
                             | Value::TidRel(_)
                             | Value::BTree(_)
                             | Value::LsdTree(_)
-                            | Value::Part(_)
                     )
                 )
             })
@@ -86,11 +85,6 @@ fn object_stats(ty: &DataType, value: &Value) -> Result<ObjectStats, SystemError
         pages: physical_pages(value)?.max(1),
         ..ObjectStats::default()
     };
-    if let Value::Part(h) = value {
-        for p in &h.parts {
-            stats.partition_rows.push(feed_value(p)?.len() as u64);
-        }
-    }
     if let Some(attr) = btree_key_attr(ty) {
         if let Some(idx) = attr_index_of(ty, &attr) {
             let values: Vec<f64> = tuples
@@ -135,13 +129,6 @@ fn physical_pages(value: &Value) -> Result<u64, SystemError> {
     Ok(match value {
         Value::SRel(h) | Value::TidRel(h) => h.pages().len() as u64,
         Value::BTree(h) => h.tree.page_count().map_err(SystemError::from)? as u64,
-        Value::Part(h) => {
-            let mut total = 0;
-            for p in &h.parts {
-                total += physical_pages(p)?;
-            }
-            total
-        }
         other => {
             let rows = feed_value(other)?.len() as u64;
             rows.div_ceil(TUPLES_PER_PAGE)
@@ -159,13 +146,6 @@ fn collect_rects(value: &Value) -> Result<Vec<sos_geom::Rect>, SystemError> {
             .into_iter()
             .map(|e| e.rect)
             .collect(),
-        Value::Part(h) => {
-            let mut out = Vec::new();
-            for p in &h.parts {
-                out.extend(collect_rects(p)?);
-            }
-            out
-        }
         _ => Vec::new(),
     })
 }

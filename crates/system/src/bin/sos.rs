@@ -20,9 +20,12 @@
 //! * `.wal [policy <p>]` — inspect the WAL pipeline (sync policy, LSN
 //!   watermarks, counters) or switch the commit sync policy
 //! * `.stats [op]`   — per-operator counters (one operator, or all)
-//! * `.partition <obj> [<attr> hash <n> | <attr> range <b>...]` — show
-//!   or set an object's partitioning (see `Database::partition_object`)
+//! * `.ops [name]`   — list the signature's operators, or describe one
+//! * `.analyze [obj]` — collect statistics for one object or all
+//! * `.cost [on|off]` — show or toggle cost-based optimization
+//! * `.cache [clear]` — statement-cache counters, or empty the cache
 //! * `.workers [n]`  — show or set the intra-operator worker count
+//! * `.batch [n]`    — show or set the vectorized batch width
 //! * `.compile [on|off]` — show or toggle the expression compiler
 //! * `.objects`      — list catalog objects
 //! * `.quit`
@@ -239,40 +242,7 @@ fn stats_line(s: &sos_catalog::ObjectStats) -> String {
     if s.rect_histogram.is_some() || s.bbox.is_some() {
         line.push_str(", rect distribution");
     }
-    if !s.partition_rows.is_empty() {
-        line.push_str(&format!(", {} partition(s)", s.partition_rows.len()));
-    }
     line
-}
-
-/// Render one partitioning spec the way `.partition <obj>` reports it.
-fn partition_line(spec: &sos_system::PartSpec) -> String {
-    match &spec.method {
-        sos_system::PartMethod::Hash { parts } => {
-            format!("hash({parts}) on {}", spec.attr)
-        }
-        sos_system::PartMethod::Range { bounds } => format!(
-            "range({}) on {} with bounds [{}]",
-            bounds.len() + 1,
-            spec.attr,
-            bounds
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    }
-}
-
-/// Parse one range bound: integer, then real, then a bare string.
-fn parse_bound(word: &str) -> sos_core::Const {
-    if let Ok(i) = word.parse::<i64>() {
-        sos_core::Const::Int(i)
-    } else if let Ok(r) = word.parse::<f64>() {
-        sos_core::Const::Real(r)
-    } else {
-        sos_core::Const::Str(word.to_string())
-    }
 }
 
 fn meta_command(db: &mut Database, cmd: &str) -> bool {
@@ -280,7 +250,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .partition <obj> [<attr> hash <n> | <attr> range <b>...] | .analyze [obj] | .cost [on|off] | .cache [clear] | .workers [n] | .batch [n] | .compile [on|off] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cost [on|off] | .cache [clear] | .workers [n] | .batch [n] | .compile [on|off] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -342,51 +312,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
         }
         ".metrics" => {
             println!("{}", db.metrics());
-        }
-        // `.partition <obj>` shows the object's partitioning spec;
-        // `.partition <obj> <attr> hash <n>` / `.partition <obj> <attr>
-        // range <b1> <b2>...` repartitions it (existing tuples are
-        // redistributed; the spec is recorded in the catalog).
-        ".partition" => {
-            let words: Vec<&str> = rest.split_whitespace().collect();
-            match words.as_slice() {
-                [] => {
-                    println!("usage: .partition <obj> [<attr> hash <n> | <attr> range <bound>...]")
-                }
-                [obj] => match db.catalog().partition_spec(&sos_core::Symbol::new(obj)) {
-                    Some(spec) => println!("{obj}: {}", partition_line(spec)),
-                    None => println!("{obj} is not partitioned"),
-                },
-                [obj, attr, "hash", n] => match n.parse::<usize>() {
-                    Ok(parts) if parts >= 1 => {
-                        let spec = sos_system::PartSpec {
-                            attr: sos_core::Symbol::new(attr),
-                            method: sos_system::PartMethod::Hash { parts },
-                        };
-                        match db.partition_object(obj, spec) {
-                            Ok(()) => println!("{obj} partitioned: hash({parts}) on {attr}"),
-                            Err(e) => println!("error: {e}"),
-                        }
-                    }
-                    _ => println!("error: hash partition count must be a positive integer"),
-                },
-                [obj, attr, "range", bounds @ ..] if !bounds.is_empty() => {
-                    let spec = sos_system::PartSpec {
-                        attr: sos_core::Symbol::new(attr),
-                        method: sos_system::PartMethod::Range {
-                            bounds: bounds.iter().map(|b| parse_bound(b)).collect(),
-                        },
-                    };
-                    let parts = bounds.len() + 1;
-                    match db.partition_object(obj, spec) {
-                        Ok(()) => println!("{obj} partitioned: range({parts}) on {attr}"),
-                        Err(e) => println!("error: {e}"),
-                    }
-                }
-                _ => {
-                    println!("usage: .partition <obj> [<attr> hash <n> | <attr> range <bound>...]")
-                }
-            }
         }
         // `.analyze` collects statistics (row counts, histograms, MBR
         // distributions) for one object or every stored object; the

@@ -65,7 +65,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use sos_catalog::{PartMethod, PartSpec};
 pub use sos_obs::metrics::op_line;
 pub use sos_obs::{
     Explain, ExplainAnalysis, ExplainKind, MetricsSnapshot, Phase, PhaseTimings, PlannerStats,
@@ -103,6 +102,9 @@ pub enum SystemError {
     UnknownObject(Symbol),
     /// Saving or opening a database directory failed.
     Persist(String),
+    /// A saved directory or WAL holds an object stored partitioned, a
+    /// layout written by older versions and no longer readable.
+    PartitionedObject(Symbol),
     /// `strict_lint` rejected a spec or rule registration: the new
     /// declarations produced error-severity diagnostics.
     Lint(Vec<sos_lint::Diagnostic>),
@@ -126,6 +128,10 @@ impl std::fmt::Display for SystemError {
             ),
             SystemError::UnknownObject(n) => write!(f, "no object named `{n}`"),
             SystemError::Persist(m) => write!(f, "persistence error: {m}"),
+            SystemError::PartitionedObject(n) => write!(
+                f,
+                "object `{n}` is stored partitioned, which this version no longer reads"
+            ),
             SystemError::Lint(diags) => {
                 write!(f, "rejected by strict lint:")?;
                 for d in diags {
@@ -716,7 +722,7 @@ impl Database {
 
     /// Evict cached plans whose footprint includes `name` — called by
     /// every code path that changes what the optimizer would produce
-    /// for that object (DDL, re-partitioning, bulk loads, `analyze`).
+    /// for that object (DDL, bulk loads, `analyze`).
     pub(crate) fn invalidate_plans_for(&mut self, name: &Symbol) {
         self.plan_cache.invalidate_object(name);
     }

@@ -90,8 +90,8 @@ pub struct PlanCache {
     order: VecDeque<StmtKey>,
     pub hits: u64,
     pub misses: u64,
-    /// Entries evicted by DDL, re-partitioning, bulk loads, or
-    /// `analyze` (capacity evictions are not counted here).
+    /// Entries evicted by DDL, bulk loads, or `analyze` (capacity
+    /// evictions are not counted here).
     pub invalidations: u64,
 }
 
@@ -134,7 +134,7 @@ impl PlanCache {
     }
 
     /// Drop every entry whose footprint contains `name` (DDL on one
-    /// object, a re-partition, a bulk load, or fresh statistics).
+    /// object, a bulk load, or fresh statistics).
     pub fn invalidate_object(&mut self, name: &Symbol) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, p| !p.objects.contains(name));

@@ -182,3 +182,105 @@ fn corrupt_snapshots_error_cleanly() {
     assert!(err.to_string().contains("persistence error"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A hand-written format-1 snapshot (no `format` field) with one B-tree
+/// object. `PARTITIONS` and `IMAGE` are filled per case: versions that
+/// stored objects partitioned named them in the catalog's `partitions`
+/// map and imaged them as `Part`.
+const FORMAT_1_SNAPSHOT: &str = r#"{"catalog":{"types":{},"objects":{"items_rep":{"name":"items_rep","ty":{"Cons":["btree",[{"Type":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"k"}}},{"Type":{"Cons":["int",[]]}}]}]}]]}},{"Expr":{"Const":{"Ident":"k"}}},{"Type":{"Cons":["int",[]]}}]]},"level":"Representation"}},"relations":{},"partitions":PARTITIONS,"stats":{}},"store":[["items_rep",IMAGE]]}"#;
+const HASH_2_SPEC: &str = r#"{"attr":"k","method":{"Hash":{"parts":2}}}"#;
+const BTREE_IMAGE: &str = r#"{"BTree":{"root":0,"len":0}}"#;
+
+fn format_1_snapshot(partitions: &str, image: &str) -> String {
+    FORMAT_1_SNAPSHOT
+        .replace("PARTITIONS", partitions)
+        .replace("IMAGE", image)
+}
+
+/// A saved directory or a WAL whose catalog snapshot holds a partitioned
+/// object is refused with a typed error — never opened with the spec
+/// dropped and the object served wrong.
+#[test]
+fn partitioned_snapshots_are_refused_with_a_typed_error() {
+    use sos_storage::{DiskManager, MemDisk, Wal};
+    use sos_system::{DurabilityConfig, SystemError};
+    use std::sync::Arc;
+
+    let spec_map = format!(r#"{{"items_rep":{HASH_2_SPEC}}}"#);
+    let part_image =
+        format!(r#"{{"Part":{{"spec":{HASH_2_SPEC},"parts":[{BTREE_IMAGE},{BTREE_IMAGE}]}}}}"#);
+    let refused = [
+        ("spec and image", format_1_snapshot(&spec_map, &part_image)),
+        ("spec only", format_1_snapshot(&spec_map, BTREE_IMAGE)),
+        ("image only", format_1_snapshot("{}", &part_image)),
+    ];
+    for (case, snapshot) in &refused {
+        let dir = temp_dir("partitioned");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("snapshot.json"), snapshot).unwrap();
+        match Database::open_dir(&dir) {
+            Err(SystemError::PartitionedObject(name)) => assert_eq!(name.as_str(), "items_rep"),
+            Err(e) => panic!("{case}: wrong error: {e}"),
+            Ok(_) => panic!("{case}: a partitioned snapshot opened"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // The same snapshot as the meta record of a committed WAL
+        // transaction.
+        let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
+        let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
+        {
+            let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
+            wal.commit(wal.alloc_txid(), Some(snapshot.as_bytes()))
+                .unwrap();
+        }
+        match Database::builder()
+            .durability(DurabilityConfig::disks(data, wal_disk))
+            .try_build()
+        {
+            Err(SystemError::PartitionedObject(name)) => assert_eq!(name.as_str(), "items_rep"),
+            Err(e) => panic!("{case} (WAL): wrong error: {e}"),
+            Ok(_) => panic!("{case} (WAL): a partitioned snapshot recovered"),
+        }
+    }
+}
+
+/// A snapshot saved by this version, rewritten into format 1 (no
+/// `format` field, an empty `partitions` map), opens with the same
+/// contents.
+#[test]
+fn format_1_snapshots_without_partitions_still_open() {
+    let dir = temp_dir("format1");
+    {
+        let mut db = Database::open_dir(&dir).unwrap();
+        db.run(
+            r#"
+            type item = tuple(<(k, int), (label, string)>);
+            create items_rep : btree(item, k, int);
+            update items_rep := insert(items_rep, mktuple[(k, 7), (label, "seven")]);
+            update items_rep := insert(items_rep, mktuple[(k, 3), (label, "three")]);
+        "#,
+        )
+        .unwrap();
+        db.save(&dir).unwrap();
+    }
+    let path = dir.join("snapshot.json");
+    let current = std::fs::read_to_string(&path).unwrap();
+    let format_1 = current.replacen(r#""format":2,"#, "", 1).replacen(
+        r#""relations":{},"#,
+        r#""relations":{},"partitions":{},"#,
+        1,
+    );
+    assert!(
+        !format_1.contains(r#""format""#) && format_1.contains(r#""partitions":{}"#),
+        "unexpected snapshot layout: {current}"
+    );
+    std::fs::write(&path, format_1).unwrap();
+    let mut db = Database::open_dir(&dir).unwrap();
+    assert_eq!(
+        db.query("items_rep exactmatch[7] count").unwrap(),
+        Value::Int(1)
+    );
+    assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}

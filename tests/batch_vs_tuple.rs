@@ -15,7 +15,7 @@ mod oracle;
 use oracle::Expect::{Agree, Int, Len, Rows};
 use oracle::{ints, item, replaced, small, Expect};
 use sos_exec::Value;
-use sos_system::{Database, PartMethod, PartSpec};
+use sos_system::Database;
 
 /// Batch widths exercised against the tuple-at-a-time baseline.
 const BATCHES: &[usize] = &[1, 7, 1024];
@@ -32,8 +32,8 @@ fn joined(i: usize) -> Value {
     Value::tuple(fields)
 }
 
-/// ~35 tuples per page; heap + clustering B-tree + hash-partitioned heap
-/// + small model relation + a 100-row probe index.
+/// ~35 tuples per page; heap + clustering B-tree + small model relation
+/// + a 100-row probe index.
 fn rep_db(n: usize) -> Database {
     let mut db = Database::builder().build();
     db.run(
@@ -41,7 +41,6 @@ fn rep_db(n: usize) -> Database {
         type item = tuple(<(k, int), (grp, int), (pad, string)>);
         create heap_rep : tidrel(item);
         create items_rep : btree(item, k, int);
-        create part_rep : tidrel(item);
         create items : rel(item);
         type probe = tuple(<(pk, int), (plabel, string)>);
         create probes : btree(probe, pk, int);
@@ -50,16 +49,7 @@ fn rep_db(n: usize) -> Database {
     .unwrap();
     let tuples: Vec<Value> = (0..n).map(item).collect();
     db.bulk_insert("heap_rep", tuples.clone()).unwrap();
-    db.bulk_insert("items_rep", tuples.clone()).unwrap();
-    db.partition_object(
-        "part_rep",
-        PartSpec {
-            attr: sos_core::Symbol::new("k"),
-            method: PartMethod::Hash { parts: 4 },
-        },
-    )
-    .unwrap();
-    db.bulk_load("part_rep", tuples).unwrap();
+    db.bulk_insert("items_rep", tuples).unwrap();
     db.bulk_insert("items", (0..200).map(small).collect())
         .unwrap();
     let probes = (0..100).map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]));
@@ -121,26 +111,6 @@ fn scans_filters_and_counts_match_tuple_at_a_time() {
             (
                 "heap_rep feed filter[pad != \"x\"] filter[k mod 2 = 1] count",
                 Int(1500),
-            ),
-        ],
-    );
-}
-
-#[test]
-fn partition_scans_match_tuple_at_a_time() {
-    // Four hash partitions: counts are layout-independent, the order of
-    // a full drain is not.
-    let mut db = rep_db(3000);
-    assert_differential(
-        &mut db,
-        &[
-            ("part_rep feed count", Int(3000)),
-            ("part_rep feed consume", Len(3000)),
-            ("part_rep feed filter[k mod 7 = 0] count", Int(429)),
-            ("part_rep feed filter[grp = 3] consume", Len(300)),
-            (
-                "part_rep feed replace[k, fun (t: item) t k + 1] filter[k > 2990] count",
-                Int(10),
             ),
         ],
     );

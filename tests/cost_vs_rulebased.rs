@@ -4,7 +4,7 @@
 //! runs, never what it computes: every query in the corpus must produce
 //! the identical bag of tuples with costing on and off, under every
 //! combination of batch width (1 and 1024) and worker count (1 and 4),
-//! over partitioned objects with collected statistics.
+//! over objects with collected statistics.
 //!
 //! On top of the bag-equality net, the suite pins the two plan choices
 //! the cost model is expected to flip (a non-selective keyed selection
@@ -14,7 +14,6 @@
 //! WAL crash recovery.
 
 use proptest::prelude::*;
-use sos_catalog::{PartMethod, PartSpec};
 use sos_core::Symbol;
 use sos_exec::{render, Value};
 use sos_geom::gen;
@@ -134,21 +133,6 @@ fn load_db(db: &mut Database) {
     db.bulk_load("states_rep", states).unwrap();
 }
 
-/// Partition the two item representations so partition paths (and
-/// per-partition statistics) are in play on both sides of the diff.
-fn partition_db(db: &mut Database) {
-    for obj in ["heap_rep", "bt_rep"] {
-        db.partition_object(
-            obj,
-            PartSpec {
-                attr: Symbol::new("k"),
-                method: PartMethod::Hash { parts: 3 },
-            },
-        )
-        .unwrap();
-    }
-}
-
 /// A canonical rendering of a query result: collections become the
 /// sorted multiset of rendered tuples, scalars render directly.
 fn canon(v: &Value) -> String {
@@ -165,7 +149,6 @@ fn canon(v: &Value) -> String {
 fn corpus_db(workers: usize, batch: usize, cost: bool) -> Database {
     let mut db = build_db(workers, batch, cost);
     load_db(&mut db);
-    partition_db(&mut db);
     db.analyze_all().unwrap();
     db
 }

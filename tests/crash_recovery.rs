@@ -8,8 +8,11 @@
 //! The media (two `MemDisk`s for data pages and the WAL) survive the
 //! simulated crash; only the `FaultDisk` overlay — writes the process
 //! never synced — is lost, which is exactly the power-failure model.
+//!
+//! The last case kills a durable `bulk_load` at every write index: the
+//! recovered object holds none of the load or all of it.
 
-use sos_exec::render;
+use sos_exec::{render, Value};
 use sos_storage::{DiskManager, FaultClock, FaultDisk, FaultSchedule, MemDisk};
 use sos_system::{Database, DurabilityConfig, SyncPolicy, SystemError};
 use std::sync::Arc;
@@ -20,12 +23,13 @@ struct Media {
     wal: Arc<dyn DiskManager>,
 }
 
-/// How a matrix variant opens the database: the commit sync policy and
-/// the WAL's in-memory buffer budget.
+/// How a matrix variant opens the database: the commit sync policy, the
+/// WAL's in-memory buffer budget and the buffer pool's frame count.
 #[derive(Clone, Copy)]
 struct Variant {
     policy: SyncPolicy,
     wal_buffer_pages: usize,
+    frames: usize,
 }
 
 impl Variant {
@@ -34,6 +38,15 @@ impl Variant {
         Variant {
             policy: SyncPolicy::PerCommit,
             wal_buffer_pages: 64,
+            frames: 64,
+        }
+    }
+
+    /// The bulk-load matrix: `PerCommit` with a 256-frame pool.
+    fn bulk_load() -> Variant {
+        Variant {
+            frames: 256,
+            ..Variant::per_commit()
         }
     }
 
@@ -46,6 +59,7 @@ impl Variant {
                 max_batch: 8,
             },
             wal_buffer_pages: 64,
+            frames: 64,
         }
     }
 
@@ -58,6 +72,7 @@ impl Variant {
                 max_batch: 4,
             },
             wal_buffer_pages: 1,
+            frames: 64,
         }
     }
 }
@@ -93,7 +108,7 @@ impl Media {
                     .sync_policy(variant.policy)
                     .wal_buffer_pages(variant.wal_buffer_pages),
             )
-            .frame_capacity(64)
+            .frame_capacity(variant.frames)
             .try_build();
         (db, clock)
     }
@@ -283,4 +298,93 @@ fn checkpoint_mid_workload_is_transparent_to_recovery() {
         info.start_lsn > 0,
         "checkpoint should advance the recovery scan start"
     );
+}
+
+// ---- killed mid-bulk-load ----
+
+const LOAD_N: usize = 300;
+
+const LOAD_SCHEMA: &str = r#"
+    type item = tuple(<(k, int), (grp, int), (pad, string)>);
+    create bt_rep : btree(item, k, int);
+"#;
+
+fn load_tuples() -> Vec<Value> {
+    (0..LOAD_N)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Int(i as i64),
+                Value::Int((i % 10) as i64),
+                Value::Str(format!("pad{i:06}")),
+            ])
+        })
+        .collect()
+}
+
+/// Run create → bulk_load against fault-injecting disks; returns whether
+/// the load was acknowledged.
+fn load_until_crash(media: &Media, schedule: FaultSchedule) -> bool {
+    let (db, _clock) = media.open_variant(schedule, Variant::bulk_load());
+    let Ok(mut db) = db else {
+        return false;
+    };
+    db.run(LOAD_SCHEMA).is_ok() && db.bulk_load("bt_rep", load_tuples()).is_ok()
+}
+
+/// Crash the create + bulk-load workload at every write index (clean and
+/// torn) and reopen: the recovered B-tree must be empty (the load never
+/// committed) or complete. A partial load would break the one-statement
+/// durability contract of `bulk_load`, and an acknowledged load must
+/// never be lost.
+#[test]
+fn crash_mid_bulk_load_recovers_to_a_boundary() {
+    // Fault-free reference run to size the write-index space.
+    let (total_writes, rows) = {
+        let media = Media::new();
+        let (db, clock) = media.open_variant(FaultSchedule::default(), Variant::bulk_load());
+        let mut db = db.expect("fault-free open");
+        db.run(LOAD_SCHEMA).expect("schema");
+        let rows = db.bulk_load("bt_rep", load_tuples()).expect("bulk load");
+        (clock.writes(), rows)
+    };
+    assert_eq!(rows, LOAD_N);
+    assert!(
+        total_writes > 5,
+        "workload too small ({total_writes} writes)"
+    );
+    for torn in [false, true] {
+        for i in 0..total_writes {
+            let schedule = if torn {
+                FaultSchedule::torn_at(i)
+            } else {
+                FaultSchedule::crash_at(i)
+            };
+            let media = Media::new();
+            let loaded = load_until_crash(&media, schedule);
+            let (db, _) = media.open_variant(FaultSchedule::default(), Variant::bulk_load());
+            let mut db = db.unwrap_or_else(|e| {
+                panic!("crash at write {i} (torn={torn}): clean reopen failed: {e}")
+            });
+            // Crashed before the create committed: no object, no rows.
+            let n = if db.catalog().objects().any(|o| o.name.as_str() == "bt_rep") {
+                match db.query("bt_rep feed count") {
+                    Ok(Value::Int(n)) => n,
+                    other => panic!("count query failed after recovery: {other:?}"),
+                }
+            } else {
+                0
+            };
+            assert!(
+                n == 0 || n == LOAD_N as i64,
+                "crash at write {i} (torn={torn}): partial bulk load survived \
+                 ({n} of {LOAD_N} tuples)"
+            );
+            if loaded {
+                assert_eq!(
+                    n, LOAD_N as i64,
+                    "crash at write {i} (torn={torn}): acknowledged bulk load lost"
+                );
+            }
+        }
+    }
 }

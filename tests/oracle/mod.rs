@@ -46,7 +46,7 @@ pub enum Expect {
     Int(i64),
     /// `n` tuples; in scan order, so the first and last are known too.
     Rows(usize, Value, Value),
-    /// `n` tuples in an order the layout decides (partition scans).
+    /// `n` tuples, in no checked order.
     Len(usize),
 }
 

@@ -17,7 +17,7 @@ use oracle::Expect::{Agree, Int, Rows};
 use oracle::{ints, item, replaced, small, Expect};
 use proptest::prelude::*;
 use sos_exec::Value;
-use sos_system::{Database, PartMethod, PartSpec};
+use sos_system::Database;
 use std::sync::Arc;
 
 /// The worker count held against the serial baseline: every count above
@@ -32,7 +32,6 @@ fn heap_db(pool: Arc<sos_storage::BufferPool>, n: usize) -> Database {
         type item = tuple(<(k, int), (grp, int), (pad, string)>);
         type mate = tuple(<(j, int), (tag, string)>);
         create heap_rep : tidrel(item);
-        create part_rep : tidrel(item);
         create mate_rep : tidrel(mate);
         create items : rel(item);
         create mates : rel(mate);
@@ -40,21 +39,7 @@ fn heap_db(pool: Arc<sos_storage::BufferPool>, n: usize) -> Database {
     )
     .unwrap();
     let items: Vec<Value> = (0..n).map(item).collect();
-    db.bulk_insert("heap_rep", items.clone()).unwrap();
-    db.partition_object(
-        "part_rep",
-        PartSpec {
-            attr: sos_core::Symbol::new("k"),
-            method: PartMethod::Range {
-                bounds: vec![
-                    sos_core::Const::Int(n as i64 / 3),
-                    sos_core::Const::Int(2 * n as i64 / 3),
-                ],
-            },
-        },
-    )
-    .unwrap();
-    db.bulk_load("part_rep", items).unwrap();
+    db.bulk_insert("heap_rep", items).unwrap();
     // Model-level relations stay small: bulk model inserts are O(n^2),
     // and the chunked in-memory paths engage from 64 tuples anyway.
     db.bulk_insert("items", (0..300).map(small).collect())
@@ -142,27 +127,6 @@ fn scans_filters_and_counts_match_serial() {
                 "heap_rep feed filter[pad != \"x\"] filter[k mod 2 = 1] count",
                 Int(1500),
             ),
-        ],
-    );
-}
-
-#[test]
-fn partition_scans_match_serial() {
-    // Three range partitions on k: partition order is key order, so
-    // even the full drain has a known first and last tuple.
-    let mut db = heap_db(sos_storage::mem_pool(4096), 3000);
-    assert_differential(
-        &mut db,
-        &[
-            ("part_rep feed count", Int(3000)),
-            ("part_rep feed consume", Rows(3000, item(0), item(2999))),
-            ("part_rep feed filter[k mod 7 = 0] count", Int(429)),
-            (
-                "part_rep feed filter[grp = 3] consume",
-                Rows(300, item(3), item(2993)),
-            ),
-            // Prunes to the last partition.
-            ("part_rep feed filter[k >= 2500] count", Int(500)),
         ],
     );
 }

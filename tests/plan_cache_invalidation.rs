@@ -1,14 +1,12 @@
 //! Statement-cache invalidation: every code path that changes what a
 //! parsed statement checks or rewrites to must evict the affected cached
 //! plans — DDL, type definitions, new specs, catalog-relation updates,
-//! re-partitioning, bulk loads, and `analyze`. One test is the seeded
+//! bulk loads, and `analyze`. One test is the seeded
 //! negative: after a schema change that retypes a representation,
 //! executing the same query text must re-optimize against the new
 //! schema, never run the stale plan. The last pins real literals
 //! rebinding position by position.
 
-use sos_catalog::{PartMethod, PartSpec};
-use sos_core::Symbol;
 use sos_exec::Value;
 use sos_system::Database;
 
@@ -132,31 +130,6 @@ fn deleting_a_catalog_relation_invalidates_every_cached_plan() {
     assert_eq!(
         db.query("items select[k = 5] count").unwrap(),
         Value::Int(0)
-    );
-}
-
-#[test]
-fn partition_respec_evicts_plans_over_the_object() {
-    let mut db = db();
-    warm(&mut db, "other_rep feed count");
-    warm(&mut db, "items select[k = 5]");
-    db.partition_object(
-        "other_rep",
-        PartSpec {
-            attr: Symbol::new("k"),
-            method: PartMethod::Hash { parts: 3 },
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        db.explain("other_rep feed count").unwrap().plan_cache,
-        Some(false),
-        "re-partitioning must evict the cached plan"
-    );
-    assert_eq!(
-        db.explain("items select[k = 5]").unwrap().plan_cache,
-        Some(true),
-        "unrelated plans survive"
     );
 }
 
