@@ -8,9 +8,7 @@
 //! ```
 
 use bench::{as_count, heap_db, item_tuples, keyed_db, spatial_db};
-use sos_storage::{DiskManager, FileDisk, SyncPolicy, Wal, WalOptions, PAGE_SIZE};
 use sos_system::{Database, DurabilityConfig};
-use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 fn main() {
@@ -776,112 +774,6 @@ fn pr6_json() -> String {
     )
 }
 
-// ---- PR7: group commit — coalesced fsyncs under concurrency ----
-
-/// Open a WAL over real files in a fresh temp dir (the data disk only
-/// anchors recovery; the committers never touch it).
-fn group_commit_wal(tag: &str, policy: SyncPolicy) -> (Arc<Wal>, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("sos-bench-gc-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("bench dir");
-    let data: Arc<dyn DiskManager> =
-        Arc::new(FileDisk::open(&dir.join("pages.db")).expect("data disk"));
-    let wal_disk: Arc<dyn DiskManager> =
-        Arc::new(FileDisk::open(&dir.join("wal.log")).expect("wal disk"));
-    let (wal, _, _) = Wal::recover_with(
-        wal_disk,
-        &data,
-        WalOptions {
-            policy,
-            ..WalOptions::default()
-        },
-    )
-    .expect("wal open");
-    (Arc::new(wal), dir)
-}
-
-/// `threads` committers × `per_thread` single-page commits racing from
-/// a barrier; wall milliseconds from the barrier to the last join.
-fn group_commit_run(wal: &Arc<Wal>, threads: usize, per_thread: usize) -> f64 {
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let handles: Vec<_> = (0..threads)
-        .map(|t| {
-            let wal = Arc::clone(wal);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                for i in 0..per_thread {
-                    let txid = wal.alloc_txid();
-                    let image = [(t + i) as u8; PAGE_SIZE];
-                    wal.append_page_image(txid, (t * per_thread + i) as u32, &image);
-                    wal.commit(txid, None).expect("commit");
-                }
-            })
-        })
-        .collect();
-    barrier.wait();
-    let started = Instant::now();
-    for h in handles {
-        h.join().expect("committer thread");
-    }
-    started.elapsed().as_secs_f64() * 1000.0
-}
-
-/// The concurrency sweep: N committing threads, per-commit fsync vs the
-/// coalescing group-commit writer, on real files. The commit count is
-/// held constant across the sweep so rows compare like for like.
-fn group_commit_json() -> String {
-    const TOTAL_COMMITS: usize = 320;
-    let mut rows = Vec::new();
-    for threads in [1usize, 4, 16, 64] {
-        let per_thread = TOTAL_COMMITS / threads;
-        let mut measured = Vec::new();
-        for (label, policy) in [
-            ("percommit", SyncPolicy::PerCommit),
-            ("group", SyncPolicy::DEFAULT_GROUP),
-        ] {
-            let (wal, dir) = group_commit_wal(&format!("{label}-{threads}"), policy);
-            // Best of three runs against the same log, like pr3_ms.
-            let mut best = f64::MAX;
-            for _ in 0..3 {
-                best = best.min(group_commit_run(&wal, threads, per_thread));
-            }
-            let stats = wal.stats();
-            assert_eq!(
-                wal.durable_lsn(),
-                wal.appended_lsn(),
-                "pipeline did not quiesce"
-            );
-            measured.push((best, stats.commits, stats.syncs));
-            drop(wal);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        let (per_ms, _, per_syncs) = measured[0];
-        let (group_ms, group_commits, group_syncs) = measured[1];
-        let speedup = per_ms / group_ms.max(f64::MIN_POSITIVE);
-        rows.push(format!(
-            r#"{{"threads":{threads},"commits_per_policy":{TOTAL_COMMITS},"percommit_ms":{per_ms:.3},"percommit_syncs":{per_syncs},"group_ms":{group_ms:.3},"group_syncs":{group_syncs},"group_syncs_per_commit":{:.4},"group_vs_percommit_speedup":{speedup:.2}}}"#,
-            group_syncs as f64 / group_commits as f64
-        ));
-    }
-    format!("[{}]", rows.join(","))
-}
-
-/// The JSON document committed as BENCH_PR7.json: the PR6 document plus
-/// the group-commit concurrency sweep.
-fn pr7_json() -> String {
-    let pr6 = pr6_json();
-    let body = pr6
-        .strip_prefix("{\"bench\":\"PR6 expression compilation + durability + static analysis + batch execution\",")
-        .expect("pr6_json prefix")
-        .strip_suffix('}')
-        .expect("pr6_json suffix");
-    format!(
-        "{{\"bench\":\"PR7 group commit + expression compilation + durability + static analysis + batch execution\",\"group_commit\":{},{body}}}",
-        group_commit_json()
-    )
-}
-
 /// The plan-validation overhead on the optimize path: one full pass over
 /// the builtin witness-plan set per mode, median of 9 paired samples
 /// (the `VALIDATE_OVERHEAD_SMOKE` CI gate asserts ratio < 1.05).
@@ -909,19 +801,20 @@ fn rule_fuzzer_json() -> String {
     )
 }
 
-/// The JSON document committed as BENCH_PR9.json: the PR7 document plus
+/// The JSON document committed as BENCH_PR9.json: the PR6 document plus
 /// the rule-soundness sections — plan-validation overhead and the rule
-/// fuzzer's differential sweep. (The frozen file also holds the PR8
-/// partitioned-storage sections, retired with partitioned storage.)
+/// fuzzer's differential sweep. (The frozen file also holds the PR7
+/// group-commit sweep and the PR8 partitioned-storage sections, retired
+/// with group commit and partitioned storage.)
 fn pr9_json() -> String {
-    let pr7 = pr7_json();
-    let body = pr7
-        .strip_prefix("{\"bench\":\"PR7 group commit + expression compilation + durability + static analysis + batch execution\",")
-        .expect("pr7_json prefix")
+    let pr6 = pr6_json();
+    let body = pr6
+        .strip_prefix("{\"bench\":\"PR6 expression compilation + durability + static analysis + batch execution\",")
+        .expect("pr6_json prefix")
         .strip_suffix('}')
-        .expect("pr7_json suffix");
+        .expect("pr6_json suffix");
     format!(
-        "{{\"bench\":\"PR9 rule-soundness verification + group commit + expression compilation + durability + static analysis + batch execution\",\"validate_overhead\":{},\"rule_fuzzer\":{},{body}}}",
+        "{{\"bench\":\"PR9 rule-soundness verification + expression compilation + durability + static analysis + batch execution\",\"validate_overhead\":{},\"rule_fuzzer\":{},{body}}}",
         validate_overhead_json(),
         rule_fuzzer_json()
     )
@@ -1050,12 +943,12 @@ fn cost_model_json() -> String {
 fn pr10_json() -> String {
     let pr9 = pr9_json();
     let body = pr9
-        .strip_prefix("{\"bench\":\"PR9 rule-soundness verification + group commit + expression compilation + durability + static analysis + batch execution\",")
+        .strip_prefix("{\"bench\":\"PR9 rule-soundness verification + expression compilation + durability + static analysis + batch execution\",")
         .expect("pr9_json prefix")
         .strip_suffix('}')
         .expect("pr9_json suffix");
     format!(
-        "{{\"bench\":\"PR10 cost-based optimization + rule-soundness verification + group commit + expression compilation + durability + static analysis + batch execution\",\"cost_model\":{},{body}}}",
+        "{{\"bench\":\"PR10 cost-based optimization + rule-soundness verification + expression compilation + durability + static analysis + batch execution\",\"cost_model\":{},{body}}}",
         cost_model_json()
     )
 }

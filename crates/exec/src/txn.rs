@@ -14,14 +14,12 @@
 //! Over a pool without a WAL both `begin` and `commit` are no-ops, so
 //! the system layer can bracket statements unconditionally.
 //!
-//! What "commit returned `Ok`" buys depends on the pool's
-//! `SyncPolicy`: under `PerCommit` the committing thread wrote and
-//! synced the log itself; under `Group` the commit was *enqueued* on
-//! the WAL's background writer and this call parked until the writer's
-//! coalesced fsync covered the statement's durable LSN; under `NoSync`
-//! the records are appended and the writer nudged, and the statement
-//! may ride a later fsync. Atomicity is identical in all three —
-//! recovery replays a statement entirely or not at all.
+//! The commit writes the log inline, on the committing thread. What
+//! "commit returned `Ok`" buys depends on the pool's `SyncPolicy`:
+//! under `PerCommit` the log was also synced, so the statement is
+//! durable; under `NoSync` it was written but not synced, and the
+//! statement becomes durable with a later sync. Atomicity is identical
+//! in both — recovery replays a statement entirely or not at all.
 
 use crate::{ExecError, ExecResult};
 use sos_storage::BufferPool;
@@ -76,44 +74,13 @@ impl Drop for StatementTx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sos_storage::{DiskManager, MemDisk, SyncPolicy, Wal, WalOptions};
+    use sos_storage::{DiskManager, MemDisk, Wal};
 
     fn wal_pool() -> Arc<BufferPool> {
         let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
         let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
         let (wal, _, _) = Wal::recover(wal_disk, &data).unwrap();
         Arc::new(BufferPool::with_wal(data, 8, Arc::new(wal)))
-    }
-
-    #[test]
-    fn group_policy_commit_waits_for_durable_lsn() {
-        // Commit under group commit is "enqueue + wait": when it returns,
-        // the statement's records are durable even though the fsync ran
-        // on the WAL's writer thread.
-        let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-        let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-        let (wal, _, _) = Wal::recover_with(
-            wal_disk,
-            &data,
-            WalOptions {
-                policy: SyncPolicy::Group {
-                    window_us: 100,
-                    max_batch: 8,
-                },
-                ..WalOptions::default()
-            },
-        )
-        .unwrap();
-        let pool = Arc::new(BufferPool::with_wal(data, 8, Arc::new(wal)));
-        let tx = StatementTx::begin(Arc::clone(&pool)).unwrap();
-        let (pid, g) = pool.allocate().unwrap();
-        g.write()[0] = 5;
-        drop(g);
-        tx.commit(None).unwrap();
-        let wal = pool.wal().unwrap();
-        assert_eq!(wal.durable_lsn(), wal.appended_lsn());
-        let g = pool.fetch(pid).unwrap();
-        assert_eq!(g.read()[0], 5);
     }
 
     #[test]

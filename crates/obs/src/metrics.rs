@@ -11,7 +11,7 @@ use crate::json::{array, Obj};
 use crate::trace::{Phase, PhaseTimings};
 use sos_exec::{CompileStats, OpStats};
 use sos_optimizer::OptimizerStats;
-use sos_storage::{CheckpointStats, PoolStats, WalStats, BATCH_BUCKET_LABELS};
+use sos_storage::{CheckpointStats, PoolStats, WalStats};
 
 /// One consistent view of every counter the system keeps.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -188,21 +188,6 @@ pub fn wal_line(w: &WalStats) -> String {
     if w.checkpoints > 0 {
         line.push_str(&format!(", {} checkpoint(s)", w.checkpoints));
     }
-    if w.batch_hist.iter().any(|&n| n > 0) {
-        let buckets: Vec<String> = BATCH_BUCKET_LABELS
-            .iter()
-            .zip(w.batch_hist.iter())
-            .filter(|(_, &n)| n > 0)
-            .map(|(label, n)| format!("{label}:{n}"))
-            .collect();
-        line.push_str(&format!(", batch sizes {{{}}}", buckets.join(" ")));
-    }
-    if w.max_pipeline_depth > 0 {
-        line.push_str(&format!(
-            ", pipeline depth ≤ {} commit(s)",
-            w.max_pipeline_depth
-        ));
-    }
     line
 }
 
@@ -268,16 +253,6 @@ pub(crate) fn wal_json(w: &WalStats) -> String {
         .u64("bytes", w.bytes)
         .u64("syncs", w.syncs)
         .u64("checkpoints", w.checkpoints)
-        .raw(
-            "batch_hist",
-            &array(
-                BATCH_BUCKET_LABELS
-                    .iter()
-                    .zip(w.batch_hist.iter())
-                    .map(|(label, n)| Obj::new().str("bucket", label).u64("count", *n).finish()),
-            ),
-        )
-        .u64("max_pipeline_depth", w.max_pipeline_depth)
         .finish()
 }
 
@@ -394,8 +369,7 @@ mod tests {
                 commits: 1,
                 bytes: 16500,
                 syncs: 1,
-                batch_hist: [1, 0, 0, 2, 0, 0],
-                max_pipeline_depth: 7,
+                checkpoints: 2,
                 ..WalStats::default()
             },
             compile: CompileStats {
@@ -416,8 +390,7 @@ mod tests {
         assert_eq!(snap.op("filter").unwrap().tuples_in, 100);
         assert!(snap.op("feed").is_none());
         assert!(text.contains("wal: 4 record(s) (2 page image(s), 1 commit(s)"));
-        assert!(text.contains("batch sizes {1:1 4-7:2}"));
-        assert!(text.contains("pipeline depth ≤ 7 commit(s)"));
+        assert!(text.contains("16500 byte(s), 1 sync(s), 2 checkpoint(s)"));
         assert!(
             text.contains("compile: 5 expr(s) compiled, 2 interpreter fallback(s): 2 impure-op")
         );
@@ -430,8 +403,7 @@ mod tests {
         assert!(json.contains(r#""logical_reads":10"#));
         assert!(json.contains(r#""op":"filter""#));
         assert!(json.contains(r#""page_images":2"#));
-        assert!(json.contains(r#""bucket":"4-7","count":2"#));
-        assert!(json.contains(r#""max_pipeline_depth":7"#));
+        assert!(json.contains(r#""syncs":1,"checkpoints":2}"#));
         let ckpt = CheckpointStats {
             pages_written: 3,
             start_lsn: 100,

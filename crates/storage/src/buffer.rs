@@ -5,7 +5,6 @@
 //! engine-wide measure of logical page touches and physical I/O — the cost
 //! numbers reported by the experiment harness.
 
-use crate::scheduler::DiskScheduler;
 use crate::wal::{Lsn, Wal, WalStats};
 use crate::{DiskManager, PageId, StorageError, StorageResult, PAGE_SIZE};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -89,14 +88,7 @@ pub struct BufferPool {
     frames: Mutex<HashMap<PageId, Arc<Frame>>>,
     clock: AtomicU64,
     stats: Counters,
-    /// Writes completed by the scheduler at the last `reset_stats`, so
-    /// `stats()` can report a resettable `physical_writes`.
-    sched_writes_base: AtomicU64,
     wal: Option<Arc<Wal>>,
-    /// Background data-page writeback (durable pools only): evictions
-    /// and checkpoints queue their writes here instead of blocking the
-    /// calling thread on the disk.
-    scheduler: Option<Arc<DiskScheduler>>,
     /// Id of the open transaction (0 = none). Single-writer: statement
     /// execution is serialized, parallel workers only read.
     tx_current: Arc<AtomicU64>,
@@ -117,12 +109,6 @@ impl BufferPool {
     }
 
     fn build(disk: Arc<dyn DiskManager>, capacity: usize, wal: Option<Arc<Wal>>) -> Self {
-        let scheduler = wal.as_ref().map(|w| {
-            Arc::new(
-                DiskScheduler::new(Arc::clone(&disk), Arc::clone(w))
-                    .expect("spawn disk scheduler worker"),
-            )
-        });
         BufferPool {
             disk,
             capacity: capacity.max(1),
@@ -135,9 +121,7 @@ impl BufferPool {
                 physical_writes: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
             },
-            sched_writes_base: AtomicU64::new(0),
             wal,
-            scheduler,
             tx_current: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -169,18 +153,9 @@ impl BufferPool {
                 frame: Arc::clone(frame),
             });
         }
-        // Miss: make room, then read — from the writeback queue if the
-        // page's newest image is still waiting there (reading the disk
-        // would race the scheduler into serving a stale page), else from
-        // the disk.
+        // Miss: make room, then read from the disk.
         if frames.len() >= self.capacity {
             self.evict_one(&mut frames)?;
-        }
-        if let Some(data) = self.scheduler.as_ref().and_then(|s| s.lookup(pid)) {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let frame = Arc::new(self.new_frame(pid, data, false, tick));
-            frames.insert(pid, Arc::clone(&frame));
-            return Ok(PageGuard { frame });
         }
         let mut data = Box::new([0u8; PAGE_SIZE]);
         self.disk.read_page(pid, &mut data[..])?;
@@ -222,69 +197,47 @@ impl BufferPool {
             .values()
             .filter(|f| f.pins.load(Ordering::SeqCst) == 0 && f.txid.load(Ordering::SeqCst) == 0)
             .min_by_key(|f| f.last_used.load(Ordering::Relaxed))
-            .map(|f| f.pid)
+            .cloned()
             .ok_or(StorageError::PoolExhausted)?;
-        let frame = frames.remove(&victim).expect("victim present");
-        if frame.dirty.load(Ordering::SeqCst) {
-            if let Some(sched) = &self.scheduler {
-                // Hand the write to the background scheduler: it enforces
-                // WAL-before-data itself, so eviction no longer blocks the
-                // evicting thread on two disks.
-                let data = frame.data.read().clone();
-                sched.submit(frame.pid, data, frame.page_lsn.load(Ordering::SeqCst));
-            } else {
-                self.wal_before_data(&frame)?;
-                let data = frame.data.read();
-                self.disk.write_page(frame.pid, &data[..])?;
-                self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-            }
+        // Write back before dropping the frame: if the write fails the
+        // page stays cached and dirty, so its newest image is not lost.
+        if victim.dirty.load(Ordering::SeqCst) {
+            self.write_back(&victim)?;
         }
+        frames.remove(&victim.pid);
         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// The WAL-before-data check: before `frame` goes to the data disk,
-    /// the log must be durable past the frame's last logged image.
-    fn wal_before_data(&self, frame: &Frame) -> StorageResult<()> {
+    /// Write `frame` to the data disk behind the WAL-before-data check:
+    /// the log must be durable past the frame's last logged image first.
+    fn write_back(&self, frame: &Frame) -> StorageResult<()> {
         if let Some(wal) = &self.wal {
             wal.flush_to(frame.page_lsn.load(Ordering::SeqCst))?;
         }
+        let data = frame.data.read();
+        self.disk.write_page(frame.pid, &data[..])?;
+        self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Write every committed dirty frame back to disk (frames stay
     /// cached) and return how many pages reached the disk. Frames
     /// belonging to an open transaction are skipped — they reach the
-    /// disk only after their images are in the log. With a scheduler the
-    /// writes are queued and then *drained*: when this returns, every
-    /// previously queued writeback has completed too (a barrier).
+    /// disk only after their images are in the log.
     pub fn flush_all(&self) -> StorageResult<u64> {
         let frames = self.frames.lock();
-        if let Some(sched) = &self.scheduler {
-            let before = sched.completed();
-            for frame in frames.values() {
-                if frame.txid.load(Ordering::SeqCst) != 0 {
-                    continue;
-                }
-                if frame.dirty.swap(false, Ordering::SeqCst) {
-                    let data = frame.data.read().clone();
-                    sched.submit(frame.pid, data, frame.page_lsn.load(Ordering::SeqCst));
-                }
-            }
-            drop(frames);
-            sched.drain()?;
-            return Ok(sched.completed() - before);
-        }
         let mut written = 0u64;
         for frame in frames.values() {
             if frame.txid.load(Ordering::SeqCst) != 0 {
                 continue;
             }
             if frame.dirty.swap(false, Ordering::SeqCst) {
-                self.wal_before_data(frame)?;
-                let data = frame.data.read();
-                self.disk.write_page(frame.pid, &data[..])?;
-                self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
+                if let Err(e) = self.write_back(frame) {
+                    // Still dirty: a later flush or checkpoint retries it.
+                    frame.dirty.store(true, Ordering::SeqCst);
+                    return Err(e);
+                }
                 written += 1;
             }
         }
@@ -329,7 +282,7 @@ impl BufferPool {
         touched.sort_by_key(|f| f.pid);
         for f in &touched {
             let data = f.data.read();
-            let lsn = wal.append_page_image(txid, f.pid, &data[..]);
+            let lsn = wal.append_page_image(txid, f.pid, &data[..])?;
             f.page_lsn.store(lsn, Ordering::SeqCst);
         }
         wal.commit(txid, meta)?;
@@ -411,21 +364,13 @@ impl BufferPool {
         self.wal.as_ref().map(|w| w.stats()).unwrap_or_default()
     }
 
-    /// Snapshot of the pool's counters. Writes completed by the
-    /// background scheduler count as `physical_writes` — they are this
-    /// pool's pages reaching this pool's disk, whoever's thread carried
-    /// them.
+    /// Snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
-        let sched_writes = self
-            .scheduler
-            .as_ref()
-            .map(|s| s.completed() - self.sched_writes_base.load(Ordering::SeqCst))
-            .unwrap_or(0);
         PoolStats {
             logical_reads: self.stats.logical_reads.load(Ordering::Relaxed),
             cache_hits: self.stats.cache_hits.load(Ordering::Relaxed),
             physical_reads: self.stats.physical_reads.load(Ordering::Relaxed),
-            physical_writes: self.stats.physical_writes.load(Ordering::Relaxed) + sched_writes,
+            physical_writes: self.stats.physical_writes.load(Ordering::Relaxed),
             evictions: self.stats.evictions.load(Ordering::Relaxed),
         }
     }
@@ -437,10 +382,6 @@ impl BufferPool {
         self.stats.physical_reads.store(0, Ordering::Relaxed);
         self.stats.physical_writes.store(0, Ordering::Relaxed);
         self.stats.evictions.store(0, Ordering::Relaxed);
-        if let Some(sched) = &self.scheduler {
-            self.sched_writes_base
-                .store(sched.completed(), Ordering::SeqCst);
-        }
     }
 
     /// The disk manager beneath this pool.
@@ -510,7 +451,7 @@ impl Drop for PageGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemDisk, Wal};
+    use crate::{FaultClock, FaultDisk, FaultSchedule, MemDisk, Wal};
 
     fn pool(frames: usize) -> BufferPool {
         BufferPool::new(Arc::new(MemDisk::new()), frames)
@@ -596,9 +537,8 @@ mod tests {
 
     #[test]
     fn scheduled_writeback_keeps_reads_fresh() {
-        // Eviction on a durable pool queues the write on the background
-        // scheduler; a refetch must see the newest image whether or not
-        // the writeback has landed yet.
+        // Eviction on a durable pool writes the page back inline (log
+        // first); a refetch must read the newest image from the disk.
         let p = durable_pool(2);
         p.begin_tx().unwrap();
         let (pid, g) = p.allocate().unwrap();
@@ -616,13 +556,37 @@ mod tests {
         assert_eq!(g.read()[0], 42);
         drop(g);
         let s = p.stats();
-        assert_eq!(
-            s.logical_reads,
-            s.cache_hits + s.physical_reads,
-            "scheduler lookups must keep the hit/miss identity"
-        );
-        p.flush_all().unwrap();
-        assert!(p.stats().physical_writes >= 1);
+        assert_eq!(s.logical_reads, s.cache_hits + s.physical_reads);
+        assert!(s.physical_writes >= 1, "eviction wrote the page back");
+    }
+
+    #[test]
+    fn failed_writeback_keeps_the_page_cached_and_dirty() {
+        // A data-page write that fails must not drop the committed image:
+        // eviction would otherwise serve the stale disk page, and a later
+        // checkpoint would move the log past an image the disk never got.
+        let clock = FaultClock::new(FaultSchedule {
+            transient_write_errors: vec![0, 1],
+            ..Default::default()
+        });
+        let data: Arc<dyn DiskManager> = Arc::new(FaultDisk::new(Arc::new(MemDisk::new()), clock));
+        let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
+        let (wal, _, _) = Wal::recover(wal_disk, &data).unwrap();
+        let p = BufferPool::with_wal(Arc::clone(&data), 1, Arc::new(wal));
+        p.begin_tx().unwrap();
+        let (pid, g) = p.allocate().unwrap();
+        g.write()[0] = 42;
+        drop(g);
+        p.commit_tx(None).unwrap();
+        // Write 0: evicting the page fails, and it stays cached.
+        assert!(p.allocate().is_err());
+        assert_eq!(p.fetch(pid).unwrap().read()[0], 42);
+        // Write 1: the flush fails; the retry (write 2) lands the page.
+        assert!(p.flush_all().is_err());
+        assert_eq!(p.flush_all().unwrap(), 1);
+        let mut buf = [0u8; PAGE_SIZE];
+        data.read_page(pid, &mut buf).unwrap();
+        assert_eq!(buf[0], 42);
     }
 
     #[test]

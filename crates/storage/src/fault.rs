@@ -263,9 +263,9 @@ mod tests {
 
     #[test]
     fn clock_stays_exact_under_concurrent_writers() {
-        // The WAL writer and disk scheduler threads write concurrently
-        // with the engine thread; the shared clock must count every
-        // write exactly once and a crash must take down all of them.
+        // A FaultDisk is shared across threads like any DiskManager;
+        // the shared clock must count every write exactly once and a
+        // crash must take down all of them.
         let clock = FaultClock::new(FaultSchedule::default());
         let disks: Vec<Arc<FaultDisk>> = (0..2)
             .map(|_| Arc::new(FaultDisk::new(Arc::new(MemDisk::new()), Arc::clone(&clock))))

@@ -30,7 +30,6 @@ pub mod field;
 pub mod heap;
 pub mod keys;
 pub mod lsdtree;
-pub mod scheduler;
 pub mod wal;
 
 pub use buffer::{BufferPool, CheckpointStats, PoolStats};
@@ -38,10 +37,7 @@ pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use error::{StorageError, StorageResult};
 pub use fault::{FaultClock, FaultDisk, FaultSchedule};
 pub use page::{PageId, TupleId, PAGE_SIZE};
-pub use scheduler::DiskScheduler;
-pub use wal::{
-    Lsn, RecoveryInfo, SyncPolicy, Wal, WalOptions, WalStats, BATCH_BUCKETS, BATCH_BUCKET_LABELS,
-};
+pub use wal::{Lsn, RecoveryInfo, SyncPolicy, Wal, WalStats};
 
 use std::sync::Arc;
 

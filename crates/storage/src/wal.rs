@@ -13,30 +13,27 @@
 //!   torn or CRC-invalid record (logical truncation), and replays the
 //!   page images of committed transactions onto the data disk.
 //!
-//! # The commit pipeline
+//! # The commit path
 //!
-//! How a commit becomes durable is governed by a [`SyncPolicy`]:
+//! Every log write happens inline, on the thread that appends or
+//! commits, under the one lock that guards the in-memory tail. The
+//! engine has a single writer, so there is nothing for a background
+//! thread to overlap or coalesce. A [`SyncPolicy`] decides only whether
+//! a commit also syncs:
 //!
-//! * [`SyncPolicy::PerCommit`] — the committing thread writes and syncs
-//!   the log inline before returning. One fsync per commit, maximum
-//!   latency isolation, the PR 5 behavior byte for byte.
-//! * [`SyncPolicy::Group`] — commits append to the in-memory tail and
-//!   hand the I/O to a background writer thread, which lingers for a
-//!   short window (or until `max_batch` commits are queued) and retires
-//!   the whole batch with **one** write + fsync. Every committer still
-//!   blocks until its own LSN is durable, so the guarantee is unchanged;
-//!   only the fsync is shared.
-//! * [`SyncPolicy::NoSync`] — commits are acknowledged as soon as they
-//!   are appended in memory; the background writer pushes bytes to the
-//!   log disk opportunistically but nothing waits for an fsync. A crash
-//!   loses a suffix of acknowledged commits, but recovery still lands on
-//!   a statement boundary (the log is truncated at the first torn
-//!   record, never replayed past it).
+//! * [`SyncPolicy::PerCommit`] — commit writes the tail and syncs the
+//!   log before returning, one fsync per commit: `Ok` means durable.
+//! * [`SyncPolicy::NoSync`] — commit writes the tail but does not sync.
+//!   A crash can lose a suffix of acknowledged commits, but recovery
+//!   still lands on a statement boundary (the log is truncated at the
+//!   first torn record, never replayed past it). The next sync — an
+//!   explicit flush, a policy switch, a checkpoint, or an eviction's
+//!   WAL-before-data check — makes them durable.
 //!
-//! The tail is a double buffer: producers append into the current
-//! in-memory segment under the `tail` lock while the writer snapshots
-//! filled pages out of it and performs disk I/O with the lock released,
-//! so appends never wait on the disk.
+//! An append that would leave more than `TAIL_PAGES` filled log pages in
+//! memory first writes the pending ones out (without a sync), so a big
+//! statement or a bulk load holds a bounded amount of log in memory
+//! under either policy.
 //!
 //! # On-disk layout
 //!
@@ -58,8 +55,7 @@ use crate::{DiskManager, PageId, StorageError, StorageResult, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// A log sequence number: a byte offset into the record region.
 pub type Lsn = u64;
@@ -119,69 +115,25 @@ pub fn crc32(parts: &[&[u8]]) -> u32 {
 /// When a commit's log records are forced to stable storage.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Write and fsync inline on the committing thread, one fsync per
-    /// commit. Maximum isolation, maximum cost.
+    /// Write and fsync before the commit returns, one fsync per commit.
     #[default]
     PerCommit,
-    /// Group commit: hand the fsync to the background writer, which
-    /// coalesces every commit arriving within `window_us` microseconds
-    /// (or until `max_batch` are queued, whichever is first) into one
-    /// fsync. Commits still block until their LSN is durable.
-    Group {
-        /// How long the writer lingers for more commits, in microseconds.
-        window_us: u64,
-        /// Sync immediately once this many commits are queued.
-        max_batch: usize,
-    },
-    /// Acknowledge commits without waiting for any fsync. The background
-    /// writer pushes bytes out opportunistically; a crash loses a suffix
-    /// of acknowledged commits but never breaks statement atomicity.
+    /// Write the commit to the log disk without an fsync. A crash loses
+    /// a suffix of acknowledged commits but never breaks statement
+    /// atomicity.
     NoSync,
 }
 
 impl SyncPolicy {
-    /// The `Group` variant with default window and batch bound.
-    pub const DEFAULT_GROUP: SyncPolicy = SyncPolicy::Group {
-        window_us: 200,
-        max_batch: 64,
-    };
-
-    /// Parse `percommit`, `group`, `group:<window_us>`,
-    /// `group:<window_us>:<max_batch>`, or `nosync`.
+    /// Parse `percommit` or `nosync`.
     pub fn parse(s: &str) -> Result<SyncPolicy, String> {
-        let t = s.trim().to_ascii_lowercase();
-        let err = || {
-            format!(
-                "unknown sync policy `{}` (expected percommit, \
-                 group[:window_us[:max_batch]], or nosync)",
-                s.trim()
-            )
-        };
-        match t.as_str() {
+        match s.trim().to_ascii_lowercase().as_str() {
             "percommit" | "per-commit" | "per_commit" => Ok(SyncPolicy::PerCommit),
             "nosync" | "no-sync" | "no_sync" => Ok(SyncPolicy::NoSync),
-            "group" => Ok(SyncPolicy::DEFAULT_GROUP),
-            _ => {
-                let rest = t.strip_prefix("group:").ok_or_else(err)?;
-                let mut parts = rest.split(':');
-                let window_us: u64 = parts.next().and_then(|p| p.parse().ok()).ok_or_else(err)?;
-                let max_batch: usize = match parts.next() {
-                    None => {
-                        let SyncPolicy::Group { max_batch, .. } = SyncPolicy::DEFAULT_GROUP else {
-                            unreachable!()
-                        };
-                        max_batch
-                    }
-                    Some(p) => p.parse().map_err(|_| err())?,
-                };
-                if parts.next().is_some() || max_batch == 0 {
-                    return Err(err());
-                }
-                Ok(SyncPolicy::Group {
-                    window_us,
-                    max_batch,
-                })
-            }
+            _ => Err(format!(
+                "unknown sync policy `{}` (expected percommit or nosync)",
+                s.trim()
+            )),
         }
     }
 }
@@ -190,55 +142,16 @@ impl std::fmt::Display for SyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SyncPolicy::PerCommit => write!(f, "percommit"),
-            SyncPolicy::Group {
-                window_us,
-                max_batch,
-            } => write!(f, "group:{window_us}:{max_batch}"),
             SyncPolicy::NoSync => write!(f, "nosync"),
         }
     }
 }
 
-/// Tunables for opening a log: the commit [`SyncPolicy`] and how many
-/// filled in-memory log pages may queue before an append nudges the
-/// background writer to drain them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalOptions {
-    /// How commits reach stable storage.
-    pub policy: SyncPolicy,
-    /// Filled tail pages buffered in memory before the writer is woken
-    /// to drain them (irrelevant under `PerCommit`, which never buffers
-    /// across commits).
-    pub buffer_pages: usize,
-}
-
-impl Default for WalOptions {
-    fn default() -> WalOptions {
-        WalOptions {
-            policy: SyncPolicy::PerCommit,
-            buffer_pages: 64,
-        }
-    }
-}
+/// Filled log pages an append may leave in memory. An append that would
+/// exceed it writes the pending pages out first (without a sync).
+const TAIL_PAGES: usize = 64;
 
 // --------------------------------------------------------------- stats
-
-/// Number of buckets in the group-commit batch-size histogram.
-pub const BATCH_BUCKETS: usize = 6;
-
-/// Human labels for the batch-size histogram buckets.
-pub const BATCH_BUCKET_LABELS: [&str; BATCH_BUCKETS] = ["1", "2", "3", "4-7", "8-15", "16+"];
-
-fn batch_bucket(n: u64) -> usize {
-    match n {
-        0 | 1 => 0,
-        2 => 1,
-        3 => 2,
-        4..=7 => 3,
-        8..=15 => 4,
-        _ => 5,
-    }
-}
 
 /// Counters accumulated since the log was opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -257,24 +170,11 @@ pub struct WalStats {
     pub syncs: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// Commits retired per coalescing fsync, bucketed per
-    /// [`BATCH_BUCKET_LABELS`]. Only fsyncs that carried at least one
-    /// commit are counted.
-    pub batch_hist: [u64; BATCH_BUCKETS],
-    /// High-water mark of log pages handed to one flush — how deep the
-    /// in-memory side of the pipeline got.
-    pub max_pipeline_depth: u64,
 }
 
 impl WalStats {
     /// Counter-wise difference (`after - before`), for EXPLAIN ANALYZE.
-    /// `max_pipeline_depth` is a high-water mark, not a counter, so the
-    /// `after` value is kept.
     pub fn delta(&self, before: &WalStats) -> WalStats {
-        let mut batch_hist = [0u64; BATCH_BUCKETS];
-        for (i, b) in batch_hist.iter_mut().enumerate() {
-            *b = self.batch_hist[i] - before.batch_hist[i];
-        }
         WalStats {
             records: self.records - before.records,
             page_images: self.page_images - before.page_images,
@@ -283,8 +183,6 @@ impl WalStats {
             bytes: self.bytes - before.bytes,
             syncs: self.syncs - before.syncs,
             checkpoints: self.checkpoints - before.checkpoints,
-            batch_hist,
-            max_pipeline_depth: self.max_pipeline_depth,
         }
     }
 
@@ -350,13 +248,25 @@ fn decode_header(page: &[u8]) -> Option<Header> {
 
 // ---------------------------------------------------------------- tail
 
-/// The in-memory append point: the partially filled tail page plus any
-/// filled pages not yet written to the log disk.
+/// Everything behind the log's one lock: the in-memory append point
+/// (the partially filled tail page plus any filled pages not yet
+/// written to the log disk), the LSN frontier, the policy and the
+/// counters. Holding the lock is what serializes appends and every
+/// log-disk write.
 struct Tail {
+    policy: SyncPolicy,
     next_lsn: Lsn,
     page_idx: u64,
     page: Box<[u8; PAGE_SIZE]>,
     pending: Vec<(u64, Box<[u8; PAGE_SIZE]>)>,
+    /// Highest LSN whose bytes reached the log disk (≥ `durable`; the gap
+    /// is written-but-not-yet-synced data under `NoSync`).
+    written: Lsn,
+    /// Highest LSN known to be on stable storage.
+    durable: Lsn,
+    header_seq: u64,
+    checkpoint: Lsn,
+    stats: WalStats,
 }
 
 impl Tail {
@@ -414,359 +324,10 @@ impl<'a> RegionReader<'a> {
     }
 }
 
-#[derive(Default)]
-struct WalCounters {
-    records: AtomicU64,
-    page_images: AtomicU64,
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    bytes: AtomicU64,
-    syncs: AtomicU64,
-    checkpoints: AtomicU64,
-    batch_hist: [AtomicU64; BATCH_BUCKETS],
-    pipeline_depth: AtomicU64,
-}
-
-impl WalCounters {
-    fn snapshot(&self) -> WalStats {
-        let mut batch_hist = [0u64; BATCH_BUCKETS];
-        for (i, b) in batch_hist.iter_mut().enumerate() {
-            *b = self.batch_hist[i].load(Ordering::Relaxed);
-        }
-        WalStats {
-            records: self.records.load(Ordering::Relaxed),
-            page_images: self.page_images.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            syncs: self.syncs.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            batch_hist,
-            max_pipeline_depth: self.pipeline_depth.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct Rec {
     kind: u8,
     txid: u64,
     payload: Vec<u8>,
-}
-
-// ------------------------------------------------------ writer control
-
-/// State shared between producers and the background writer, guarded by
-/// `Shared::ctl`. Goals are LSNs the writer owes somebody: `sync_goal`
-/// is "make durable at least this", `write_goal` is "get bytes to the
-/// disk (no fsync needed) at least to this".
-#[derive(Default)]
-struct Ctl {
-    sync_goal: Lsn,
-    write_goal: Lsn,
-    /// Commits currently parked in `group_wait`, i.e. the size of the
-    /// batch the next fsync will retire.
-    commits_pending: u64,
-    /// Flush attempts completed (success or failure). Waiters record the
-    /// value at registration; `attempts > entered` plus `last_err` means
-    /// an attempt on their behalf failed.
-    attempts: u64,
-    /// Error from the most recent attempt, if it failed.
-    last_err: Option<String>,
-    /// True while the writer is mid-flush with `ctl` released.
-    busy: bool,
-    shutdown: bool,
-}
-
-/// Everything the producers and the background writer share.
-struct Shared {
-    disk: Arc<dyn DiskManager>,
-    gen: u32,
-    buffer_pages: usize,
-    policy: Mutex<SyncPolicy>,
-    /// Serializes every section that performs log-disk I/O (inline
-    /// flushes, the writer's handoff flush, checkpoint header writes),
-    /// so two flushes can never interleave their page writes.
-    io: Mutex<()>,
-    tail: Mutex<Tail>,
-    ctl: Mutex<Ctl>,
-    /// Wakes the writer: a goal was raised or shutdown was requested.
-    /// (The vendored `parking_lot` guards are std guards, so std's
-    /// `Condvar` composes with them directly.)
-    work_cv: Condvar,
-    /// Wakes waiters: durability advanced, an attempt finished, or the
-    /// writer went idle.
-    done_cv: Condvar,
-    durable: AtomicU64,
-    /// Highest LSN whose bytes reached the log disk (≥ durable; the gap
-    /// is written-but-not-yet-synced data under `NoSync`).
-    written: AtomicU64,
-    header_seq: AtomicU64,
-    checkpoint: AtomicU64,
-    next_txid: AtomicU64,
-    counters: WalCounters,
-    recovery: RecoveryInfo,
-}
-
-fn cv_wait<'a, T>(
-    cv: &Condvar,
-    guard: std::sync::MutexGuard<'a, T>,
-) -> std::sync::MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-}
-
-impl Shared {
-    fn policy(&self) -> SyncPolicy {
-        *self.policy.lock()
-    }
-
-    fn append_locked(&self, tail: &mut Tail, kind: u8, txid: u64, parts: &[&[u8]]) -> Lsn {
-        let len: usize = parts.iter().map(|p| p.len()).sum();
-        let mut hdr = [0u8; REC_HEADER];
-        hdr[0..4].copy_from_slice(&(len as u32).to_le_bytes());
-        hdr[4..8].copy_from_slice(&self.gen.to_le_bytes());
-        hdr[8] = kind;
-        hdr[9..17].copy_from_slice(&txid.to_le_bytes());
-        let mut crc_parts: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
-        crc_parts.push(&hdr[4..17]);
-        crc_parts.extend_from_slice(parts);
-        let crc = crc32(&crc_parts);
-        hdr[17..21].copy_from_slice(&crc.to_le_bytes());
-        let start = tail.next_lsn;
-        tail.push(&hdr);
-        for p in parts {
-            tail.push(p);
-        }
-        self.counters.records.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes
-            .fetch_add((REC_HEADER + len) as u64, Ordering::Relaxed);
-        // Double buffer full: nudge the writer to start draining filled
-        // pages while we keep appending (pointless under PerCommit — the
-        // committing thread writes everything itself).
-        if tail.pending.len() >= self.buffer_pages
-            && !matches!(self.policy(), SyncPolicy::PerCommit)
-        {
-            let mut ctl = self.ctl.lock();
-            ctl.write_goal = ctl.write_goal.max(tail.next_lsn);
-            drop(ctl);
-            self.work_cv.notify_all();
-        }
-        start
-    }
-
-    fn record_depth(&self, pages: u64) {
-        self.counters
-            .pipeline_depth
-            .fetch_max(pages, Ordering::Relaxed);
-    }
-
-    fn record_batch(&self, batch: u64) {
-        self.counters.batch_hist[batch_bucket(batch)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publish a successful sync: advance `durable`, count it, and file
-    /// the commit batch (if any) in the histogram. Callers on producer
-    /// threads must follow up with [`Shared::wake_waiters`].
-    fn publish_durable(&self, snapshot: Lsn, batch: u64) {
-        self.durable.fetch_max(snapshot, Ordering::SeqCst);
-        self.counters.syncs.fetch_add(1, Ordering::Relaxed);
-        if batch > 0 {
-            self.record_batch(batch);
-        }
-    }
-
-    fn wake_waiters(&self) {
-        let _ctl = self.ctl.lock();
-        self.done_cv.notify_all();
-    }
-
-    /// Write all appended-but-unwritten pages while holding `tail` (the
-    /// inline path: callers hold `io` too, and sync afterwards). Pending
-    /// pages are dropped only after every write succeeds, so a failed
-    /// write leaves the flush fully retryable.
-    fn write_locked(&self, tail: &mut Tail) -> StorageResult<Lsn> {
-        let snapshot = tail.next_lsn;
-        if self.written.load(Ordering::SeqCst) >= snapshot && tail.pending.is_empty() {
-            return Ok(snapshot);
-        }
-        self.record_depth(tail.pending.len() as u64 + 1);
-        let need = HEADER_SLOTS + tail.page_idx + 1;
-        while self.disk.num_pages() < need {
-            self.disk.allocate_page()?;
-        }
-        for (idx, page) in &tail.pending {
-            self.disk
-                .write_page((HEADER_SLOTS + idx) as PageId, &page[..])?;
-        }
-        self.disk
-            .write_page((HEADER_SLOTS + tail.page_idx) as PageId, &tail.page[..])?;
-        tail.pending.clear();
-        self.written.fetch_max(snapshot, Ordering::SeqCst);
-        Ok(snapshot)
-    }
-
-    /// The writer's double-buffer handoff: steal the filled pages and a
-    /// copy of the tail page under the `tail` lock, then do the disk
-    /// writes with the lock released so producers keep appending. On a
-    /// write error the stolen pages are put back (ahead of anything
-    /// appended since), keeping the flush retryable. Caller holds `io`.
-    fn write_handoff(&self) -> StorageResult<Lsn> {
-        let (pages, tail_copy, tail_idx, snapshot) = {
-            let mut tail = self.tail.lock();
-            let snapshot = tail.next_lsn;
-            if self.written.load(Ordering::SeqCst) >= snapshot && tail.pending.is_empty() {
-                return Ok(snapshot);
-            }
-            let pages = std::mem::take(&mut tail.pending);
-            (pages, tail.page.clone(), tail.page_idx, snapshot)
-        };
-        self.record_depth(pages.len() as u64 + 1);
-        let result = (|| {
-            let need = HEADER_SLOTS + tail_idx + 1;
-            while self.disk.num_pages() < need {
-                self.disk.allocate_page()?;
-            }
-            for (idx, page) in &pages {
-                self.disk
-                    .write_page((HEADER_SLOTS + idx) as PageId, &page[..])?;
-            }
-            self.disk
-                .write_page((HEADER_SLOTS + tail_idx) as PageId, &tail_copy[..])?;
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.written.fetch_max(snapshot, Ordering::SeqCst);
-                Ok(snapshot)
-            }
-            Err(e) => {
-                let mut tail = self.tail.lock();
-                let newer = std::mem::replace(&mut tail.pending, pages);
-                tail.pending.extend(newer);
-                Err(e)
-            }
-        }
-    }
-
-    /// Inline write + fsync of everything appended so far. Used by
-    /// `flush()`, by `PerCommit`-adjacent paths, and by checkpointing.
-    fn flush_sync(&self) -> StorageResult<Lsn> {
-        let _io = self.io.lock();
-        let snapshot = {
-            let mut tail = self.tail.lock();
-            if self.durable.load(Ordering::SeqCst) >= tail.next_lsn && tail.pending.is_empty() {
-                return Ok(tail.next_lsn);
-            }
-            self.write_locked(&mut tail)?
-        };
-        self.disk.sync()?;
-        self.publish_durable(snapshot, 0);
-        self.wake_waiters();
-        Ok(snapshot)
-    }
-
-    /// Park until the writer has made `end` durable (group commit). With
-    /// `commit` set, this waiter counts toward the batch the next fsync
-    /// retires. Fails if a flush attempt on our behalf reported an error.
-    fn group_wait(&self, end: Lsn, commit: bool) -> StorageResult<()> {
-        let mut ctl = self.ctl.lock();
-        if commit {
-            ctl.commits_pending += 1;
-        }
-        ctl.sync_goal = ctl.sync_goal.max(end);
-        let entered = ctl.attempts;
-        self.work_cv.notify_all();
-        loop {
-            if self.durable.load(Ordering::SeqCst) >= end {
-                return Ok(());
-            }
-            if ctl.attempts > entered {
-                if let Some(msg) = &ctl.last_err {
-                    return Err(StorageError::Io(std::io::Error::other(msg.clone())));
-                }
-            }
-            ctl = cv_wait(&self.done_cv, ctl);
-        }
-    }
-}
-
-/// The background writer: sleep until a goal is raised, linger for the
-/// group window so nearby commits share the fsync, then flush with the
-/// control lock released and report back.
-fn writer_loop(s: &Shared) {
-    let mut ctl = s.ctl.lock();
-    loop {
-        while !ctl.shutdown
-            && ctl.sync_goal <= s.durable.load(Ordering::SeqCst)
-            && ctl.write_goal <= s.written.load(Ordering::SeqCst)
-        {
-            ctl = cv_wait(&s.work_cv, ctl);
-        }
-        if ctl.shutdown {
-            return;
-        }
-        if ctl.sync_goal > s.durable.load(Ordering::SeqCst) {
-            if let SyncPolicy::Group {
-                window_us,
-                max_batch,
-            } = s.policy()
-            {
-                let cap = max_batch.max(1) as u64;
-                if window_us > 0 && ctl.commits_pending < cap {
-                    let deadline = Instant::now() + Duration::from_micros(window_us);
-                    loop {
-                        let now = Instant::now();
-                        if ctl.shutdown || ctl.commits_pending >= cap || now >= deadline {
-                            break;
-                        }
-                        let (guard, timeout) = s
-                            .work_cv
-                            .wait_timeout(ctl, deadline - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        ctl = guard;
-                        if timeout.timed_out() {
-                            break;
-                        }
-                    }
-                    if ctl.shutdown {
-                        return;
-                    }
-                }
-            }
-        }
-        // Recomputed after the window: an inline flush may have satisfied
-        // the goal while we lingered.
-        let need_sync = ctl.sync_goal > s.durable.load(Ordering::SeqCst);
-        let batch = std::mem::take(&mut ctl.commits_pending);
-        ctl.busy = true;
-        drop(ctl);
-
-        let result = (|| -> StorageResult<()> {
-            let _io = s.io.lock();
-            let snapshot = s.write_handoff()?;
-            if need_sync && s.durable.load(Ordering::SeqCst) < snapshot {
-                s.disk.sync()?;
-                s.publish_durable(snapshot, batch);
-            }
-            Ok(())
-        })();
-
-        ctl = s.ctl.lock();
-        ctl.busy = false;
-        ctl.attempts += 1;
-        match result {
-            Ok(()) => ctl.last_err = None,
-            Err(e) => {
-                // Stand down rather than hammer a dead disk: clear the
-                // goals so the loop goes idle. Every current waiter sees
-                // the error; the next request re-arms the writer.
-                ctl.last_err = Some(e.to_string());
-                ctl.sync_goal = 0;
-                ctl.write_goal = 0;
-            }
-        }
-        s.done_cv.notify_all();
-    }
 }
 
 // ----------------------------------------------------------------- Wal
@@ -774,18 +335,21 @@ fn writer_loop(s: &Shared) {
 /// The write-ahead log. Opened with [`Wal::recover`], which replays the
 /// committed suffix of the log onto the data disk before returning.
 pub struct Wal {
-    shared: Arc<Shared>,
-    writer: Mutex<Option<std::thread::JoinHandle<()>>>,
+    disk: Arc<dyn DiskManager>,
+    gen: u32,
+    tail: Mutex<Tail>,
+    next_txid: AtomicU64,
+    recovery: RecoveryInfo,
 }
 
 impl Wal {
-    /// Open the log with the default [`WalOptions`] (`PerCommit`). See
+    /// Open the log under [`SyncPolicy::PerCommit`]. See
     /// [`Wal::recover_with`].
     pub fn recover(
         wal_disk: Arc<dyn DiskManager>,
         data_disk: &Arc<dyn DiskManager>,
     ) -> StorageResult<(Wal, Option<Vec<u8>>, RecoveryInfo)> {
-        Wal::recover_with(wal_disk, data_disk, WalOptions::default())
+        Wal::recover_with(wal_disk, data_disk, SyncPolicy::PerCommit)
     }
 
     /// Open the log on `wal_disk` and run redo-only recovery against
@@ -806,7 +370,7 @@ impl Wal {
     pub fn recover_with(
         wal_disk: Arc<dyn DiskManager>,
         data_disk: &Arc<dyn DiskManager>,
-        options: WalOptions,
+        policy: SyncPolicy,
     ) -> StorageResult<(Wal, Option<Vec<u8>>, RecoveryInfo)> {
         while wal_disk.num_pages() < HEADER_SLOTS {
             wal_disk.allocate_page()?;
@@ -947,186 +511,196 @@ impl Wal {
         }
         tail_page[off..].fill(0);
 
-        let shared = Arc::new(Shared {
+        let wal = Wal {
             disk: wal_disk,
             gen: new_header.gen,
-            buffer_pages: options.buffer_pages.max(1),
-            policy: Mutex::new(options.policy),
-            io: Mutex::new(()),
             tail: Mutex::new(Tail {
+                policy,
                 next_lsn: valid_end,
                 page_idx,
                 page: tail_page,
                 pending: Vec::new(),
+                written: valid_end,
+                durable: valid_end,
+                header_seq: new_header.seq,
+                checkpoint: start_lsn,
+                stats: WalStats::default(),
             }),
-            ctl: Mutex::new(Ctl::default()),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-            durable: AtomicU64::new(valid_end),
-            written: AtomicU64::new(valid_end),
-            header_seq: AtomicU64::new(new_header.seq),
-            checkpoint: AtomicU64::new(start_lsn),
             next_txid: AtomicU64::new(max_txid + 1),
-            counters: WalCounters::default(),
             recovery: info,
-        });
-        let writer = {
-            let s = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sos-wal".into())
-                .spawn(move || writer_loop(&s))
-                .map_err(StorageError::Io)?
-        };
-        let wal = Wal {
-            shared,
-            writer: Mutex::new(Some(writer)),
         };
         Ok((wal, meta, info))
     }
 
+    /// Append one record to the tail. If it would leave more than
+    /// `TAIL_PAGES` filled pages pending, the pending pages are written
+    /// out first; when that write fails nothing is appended.
+    fn append(&self, t: &mut Tail, kind: u8, txid: u64, parts: &[&[u8]]) -> StorageResult<Lsn> {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let off = (t.next_lsn - t.page_idx * PAGE_SIZE as u64) as usize;
+        if t.pending.len() + (off + REC_HEADER + len) / PAGE_SIZE > TAIL_PAGES {
+            self.write(t)?;
+        }
+        Ok(self.push_record(t, kind, txid, parts))
+    }
+
+    /// Encode one record into the tail; returns its start LSN.
+    fn push_record(&self, t: &mut Tail, kind: u8, txid: u64, parts: &[&[u8]]) -> Lsn {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        let mut hdr = [0u8; REC_HEADER];
+        hdr[0..4].copy_from_slice(&(len as u32).to_le_bytes());
+        hdr[4..8].copy_from_slice(&self.gen.to_le_bytes());
+        hdr[8] = kind;
+        hdr[9..17].copy_from_slice(&txid.to_le_bytes());
+        let mut crc_parts: Vec<&[u8]> = Vec::with_capacity(parts.len() + 1);
+        crc_parts.push(&hdr[4..17]);
+        crc_parts.extend_from_slice(parts);
+        let crc = crc32(&crc_parts);
+        hdr[17..21].copy_from_slice(&crc.to_le_bytes());
+        let start = t.next_lsn;
+        t.push(&hdr);
+        for p in parts {
+            t.push(p);
+        }
+        t.stats.records += 1;
+        t.stats.bytes += (REC_HEADER + len) as u64;
+        start
+    }
+
+    /// Write all appended-but-unwritten pages (no sync). Pending pages
+    /// are dropped only after every write succeeds, so a failed write
+    /// leaves the tail fully retryable.
+    fn write(&self, t: &mut Tail) -> StorageResult<Lsn> {
+        let snapshot = t.next_lsn;
+        if t.written >= snapshot {
+            return Ok(snapshot);
+        }
+        let need = HEADER_SLOTS + t.page_idx + 1;
+        while self.disk.num_pages() < need {
+            self.disk.allocate_page()?;
+        }
+        for (idx, page) in &t.pending {
+            self.disk
+                .write_page((HEADER_SLOTS + idx) as PageId, &page[..])?;
+        }
+        self.disk
+            .write_page((HEADER_SLOTS + t.page_idx) as PageId, &t.page[..])?;
+        t.pending.clear();
+        t.written = snapshot;
+        Ok(snapshot)
+    }
+
+    /// Write everything appended so far and sync the log disk.
+    fn sync(&self, t: &mut Tail) -> StorageResult<Lsn> {
+        if t.durable >= t.next_lsn {
+            return Ok(t.next_lsn);
+        }
+        let snapshot = self.write(t)?;
+        self.disk.sync()?;
+        t.durable = snapshot;
+        t.stats.syncs += 1;
+        Ok(snapshot)
+    }
+
     /// Allocate a fresh transaction id (never 0).
     pub fn alloc_txid(&self) -> u64 {
-        self.shared.next_txid.fetch_add(1, Ordering::SeqCst)
+        self.next_txid.fetch_add(1, Ordering::SeqCst)
     }
 
     /// The active commit durability policy.
     pub fn policy(&self) -> SyncPolicy {
-        self.shared.policy()
+        self.tail.lock().policy
     }
 
-    /// Switch the commit durability policy at runtime. Everything the
-    /// old policy left buffered is flushed and synced first, so the
-    /// switch is a clean durability boundary.
+    /// Switch the commit durability policy at runtime. The new policy
+    /// is in force even if the flush that follows fails; that flush
+    /// syncs everything the old policy left unsynced, so the switch is a
+    /// clean durability boundary.
     pub fn set_policy(&self, policy: SyncPolicy) -> StorageResult<()> {
-        *self.shared.policy.lock() = policy;
-        self.shared.flush_sync()?;
+        let mut t = self.tail.lock();
+        t.policy = policy;
+        self.sync(&mut t)?;
         Ok(())
-    }
-
-    /// The in-memory double-buffer bound (filled pages before the writer
-    /// is nudged).
-    pub fn buffer_pages(&self) -> usize {
-        self.shared.buffer_pages
     }
 
     /// Append a full after-image of page `pid`. Returns the LSN *past*
     /// the record — the point the log must be flushed to before the page
-    /// itself may be written to the data disk (WAL before data).
-    pub fn append_page_image(&self, txid: u64, pid: PageId, image: &[u8]) -> Lsn {
+    /// itself may be written to the data disk (WAL before data). Fails,
+    /// appending nothing, when making room in the tail fails.
+    pub fn append_page_image(&self, txid: u64, pid: PageId, image: &[u8]) -> StorageResult<Lsn> {
         debug_assert_eq!(image.len(), PAGE_SIZE);
         let pid8 = (pid as u64).to_le_bytes();
-        let s = &self.shared;
-        let mut tail = s.tail.lock();
-        s.append_locked(&mut tail, KIND_PAGE, txid, &[&pid8, image]);
-        s.counters.page_images.fetch_add(1, Ordering::Relaxed);
-        tail.next_lsn
+        let mut t = self.tail.lock();
+        self.append(&mut t, KIND_PAGE, txid, &[&pid8, image])?;
+        t.stats.page_images += 1;
+        Ok(t.next_lsn)
     }
 
     /// Append an abort marker. Informational for redo (an uncommitted
     /// transaction is ignored anyway), but load-bearing after a *failed*
-    /// commit flush: it cancels the orphaned commit marker if a later
-    /// flush makes both durable. Not flushed eagerly.
+    /// commit write: it cancels the orphaned commit marker if a later
+    /// write makes both durable. So it always lands in the tail (it
+    /// never writes to make room, and so cannot fail), and it is not
+    /// written eagerly.
     pub fn append_abort(&self, txid: u64) -> Lsn {
-        let s = &self.shared;
-        let mut tail = s.tail.lock();
-        s.counters.aborts.fetch_add(1, Ordering::Relaxed);
-        s.append_locked(&mut tail, KIND_ABORT, txid, &[])
+        let mut t = self.tail.lock();
+        t.stats.aborts += 1;
+        self.push_record(&mut t, KIND_ABORT, txid, &[])
     }
 
     /// Commit: append the optional `Meta` payload (the engine's catalog
-    /// snapshot) and the `Commit` marker, then make them durable per the
-    /// active [`SyncPolicy`]. Under `PerCommit` and `Group`, `Ok` means
-    /// the transaction is durable; under `NoSync` it means the commit is
-    /// appended and the background writer has been nudged.
+    /// snapshot) and the `Commit` marker, then write the tail. Under
+    /// `PerCommit` the log is synced too and `Ok` means the transaction
+    /// is durable; under `NoSync` it means the commit reached the log
+    /// disk unsynced.
     pub fn commit(&self, txid: u64, meta: Option<&[u8]>) -> StorageResult<Lsn> {
-        let s = &self.shared;
-        match s.policy() {
-            SyncPolicy::PerCommit => {
-                let _io = s.io.lock();
-                let (lsn, snapshot) = {
-                    let mut tail = s.tail.lock();
-                    if let Some(m) = meta {
-                        s.append_locked(&mut tail, KIND_META, txid, &[m]);
-                    }
-                    let lsn = s.append_locked(&mut tail, KIND_COMMIT, txid, &[]);
-                    (lsn, s.write_locked(&mut tail)?)
-                };
-                s.disk.sync()?;
-                s.publish_durable(snapshot, 1);
-                s.wake_waiters();
-                s.counters.commits.fetch_add(1, Ordering::Relaxed);
-                Ok(lsn)
-            }
-            SyncPolicy::Group { .. } => {
-                let (lsn, end) = {
-                    let mut tail = s.tail.lock();
-                    if let Some(m) = meta {
-                        s.append_locked(&mut tail, KIND_META, txid, &[m]);
-                    }
-                    let lsn = s.append_locked(&mut tail, KIND_COMMIT, txid, &[]);
-                    (lsn, tail.next_lsn)
-                };
-                s.group_wait(end, true)?;
-                s.counters.commits.fetch_add(1, Ordering::Relaxed);
-                Ok(lsn)
-            }
-            SyncPolicy::NoSync => {
-                let (lsn, end) = {
-                    let mut tail = s.tail.lock();
-                    if let Some(m) = meta {
-                        s.append_locked(&mut tail, KIND_META, txid, &[m]);
-                    }
-                    let lsn = s.append_locked(&mut tail, KIND_COMMIT, txid, &[]);
-                    (lsn, tail.next_lsn)
-                };
-                {
-                    let mut ctl = s.ctl.lock();
-                    ctl.write_goal = ctl.write_goal.max(end);
-                }
-                s.work_cv.notify_all();
-                s.counters.commits.fetch_add(1, Ordering::Relaxed);
-                Ok(lsn)
-            }
+        let mut t = self.tail.lock();
+        if let Some(m) = meta {
+            self.append(&mut t, KIND_META, txid, &[m])?;
         }
+        let lsn = self.append(&mut t, KIND_COMMIT, txid, &[])?;
+        match t.policy {
+            SyncPolicy::PerCommit => self.sync(&mut t)?,
+            SyncPolicy::NoSync => self.write(&mut t)?,
+        };
+        t.stats.commits += 1;
+        Ok(lsn)
     }
 
     /// Write all appended-but-unwritten log pages and sync the log disk.
     pub fn flush(&self) -> StorageResult<Lsn> {
-        self.shared.flush_sync()
+        self.sync(&mut self.tail.lock())
     }
 
     /// Ensure the log is durable at least through `lsn` (the WAL-before-
     /// data check: called with a page's LSN before that page goes to the
-    /// data disk). Under `Group` the wait is delegated to the writer so
-    /// it can share an fsync already in flight.
+    /// data disk).
     pub fn flush_to(&self, lsn: Lsn) -> StorageResult<()> {
-        if self.shared.durable.load(Ordering::SeqCst) >= lsn {
-            return Ok(());
+        let mut t = self.tail.lock();
+        if t.durable < lsn {
+            self.sync(&mut t)?;
         }
-        match self.shared.policy() {
-            SyncPolicy::Group { .. } => self.shared.group_wait(lsn, false),
-            _ => self.shared.flush_sync().map(|_| ()),
-        }
+        Ok(())
     }
 
     /// LSN through which the log is durable.
     pub fn durable_lsn(&self) -> Lsn {
-        self.shared.durable.load(Ordering::SeqCst)
+        self.tail.lock().durable
     }
 
     /// LSN through which log bytes have reached the disk (≥ durable).
     pub fn written_lsn(&self) -> Lsn {
-        self.shared.written.load(Ordering::SeqCst)
+        self.tail.lock().written
     }
 
     /// LSN of the in-memory append point (≥ written).
     pub fn appended_lsn(&self) -> Lsn {
-        self.shared.tail.lock().next_lsn
+        self.tail.lock().next_lsn
     }
 
     /// The checkpoint LSN recovery will scan from.
     pub fn checkpoint_lsn(&self) -> Lsn {
-        self.shared.checkpoint.load(Ordering::SeqCst)
+        self.tail.lock().checkpoint
     }
 
     /// Advance the checkpoint. The caller (the buffer pool) must already
@@ -1138,65 +712,35 @@ impl Wal {
     /// more redo — never lost data.
     pub fn checkpoint_mark(&self, meta: Option<&[u8]>) -> StorageResult<()> {
         let txid = self.alloc_txid();
-        let s = &self.shared;
-        let _io = s.io.lock();
-        let (start, snapshot) = {
-            let mut tail = s.tail.lock();
-            let start = tail.next_lsn;
-            if let Some(m) = meta {
-                s.append_locked(&mut tail, KIND_META, txid, &[m]);
-            }
-            s.append_locked(&mut tail, KIND_COMMIT, txid, &[]);
-            (start, s.write_locked(&mut tail)?)
-        };
-        s.disk.sync()?;
-        s.publish_durable(snapshot, 0);
-        s.wake_waiters();
-        let seq = s.header_seq.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut t = self.tail.lock();
+        let start = t.next_lsn;
+        if let Some(m) = meta {
+            self.append(&mut t, KIND_META, txid, &[m])?;
+        }
+        self.append(&mut t, KIND_COMMIT, txid, &[])?;
+        self.sync(&mut t)?;
+        t.header_seq += 1;
         let page = encode_header(&Header {
-            seq,
-            gen: s.gen,
+            seq: t.header_seq,
+            gen: self.gen,
             checkpoint: start,
         });
-        s.disk.write_page((seq % HEADER_SLOTS) as PageId, &page)?;
-        s.disk.sync()?;
-        s.checkpoint.store(start, Ordering::SeqCst);
-        s.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.disk
+            .write_page((t.header_seq % HEADER_SLOTS) as PageId, &page)?;
+        self.disk.sync()?;
+        t.checkpoint = start;
+        t.stats.checkpoints += 1;
         Ok(())
     }
 
-    /// Snapshot of the log's counters. Quiesces the background writer
-    /// first, so writer-side counters (syncs, batch histogram) are never
-    /// observed mid-flush — the snapshot is a consistent cut.
+    /// Snapshot of the log's counters.
     pub fn stats(&self) -> WalStats {
-        {
-            let mut ctl = self.shared.ctl.lock();
-            while ctl.busy {
-                ctl = cv_wait(&self.shared.done_cv, ctl);
-            }
-        }
-        self.shared.counters.snapshot()
+        self.tail.lock().stats
     }
 
     /// What recovery found when this log was opened.
     pub fn recovery_info(&self) -> RecoveryInfo {
-        self.shared.recovery
-    }
-}
-
-impl Drop for Wal {
-    fn drop(&mut self) {
-        // Stop the writer without flushing: durability must never depend
-        // on a clean shutdown, and the crash tests rely on dropped
-        // buffers actually being lost.
-        if let Some(handle) = self.writer.lock().take() {
-            {
-                let mut ctl = self.shared.ctl.lock();
-                ctl.shutdown = true;
-            }
-            self.shared.work_cv.notify_all();
-            let _ = handle.join();
-        }
+        self.recovery
     }
 }
 
@@ -1238,32 +782,10 @@ mod tests {
         assert_eq!(SyncPolicy::parse("percommit"), Ok(SyncPolicy::PerCommit));
         assert_eq!(SyncPolicy::parse("  PerCommit "), Ok(SyncPolicy::PerCommit));
         assert_eq!(SyncPolicy::parse("nosync"), Ok(SyncPolicy::NoSync));
-        assert_eq!(SyncPolicy::parse("group"), Ok(SyncPolicy::DEFAULT_GROUP));
-        assert_eq!(
-            SyncPolicy::parse("group:500"),
-            Ok(SyncPolicy::Group {
-                window_us: 500,
-                max_batch: 64
-            })
-        );
-        assert_eq!(
-            SyncPolicy::parse("group:500:8"),
-            Ok(SyncPolicy::Group {
-                window_us: 500,
-                max_batch: 8
-            })
-        );
-        assert!(SyncPolicy::parse("group:x").is_err());
-        assert!(SyncPolicy::parse("group:1:0").is_err());
+        assert!(SyncPolicy::parse("group").is_err());
+        assert!(SyncPolicy::parse("group:200:64").is_err());
         assert!(SyncPolicy::parse("eventually").is_err());
-        for p in [
-            SyncPolicy::PerCommit,
-            SyncPolicy::NoSync,
-            SyncPolicy::Group {
-                window_us: 123,
-                max_batch: 9,
-            },
-        ] {
+        for p in [SyncPolicy::PerCommit, SyncPolicy::NoSync] {
             assert_eq!(SyncPolicy::parse(&p.to_string()), Ok(p));
         }
     }
@@ -1282,11 +804,11 @@ mod tests {
         let t1 = wal.alloc_txid();
         let mut img = [7u8; PAGE_SIZE];
         img[0] = 1;
-        wal.append_page_image(t1, 0, &img);
+        wal.append_page_image(t1, 0, &img).unwrap();
         wal.commit(t1, Some(b"snapshot-1")).unwrap();
         let t2 = wal.alloc_txid();
         img[0] = 2;
-        wal.append_page_image(t2, 1, &img);
+        wal.append_page_image(t2, 1, &img).unwrap();
         wal.flush().unwrap();
         drop(wal);
 
@@ -1315,10 +837,10 @@ mod tests {
         let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
         let t1 = wal.alloc_txid();
         let img = [9u8; PAGE_SIZE];
-        wal.append_page_image(t1, 0, &img);
+        wal.append_page_image(t1, 0, &img).unwrap();
         wal.commit(t1, None).unwrap();
         let t2 = wal.alloc_txid();
-        wal.append_page_image(t2, 1, &img);
+        wal.append_page_image(t2, 1, &img).unwrap();
         wal.commit(t2, None).unwrap();
         drop(wal);
 
@@ -1346,7 +868,7 @@ mod tests {
         let (wal_disk, data) = disks();
         let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
         let t1 = wal.alloc_txid();
-        wal.append_page_image(t1, 0, &[1u8; PAGE_SIZE]);
+        wal.append_page_image(t1, 0, &[1u8; PAGE_SIZE]).unwrap();
         wal.commit(t1, Some(b"before")).unwrap();
         wal.checkpoint_mark(Some(b"at-checkpoint")).unwrap();
         let cp = wal.checkpoint_lsn();
@@ -1373,11 +895,11 @@ mod tests {
         // Generation 1: two committed transactions.
         let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
         let t1 = wal.alloc_txid();
-        wal.append_page_image(t1, 0, &[1u8; PAGE_SIZE]);
+        wal.append_page_image(t1, 0, &[1u8; PAGE_SIZE]).unwrap();
         wal.commit(t1, None).unwrap();
         let end_t1 = wal.durable_lsn();
         let t2 = wal.alloc_txid();
-        wal.append_page_image(t2, 1, &[2u8; PAGE_SIZE]);
+        wal.append_page_image(t2, 1, &[2u8; PAGE_SIZE]).unwrap();
         wal.commit(t2, None).unwrap();
         drop(wal);
 
@@ -1404,99 +926,28 @@ mod tests {
     }
 
     #[test]
-    fn per_commit_syncs_once_per_commit_and_fills_first_bucket() {
+    fn per_commit_syncs_once_per_commit() {
         let (wal_disk, data) = disks();
         let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
         for _ in 0..5 {
             let t = wal.alloc_txid();
-            wal.append_page_image(t, 0, &[4u8; PAGE_SIZE]);
+            wal.append_page_image(t, 0, &[4u8; PAGE_SIZE]).unwrap();
             wal.commit(t, None).unwrap();
         }
         let s = wal.stats();
         assert_eq!(s.commits, 5);
         assert_eq!(s.syncs, 5);
-        assert_eq!(s.batch_hist[0], 5);
-        assert_eq!(s.batch_hist[1..].iter().sum::<u64>(), 0);
-        assert!(s.max_pipeline_depth >= 1);
-    }
-
-    #[test]
-    fn group_policy_coalesces_concurrent_commits() {
-        let (wal_disk, data) = disks();
-        let (wal, _, _) = Wal::recover_with(
-            Arc::clone(&wal_disk),
-            &data,
-            WalOptions {
-                policy: SyncPolicy::Group {
-                    window_us: 20_000,
-                    max_batch: 8,
-                },
-                buffer_pages: 64,
-            },
-        )
-        .unwrap();
-        let wal = Arc::new(wal);
-        let threads = 4;
-        let per_thread = 8;
-        let barrier = Arc::new(std::sync::Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|i| {
-                let wal = Arc::clone(&wal);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    for k in 0..per_thread {
-                        let t = wal.alloc_txid();
-                        wal.append_page_image(t, (i * per_thread + k) as PageId, &[1u8; PAGE_SIZE]);
-                        wal.commit(t, None).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = (threads * per_thread) as u64;
-        let s = wal.stats();
-        assert_eq!(s.commits, total);
-        assert!(s.syncs >= 1);
-        assert!(
-            s.syncs < total,
-            "group commit must coalesce: {} syncs for {} commits",
-            s.syncs,
-            total
-        );
-        // Every commit is accounted for by exactly one batch.
-        let batched: u64 = s
-            .batch_hist
-            .iter()
-            .zip([1u64, 2, 3, 4, 8, 16])
-            .map(|(n, _)| *n)
-            .sum();
-        assert!(batched >= 1 && batched <= s.syncs);
-        // Durable end covers every acknowledged commit.
         assert_eq!(wal.durable_lsn(), wal.appended_lsn());
-        drop(wal);
-
-        let (_, _, info) = Wal::recover(wal_disk, &data).unwrap();
-        assert_eq!(info.committed_txs, total);
     }
 
     #[test]
     fn nosync_acknowledges_commits_without_waiting_for_fsync() {
         let (wal_disk, data) = disks();
-        let (wal, _, _) = Wal::recover_with(
-            Arc::clone(&wal_disk),
-            &data,
-            WalOptions {
-                policy: SyncPolicy::NoSync,
-                buffer_pages: 64,
-            },
-        )
-        .unwrap();
+        let (wal, _, _) =
+            Wal::recover_with(Arc::clone(&wal_disk), &data, SyncPolicy::NoSync).unwrap();
         for _ in 0..3 {
             let t = wal.alloc_txid();
-            wal.append_page_image(t, 0, &[6u8; PAGE_SIZE]);
+            wal.append_page_image(t, 0, &[6u8; PAGE_SIZE]).unwrap();
             wal.commit(t, None).unwrap();
         }
         let s = wal.stats();
@@ -1510,39 +961,73 @@ mod tests {
         assert_eq!(info.committed_txs, 3);
     }
 
+    /// One transaction logs `2 * TAIL_PAGES + 1` page images, so its
+    /// appends write the tail out twice before the commit. Crashed clean
+    /// and torn at every write index under both policies, recovery
+    /// replays every image or none, never a prefix — and all of them
+    /// once a `PerCommit` commit was acknowledged. The tail never holds
+    /// more than `TAIL_PAGES` filled pages, even once writes fail.
     #[test]
-    fn full_double_buffer_hands_off_to_writer() {
-        let (wal_disk, data) = disks();
-        let (wal, _, _) = Wal::recover_with(
-            Arc::clone(&wal_disk),
-            &data,
-            WalOptions {
-                policy: SyncPolicy::NoSync,
-                buffer_pages: 1,
-            },
-        )
-        .unwrap();
-        // Each image spans > 1 log page, so the tiny buffer overflows
-        // and the append itself nudges the writer.
-        let t = wal.alloc_txid();
-        for pid in 0..4 {
-            wal.append_page_image(t, pid, &[8u8; PAGE_SIZE]);
+    fn inline_drain_replays_all_or_nothing_at_every_crash_point() {
+        const IMAGES: usize = 2 * TAIL_PAGES + 1;
+        let image = |pid: usize| [(pid % 251) as u8 + 1; PAGE_SIZE];
+        // Returns whether the commit was acknowledged and whether the
+        // appends wrote to the log before the commit did.
+        let run = |wal_disk: Arc<dyn DiskManager>, data: &Arc<dyn DiskManager>, policy| {
+            let Ok((wal, _, _)) = Wal::recover_with(wal_disk, data, policy) else {
+                return (false, false);
+            };
+            let t = wal.alloc_txid();
+            for pid in 0..IMAGES {
+                let appended = wal.append_page_image(t, pid as PageId, &image(pid));
+                assert!(wal.tail.lock().pending.len() <= TAIL_PAGES);
+                if appended.is_err() {
+                    return (false, true);
+                }
+            }
+            let drained = wal.written_lsn() > 0;
+            (wal.commit(t, None).is_ok(), drained)
+        };
+        for policy in [SyncPolicy::PerCommit, SyncPolicy::NoSync] {
+            let clock = FaultClock::new(FaultSchedule::default());
+            let (wal_inner, data) = disks();
+            let wal_disk: Arc<dyn DiskManager> =
+                Arc::new(FaultDisk::new(wal_inner, Arc::clone(&clock)));
+            assert_eq!(run(wal_disk, &data, policy), (true, true));
+            let total = clock.writes();
+            for torn in [false, true] {
+                for i in 0..total {
+                    let schedule = if torn {
+                        FaultSchedule::torn_at(i)
+                    } else {
+                        FaultSchedule::crash_at(i)
+                    };
+                    let (wal_inner, data) = disks();
+                    let wal_disk: Arc<dyn DiskManager> = Arc::new(FaultDisk::new(
+                        Arc::clone(&wal_inner),
+                        FaultClock::new(schedule),
+                    ));
+                    let (acked, _) = run(wal_disk, &data, policy);
+                    let (_, _, info) = Wal::recover(wal_inner, &data).unwrap();
+                    let replayed = info.replayed_pages as usize;
+                    let at = format!("{policy} crash at write {i} (torn={torn})");
+                    assert!(
+                        replayed == 0 || replayed == IMAGES,
+                        "{at}: replayed {replayed}"
+                    );
+                    if acked && policy == SyncPolicy::PerCommit {
+                        assert_eq!(replayed, IMAGES, "{at}: acknowledged commit lost");
+                    }
+                    if replayed == IMAGES {
+                        let mut buf = [0u8; PAGE_SIZE];
+                        for pid in [0, TAIL_PAGES, IMAGES - 1] {
+                            data.read_page(pid as PageId, &mut buf).unwrap();
+                            assert_eq!(buf, image(pid), "{at}: page {pid}");
+                        }
+                    }
+                }
+            }
         }
-        let appended = wal.appended_lsn();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while wal.written_lsn() + (PAGE_SIZE as u64) < appended {
-            assert!(
-                Instant::now() < deadline,
-                "writer never drained the full double buffer"
-            );
-            std::thread::yield_now();
-        }
-        // The background writes are real: commit + flush recovers all.
-        wal.commit(t, None).unwrap();
-        wal.flush().unwrap();
-        drop(wal);
-        let (_, _, info) = Wal::recover(wal_disk, &data).unwrap();
-        assert_eq!(info.replayed_pages, 4);
     }
 
     #[test]
@@ -1564,12 +1049,12 @@ mod tests {
         let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
 
         let t1 = wal.alloc_txid();
-        wal.append_page_image(t1, 0, &[1u8; PAGE_SIZE]);
+        wal.append_page_image(t1, 0, &[1u8; PAGE_SIZE]).unwrap();
         assert!(wal.commit(t1, None).is_err(), "injected failure");
         wal.append_abort(t1);
 
         let t2 = wal.alloc_txid();
-        wal.append_page_image(t2, 1, &[2u8; PAGE_SIZE]);
+        wal.append_page_image(t2, 1, &[2u8; PAGE_SIZE]).unwrap();
         wal.commit(t2, None).unwrap();
         drop(wal);
         wal_disk.sync().unwrap();
@@ -1586,17 +1071,10 @@ mod tests {
     #[test]
     fn set_policy_flushes_and_switches() {
         let (wal_disk, data) = disks();
-        let (wal, _, _) = Wal::recover_with(
-            Arc::clone(&wal_disk),
-            &data,
-            WalOptions {
-                policy: SyncPolicy::NoSync,
-                buffer_pages: 64,
-            },
-        )
-        .unwrap();
+        let (wal, _, _) =
+            Wal::recover_with(Arc::clone(&wal_disk), &data, SyncPolicy::NoSync).unwrap();
         let t = wal.alloc_txid();
-        wal.append_page_image(t, 0, &[3u8; PAGE_SIZE]);
+        wal.append_page_image(t, 0, &[3u8; PAGE_SIZE]).unwrap();
         wal.commit(t, None).unwrap();
         wal.set_policy(SyncPolicy::PerCommit).unwrap();
         assert_eq!(wal.policy(), SyncPolicy::PerCommit);
@@ -1604,7 +1082,7 @@ mod tests {
         assert_eq!(wal.durable_lsn(), wal.appended_lsn());
         let before = wal.stats().syncs;
         let t2 = wal.alloc_txid();
-        wal.append_page_image(t2, 1, &[4u8; PAGE_SIZE]);
+        wal.append_page_image(t2, 1, &[4u8; PAGE_SIZE]).unwrap();
         wal.commit(t2, None).unwrap();
         assert_eq!(wal.stats().syncs, before + 1);
     }

@@ -17,7 +17,7 @@
 //! * `.save <dir>`   — persist the database (see `Database::save`)
 //! * `.checkpoint`   — durable fuzzy checkpoint (WAL databases; see
 //!   `Database::checkpoint`); prints what it did
-//! * `.wal [policy <p>]` — inspect the WAL pipeline (sync policy, LSN
+//! * `.wal [policy <p>]` — inspect the WAL (sync policy, LSN
 //!   watermarks, counters) or switch the commit sync policy
 //! * `.stats [op]`   — per-operator counters (one operator, or all)
 //! * `.ops [name]`   — list the signature's operators, or describe one
@@ -50,9 +50,9 @@
 //!
 //! `sos --durable <dir> [--sync-policy <p>]` opens a WAL-backed
 //! database in `<dir>` (running crash recovery first); every statement
-//! commits durably. `<p>` is `percommit` (default),
-//! `group[:window_us[:max_batch]]` (group commit: coalesce commits into
-//! one fsync on the WAL's writer thread), or `nosync`.
+//! commits through the log. `<p>` is `percommit` (default: each commit
+//! is synced before it is acknowledged) or `nosync` (commits are
+//! written but not synced; a crash may lose the latest ones).
 
 use sos_exec::render;
 use sos_system::{Database, DurabilityConfig, Output, SyncPolicy};
@@ -82,9 +82,7 @@ fn main() {
         let mut config = DurabilityConfig::dir(dir);
         if let Some(j) = argv.iter().position(|a| a == "--sync-policy") {
             let policy = argv.get(j + 1).ok_or_else(|| {
-                "usage: sos --durable <dir> --sync-policy \
-                 percommit|group[:window_us[:max_batch]]|nosync"
-                    .to_string()
+                "usage: sos --durable <dir> --sync-policy percommit|nosync".to_string()
             });
             match policy.and_then(|p| SyncPolicy::parse(p)) {
                 Ok(p) => config = config.sync_policy(p),

@@ -9,8 +9,10 @@
 //! Durability contract of a bulk load: the whole load is ONE statement.
 //! A crash mid-load recovers to the state before it (the commit record
 //! never became durable) or after it (it did) — never to a partially
-//! loaded object. Under `NoSync` the commit acknowledgment itself is
-//! not durable until the closing checkpoint syncs the log.
+//! loaded object. Under `NoSync` the commit is written to the log but
+//! not synced; it becomes durable when the closing checkpoint syncs the
+//! log. The database's own policy is restored on every exit path, so a
+//! failed load never leaves later commits unsynced.
 
 use crate::{Database, SystemError};
 use sos_core::Symbol;
@@ -50,24 +52,22 @@ impl Database {
             }
         }
         let loaded = tuples.len();
-        // Relax the sync policy for the duration; every exit path below
-        // restores it (and the closing checkpoint syncs what NoSync
-        // deferred).
-        let saved_policy = self.sync_policy();
-        if saved_policy.is_some() {
-            self.set_sync_policy(SyncPolicy::NoSync)?;
-        }
-        let result = self.bulk_load_inner(&target, tuples);
-        if let Some(p) = saved_policy {
-            // Checkpoint first: it flushes and syncs the log, making the
-            // NoSync-acknowledged commit durable before the policy flips
-            // back.
-            if result.is_ok() {
-                self.checkpoint()?;
+        match self.sync_policy() {
+            None => self.bulk_load_inner(&target, tuples)?,
+            Some(saved) => {
+                // Relax the sync policy for the load; the closing
+                // checkpoint syncs what NoSync deferred. The saved policy
+                // is restored whatever failed (setting a policy takes
+                // effect even when its flush fails), then the first
+                // error is returned.
+                let result = self
+                    .set_sync_policy(SyncPolicy::NoSync)
+                    .and_then(|()| self.bulk_load_inner(&target, tuples))
+                    .and_then(|()| self.checkpoint().map(drop));
+                let restored = self.set_sync_policy(saved);
+                result.and(restored)?;
             }
-            self.set_sync_policy(p)?;
         }
-        result?;
         self.engine.stats.record("bulk_load", 1, loaded, loaded);
         // A bulk load shifts the object's cardinality enough that any
         // cost-chosen cached plan over it is suspect.

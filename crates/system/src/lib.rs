@@ -59,7 +59,7 @@ use sos_optimizer::{
     OptError, OptimizeOpts, Optimizer, OptimizerStats, RuleApplication, Validation,
 };
 use sos_parser::{parse_program, ParseError, Statement};
-use sos_storage::{BufferPool, DiskManager, FileDisk, RecoveryInfo, Wal, WalOptions};
+use sos_storage::{BufferPool, DiskManager, FileDisk, RecoveryInfo, Wal};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -71,7 +71,7 @@ pub use sos_obs::{
 };
 pub use sos_storage::{CheckpointStats, Lsn, SyncPolicy};
 
-/// The WAL pipeline's LSN watermarks, for inspection (the shell's
+/// The WAL's LSN watermarks, for inspection (the shell's
 /// `.wal` command): `appended ≥ written ≥ durable ≥ checkpoint`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalLsns {
@@ -237,12 +237,12 @@ enum DurableSource {
 }
 
 /// Everything durability: where the data pages and the write-ahead log
-/// live, how commits reach stable storage ([`SyncPolicy`]), and how much
-/// log the WAL may buffer in memory. This is the one durability knob on
-/// [`DatabaseBuilder`] — construct with [`DurabilityConfig::dir`] (two
-/// files under one directory) or [`DurabilityConfig::disks`] (explicit
-/// disks, e.g. [`sos_storage::FaultDisk`] pairs in fault-injection
-/// tests), then chain the policy/buffer setters.
+/// live, and whether commits are synced ([`SyncPolicy`]). This is the
+/// one durability knob on [`DatabaseBuilder`] — construct with
+/// [`DurabilityConfig::dir`] (two files under one directory) or
+/// [`DurabilityConfig::disks`] (explicit disks, e.g.
+/// [`sos_storage::FaultDisk`] pairs in fault-injection tests), then
+/// optionally set the policy.
 ///
 /// ```no_run
 /// use sos_system::{Database, DurabilityConfig, SyncPolicy};
@@ -250,7 +250,7 @@ enum DurableSource {
 /// let db = Database::builder()
 ///     .durability(
 ///         DurabilityConfig::dir("/tmp/mydb")
-///             .sync_policy(SyncPolicy::Group { window_us: 200, max_batch: 64 }),
+///             .sync_policy(SyncPolicy::NoSync),
 ///     )
 ///     .try_build()
 ///     .unwrap();
@@ -259,7 +259,6 @@ enum DurableSource {
 pub struct DurabilityConfig {
     source: DurableSource,
     policy: SyncPolicy,
-    wal_buffer_pages: usize,
 }
 
 impl DurabilityConfig {
@@ -275,28 +274,17 @@ impl DurabilityConfig {
     }
 
     fn over(source: DurableSource) -> DurabilityConfig {
-        let defaults = WalOptions::default();
         DurabilityConfig {
             source,
-            policy: defaults.policy,
-            wal_buffer_pages: defaults.buffer_pages,
+            policy: SyncPolicy::default(),
         }
     }
 
-    /// How commits reach stable storage (default:
-    /// [`SyncPolicy::PerCommit`]). [`SyncPolicy::Group`] coalesces
-    /// commits landing within a window (or while a sync is in flight)
-    /// into one fsync on the WAL's writer thread.
+    /// Whether each commit is synced before it is acknowledged
+    /// (default: [`SyncPolicy::PerCommit`]). Under [`SyncPolicy::NoSync`]
+    /// commits are written to the log without an fsync.
     pub fn sync_policy(mut self, policy: SyncPolicy) -> DurabilityConfig {
         self.policy = policy;
-        self
-    }
-
-    /// Filled in-memory WAL pages buffered before an append nudges the
-    /// background writer to drain them (default: 64; irrelevant under
-    /// `PerCommit`, which never buffers across commits).
-    pub fn wal_buffer_pages(mut self, pages: usize) -> DurabilityConfig {
-        self.wal_buffer_pages = pages;
         self
     }
 }
@@ -440,11 +428,7 @@ impl DatabaseBuilder {
                         }
                         DurableSource::Disks(d, w) => (d, w),
                     };
-                let options = WalOptions {
-                    policy: cfg.policy,
-                    buffer_pages: cfg.wal_buffer_pages,
-                };
-                let (wal, meta, info) = Wal::recover_with(wal_disk, &data, options)?;
+                let (wal, meta, info) = Wal::recover_with(wal_disk, &data, cfg.policy)?;
                 recovery = Some(info);
                 recovered_meta = meta;
                 Arc::new(BufferPool::with_wal(data, frames, Arc::new(wal)))
@@ -543,7 +527,7 @@ impl Database {
         self.engine.pool.wal().map(|w| w.policy())
     }
 
-    /// The WAL pipeline's current LSN watermarks, or `None` for an
+    /// The WAL's current LSN watermarks, or `None` for an
     /// in-memory database.
     pub fn wal_lsns(&self) -> Option<WalLsns> {
         self.engine.pool.wal().map(|w| WalLsns {

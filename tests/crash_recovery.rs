@@ -9,8 +9,10 @@
 //! simulated crash; only the `FaultDisk` overlay — writes the process
 //! never synced — is lost, which is exactly the power-failure model.
 //!
-//! The last case kills a durable `bulk_load` at every write index: the
-//! recovered object holds none of the load or all of it.
+//! The bulk-load cases kill a durable `bulk_load` at every write index
+//! (the recovered object holds none of the load or all of it) and fail
+//! it with a transient write error at every write index (the database's
+//! sync policy is restored).
 
 use sos_exec::{render, Value};
 use sos_storage::{DiskManager, FaultClock, FaultDisk, FaultSchedule, MemDisk};
@@ -23,59 +25,10 @@ struct Media {
     wal: Arc<dyn DiskManager>,
 }
 
-/// How a matrix variant opens the database: the commit sync policy, the
-/// WAL's in-memory buffer budget and the buffer pool's frame count.
-#[derive(Clone, Copy)]
-struct Variant {
-    policy: SyncPolicy,
-    wal_buffer_pages: usize,
-    frames: usize,
-}
-
-impl Variant {
-    /// PR 5 semantics: the committing thread writes and syncs inline.
-    fn per_commit() -> Variant {
-        Variant {
-            policy: SyncPolicy::PerCommit,
-            wal_buffer_pages: 64,
-            frames: 64,
-        }
-    }
-
-    /// The bulk-load matrix: `PerCommit` with a 256-frame pool.
-    fn bulk_load() -> Variant {
-        Variant {
-            frames: 256,
-            ..Variant::per_commit()
-        }
-    }
-
-    /// Group commit with a window long enough that every crash index
-    /// lands either mid-window or during the writer's coalesced fsync.
-    fn group() -> Variant {
-        Variant {
-            policy: SyncPolicy::Group {
-                window_us: 100,
-                max_batch: 8,
-            },
-            wal_buffer_pages: 64,
-            frames: 64,
-        }
-    }
-
-    /// Group commit through a one-page double buffer, so multi-page
-    /// commits crash with the buffer full and a handoff in flight.
-    fn group_full_buffer() -> Variant {
-        Variant {
-            policy: SyncPolicy::Group {
-                window_us: 0,
-                max_batch: 4,
-            },
-            wal_buffer_pages: 1,
-            frames: 64,
-        }
-    }
-}
+/// Buffer-pool frames for the statement matrix and for the bulk-load
+/// cases. Every case opens under the default `PerCommit` policy.
+const MATRIX_FRAMES: usize = 64;
+const LOAD_FRAMES: usize = 256;
 
 impl Media {
     fn new() -> Media {
@@ -89,13 +42,13 @@ impl Media {
     /// Both disks share one clock, so a crash index addresses a single
     /// interleaved sequence of data and WAL writes.
     fn open(&self, schedule: FaultSchedule) -> (Result<Database, SystemError>, Arc<FaultClock>) {
-        self.open_variant(schedule, Variant::per_commit())
+        self.open_frames(schedule, MATRIX_FRAMES)
     }
 
-    fn open_variant(
+    fn open_frames(
         &self,
         schedule: FaultSchedule,
-        variant: Variant,
+        frames: usize,
     ) -> (Result<Database, SystemError>, Arc<FaultClock>) {
         let clock = FaultClock::new(schedule);
         let data: Arc<dyn DiskManager> =
@@ -103,12 +56,8 @@ impl Media {
         let wal: Arc<dyn DiskManager> =
             Arc::new(FaultDisk::new(Arc::clone(&self.wal), Arc::clone(&clock)));
         let db = Database::builder()
-            .durability(
-                DurabilityConfig::disks(data, wal)
-                    .sync_policy(variant.policy)
-                    .wal_buffer_pages(variant.wal_buffer_pages),
-            )
-            .frame_capacity(variant.frames)
+            .durability(DurabilityConfig::disks(data, wal))
+            .frame_capacity(frames)
             .try_build();
         (db, clock)
     }
@@ -165,8 +114,8 @@ fn reference() -> (Vec<String>, u64) {
 
 /// Run the workload until the injected fault bites; returns how many
 /// statements were acknowledged (`Ok`) before the first error.
-fn run_until_crash(media: &Media, schedule: FaultSchedule, variant: Variant) -> usize {
-    let (db, _clock) = media.open_variant(schedule, variant);
+fn run_until_crash(media: &Media, schedule: FaultSchedule) -> usize {
+    let (db, _clock) = media.open(schedule);
     let Ok(mut db) = db else {
         // Crashed while opening the empty database: nothing acknowledged.
         return 0;
@@ -181,10 +130,10 @@ fn run_until_crash(media: &Media, schedule: FaultSchedule, variant: Variant) -> 
     acked
 }
 
-/// The matrix: crash `variant`'s run at every write index (clean and
-/// torn), reopen cleanly (always `PerCommit` — the log on disk is
-/// policy-independent), and require a statement-boundary state.
-fn crash_matrix_recovers_to_statement_boundaries(variant: Variant) {
+/// The matrix: crash the run at every write index (clean and torn),
+/// reopen cleanly, and require a statement-boundary state.
+#[test]
+fn crash_at_every_write_index_recovers_to_a_statement_boundary() {
     let (refs, total_writes) = reference();
     assert!(
         total_writes > 10,
@@ -198,7 +147,7 @@ fn crash_matrix_recovers_to_statement_boundaries(variant: Variant) {
                 FaultSchedule::crash_at(i)
             };
             let media = Media::new();
-            let acked = run_until_crash(&media, schedule, variant);
+            let acked = run_until_crash(&media, schedule);
             let (db, _) = media.open(FaultSchedule::default());
             let mut db = db.unwrap_or_else(|e| {
                 panic!("crash at write {i} (torn={torn}): clean reopen failed: {e}")
@@ -234,39 +183,13 @@ fn crash_matrix_recovers_to_statement_boundaries(variant: Variant) {
     }
 }
 
-#[test]
-fn crash_at_every_write_index_recovers_to_a_statement_boundary() {
-    crash_matrix_recovers_to_statement_boundaries(Variant::per_commit());
-}
-
-/// The same matrix under group commit: every crash index now lands
-/// either mid-window (records appended, fsync pending on the writer
-/// thread) or during the coalesced fsync itself. Acknowledged
-/// statements must still be exactly durable.
-#[test]
-fn crash_matrix_under_group_commit() {
-    crash_matrix_recovers_to_statement_boundaries(Variant::group());
-}
-
-/// Group commit squeezed through a one-page double buffer: multi-page
-/// commits crash with the buffer full and a producer/writer handoff in
-/// flight.
-#[test]
-fn crash_matrix_under_group_commit_with_full_double_buffer() {
-    crash_matrix_recovers_to_statement_boundaries(Variant::group_full_buffer());
-}
-
 /// A crash index past the workload's last write must leave the complete
 /// final state — and the full matrix above then covers every prefix.
 #[test]
 fn crash_after_workload_preserves_everything() {
     let (refs, total_writes) = reference();
     let media = Media::new();
-    let acked = run_until_crash(
-        &media,
-        FaultSchedule::crash_at(total_writes + 100),
-        Variant::per_commit(),
-    );
+    let acked = run_until_crash(&media, FaultSchedule::crash_at(total_writes + 100));
     assert_eq!(acked, STMTS.len(), "no fault should bite");
     let (db, _) = media.open(FaultSchedule::default());
     let mut db = db.expect("clean reopen");
@@ -324,7 +247,7 @@ fn load_tuples() -> Vec<Value> {
 /// Run create → bulk_load against fault-injecting disks; returns whether
 /// the load was acknowledged.
 fn load_until_crash(media: &Media, schedule: FaultSchedule) -> bool {
-    let (db, _clock) = media.open_variant(schedule, Variant::bulk_load());
+    let (db, _clock) = media.open_frames(schedule, LOAD_FRAMES);
     let Ok(mut db) = db else {
         return false;
     };
@@ -341,7 +264,7 @@ fn crash_mid_bulk_load_recovers_to_a_boundary() {
     // Fault-free reference run to size the write-index space.
     let (total_writes, rows) = {
         let media = Media::new();
-        let (db, clock) = media.open_variant(FaultSchedule::default(), Variant::bulk_load());
+        let (db, clock) = media.open_frames(FaultSchedule::default(), LOAD_FRAMES);
         let mut db = db.expect("fault-free open");
         db.run(LOAD_SCHEMA).expect("schema");
         let rows = db.bulk_load("bt_rep", load_tuples()).expect("bulk load");
@@ -361,7 +284,7 @@ fn crash_mid_bulk_load_recovers_to_a_boundary() {
             };
             let media = Media::new();
             let loaded = load_until_crash(&media, schedule);
-            let (db, _) = media.open_variant(FaultSchedule::default(), Variant::bulk_load());
+            let (db, _) = media.open_frames(FaultSchedule::default(), LOAD_FRAMES);
             let mut db = db.unwrap_or_else(|e| {
                 panic!("crash at write {i} (torn={torn}): clean reopen failed: {e}")
             });
@@ -387,4 +310,43 @@ fn crash_mid_bulk_load_recovers_to_a_boundary() {
             }
         }
     }
+}
+
+/// Fail one write of a durable create + `bulk_load` with a transient
+/// error, at every write index. `bulk_load` relaxes the policy to
+/// `NoSync` while it runs; whenever it returns `Err`, the default
+/// `PerCommit` must be back in force, or every later commit on this
+/// database would be acknowledged without an fsync.
+#[test]
+fn failed_bulk_load_restores_the_sync_policy() {
+    let total_writes = {
+        let media = Media::new();
+        let (db, clock) = media.open_frames(FaultSchedule::default(), LOAD_FRAMES);
+        let mut db = db.expect("fault-free open");
+        db.run(LOAD_SCHEMA).expect("schema");
+        db.bulk_load("bt_rep", load_tuples()).expect("bulk load");
+        clock.writes()
+    };
+    let mut failed_loads = 0;
+    for i in 0..total_writes {
+        let schedule = FaultSchedule {
+            transient_write_errors: vec![i],
+            ..Default::default()
+        };
+        let media = Media::new();
+        let (db, _) = media.open_frames(schedule, LOAD_FRAMES);
+        let Ok(mut db) = db else { continue };
+        if db.run(LOAD_SCHEMA).is_err() {
+            continue;
+        }
+        if db.bulk_load("bt_rep", load_tuples()).is_err() {
+            failed_loads += 1;
+            assert_eq!(
+                db.sync_policy(),
+                Some(SyncPolicy::PerCommit),
+                "transient error at write {i} left the load's policy in force"
+            );
+        }
+    }
+    assert!(failed_loads > 0, "no injected error reached bulk_load");
 }

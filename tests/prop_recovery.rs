@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use sos_exec::render;
 use sos_storage::{DiskManager, FaultClock, FaultDisk, FaultSchedule, MemDisk};
-use sos_system::{Database, DurabilityConfig, SyncPolicy, SystemError};
+use sos_system::{Database, DurabilityConfig, SystemError};
 use std::sync::Arc;
 
 struct Media {
@@ -26,42 +26,20 @@ impl Media {
         }
     }
 
+    /// Open under the default `PerCommit` policy: every acknowledged
+    /// statement is durable.
     fn open(&self, schedule: FaultSchedule) -> (Result<Database, SystemError>, Arc<FaultClock>) {
-        self.open_with(schedule, SyncPolicy::PerCommit)
-    }
-
-    fn open_with(
-        &self,
-        schedule: FaultSchedule,
-        policy: SyncPolicy,
-    ) -> (Result<Database, SystemError>, Arc<FaultClock>) {
         let clock = FaultClock::new(schedule);
         let data: Arc<dyn DiskManager> =
             Arc::new(FaultDisk::new(Arc::clone(&self.data), Arc::clone(&clock)));
         let wal: Arc<dyn DiskManager> =
             Arc::new(FaultDisk::new(Arc::clone(&self.wal), Arc::clone(&clock)));
         let db = Database::builder()
-            .durability(DurabilityConfig::disks(data, wal).sync_policy(policy))
+            .durability(DurabilityConfig::disks(data, wal))
             .frame_capacity(64)
             .try_build();
         (db, clock)
     }
-}
-
-/// Crash policies the random programs run under. Recovery itself always
-/// reopens `PerCommit`: the log on disk is policy-independent.
-fn policy_strategy() -> impl Strategy<Value = SyncPolicy> {
-    prop_oneof![
-        Just(SyncPolicy::PerCommit),
-        Just(SyncPolicy::Group {
-            window_us: 100,
-            max_batch: 8,
-        }),
-        Just(SyncPolicy::Group {
-            window_us: 0,
-            max_batch: 4,
-        }),
-    ]
 }
 
 /// One random mutation, compiled to a statement of the update language.
@@ -132,7 +110,6 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..15),
         crash_seed in 0u64..10_000,
         torn in any::<bool>(),
-        policy in policy_strategy(),
     ) {
         let stmts = statements(&ops);
 
@@ -156,7 +133,7 @@ proptest! {
             FaultSchedule::crash_at(crash_at)
         };
         let media = Media::new();
-        let (db, _) = media.open_with(schedule, policy);
+        let (db, _) = media.open(schedule);
         let mut acked = 0usize;
         if let Ok(mut db) = db {
             for s in &stmts {
@@ -191,11 +168,10 @@ proptest! {
     #[test]
     fn committed_programs_survive_reopen(
         ops in prop::collection::vec(op_strategy(), 1..12),
-        policy in policy_strategy(),
     ) {
         let stmts = statements(&ops);
         let media = Media::new();
-        let (db, _) = media.open_with(FaultSchedule::default(), policy);
+        let (db, _) = media.open(FaultSchedule::default());
         let mut db = db.expect("open");
         for s in &stmts {
             db.run(s).expect("statement");
