@@ -58,7 +58,6 @@ fn join_db() -> Database {
 
 fn bench_batch_speedup(c: &mut Criterion) {
     let mut db = heap_db(100_000);
-    db.set_parallelism(1);
     let mut group = c.benchmark_group("batch-speedup");
     for width in [1usize, 64, 1024] {
         db.set_batch_size(width);
@@ -73,7 +72,6 @@ fn bench_batch_speedup(c: &mut Criterion) {
     group.finish();
 
     let mut db = join_db();
-    db.set_parallelism(1);
     db.set_batch_size(1024);
     let mut group = c.benchmark_group("compile-speedup");
     for compile in [false, true] {
@@ -103,7 +101,6 @@ fn median_nanos(db: &mut Database, query: &str, samples: usize, iters: usize) ->
 
 fn smoke() {
     let mut db = heap_db(20_000);
-    db.set_parallelism(1);
     // The batch gate predates the compiler; keep measuring what it
     // always measured — the interpreted batch path vs the tuple drain.
     db.set_compile_exprs(false);
@@ -127,7 +124,6 @@ fn smoke() {
 
 fn compile_smoke() {
     let mut db = heap_db(20_000);
-    db.set_parallelism(1);
     db.set_batch_size(1024);
     assert_eq!(as_count(&db.query(QUERY).unwrap()), 2858);
 

@@ -1,13 +1,8 @@
 //! B1 — Selection: B-tree `range` vs full-scan `feed|filter` across
 //! selectivities. The paper's premise for clustering indexes: the range
 //! plan wins at low selectivity and converges to the scan at 100%.
-//!
-//! B1p — Parallel selection: the same `feed|filter|count` heap scan
-//! under 1/2/4/8 intra-operator workers (workers = 1 is the serial
-//! baseline). On a multi-core runner the parallel rows should show the
-//! scan scaling with the worker count.
 
-use bench::{as_count, heap_db, keyed_db};
+use bench::{as_count, keyed_db};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_selection(c: &mut Criterion) {
@@ -38,26 +33,5 @@ fn bench_selection(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_selection(c: &mut Criterion) {
-    let n = 100_000usize;
-    let mut db = heap_db(n);
-    let q = "hitems feed filter[k mod 7 = 0] count";
-    db.set_parallelism(1);
-    let expected = as_count(&db.query(q).unwrap());
-    let mut group = c.benchmark_group("selection-parallel");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4, 8] {
-        db.set_parallelism(workers);
-        // Sanity: every worker count produces the serial answer.
-        assert_eq!(as_count(&db.query(q).unwrap()), expected);
-        group.bench_with_input(
-            BenchmarkId::new("scan-filter-count", workers),
-            &(),
-            |b, _| b.iter(|| as_count(&db.query(q).unwrap())),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_selection, bench_parallel_selection);
+criterion_group!(benches, bench_selection);
 criterion_main!(benches);

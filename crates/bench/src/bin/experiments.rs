@@ -441,16 +441,8 @@ fn b3_b4() {
 
 // ---- `--json` mode: the PR3 batch-execution comparison ----
 
-/// One engine configuration of the serial / parallel / batched matrix.
-/// The two serial configs run back-to-back so the headline
-/// batched-vs-tuple comparison sees the same machine state (the
-/// parallel configs heat every core and disturb turbo clocks).
-const PR3_CONFIGS: &[(&str, usize, usize)] = &[
-    ("tuple", 1, 1),
-    ("batched", 1024, 1),
-    ("parallel", 1, 4),
-    ("batched-parallel", 1024, 4),
-];
+/// The engine configurations of the matrix: name and batch width.
+const PR3_CONFIGS: &[(&str, usize)] = &[("tuple", 1), ("batched", 1024)];
 
 /// Best wall time (ms) for `query` over a few samples.
 fn pr3_ms(db: &mut Database, query: &str, samples: usize, iters: usize) -> f64 {
@@ -469,18 +461,16 @@ fn pr3_workload(db: &mut Database, name: &str, query: &str, rows: usize) -> Stri
     db.query(query).unwrap(); // warm the pool and plan path
     let mut configs = Vec::new();
     let mut by_name = std::collections::HashMap::new();
-    for &(config, batch, workers) in PR3_CONFIGS {
+    for &(config, batch) in PR3_CONFIGS {
         db.set_batch_size(batch);
-        db.set_parallelism(workers);
         let ms = pr3_ms(db, query, 9, 3);
         by_name.insert(config, ms);
         configs.push(format!(
-            r#"{{"config":"{config}","batch_size":{batch},"workers":{workers},"ms":{ms:.3},"rows_per_sec":{:.0}}}"#,
+            r#"{{"config":"{config}","batch_size":{batch},"ms":{ms:.3},"rows_per_sec":{:.0}}}"#,
             rows as f64 / (ms / 1000.0)
         ));
     }
     db.set_batch_size(1);
-    db.set_parallelism(1);
     let speedup = by_name["tuple"] / by_name["batched"];
     format!(
         r#"{{"workload":"{name}","query":"{}","rows":{rows},"configs":[{}],"batched_vs_tuple_speedup":{speedup:.2}}}"#,
@@ -697,7 +687,6 @@ fn pr5_json() -> String {
 fn compile_workload(db: &mut Database, name: &str, query: &str, rows: usize) -> String {
     db.query(query).unwrap(); // warm the pool and plan path
     db.set_batch_size(1024);
-    db.set_parallelism(1);
     db.set_compile_exprs(false);
     let interp_ms = pr3_ms(db, query, 9, 3);
     db.set_compile_exprs(true);

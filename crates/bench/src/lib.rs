@@ -87,9 +87,9 @@ pub fn item_tuples(n: usize) -> Vec<Value> {
         .collect()
 }
 
-/// A heap-backed (tidrel) relation for parallel-scan benchmarks: `feed`
-/// over it produces a page-partitionable cursor, and the padded payload
-/// keeps it at ~35 tuples per page so worker counts matter.
+/// A heap-backed (tidrel) relation for scan benchmarks: `feed` over it
+/// is a heap-scan cursor, and the padded payload keeps it at ~35 tuples
+/// per page, so a scan spans many pages.
 pub fn heap_db(n: usize) -> Database {
     let mut db = Database::builder().build();
     db.run(

@@ -51,13 +51,12 @@
 //! and the interpreter keeps the closure.
 //!
 //! `tests/prop_compiled_vs_interp.rs` checks compiled ≡ interpreted
-//! differentially over random expressions, batch widths, and worker
-//! counts.
+//! differentially over random expressions and batch widths.
 
 use crate::engine::ExecEngine;
 use crate::error::{ExecError, ExecResult};
 use crate::handles::load_field;
-use crate::ops::basic::Atomic;
+use crate::ops::basic::{div_int, mod_int, Atomic};
 use crate::ops::{OpId, OpTable};
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
@@ -261,8 +260,8 @@ impl ColProgram {
                             Atomic::Add => x.checked_add(y),
                             Atomic::Sub => x.checked_sub(y),
                             Atomic::Mul => x.checked_mul(y),
-                            Atomic::DivInt => (y != 0).then(|| x.div_euclid(y)),
-                            Atomic::Mod => (y != 0).then(|| x.rem_euclid(y)),
+                            Atomic::DivInt => x.checked_div_euclid(y),
+                            Atomic::Mod => (y != 0).then(|| x.wrapping_rem_euclid(y)),
                             _ => unreachable!("non-arith op in Arith"),
                         };
                         match v {
@@ -648,20 +647,8 @@ fn bin_op(op: Atomic, a: &Value, b: &Value) -> ExecResult<Value> {
             .checked_mul(*y)
             .map(Value::Int)
             .ok_or_else(|| ExecError::Arithmetic("integer overflow in `*`".into())),
-        (Atomic::DivInt, Value::Int(x), Value::Int(y)) => {
-            if *y == 0 {
-                Err(ExecError::Arithmetic("division by zero".into()))
-            } else {
-                Ok(Value::Int(x.div_euclid(*y)))
-            }
-        }
-        (Atomic::Mod, Value::Int(x), Value::Int(y)) => {
-            if *y == 0 {
-                Err(ExecError::Arithmetic("modulo by zero".into()))
-            } else {
-                Ok(Value::Int(x.rem_euclid(*y)))
-            }
-        }
+        (Atomic::DivInt, Value::Int(x), Value::Int(y)) => div_int(*x, *y).map(Value::Int),
+        (Atomic::Mod, Value::Int(x), Value::Int(y)) => mod_int(*x, *y).map(Value::Int),
         (Atomic::Eq, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x == y)),
         (Atomic::Ne, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x != y)),
         (Atomic::Lt, Value::Int(x), Value::Int(y)) => Ok(Value::Bool(x < y)),
@@ -1061,6 +1048,29 @@ mod tests {
             cf.call(&[item(0, 0, "", false)]).unwrap_err().to_string(),
             "arithmetic error: modulo by zero"
         );
+        // `i64::MIN div -1` overflows and `i64::MIN mod -1` is exactly 0,
+        // in the interpreter, tier A and tier B alike.
+        let min = item(i64::MIN, 0, "", false);
+        for (op, atomic, want) in [
+            (
+                "div",
+                Atomic::DivInt,
+                Err("arithmetic error: integer overflow in `div`"),
+            ),
+            ("mod", Atomic::Mod, Ok(Value::Int(0))),
+        ] {
+            let want = want.map_err(str::to_string);
+            let interp = atomic.eval(&[Value::Int(i64::MIN), Value::Int(-1)]);
+            assert_eq!(interp.map_err(|e| e.to_string()), want, "{op}: interpreter");
+            let cf = compile1(apply(op, vec![k(), cint(-1)], ty("int")));
+            assert!(cf.is_columnar(), "{op}");
+            let tier_a = cf.call(std::slice::from_ref(&min));
+            assert_eq!(tier_a.map_err(|e| e.to_string()), want, "{op}: tier A");
+            // Tier B computes the remainder itself and bails on the
+            // overflowing quotient, which tier A then reports.
+            let tier_b = cf.try_columnar(std::slice::from_ref(&min));
+            assert_eq!(tier_b, want.ok().map(|v| vec![v]), "{op}: tier B");
+        }
         // `/` has no int fast path: it is real division, via the shared
         // atomic implementation.
         let cf = compile1(apply("/", vec![k(), cint(2)], ty("real")));

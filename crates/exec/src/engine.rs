@@ -37,9 +37,6 @@ pub type OpImpl =
 pub struct ExecEngine {
     pub pool: Arc<BufferPool>,
     ops: OpTable,
-    /// Worker threads for intra-operator parallelism; `1` keeps every
-    /// drain on the calling thread.
-    workers: usize,
     /// Tuples pulled per [`crate::stream::Cursor::next_batch_into`] call
     /// by the draining consumers — a parameter of the one pipeline, so
     /// `1` is tuple-at-a-time through the same code.
@@ -56,16 +53,13 @@ pub struct ExecEngine {
 pub const DEFAULT_BATCH: usize = 1024;
 
 impl ExecEngine {
-    /// An engine with every built-in operator registered. Starts serial,
-    /// with one worker: every drain runs on the calling thread. Paired
-    /// runs found no workload where more workers win, so
-    /// [`ExecEngine::set_workers`] is an opt-in. Applications evaluate
-    /// only once a signature is bound ([`ExecEngine::bind_signature`]).
+    /// An engine with every built-in operator registered. Every drain
+    /// runs on the calling thread. Applications evaluate only once a
+    /// signature is bound ([`ExecEngine::bind_signature`]).
     pub fn new(pool: Arc<BufferPool>) -> ExecEngine {
         let mut e = ExecEngine {
             pool,
             ops: OpTable::default(),
-            workers: 1,
             batch: DEFAULT_BATCH,
             compile: true,
             stats: Arc::new(crate::stats::ExecStats::default()),
@@ -103,16 +97,6 @@ impl ExecEngine {
     /// The operator table.
     pub fn ops(&self) -> &OpTable {
         &self.ops
-    }
-
-    /// Set the worker count for intra-operator parallelism (min 1).
-    pub fn set_workers(&mut self, n: usize) {
-        self.workers = n.max(1);
-    }
-
-    /// The current worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Set the vectorized batch width (min 1); `1` pulls one tuple per

@@ -15,7 +15,6 @@ mod value;
 pub mod compile;
 pub mod engine;
 pub mod ops;
-pub mod parallel;
 pub mod stats;
 pub mod stored;
 pub mod stream;

@@ -3,10 +3,9 @@
 //! Every operator here is *context-free*: a pure function from argument
 //! values to a result, touching neither the object store nor the
 //! catalog. [`Atomic::eval`] is the single implementation: it is what
-//! the operator's table entry runs, what the bytecode calls, and what a
-//! parallel worker evaluates — sharing one code path is what makes
-//! compiled and parallel plans extensionally equal to the interpreter
-//! by construction.
+//! the operator's table entry runs and what the bytecode calls. Sharing
+//! one code path is what makes compiled plans extensionally equal to
+//! the interpreter by construction.
 
 use crate::engine::ExecEngine;
 use crate::error::{mismatch, ExecError, ExecResult};
@@ -74,20 +73,8 @@ impl Atomic {
             Atomic::Add | Atomic::Sub | Atomic::Mul | Atomic::Div => {
                 numeric(&args[0], &args[1], self)
             }
-            Atomic::DivInt => {
-                let (a, b) = (args[0].as_int(op)?, args[1].as_int(op)?);
-                if b == 0 {
-                    return Err(ExecError::Arithmetic("division by zero".into()));
-                }
-                Ok(Value::Int(a.div_euclid(b)))
-            }
-            Atomic::Mod => {
-                let (a, b) = (args[0].as_int(op)?, args[1].as_int(op)?);
-                if b == 0 {
-                    return Err(ExecError::Arithmetic("modulo by zero".into()));
-                }
-                Ok(Value::Int(a.rem_euclid(b)))
-            }
+            Atomic::DivInt => div_int(args[0].as_int(op)?, args[1].as_int(op)?).map(Value::Int),
+            Atomic::Mod => mod_int(args[0].as_int(op)?, args[1].as_int(op)?).map(Value::Int),
 
             // ---- logic ----
             Atomic::And => Ok(Value::Bool(args[0].as_bool(op)? && args[1].as_bool(op)?)),
@@ -180,6 +167,25 @@ fn as_real(v: &Value, op: &str) -> ExecResult<f64> {
         Value::Real(x) => Ok(*x),
         other => Err(mismatch(op, "number", &other.kind_name())),
     }
+}
+
+/// Integer `div` (Euclidean quotient). A zero divisor is an error, and
+/// so is the one quotient that overflows, `i64::MIN div -1`.
+pub(crate) fn div_int(x: i64, y: i64) -> ExecResult<i64> {
+    if y == 0 {
+        return Err(ExecError::Arithmetic("division by zero".into()));
+    }
+    x.checked_div_euclid(y)
+        .ok_or_else(|| ExecError::Arithmetic("integer overflow in `div`".into()))
+}
+
+/// Integer `mod` (Euclidean remainder, never negative). A zero divisor
+/// is an error; `i64::MIN mod -1` is exactly 0.
+pub(crate) fn mod_int(x: i64, y: i64) -> ExecResult<i64> {
+    if y == 0 {
+        return Err(ExecError::Arithmetic("modulo by zero".into()));
+    }
+    Ok(x.wrapping_rem_euclid(y))
 }
 
 fn numeric(a: &Value, b: &Value, op: Atomic) -> ExecResult<Value> {

@@ -32,7 +32,7 @@ pub struct OpEntry {
     pub imp: OpImpl,
     /// The context-free evaluation of an atomic built-in: such an
     /// operator reads neither the object store nor the catalog, so the
-    /// bytecode compiler and the parallel workers may run it anywhere.
+    /// bytecode compiler may run it anywhere.
     /// `None` for every other operator, and for a built-in whose
     /// implementation [`ExecEngine::add_op`] replaced.
     pub pure: Option<Atomic>,

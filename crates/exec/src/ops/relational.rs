@@ -34,12 +34,8 @@ pub fn register(e: &mut ExecEngine) {
         let n_in = tuples.len();
         let pred = args[1].as_closure("select")?.clone();
         let mut cursor = Cursor::filter(ctx.engine, Cursor::materialized(tuples), pred);
-        let par = crate::parallel::try_par_drain(ctx.engine, &mut cursor, "select");
-        let (out, workers) = match par {
-            Some(res) => (res?, ctx.engine.workers()),
-            None => (cursor.drain_as(ctx, "select")?, 1),
-        };
-        ctx.engine.stats.record("select", workers, n_in, out.len());
+        let out = cursor.drain_as(ctx, "select")?;
+        ctx.engine.stats.record("select", n_in, out.len());
         Ok(Value::Rel(out))
     });
 
@@ -60,7 +56,7 @@ pub fn register(e: &mut ExecEngine) {
         }
         ctx.engine
             .stats
-            .record("join", 1, left.len() + right.len(), out.len());
+            .record("join", left.len() + right.len(), out.len());
         Ok(Value::Rel(out))
     });
 
@@ -98,18 +94,11 @@ pub fn register(e: &mut ExecEngine) {
         Value::Rel(ts) | Value::Stream(ts) => Ok(Value::Int(ts.len() as i64)),
         input @ Value::Cursor(_) => {
             let mut cursor = crate::stream::into_cursor(input)?;
-            // Count page-partitioned when the pipeline allows it, else
-            // drain the pipeline without buffering.
-            let (n, workers) = match crate::parallel::try_par_count(ctx.engine, &mut cursor) {
-                Some(res) => (res?, ctx.engine.workers()),
-                None => {
-                    let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
-                    ctx.engine.stats.record_batches("count", batches, n);
-                    (n as i64, 1)
-                }
-            };
-            ctx.engine.stats.record("count", workers, n as usize, 1);
-            Ok(Value::Int(n))
+            // Drain the pipeline without buffering.
+            let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
+            ctx.engine.stats.record_batches("count", batches, n);
+            ctx.engine.stats.record("count", n as usize, 1);
+            Ok(Value::Int(n as i64))
         }
         Value::SRel(h) | Value::TidRel(h) => Ok(Value::Int(h.count()? as i64)),
         Value::BTree(h) => Ok(Value::Int(h.tree.len() as i64)),

@@ -179,7 +179,7 @@ pub fn register(e: &mut ExecEngine) {
         }
         ctx.engine
             .stats
-            .record("hashjoin", 1, inner.len() + outer.len(), out.len());
+            .record("hashjoin", inner.len() + outer.len(), out.len());
         Ok(Value::Stream(out))
     });
 
@@ -251,11 +251,9 @@ pub fn register(e: &mut ExecEngine) {
                 return Err(mismatch(agg, "attribute name", &args[1].kind_name()));
             };
             let idx = crate::ops::relational::attr_index_of_arg(node, 0, attr)?;
-            // The scan beneath already ran parallel where possible (see
-            // `materialize`); the fold itself stays serial so that
-            // floating-point accumulation order — and thus the result —
-            // is bit-identical at every worker count.
-            ctx.engine.stats.record(agg, 1, tuples.len(), 1);
+            // The fold runs in row order, so floating-point accumulation
+            // order (and thus the result) is the same at every width.
+            ctx.engine.stats.record(agg, tuples.len(), 1);
             aggregate(agg, tuples, idx)
         });
     }

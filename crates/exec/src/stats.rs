@@ -2,10 +2,9 @@
 //!
 //! The buffer pool's [`sos_storage::PoolStats`] measures page traffic
 //! for the whole engine; `ExecStats` adds an operator-level view: how
-//! many tuples flowed into and out of each operator, and how many
-//! workers the parallel executor actually used. Tests and the `sos`
-//! shell's `.stats` command read this to observe whether the parallel
-//! path ran.
+//! often each operator ran, how many tuples flowed into and out of it,
+//! and in how many batches. Tests and the `sos` shell's `.stats`
+//! command read it.
 
 use crate::compile::Fallback;
 use parking_lot::Mutex;
@@ -15,17 +14,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Cumulative counters for one operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
-    /// Times the operator ran (serial or parallel).
+    /// Times the operator ran.
     pub invocations: u64,
-    /// Times the operator took a parallel path (workers > 1).
+    /// Always 0: the engine is serial. Kept only because the end-to-end
+    /// benchmark still reads it (`exec.parallel_invocation_ratio`).
     pub parallel_invocations: u64,
-    /// Tuples that reached the operator, on the serial and the parallel
-    /// path alike.
+    /// Tuples that reached the operator.
     pub tuples_in: u64,
     /// Tuples produced.
     pub tuples_out: u64,
-    /// The largest worker count any invocation actually used.
-    pub max_workers: u64,
     /// Batches emitted by the vectorized path (0 = tuple-at-a-time).
     pub batches: u64,
     /// Tuples carried by those batches; `batched_rows / batches` is the
@@ -37,18 +34,6 @@ impl OpStats {
     /// Observed average batch width, or 0 if the operator never batched.
     pub fn rows_per_batch(&self) -> u64 {
         self.batched_rows.checked_div(self.batches).unwrap_or(0)
-    }
-}
-
-impl OpStats {
-    fn absorb(&mut self, workers: usize, tuples_in: usize, tuples_out: usize) {
-        self.invocations += 1;
-        if workers > 1 {
-            self.parallel_invocations += 1;
-        }
-        self.tuples_in += tuples_in as u64;
-        self.tuples_out += tuples_out as u64;
-        self.max_workers = self.max_workers.max(workers as u64);
     }
 }
 
@@ -105,7 +90,7 @@ impl CompileStats {
 /// Engine-wide per-operator counters, shared behind the engine. The
 /// compile counters are lock-free: one atomic for compiled closures and
 /// one per fallback reason (a `search_join` compiles once per outer
-/// tuple, on every worker).
+/// tuple).
 #[derive(Default)]
 pub struct ExecStats {
     ops: Mutex<HashMap<&'static str, OpStats>>,
@@ -115,12 +100,12 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Record one operator invocation.
-    pub fn record(&self, op: &'static str, workers: usize, tuples_in: usize, tuples_out: usize) {
-        self.ops
-            .lock()
-            .entry(op)
-            .or_default()
-            .absorb(workers, tuples_in, tuples_out);
+    pub fn record(&self, op: &'static str, tuples_in: usize, tuples_out: usize) {
+        let mut ops = self.ops.lock();
+        let s = ops.entry(op).or_default();
+        s.invocations += 1;
+        s.tuples_in += tuples_in as u64;
+        s.tuples_out += tuples_out as u64;
     }
 
     /// Record batch traffic for an operator that drained its input
@@ -198,16 +183,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_accumulates_and_tracks_parallelism() {
+    fn record_accumulates_per_operator() {
         let s = ExecStats::default();
-        s.record("count", 1, 100, 1);
-        s.record("count", 4, 200, 1);
+        s.record("count", 100, 1);
+        s.record("count", 200, 1);
         let c = s.op("count");
         assert_eq!(c.invocations, 2);
-        assert_eq!(c.parallel_invocations, 1);
+        assert_eq!(c.parallel_invocations, 0);
         assert_eq!(c.tuples_in, 300);
         assert_eq!(c.tuples_out, 2);
-        assert_eq!(c.max_workers, 4);
         assert_eq!(s.op("feed"), OpStats::default());
         assert_eq!(s.get("feed"), None);
         assert_eq!(s.get("count"), Some(c));

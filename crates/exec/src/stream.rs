@@ -187,9 +187,7 @@ impl Cursor {
     /// The pipeline kernel: append up to `n` tuples to `out` and return
     /// how many were appended (0 once exhausted). Every pipeline step
     /// and every scan source is evaluated here and nowhere else — the
-    /// width is a parameter (`n = 1` is tuple-at-a-time), and a
-    /// parallel drain is this same function pulled by several workers
-    /// over disjoint slices of the source (see [`crate::parallel`]).
+    /// width is a parameter (`n = 1` is tuple-at-a-time).
     ///
     /// Sources decode a whole page per refill ([`Cursor::scan_into`]);
     /// `Filter`, `Project` and `Replace` evaluate their closures over
@@ -504,8 +502,7 @@ impl Cursor {
 
     /// Pull every remaining tuple through `f` in batches of the engine's
     /// width, reusing one buffer; returns `(batches, rows)` delivered.
-    /// Every consumer that drains a cursor — serial or on a worker —
-    /// does so through this loop.
+    /// Every consumer that drains a cursor does so through this loop.
     pub(crate) fn for_each_batch(
         &mut self,
         ctx: &mut EvalCtx,
@@ -526,7 +523,7 @@ impl Cursor {
         }
     }
 
-    /// Drain the remaining tuples serially, recording the batch traffic
+    /// Drain the remaining tuples, recording the batch traffic
     /// under the `materialize` pseudo-operator.
     pub fn drain(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
         self.drain_as(ctx, "materialize")
@@ -551,22 +548,6 @@ impl Cursor {
             .record_batches(op, batches, out.len() as u64);
         Ok(out)
     }
-
-    /// Drain the remaining tuples, data-parallel when the spine allows
-    /// (see [`crate::parallel`]); the result is identical to the serial
-    /// drain, in the same order, and so are the rows it records.
-    pub(crate) fn drain_any(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
-        let Some(res) = crate::parallel::try_par_drain(ctx.engine, self, "materialize") else {
-            return self.drain(ctx);
-        };
-        let out = res?;
-        // The serial drain records no `materialize` invocation; the
-        // parallel one records its worker count, with no tuples.
-        ctx.engine
-            .stats
-            .record("materialize", ctx.engine.workers(), 0, 0);
-        Ok(out)
-    }
 }
 
 impl std::fmt::Debug for Cursor {
@@ -587,11 +568,11 @@ impl std::fmt::Debug for Cursor {
 }
 
 /// Turn any stream-like value into its tuples, draining cursors
-/// ([`Cursor::drain_any`]).
+/// ([`Cursor::drain`]).
 pub fn materialize(ctx: &mut EvalCtx, v: Value) -> ExecResult<Vec<Value>> {
     match v {
         Value::Stream(ts) | Value::Rel(ts) => Ok(ts),
-        Value::Cursor(c) => c.lock().drain_any(ctx),
+        Value::Cursor(c) => c.lock().drain(ctx),
         Value::Undefined => Ok(Vec::new()),
         other => Err(ExecError::TypeMismatch {
             op: "stream".into(),

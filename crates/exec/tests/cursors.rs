@@ -5,6 +5,7 @@ use sos_catalog::Catalog;
 use sos_core::{sym, DataType};
 use sos_exec::stream::{into_cursor, materialize, Cursor};
 use sos_exec::{EvalCtx, ExecEngine, Value};
+use sos_storage::PageId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -214,4 +215,62 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
         panic!("expected a filter cursor");
     };
     assert_eq!(format!("{input:?}"), "cursor[heap-scan]");
+}
+
+#[test]
+fn empty_heap_drains_nothing() {
+    let (engine, heap) = engine_with_heap(0);
+    let mut store = HashMap::new();
+    let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    assert!(Cursor::heap_scan(heap).drain(&mut ctx).unwrap().is_empty());
+}
+
+#[test]
+fn single_page_heap_drains_in_insertion_order() {
+    let (engine, heap) = engine_with_heap(5);
+    assert_eq!(heap.pages().len(), 1);
+    let mut store = HashMap::new();
+    let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    let keys: Vec<Value> = (0..5).map(|i| Value::tuple(vec![Value::Int(i)])).collect();
+    assert_eq!(Cursor::heap_scan(heap).drain(&mut ctx).unwrap(), keys);
+}
+
+/// Drain a heap scan over `pages`, which `pool` only partly holds, and
+/// return the page its read error names.
+fn failed_page(
+    engine: &ExecEngine,
+    pool: Arc<sos_storage::BufferPool>,
+    pages: Vec<PageId>,
+) -> PageId {
+    let heap = sos_storage::heap::HeapFile::from_pages(pool, pages);
+    let mut store = HashMap::new();
+    let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(engine, &mut store, &mut cat);
+    match Cursor::heap_scan(Arc::new(heap)).drain(&mut ctx) {
+        Err(sos_exec::ExecError::Storage(sos_storage::StorageError::PageOutOfBounds(pid))) => pid,
+        other => panic!("expected a page read error, got {other:?}"),
+    }
+}
+
+/// A page read that fails surfaces as a typed storage error, not as a
+/// panic.
+#[test]
+fn a_failed_page_read_is_a_typed_storage_error() {
+    let (engine, heap) = engine_with_heap(2000);
+    assert!(heap.pages().len() > 1, "need a multi-page heap");
+    // The same pages behind a pool whose disk never held them.
+    let lost = failed_page(&engine, sos_storage::mem_pool(2), heap.pages());
+    assert_eq!(lost, heap.pages()[0]);
+}
+
+/// Of several unreadable pages, the error names the first in scan
+/// order, not the lowest page id.
+#[test]
+fn the_first_failed_page_in_scan_order_is_reported() {
+    let (engine, heap) = engine_with_heap(5);
+    let mut pages = heap.pages();
+    pages.extend([900, 700]);
+    assert_eq!(failed_page(&engine, engine.pool.clone(), pages), 900);
 }

@@ -165,8 +165,8 @@ impl std::fmt::Display for MetricsSnapshot {
 /// `.metrics` and `Explain` output.
 pub fn op_line(s: &OpStats) -> String {
     let mut line = format!(
-        "{} run(s) ({} parallel), {} in / {} out, max {} worker(s)",
-        s.invocations, s.parallel_invocations, s.tuples_in, s.tuples_out, s.max_workers
+        "{} run(s), {} in / {} out",
+        s.invocations, s.tuples_in, s.tuples_out
     );
     if s.batches > 0 {
         line.push_str(&format!(
@@ -270,10 +270,8 @@ pub(crate) fn op_json(name: &str, s: &OpStats) -> String {
     Obj::new()
         .str("op", name)
         .u64("invocations", s.invocations)
-        .u64("parallel_invocations", s.parallel_invocations)
         .u64("tuples_in", s.tuples_in)
         .u64("tuples_out", s.tuples_out)
-        .u64("max_workers", s.max_workers)
         .u64("batches", s.batches)
         .u64("batched_rows", s.batched_rows)
         .finish()
@@ -293,8 +291,7 @@ pub(crate) fn phases_json(t: &PhaseTimings) -> String {
 }
 
 /// Per-operator difference `after - before`: the rows attributable to
-/// one run. `max_workers` is not a counter, so the `after` value is
-/// kept. Operators absent from `before` pass through unchanged.
+/// one run. Operators absent from `before` pass through unchanged.
 pub fn ops_delta(
     before: &[(String, OpStats)],
     after: &[(String, OpStats)],
@@ -308,10 +305,9 @@ pub fn ops_delta(
                 .unwrap_or_default();
             let d = OpStats {
                 invocations: a.invocations - b.invocations,
-                parallel_invocations: a.parallel_invocations - b.parallel_invocations,
+                parallel_invocations: 0,
                 tuples_in: a.tuples_in - b.tuples_in,
                 tuples_out: a.tuples_out - b.tuples_out,
-                max_workers: a.max_workers,
                 batches: a.batches - b.batches,
                 batched_rows: a.batched_rows - b.batched_rows,
             };

@@ -35,7 +35,7 @@ pub struct PoolStats {
     /// Requests served from a cached frame (hits). Every successfully
     /// served request is a hit or a miss, so
     /// `logical_reads == cache_hits + physical_reads` — concurrency tests
-    /// check this identity after parallel scans.
+    /// check this identity after concurrent scans.
     pub cache_hits: u64,
     /// Pages read from the disk manager (misses).
     pub physical_reads: u64,
@@ -90,7 +90,7 @@ pub struct BufferPool {
     stats: Counters,
     wal: Option<Arc<Wal>>,
     /// Id of the open transaction (0 = none). Single-writer: statement
-    /// execution is serialized, parallel workers only read.
+    /// execution is serialized.
     tx_current: Arc<AtomicU64>,
 }
 
@@ -396,7 +396,7 @@ impl BufferPool {
 
     /// Number of frames currently pinned (a guard is outstanding). Zero
     /// whenever no scan or update is in flight — concurrency tests use
-    /// this to prove parallel scans release every pin.
+    /// this to prove concurrent scans release every pin.
     pub fn pinned_frames(&self) -> usize {
         self.frames
             .lock()

@@ -2,8 +2,8 @@
 //! released, counters must stay consistent (`requests = hits +
 //! misses`), and every scan must see every record, with and without
 //! eviction pressure. Each scan splits the heap's pages over scoped
-//! threads, as a parallel drain does, so scans race one another and
-//! themselves on the shared pool.
+//! threads, so scans race one another and themselves on the shared
+//! pool.
 
 use sos_storage::heap::HeapFile;
 use sos_storage::{BufferPool, MemDisk, PoolStats, TupleId};

@@ -24,14 +24,12 @@
 //! * `.analyze [obj]` — collect statistics for one object or all
 //! * `.cost [on|off]` — show or toggle cost-based optimization
 //! * `.cache [clear]` — statement-cache counters, or empty the cache
-//! * `.workers [n]`  — show or set the intra-operator worker count
 //! * `.batch [n]`    — show or set the vectorized batch width
 //! * `.compile [on|off]` — show or toggle the expression compiler
 //! * `.objects`      — list catalog objects
 //! * `.quit`
 //!
-//! The worker count defaults to 1 (serial); set it with the
-//! `SOS_WORKERS` environment variable or `.workers <n>`.
+//! Every statement executes on the shell's own thread.
 //!
 //! Besides the shell there is one batch mode:
 //!
@@ -64,12 +62,6 @@ fn main() {
         std::process::exit(lint_main(&argv[1..]));
     }
     let mut builder = Database::builder();
-    if let Some(n) = std::env::var("SOS_WORKERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        builder = builder.workers(n);
-    }
     // `sos --durable <dir>` opens a WAL-backed database in <dir>,
     // running crash recovery first; every statement then commits
     // durably and `.checkpoint` bounds the redo work of the next open.
@@ -248,7 +240,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cost [on|off] | .cache [clear] | .workers [n] | .batch [n] | .compile [on|off] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cost [on|off] | .cache [clear] | .batch [n] | .compile [on|off] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -374,20 +366,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
             "" => println!("tracing {}", if db.tracing() { "on" } else { "off" }),
             _ => println!("error: `.trace` takes `on` or `off`"),
         },
-        ".workers" => {
-            let arg = rest.trim();
-            if arg.is_empty() {
-                println!("{} worker(s)", db.workers());
-            } else {
-                match arg.parse::<usize>() {
-                    Ok(n) => {
-                        db.set_parallelism(n);
-                        println!("{} worker(s)", db.workers());
-                    }
-                    Err(_) => println!("error: `.workers` takes a positive integer"),
-                }
-            }
-        }
         ".batch" => {
             let arg = rest.trim();
             if arg.is_empty() {

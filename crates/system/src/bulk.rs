@@ -68,7 +68,7 @@ impl Database {
                 result.and(restored)?;
             }
         }
-        self.engine.stats.record("bulk_load", 1, loaded, loaded);
+        self.engine.stats.record("bulk_load", loaded, loaded);
         // A bulk load shifts the object's cardinality enough that any
         // cost-chosen cached plan over it is suspect.
         self.invalidate_plans_for(&key);

@@ -201,17 +201,17 @@ impl Output {
 
 /// Configures and constructs a [`Database`] — the one construction
 /// path. Every knob that used to be a post-construction setter
-/// (`with_pool`, `set_workers`, `set_optimize`) is a builder method;
-/// tracing starts disabled unless [`DatabaseBuilder::trace`] enables it.
+/// (`with_pool`, `set_optimize`) is a builder method; tracing starts
+/// disabled unless [`DatabaseBuilder::trace`] enables it.
 ///
 /// ```
 /// use sos_system::Database;
 ///
 /// let mut db = Database::builder()
-///     .workers(2)
+///     .batch_size(256)
 ///     .trace(true)
 ///     .build();
-/// assert_eq!(db.workers(), 2);
+/// assert_eq!(db.batch_size(), 256);
 /// assert!(db.tracing());
 /// ```
 #[derive(Default)]
@@ -219,7 +219,6 @@ pub struct DatabaseBuilder {
     pool: Option<Arc<BufferPool>>,
     durability: Option<DurabilityConfig>,
     frame_capacity: Option<usize>,
-    workers: Option<usize>,
     batch_size: Option<usize>,
     compile_exprs: Option<bool>,
     optimize: Option<bool>,
@@ -319,14 +318,6 @@ impl DatabaseBuilder {
     /// itself (default: 4096). Ignored when an explicit pool is given.
     pub fn frame_capacity(mut self, frames: usize) -> DatabaseBuilder {
         self.frame_capacity = Some(frames);
-        self
-    }
-
-    /// Intra-operator worker count (default 1: the serial engine, every
-    /// drain on the calling thread; more workers let pure scans, counts
-    /// and in-memory selections split across threads).
-    pub fn workers(mut self, n: usize) -> DatabaseBuilder {
-        self.workers = Some(n);
         self
     }
 
@@ -435,9 +426,6 @@ impl DatabaseBuilder {
             }
         };
         let mut engine = ExecEngine::new(pool);
-        if let Some(n) = self.workers {
-            engine.set_workers(n);
-        }
         if let Some(n) = self.batch_size {
             engine.set_batch_size(n);
         }
@@ -622,18 +610,10 @@ impl Database {
         self.engine.stats.get(op)
     }
 
-    /// Set the worker count for intra-operator parallelism at runtime.
-    /// `1` is exactly the serial engine; `n > 1` lets pure `feed`
-    /// pipelines, `count` and in-memory `select` run page- or
-    /// chunk-partitioned across `n` threads. (Initial value:
-    /// [`DatabaseBuilder::workers`], 1 unless set.)
-    pub fn set_parallelism(&mut self, n: usize) {
-        self.engine.set_workers(n);
-    }
-
-    /// The current intra-operator worker count.
+    /// Always 1: every statement executes on the calling thread. Kept
+    /// only because the end-to-end benchmark still reports it.
     pub fn workers(&self) -> usize {
-        self.engine.workers()
+        1
     }
 
     /// Set the vectorized batch width at runtime: how many tuples the

@@ -26,18 +26,18 @@ fn keyed_db() -> Database {
 fn builder_configures_every_knob() {
     let mut db = Database::builder()
         .memory_pool(256)
-        .workers(3)
+        .batch_size(7)
         .optimize(false)
         .trace(true)
         .build();
-    assert_eq!(db.workers(), 3);
+    assert_eq!(db.batch_size(), 7);
     assert!(!db.optimizer_enabled());
     assert!(db.tracing());
     // The knobs remain adjustable at runtime.
-    db.set_parallelism(1);
+    db.set_batch_size(1);
     db.set_optimizer_enabled(true);
     db.set_tracing(false);
-    assert_eq!(db.workers(), 1);
+    assert_eq!(db.batch_size(), 1);
     assert!(db.optimizer_enabled());
     assert!(!db.tracing());
 }
@@ -159,8 +159,8 @@ fn explain_is_structured_and_serializes() {
     assert!(!report.render(false).contains("phases:"));
 }
 
-/// The deprecated pre-builder shims (`new`, `with_pool`, `set_workers`,
-/// `set_optimize`, the stats getters) are gone: the builder façade and
+/// The deprecated pre-builder shims (`new`, `with_pool`, `set_optimize`,
+/// the stats getters) are gone: the builder façade and
 /// the metrics registry cover every former shim use.
 #[test]
 fn builder_facade_covers_former_shims() {
@@ -173,8 +173,6 @@ fn builder_facade_covers_former_shims() {
     "#,
     )
     .unwrap();
-    db.set_parallelism(2);
-    assert_eq!(db.workers(), 2);
     db.set_optimizer_enabled(false);
     assert!(!db.optimizer_enabled());
     db.set_optimizer_enabled(true);

@@ -2,9 +2,8 @@
 //!
 //! Cost-based optimization may only ever change *which* equivalent plan
 //! runs, never what it computes: every query in the corpus must produce
-//! the identical bag of tuples with costing on and off, under every
-//! combination of batch width (1 and 1024) and worker count (1 and 4),
-//! over objects with collected statistics.
+//! the identical bag of tuples with costing on and off, at batch widths
+//! 1 and 1024, over objects with collected statistics.
 //!
 //! On top of the bag-equality net, the suite pins the two plan choices
 //! the cost model is expected to flip (a non-selective keyed selection
@@ -68,9 +67,8 @@ fn mate_tuple(i: usize) -> Value {
 /// `rep` catalog), plus directly-queried storage objects. The model
 /// relations stay empty: every corpus query over them matches a
 /// translation rule, so only the representations are ever scanned.
-fn build_db(workers: usize, batch: usize, cost: bool) -> Database {
+fn build_db(batch: usize, cost: bool) -> Database {
     let mut db = Database::builder()
-        .workers(workers)
         .batch_size(batch)
         .cost_based(cost)
         .build();
@@ -146,8 +144,8 @@ fn canon(v: &Value) -> String {
     }
 }
 
-fn corpus_db(workers: usize, batch: usize, cost: bool) -> Database {
-    let mut db = build_db(workers, batch, cost);
+fn corpus_db(batch: usize, cost: bool) -> Database {
+    let mut db = build_db(batch, cost);
     load_db(&mut db);
     db.analyze_all().unwrap();
     db
@@ -163,32 +161,27 @@ fn has_redex(plan_tree: &str) -> bool {
 }
 
 /// The tentpole net: cost-based planning must be bag-equal to the
-/// historical rule-based planner on every query, batch width, and
-/// worker count. Every plan, with costing on and off, is beta-normal:
+/// historical rule-based planner on every query and batch width. Every
+/// plan, with costing on and off, is beta-normal:
 /// rule instantiation substitutes function variables instead of
 /// applying lambdas.
 #[test]
 fn cost_based_plans_are_bag_equal_to_rule_based() {
-    for workers in [1usize, 4] {
-        for batch in [1usize, 1024] {
-            let mut off = corpus_db(workers, batch, false);
-            let mut on = corpus_db(workers, batch, true);
-            for q in QUERIES {
-                for db in [&mut off, &mut on] {
-                    let e = db.explain(q).unwrap();
-                    assert!(
-                        !has_redex(&e.plan_tree),
-                        "plan of `{q}` applies a lambda: {}",
-                        e.plan()
-                    );
-                }
-                let want = canon(&off.query(q).unwrap());
-                let got = canon(&on.query(q).unwrap());
-                assert_eq!(
-                    got, want,
-                    "cost-based diverged on `{q}` (workers={workers}, batch={batch})"
+    for batch in [1usize, 1024] {
+        let mut off = corpus_db(batch, false);
+        let mut on = corpus_db(batch, true);
+        for q in QUERIES {
+            for db in [&mut off, &mut on] {
+                let e = db.explain(q).unwrap();
+                assert!(
+                    !has_redex(&e.plan_tree),
+                    "plan of `{q}` applies a lambda: {}",
+                    e.plan()
                 );
             }
+            let want = canon(&off.query(q).unwrap());
+            let got = canon(&on.query(q).unwrap());
+            assert_eq!(got, want, "cost-based diverged on `{q}` (batch={batch})");
         }
     }
 }
@@ -198,8 +191,8 @@ fn cost_based_plans_are_bag_equal_to_rule_based() {
 /// a selective probe must stay on the index.
 #[test]
 fn cost_model_flips_nonselective_select_to_a_scan() {
-    let mut off = corpus_db(1, 1024, false);
-    let mut on = corpus_db(1, 1024, true);
+    let mut off = corpus_db(1024, false);
+    let mut on = corpus_db(1024, true);
 
     // Rule-based: always the index, even when it qualifies every row.
     let e = off.explain("items select[k >= 0]").unwrap();
@@ -228,8 +221,8 @@ fn cost_model_flips_nonselective_select_to_a_scan() {
 /// (a large outer keeps the hash join).
 #[test]
 fn cost_model_flips_small_outer_join_to_index_probes() {
-    let mut off = corpus_db(1, 1024, false);
-    let mut on = corpus_db(1, 1024, true);
+    let mut off = corpus_db(1024, false);
+    let mut on = corpus_db(1024, true);
 
     let e = off.explain("picks mates join[k = j]").unwrap();
     assert_eq!(e.applied_rules(), vec!["join-equi-hashjoin"]);
@@ -256,8 +249,8 @@ fn cost_model_flips_small_outer_join_to_index_probes() {
 /// cache.
 #[test]
 fn plan_cache_hits_are_byte_identical_and_result_equal() {
-    let mut reference = corpus_db(1, 1024, true);
-    let mut cached = corpus_db(1, 1024, false);
+    let mut reference = corpus_db(1024, true);
+    let mut cached = corpus_db(1024, false);
     for q in QUERIES {
         cached.clear_plan_cache();
         let fresh = cached.explain(q).unwrap();
@@ -295,7 +288,7 @@ fn plan_cache_hits_are_byte_identical_and_result_equal() {
 /// serves repeated shapes from the statement cache.
 fn shared_dbs() -> &'static Mutex<(Database, Database)> {
     static DBS: OnceLock<Mutex<(Database, Database)>> = OnceLock::new();
-    DBS.get_or_init(|| Mutex::new((corpus_db(1, 1024, true), corpus_db(1, 1024, false))))
+    DBS.get_or_init(|| Mutex::new((corpus_db(1024, true), corpus_db(1024, false))))
 }
 
 proptest! {

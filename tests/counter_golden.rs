@@ -6,8 +6,7 @@
 //! adds a rule attempt, a statement-cache miss, a page touch, a log
 //! byte, a batch or an interpreter fallback to any of the statements
 //! below fails this test with a diff, whatever the machine. Each layer runs on a fresh
-//! database with one worker (so batch counts do not depend on the core
-//! count), and its counters are read as the delta over the statement
+//! database, and its counters are read as the delta over the statement
 //! list only, setup excluded.
 //!
 //! Regenerate after an intentional counter change with
@@ -89,7 +88,7 @@ fn render(out: &mut String, name: &str, m: &MetricsSnapshot) {
 
 /// Point selects through the B-tree rules.
 fn point_layer(out: &mut String) {
-    let mut db = Database::builder().workers(1).build();
+    let mut db = Database::builder().build();
     db.run(ITEMS_DDL).unwrap();
     db.bulk_insert("items_rep", items(500)).unwrap();
     layer(
@@ -110,7 +109,7 @@ fn point_layer(out: &mut String) {
 /// Exec-heavy shapes: a filtered heap scan, aggregates over a filtered
 /// B-tree scan, and an equi-join that becomes a hash join.
 fn scan_layer(out: &mut String) {
-    let mut db = Database::builder().workers(1).build();
+    let mut db = Database::builder().build();
     db.run(ITEMS_DDL).unwrap();
     db.run(
         r#"
@@ -157,7 +156,7 @@ fn scan_layer(out: &mut String) {
 /// The paper's spatial join (`search_join` over LSD-tree point
 /// searches) and a direct point search.
 fn spatial_layer(out: &mut String) {
-    let mut db = Database::builder().workers(1).build();
+    let mut db = Database::builder().build();
     db.run(
         r#"
         type city = tuple(<(cname, string), (center, point), (pop, int)>);
@@ -207,7 +206,6 @@ fn wal_layer(out: &mut String) {
     let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
     let wal: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
     let mut db = Database::builder()
-        .workers(1)
         .durability(DurabilityConfig::disks(data, wal).sync_policy(SyncPolicy::PerCommit))
         .try_build()
         .unwrap();
@@ -228,7 +226,7 @@ fn wal_layer(out: &mut String) {
 
 /// A heap scan through a buffer pool much smaller than the heap.
 fn cold_layer(out: &mut String) {
-    let mut db = Database::builder().workers(1).frame_capacity(16).build();
+    let mut db = Database::builder().frame_capacity(16).build();
     db.run(
         r#"
         type hitem = tuple(<(k, int), (pad, string)>);

@@ -138,42 +138,33 @@ fn extension_with_new_operator() {
 
 /// An operator named like an attribute does not shadow the attribute.
 /// The checker resolves `pop` on a city tuple to the field and `7 pop` to
-/// the declared operator; the engine follows both resolutions, serial or
-/// parallel, compiled or interpreted.
+/// the declared operator; the engine follows both resolutions, compiled
+/// or interpreted.
 #[test]
 fn operator_named_like_an_attribute_does_not_shadow_it() {
     let cities: Vec<Value> = (0..100)
         .map(|i| Value::tuple(vec![Value::Str(format!("c{i}")), Value::Int(i * 10)]))
         .collect();
-    for workers in [1, 2] {
-        for compile in [true, false] {
-            let mut db = Database::builder()
-                .workers(workers)
-                .compile_exprs(compile)
-                .build();
-            db.run(
-                r#"
-                type city = tuple(<(cname, string), (pop, int)>);
-                create cities : rel(city);
-            "#,
-            )
+    for compile in [true, false] {
+        let mut db = Database::builder().compile_exprs(compile).build();
+        db.run(
+            r#"
+            type city = tuple(<(cname, string), (pop, int)>);
+            create cities : rel(city);
+        "#,
+        )
+        .unwrap();
+        db.bulk_insert("cities", cities.clone()).unwrap();
+        db.load_spec(r##"op pop : int -> int syntax "_ #""##)
             .unwrap();
-            db.bulk_insert("cities", cities.clone()).unwrap();
-            db.load_spec(r##"op pop : int -> int syntax "_ #""##)
-                .unwrap();
-            db.add_op_impl("pop", |_, _, _| Ok(Value::Int(-1))).unwrap();
-            let case = format!("workers {workers}, compile {compile}");
-            assert_eq!(
-                db.query("cities select[pop > 100] count").unwrap(),
-                Value::Int(89),
-                "{case}"
-            );
-            assert_eq!(db.query("7 pop").unwrap(), Value::Int(-1), "{case}");
-            if workers > 1 {
-                let select = db.op_stats("select").unwrap();
-                assert!(select.parallel_invocations > 0, "{case}: {select:?}");
-            }
-        }
+        db.add_op_impl("pop", |_, _, _| Ok(Value::Int(-1))).unwrap();
+        let case = format!("compile {compile}");
+        assert_eq!(
+            db.query("cities select[pop > 100] count").unwrap(),
+            Value::Int(89),
+            "{case}"
+        );
+        assert_eq!(db.query("7 pop").unwrap(), Value::Int(-1), "{case}");
     }
     // Without the spec, `pop` names only an attribute: no implementation
     // could ever run, so registering one is an error.

@@ -1,7 +1,7 @@
-//! Engine-independent expectations for the differential suites
-//! (`batch_vs_tuple`, `par_vs_serial`): the fixtures generate their rows
-//! by formula, so plain Rust knows what every query must return and the
-//! suites do not only compare the engine with itself.
+//! Engine-independent expectations for the differential suite
+//! `batch_vs_tuple`: the fixtures generate their rows by formula, so
+//! plain Rust knows what every query must return and the suite does not
+//! only compare the engine with itself.
 #![allow(dead_code)]
 
 use sos_exec::Value;

@@ -205,18 +205,16 @@ fn self_referential_stream_insert_uses_a_snapshot() {
 }
 
 // ---------------------------------------------------------------------
-// Seams of the single pipeline kernel: one arm per step at every width,
-// worker count and evaluation tier.
+// Seams of the single pipeline kernel: one arm per step at every width
+// and evaluation tier.
 // ---------------------------------------------------------------------
 
 const WIDTHS: &[usize] = &[1, 7, 1024];
-const WORKERS: &[usize] = &[1, 4];
 
 #[test]
-fn first_error_is_identical_at_every_width_worker_count_and_tier() {
+fn first_error_is_identical_at_every_width_and_tier() {
     // k = 1234 is the only failing row and sits mid-page (page 35 of
-    // ~86), so workers ahead of and behind it finish cleanly and batches
-    // straddle it at every width.
+    // ~86), so batches straddle it at every width.
     let pool = sos_storage::mem_pool(4096);
     let mut db = Database::builder().pool(pool.clone()).build();
     db.run(
@@ -230,33 +228,38 @@ fn first_error_is_identical_at_every_width_worker_count_and_tier() {
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("{:0200}", i))]))
         .collect();
     db.bulk_insert("heap_rep", tuples).unwrap();
-    for q in [
-        "heap_rep feed filter[100 div (k - 1234) > 0] count",
-        "heap_rep feed filter[100 div (k - 1234) > 0] consume",
-        "heap_rep feed replace[k, fun (t: item) 100 div (t k - 1234)] consume",
-        "heap_rep feed project[(q, fun (t: item) 100 div (t k - 1234))] count",
+    let zero = "division by zero";
+    for (q, msg) in [
+        ("heap_rep feed filter[100 div (k - 1234) > 0] count", zero),
+        ("heap_rep feed filter[100 div (k - 1234) > 0] consume", zero),
+        (
+            "heap_rep feed replace[k, fun (t: item) 100 div (t k - 1234)] consume",
+            zero,
+        ),
+        (
+            "heap_rep feed project[(q, fun (t: item) 100 div (t k - 1234))] count",
+            zero,
+        ),
+        // i64::MIN div -1 at k = 1234; every other divisor is below -1.
+        (
+            "heap_rep feed filter[(0 - 9223372036854775807 - 1) div (0 - 1 - (k - 1234) * (k - 1234)) < 0] count",
+            "integer overflow in `div`",
+        ),
     ] {
         let mut seen: Option<String> = None;
         for compile in [true, false] {
             for &width in WIDTHS {
-                for &workers in WORKERS {
-                    db.set_compile_exprs(compile);
-                    db.set_batch_size(width);
-                    db.set_parallelism(workers);
-                    let err = db
-                        .query(q)
-                        .expect_err("row k = 1234 divides by zero")
-                        .to_string();
-                    assert!(err.contains("division by zero"), "`{q}`: {err}");
-                    let first = seen.get_or_insert_with(|| err.clone());
-                    assert_eq!(
-                        &err, first,
-                        "`{q}` at compile={compile} width={width} workers={workers}"
-                    );
-                    // A worker-side error aborts the drain without
-                    // leaking a page pin.
-                    assert_eq!(pool.pinned_frames(), 0, "`{q}` leaked pins");
-                }
+                db.set_compile_exprs(compile);
+                db.set_batch_size(width);
+                let err = db
+                    .query(q)
+                    .expect_err("row k = 1234 fails")
+                    .to_string();
+                assert!(err.contains(msg), "`{q}`: {err}");
+                let first = seen.get_or_insert_with(|| err.clone());
+                assert_eq!(&err, first, "`{q}` at compile={compile} width={width}");
+                // An error aborts the drain without leaking a page pin.
+                assert_eq!(pool.pinned_frames(), 0, "`{q}` leaked pins");
             }
         }
     }
@@ -284,34 +287,29 @@ fn search_join_under_head_pulls_one_outer_page_at_every_width() {
         db.metrics().pool.logical_reads
     };
     db.set_batch_size(1);
-    db.set_parallelism(1);
     let outer_page = reads(&mut db, "heap_rep feed head[3] count", 3);
     let probe = reads(&mut db, "probes exactmatch[1] count", 1);
     let full_outer = reads(&mut db, "heap_rep feed count", 1003);
     for &width in WIDTHS {
-        for &workers in WORKERS {
-            db.set_batch_size(width);
-            db.set_parallelism(workers);
-            let got = reads(
-                &mut db,
-                "heap_rep feed (fun (o: item) probes exactmatch[o k]) search_join head[3] count",
-                3,
-            );
-            assert!(
-                got <= outer_page + 3 * probe,
-                "width={width} workers={workers}: {got} page touches, \
-                 one outer page is {outer_page}, a probe {probe}"
-            );
-            assert!(got < full_outer, "width={width} workers={workers}");
-        }
+        db.set_batch_size(width);
+        let got = reads(
+            &mut db,
+            "heap_rep feed (fun (o: item) probes exactmatch[o k]) search_join head[3] count",
+            3,
+        );
+        assert!(
+            got <= outer_page + 3 * probe,
+            "width={width}: {got} page touches, \
+             one outer page is {outer_page}, a probe {probe}"
+        );
+        assert!(got < full_outer, "width={width}");
     }
 }
 
 #[test]
 fn impure_in_memory_select_stays_serial_in_the_same_order() {
-    // 300 model-level rows are above the chunking floor; a predicate
-    // that reads an object must still run on the calling thread, and
-    // returns what the pure form of the same predicate returns.
+    // A predicate that reads an object returns what the pure form of
+    // the same predicate returns, in the same order.
     let mut db = Database::builder().build();
     db.run(
         r#"
@@ -327,17 +325,15 @@ fn impure_in_memory_select_stays_serial_in_the_same_order() {
         .collect();
     db.bulk_insert("items", rows.clone()).unwrap();
     db.set_optimizer_enabled(false);
-    db.set_parallelism(4);
-    db.reset_metrics();
     let pure = db.query("items select[k < 150]").unwrap();
-    let select = db.op_stats("select").expect("select ran");
-    assert_eq!(select.parallel_invocations, 1, "{select:?}");
-    assert_eq!(select.max_workers, 4, "{select:?}");
     db.reset_metrics();
     let impure = db.query("items select[k < threshold]").unwrap();
     let select = db.op_stats("select").expect("select ran");
-    assert_eq!(select.invocations, 1, "{select:?}");
-    assert_eq!(select.parallel_invocations, 0, "{select:?}");
+    assert_eq!(
+        (select.invocations, select.tuples_in),
+        (1, 300),
+        "{select:?}"
+    );
     assert_eq!(impure, pure);
     assert_eq!(pure, Value::Rel(rows[..150].to_vec()));
 }

@@ -1,15 +1,14 @@
 //! Differential compiled-vs-interpreted harness: for *random well-typed
 //! expressions* over *random relations*, a database with the expression
 //! compiler on must produce exactly the same outcome — same tuples, same
-//! order, same error text — as one with it off, at every batch width and
-//! worker count.
+//! order, same error text — as one with it off, at every batch width.
 //!
 //! The generator leans on the edges where the two paths could plausibly
 //! disagree: `i64::MAX`-adjacent constants (overflow in `+`/`-`/`*`),
 //! zero-valued attributes (`div`/`mod` by zero), strict `and`/`or`, and
-//! deep mixed arithmetic/comparison trees. Batch widths 1/7/1024 and
-//! worker counts 1/4 mirror the batch-vs-tuple suite: width 7 never
-//! divides a page, so every refill crosses a batch boundary.
+//! deep mixed arithmetic/comparison trees. Batch widths 1/7/1024 mirror
+//! the batch-vs-tuple suite: width 7 never divides a page, so every
+//! refill crosses a batch boundary.
 //!
 //! `bitems` is represented by a B-tree on `k`, so a conjunctive selection
 //! `k >= c and pred` is rewritten by `select-btree-and->=` into a range
@@ -21,7 +20,6 @@ use sos_exec::Value;
 use sos_system::Database;
 
 const BATCHES: &[usize] = &[1, 7, 1024];
-const WORKERS: &[usize] = &[1, 4];
 
 /// Constants the generator draws from: small values plus the overflow
 /// and division edges. (`i64::MIN` itself is not a writable literal —
@@ -150,7 +148,7 @@ fn run(db: &mut Database, q: &str) -> Result<Value, String> {
     db.query(q).map_err(|e| e.to_string())
 }
 
-/// The tentpole guarantee: at every (batch width, worker count), the
+/// The tentpole guarantee: at every batch width, the
 /// compiled engine's outcome — value *or* error text — is exactly the
 /// interpreted engine's outcome at the same configuration.
 ///
@@ -165,39 +163,35 @@ fn assert_modes_agree(rows: &[(i64, i64, bool)], queries: &[String]) {
     let mut interp = build_db(rows, false);
     let mut compiled = build_db(rows, true);
     interp.set_batch_size(1);
-    interp.set_parallelism(1);
     let baseline: Vec<Result<Value, String>> =
         queries.iter().map(|q| run(&mut interp, q)).collect();
     for &b in BATCHES {
-        for &w in WORKERS {
-            for db_mode in [&mut interp, &mut compiled] {
-                db_mode.set_batch_size(b);
-                db_mode.set_parallelism(w);
-            }
-            for (q, expected) in queries.iter().zip(&baseline) {
-                let got_i = run(&mut interp, q);
-                let got_c = run(&mut compiled, q);
-                assert_eq!(
-                    got_c, got_i,
-                    "compiled diverged from interpreted: `{q}` at batch={b} workers={w}"
-                );
-                match expected {
-                    Ok(_) => assert_eq!(
-                        &got_i, expected,
-                        "batch path diverged from tuple-at-a-time: `{q}` at batch={b} workers={w}"
-                    ),
-                    Err(_) => assert!(
-                        got_i.is_err(),
-                        "query `{q}` errored tuple-at-a-time but succeeded at batch={b} workers={w}"
-                    ),
-                }
+        for db_mode in [&mut interp, &mut compiled] {
+            db_mode.set_batch_size(b);
+        }
+        for (q, expected) in queries.iter().zip(&baseline) {
+            let got_i = run(&mut interp, q);
+            let got_c = run(&mut compiled, q);
+            assert_eq!(
+                got_c, got_i,
+                "compiled diverged from interpreted: `{q}` at batch={b}"
+            );
+            match expected {
+                Ok(_) => assert_eq!(
+                    &got_i, expected,
+                    "batch path diverged from tuple-at-a-time: `{q}` at batch={b}"
+                ),
+                Err(_) => assert!(
+                    got_i.is_err(),
+                    "query `{q}` errored tuple-at-a-time but succeeded at batch={b}"
+                ),
             }
         }
     }
 }
 
 #[test]
-fn random_expressions_agree_across_modes_widths_and_workers() {
+fn random_expressions_agree_across_modes_and_widths() {
     run_property(
         ProptestConfig::with_cases(20),
         "compiled_vs_interp",
