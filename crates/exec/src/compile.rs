@@ -58,7 +58,7 @@ use crate::error::{ExecError, ExecResult};
 use crate::handles::load_field;
 use crate::ops::basic::{div_int, mod_int, Atomic};
 use crate::ops::{OpId, OpTable};
-use crate::value::{Closure, Value};
+use crate::value::{Closure, Row, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{DataType, Symbol};
 use std::cell::RefCell;
@@ -126,6 +126,11 @@ enum Inst {
     /// Tuple attribute access: `dst, src, field index, attribute name`
     /// (the name only feeds the error message).
     Field(usize, usize, usize, Symbol),
+    /// Attribute access straight on an argument: `dst, input slot, field
+    /// index, attribute name`. A program whose arguments are read only
+    /// this way never needs them as values, so it runs on records read
+    /// in place ([`CompiledFun::reads_fields_only`]).
+    InputField(usize, usize, usize, Symbol),
     /// A pure operator-table entry applied to argument registers:
     /// `dst, entry, its evaluation, arguments`. Binary calls take the
     /// fast paths of [`bin_op`].
@@ -219,7 +224,7 @@ impl ColProgram {
     // Index loops are deliberate: each arm reads and writes different
     // rows of one `Vec<Vec<_>>`, which iterator zips can't split-borrow.
     #[allow(clippy::needless_range_loop)]
-    fn run(&self, batch: &[Value]) -> ColOutcome {
+    fn run<R: Row>(&self, batch: &[R]) -> ColOutcome {
         let n = batch.len();
         let mut ints: Vec<Vec<i64>> = (0..self.n_int).map(|_| vec![0; n]).collect();
         let mut bools: Vec<Vec<bool>> = (0..self.n_bool).map(|_| vec![false; n]).collect();
@@ -228,24 +233,18 @@ impl ColProgram {
                 ColInst::GatherInt { dst, field } => {
                     let col = &mut ints[*dst];
                     for (r, t) in batch.iter().enumerate() {
-                        let Value::Tuple(fs) = t else {
-                            return ColOutcome::Bail;
-                        };
-                        match fs.get(*field) {
-                            Some(Value::Int(v)) => col[r] = *v,
-                            _ => return ColOutcome::Bail,
+                        match t.int(*field) {
+                            Some(v) => col[r] = v,
+                            None => return ColOutcome::Bail,
                         }
                     }
                 }
                 ColInst::GatherBool { dst, field } => {
                     let col = &mut bools[*dst];
                     for (r, t) in batch.iter().enumerate() {
-                        let Value::Tuple(fs) = t else {
-                            return ColOutcome::Bail;
-                        };
-                        match fs.get(*field) {
-                            Some(Value::Bool(v)) => col[r] = *v,
-                            _ => return ColOutcome::Bail,
+                        match t.bool(*field) {
+                            Some(v) => col[r] = v,
+                            None => return ColOutcome::Bail,
                         }
                     }
                 }
@@ -501,6 +500,16 @@ impl CompiledFun {
                     reg_read(&init, *src, pc)?;
                     reg_write(&mut init, *dst, pc)?;
                 }
+                Inst::InputField(dst, slot, _, _) => {
+                    if *slot >= self.arity {
+                        return Err(format!(
+                            "inst {pc} reads a field of input slot {slot}, but the \
+                             function takes {} argument(s)",
+                            self.arity
+                        ));
+                    }
+                    reg_write(&mut init, *dst, pc)?;
+                }
                 Inst::Call(dst, id, op, arg_regs) => {
                     let entry = ops.entries().get(*id).ok_or_else(|| {
                         format!("inst {pc} calls operator #{id}, which is not in the table")
@@ -536,9 +545,25 @@ impl CompiledFun {
         self.col.is_some()
     }
 
+    /// Whether this is a predicate-shaped program over one row that
+    /// reads the row only through field loads, never as a whole value.
+    /// Such a program runs on records read in place
+    /// ([`sos_storage::field::RecordView`]) with the same values and
+    /// errors as on decoded tuples, so a scan can evaluate it before it
+    /// decodes anything.
+    pub fn reads_fields_only(&self) -> bool {
+        self.arity == 1 && !self.insts.iter().any(|i| matches!(i, Inst::Input(..)))
+    }
+
     /// Apply to argument values: tier A, one row. Arity errors match
     /// `EvalCtx::call_bound` exactly.
     pub fn call(&self, args: &[Value]) -> ExecResult<Value> {
+        self.call_on(args)
+    }
+
+    /// [`CompiledFun::call`] on any rows (decoded tuples or records read
+    /// in place).
+    fn call_on<R: Row>(&self, args: &[R]) -> ExecResult<Value> {
         if self.arity != args.len() {
             return Err(ExecError::Other(format!(
                 "function expects {} argument(s), got {}",
@@ -558,17 +583,44 @@ impl CompiledFun {
     /// Evaluate as a predicate over a whole batch, returning the keep
     /// mask. Columnar when possible; otherwise row-by-row, surfacing the
     /// first error in row order (the interpreter's order).
-    pub fn eval_mask(&self, batch: &[Value], op: &'static str) -> ExecResult<Vec<bool>> {
+    pub fn eval_mask<R: Row>(&self, batch: &[R], op: &'static str) -> ExecResult<Vec<bool>> {
+        let mut failed = Vec::new();
+        let mask = self.eval_each(batch, op, &mut failed);
+        match failed.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(mask),
+        }
+    }
+
+    /// Evaluate as a predicate over a whole batch, row by row when the
+    /// columnar kernel bails, where an error on one row does not stop
+    /// the others: returns the keep mask, `false` on each failed row,
+    /// and appends `(row, error)` for those to `failed`, in row order.
+    pub(crate) fn eval_each<R: Row>(
+        &self,
+        batch: &[R],
+        op: &'static str,
+        failed: &mut Vec<(usize, ExecError)>,
+    ) -> Vec<bool> {
         if let Some(col) = &self.col {
             if let ColOutcome::Bools(mask) = col.run(batch) {
-                return Ok(mask);
+                return mask;
             }
         }
         let mut mask = Vec::with_capacity(batch.len());
-        for t in batch {
-            mask.push(self.call(std::slice::from_ref(t))?.as_bool(op)?);
+        for (r, t) in batch.iter().enumerate() {
+            match self
+                .call_on(std::slice::from_ref(t))
+                .and_then(|v| v.as_bool(op))
+            {
+                Ok(keep) => mask.push(keep),
+                Err(e) => {
+                    failed.push((r, e));
+                    mask.push(false);
+                }
+            }
         }
-        Ok(mask)
+        mask
     }
 
     /// Evaluate over a whole batch, returning one value per row.
@@ -597,13 +649,16 @@ impl CompiledFun {
         }
     }
 
-    fn exec(&self, regs: &mut [Value], args: &[Value]) -> ExecResult<Value> {
+    fn exec<R: Row>(&self, regs: &mut [Value], args: &[R]) -> ExecResult<Value> {
         for inst in self.insts.iter() {
             match inst {
                 Inst::Const(dst, v) => regs[*dst] = v.clone(),
-                Inst::Input(dst, slot) => regs[*dst] = args[*slot].clone(),
+                Inst::Input(dst, slot) => regs[*dst] = args[*slot].value(),
                 Inst::Field(dst, src, idx, attr) => {
                     regs[*dst] = load_field(&regs[*src], *idx, attr)?;
+                }
+                Inst::InputField(dst, slot, idx, attr) => {
+                    regs[*dst] = args[*slot].load(*idx, attr)?;
                 }
                 Inst::Call(dst, _, op, arg_regs) => {
                     let v = match **arg_regs {
@@ -715,6 +770,14 @@ impl Lowering<'_> {
                 Ok(dst)
             }
             TypedNode::Field { attr, idx, arg, .. } => {
+                if let TypedNode::Var(name) = &arg.node {
+                    if let Some(slot) = self.params.iter().rposition(|(n, _)| n == name) {
+                        let dst = self.fresh();
+                        self.insts
+                            .push(Inst::InputField(dst, slot, *idx, attr.clone()));
+                        return Ok(dst);
+                    }
+                }
                 let src = self.lower(arg)?;
                 let dst = self.fresh();
                 self.insts.push(Inst::Field(dst, src, *idx, attr.clone()));
@@ -1011,6 +1074,48 @@ mod tests {
         };
         let cf = CompiledFun::compile(&e, &c).unwrap();
         assert_eq!(cf.call(&[item(0, 0, "", false)]).unwrap(), Value::Int(5));
+    }
+
+    #[test]
+    fn field_only_programs_run_on_records_read_in_place() {
+        use sos_storage::field::RecordView;
+        // Field loads on the parameter are the only reads: such a
+        // program runs on a record view with the tuple's values and
+        // errors, in tier A and in tier B.
+        let k_gt_3 = apply(">", vec![field("k", "int"), cint(3)], ty("bool"));
+        let pred = compile1(apply("and", vec![k_gt_3, field("b", "bool")], ty("bool")));
+        assert!(pred.reads_fields_only() && pred.is_columnar());
+        let tuples = [
+            item(2, 0, "x", true),
+            item(5, 0, "y", true),
+            item(9, 0, "z", false),
+        ];
+        let bytes: Vec<Vec<u8>> = tuples
+            .iter()
+            .map(|t| t.encode_tuple("t").unwrap())
+            .collect();
+        let views: Vec<RecordView<'_>> =
+            bytes.iter().map(|b| RecordView::new(b).unwrap()).collect();
+        assert_eq!(
+            pred.eval_mask(&views, "filter").unwrap(),
+            vec![false, true, false]
+        );
+        assert_eq!(
+            pred.eval_mask(&tuples, "filter").unwrap(),
+            vec![false, true, false]
+        );
+        let s = compile1(field("s", "string"));
+        assert!(s.reads_fields_only() && !s.is_columnar());
+        assert_eq!(s.call_on(&views[1..2]).unwrap(), Value::Str("y".into()));
+        // A record shorter than the schema fails like a short tuple.
+        let short = Value::tuple(vec![Value::Int(1)]).encode_tuple("t").unwrap();
+        let short = [RecordView::new(&short).unwrap()];
+        assert_eq!(
+            s.call_on(&short).unwrap_err().to_string(),
+            "tuple too short for attribute `s`"
+        );
+        // The whole tuple as a value is not a field load.
+        assert!(!compile1(var("t", item_ty())).reads_fields_only());
     }
 
     #[test]

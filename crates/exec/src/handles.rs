@@ -71,5 +71,10 @@ pub(crate) fn load_field(tuple: &Value, idx: usize, attr: &Symbol) -> ExecResult
         .as_tuple(attr.as_str())?
         .get(idx)
         .cloned()
-        .ok_or_else(|| ExecError::Other(format!("tuple too short for attribute `{attr}`")))
+        .ok_or_else(|| too_short(attr))
+}
+
+/// The error of an attribute access past the end of a tuple.
+pub(crate) fn too_short(attr: &Symbol) -> ExecError {
+    ExecError::Other(format!("tuple too short for attribute `{attr}`"))
 }

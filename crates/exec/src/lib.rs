@@ -29,4 +29,4 @@ pub use error::{ExecError, ExecResult};
 pub use handles::{encode_key, BTreeHandle, KeyExtractor, LsdHandle};
 pub use stats::{CompileStats, ExecStats, OpStats};
 pub use txn::StatementTx;
-pub use value::{compare, render, Closure, Value};
+pub use value::{compare, render, Closure, Row, Value};

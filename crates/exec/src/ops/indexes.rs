@@ -2,7 +2,7 @@
 //! halfrange variants standing in for the paper's `bottom`/`top`
 //! constants) and LSD-tree point/overlap searches.
 
-use crate::engine::ExecEngine;
+use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::{mismatch, ExecError, ExecResult};
 use crate::handles::encode_key;
 use crate::stream::Cursor;
@@ -78,25 +78,26 @@ pub fn register(e: &mut ExecEngine) {
 
     // point_search[p] — all tuples whose indexed rectangle contains the
     // point.
-    e.add_op("point_search", |_, _, args| {
+    e.add_op("point_search", |ctx, _, args| {
         let Value::Point(p) = &args[1] else {
             return Err(mismatch("point_search", "point", &args[1].kind_name()));
         };
-        spatial_search("point_search", &args[0], |t| t.point_search(*p))
+        spatial_search(ctx, "point_search", &args[0], |t| t.point_search(*p))
     });
 
     // overlap_search[r] — all tuples whose rectangle overlaps the query
     // rect.
-    e.add_op("overlap_search", |_, _, args| {
+    e.add_op("overlap_search", |ctx, _, args| {
         let Value::Rect(r) = &args[1] else {
             return Err(mismatch("overlap_search", "rect", &args[1].kind_name()));
         };
-        spatial_search("overlap_search", &args[0], |t| t.overlap_search(*r))
+        spatial_search(ctx, "overlap_search", &args[0], |t| t.overlap_search(*r))
     });
 }
 
 /// One spatial probe against an LSD-tree, decoded into a stream.
 fn spatial_search(
+    ctx: &EvalCtx,
     op: &str,
     target: &Value,
     search: impl Fn(
@@ -110,5 +111,6 @@ fn spatial_search(
     for entry in search(&h.tree).map_err(ExecError::Storage)? {
         out.push(Value::decode_tuple(&entry.payload)?);
     }
+    ctx.engine.stats.record_decoded(out.len() as u64);
     Ok(Value::Stream(out))
 }

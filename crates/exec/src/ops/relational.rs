@@ -1,8 +1,9 @@
 //! Model-level relational operators (Section 2.2): `select`, `join`,
 //! `union`, `mktuple`, `count` — pure functions over in-memory relations.
 
-use crate::engine::ExecEngine;
+use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::{mismatch, ExecError, ExecResult};
+use crate::ops::streams::Fold;
 use crate::stream::Cursor;
 use crate::value::Value;
 use sos_core::typed::TypedExpr;
@@ -94,11 +95,15 @@ pub fn register(e: &mut ExecEngine) {
         Value::Rel(ts) | Value::Stream(ts) => Ok(Value::Int(ts.len() as i64)),
         input @ Value::Cursor(_) => {
             let mut cursor = crate::stream::into_cursor(input)?;
-            // Drain the pipeline without buffering.
-            let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
-            ctx.engine.stats.record_batches("count", batches, n);
-            ctx.engine.stats.record("count", n as usize, 1);
-            Ok(Value::Int(n as i64))
+            // Count a scan source's surviving records in place; drain
+            // any other pipeline without buffering.
+            let mut fold = Fold::count();
+            if !cursor.fold_in_place(ctx, &mut fold)? {
+                let (batches, n) = cursor.for_each_batch(ctx, |_| Ok(()))?;
+                ctx.engine.stats.record_batches("count", batches, n);
+                return Ok(count_of(ctx, n));
+            }
+            Ok(count_of(ctx, fold.rows()))
         }
         Value::SRel(h) | Value::TidRel(h) => Ok(Value::Int(h.count()? as i64)),
         Value::BTree(h) => Ok(Value::Int(h.tree.len() as i64)),
@@ -106,6 +111,12 @@ pub fn register(e: &mut ExecEngine) {
         Value::Undefined => Ok(Value::Int(0)),
         other => Err(mismatch("count", "collection", &other.kind_name())),
     });
+}
+
+/// The result of a `count` over a stream of `n` rows, recorded.
+fn count_of(ctx: &EvalCtx, n: u64) -> Value {
+    ctx.engine.stats.record("count", n as usize, 1);
+    Value::Int(n as i64)
 }
 
 // Attribute *arguments* (`sortby[a]`, `replace[a, f]`, `hashjoin[a1,

@@ -6,70 +6,177 @@
 //! (`sortby`, `hashjoin`, aggregates, `collect`) drain their input.
 
 use crate::engine::ExecEngine;
-use crate::error::{mismatch, ExecResult};
+use crate::error::{mismatch, ExecError, ExecResult};
 use crate::ops::relational::concat_tuples;
 use crate::stream::{into_cursor, materialize, Cursor};
-use crate::value::Value;
+use crate::value::{Row, Value};
+use sos_core::typed::TypedExpr;
+use sos_core::{DataType, Symbol};
 use sos_storage::heap::HeapFile;
 use std::sync::Arc;
 
-/// Fold one attribute of a stream (`sum`, `min`, `max`, `avg`).
-fn aggregate(op: &str, tuples: &[Value], idx: usize) -> ExecResult<Value> {
-    use crate::value::compare;
-    if tuples.is_empty() {
-        return match op {
-            "sum" => Ok(Value::Int(0)),
-            _ => Err(crate::error::ExecError::Other(format!(
-                "`{op}` over an empty stream"
-            ))),
-        };
+/// The terminal aggregates a [`Fold`] computes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Agg {
+    Count,
+    Sum,
+    Avg,
+    Min,
+    Max,
+}
+
+impl Agg {
+    fn name(self) -> &'static str {
+        match self {
+            Agg::Count => "count",
+            Agg::Sum => "sum",
+            Agg::Avg => "avg",
+            Agg::Min => "min",
+            Agg::Max => "max",
+        }
     }
-    let field = |t: &Value| -> ExecResult<Value> { Ok(t.as_tuple(op)?[idx].clone()) };
-    match op {
-        "min" | "max" => {
-            let mut best = field(&tuples[0])?;
-            for t in &tuples[1..] {
-                let v = field(t)?;
-                let ord = compare(op, &v, &best)?;
-                let better = if op == "min" {
-                    ord == std::cmp::Ordering::Less
-                } else {
-                    ord == std::cmp::Ordering::Greater
-                };
-                if better {
-                    best = v;
-                }
-            }
-            Ok(best)
+}
+
+/// A terminal fold over a stream: `count`, or `sum`, `avg`, `min` or
+/// `max` of one attribute. Rows are pushed one at a time, as decoded
+/// tuples or as records read in place ([`Row`]), with the same result
+/// either way. The first error is kept and later rows are only counted,
+/// so it surfaces from [`Fold::finish`] once the input was read to its
+/// end: a scan error further on still wins, as when a materialized
+/// stream is folded.
+pub(crate) struct Fold {
+    agg: Agg,
+    idx: usize,
+    attr: Symbol,
+    /// `sum` of no rows: a zero of the attribute's type.
+    zero: Value,
+    rows: u64,
+    acc_i: i64,
+    acc_r: f64,
+    real: bool,
+    best: Option<Value>,
+    err: Option<ExecError>,
+}
+
+impl Fold {
+    pub(crate) fn count() -> Fold {
+        Fold::of(Agg::Count, 0, Symbol::new("count"), Value::Int(0))
+    }
+
+    /// The aggregate `op` of attribute `attr` of the tuples of `node`'s
+    /// first argument.
+    fn aggregate(agg: Agg, node: &TypedExpr, attr: &Symbol) -> ExecResult<Fold> {
+        let idx = crate::ops::relational::attr_index_of_arg(node, 0, attr)?;
+        let real = crate::ops::relational::arg_nodes(node)
+            .first()
+            .and_then(|arg| arg.ty.single_type_arg()?.tuple_attrs())
+            .is_some_and(|attrs| {
+                attrs
+                    .get(idx)
+                    .is_some_and(|(_, ty)| *ty == DataType::atom("real"))
+            });
+        let zero = if real {
+            Value::Real(0.0)
+        } else {
+            Value::Int(0)
+        };
+        Ok(Fold::of(agg, idx, attr.clone(), zero))
+    }
+
+    fn of(agg: Agg, idx: usize, attr: Symbol, zero: Value) -> Fold {
+        Fold {
+            agg,
+            idx,
+            attr,
+            zero,
+            rows: 0,
+            acc_i: 0,
+            acc_r: 0.0,
+            real: false,
+            best: None,
+            err: None,
         }
-        "sum" | "avg" => {
-            let mut acc_i: i64 = 0;
-            let mut acc_r: f64 = 0.0;
-            let mut real = false;
-            for t in tuples {
-                match field(t)? {
-                    Value::Int(v) => {
-                        acc_i = acc_i.checked_add(v).ok_or_else(|| {
-                            crate::error::ExecError::Arithmetic("sum overflow".into())
-                        })?;
-                    }
-                    Value::Real(v) => {
-                        real = true;
-                        acc_r += v;
-                    }
-                    other => return Err(mismatch(op, "numeric attribute", &other.kind_name())),
-                }
-            }
-            let total = acc_r + acc_i as f64;
-            if op == "avg" {
-                Ok(Value::Real(total / tuples.len() as f64))
-            } else if real {
-                Ok(Value::Real(total))
-            } else {
-                Ok(Value::Int(acc_i))
-            }
+    }
+
+    /// The operator the fold runs for.
+    pub(crate) fn op(&self) -> &'static str {
+        self.agg.name()
+    }
+
+    /// Rows pushed so far.
+    pub(crate) fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    pub(crate) fn push<R: Row>(&mut self, row: &R) {
+        self.rows += 1;
+        if self.agg == Agg::Count || self.err.is_some() {
+            return;
         }
-        _ => unreachable!(),
+        if let Err(e) = self.step(row) {
+            self.err = Some(e);
+        }
+    }
+
+    fn step<R: Row>(&mut self, row: &R) -> ExecResult<()> {
+        let op = self.agg.name();
+        if let Agg::Sum | Agg::Avg = self.agg {
+            let v = match row.int(self.idx) {
+                Some(v) => Value::Int(v),
+                None => row.load(self.idx, &self.attr)?,
+            };
+            match v {
+                Value::Int(v) => {
+                    self.acc_i = self
+                        .acc_i
+                        .checked_add(v)
+                        .ok_or_else(|| ExecError::Arithmetic("sum overflow".into()))?;
+                }
+                Value::Real(v) => {
+                    self.real = true;
+                    self.acc_r += v;
+                }
+                other => return Err(mismatch(op, "numeric attribute", &other.kind_name())),
+            }
+            return Ok(());
+        }
+        let v = row.load(self.idx, &self.attr)?;
+        let Some(best) = &self.best else {
+            self.best = Some(v);
+            return Ok(());
+        };
+        let ord = crate::value::compare(op, &v, best)?;
+        let better = if self.agg == Agg::Min {
+            ord == std::cmp::Ordering::Less
+        } else {
+            ord == std::cmp::Ordering::Greater
+        };
+        if better {
+            self.best = Some(v);
+        }
+        Ok(())
+    }
+
+    /// The folded value, or the first error any row raised.
+    pub(crate) fn finish(self) -> ExecResult<Value> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        let total = self.acc_r + self.acc_i as f64;
+        Ok(match self.agg {
+            Agg::Count => Value::Int(self.rows as i64),
+            Agg::Sum if self.rows == 0 => self.zero,
+            Agg::Sum if self.real => Value::Real(total),
+            Agg::Sum => Value::Int(self.acc_i),
+            _ if self.rows == 0 => {
+                return Err(ExecError::Other(format!(
+                    "`{}` over an empty stream",
+                    self.agg.name()
+                )))
+            }
+            Agg::Avg => Value::Real(total / self.rows as f64),
+            _ => self.best.expect("a non-empty min or max has a best row"),
+        })
     }
 }
 
@@ -87,9 +194,15 @@ pub fn register(e: &mut ExecEngine) {
     // feed produces a *pipelined* cursor for page-backed structures
     // (Section 4's pipelined processing); in-memory relations and
     // LSD-trees come back materialized.
-    e.add_op("feed", |_, _, args| {
+    e.add_op("feed", |ctx, _, args| {
         Ok(match Cursor::scan_of(&args[0])? {
-            Cursor::Mat(tuples) => Value::Stream(tuples.into()),
+            Cursor::Mat(tuples) => {
+                // An LSD-tree's `feed` decoded its whole result.
+                if let Value::LsdTree(_) = &args[0] {
+                    ctx.engine.stats.record_decoded(tuples.len() as u64);
+                }
+                Value::Stream(tuples.into())
+            }
             pipelined => cursor_value(pipelined),
         })
     });
@@ -243,18 +356,33 @@ pub fn register(e: &mut ExecEngine) {
         Ok(Value::Stream(out))
     });
 
-    // sum/min/max/avg[attr] — aggregates over one attribute.
-    for agg in ["sum", "min", "max", "avg"] {
-        e.add_op(agg, move |ctx, node, args| {
-            let tuples = &materialize(ctx, args[0].clone())?;
+    // sum/min/max/avg[attr] — aggregates over one attribute, folded
+    // straight from the records of a scan source when the input is one.
+    for agg in [Agg::Sum, Agg::Min, Agg::Max, Agg::Avg] {
+        e.add_op(agg.name(), move |ctx, node, mut args| {
             let Value::Ident(attr) = &args[1] else {
-                return Err(mismatch(agg, "attribute name", &args[1].kind_name()));
+                return Err(mismatch(agg.name(), "attribute name", &args[1].kind_name()));
             };
-            let idx = crate::ops::relational::attr_index_of_arg(node, 0, attr)?;
+            let mut fold = Fold::aggregate(agg, node, attr)?;
+            let input = args.swap_remove(0);
+            let tuples = match input {
+                Value::Cursor(_) => {
+                    let mut cursor = into_cursor(input)?;
+                    if cursor.fold_in_place(ctx, &mut fold)? {
+                        Vec::new()
+                    } else {
+                        cursor.drain(ctx)?
+                    }
+                }
+                other => materialize(ctx, other)?,
+            };
             // The fold runs in row order, so floating-point accumulation
             // order (and thus the result) is the same at every width.
-            ctx.engine.stats.record(agg, tuples.len(), 1);
-            aggregate(agg, tuples, idx)
+            for t in &tuples {
+                fold.push(t);
+            }
+            ctx.engine.stats.record(agg.name(), fold.rows() as usize, 1);
+            fold.finish()
         });
     }
 

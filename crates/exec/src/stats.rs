@@ -96,6 +96,7 @@ pub struct ExecStats {
     ops: Mutex<HashMap<&'static str, OpStats>>,
     compiled: AtomicU64,
     fallbacks: [AtomicU64; Fallback::REASONS.len()],
+    rows_decoded: AtomicU64,
 }
 
 impl ExecStats {
@@ -144,6 +145,20 @@ impl ExecStats {
         out
     }
 
+    /// Record `n` stored records decoded into tuples.
+    pub fn record_decoded(&self, n: u64) {
+        if n > 0 {
+            self.rows_decoded.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Stored records decoded into tuples by scans and index searches:
+    /// a record that a pushed-down filter rejects, or that a fused
+    /// aggregate folds in place, is never decoded.
+    pub fn rows_decoded(&self) -> u64 {
+        self.rows_decoded.load(Ordering::Relaxed)
+    }
+
     /// Record one closure lowered to bytecode.
     pub fn record_compiled(&self) {
         self.compiled.fetch_add(1, Ordering::Relaxed);
@@ -172,6 +187,7 @@ impl ExecStats {
     pub fn reset(&self) {
         self.ops.lock().clear();
         self.compiled.store(0, Ordering::Relaxed);
+        self.rows_decoded.store(0, Ordering::Relaxed);
         for n in &self.fallbacks {
             n.store(0, Ordering::Relaxed);
         }
@@ -196,8 +212,12 @@ mod tests {
         assert_eq!(s.get("feed"), None);
         assert_eq!(s.get("count"), Some(c));
         assert_eq!(s.snapshot().len(), 1);
+        s.record_decoded(7);
+        s.record_decoded(0);
+        assert_eq!(s.rows_decoded(), 7);
         s.reset();
         assert_eq!(s.op("count"), OpStats::default());
+        assert_eq!(s.rows_decoded(), 0);
     }
 
     #[test]

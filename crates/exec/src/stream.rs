@@ -18,10 +18,12 @@ use crate::compile::{compile_gated, CompiledFun};
 use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::{ExecError, ExecResult};
 use crate::handles::BTreeHandle;
-use crate::value::{Closure, Value};
+use crate::ops::streams::Fold;
+use crate::value::{Closure, Row, Value};
+use sos_storage::field::RecordView;
 use sos_storage::heap::HeapFile;
 use sos_storage::keys::KeyBytes;
-use sos_storage::PageId;
+use sos_storage::{PageId, StorageResult};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -29,23 +31,9 @@ use std::sync::Arc;
 pub enum Cursor {
     /// Materialized tuples (the degenerate cursor).
     Mat(VecDeque<Value>),
-    /// Page-at-a-time scan of a heap file.
-    Heap {
-        heap: Arc<HeapFile>,
-        pages: Vec<PageId>,
-        page_idx: usize,
-        buf: VecDeque<Value>,
-    },
-    /// Leaf-chain walk of a clustered B-tree over `[lo, hi]`.
-    BTreeRange {
-        handle: Arc<BTreeHandle>,
-        lo: KeyBytes,
-        hi: KeyBytes,
-        next_page: Option<PageId>,
-        primed: bool,
-        done: bool,
-        buf: VecDeque<Value>,
-    },
+    /// Page-at-a-time scan of a heap file or a B-tree range, with the
+    /// `filter` steps pushed into it.
+    Scan(Scan),
     /// Pipelined selection. `compiled` holds the predicate lowered to
     /// bytecode (see [`crate::compile`]); `None` keeps the interpreter.
     Filter {
@@ -92,24 +80,22 @@ impl Cursor {
 
     pub fn heap_scan(heap: Arc<HeapFile>) -> Cursor {
         let pages = heap.pages();
-        Cursor::Heap {
+        Scan::over(Pages::Heap {
             heap,
             pages,
-            page_idx: 0,
-            buf: VecDeque::new(),
-        }
+            next: 0,
+        })
     }
 
     pub fn btree_range(handle: Arc<BTreeHandle>, lo: KeyBytes, hi: KeyBytes) -> Cursor {
-        Cursor::BTreeRange {
+        Scan::over(Pages::BTree {
             handle,
             lo,
             hi,
             next_page: None,
             primed: false,
             done: false,
-            buf: VecDeque::new(),
-        }
+        })
     }
 
     /// The scan source over any relation representation (the `feed` of
@@ -144,13 +130,24 @@ impl Cursor {
     }
 
     /// A filter step, compiling the predicate when the engine allows
-    /// (recording the compile/fallback either way).
+    /// (recording the compile/fallback either way). A compiled predicate
+    /// that reads its tuple only through field loads is pushed into a
+    /// scan source beneath it: the scan then tests it on records read in
+    /// place and decodes only the records that pass.
     pub fn filter(engine: &ExecEngine, input: Cursor, pred: Arc<Closure>) -> Cursor {
         let compiled = compile_gated(engine, &pred);
-        Cursor::Filter {
-            input: Box::new(input),
-            pred,
-            compiled,
+        match (input, compiled) {
+            (Cursor::Scan(mut scan), Some(cf))
+                if cf.reads_fields_only() && scan.at_page_boundary() =>
+            {
+                scan.preds.push(cf);
+                Cursor::Scan(scan)
+            }
+            (input, compiled) => Cursor::Filter {
+                input: Box::new(input),
+                pred,
+                compiled,
+            },
         }
     }
 
@@ -189,7 +186,7 @@ impl Cursor {
     /// and every scan source is evaluated here and nowhere else — the
     /// width is a parameter (`n = 1` is tuple-at-a-time).
     ///
-    /// Sources decode a whole page per refill ([`Cursor::scan_into`]);
+    /// Sources read a whole page per refill ([`Cursor::scan_into`]);
     /// `Filter`, `Project` and `Replace` evaluate their closures over
     /// the whole batch — through the bytecode when the closure compiled,
     /// otherwise through [`EvalCtx::call_bound1`] inside one installed
@@ -211,8 +208,13 @@ impl Cursor {
         let start = out.len();
         let target = start + n;
         match self {
-            Cursor::Mat(_) | Cursor::Heap { .. } | Cursor::BTreeRange { .. } => {
-                self.scan_into(n, out)?;
+            Cursor::Mat(_) | Cursor::Scan(_) => {
+                let res = self.scan_into(n, out);
+                if let Cursor::Scan(scan) = self {
+                    let decoded = std::mem::take(&mut scan.ahead.decoded);
+                    ctx.engine.stats.record_decoded(decoded);
+                }
+                res?;
             }
             Cursor::Filter {
                 input,
@@ -391,106 +393,47 @@ impl Cursor {
     }
 
     /// The source half of the kernel: append up to `n` tuples of a scan
-    /// source (`Mat`, `Heap` or `BTreeRange`) to `out`, a whole page per
-    /// refill (one fetch and latch via the storage
-    /// `visit_page`/`visit_leaf` helpers, spilling the remainder past `n`
-    /// into the cursor's buffer). Sources read storage only, so callers
-    /// without an evaluation context ([`Cursor::scan_all`]) pull them
-    /// here directly.
+    /// source (`Mat` or `Scan`) to `out`, a whole page per refill. A scan
+    /// does what a `filter` chain over it does at width `n`: it takes
+    /// chunks of `n` records until one has survivors
+    /// ([`Scan::next_chunk`]) and appends those, decoded; without pushed
+    /// predicates every chunk is all survivors. Sources read storage
+    /// only, so callers without an evaluation context
+    /// ([`Cursor::scan_all`]) pull them here directly.
     pub(crate) fn scan_into(&mut self, n: usize, out: &mut Vec<Value>) -> ExecResult<usize> {
         let start = out.len();
-        let target = start + n.max(1);
         match self {
             Cursor::Mat(buf) => {
                 let take = n.min(buf.len());
                 out.extend(buf.drain(..take));
             }
-            Cursor::Heap {
-                heap,
-                pages,
-                page_idx,
-                buf,
-            } => {
-                while out.len() < target {
-                    if let Some(v) = buf.pop_front() {
-                        out.push(v);
-                        continue;
-                    }
-                    if *page_idx >= pages.len() {
-                        break;
-                    }
-                    let page = pages[*page_idx];
-                    *page_idx += 1;
-                    heap.visit_page::<ExecError, _>(page, |_, bytes| {
-                        let v = Value::decode_tuple(bytes)?;
-                        if out.len() < target {
-                            out.push(v);
-                        } else {
-                            buf.push_back(v);
-                        }
-                        Ok(())
-                    })?;
-                }
-            }
-            Cursor::BTreeRange {
-                handle,
-                lo,
-                hi,
-                next_page,
-                primed,
-                done,
-                buf,
-            } => {
-                while out.len() < target {
-                    if let Some(v) = buf.pop_front() {
-                        out.push(v);
-                        continue;
-                    }
-                    if *done {
-                        break;
-                    }
-                    let pid = if !*primed {
-                        *primed = true;
-                        handle.tree.find_leaf(lo)?
-                    } else {
-                        match *next_page {
-                            Some(p) => p,
-                            None => {
-                                *done = true;
-                                break;
-                            }
-                        }
-                    };
-                    let mut past_hi = false;
-                    let next = handle.tree.visit_leaf::<ExecError, _>(pid, |k, bytes| {
-                        if past_hi || k < lo.as_slice() {
-                            return Ok(());
-                        }
-                        if k > hi.as_slice() {
-                            past_hi = true;
-                            return Ok(());
-                        }
-                        let v = Value::decode_tuple(bytes)?;
-                        if out.len() < target {
-                            out.push(v);
-                        } else {
-                            buf.push_back(v);
-                        }
-                        Ok(())
-                    })?;
-                    *next_page = next;
-                    // `done` stops further page reads; buffered tuples
-                    // still drain through the loop head above.
-                    if past_hi || next.is_none() {
-                        *done = true;
-                    }
-                }
+            Cursor::Scan(scan) => {
+                while let (1.., 0) = scan.next_chunk(n.max(1), Sink::Decode(out))? {}
             }
             other => {
                 return Err(ExecError::Other(format!("{other:?} is not a scan source")));
             }
         }
         Ok(out.len() - start)
+    }
+
+    /// Fold a scan source straight from its records, decoding none of
+    /// them, and record the batches a drain at the engine's width would
+    /// have delivered under the fold's operator. `Ok(false)`, with the
+    /// cursor untouched, for any other cursor (and for a scan that has
+    /// read records ahead of its consumer, so rows fold in scan order).
+    pub(crate) fn fold_in_place(&mut self, ctx: &EvalCtx, fold: &mut Fold) -> ExecResult<bool> {
+        let Cursor::Scan(scan) = self else {
+            return Ok(false);
+        };
+        if !scan.at_page_boundary() {
+            return Ok(false);
+        }
+        let before = fold.rows();
+        let batches = scan.fold(ctx.engine.batch_size(), fold)?;
+        let rows = fold.rows() - before;
+        ctx.engine.stats.record_batches(fold.op(), batches, rows);
+        Ok(true)
     }
 
     /// Drain a scan source to its tuples (see [`Cursor::scan_into`]).
@@ -554,8 +497,16 @@ impl std::fmt::Debug for Cursor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self {
             Cursor::Mat(b) => return write!(f, "cursor[mat, {} buffered]", b.len()),
-            Cursor::Heap { .. } => "heap-scan",
-            Cursor::BTreeRange { .. } => "btree-range",
+            Cursor::Scan(scan) => {
+                let kind = match scan.pages {
+                    Pages::Heap { .. } => "heap-scan",
+                    Pages::BTree { .. } => "btree-range",
+                };
+                return match scan.preds.len() {
+                    0 => write!(f, "cursor[{kind}]"),
+                    n => write!(f, "cursor[{kind}, {n} pushed filter(s)]"),
+                };
+            }
             Cursor::Filter { .. } => "filter",
             Cursor::Head { .. } => "head",
             Cursor::Project { .. } => "project",
@@ -565,6 +516,261 @@ impl std::fmt::Debug for Cursor {
         };
         write!(f, "cursor[{kind}]")
     }
+}
+
+/// A scan source: where its pages come from, the compiled predicates of
+/// the `filter` steps pushed into it, and the records read but not yet
+/// delivered.
+pub struct Scan {
+    pages: Pages,
+    /// Tested in order on records read in place; a record is decoded
+    /// only if every predicate keeps it.
+    preds: Vec<Arc<CompiledFun>>,
+    ahead: ReadAhead,
+}
+
+/// Records read but not yet taken in a chunk, by position in the scan:
+/// what the predicates made of them is held until the chunk each
+/// belongs to is taken.
+#[derive(Default)]
+struct ReadAhead {
+    /// Records taken so far, and records read so far.
+    taken: u64,
+    read: u64,
+    /// Positions of the records every predicate kept, in order.
+    kept: VecDeque<u64>,
+    /// Their decoded tuples (the decoding sink only).
+    tuples: VecDeque<Value>,
+    /// `(position, predicate, error)` of each failed test.
+    failed: Vec<(u64, usize, ExecError)>,
+    /// Records decoded into tuples since the engine's counter last took
+    /// them.
+    decoded: u64,
+}
+
+/// Where a scan's pages come from.
+enum Pages {
+    Heap {
+        heap: Arc<HeapFile>,
+        pages: Vec<PageId>,
+        next: usize,
+    },
+    /// Leaf-chain walk of a clustered B-tree over `[lo, hi]`.
+    BTree {
+        handle: Arc<BTreeHandle>,
+        lo: KeyBytes,
+        hi: KeyBytes,
+        next_page: Option<PageId>,
+        primed: bool,
+        done: bool,
+    },
+}
+
+/// The records of one page, borrowed from the pinned frame.
+type Records<'r, 'a> = &'r mut dyn Iterator<Item = StorageResult<&'a [u8]>>;
+
+impl Pages {
+    /// Read the next page under one fetch and read latch and hand `f`
+    /// its records in scan order (for a B-tree range, only the entries
+    /// within `[lo, hi]`). `Ok(false)` once no page is left.
+    fn next_page(&mut self, f: impl FnOnce(Records<'_, '_>) -> ExecResult<()>) -> ExecResult<bool> {
+        match self {
+            Pages::Heap { heap, pages, next } => {
+                let Some(&page) = pages.get(*next) else {
+                    return Ok(false);
+                };
+                *next += 1;
+                heap.visit_page(page, |mut records| f(&mut records))?;
+            }
+            Pages::BTree {
+                handle,
+                lo,
+                hi,
+                next_page,
+                primed,
+                done,
+            } => {
+                if *done {
+                    return Ok(false);
+                }
+                let pid = if !*primed {
+                    *primed = true;
+                    handle.tree.find_leaf(lo)?
+                } else {
+                    match *next_page {
+                        Some(p) => p,
+                        None => {
+                            *done = true;
+                            return Ok(false);
+                        }
+                    }
+                };
+                let mut past_hi = false;
+                let ((), next) = handle.tree.visit_leaf(pid, |entries| {
+                    let mut in_range = entries.filter_map(|e| match e {
+                        Err(e) => Some(Err(e)),
+                        Ok((k, _)) if past_hi || k < lo.as_slice() => None,
+                        Ok((k, _)) if k > hi.as_slice() => {
+                            past_hi = true;
+                            None
+                        }
+                        Ok((_, record)) => Some(Ok(record)),
+                    });
+                    f(&mut in_range)
+                })?;
+                *next_page = next;
+                // `done` stops further page reads; records already read
+                // still drain.
+                if past_hi || next.is_none() {
+                    *done = true;
+                }
+            }
+        }
+        Ok(true)
+    }
+}
+
+impl Scan {
+    fn over(pages: Pages) -> Cursor {
+        Cursor::Scan(Scan {
+            pages,
+            preds: Vec::new(),
+            ahead: ReadAhead::default(),
+        })
+    }
+
+    /// Whether nothing has been read ahead of the consumer, so a filter
+    /// or a fold may take over the records from here on.
+    fn at_page_boundary(&self) -> bool {
+        self.ahead.read == self.ahead.taken
+    }
+
+    /// Fold every remaining record in place, chunk by chunk at `width`;
+    /// returns the number of chunks that had survivors (the batches a
+    /// drain at that width delivers).
+    fn fold(&mut self, width: usize, fold: &mut Fold) -> ExecResult<u64> {
+        let mut batches = 0;
+        loop {
+            match self.next_chunk(width, Sink::Fold(fold))? {
+                (0, _) => return Ok(batches),
+                (_, 0) => {}
+                _ => batches += 1,
+            }
+        }
+    }
+
+    /// Take the next `n` records of the scan (fewer at its end) as one
+    /// chunk and deliver those every pushed predicate keeps to `sink`;
+    /// returns how many records were taken (0 once exhausted) and how
+    /// many were kept.
+    ///
+    /// This is the unit of work of a `filter` chain at width `n`: pages
+    /// are read until `n` records are at hand, then each predicate runs
+    /// over the chunk's survivors of the ones before it, and the first
+    /// error (lowest predicate, then lowest row) fails the chunk. The
+    /// predicates run while a page is latched, on all its records
+    /// ([`read_page`]), but what they found is only acted on once the
+    /// record's chunk is taken, so the same error surfaces, at the same
+    /// point, as in the chain over the decoding scan.
+    fn next_chunk(&mut self, n: usize, mut sink: Sink<'_>) -> ExecResult<(usize, usize)> {
+        let Scan {
+            pages,
+            preds,
+            ahead,
+        } = self;
+        while ahead.read - ahead.taken < n as u64 {
+            let more = pages.next_page(|records| read_page(records, preds, ahead, &mut sink))?;
+            if !more {
+                break;
+            }
+        }
+        let end = ahead.read.min(ahead.taken.saturating_add(n as u64));
+        let failed = (ahead.failed.iter().enumerate())
+            .filter(|(_, (pos, _, _))| *pos < end)
+            .min_by_key(|(_, (pos, pred, _))| (*pred, *pos));
+        if let Some((i, _)) = failed {
+            return Err(ahead.failed.swap_remove(i).2);
+        }
+        let mut kept = 0;
+        while ahead.kept.front().is_some_and(|&pos| pos < end) {
+            ahead.kept.pop_front();
+            kept += 1;
+            let Some(t) = ahead.tuples.pop_front() else {
+                continue;
+            };
+            match &mut sink {
+                Sink::Decode(out) => out.push(t),
+                Sink::Fold(fold) => fold.push(&t),
+            }
+        }
+        let taken = (end - ahead.taken) as usize;
+        ahead.taken = end;
+        Ok((taken, kept))
+    }
+}
+
+/// Where the records a scan keeps go.
+enum Sink<'s> {
+    /// Decoded tuples, appended.
+    Decode(&'s mut Vec<Value>),
+    /// Folded in place, never decoded.
+    Fold(&'s mut Fold),
+}
+
+/// Read one latched page in place: check every record (a malformed one
+/// fails the scan here, before any predicate runs on the page, as it
+/// fails a decoding scan), run the predicates over the page, each on
+/// the records the ones before it kept, and note what they found in
+/// `ahead`. A kept record is decoded or folded now, while its bytes are
+/// at hand. With no predicate to run, a decoding scan decodes each
+/// record straight away (the decode checks it as it goes).
+fn read_page(
+    records: Records<'_, '_>,
+    preds: &[Arc<CompiledFun>],
+    ahead: &mut ReadAhead,
+    sink: &mut Sink<'_>,
+) -> ExecResult<()> {
+    if let (Sink::Decode(_), []) = (&sink, preds) {
+        for r in records {
+            ahead.tuples.push_back(Value::decode_tuple(r?)?);
+            ahead.kept.push_back(ahead.read);
+            ahead.read += 1;
+            ahead.decoded += 1;
+        }
+        return Ok(());
+    }
+    let mut views = Vec::with_capacity(records.size_hint().1.unwrap_or(0));
+    for r in records {
+        views.push(RecordView::new(r?)?);
+    }
+    let base = ahead.read;
+    ahead.read += views.len() as u64;
+    let mut live: Vec<usize> = (0..views.len()).collect();
+    let mut failed = Vec::new();
+    for (k, pred) in preds.iter().enumerate() {
+        let mask = if live.len() == views.len() {
+            pred.eval_each(&views, "filter", &mut failed)
+        } else {
+            let rows: Vec<RecordView<'_>> = live.iter().map(|&i| views[i]).collect();
+            pred.eval_each(&rows, "filter", &mut failed)
+        };
+        for (j, e) in failed.drain(..) {
+            ahead.failed.push((base + live[j] as u64, k, e));
+        }
+        let mut keep = mask.into_iter();
+        live.retain(|_| keep.next().unwrap_or(false));
+    }
+    for i in live {
+        ahead.kept.push_back(base + i as u64);
+        match sink {
+            Sink::Decode(_) => {
+                ahead.decoded += 1;
+                ahead.tuples.push_back(views[i].value());
+            }
+            Sink::Fold(fold) => fold.push(&views[i]),
+        }
+    }
+    Ok(())
 }
 
 /// Turn any stream-like value into its tuples, draining cursors
@@ -601,5 +807,43 @@ pub fn into_cursor(v: Value) -> ExecResult<Cursor> {
             expected: "stream".into(),
             found: other.kind_name().into(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sos_catalog::Catalog;
+    use std::collections::HashMap;
+
+    #[test]
+    fn only_a_scan_with_nothing_read_ahead_folds_in_place() {
+        // A consumer that pulled one tuple left the rest of the page
+        // read ahead; folding it in place would fold the next page
+        // before those rows, so it drains instead, in scan order.
+        let engine = ExecEngine::new(sos_storage::mem_pool(64));
+        let heap = Arc::new(HeapFile::create(engine.pool.clone()).unwrap());
+        for i in 0..50 {
+            let t = Value::tuple(vec![Value::Int(i)]);
+            heap.insert(&t.encode_tuple("t").unwrap()).unwrap();
+        }
+        let (mut store, mut cat) = (HashMap::new(), Catalog::new());
+        let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+
+        let mut fresh = Cursor::heap_scan(heap.clone());
+        let mut fold = Fold::count();
+        assert!(fresh.fold_in_place(&ctx, &mut fold).unwrap());
+        assert_eq!(fold.rows(), 50);
+
+        let mut pulled = Cursor::heap_scan(heap);
+        assert_eq!(
+            pulled.next(&mut ctx).unwrap(),
+            Some(Value::tuple(vec![Value::Int(0)]))
+        );
+        let mut fold = Fold::count();
+        assert!(!pulled.fold_in_place(&ctx, &mut fold).unwrap());
+        let rest = pulled.drain(&mut ctx).unwrap();
+        assert_eq!(rest.first(), Some(&Value::tuple(vec![Value::Int(1)])));
+        assert_eq!(rest.len(), 49);
     }
 }

@@ -5,7 +5,7 @@ use crate::handles::{BTreeHandle, LsdHandle};
 use sos_core::typed::TypedExpr;
 use sos_core::{Const, DataType, Symbol};
 use sos_geom::{Point, Polygon, Rect};
-use sos_storage::field::Field;
+use sos_storage::field::{Field, FieldRef, RecordView};
 use std::sync::Arc;
 
 /// A runtime value.
@@ -186,6 +186,18 @@ impl Value {
         }
     }
 
+    /// One field read in place (only strings and polygons allocate).
+    pub(crate) fn from_field_ref(f: FieldRef<'_>) -> Value {
+        match f {
+            FieldRef::Int(v) => Value::Int(v),
+            FieldRef::Real(v) => Value::Real(v),
+            FieldRef::Bool(b) => Value::Bool(b),
+            FieldRef::Point(p) => Value::Point(p),
+            FieldRef::Rect(r) => Value::Rect(r),
+            other => Value::from_field(other.to_field()),
+        }
+    }
+
     /// Encode a tuple value to record bytes.
     pub fn encode_tuple(&self, op: &str) -> ExecResult<Vec<u8>> {
         Ok(sos_storage::field::encode_record(&self.to_fields(op)?))
@@ -200,6 +212,71 @@ impl Value {
             Value::from_field,
             || Value::Undefined,
         )?))
+    }
+}
+
+/// A row that compiled programs and aggregate folds read: a tuple value,
+/// or a stored record read in place ([`RecordView`]). Both answer every
+/// read with the same value and the same error, so a program or a fold
+/// gives the same result on a record before and after decoding it.
+pub trait Row {
+    /// Field `idx` if it is an int (`None` makes tier B bail).
+    fn int(&self, idx: usize) -> Option<i64>;
+    /// Field `idx` if it is a bool (`None` makes tier B bail).
+    fn bool(&self, idx: usize) -> Option<bool>;
+    /// Field `idx` as a value: the checked attribute access `attr(row)`.
+    fn load(&self, idx: usize, attr: &Symbol) -> ExecResult<Value>;
+    /// The whole row as a tuple value.
+    fn value(&self) -> Value;
+}
+
+impl Row for Value {
+    fn int(&self, idx: usize) -> Option<i64> {
+        match self {
+            Value::Tuple(fs) => match fs.get(idx) {
+                Some(Value::Int(v)) => Some(*v),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    fn bool(&self, idx: usize) -> Option<bool> {
+        match self {
+            Value::Tuple(fs) => match fs.get(idx) {
+                Some(Value::Bool(v)) => Some(*v),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    fn load(&self, idx: usize, attr: &Symbol) -> ExecResult<Value> {
+        crate::handles::load_field(self, idx, attr)
+    }
+
+    fn value(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl Row for RecordView<'_> {
+    fn int(&self, idx: usize) -> Option<i64> {
+        RecordView::int(self, idx)
+    }
+
+    fn bool(&self, idx: usize) -> Option<bool> {
+        RecordView::bool(self, idx)
+    }
+
+    fn load(&self, idx: usize, attr: &Symbol) -> ExecResult<Value> {
+        self.get(idx)
+            .map(Value::from_field_ref)
+            .ok_or_else(|| crate::handles::too_short(attr))
+    }
+
+    fn value(&self) -> Value {
+        Value::Tuple(self.decode(Value::from_field_ref))
     }
 }
 

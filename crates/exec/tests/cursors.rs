@@ -171,7 +171,9 @@ fn feed_value_drains_the_same_scan_sources_the_pipeline_pulls() {
 
 /// `filter` takes its input out of the owned argument list: the uniquely
 /// held `feed` pipeline over a heap is moved into the filter, not wrapped
-/// in `Cursor::Shared` (which takes a mutex on every batch).
+/// in `Cursor::Shared` (which takes a mutex on every batch). A compiled
+/// predicate is pushed into the moved heap scan itself; an interpreted
+/// one wraps it.
 #[test]
 fn filter_moves_a_uniquely_held_input_pipeline() {
     use sos_core::typed::{TypedExpr, TypedNode};
@@ -207,6 +209,16 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
     let mut store = HashMap::new();
     store.insert(sym("h"), Value::TidRel(heap));
     let mut cat = Catalog::new();
+    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    let Value::Cursor(c) = ctx.eval(&filter).unwrap() else {
+        panic!("feed filter over a heap is a pipelined cursor");
+    };
+    assert_eq!(
+        format!("{:?}", c.lock()),
+        "cursor[heap-scan, 1 pushed filter(s)]"
+    );
+
+    engine.set_compile_exprs(false);
     let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
     let Value::Cursor(c) = ctx.eval(&filter).unwrap() else {
         panic!("feed filter over a heap is a pipelined cursor");

@@ -8,7 +8,10 @@
 //! of the run. It renders via `Display` and serializes to JSON.
 
 use crate::json::{array, Obj};
-use crate::metrics::{compile_json, compile_line, op_json, op_line, pool_json, wal_json, wal_line};
+use crate::metrics::{
+    compile_json, compile_line, exec_json, exec_line, op_json, op_line, pool_json, wal_json,
+    wal_line,
+};
 use crate::trace::{fmt_nanos, Phase};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_exec::{CompileStats, OpStats};
@@ -41,6 +44,8 @@ pub struct ExplainAnalysis {
     /// Expression-compiler events attributable to this run: closures
     /// lowered to batch bytecode and interpreter fallbacks by reason.
     pub compile: CompileStats,
+    /// Stored records this run decoded into tuples.
+    pub rows_decoded: u64,
     /// A short summary of the produced value (kind and cardinality).
     pub result: String,
     /// Worst estimated-vs-actual row ratio across operators with both
@@ -185,6 +190,9 @@ impl Explain {
             if !a.compile.is_empty() {
                 let _ = writeln!(out, "  compile: {}", compile_line(&a.compile));
             }
+            if a.rows_decoded > 0 {
+                let _ = writeln!(out, "  exec: {}", exec_line(a.rows_decoded));
+            }
         }
         out
     }
@@ -244,6 +252,7 @@ impl Explain {
                 .raw("pool", &pool_json(&a.pool))
                 .raw("wal", &wal_json(&a.wal))
                 .raw("compile", &compile_json(&a.compile))
+                .raw("exec", &exec_json(a.rows_decoded))
                 .raw("ops", &array(a.ops.iter().map(|(n, s)| op_json(n, s))));
             if let Some(f) = a.misestimate_factor {
                 ao.f64("misestimate_factor", f);
@@ -477,6 +486,7 @@ mod tests {
                 pool: PoolStats::default(),
                 wal: WalStats::default(),
                 compile: CompileStats::default(),
+                rows_decoded: 0,
                 result: "rel of 340 tuple(s)".into(),
                 misestimate_factor: Some(1.02),
             }),

@@ -30,6 +30,10 @@ pub struct MetricsSnapshot {
     /// Expression-compiler counters: closures lowered to bytecode and
     /// interpreter fallbacks keyed by reason (empty with `.compile off`).
     pub compile: CompileStats,
+    /// Stored records decoded into tuples by scans and index searches
+    /// (`exec.rows_decoded`; records a pushed-down filter rejects or a
+    /// fused aggregate folds in place are not decoded).
+    pub rows_decoded: u64,
     /// Statement-cache counters (all zero while no statement consulted
     /// the cache: optimizer off or cost-based optimization on).
     pub planner: PlannerStats,
@@ -97,6 +101,7 @@ impl MetricsSnapshot {
         o.raw("phases", &phases_json(&self.phases));
         o.raw("wal", &wal_json(&self.wal));
         o.raw("compile", &compile_json(&self.compile));
+        o.raw("exec", &exec_json(self.rows_decoded));
         o.finish()
     }
 }
@@ -156,6 +161,9 @@ impl std::fmt::Display for MetricsSnapshot {
         }
         if !self.compile.is_empty() {
             writeln!(f, "compile: {}", compile_line(&self.compile))?;
+        }
+        if self.rows_decoded > 0 {
+            writeln!(f, "exec: {}", exec_line(self.rows_decoded))?;
         }
         write!(f, "{}", self.phases)
     }
@@ -228,6 +236,16 @@ pub fn compile_line(c: &CompileStats) -> String {
         ));
     }
     line
+}
+
+/// The one-line rendering of the executor's decode counter shared by
+/// `.metrics` and EXPLAIN ANALYZE output.
+pub fn exec_line(rows_decoded: u64) -> String {
+    format!("{rows_decoded} row(s) decoded")
+}
+
+pub(crate) fn exec_json(rows_decoded: u64) -> String {
+    Obj::new().u64("rows_decoded", rows_decoded).finish()
 }
 
 pub(crate) fn compile_json(c: &CompileStats) -> String {
@@ -372,6 +390,7 @@ mod tests {
                 compiled: 5,
                 fallbacks: vec![("impure-op".into(), 2)],
             },
+            rows_decoded: 42,
             planner: PlannerStats {
                 cache_hits: 9,
                 cache_misses: 2,
@@ -391,6 +410,7 @@ mod tests {
             text.contains("compile: 5 expr(s) compiled, 2 interpreter fallback(s): 2 impure-op")
         );
         assert!(text.contains("plan cache: 9 hit(s), 2 miss(es), 1 invalidation(s), 2 entrie(s)"));
+        assert!(text.contains("exec: 42 row(s) decoded"));
         // Timing split renders only once optimization actually ran.
         assert!(!text.contains("planner time:"));
         let json = snap.to_json();
@@ -400,6 +420,7 @@ mod tests {
         assert!(json.contains(r#""op":"filter""#));
         assert!(json.contains(r#""page_images":2"#));
         assert!(json.contains(r#""syncs":1,"checkpoints":2}"#));
+        assert!(json.contains(r#""exec":{"rows_decoded":42}"#));
         let ckpt = CheckpointStats {
             pages_written: 3,
             start_lsn: 100,

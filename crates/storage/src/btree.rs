@@ -96,41 +96,24 @@ impl Node {
     }
 
     fn read_from(buf: &[u8]) -> StorageResult<Node> {
-        let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
-        match buf[0] {
+        let mut r = NodeReader::new(buf)?;
+        match r.tag {
             NODE_LEAF => {
-                let next_raw = u32::from_le_bytes([buf[3], buf[4], buf[5], buf[6]]);
-                let next = if next_raw == NO_PAGE {
-                    None
-                } else {
-                    Some(next_raw)
-                };
-                let mut entries = Vec::with_capacity(count);
-                let mut at = 7;
-                for _ in 0..count {
-                    let klen = u16::from_le_bytes([buf[at], buf[at + 1]]) as usize;
-                    let vlen = u16::from_le_bytes([buf[at + 2], buf[at + 3]]) as usize;
-                    at += 4;
-                    let k = buf[at..at + klen].to_vec();
-                    at += klen;
-                    let v = buf[at..at + vlen].to_vec();
-                    at += vlen;
-                    entries.push((k, v));
+                let (walk, next) = LeafEntries::new(buf)?;
+                let mut entries = Vec::with_capacity(walk.left);
+                for e in walk {
+                    let (k, v) = e?;
+                    entries.push((k.to_vec(), v.to_vec()));
                 }
                 Ok(Node::Leaf { entries, next })
             }
             NODE_INNER => {
-                let leftmost = u32::from_le_bytes([buf[3], buf[4], buf[5], buf[6]]);
-                let mut entries = Vec::with_capacity(count);
-                let mut at = 7;
-                for _ in 0..count {
-                    let klen = u16::from_le_bytes([buf[at], buf[at + 1]]) as usize;
-                    at += 2;
-                    let k = buf[at..at + klen].to_vec();
-                    at += klen;
-                    let child =
-                        u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-                    at += 4;
+                let leftmost = r.link;
+                let mut entries = Vec::with_capacity(r.count);
+                for _ in 0..r.count {
+                    let klen = r.u16()? as usize;
+                    let k = r.take(klen)?.to_vec();
+                    let child = r.u32()?;
                     entries.push((k, child));
                 }
                 Ok(Node::Inner { leftmost, entries })
@@ -140,9 +123,104 @@ impl Node {
     }
 }
 
-/// The entries of one leaf page paired with the next leaf in the chain
-/// (returned by [`BTree::read_leaf`]).
-pub type LeafContents = (Vec<(KeyBytes, Vec<u8>)>, Option<PageId>);
+/// Bounds-checked reading of a serialized node: the header, then
+/// entries field by field, each checked against the page before it is
+/// read.
+struct NodeReader<'a> {
+    buf: &'a [u8],
+    at: usize,
+    tag: u8,
+    count: usize,
+    /// The leaf's next page or the inner node's leftmost child.
+    link: u32,
+}
+
+impl<'a> NodeReader<'a> {
+    fn new(buf: &'a [u8]) -> StorageResult<NodeReader<'a>> {
+        let mut r = NodeReader {
+            buf,
+            at: 0,
+            tag: 0,
+            count: 0,
+            link: 0,
+        };
+        r.tag = r.take(1)?[0];
+        r.count = r.u16()? as usize;
+        r.link = r.u32()?;
+        Ok(r)
+    }
+
+    fn take(&mut self, n: usize) -> StorageResult<&'a [u8]> {
+        let bytes = self.buf.get(self.at..self.at + n).ok_or_else(|| {
+            StorageError::Corrupt(format!(
+                "btree node field of {n} bytes at offset {} overruns the page",
+                self.at
+            ))
+        })?;
+        self.at += n;
+        Ok(bytes)
+    }
+
+    fn u16(&mut self) -> StorageResult<u16> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+
+    fn u32(&mut self) -> StorageResult<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+}
+
+/// The `(key, record)` entries of one leaf page, read in place from the
+/// page bytes in key order. Each entry is checked against the page as it
+/// is reached; the first overrun ends the walk with `Corrupt`.
+pub struct LeafEntries<'a> {
+    r: NodeReader<'a>,
+    left: usize,
+}
+
+impl<'a> LeafEntries<'a> {
+    /// The entries of the leaf serialized in `buf`, and the next leaf in
+    /// the chain; `Corrupt` if `buf` is not a leaf.
+    fn new(buf: &'a [u8]) -> StorageResult<(LeafEntries<'a>, Option<PageId>)> {
+        let r = NodeReader::new(buf)?;
+        if r.tag != NODE_LEAF {
+            return Err(StorageError::Corrupt("expected a leaf page".into()));
+        }
+        let next = (r.link != NO_PAGE).then_some(r.link);
+        let left = r.count;
+        Ok((LeafEntries { r, left }, next))
+    }
+
+    fn entry(&mut self) -> StorageResult<(&'a [u8], &'a [u8])> {
+        let klen = self.r.u16()? as usize;
+        let vlen = self.r.u16()? as usize;
+        Ok((self.r.take(klen)?, self.r.take(vlen)?))
+    }
+}
+
+impl<'a> Iterator for LeafEntries<'a> {
+    type Item = StorageResult<(&'a [u8], &'a [u8])>;
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, Some(self.left))
+    }
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let e = self.entry();
+        if e.is_err() {
+            self.left = 0;
+        }
+        Some(e)
+    }
+}
 
 /// A clustered B+-tree handle.
 pub struct BTree {
@@ -336,29 +414,20 @@ impl BTree {
         }
     }
 
-    /// Read one leaf page: its `(key, record)` entries and the next leaf
-    /// in the chain (drives owned streaming cursors in higher layers).
-    pub fn read_leaf(&self, pid: PageId) -> StorageResult<LeafContents> {
-        match self.read_node(pid)? {
-            Node::Leaf { entries, next } => Ok((entries, next)),
-            Node::Inner { .. } => Err(StorageError::Corrupt("expected a leaf page".into())),
-        }
-    }
-
-    /// Visit every `(key, record)` of one leaf in key order, returning
-    /// the next leaf in the chain — the page-at-a-time decode path of
-    /// the batch executor (one node read per page, no per-entry copy
-    /// beyond deserialization).
-    pub fn visit_leaf<E, F>(&self, pid: PageId, mut f: F) -> Result<Option<PageId>, E>
+    /// Hand `f` the entries of leaf `pid`, read in place from the pinned
+    /// frame under one fetch and read latch (no per-entry copy), and
+    /// return `f`'s result with the next leaf in the chain — the
+    /// page-at-a-time path of the scan cursors. `f` must not re-enter
+    /// the buffer pool.
+    pub fn visit_leaf<R, E, F>(&self, pid: PageId, f: F) -> Result<(R, Option<PageId>), E>
     where
         E: From<StorageError>,
-        F: FnMut(&[u8], &[u8]) -> Result<(), E>,
+        F: FnOnce(LeafEntries<'_>) -> Result<R, E>,
     {
-        let (entries, next) = self.read_leaf(pid)?;
-        for (k, v) in &entries {
-            f(k.as_slice(), v)?;
-        }
-        Ok(next)
+        let guard = self.pool.fetch(pid)?;
+        let buf = guard.read();
+        let (entries, next) = LeafEntries::new(&buf[..])?;
+        Ok((f(entries)?, next))
     }
 
     /// Range query: all records with `lo <= key <= hi`, in key order.

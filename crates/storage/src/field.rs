@@ -77,76 +77,123 @@ impl Field {
 
     /// Decode one field from the front of `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> StorageResult<Field> {
-        let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
-        if buf.is_empty() {
-            return Err(corrupt("empty buffer decoding field"));
-        }
-        let tag = buf.get_u8();
-        let need = |buf: &&[u8], n: usize| -> StorageResult<()> {
-            if buf.len() < n {
-                Err(StorageError::Corrupt(format!(
-                    "field needs {n} bytes, {} left",
-                    buf.len()
-                )))
-            } else {
-                Ok(())
-            }
-        };
-        match tag {
-            TAG_INT => {
-                need(buf, 8)?;
-                Ok(Field::Int(buf.get_i64_le()))
-            }
-            TAG_REAL => {
-                need(buf, 8)?;
-                Ok(Field::Real(buf.get_f64_le()))
-            }
-            TAG_STR => {
-                need(buf, 4)?;
-                let len = buf.get_u32_le() as usize;
-                need(buf, len)?;
-                let s = std::str::from_utf8(&buf[..len])
-                    .map_err(|_| corrupt("invalid utf8 in string field"))?
-                    .to_string();
-                buf.advance(len);
-                Ok(Field::Str(s))
-            }
-            TAG_BOOL => {
-                need(buf, 1)?;
-                Ok(Field::Bool(buf.get_u8() != 0))
-            }
-            TAG_POINT => {
-                need(buf, 16)?;
-                let x = buf.get_f64_le();
-                let y = buf.get_f64_le();
-                Ok(Field::Point(Point::new(x, y)))
-            }
-            TAG_RECT => {
-                need(buf, 32)?;
-                let a = buf.get_f64_le();
-                let b = buf.get_f64_le();
-                let c = buf.get_f64_le();
-                let d = buf.get_f64_le();
-                Ok(Field::Rect(Rect::new(a, b, c, d)))
-            }
-            TAG_PGON => {
-                need(buf, 4)?;
-                let n = buf.get_u32_le() as usize;
-                if n < 3 {
-                    return Err(corrupt("polygon with < 3 vertices"));
+        read_field(buf).map(|f| f.to_field())
+    }
+}
+
+/// A field read in place from a record's bytes: strings borrow the
+/// record, polygons keep their raw vertex bytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldRef<'a> {
+    Int(i64),
+    Real(f64),
+    Str(&'a str),
+    Bool(bool),
+    Point(Point),
+    Rect(Rect),
+    /// `x, y` little-endian `f64` pairs, at least three.
+    Pgon(&'a [u8]),
+}
+
+impl FieldRef<'_> {
+    /// The owned field.
+    pub fn to_field(&self) -> Field {
+        match *self {
+            FieldRef::Int(v) => Field::Int(v),
+            FieldRef::Real(v) => Field::Real(v),
+            FieldRef::Str(s) => Field::Str(s.to_string()),
+            FieldRef::Bool(b) => Field::Bool(b),
+            FieldRef::Point(p) => Field::Point(p),
+            FieldRef::Rect(r) => Field::Rect(r),
+            FieldRef::Pgon(mut vs) => {
+                let mut pts = Vec::with_capacity(vs.len() / 16);
+                while !vs.is_empty() {
+                    let x = vs.get_f64_le();
+                    let y = vs.get_f64_le();
+                    pts.push(Point::new(x, y));
                 }
-                need(buf, n * 16)?;
-                let mut vs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let x = buf.get_f64_le();
-                    let y = buf.get_f64_le();
-                    vs.push(Point::new(x, y));
-                }
-                Ok(Field::Pgon(Polygon::new(vs)))
+                Field::Pgon(Polygon::new(pts))
             }
-            t => Err(StorageError::Corrupt(format!("unknown field tag {t}"))),
         }
     }
+}
+
+/// Read the field at the front of `buf` in place, advancing past it.
+/// This is the one place the field format is checked: [`Field::decode`]
+/// and [`RecordView`] both read through it.
+#[inline(always)]
+fn read_field<'a>(buf: &mut &'a [u8]) -> StorageResult<FieldRef<'a>> {
+    let Some((&tag, mut rest)) = buf.split_first() else {
+        return Err(corrupt("empty buffer decoding field"));
+    };
+    let field = match tag {
+        TAG_INT => FieldRef::Int(i64::from_le_bytes(*take(&mut rest)?)),
+        TAG_REAL => FieldRef::Real(f64::from_le_bytes(*take(&mut rest)?)),
+        TAG_STR => {
+            let len = u32::from_le_bytes(*take(&mut rest)?) as usize;
+            let s = take_slice(&mut rest, len)?;
+            FieldRef::Str(
+                std::str::from_utf8(s).map_err(|_| corrupt("invalid utf8 in string field"))?,
+            )
+        }
+        TAG_BOOL => FieldRef::Bool(take::<1>(&mut rest)?[0] != 0),
+        TAG_POINT => {
+            let [x, y] = take_f64s(&mut rest)?;
+            FieldRef::Point(Point::new(x, y))
+        }
+        TAG_RECT => {
+            let [a, b, c, d] = take_f64s(&mut rest)?;
+            FieldRef::Rect(Rect::new(a, b, c, d))
+        }
+        TAG_PGON => {
+            let n = u32::from_le_bytes(*take(&mut rest)?) as usize;
+            if n < 3 {
+                return Err(corrupt("polygon with < 3 vertices"));
+            }
+            FieldRef::Pgon(take_slice(&mut rest, n * 16)?)
+        }
+        t => return Err(StorageError::Corrupt(format!("unknown field tag {t}"))),
+    };
+    *buf = rest;
+    Ok(field)
+}
+
+/// The next `N` bytes of `buf`, advancing past them.
+#[inline(always)]
+fn take<'a, const N: usize>(buf: &mut &'a [u8]) -> StorageResult<&'a [u8; N]> {
+    let (head, rest) = buf.split_first_chunk().ok_or_else(|| short(N, buf.len()))?;
+    *buf = rest;
+    Ok(head)
+}
+
+/// The next `n` bytes of `buf`, advancing past them.
+#[inline(always)]
+fn take_slice<'a>(buf: &mut &'a [u8], n: usize) -> StorageResult<&'a [u8]> {
+    if buf.len() < n {
+        return Err(short(n, buf.len()));
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// `N` little-endian `f64`s.
+#[inline(always)]
+fn take_f64s<const N: usize>(buf: &mut &[u8]) -> StorageResult<[f64; N]> {
+    let bytes = take_slice(buf, N * 8)?;
+    Ok(std::array::from_fn(|i| {
+        f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+    }))
+}
+
+#[cold]
+fn short(n: usize, left: usize) -> StorageError {
+    StorageError::Corrupt(format!("field needs {n} bytes, {left} left"))
+}
+
+#[cold]
+fn corrupt(msg: &str) -> StorageError {
+    StorageError::Corrupt(msg.to_string())
 }
 
 /// Encode a whole record (field count, then fields).
@@ -222,6 +269,106 @@ pub fn decode_record_shared<T>(
         return Err(StorageError::Corrupt("trailing bytes after record".into()));
     }
     Ok(fields)
+}
+
+/// Field offsets a [`RecordView`] keeps inline; fields past these are
+/// found by skipping forward from the last kept one.
+const VIEW_OFFSETS: usize = 8;
+
+/// A record read in place: built by checking the whole record once,
+/// without allocating, so that a scan can test a predicate on a field
+/// and decode only the records that pass.
+///
+/// [`RecordView::new`] fails exactly where [`decode_record_shared`]
+/// fails, with the same error (header, tags, lengths, UTF-8, polygon
+/// arity, trailing bytes): both check fields through the same parser.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    buf: &'a [u8],
+    len: usize,
+    offsets: [u32; VIEW_OFFSETS],
+}
+
+impl<'a> RecordView<'a> {
+    /// Check `buf` as a record produced by [`encode_record`].
+    pub fn new(buf: &'a [u8]) -> StorageResult<RecordView<'a>> {
+        if buf.len() < 2 {
+            return Err(StorageError::Corrupt("record shorter than header".into()));
+        }
+        let len = u16::from_le_bytes([buf[0], buf[1]]) as usize;
+        let mut offsets = [0u32; VIEW_OFFSETS];
+        let mut rest = &buf[2..];
+        for i in 0..len {
+            if let Some(at) = offsets.get_mut(i) {
+                *at = (buf.len() - rest.len()) as u32;
+            }
+            read_field(&mut rest)?;
+        }
+        if !rest.is_empty() {
+            return Err(StorageError::Corrupt("trailing bytes after record".into()));
+        }
+        Ok(RecordView { buf, len, offsets })
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes of field `i` onward (tag first), or `None` past the end.
+    fn at(&self, i: usize) -> Option<&'a [u8]> {
+        if i >= self.len {
+            return None;
+        }
+        let kept = i.min(VIEW_OFFSETS - 1);
+        let mut rest = &self.buf[self.offsets[kept] as usize..];
+        for _ in kept..i {
+            read_field(&mut rest).ok()?;
+        }
+        Some(rest)
+    }
+
+    /// Field `i`, read in place.
+    pub fn get(&self, i: usize) -> Option<FieldRef<'a>> {
+        read_field(&mut self.at(i)?).ok()
+    }
+
+    /// Field `i` if it is an int.
+    pub fn int(&self, i: usize) -> Option<i64> {
+        match self.at(i)? {
+            [TAG_INT, rest @ ..] => Some(i64::from_le_bytes(rest[..8].try_into().ok()?)),
+            _ => None,
+        }
+    }
+
+    /// Field `i` if it is a real.
+    pub fn real(&self, i: usize) -> Option<f64> {
+        match self.at(i)? {
+            [TAG_REAL, rest @ ..] => Some(f64::from_le_bytes(rest[..8].try_into().ok()?)),
+            _ => None,
+        }
+    }
+
+    /// Field `i` if it is a bool.
+    pub fn bool(&self, i: usize) -> Option<bool> {
+        match self.at(i)? {
+            [TAG_BOOL, b, ..] => Some(*b != 0),
+            _ => None,
+        }
+    }
+
+    /// Decode every field, converting each through `conv`, into one
+    /// shared slice (one allocation).
+    pub fn decode<T>(&self, mut conv: impl FnMut(FieldRef<'a>) -> T) -> std::sync::Arc<[T]> {
+        let mut rest = &self.buf[2..];
+        (0..self.len)
+            .map(|_| conv(read_field(&mut rest).expect("fields were checked by RecordView::new")))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ impl HeapFile {
     pub fn get(&self, tid: TupleId) -> StorageResult<Vec<u8>> {
         let guard = self.pool.fetch(tid.page)?;
         let buf = guard.read();
-        SlottedPage::get(&buf[..], tid.slot)
+        SlottedPage::get(&buf[..], tid.slot)?
             .map(|r| r.to_vec())
             .ok_or(StorageError::InvalidTupleId {
                 page: tid.page,
@@ -117,24 +117,24 @@ impl HeapFile {
         self.scan_pages(self.pages.lock().clone())
     }
 
-    /// Visit every live record of `page` in slot order under a single
-    /// page fetch and read latch, passing each record's bytes to `f`
-    /// without copying — the page-at-a-time decode path of the batch
-    /// executor. `f` must not re-enter the buffer pool (the latch is
-    /// held across the whole visit).
-    pub fn visit_page<E, F>(&self, page: PageId, mut f: F) -> Result<(), E>
+    /// Hand `f` the live records of `page` in slot order, borrowed from
+    /// the pinned frame under a single page fetch and read latch — the
+    /// page-at-a-time path of the scan cursors. Each record's extent is
+    /// checked against the page as it is reached (`Corrupt` otherwise).
+    /// `f` must not re-enter the buffer pool (the latch is held across
+    /// the whole visit).
+    pub fn visit_page<R, E, F>(&self, page: PageId, f: F) -> Result<R, E>
     where
         E: From<StorageError>,
-        F: FnMut(TupleId, &[u8]) -> Result<(), E>,
+        F: FnOnce(PageRecords<'_>) -> Result<R, E>,
     {
         let guard = self.pool.fetch(page)?;
         let buf = guard.read();
-        for slot in SlottedPage::live_slots(&buf[..]) {
-            let rec = SlottedPage::get(&buf[..], slot)
-                .ok_or(StorageError::InvalidTupleId { page, slot })?;
-            f(TupleId { page, slot }, rec)?;
-        }
-        Ok(())
+        let slots = SlottedPage::slots(&buf[..])?;
+        f(PageRecords {
+            buf: &buf[..],
+            slots,
+        })
     }
 
     /// Scan only the given pages, in the order given.
@@ -145,6 +145,32 @@ impl HeapFile {
             page_idx: 0,
             slots: Vec::new(),
             slot_idx: 0,
+        }
+    }
+}
+
+/// The live records of one heap page, borrowed from the pinned frame
+/// (see [`HeapFile::visit_page`]).
+pub struct PageRecords<'a> {
+    buf: &'a [u8],
+    slots: std::ops::Range<u16>,
+}
+
+impl<'a> Iterator for PageRecords<'a> {
+    type Item = StorageResult<&'a [u8]>;
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (0, self.slots.size_hint().1)
+    }
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let slot = self.slots.next()?;
+            match SlottedPage::get(self.buf, slot) {
+                Ok(Some(rec)) => return Some(Ok(rec)),
+                Ok(None) => {}
+                Err(e) => return Some(Err(e)),
+            }
         }
     }
 }
@@ -182,7 +208,10 @@ impl Iterator for HeapScan<'_> {
             match self.heap.pool.fetch(pid) {
                 Ok(guard) => {
                     let buf = guard.read();
-                    self.slots = SlottedPage::live_slots(&buf[..]).collect();
+                    match SlottedPage::live_slots(&buf[..]) {
+                        Ok(slots) => self.slots = slots.collect(),
+                        Err(e) => return Some(Err(e)),
+                    }
                     self.slot_idx = 0;
                 }
                 Err(e) => return Some(Err(e)),

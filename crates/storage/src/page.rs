@@ -146,17 +146,26 @@ impl SlottedPage {
         Ok(slot)
     }
 
-    /// Read the record in `slot`, if live.
-    pub fn get(buf: &[u8], slot: u16) -> Option<&[u8]> {
+    /// Read the record in `slot`: `None` if the slot is dead or past the
+    /// directory, `Corrupt` if the slot or its record lies past the page.
+    pub fn get(buf: &[u8], slot: u16) -> StorageResult<Option<&[u8]>> {
         if slot >= Self::slot_count(buf) {
-            return None;
+            return Ok(None);
+        }
+        if HEADER + (slot as usize + 1) * SLOT > buf.len() {
+            return Err(StorageError::Corrupt(format!(
+                "slot {slot} lies past the end of the page"
+            )));
         }
         let (off, len) = Self::slot(buf, slot);
         if off == 0 {
-            None
-        } else {
-            Some(&buf[off..off + len])
+            return Ok(None);
         }
+        buf.get(off..off + len).map(Some).ok_or_else(|| {
+            StorageError::Corrupt(format!(
+                "record of {len} bytes at offset {off} in slot {slot} overruns the page"
+            ))
+        })
     }
 
     /// Delete the record in `slot`. Returns whether a live record was there.
@@ -175,7 +184,7 @@ impl SlottedPage {
     /// Replace the record in `slot` (the paper's in-situ `modify`).
     /// Fails if the new record does not fit even after compaction.
     pub fn update(buf: &mut [u8], slot: u16, record: &[u8]) -> StorageResult<()> {
-        if Self::get(buf, slot).is_none() {
+        if Self::get(buf, slot)?.is_none() {
             return Err(StorageError::InvalidTupleId { page: 0, slot });
         }
         let (off, len) = Self::slot(buf, slot);
@@ -205,9 +214,22 @@ impl SlottedPage {
         Ok(())
     }
 
-    /// Iterate the live slots of a page.
-    pub fn live_slots(buf: &[u8]) -> impl Iterator<Item = u16> + '_ {
-        (0..Self::slot_count(buf)).filter(move |&i| Self::slot(buf, i).0 != 0)
+    /// Iterate the live slots of a page; `Corrupt` if the slot directory
+    /// runs past the page.
+    pub fn live_slots(buf: &[u8]) -> StorageResult<impl Iterator<Item = u16> + '_> {
+        Ok(Self::slots(buf)?.filter(move |&i| Self::slot(buf, i).0 != 0))
+    }
+
+    /// Every slot number of the directory, live or dead; `Corrupt` if
+    /// the directory runs past the page.
+    pub(crate) fn slots(buf: &[u8]) -> StorageResult<std::ops::Range<u16>> {
+        let count = Self::slot_count(buf);
+        if HEADER + count as usize * SLOT > buf.len() {
+            return Err(StorageError::Corrupt(format!(
+                "slot directory of {count} slots overruns the page"
+            )));
+        }
+        Ok(0..count)
     }
 
     /// Slide all live records to the back of the page, preserving slots.
@@ -253,8 +275,8 @@ mod tests {
         let mut p = fresh();
         let s0 = SlottedPage::insert(&mut p, b"hello").unwrap();
         let s1 = SlottedPage::insert(&mut p, b"world!").unwrap();
-        assert_eq!(SlottedPage::get(&p, s0), Some(&b"hello"[..]));
-        assert_eq!(SlottedPage::get(&p, s1), Some(&b"world!"[..]));
+        assert_eq!(SlottedPage::get(&p, s0).unwrap(), Some(&b"hello"[..]));
+        assert_eq!(SlottedPage::get(&p, s1).unwrap(), Some(&b"world!"[..]));
         assert_ne!(s0, s1);
     }
 
@@ -264,7 +286,7 @@ mod tests {
         let s0 = SlottedPage::insert(&mut p, b"aaaa").unwrap();
         assert!(SlottedPage::delete(&mut p, s0));
         assert!(!SlottedPage::delete(&mut p, s0));
-        assert_eq!(SlottedPage::get(&p, s0), None);
+        assert_eq!(SlottedPage::get(&p, s0).unwrap(), None);
         let s1 = SlottedPage::insert(&mut p, b"bbbb").unwrap();
         assert_eq!(s0, s1, "dead slot should be reused");
     }
@@ -297,7 +319,7 @@ mod tests {
         }
         let big = vec![2u8; 2000];
         let s = SlottedPage::insert(&mut p, &big).unwrap();
-        assert_eq!(SlottedPage::get(&p, s), Some(&big[..]));
+        assert_eq!(SlottedPage::get(&p, s).unwrap(), Some(&big[..]));
     }
 
     #[test]
@@ -305,10 +327,10 @@ mod tests {
         let mut p = fresh();
         let s = SlottedPage::insert(&mut p, b"short").unwrap();
         SlottedPage::update(&mut p, s, b"tiny").unwrap();
-        assert_eq!(SlottedPage::get(&p, s), Some(&b"tiny"[..]));
+        assert_eq!(SlottedPage::get(&p, s).unwrap(), Some(&b"tiny"[..]));
         let long = vec![9u8; 500];
         SlottedPage::update(&mut p, s, &long).unwrap();
-        assert_eq!(SlottedPage::get(&p, s), Some(&long[..]));
+        assert_eq!(SlottedPage::get(&p, s).unwrap(), Some(&long[..]));
     }
 
     #[test]
@@ -319,7 +341,7 @@ mod tests {
         let s = SlottedPage::insert(&mut p, b"keep me").unwrap();
         let too_big = vec![2u8; 4000];
         assert!(SlottedPage::update(&mut p, s, &too_big).is_err());
-        assert_eq!(SlottedPage::get(&p, s), Some(&b"keep me"[..]));
+        assert_eq!(SlottedPage::get(&p, s).unwrap(), Some(&b"keep me"[..]));
     }
 
     #[test]
@@ -339,7 +361,7 @@ mod tests {
         let b = SlottedPage::insert(&mut p, b"b").unwrap();
         let c = SlottedPage::insert(&mut p, b"c").unwrap();
         SlottedPage::delete(&mut p, b);
-        let live: Vec<u16> = SlottedPage::live_slots(&p).collect();
+        let live: Vec<u16> = SlottedPage::live_slots(&p).unwrap().collect();
         assert_eq!(live, vec![a, c]);
     }
 }

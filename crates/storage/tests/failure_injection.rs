@@ -148,3 +148,74 @@ fn query_over_failing_disk_reports_error_at_system_level() {
     }
     assert!(failed, "the injected failure must surface through Database");
 }
+
+/// Overwrite two bytes of page `pid` with `v` (little-endian) at `at`,
+/// straight through the pool, as a torn or corrupted write would.
+fn corrupt_u16(pool: &BufferPool, pid: PageId, at: usize, v: u16) {
+    let guard = pool.fetch(pid).unwrap();
+    guard.write()[at..at + 2].copy_from_slice(&v.to_le_bytes());
+}
+
+fn assert_corrupt<T: std::fmt::Debug>(what: &str, r: StorageResult<T>) {
+    match r {
+        Err(StorageError::Corrupt(_)) => {}
+        other => panic!("{what}: expected a corrupt-page error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_heap_slot_past_the_page_is_a_corrupt_error() {
+    let pool = sos_storage::mem_pool(16);
+    let heap = HeapFile::create(pool.clone()).unwrap();
+    let tid = heap.insert(b"first").unwrap();
+    heap.insert(b"second").unwrap();
+    // Slot 0's length (page header 4 bytes, then offset, length).
+    corrupt_u16(&pool, tid.page, 6, u16::MAX);
+    assert_corrupt("get", heap.get(tid));
+    assert_corrupt("scan", heap.scan().collect::<StorageResult<Vec<_>>>());
+    assert_corrupt(
+        "visit_page",
+        heap.visit_page(tid.page, |records| {
+            records.collect::<StorageResult<Vec<_>>>().map(|_| ())
+        }),
+    );
+    // A slot directory that runs past the page.
+    corrupt_u16(&pool, tid.page, 0, u16::MAX);
+    assert_corrupt("scan", heap.scan().collect::<StorageResult<Vec<_>>>());
+    assert_corrupt("visit_page", heap.visit_page(tid.page, |_| Ok(())));
+    assert_eq!(pool.pinned_frames(), 0);
+}
+
+#[test]
+fn a_btree_leaf_entry_past_the_page_is_a_corrupt_error() {
+    let pool = sos_storage::mem_pool(16);
+    let tree = BTree::create(pool.clone()).unwrap();
+    for i in 0..10 {
+        tree.insert(&int_key(i), b"record").unwrap();
+    }
+    let leaf = tree.root();
+    // The first entry's record length (leaf header 7 bytes, then key
+    // length, record length).
+    corrupt_u16(&pool, leaf, 9, u16::MAX);
+    assert_corrupt(
+        "scan",
+        tree.scan()
+            .and_then(|scan| scan.collect::<StorageResult<Vec<_>>>()),
+    );
+    assert_corrupt("lookup", tree.lookup(&int_key(3)));
+    assert_corrupt(
+        "visit_leaf",
+        tree.visit_leaf(leaf, |entries| {
+            entries.collect::<StorageResult<Vec<_>>>().map(|_| ())
+        }),
+    );
+    // An entry count far past what the page holds.
+    corrupt_u16(&pool, leaf, 9, 6);
+    corrupt_u16(&pool, leaf, 1, u16::MAX);
+    assert_corrupt(
+        "scan",
+        tree.scan()
+            .and_then(|scan| scan.collect::<StorageResult<Vec<_>>>()),
+    );
+    assert_eq!(pool.pinned_frames(), 0);
+}

@@ -70,6 +70,96 @@ proptest! {
     }
 }
 
+/// Any field kind, polygons included.
+fn arb_any_field() -> impl Strategy<Value = Field> {
+    let pt = (-1.0e3f64..1.0e3, -1.0e3f64..1.0e3).prop_map(|(x, y)| sos_geom::Point::new(x, y));
+    prop_oneof![
+        arb_field(),
+        (-1.0e3f64..1.0e3, -1.0e3f64..1.0e3)
+            .prop_map(|(x, y)| Field::Point(sos_geom::Point::new(x, y))),
+        (
+            -1.0e3f64..1.0e3,
+            -1.0e3f64..1.0e3,
+            0.0f64..1.0e3,
+            0.0f64..1.0e3
+        )
+            .prop_map(|(x, y, w, h)| Field::Rect(sos_geom::Rect::new(x, y, x + w, y + h))),
+        prop::collection::vec(pt, 3..6).prop_map(|vs| Field::Pgon(sos_geom::Polygon::new(vs))),
+    ]
+}
+
+/// Record bytes worth checking: encoded records, the same with a few
+/// bytes overwritten, cut short or extended, and plain noise.
+fn arb_record_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let edits = prop::collection::vec((any::<u16>(), any::<u8>()), 0..3);
+    prop_oneof![
+        prop::collection::vec(arb_any_field(), 0..6).prop_map(|fs| encode_record(&fs)),
+        (
+            prop::collection::vec(arb_any_field(), 0..6),
+            edits,
+            any::<u8>(),
+            any::<u8>()
+        )
+            .prop_map(|(fs, edits, cut, extra)| {
+                let mut enc = encode_record(&fs);
+                for (at, b) in edits {
+                    if !enc.is_empty() {
+                        let i = at as usize % enc.len();
+                        enc[i] = b;
+                    }
+                }
+                match cut % 4 {
+                    0 => enc.truncate(enc.len().saturating_sub(1 + extra as usize % 9)),
+                    1 => enc.push(extra),
+                    _ => {}
+                }
+                enc
+            }),
+        prop::collection::vec(any::<u8>(), 0..40),
+    ]
+}
+
+/// One field's bytes, for comparing fields whose reals may be NaN.
+fn field_bytes(f: &Field) -> Vec<u8> {
+    encode_record(std::slice::from_ref(f))
+}
+
+proptest! {
+    /// A record read in place agrees with the decoded record on every
+    /// input: the same bytes fail with the same error text, and on the
+    /// rest every field reads the same, in place, one by one and
+    /// decoded whole. The case count follows
+    /// `PROPTEST_CASES` (CI runs it at 20000).
+    #[test]
+    fn record_view_agrees_with_decode_record(bytes in arb_record_bytes()) {
+        use sos_storage::field::RecordView;
+        let decoded = decode_record(&bytes);
+        let view = RecordView::new(&bytes);
+        match (&decoded, &view) {
+            (Err(d), Err(v)) => prop_assert_eq!(d.to_string(), v.to_string()),
+            (Ok(fields), Ok(view)) => {
+                prop_assert_eq!(view.len(), fields.len());
+                for (i, f) in fields.iter().enumerate() {
+                    let got = view.get(i).expect("field in range").to_field();
+                    prop_assert_eq!(field_bytes(&got), field_bytes(f));
+                    let int = match f { Field::Int(v) => Some(*v), _ => None };
+                    prop_assert_eq!(view.int(i), int);
+                    let real = match f { Field::Real(v) => Some(v.to_bits()), _ => None };
+                    prop_assert_eq!(view.real(i).map(f64::to_bits), real);
+                    let b = match f { Field::Bool(v) => Some(*v), _ => None };
+                    prop_assert_eq!(view.bool(i), b);
+                }
+                prop_assert!(view.get(fields.len()).is_none());
+                prop_assert!(view.int(fields.len()).is_none());
+                let whole: Vec<Vec<u8>> = view.decode(|f| field_bytes(&f.to_field())).to_vec();
+                let want: Vec<Vec<u8>> = fields.iter().map(field_bytes).collect();
+                prop_assert_eq!(&whole, &want);
+            }
+            (d, v) => prop_assert!(false, "decode_record {:?} but RecordView {:?}", d, v),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // B-tree vs BTreeMap model
 // ---------------------------------------------------------------------

@@ -572,6 +572,7 @@ impl Database {
             phases: self.tracer.timings(),
             wal: self.engine.pool.wal_stats(),
             compile: self.engine.stats.compile_snapshot(),
+            rows_decoded: self.engine.stats.rows_decoded(),
             planner: PlannerStats {
                 cache_hits: self.plan_cache.hits,
                 cache_misses: self.plan_cache.misses,
@@ -954,6 +955,7 @@ impl Database {
             let ops_before = self.engine.stats.snapshot();
             let wal_before = self.engine.pool.wal_stats();
             let compile_before = self.engine.stats.compile_snapshot();
+            let decoded_before = self.engine.stats.rows_decoded();
             let started = Instant::now();
             let value = self.eval(&optimized)?;
             phases.push((Phase::Execute, started.elapsed().as_nanos() as u64));
@@ -965,6 +967,7 @@ impl Database {
                 result: value_summary(&value),
                 wal: self.engine.pool.wal_stats().delta(&wal_before),
                 compile: self.engine.stats.compile_snapshot().delta(&compile_before),
+                rows_decoded: self.engine.stats.rows_decoded() - decoded_before,
             })
         } else {
             None

@@ -536,3 +536,185 @@ proptest! {
         }
     }
 }
+
+/// Row `i` of the `wide` fixture: one field of every kind a pushed
+/// predicate or a fused aggregate reads in place.
+fn wide(i: usize) -> Value {
+    Value::tuple(vec![
+        Value::Int(i as i64),
+        Value::Real((i % 200) as f64 * 0.25),
+        Value::Bool(i.is_multiple_of(3)),
+        Value::Str(format!("t{:04}{}", (i * 7) % 1000, "-".repeat(120))),
+    ])
+}
+
+/// 1000 `wide` rows as a heap and as a B-tree on `k`, plus an int
+/// object `limit` = 600 and a function object `early` (`k < 600`) for
+/// predicates that read the store, the latter passing it the whole
+/// tuple.
+fn wide_db() -> Database {
+    let mut db = Database::builder().build();
+    db.run(
+        r#"
+        type witem = tuple(<(k, int), (x, real), (flag, bool), (tag, string)>);
+        create wheap : tidrel(witem);
+        create wtree : btree(witem, k, int);
+        create limit : int;
+        update limit := 600;
+        create early : (witem -> bool);
+        update early := fun (u: witem) u k < 600;
+    "#,
+    )
+    .unwrap();
+    let rows: Vec<Value> = (0..1000).map(wide).collect();
+    db.bulk_insert("wheap", rows.clone()).unwrap();
+    db.bulk_insert("wtree", rows).unwrap();
+    db
+}
+
+fn fields(t: &Value) -> &[Value] {
+    match t {
+        Value::Tuple(fs) => fs,
+        other => panic!("{other:?}"),
+    }
+}
+
+fn real_of(v: &Value) -> f64 {
+    match v {
+        Value::Real(x) => *x,
+        Value::Int(x) => *x as f64,
+        other => panic!("{other:?}"),
+    }
+}
+
+/// Plain-Rust result of `op` over field `attr` of `rows` (`count` reads
+/// no field), error text included.
+fn fold_rows(rows: &[Value], op: &str, attr: usize) -> Result<Value, String> {
+    let vals: Vec<&Value> = rows.iter().map(|t| &fields(t)[attr]).collect();
+    let total = || vals.iter().map(|v| real_of(v)).fold(0.0, |a, b| a + b);
+    match op {
+        "count" => Ok(Value::Int(rows.len() as i64)),
+        "sum" => Ok(match vals.first() {
+            // `x` (field 1) is the only real attribute.
+            None if attr == 1 => Value::Real(0.0),
+            Some(Value::Real(_)) => Value::Real(total()),
+            _ => Value::Int(vals.iter().map(|v| real_of(v) as i64).sum()),
+        }),
+        _ if vals.is_empty() => Err(format!("`{op}` over an empty stream")),
+        "avg" => Ok(Value::Real(total() / vals.len() as f64)),
+        _ => {
+            let mut best = vals[0];
+            for v in &vals[1..] {
+                let ord = sos_exec::compare(op, v, best).unwrap();
+                if (op == "min" && ord.is_lt()) || (op == "max" && ord.is_gt()) {
+                    best = v;
+                }
+            }
+            Ok(best.clone())
+        }
+    }
+}
+
+#[test]
+fn fused_aggregates_over_pushed_filters_match_the_decoding_plan() {
+    // Every aggregate over zero, one and two filters on each kind of
+    // field, over a heap, a B-tree feed and a B-tree halfrange. With
+    // compilation on, the filters run on records read in place and the
+    // aggregate folds without decoding; off, every record is decoded
+    // and filtered as a tuple. Both must equal plain Rust, at every
+    // width. `k < limit` reads the store and `early(t)` hands the whole
+    // tuple to a function object, so both stay interpreted filter steps
+    // over the (then decoding) scan even when compiling.
+    let mut db = wide_db();
+    let all: Vec<Value> = (0..1000).map(wide).collect();
+    let k = |t: &[Value]| match t[0] {
+        Value::Int(k) => k,
+        _ => unreachable!(),
+    };
+    let x = |t: &[Value]| real_of(&t[1]);
+    let tag = |t: &[Value]| match &t[3] {
+        Value::Str(s) => s.clone(),
+        _ => unreachable!(),
+    };
+    type Keep = Box<dyn Fn(&[Value]) -> bool>;
+    let sources: Vec<(&str, Keep)> = vec![
+        ("wheap feed", Box::new(|_| true)),
+        ("wtree feed", Box::new(|_| true)),
+        ("wtree range_from[200]", Box::new(move |t| k(t) >= 200)),
+    ];
+    let filters: Vec<(&str, Vec<Keep>)> = vec![
+        ("", vec![]),
+        (" filter[x < 20.0]", vec![Box::new(move |t| x(t) < 20.0)]),
+        (
+            " filter[flag]",
+            vec![Box::new(|t| t[2] == Value::Bool(true))],
+        ),
+        (
+            " filter[tag < \"t0100\"]",
+            vec![Box::new(move |t| tag(t).as_str() < "t0100")],
+        ),
+        (
+            " filter[k mod 7 = 3] filter[flag]",
+            vec![
+                Box::new(move |t| k(t) % 7 == 3),
+                Box::new(|t| t[2] == Value::Bool(true)),
+            ],
+        ),
+        (
+            " filter[tag != \"x\"] filter[x > 49.0]",
+            vec![Box::new(|_| true), Box::new(move |t| x(t) > 49.0)],
+        ),
+        (" filter[k < limit]", vec![Box::new(move |t| k(t) < 600)]),
+        (
+            " filter[fun (t: witem) early(t)]",
+            vec![Box::new(move |t| k(t) < 600)],
+        ),
+    ];
+    let aggs = [
+        ("count", 0),
+        ("sum[k]", 0),
+        ("sum[x]", 1),
+        ("avg[k]", 0),
+        ("avg[x]", 1),
+        ("min[tag]", 3),
+        ("max[x]", 1),
+        ("max[k]", 0),
+    ];
+    for (src, in_src) in &sources {
+        for (filter, preds) in &filters {
+            let rows: Vec<Value> = all
+                .iter()
+                .filter(|t| in_src(fields(t)) && preds.iter().all(|p| p(fields(t))))
+                .cloned()
+                .collect();
+            for (agg, attr) in aggs {
+                let op = agg.split('[').next().unwrap();
+                let expected = fold_rows(&rows, op, attr);
+                let q = format!("{src}{filter} {agg}");
+                for compile in [true, false] {
+                    db.set_compile_exprs(compile);
+                    for &b in BATCHES {
+                        db.set_batch_size(b);
+                        let at = format!("`{q}` at compile={compile} batch={b}");
+                        match (run(&mut db, &q), &expected) {
+                            (Ok(got), Ok(want)) => assert_eq!(&got, want, "{at}"),
+                            (Err(got), Err(want)) => assert!(got.contains(want), "{at}: {got}"),
+                            (got, want) => panic!("{at}: {got:?} vs {want:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // The fused plan decodes nothing; the decoding plan every record.
+    for (compile, decoded) in [(true, 0), (false, 1000)] {
+        db.set_compile_exprs(compile);
+        db.reset_metrics();
+        assert_eq!(
+            run(&mut db, "wheap feed filter[flag] count"),
+            Ok(Value::Int(334))
+        );
+        assert_eq!(db.metrics().rows_decoded, decoded, "compile={compile}");
+    }
+}

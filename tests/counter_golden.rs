@@ -72,6 +72,7 @@ fn render(out: &mut String, name: &str, m: &MetricsSnapshot) {
     writeln!(out, "pool.logical_reads {}", m.pool.logical_reads).unwrap();
     writeln!(out, "wal.bytes {}", m.wal.bytes).unwrap();
     writeln!(out, "compile.compiled {}", m.compile.compiled).unwrap();
+    writeln!(out, "exec.rows_decoded {}", m.rows_decoded).unwrap();
     for (reason, n) in &m.compile.fallbacks {
         writeln!(out, "compile.fallback.{reason} {n}").unwrap();
     }

@@ -163,3 +163,36 @@ fn geometry_operators_resolve_and_evaluate() {
         Value::Bool(true)
     );
 }
+
+#[test]
+fn sum_of_no_rows_is_a_zero_of_the_attribute_type() {
+    // `sum: stream(tuple) x attr -> dtype`: with no rows the result is
+    // still of the attribute's type, on the fused and the decoding path.
+    let mut db = Database::builder().build();
+    db.run(
+        r#"
+        type x = tuple(<(a, real), (b, int)>);
+        create xs_rep : tidrel(x);
+        update xs_rep := insert(xs_rep, mktuple[(a, 1.5), (b, 2)]);
+    "#,
+    )
+    .unwrap();
+    for compile in [true, false] {
+        db.set_compile_exprs(compile);
+        let q = |db: &mut Database, s: &str| db.query(s).unwrap();
+        assert_eq!(
+            q(&mut db, "xs_rep feed filter[b > 5] sum[a]"),
+            Value::Real(0.0)
+        );
+        assert_eq!(
+            q(&mut db, "xs_rep feed filter[b > 5] sum[b]"),
+            Value::Int(0)
+        );
+        assert_eq!(
+            q(&mut db, "(xs_rep feed filter[b > 5] sum[a]) = 0.0"),
+            Value::Bool(true)
+        );
+        assert_eq!(q(&mut db, "xs_rep feed sum[a]"), Value::Real(1.5));
+        assert_eq!(q(&mut db, "xs_rep feed sum[b]"), Value::Int(2));
+    }
+}

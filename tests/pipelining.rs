@@ -337,3 +337,145 @@ fn impure_in_memory_select_stays_serial_in_the_same_order() {
     assert_eq!(impure, pure);
     assert_eq!(pure, Value::Rel(rows[..150].to_vec()));
 }
+
+// ---------------------------------------------------------------------
+// Records read in place: pushed-down filters and fused aggregates.
+// ---------------------------------------------------------------------
+
+/// A heap of `item`s (`k` = 0..300, 200-byte pads) with one raw record
+/// inserted after row 200, straight into the heap file.
+fn heap_with_raw_record(pool: &std::sync::Arc<sos_storage::BufferPool>, raw: &[u8]) -> Database {
+    let mut db = Database::builder().pool(pool.clone()).build();
+    db.run(
+        r#"
+        type item = tuple(<(k, int), (pad, string)>);
+        create heap_rep : tidrel(item);
+    "#,
+    )
+    .unwrap();
+    let row = |i: i64| Value::tuple(vec![Value::Int(i), Value::Str(format!("{i:0200}"))]);
+    db.bulk_insert("heap_rep", (0..200).map(row).collect())
+        .unwrap();
+    let Some(Value::TidRel(h)) = db.object_value("heap_rep") else {
+        panic!("heap_rep is a tidrel");
+    };
+    let h = h.clone();
+    h.insert(raw).unwrap();
+    for i in 200..300 {
+        h.insert(&row(i).encode_tuple("test").unwrap()).unwrap();
+    }
+    db
+}
+
+#[test]
+fn malformed_records_fail_alike_on_every_path() {
+    // Field tags: 1 int, 3 string. Each record claims two fields.
+    let unknown_tag: &[u8] = &[2, 0, 200];
+    let truncated_int: &[u8] = &[2, 0, 1, 7, 0, 0, 0];
+    // k = -1 (every predicate below rejects it), pad = 0xFF 0xFE.
+    let mut bad_utf8 = vec![2, 0, 1];
+    bad_utf8.extend((-1i64).to_le_bytes());
+    bad_utf8.extend([3, 2, 0, 0, 0, 0xFF, 0xFE]);
+    for (raw, msg) in [
+        (unknown_tag, "unknown field tag 200"),
+        (truncated_int, "field needs 8 bytes, 4 left"),
+        (&bad_utf8[..], "invalid utf8 in string field"),
+    ] {
+        let pool = sos_storage::mem_pool(4096);
+        let mut db = heap_with_raw_record(&pool, raw);
+        for q in [
+            "heap_rep feed filter[k >= 0] count",
+            "heap_rep feed filter[k >= 0] sum[k]",
+            "heap_rep feed filter[k >= 0] consume",
+            "heap_rep feed count",
+            "heap_rep feed sum[k]",
+        ] {
+            let mut seen: Option<String> = None;
+            for compile in [true, false] {
+                for &width in WIDTHS {
+                    db.set_compile_exprs(compile);
+                    db.set_batch_size(width);
+                    let err = db.query(q).expect_err(q).to_string();
+                    assert!(err.contains(msg), "`{q}`: {err}");
+                    let first = seen.get_or_insert_with(|| err.clone());
+                    assert_eq!(&err, first, "`{q}` at compile={compile} width={width}");
+                    assert_eq!(pool.pinned_frames(), 0, "`{q}` leaked pins");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_corrupt_heap_page_fails_a_query_instead_of_panicking() {
+    let pool = sos_storage::mem_pool(4096);
+    let mut db = heap_with_raw_record(&pool, &[0, 0]);
+    let Some(Value::TidRel(h)) = db.object_value("heap_rep") else {
+        panic!("heap_rep is a tidrel");
+    };
+    // Slot 0's length (page header 4 bytes, then offset, length).
+    let page = h.pages()[0];
+    pool.fetch(page).unwrap().write()[6..8].copy_from_slice(&u16::MAX.to_le_bytes());
+    for q in [
+        "heap_rep feed count",
+        "heap_rep feed filter[k > 3] count",
+        "heap_rep feed consume",
+    ] {
+        let err = db.query(q).expect_err(q).to_string();
+        assert!(err.contains("overruns the page"), "`{q}`: {err}");
+        assert_eq!(pool.pinned_frames(), 0, "`{q}` leaked a pin");
+    }
+}
+
+#[test]
+fn head_over_a_pushed_filter_reads_what_the_filter_chain_reads() {
+    // The interpreted predicate stays a filter step over the decoding
+    // scan; the compiled one is pushed into the scan. Both must touch
+    // the same pages at every width, and stop early.
+    let mut db = big_db(20_000);
+    db.reset_metrics();
+    db.query("heap_rep feed count").unwrap();
+    let full = db.metrics().pool.logical_reads;
+    for q in [
+        "heap_rep feed filter[k mod 2 = 0] head[10] count",
+        "heap_rep feed filter[k > 100] filter[k mod 3 = 0] head[10] count",
+        "items_rep feed filter[k mod 2 = 0] head[10] count",
+        "items_rep range_from[10000] filter[k mod 5 = 1] head[3] count",
+    ] {
+        for &width in WIDTHS {
+            db.set_batch_size(width);
+            let mut reads = Vec::new();
+            for compile in [true, false] {
+                db.set_compile_exprs(compile);
+                db.reset_metrics();
+                let n = as_count(&db.query(q).unwrap());
+                assert!(n == 10 || n == 3, "`{q}`: {n}");
+                reads.push(db.metrics().pool.logical_reads);
+            }
+            assert_eq!(reads[0], reads[1], "`{q}` at width={width}");
+            assert!(reads[0] * 20 < full, "`{q}`: {reads:?} vs {full}");
+        }
+    }
+}
+
+#[test]
+fn a_record_shorter_than_its_schema_fails_an_aggregate_on_every_path() {
+    // One stored record with only `k`: aggregating `pad` is an error on
+    // the fused and on the decoding path, never an index past the tuple.
+    let mut short = vec![1, 0, 1];
+    short.extend(7i64.to_le_bytes());
+    let pool = sos_storage::mem_pool(4096);
+    let mut db = heap_with_raw_record(&pool, &short);
+    for compile in [true, false] {
+        for &width in WIDTHS {
+            db.set_compile_exprs(compile);
+            db.set_batch_size(width);
+            assert_eq!(db.query("heap_rep feed count").unwrap(), Value::Int(301));
+            let err = db.query("heap_rep feed max[pad]").unwrap_err().to_string();
+            assert_eq!(
+                err, "tuple too short for attribute `pad`",
+                "compile={compile}"
+            );
+        }
+    }
+}
