@@ -7,8 +7,8 @@
 //! * [`Tracer`] — a lightweight span recorder threaded through the
 //!   phases of statement processing. Off by default: the enabled flag is
 //!   checked exactly once per phase, and a disabled tracer does no
-//!   clock reads and no allocation (the overhead bench gate in
-//!   `crates/bench/benches/trace_overhead.rs` holds it to noise).
+//!   clock reads and no allocation (sosbench reports the cost as
+//!   `obs.trace_overhead_ratio`).
 //! * [`MetricsSnapshot`] — the unified metrics registry: buffer-pool
 //!   counters ([`sos_storage::PoolStats`]), cumulative optimizer
 //!   counters ([`sos_optimizer::OptimizerStats`]), per-operator runtime

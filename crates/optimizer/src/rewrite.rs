@@ -56,6 +56,8 @@ pub struct OptimizeOpts {
     /// Consider rule alternatives and pick the candidate with the lowest
     /// estimated page cost (see [`CostModel`]).
     pub cost_based: bool,
+    /// Record every applied rewrite in application order.
+    pub traced: bool,
 }
 
 /// Upper bound on instantiated candidates per redex under cost-based
@@ -163,95 +165,22 @@ impl Optimizer {
         Optimizer { steps }
     }
 
-    /// Optimize a closed, checked term. Every rewrite is re-checked.
-    /// No plan validation (see [`Optimizer::optimize_with`]).
+    /// Optimize a closed, checked term under `opts`. Every rewrite is
+    /// re-checked, and its result type is compared (modulo
+    /// representation) with the type before the rewrite:
+    /// [`Validation::Count`] records violations in the stats,
+    /// [`Validation::Strict`] rejects the plan on the first one. The
+    /// rewrite trace (the one behind `EXPLAIN`) is empty unless
+    /// `opts.traced`; untraced runs render no term strings.
     pub fn optimize(
         &self,
         term: &TypedExpr,
         checker: &Checker,
         catalog: &Catalog,
-    ) -> Result<(TypedExpr, OptimizerStats), OptError> {
-        self.drive(term, checker, catalog, &opts_for(Validation::Off), None)
-            .map(|(t, s, _)| (t, s))
-    }
-
-    /// Optimize and additionally record every applied rewrite in
-    /// application order — the trace behind `EXPLAIN`'s rewrite section.
-    /// No plan validation (see [`Optimizer::optimize_traced_with`]).
-    pub fn optimize_traced(
-        &self,
-        term: &TypedExpr,
-        checker: &Checker,
-        catalog: &Catalog,
-    ) -> Result<(TypedExpr, OptimizerStats, Vec<RuleApplication>), OptError> {
-        self.drive(
-            term,
-            checker,
-            catalog,
-            &opts_for(Validation::Off),
-            Some(Vec::new()),
-        )
-        .map(|(t, s, trace)| (t, s, trace.unwrap_or_default()))
-    }
-
-    /// Optimize under a plan-validation mode: every rewrite's result
-    /// type is compared (modulo representation) with the type before
-    /// the rewrite. [`Validation::Count`] records violations in the
-    /// stats; [`Validation::Strict`] rejects the plan on the first one.
-    pub fn optimize_with(
-        &self,
-        term: &TypedExpr,
-        checker: &Checker,
-        catalog: &Catalog,
-        validation: Validation,
-    ) -> Result<(TypedExpr, OptimizerStats), OptError> {
-        self.drive(term, checker, catalog, &opts_for(validation), None)
-            .map(|(t, s, _)| (t, s))
-    }
-
-    /// [`Optimizer::optimize_with`] plus the rewrite trace; violating
-    /// applications carry [`RuleApplication::validation_failure`].
-    pub fn optimize_traced_with(
-        &self,
-        term: &TypedExpr,
-        checker: &Checker,
-        catalog: &Catalog,
-        validation: Validation,
-    ) -> Result<(TypedExpr, OptimizerStats, Vec<RuleApplication>), OptError> {
-        self.drive(
-            term,
-            checker,
-            catalog,
-            &opts_for(validation),
-            Some(Vec::new()),
-        )
-        .map(|(t, s, trace)| (t, s, trace.unwrap_or_default()))
-    }
-
-    /// The general entry point: optimize under explicit
-    /// [`OptimizeOpts`], optionally recording the rewrite trace.
-    pub fn optimize_opts(
-        &self,
-        term: &TypedExpr,
-        checker: &Checker,
-        catalog: &Catalog,
         opts: &OptimizeOpts,
-        traced: bool,
-    ) -> Result<(TypedExpr, OptimizerStats, Option<Vec<RuleApplication>>), OptError> {
-        self.drive(term, checker, catalog, opts, traced.then(Vec::new))
-    }
-
-    /// The rewrite loop. `trace` is `Some` only for traced runs, so the
-    /// untraced hot path renders no term strings.
-    fn drive(
-        &self,
-        term: &TypedExpr,
-        checker: &Checker,
-        catalog: &Catalog,
-        opts: &OptimizeOpts,
-        mut trace: Option<Vec<RuleApplication>>,
-    ) -> Result<(TypedExpr, OptimizerStats, Option<Vec<RuleApplication>>), OptError> {
+    ) -> Result<(TypedExpr, OptimizerStats, Vec<RuleApplication>), OptError> {
         let started = Instant::now();
+        let mut trace = opts.traced.then(Vec::new);
         let validation = opts.validation;
         let mut stats = OptimizerStats::default();
         let mut cost_ns: u64 = 0;
@@ -273,9 +202,8 @@ impl Optimizer {
                 let prev_ty = current.ty.clone();
                 let chosen = choose(candidates, checker, catalog, &mut cost_ns)?;
                 current = chosen.term;
-                let validation_failure = (validation != Validation::Off
-                    && !types_equivalent(checker.sig, &prev_ty, &current.ty))
-                .then(|| format!("result type changed from {prev_ty} to {}", current.ty));
+                let validation_failure = (!types_equivalent(checker.sig, &prev_ty, &current.ty))
+                    .then(|| format!("result type changed from {prev_ty} to {}", current.ty));
                 if validation_failure.is_some() {
                     if validation == Validation::Strict {
                         return Err(OptError::PlanTypeChanged {
@@ -312,14 +240,7 @@ impl Optimizer {
         stats.cost_ns = cost_ns;
         stats.optimize_ns = started.elapsed().as_nanos() as u64;
         stats.rewrite_ns = stats.optimize_ns.saturating_sub(cost_ns);
-        Ok((current, stats, trace))
-    }
-}
-
-fn opts_for(validation: Validation) -> OptimizeOpts {
-    OptimizeOpts {
-        validation,
-        ..OptimizeOpts::default()
+        Ok((current, stats, trace.unwrap_or_default()))
     }
 }
 

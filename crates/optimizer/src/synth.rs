@@ -14,8 +14,7 @@
 //! [`crate::types_equivalent`]).
 
 use crate::pattern::{OpPat, TermPattern};
-use crate::rewrite::{Optimizer, Rule, RuleStep, Strategy};
-use crate::validate::Validation;
+use crate::rewrite::{OptimizeOpts, Optimizer, Rule, RuleStep, Strategy};
 use crate::OptError;
 use sos_catalog::Catalog;
 use sos_core::check::Checker;
@@ -490,9 +489,13 @@ pub fn verify_rule(sig: &Signature, scenario: &Scenario, step_name: &str, rule: 
         sig,
         objects: &scenario.catalog,
     };
+    let traced = OptimizeOpts {
+        traced: true,
+        ..OptimizeOpts::default()
+    };
     let mut fired = 0;
     for w in &ws {
-        match one.optimize_traced_with(w, &checker, &scenario.catalog, Validation::Count) {
+        match one.optimize(w, &checker, &scenario.catalog, &traced) {
             Err(OptError::Recheck { error, .. }) => {
                 return Verdict::IllTyped {
                     witness: w.to_string(),

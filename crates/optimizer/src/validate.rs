@@ -18,8 +18,6 @@ use sos_core::{DataType, Signature, Symbol, TypeArg};
 /// The per-rewrite validation mode the optimizer driver runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Validation {
-    /// No type-preservation checking (the pre-validation behavior).
-    Off,
     /// Count violations in [`crate::OptimizerStats`] and mark the
     /// offending step in the rewrite trace, but keep the plan.
     #[default]

@@ -9,7 +9,7 @@ use sos_core::spec::{
     Level, OpName, OperatorSpec, Quantifier, ResultSpec, SyntaxPattern, TypeConstructorDef,
 };
 use sos_core::{sym, DataType, Expr, Signature, Symbol};
-use sos_optimizer::{Optimizer, Rule, RuleStep, Strategy, TermPattern};
+use sos_optimizer::{OptimizeOpts, Optimizer, Rule, RuleStep, Strategy, TermPattern};
 use std::collections::HashMap;
 
 /// A toy signature with unary operators f, g, h over int.
@@ -69,7 +69,9 @@ fn run(strategy: Strategy, rules: Vec<Rule>, term: &Expr) -> (String, usize) {
         strategy,
         budget: 50,
     }]);
-    let (out, stats) = optimizer.optimize(&checked, &checker, &catalog).unwrap();
+    let (out, stats, _) = optimizer
+        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .unwrap();
     (out.to_string(), stats.rewrites)
 }
 
@@ -108,7 +110,9 @@ fn bottom_up_rewrites_leaves_first() {
         strategy: Strategy::ExhaustiveBottomUp,
         budget: 50,
     }]);
-    let (out, _) = optimizer.optimize(&checked, &checker, &catalog).unwrap();
+    let (out, _, _) = optimizer
+        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .unwrap();
     // Fixpoint is the same; the strategy test is that it terminates and
     // agrees with top-down.
     assert_eq!(out.to_string(), "h(h(1))");
@@ -136,7 +140,7 @@ fn diverging_rule_sets_hit_the_budget() {
         budget: 10,
     }]);
     let err = optimizer
-        .optimize(&checked, &checker, &catalog)
+        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
         .unwrap_err();
     assert!(err.to_string().contains("fixpoint"));
 }
@@ -159,7 +163,7 @@ fn broken_rules_are_caught_by_recheck() {
     let checked = checker.check_expr(&f_of_g_of_one()).unwrap();
     let optimizer = Optimizer::new(vec![RuleStep::exhaustive("broken", vec![broken])]);
     let err = optimizer
-        .optimize(&checked, &checker, &catalog)
+        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
         .unwrap_err();
     let shown = err.to_string();
     assert!(shown.contains("broken"), "{shown}");
@@ -178,6 +182,8 @@ fn steps_apply_in_order() {
         RuleStep::exhaustive("first", vec![f_to_g()]),
         RuleStep::exhaustive("second", vec![g_to_h()]),
     ]);
-    let (out, _) = optimizer.optimize(&checked, &checker, &catalog).unwrap();
+    let (out, _, _) = optimizer
+        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .unwrap();
     assert_eq!(out.to_string(), "h(h(1))");
 }

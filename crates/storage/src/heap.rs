@@ -47,7 +47,7 @@ impl HeapFile {
         if let Some(&last) = pages.last() {
             let guard = self.pool.fetch(last)?;
             let mut buf = guard.write();
-            if SlottedPage::fits(&buf[..], record.len()) {
+            if SlottedPage::fits(&buf[..], record.len())? {
                 let slot = SlottedPage::insert(&mut buf[..], record)?;
                 return Ok(TupleId { page: last, slot });
             }
@@ -78,7 +78,7 @@ impl HeapFile {
     pub fn delete(&self, tid: TupleId) -> StorageResult<()> {
         let guard = self.pool.fetch(tid.page)?;
         let mut buf = guard.write();
-        if SlottedPage::delete(&mut buf[..], tid.slot) {
+        if SlottedPage::delete(&mut buf[..], tid.slot)? {
             Ok(())
         } else {
             Err(StorageError::InvalidTupleId {

@@ -7,6 +7,7 @@
 //! reclaimed by compaction when an insert would otherwise not fit.
 
 use crate::{StorageError, StorageResult};
+use std::ops::Range;
 
 /// Size of every page, in bytes.
 pub const PAGE_SIZE: usize = 8192;
@@ -59,14 +60,18 @@ impl SlottedPage {
         read_u16(buf, 0)
     }
 
-    fn free_end(buf: &[u8]) -> usize {
+    /// Start of the record area; `Corrupt` if the header puts it past
+    /// the page.
+    fn free_end(buf: &[u8]) -> StorageResult<usize> {
         let fe = read_u16(buf, 2) as usize;
         // A fresh (all-zero) page from the disk manager reads as
         // slot_count 0 / free_end 0; treat it as empty.
-        if fe == 0 {
-            PAGE_SIZE
-        } else {
-            fe
+        match fe {
+            0 => Ok(PAGE_SIZE),
+            fe if fe <= buf.len() => Ok(fe),
+            fe => Err(StorageError::Corrupt(format!(
+                "free-space end {fe} lies past the end of the page"
+            ))),
         }
     }
 
@@ -84,34 +89,54 @@ impl SlottedPage {
         write_u16(buf, base + 2, len as u16);
     }
 
+    /// The bytes of the live record in `slot` (`None` if the slot is
+    /// dead); `Corrupt` if the slot or its record lies past the page.
+    fn record_range(buf: &[u8], slot: u16) -> StorageResult<Option<Range<usize>>> {
+        if HEADER + (slot as usize + 1) * SLOT > buf.len() {
+            return Err(StorageError::Corrupt(format!(
+                "slot {slot} lies past the end of the page"
+            )));
+        }
+        let (off, len) = Self::slot(buf, slot);
+        if off == 0 {
+            return Ok(None);
+        }
+        if off + len > buf.len() {
+            return Err(StorageError::Corrupt(format!(
+                "record of {len} bytes at offset {off} in slot {slot} overruns the page"
+            )));
+        }
+        Ok(Some(off..off + len))
+    }
+
     /// Free bytes available for a new record (including its slot entry).
-    pub fn free_space(buf: &[u8]) -> usize {
-        let used_front = HEADER + Self::slot_count(buf) as usize * SLOT;
-        Self::free_end(buf).saturating_sub(used_front)
+    pub fn free_space(buf: &[u8]) -> StorageResult<usize> {
+        let used_front = HEADER + Self::slots(buf)?.len() * SLOT;
+        Ok(Self::free_end(buf)?.saturating_sub(used_front))
     }
 
     /// Would `record` fit, possibly after compaction and reusing a dead slot?
-    pub fn fits(buf: &[u8], record_len: usize) -> bool {
-        let live: usize = Self::live_bytes(buf);
-        let slots = Self::slot_count(buf) as usize;
-        let has_dead = Self::first_dead_slot(buf).is_some();
-        let slot_cost = if has_dead { 0 } else { SLOT };
-        PAGE_SIZE - HEADER - slots * SLOT >= live + record_len + slot_cost
+    pub fn fits(buf: &[u8], record_len: usize) -> StorageResult<bool> {
+        let slots = Self::slots(buf)?.len();
+        let live = Self::live_bytes(buf)?;
+        let slot_cost = if Self::first_dead_slot(buf)?.is_some() {
+            0
+        } else {
+            SLOT
+        };
+        Ok(PAGE_SIZE - HEADER - slots * SLOT >= live + record_len + slot_cost)
     }
 
-    fn live_bytes(buf: &[u8]) -> usize {
+    fn live_bytes(buf: &[u8]) -> StorageResult<usize> {
         let mut total = 0;
-        for i in 0..Self::slot_count(buf) {
-            let (off, len) = Self::slot(buf, i);
-            if off != 0 {
-                total += len;
-            }
+        for i in Self::slots(buf)? {
+            total += Self::record_range(buf, i)?.map_or(0, |r| r.len());
         }
-        total
+        Ok(total)
     }
 
-    fn first_dead_slot(buf: &[u8]) -> Option<u16> {
-        (0..Self::slot_count(buf)).find(|&i| Self::slot(buf, i).0 == 0)
+    fn first_dead_slot(buf: &[u8]) -> StorageResult<Option<u16>> {
+        Ok(Self::slots(buf)?.find(|&i| Self::slot(buf, i).0 == 0))
     }
 
     /// Insert a record, returning its slot. Compacts if fragmented.
@@ -122,24 +147,24 @@ impl SlottedPage {
                 max: MAX_RECORD,
             });
         }
-        if !Self::fits(buf, record.len()) {
+        if !Self::fits(buf, record.len())? {
             return Err(StorageError::RecordTooLarge {
                 size: record.len(),
-                max: Self::free_space(buf),
+                max: Self::free_space(buf)?,
             });
         }
-        let slot = Self::first_dead_slot(buf);
+        let slot = Self::first_dead_slot(buf)?;
         let needs_new_slot = slot.is_none();
         let needed = record.len() + if needs_new_slot { SLOT } else { 0 };
-        if Self::free_space(buf) < needed {
-            Self::compact(buf);
+        if Self::free_space(buf)? < needed {
+            Self::compact(buf)?;
         }
         let slot = slot.unwrap_or_else(|| {
             let s = Self::slot_count(buf);
             write_u16(buf, 0, s + 1);
             s
         });
-        let off = Self::free_end(buf) - record.len();
+        let off = Self::free_end(buf)? - record.len();
         buf[off..off + record.len()].copy_from_slice(record);
         write_u16(buf, 2, off as u16);
         Self::set_slot(buf, slot, off, record.len());
@@ -152,33 +177,17 @@ impl SlottedPage {
         if slot >= Self::slot_count(buf) {
             return Ok(None);
         }
-        if HEADER + (slot as usize + 1) * SLOT > buf.len() {
-            return Err(StorageError::Corrupt(format!(
-                "slot {slot} lies past the end of the page"
-            )));
-        }
-        let (off, len) = Self::slot(buf, slot);
-        if off == 0 {
-            return Ok(None);
-        }
-        buf.get(off..off + len).map(Some).ok_or_else(|| {
-            StorageError::Corrupt(format!(
-                "record of {len} bytes at offset {off} in slot {slot} overruns the page"
-            ))
-        })
+        Ok(Self::record_range(buf, slot)?.map(|r| &buf[r]))
     }
 
-    /// Delete the record in `slot`. Returns whether a live record was there.
-    pub fn delete(buf: &mut [u8], slot: u16) -> bool {
-        if slot >= Self::slot_count(buf) {
-            return false;
-        }
-        let (off, _) = Self::slot(buf, slot);
-        if off == 0 {
-            return false;
+    /// Delete the record in `slot`. Returns whether a live record was
+    /// there; `Corrupt` if the slot or its record lies past the page.
+    pub fn delete(buf: &mut [u8], slot: u16) -> StorageResult<bool> {
+        if Self::get(buf, slot)?.is_none() {
+            return Ok(false);
         }
         Self::set_slot(buf, slot, 0, 0);
-        true
+        Ok(true)
     }
 
     /// Replace the record in `slot` (the paper's in-situ `modify`).
@@ -196,18 +205,16 @@ impl SlottedPage {
             return Ok(());
         }
         // Re-insert: free, compact, place at the back.
-        Self::set_slot(buf, slot, 0, 0);
-        let live = Self::live_bytes(buf);
+        let live = Self::live_bytes(buf)? - len;
         if PAGE_SIZE - HEADER - Self::slot_count(buf) as usize * SLOT < live + record.len() {
-            // Restore the old record reference before failing.
-            Self::set_slot(buf, slot, off, len);
             return Err(StorageError::RecordTooLarge {
                 size: record.len(),
                 max: PAGE_SIZE - HEADER - live,
             });
         }
-        Self::compact(buf);
-        let new_off = Self::free_end(buf) - record.len();
+        Self::set_slot(buf, slot, 0, 0);
+        Self::compact(buf)?;
+        let new_off = Self::free_end(buf)? - record.len();
         buf[new_off..new_off + record.len()].copy_from_slice(record);
         write_u16(buf, 2, new_off as u16);
         Self::set_slot(buf, slot, new_off, record.len());
@@ -222,7 +229,7 @@ impl SlottedPage {
 
     /// Every slot number of the directory, live or dead; `Corrupt` if
     /// the directory runs past the page.
-    pub(crate) fn slots(buf: &[u8]) -> StorageResult<std::ops::Range<u16>> {
+    pub(crate) fn slots(buf: &[u8]) -> StorageResult<Range<u16>> {
         let count = Self::slot_count(buf);
         if HEADER + count as usize * SLOT > buf.len() {
             return Err(StorageError::Corrupt(format!(
@@ -233,13 +240,13 @@ impl SlottedPage {
     }
 
     /// Slide all live records to the back of the page, preserving slots.
-    fn compact(buf: &mut [u8]) {
-        let count = Self::slot_count(buf);
-        let mut records: Vec<(u16, Vec<u8>)> = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let (off, len) = Self::slot(buf, i);
-            if off != 0 {
-                records.push((i, buf[off..off + len].to_vec()));
+    /// Callers first check that the live records fit beside the slot
+    /// directory (`fits`).
+    fn compact(buf: &mut [u8]) -> StorageResult<()> {
+        let mut records: Vec<(u16, Vec<u8>)> = Vec::new();
+        for i in Self::slots(buf)? {
+            if let Some(r) = Self::record_range(buf, i)? {
+                records.push((i, buf[r].to_vec()));
             }
         }
         let mut end = PAGE_SIZE;
@@ -249,6 +256,7 @@ impl SlottedPage {
             Self::set_slot(buf, *slot, end, rec.len());
         }
         write_u16(buf, 2, end as u16);
+        Ok(())
     }
 }
 
@@ -284,8 +292,8 @@ mod tests {
     fn delete_frees_slot_and_reuses_it() {
         let mut p = fresh();
         let s0 = SlottedPage::insert(&mut p, b"aaaa").unwrap();
-        assert!(SlottedPage::delete(&mut p, s0));
-        assert!(!SlottedPage::delete(&mut p, s0));
+        assert!(SlottedPage::delete(&mut p, s0).unwrap());
+        assert!(!SlottedPage::delete(&mut p, s0).unwrap());
         assert_eq!(SlottedPage::get(&p, s0).unwrap(), None);
         let s1 = SlottedPage::insert(&mut p, b"bbbb").unwrap();
         assert_eq!(s0, s1, "dead slot should be reused");
@@ -296,7 +304,7 @@ mod tests {
         let mut p = fresh();
         let rec = vec![7u8; 100];
         let mut n = 0;
-        while SlottedPage::fits(&p, rec.len()) {
+        while SlottedPage::fits(&p, rec.len()).unwrap() {
             SlottedPage::insert(&mut p, &rec).unwrap();
             n += 1;
         }
@@ -309,13 +317,13 @@ mod tests {
         let mut p = fresh();
         let rec = vec![1u8; 1000];
         let mut slots = vec![];
-        while SlottedPage::fits(&p, rec.len()) {
+        while SlottedPage::fits(&p, rec.len()).unwrap() {
             slots.push(SlottedPage::insert(&mut p, &rec).unwrap());
         }
         // Delete every other record, then a record of twice the size must fit
         // via compaction (holes are not adjacent).
         for s in slots.iter().step_by(2) {
-            SlottedPage::delete(&mut p, *s);
+            SlottedPage::delete(&mut p, *s).unwrap();
         }
         let big = vec![2u8; 2000];
         let s = SlottedPage::insert(&mut p, &big).unwrap();
@@ -360,7 +368,7 @@ mod tests {
         let a = SlottedPage::insert(&mut p, b"a").unwrap();
         let b = SlottedPage::insert(&mut p, b"b").unwrap();
         let c = SlottedPage::insert(&mut p, b"c").unwrap();
-        SlottedPage::delete(&mut p, b);
+        SlottedPage::delete(&mut p, b).unwrap();
         let live: Vec<u16> = SlottedPage::live_slots(&p).unwrap().collect();
         assert_eq!(live, vec![a, c]);
     }

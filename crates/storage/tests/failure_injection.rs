@@ -187,6 +187,29 @@ fn a_heap_slot_past_the_page_is_a_corrupt_error() {
 }
 
 #[test]
+fn heap_writes_to_a_page_that_overruns_itself_are_corrupt_errors() {
+    let pool = sos_storage::mem_pool(16);
+    let heap = HeapFile::create(pool.clone()).unwrap();
+    let tid = heap.insert(b"first").unwrap();
+    heap.insert(b"second").unwrap();
+    // A slot directory that runs past the page.
+    corrupt_u16(&pool, tid.page, 0, u16::MAX);
+    assert_corrupt("insert", heap.insert(b"third"));
+    assert_corrupt("update", heap.update(tid, b"a longer first record"));
+    corrupt_u16(&pool, tid.page, 0, 2);
+    // Slot 0's length (page header 4 bytes, then offset, length).
+    corrupt_u16(&pool, tid.page, 6, u16::MAX);
+    assert_corrupt("insert", heap.insert(b"third"));
+    assert_corrupt("update", heap.update(tid, b"a longer first record"));
+    assert_corrupt("delete", heap.delete(tid));
+    corrupt_u16(&pool, tid.page, 6, 5);
+    // A free-space end past the page.
+    corrupt_u16(&pool, tid.page, 2, u16::MAX);
+    assert_corrupt("insert", heap.insert(b"third"));
+    assert_eq!(pool.pinned_frames(), 0);
+}
+
+#[test]
 fn a_btree_leaf_entry_past_the_page_is_a_corrupt_error() {
     let pool = sos_storage::mem_pool(16);
     let tree = BTree::create(pool.clone()).unwrap();

@@ -26,7 +26,7 @@ use sos_core::{Const, DataType, Symbol};
 use sos_exec::{EvalCtx, Value};
 use sos_geom::{Point, Polygon};
 use sos_optimizer::synth::{self, Scenario};
-use sos_optimizer::{Optimizer, RuleStep, Strategy, Validation};
+use sos_optimizer::{OptimizeOpts, Optimizer, RuleStep, Strategy};
 
 /// Fuzzer parameters. The defaults are what CI runs.
 #[derive(Debug, Clone)]
@@ -254,6 +254,10 @@ pub fn fuzz_optimizer(opt: &Optimizer, cfg: &FuzzConfig) -> Result<FuzzReport, S
     let mut db = scenario_database(cfg)?;
     let scenario = Scenario::build(&db.sig);
     let mut report = FuzzReport::default();
+    let traced = OptimizeOpts {
+        traced: true,
+        ..OptimizeOpts::default()
+    };
     for step in &opt.steps {
         for rule in &step.rules {
             report.rules += 1;
@@ -271,14 +275,13 @@ pub fn fuzz_optimizer(opt: &Optimizer, cfg: &FuzzConfig) -> Result<FuzzReport, S
                     continue;
                 }
                 let checker = sos_core::check::Checker::new(&db.sig, &db.catalog);
-                let rewritten =
-                    match one.optimize_traced_with(w, &checker, &db.catalog, Validation::Count) {
-                        // An ill-typed rewrite is the type verifier's
-                        // finding (L006), not a semantics mismatch.
-                        Err(_) => continue,
-                        Ok((_, _, trace)) if trace.is_empty() => continue,
-                        Ok((r, _, _)) => r,
-                    };
+                let rewritten = match one.optimize(w, &checker, &db.catalog, &traced) {
+                    // An ill-typed rewrite is the type verifier's
+                    // finding (L006), not a semantics mismatch.
+                    Err(_) => continue,
+                    Ok((_, _, trace)) if trace.is_empty() => continue,
+                    Ok((r, _, _)) => r,
+                };
                 fired = true;
                 let expected = bag(&eval(&mut db, w)?);
                 let actual = bag(&eval(&mut db, &rewritten)?);

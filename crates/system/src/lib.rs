@@ -224,7 +224,6 @@ pub struct DatabaseBuilder {
     optimize: Option<bool>,
     trace: bool,
     strict_lint: bool,
-    validate_plans: Option<bool>,
     cost_based: Option<bool>,
 }
 
@@ -354,6 +353,13 @@ impl DatabaseBuilder {
     /// [`Database::add_rule_step`] registrations that produce
     /// error-severity lint diagnostics (default: off). Warnings never
     /// reject; [`Database::lint`] reports everything either way.
+    ///
+    /// The optimizer always validates rewritten plans: after every
+    /// rewrite it compares the plan's result type with the type before
+    /// the rewrite (modulo representation). With `strict_lint` on, a
+    /// violating rewrite rejects the plan; otherwise violations are
+    /// counted in `plan_validation_failures` (see `.metrics`) and the
+    /// offending step is marked in the EXPLAIN rewrite trace.
     pub fn strict_lint(mut self, enabled: bool) -> DatabaseBuilder {
         self.strict_lint = enabled;
         self
@@ -369,17 +375,6 @@ impl DatabaseBuilder {
     /// optimized with its own literals.
     pub fn cost_based(mut self, enabled: bool) -> DatabaseBuilder {
         self.cost_based = Some(enabled);
-        self
-    }
-
-    /// Validate rewritten plans (default: on): after every rewrite the
-    /// optimizer compares the plan's result type with the type before
-    /// the rewrite (modulo representation). With `strict_lint` on, a
-    /// violating rewrite rejects the plan; otherwise violations are
-    /// counted in `plan_validation_failures` (see `.metrics`) and the
-    /// offending step is marked in the EXPLAIN rewrite trace.
-    pub fn validate_plans(mut self, enabled: bool) -> DatabaseBuilder {
-        self.validate_plans = Some(enabled);
         self
     }
 
@@ -443,7 +438,6 @@ impl DatabaseBuilder {
             total_opt_stats: OptimizerStats::default(),
             tracer: Tracer::new(self.trace),
             strict_lint: self.strict_lint,
-            validate_plans: self.validate_plans.unwrap_or(true),
             plan_cache: plancache::PlanCache::default(),
             cost_based: self.cost_based.unwrap_or(false),
             recovery,
@@ -472,9 +466,6 @@ pub struct Database {
     tracer: Tracer,
     /// Reject spec/rule registrations with error-severity diagnostics.
     strict_lint: bool,
-    /// Re-typecheck rewritten plans against the pre-rewrite result type
-    /// (see [`DatabaseBuilder::validate_plans`]).
-    validate_plans: bool,
     /// Optimized plans keyed by parsed statement (see [`plancache`]);
     /// consulted while the optimizer is on and cost-based choice is off.
     plan_cache: plancache::PlanCache,
@@ -652,17 +643,6 @@ impl Database {
     /// Whether the rule optimizer is applied to statements.
     pub fn optimizer_enabled(&self) -> bool {
         self.optimize_enabled
-    }
-
-    /// Turn plan validation off/on at runtime (initial value:
-    /// [`DatabaseBuilder::validate_plans`], default on).
-    pub fn set_validate_plans(&mut self, enabled: bool) {
-        self.validate_plans = enabled;
-    }
-
-    /// Whether rewritten plans are re-typechecked per rewrite.
-    pub fn validate_plans_enabled(&self) -> bool {
-        self.validate_plans
     }
 
     /// Turn cost-based rewrite selection off/on at runtime (initial
@@ -1223,13 +1203,11 @@ impl Database {
         Ok(self.checker().check_expr(e)?)
     }
 
-    /// Plan-validation level for the optimizer: off when disabled via
-    /// the builder, `Strict` (reject violating plans) under strict
-    /// lint, counting + trace-marking otherwise.
+    /// Plan-validation level for the optimizer: `Strict` (reject
+    /// violating plans) under strict lint, counting + trace-marking
+    /// otherwise.
     fn validation(&self) -> Validation {
-        if !self.validate_plans {
-            Validation::Off
-        } else if self.strict_lint {
+        if self.strict_lint {
             Validation::Strict
         } else {
             Validation::Count
@@ -1267,15 +1245,14 @@ impl Database {
         let opts = OptimizeOpts {
             validation: self.validation(),
             cost_based: self.cost_based,
+            traced,
         };
-        let result = self
-            .optimizer
-            .optimize_opts(t, &checker, &self.catalog, &opts, traced);
+        let result = self.optimizer.optimize(t, &checker, &self.catalog, &opts);
         self.tracer.finish(Phase::Optimize, span);
         let (optimized, stats, trace) = result?;
         self.last_opt_stats = stats;
         self.total_opt_stats.absorb(stats);
-        Ok((optimized, trace.unwrap_or_default()))
+        Ok((optimized, trace))
     }
 
     /// Whether statements are planned through the statement cache. Rule

@@ -4,7 +4,7 @@
 //! tests compare against are text plans by construction.
 
 use sos_exec::Value;
-use sos_optimizer::{parse_rules, Optimizer, RuleStep};
+use sos_optimizer::{parse_rules, OptimizeOpts, Optimizer, RuleStep};
 use sos_system::Database;
 
 fn as_count(v: &Value) -> i64 {
@@ -102,7 +102,9 @@ fn db2_plan(
 ) {
     let raw = sos_parser::parse_expr_str("items select[k = 7]", db.signature()).unwrap();
     let checked = checker.check_expr(&raw).unwrap();
-    let (optimized, stats) = optimizer.optimize(&checked, checker, db.catalog()).unwrap();
+    let (optimized, stats, _) = optimizer
+        .optimize(&checked, checker, db.catalog(), &OptimizeOpts::default())
+        .unwrap();
     assert_eq!(optimized.to_string(), builtin_plan);
     assert_eq!(stats.rewrites, 1);
 }
@@ -149,8 +151,8 @@ fn textual_funvar_rule_matches_spatial_join() {
         sos_parser::parse_expr_str("cities states join[center inside region]", db.signature())
             .unwrap();
     let checked = checker.check_expr(&raw).unwrap();
-    let (optimized, _) = optimizer
-        .optimize(&checked, &checker, db.catalog())
+    let (optimized, _, _) = optimizer
+        .optimize(&checked, &checker, db.catalog(), &OptimizeOpts::default())
         .unwrap();
     assert_eq!(optimized.to_string(), reference);
 }
