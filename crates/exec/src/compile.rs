@@ -58,11 +58,12 @@ use crate::error::{ExecError, ExecResult};
 use crate::handles::load_field;
 use crate::ops::basic::{div_int, mod_int, Atomic};
 use crate::ops::{OpId, OpTable};
+use crate::stats::ExecStats;
 use crate::value::{Closure, Row, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{DataType, Symbol};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Why a closure could not be compiled. [`Fallback::reason`] is the
 /// stable key recorded in [`crate::stats::CompileStats`].
@@ -433,6 +434,9 @@ pub struct CompiledFun {
     out: usize,
     n_regs: usize,
     col: Option<ColProgram>,
+    /// The engine's counters, where a finished columnar batch is
+    /// recorded.
+    stats: Rc<ExecStats>,
 }
 
 impl CompiledFun {
@@ -457,6 +461,7 @@ impl CompiledFun {
             out,
             n_regs,
             col,
+            stats: Rc::clone(&engine.stats),
         };
         cf.verify(engine.ops()).map_err(Fallback::Rejected)?;
         Ok(cf)
@@ -604,6 +609,7 @@ impl CompiledFun {
     ) -> Vec<bool> {
         if let Some(col) = &self.col {
             if let ColOutcome::Bools(mask) = col.run(batch) {
+                self.stats.record_columnar_batch();
                 return mask;
             }
         }
@@ -642,11 +648,13 @@ impl CompiledFun {
     /// to fully interleaved per-row evaluation, keeping the
     /// interpreter's error order exactly.
     pub fn try_columnar(&self, batch: &[Value]) -> Option<Vec<Value>> {
-        match self.col.as_ref()?.run(batch) {
-            ColOutcome::Ints(vs) => Some(vs.into_iter().map(Value::Int).collect()),
-            ColOutcome::Bools(vs) => Some(vs.into_iter().map(Value::Bool).collect()),
-            ColOutcome::Bail => None,
-        }
+        let vs = match self.col.as_ref()?.run(batch) {
+            ColOutcome::Ints(vs) => vs.into_iter().map(Value::Int).collect(),
+            ColOutcome::Bools(vs) => vs.into_iter().map(Value::Bool).collect(),
+            ColOutcome::Bail => return None,
+        };
+        self.stats.record_columnar_batch();
+        Some(vs)
     }
 
     fn exec<R: Row>(&self, regs: &mut [Value], args: &[R]) -> ExecResult<Value> {
@@ -955,14 +963,14 @@ impl ColLowering<'_> {
 /// Compile a shared closure through the engine's knob and counters:
 /// `None` (interpreter) when compilation is disabled or the body falls
 /// outside the pure subset, recording the outcome either way.
-pub fn compile_gated(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<CompiledFun>> {
+pub fn compile_gated(engine: &ExecEngine, closure: &Rc<Closure>) -> Option<Rc<CompiledFun>> {
     if !engine.compile_exprs_enabled() {
         return None;
     }
     match CompiledFun::compile(engine, closure) {
         Ok(cf) => {
             engine.stats.record_compiled();
-            Some(Arc::new(cf))
+            Some(Rc::new(cf))
         }
         Err(f) => {
             engine.stats.record_fallback(&f);
@@ -976,6 +984,7 @@ mod tests {
     use super::*;
     use crate::testing::{apply, engine};
     use sos_core::{Const, TypeArg};
+    use std::sync::Arc;
 
     fn ty(name: &str) -> DataType {
         DataType::atom(name)
@@ -1339,14 +1348,14 @@ mod tests {
     #[test]
     fn gating_respects_the_engine_knob_and_counts() {
         let mut e = engine();
-        let pred = Arc::new(closure1(apply(
+        let pred = Rc::new(closure1(apply(
             "=",
             vec![field("k", "int"), cint(0)],
             ty("bool"),
         )));
         assert!(compile_gated(&e, &pred).is_some());
         assert_eq!(e.stats.compile_snapshot().compiled, 1);
-        let impure = Arc::new(closure1(TypedExpr::new(
+        let impure = Rc::new(closure1(TypedExpr::new(
             TypedNode::Object(Symbol::new("r")),
             ty("int"),
         )));
@@ -1406,6 +1415,34 @@ mod tests {
     }
 
     #[test]
+    fn columnar_batches_count_only_batches_the_kernel_finished() {
+        let e = engine();
+        let compile = |body| CompiledFun::compile(&e, &closure1(body)).expect("compiles");
+        let ok = vec![item(1, 0, "", false), item(2, 0, "", false)];
+        let overflow = vec![item(1, 0, "", false), item(i64::MAX, 0, "", false)];
+        let pred = compile(apply("<", vec![field("k", "int"), cint(10)], ty("bool")));
+        pred.eval_mask(&ok, "filter").unwrap();
+        assert_eq!(e.stats.columnar_batches(), 1);
+        let double = compile(apply("*", vec![field("k", "int"), cint(2)], ty("int")));
+        assert!(double.try_columnar(&ok).is_some());
+        assert_eq!(e.stats.columnar_batches(), 2);
+        // A batch the kernel bails on runs row by row and is not counted.
+        assert!(double.try_columnar(&overflow).is_none());
+        assert!(double.eval_column(&overflow).is_err());
+        // Neither is a batch of a program with no kernel.
+        let ne = compile(apply(
+            "!=",
+            vec![
+                field("s", "string"),
+                TypedExpr::new(TypedNode::Const(Const::Str("x".into())), ty("string")),
+            ],
+            ty("bool"),
+        ));
+        ne.eval_mask(&ok, "filter").unwrap();
+        assert_eq!(e.stats.columnar_batches(), 2);
+    }
+
+    #[test]
     fn columnar_bailout_reruns_tier_a_with_identical_errors() {
         // Overflow in the middle of a batch: the columnar attempt bails
         // and the row-order first error surfaces, as the interpreter
@@ -1454,15 +1491,16 @@ mod tests {
     /// is checked once per program instead of assumed per row.
     #[test]
     fn verifier_rejects_malformed_programs() {
+        let e = engine();
         let tier_a = |insts: Vec<Inst>, out: usize, n_regs: usize| CompiledFun {
             arity: 1,
             insts: insts.into_boxed_slice(),
             out,
             n_regs,
             col: None,
+            stats: Rc::clone(&e.stats),
         };
 
-        let e = engine();
         let ops = e.ops();
         let id = |name: &str| {
             ops.entries()

@@ -26,12 +26,12 @@ use sos_storage::heap::HeapFile;
 use sos_storage::lsdtree::LsdTree;
 use sos_storage::BufferPool;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// An operator implementation: receives the (typed) application node for
 /// schema information and the already-evaluated argument values.
-pub type OpImpl =
-    Box<dyn Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value> + Send + Sync>;
+pub type OpImpl = Box<dyn Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value>>;
 
 /// The execution engine: operator implementations over a buffer pool.
 pub struct ExecEngine {
@@ -45,7 +45,7 @@ pub struct ExecEngine {
     /// [`crate::compile`]); `false` keeps the interpreter everywhere.
     compile: bool,
     /// Per-operator execution counters.
-    pub stats: Arc<crate::stats::ExecStats>,
+    pub stats: Rc<crate::stats::ExecStats>,
 }
 
 /// Default vectorized batch width: enough rows to amortize closure-call
@@ -62,7 +62,7 @@ impl ExecEngine {
             ops: OpTable::default(),
             batch: DEFAULT_BATCH,
             compile: true,
-            stats: Arc::new(crate::stats::ExecStats::default()),
+            stats: Rc::new(crate::stats::ExecStats::default()),
         };
         crate::ops::register_builtins(&mut e);
         e
@@ -75,7 +75,7 @@ impl ExecEngine {
     /// signature is (re)bound.
     pub fn add_op<F>(&mut self, name: &str, f: F)
     where
-        F: Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value> + Send + Sync + 'static,
+        F: Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value> + 'static,
     {
         self.ops.add(name, Box::new(f), None);
     }
@@ -137,10 +137,8 @@ impl ExecEngine {
         };
         match name.as_str() {
             "rel" => Ok(Value::Rel(Vec::new())),
-            "srel" => Ok(Value::SRel(Arc::new(HeapFile::create(self.pool.clone())?))),
-            "tidrel" => Ok(Value::TidRel(Arc::new(HeapFile::create(
-                self.pool.clone(),
-            )?))),
+            "srel" => Ok(Value::SRel(Rc::new(HeapFile::create(self.pool.clone())?))),
+            "tidrel" => Ok(Value::TidRel(Rc::new(HeapFile::create(self.pool.clone())?))),
             "btree" => {
                 let (tuple_type, attr) = match args.as_slice() {
                     [TypeArg::Type(t), TypeArg::Expr(sos_core::Expr::Const(sos_core::Const::Ident(a))), _] => {
@@ -151,7 +149,7 @@ impl ExecEngine {
                 let idx = attr_index(&tuple_type, &attr).ok_or_else(|| {
                     ExecError::Other(format!("attribute `{attr}` not in {tuple_type}"))
                 })?;
-                Ok(Value::BTree(Arc::new(BTreeHandle {
+                Ok(Value::BTree(Rc::new(BTreeHandle {
                     tree: BTree::create(self.pool.clone())?,
                     tuple_type,
                     key: KeyExtractor::Attr(idx),
@@ -175,7 +173,7 @@ impl ExecEngine {
                     })?;
                     idxs.push(idx);
                 }
-                Ok(Value::BTree(Arc::new(BTreeHandle {
+                Ok(Value::BTree(Rc::new(BTreeHandle {
                     tree: BTree::create(self.pool.clone())?,
                     tuple_type,
                     key: KeyExtractor::Attrs(idxs),
@@ -187,7 +185,7 @@ impl ExecEngine {
                     _ => return Err(ExecError::Other(format!("malformed kbtree type {ty}"))),
                 };
                 let checked = check_keyfun(sig, env, &keyfun, &tuple_type)?;
-                Ok(Value::BTree(Arc::new(BTreeHandle {
+                Ok(Value::BTree(Rc::new(BTreeHandle {
                     tree: BTree::create(self.pool.clone())?,
                     tuple_type,
                     key: KeyExtractor::Fun(checked),
@@ -199,7 +197,7 @@ impl ExecEngine {
                     _ => return Err(ExecError::Other(format!("malformed lsdtree type {ty}"))),
                 };
                 let checked = check_keyfun(sig, env, &keyfun, &tuple_type)?;
-                Ok(Value::LsdTree(Arc::new(LsdHandle {
+                Ok(Value::LsdTree(Rc::new(LsdHandle {
                     tree: LsdTree::create(self.pool.clone())?,
                     tuple_type,
                     keyfun: checked,
@@ -293,7 +291,7 @@ impl<'a> EvalCtx<'a> {
                 .find(|(n, _)| n == name)
                 .map(|(_, v)| v.clone())
                 .ok_or_else(|| ExecError::Other(format!("unbound variable `{name}`"))),
-            TypedNode::Lambda { params, body } => Ok(Value::Closure(Arc::new(Closure {
+            TypedNode::Lambda { params, body } => Ok(Value::Closure(Rc::new(Closure {
                 params: params.clone(),
                 body: body.clone(),
                 captured: self.vars.clone(),

@@ -8,7 +8,8 @@ use crate::handles::encode_key;
 use crate::stream::Cursor;
 use crate::value::Value;
 use sos_storage::keys;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A pipelined range cursor over a clustered B-tree (`expected` names
 /// the representation in the type-mismatch error).
@@ -22,9 +23,11 @@ fn range_cursor(
     let Value::BTree(h) = target else {
         return Err(mismatch(op, expected, &target.kind_name()));
     };
-    Ok(Value::Cursor(Arc::new(parking_lot::Mutex::new(
-        Cursor::btree_range(h.clone(), lo, hi),
-    ))))
+    Ok(Value::Cursor(Rc::new(RefCell::new(Cursor::btree_range(
+        h.clone(),
+        lo,
+        hi,
+    )))))
 }
 
 pub fn register(e: &mut ExecEngine) {

@@ -13,7 +13,8 @@ use crate::value::{Row, Value};
 use sos_core::typed::TypedExpr;
 use sos_core::{DataType, Symbol};
 use sos_storage::heap::HeapFile;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The terminal aggregates a [`Fold`] computes.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -187,7 +188,7 @@ pub fn feed_value(v: &Value) -> ExecResult<Vec<Value>> {
 }
 
 fn cursor_value(c: Cursor) -> Value {
-    Value::Cursor(std::sync::Arc::new(parking_lot::Mutex::new(c)))
+    Value::Cursor(Rc::new(RefCell::new(c)))
 }
 
 pub fn register(e: &mut ExecEngine) {
@@ -255,7 +256,7 @@ pub fn register(e: &mut ExecEngine) {
             Ok(())
         })?;
         ctx.engine.stats.record_batches("collect", batches, rows);
-        Ok(Value::SRel(Arc::new(heap)))
+        Ok(Value::SRel(Rc::new(heap)))
     });
 
     // hashjoin[a1, a2] — a classic equi-join: build a hash table on the

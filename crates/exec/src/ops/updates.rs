@@ -20,7 +20,7 @@ use crate::ops::relational::{arg_nodes, attr_index_of_node};
 use crate::value::{Closure, Value};
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{Const, Symbol};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The object name of an application argument (catalog updates need the
 /// name, not a value).
@@ -103,7 +103,7 @@ fn delete_tuple(ctx: &mut EvalCtx, target: &Value, tuple: &Value) -> ExecResult<
 fn modified_pairs(
     ctx: &mut EvalCtx,
     tuples: &[Value],
-    fun: &Arc<Closure>,
+    fun: &Rc<Closure>,
     op: &str,
 ) -> ExecResult<Vec<(Value, Value)>> {
     let out = ctx.call(fun, vec![Value::Stream(tuples.to_vec())])?;

@@ -7,9 +7,8 @@
 //! command read it.
 
 use crate::compile::Fallback;
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cumulative counters for one operator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,22 +86,27 @@ impl CompileStats {
     }
 }
 
-/// Engine-wide per-operator counters, shared behind the engine. The
-/// compile counters are lock-free: one atomic for compiled closures and
-/// one per fallback reason (a `search_join` compiles once per outer
-/// tuple).
-#[derive(Default)]
+/// Engine-wide per-operator counters, shared behind the engine on its
+/// one thread. The compile counters are plain cells: one for compiled
+/// closures and one per fallback reason (a `search_join` compiles once
+/// per outer tuple).
+#[derive(Debug, Default)]
 pub struct ExecStats {
-    ops: Mutex<HashMap<&'static str, OpStats>>,
-    compiled: AtomicU64,
-    fallbacks: [AtomicU64; Fallback::REASONS.len()],
-    rows_decoded: AtomicU64,
+    ops: RefCell<HashMap<&'static str, OpStats>>,
+    compiled: Cell<u64>,
+    fallbacks: [Cell<u64>; Fallback::REASONS.len()],
+    rows_decoded: Cell<u64>,
+    columnar_batches: Cell<u64>,
+}
+
+fn bump(n: &Cell<u64>, by: u64) {
+    n.set(n.get() + by);
 }
 
 impl ExecStats {
     /// Record one operator invocation.
     pub fn record(&self, op: &'static str, tuples_in: usize, tuples_out: usize) {
-        let mut ops = self.ops.lock();
+        let mut ops = self.ops.borrow_mut();
         let s = ops.entry(op).or_default();
         s.invocations += 1;
         s.tuples_in += tuples_in as u64;
@@ -116,7 +120,7 @@ impl ExecStats {
         if batches == 0 {
             return;
         }
-        let mut ops = self.ops.lock();
+        let mut ops = self.ops.borrow_mut();
         let s = ops.entry(op).or_default();
         s.batches += batches;
         s.batched_rows += rows;
@@ -130,14 +134,14 @@ impl ExecStats {
 
     /// Counters for one operator, or `None` if it never ran.
     pub fn get(&self, op: &str) -> Option<OpStats> {
-        self.ops.lock().get(op).copied()
+        self.ops.borrow().get(op).copied()
     }
 
     /// All per-operator counters, sorted by operator name.
     pub fn snapshot(&self) -> Vec<(String, OpStats)> {
         let mut out: Vec<(String, OpStats)> = self
             .ops
-            .lock()
+            .borrow()
             .iter()
             .map(|(k, v)| (k.to_string(), *v))
             .collect();
@@ -147,26 +151,36 @@ impl ExecStats {
 
     /// Record `n` stored records decoded into tuples.
     pub fn record_decoded(&self, n: u64) {
-        if n > 0 {
-            self.rows_decoded.fetch_add(n, Ordering::Relaxed);
-        }
+        bump(&self.rows_decoded, n);
     }
 
     /// Stored records decoded into tuples by scans and index searches:
     /// a record that a pushed-down filter rejects, or that a fused
     /// aggregate folds in place, is never decoded.
     pub fn rows_decoded(&self) -> u64 {
-        self.rows_decoded.load(Ordering::Relaxed)
+        self.rows_decoded.get()
+    }
+
+    /// Record one batch that the columnar (tier-B) kernel evaluated to
+    /// the end, with no bail-out to the row-at-a-time path.
+    pub fn record_columnar_batch(&self) {
+        bump(&self.columnar_batches, 1);
+    }
+
+    /// Batches the columnar kernel finished (see
+    /// [`ExecStats::record_columnar_batch`]); 0 means tier B never ran.
+    pub fn columnar_batches(&self) -> u64 {
+        self.columnar_batches.get()
     }
 
     /// Record one closure lowered to bytecode.
     pub fn record_compiled(&self) {
-        self.compiled.fetch_add(1, Ordering::Relaxed);
+        bump(&self.compiled, 1);
     }
 
     /// Record one interpreter fallback under its reason.
     pub fn record_fallback(&self, reason: &Fallback) {
-        self.fallbacks[reason.index()].fetch_add(1, Ordering::Relaxed);
+        bump(&self.fallbacks[reason.index()], 1);
     }
 
     /// The expression-compiler counters, fallbacks sorted by reason.
@@ -174,22 +188,23 @@ impl ExecStats {
         let fallbacks = Fallback::REASONS
             .iter()
             .zip(&self.fallbacks)
-            .map(|(r, n)| (r.to_string(), n.load(Ordering::Relaxed)))
+            .map(|(r, n)| (r.to_string(), n.get()))
             .filter(|(_, n)| *n > 0)
             .collect();
         CompileStats {
-            compiled: self.compiled.load(Ordering::Relaxed),
+            compiled: self.compiled.get(),
             fallbacks,
         }
     }
 
     /// Reset every counter (e.g. between benchmark phases).
     pub fn reset(&self) {
-        self.ops.lock().clear();
-        self.compiled.store(0, Ordering::Relaxed);
-        self.rows_decoded.store(0, Ordering::Relaxed);
+        self.ops.borrow_mut().clear();
+        self.compiled.set(0);
+        self.rows_decoded.set(0);
+        self.columnar_batches.set(0);
         for n in &self.fallbacks {
-            n.store(0, Ordering::Relaxed);
+            n.set(0);
         }
     }
 }
@@ -215,9 +230,12 @@ mod tests {
         s.record_decoded(7);
         s.record_decoded(0);
         assert_eq!(s.rows_decoded(), 7);
+        s.record_columnar_batch();
+        assert_eq!(s.columnar_batches(), 1);
         s.reset();
         assert_eq!(s.op("count"), OpStats::default());
         assert_eq!(s.rows_decoded(), 0);
+        assert_eq!(s.columnar_batches(), 0);
     }
 
     #[test]

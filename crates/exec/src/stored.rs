@@ -15,7 +15,7 @@ use sos_storage::btree::BTree;
 use sos_storage::heap::HeapFile;
 use sos_storage::lsdtree::{LsdSnapshot, LsdTree};
 use sos_storage::PageId;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A serializable value image.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -107,11 +107,11 @@ pub fn from_stored(
                 .map(|r| Value::decode_tuple(r))
                 .collect::<ExecResult<_>>()?,
         )),
-        StoredValue::SRel(pages) => Ok(Value::SRel(Arc::new(HeapFile::from_pages(
+        StoredValue::SRel(pages) => Ok(Value::SRel(Rc::new(HeapFile::from_pages(
             engine.pool.clone(),
             pages,
         )))),
-        StoredValue::TidRel(pages) => Ok(Value::TidRel(Arc::new(HeapFile::from_pages(
+        StoredValue::TidRel(pages) => Ok(Value::TidRel(Rc::new(HeapFile::from_pages(
             engine.pool.clone(),
             pages,
         )))),
@@ -129,7 +129,7 @@ pub fn from_stored(
                 KeyExtractor::Attrs(is) => KeyExtractor::Attrs(is.clone()),
                 KeyExtractor::Fun(f) => KeyExtractor::Fun(f.clone()),
             };
-            Ok(Value::BTree(Arc::new(BTreeHandle {
+            Ok(Value::BTree(Rc::new(BTreeHandle {
                 tree: BTree::from_root(engine.pool.clone(), root, len),
                 tuple_type: th.tuple_type.clone(),
                 key,
@@ -142,7 +142,7 @@ pub fn from_stored(
                     "stored LSD-tree but type {ty} is not an lsdtree constructor"
                 )));
             };
-            Ok(Value::LsdTree(Arc::new(LsdHandle {
+            Ok(Value::LsdTree(Rc::new(LsdHandle {
                 tree: LsdTree::from_snapshot(engine.pool.clone(), snap),
                 tuple_type: th.tuple_type.clone(),
                 keyfun: th.keyfun.clone(),

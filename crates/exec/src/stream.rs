@@ -9,7 +9,7 @@
 //! a million-tuple B-tree therefore touches a handful of pages — see
 //! `tests/pipelining.rs`.
 //!
-//! A cursor travels inside a [`Value::Cursor`] behind `Arc<Mutex<..>>`:
+//! A cursor travels inside a [`Value::Cursor`] behind `Rc<RefCell<..>>`:
 //! cloning a stream value shares the cursor (streams are linear; a
 //! drained stream stays drained). Crossing the statement boundary, the
 //! system materializes cursors into plain [`Value::Stream`] results.
@@ -24,8 +24,9 @@ use sos_storage::field::RecordView;
 use sos_storage::heap::HeapFile;
 use sos_storage::keys::KeyBytes;
 use sos_storage::{PageId, StorageResult};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A pull-based tuple stream.
 pub enum Cursor {
@@ -38,8 +39,8 @@ pub enum Cursor {
     /// bytecode (see [`crate::compile`]); `None` keeps the interpreter.
     Filter {
         input: Box<Cursor>,
-        pred: Arc<Closure>,
-        compiled: Option<Arc<CompiledFun>>,
+        pred: Rc<Closure>,
+        compiled: Option<Rc<CompiledFun>>,
     },
     /// Pipelined prefix (stops pulling once exhausted).
     Head {
@@ -51,26 +52,26 @@ pub enum Cursor {
     /// parallels `funs` (compilation is per attribute function).
     Project {
         input: Box<Cursor>,
-        funs: Vec<Arc<Closure>>,
-        compiled: Vec<Option<Arc<CompiledFun>>>,
+        funs: Vec<Rc<Closure>>,
+        compiled: Vec<Option<Rc<CompiledFun>>>,
     },
     /// Pipelined attribute replacement.
     Replace {
         input: Box<Cursor>,
         idx: usize,
-        fun: Arc<Closure>,
-        compiled: Option<Arc<CompiledFun>>,
+        fun: Rc<Closure>,
+        compiled: Option<Rc<CompiledFun>>,
     },
     /// Pipelined search join: for each outer tuple, the parameter
     /// function produces the matching inner stream (Section 4).
     SearchJoin {
         outer: Box<Cursor>,
-        fun: Arc<Closure>,
+        fun: Rc<Closure>,
         current_outer: Option<Value>,
         inner: VecDeque<Value>,
     },
     /// A cursor shared through a cloned stream value.
-    Shared(Arc<parking_lot::Mutex<Cursor>>),
+    Shared(Rc<RefCell<Cursor>>),
 }
 
 impl Cursor {
@@ -78,7 +79,7 @@ impl Cursor {
         Cursor::Mat(tuples.into())
     }
 
-    pub fn heap_scan(heap: Arc<HeapFile>) -> Cursor {
+    pub fn heap_scan(heap: Rc<HeapFile>) -> Cursor {
         let pages = heap.pages();
         Scan::over(Pages::Heap {
             heap,
@@ -87,7 +88,7 @@ impl Cursor {
         })
     }
 
-    pub fn btree_range(handle: Arc<BTreeHandle>, lo: KeyBytes, hi: KeyBytes) -> Cursor {
+    pub fn btree_range(handle: Rc<BTreeHandle>, lo: KeyBytes, hi: KeyBytes) -> Cursor {
         Scan::over(Pages::BTree {
             handle,
             lo,
@@ -134,7 +135,7 @@ impl Cursor {
     /// that reads its tuple only through field loads is pushed into a
     /// scan source beneath it: the scan then tests it on records read in
     /// place and decodes only the records that pass.
-    pub fn filter(engine: &ExecEngine, input: Cursor, pred: Arc<Closure>) -> Cursor {
+    pub fn filter(engine: &ExecEngine, input: Cursor, pred: Rc<Closure>) -> Cursor {
         let compiled = compile_gated(engine, &pred);
         match (input, compiled) {
             (Cursor::Scan(mut scan), Some(cf))
@@ -153,7 +154,7 @@ impl Cursor {
 
     /// A projection step; each attribute function compiles independently
     /// (a mix of compiled and interpreted columns is fine).
-    pub fn project(engine: &ExecEngine, input: Cursor, funs: Vec<Arc<Closure>>) -> Cursor {
+    pub fn project(engine: &ExecEngine, input: Cursor, funs: Vec<Rc<Closure>>) -> Cursor {
         let compiled = funs.iter().map(|f| compile_gated(engine, f)).collect();
         Cursor::Project {
             input: Box::new(input),
@@ -164,7 +165,7 @@ impl Cursor {
 
     /// An attribute-replacement step, compiling the field function when
     /// the engine allows.
-    pub fn replace(engine: &ExecEngine, input: Cursor, idx: usize, fun: Arc<Closure>) -> Cursor {
+    pub fn replace(engine: &ExecEngine, input: Cursor, idx: usize, fun: Rc<Closure>) -> Cursor {
         let compiled = compile_gated(engine, &fun);
         Cursor::Replace {
             input: Box::new(input),
@@ -362,9 +363,7 @@ impl Cursor {
                 }
             }
             Cursor::Shared(c) => {
-                let c = c.clone();
-                let mut guard = c.lock();
-                guard.next_batch_into(ctx, n, out)?;
+                c.borrow_mut().next_batch_into(ctx, n, out)?;
             }
             // One outer tuple per refill of the inner buffer, so a
             // `head` above stops the outer scan as early as it can.
@@ -525,7 +524,7 @@ pub struct Scan {
     pages: Pages,
     /// Tested in order on records read in place; a record is decoded
     /// only if every predicate keeps it.
-    preds: Vec<Arc<CompiledFun>>,
+    preds: Vec<Rc<CompiledFun>>,
     ahead: ReadAhead,
 }
 
@@ -551,13 +550,13 @@ struct ReadAhead {
 /// Where a scan's pages come from.
 enum Pages {
     Heap {
-        heap: Arc<HeapFile>,
+        heap: Rc<HeapFile>,
         pages: Vec<PageId>,
         next: usize,
     },
     /// Leaf-chain walk of a clustered B-tree over `[lo, hi]`.
     BTree {
-        handle: Arc<BTreeHandle>,
+        handle: Rc<BTreeHandle>,
         lo: KeyBytes,
         hi: KeyBytes,
         next_page: Option<PageId>,
@@ -570,7 +569,7 @@ enum Pages {
 type Records<'r, 'a> = &'r mut dyn Iterator<Item = StorageResult<&'a [u8]>>;
 
 impl Pages {
-    /// Read the next page under one fetch and read latch and hand `f`
+    /// Read the next page under one fetch and read borrow and hand `f`
     /// its records in scan order (for a B-tree range, only the entries
     /// within `[lo, hi]`). `Ok(false)` once no page is left.
     fn next_page(&mut self, f: impl FnOnce(Records<'_, '_>) -> ExecResult<()>) -> ExecResult<bool> {
@@ -668,7 +667,7 @@ impl Scan {
     /// are read until `n` records are at hand, then each predicate runs
     /// over the chunk's survivors of the ones before it, and the first
     /// error (lowest predicate, then lowest row) fails the chunk. The
-    /// predicates run while a page is latched, on all its records
+    /// predicates run while a page is borrowed, on all its records
     /// ([`read_page`]), but what they found is only acted on once the
     /// record's chunk is taken, so the same error surfaces, at the same
     /// point, as in the chain over the decoding scan.
@@ -717,7 +716,7 @@ enum Sink<'s> {
     Fold(&'s mut Fold),
 }
 
-/// Read one latched page in place: check every record (a malformed one
+/// Read one borrowed page in place: check every record (a malformed one
 /// fails the scan here, before any predicate runs on the page, as it
 /// fails a decoding scan), run the predicates over the page, each on
 /// the records the ones before it kept, and note what they found in
@@ -726,7 +725,7 @@ enum Sink<'s> {
 /// record straight away (the decode checks it as it goes).
 fn read_page(
     records: Records<'_, '_>,
-    preds: &[Arc<CompiledFun>],
+    preds: &[Rc<CompiledFun>],
     ahead: &mut ReadAhead,
     sink: &mut Sink<'_>,
 ) -> ExecResult<()> {
@@ -778,7 +777,7 @@ fn read_page(
 pub fn materialize(ctx: &mut EvalCtx, v: Value) -> ExecResult<Vec<Value>> {
     match v {
         Value::Stream(ts) | Value::Rel(ts) => Ok(ts),
-        Value::Cursor(c) => c.lock().drain(ctx),
+        Value::Cursor(c) => c.borrow_mut().drain(ctx),
         Value::Undefined => Ok(Vec::new()),
         other => Err(ExecError::TypeMismatch {
             op: "stream".into(),
@@ -795,7 +794,7 @@ pub fn into_cursor(v: Value) -> ExecResult<Cursor> {
         Value::Cursor(c) => {
             // Take the cursor out if uniquely held; otherwise drain lazily
             // through the shared handle by wrapping.
-            match Arc::try_unwrap(c) {
+            match Rc::try_unwrap(c) {
                 Ok(m) => Ok(m.into_inner()),
                 Err(shared) => Ok(Cursor::Shared(shared)),
             }
@@ -822,7 +821,7 @@ mod tests {
         // read ahead; folding it in place would fold the next page
         // before those rows, so it drains instead, in scan order.
         let engine = ExecEngine::new(sos_storage::mem_pool(64));
-        let heap = Arc::new(HeapFile::create(engine.pool.clone()).unwrap());
+        let heap = Rc::new(HeapFile::create(engine.pool.clone()).unwrap());
         for i in 0..50 {
             let t = Value::tuple(vec![Value::Int(i)]);
             heap.insert(&t.encode_tuple("t").unwrap()).unwrap();

@@ -80,7 +80,7 @@ mod tests {
         let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
         let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
         let (wal, _, _) = Wal::recover(wal_disk, &data).unwrap();
-        Arc::new(BufferPool::with_wal(data, 8, Arc::new(wal)))
+        BufferPool::with_wal(data, 8, Arc::new(wal)).shared()
     }
 
     #[test]

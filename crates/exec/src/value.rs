@@ -6,6 +6,8 @@ use sos_core::typed::TypedExpr;
 use sos_core::{Const, DataType, Symbol};
 use sos_geom::{Point, Polygon, Rect};
 use sos_storage::field::{Field, FieldRef, RecordView};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A runtime value.
@@ -21,30 +23,30 @@ pub enum Value {
     Rect(Rect),
     Pgon(Polygon),
     // ---- structured model-level values ----
-    /// A tuple: field values in schema order, shared behind an `Arc` so
+    /// A tuple: field values in schema order, shared behind an `Rc` so
     /// that passing a tuple across filter/project/join boundaries (and
     /// binding it to a predicate parameter) is a reference-count bump,
     /// not a deep copy. Tuples are immutable; operators that change
     /// fields build a fresh tuple.
-    Tuple(Arc<[Value]>),
+    Tuple(Rc<[Value]>),
     /// A model-level relation: a bag of tuples.
     Rel(Vec<Value>),
     /// A materialized stream of tuples.
     Stream(Vec<Value>),
     /// A pipelined stream: tuples are pulled on demand (Section 4's
     /// "pipelined fashion"); see [`crate::stream::Cursor`].
-    Cursor(std::sync::Arc<parking_lot::Mutex<crate::stream::Cursor>>),
+    Cursor(Rc<RefCell<crate::stream::Cursor>>),
     /// A function value: a closure over the evaluation environment.
-    Closure(Arc<Closure>),
+    Closure(Rc<Closure>),
     /// A list argument (`<a, b, c>`).
     List(Vec<Value>),
     /// A product argument (`(a, b)`).
     Pair(Vec<Value>),
     // ---- representation-level handles ----
-    SRel(Arc<sos_storage::heap::HeapFile>),
-    TidRel(Arc<sos_storage::heap::HeapFile>),
-    BTree(Arc<BTreeHandle>),
-    LsdTree(Arc<LsdHandle>),
+    SRel(Rc<sos_storage::heap::HeapFile>),
+    TidRel(Rc<sos_storage::heap::HeapFile>),
+    BTree(Rc<BTreeHandle>),
+    LsdTree(Rc<LsdHandle>),
     /// The value of a freshly created object before its first update.
     Undefined,
 }
@@ -142,7 +144,7 @@ impl Value {
         }
     }
 
-    pub fn as_closure(&self, op: &str) -> ExecResult<&Arc<Closure>> {
+    pub fn as_closure(&self, op: &str) -> ExecResult<&Rc<Closure>> {
         match self {
             Value::Closure(c) => Ok(c),
             other => Err(mismatch(op, "function", &other.kind_name())),
@@ -294,14 +296,14 @@ impl PartialEq for Value {
             (Pgon(a), Pgon(b)) => a == b,
             // Shared tuples short-circuit on pointer identity before
             // falling back to structural comparison.
-            (Tuple(a), Tuple(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Tuple(a), Tuple(b)) => Rc::ptr_eq(a, b) || a == b,
             (Rel(a), Rel(b)) | (Stream(a), Stream(b)) | (List(a), List(b)) | (Pair(a), Pair(b)) => {
                 a == b
             }
-            (Cursor(a), Cursor(b)) => Arc::ptr_eq(a, b),
-            (SRel(a), SRel(b)) | (TidRel(a), TidRel(b)) => Arc::ptr_eq(a, b),
-            (BTree(a), BTree(b)) => Arc::ptr_eq(a, b),
-            (LsdTree(a), LsdTree(b)) => Arc::ptr_eq(a, b),
+            (Cursor(a), Cursor(b)) => Rc::ptr_eq(a, b),
+            (SRel(a), SRel(b)) | (TidRel(a), TidRel(b)) => Rc::ptr_eq(a, b),
+            (BTree(a), BTree(b)) => Rc::ptr_eq(a, b),
+            (LsdTree(a), LsdTree(b)) => Rc::ptr_eq(a, b),
             (Undefined, Undefined) => true,
             // Closures are never equal (function extensionality is
             // undecidable).
@@ -333,7 +335,7 @@ impl std::fmt::Debug for Value {
             }
             Value::Rel(ts) => write!(f, "rel[{} tuples]", ts.len()),
             Value::Stream(ts) => write!(f, "stream[{} tuples]", ts.len()),
-            Value::Cursor(c) => write!(f, "{:?}", c.lock()),
+            Value::Cursor(c) => write!(f, "{:?}", c.borrow()),
             Value::Closure(c) => write!(f, "fun/{}", c.params.len()),
             Value::List(vs) => {
                 write!(f, "<")?;
@@ -439,8 +441,8 @@ mod tests {
         let b = Value::Rel(vec![Value::tuple(vec![Value::Int(1)])]);
         assert_eq!(a, b);
         let pool = sos_storage::mem_pool(8);
-        let h = Arc::new(sos_storage::heap::HeapFile::create(pool.clone()).unwrap());
-        let h2 = Arc::new(sos_storage::heap::HeapFile::create(pool).unwrap());
+        let h = Rc::new(sos_storage::heap::HeapFile::create(pool.clone()).unwrap());
+        let h2 = Rc::new(sos_storage::heap::HeapFile::create(pool).unwrap());
         assert_eq!(Value::SRel(h.clone()), Value::SRel(h.clone()));
         assert_ne!(Value::SRel(h), Value::SRel(h2));
     }

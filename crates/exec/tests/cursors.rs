@@ -6,12 +6,14 @@ use sos_core::{sym, DataType};
 use sos_exec::stream::{into_cursor, materialize, Cursor};
 use sos_exec::{EvalCtx, ExecEngine, Value};
 use sos_storage::PageId;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
-fn engine_with_heap(n: usize) -> (ExecEngine, Arc<sos_storage::heap::HeapFile>) {
+fn engine_with_heap(n: usize) -> (ExecEngine, Rc<sos_storage::heap::HeapFile>) {
     let engine = ExecEngine::new(sos_storage::mem_pool(256));
-    let heap = Arc::new(sos_storage::heap::HeapFile::create(engine.pool.clone()).unwrap());
+    let heap = Rc::new(sos_storage::heap::HeapFile::create(engine.pool.clone()).unwrap());
     for i in 0..n {
         let t = Value::tuple(vec![Value::Int(i as i64)]);
         heap.insert(&t.encode_tuple("test").unwrap()).unwrap();
@@ -43,7 +45,7 @@ fn shared_cursors_are_linear() {
     let mut store = HashMap::new();
     let mut cat = Catalog::new();
     let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
-    let v = Value::Cursor(Arc::new(parking_lot::Mutex::new(Cursor::heap_scan(heap))));
+    let v = Value::Cursor(Rc::new(RefCell::new(Cursor::heap_scan(heap))));
     let v2 = v.clone();
     let first_half = {
         let mut c = into_cursor(v).unwrap();
@@ -214,7 +216,7 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
         panic!("feed filter over a heap is a pipelined cursor");
     };
     assert_eq!(
-        format!("{:?}", c.lock()),
+        format!("{:?}", c.borrow()),
         "cursor[heap-scan, 1 pushed filter(s)]"
     );
 
@@ -223,7 +225,7 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
     let Value::Cursor(c) = ctx.eval(&filter).unwrap() else {
         panic!("feed filter over a heap is a pipelined cursor");
     };
-    let Cursor::Filter { input, .. } = &*c.lock() else {
+    let Cursor::Filter { input, .. } = &*c.borrow() else {
         panic!("expected a filter cursor");
     };
     assert_eq!(format!("{input:?}"), "cursor[heap-scan]");
@@ -260,7 +262,7 @@ fn failed_page(
     let mut store = HashMap::new();
     let mut cat = Catalog::new();
     let mut ctx = EvalCtx::new(engine, &mut store, &mut cat);
-    match Cursor::heap_scan(Arc::new(heap)).drain(&mut ctx) {
+    match Cursor::heap_scan(Rc::new(heap)).drain(&mut ctx) {
         Err(sos_exec::ExecError::Storage(sos_storage::StorageError::PageOutOfBounds(pid))) => pid,
         other => panic!("expected a page read error, got {other:?}"),
     }

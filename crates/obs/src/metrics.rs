@@ -34,6 +34,9 @@ pub struct MetricsSnapshot {
     /// (`exec.rows_decoded`; records a pushed-down filter rejects or a
     /// fused aggregate folds in place are not decoded).
     pub rows_decoded: u64,
+    /// Batches the columnar (tier-B) expression kernel evaluated to the
+    /// end (`exec.columnar_batches`; 0 when every batch ran row by row).
+    pub columnar_batches: u64,
     /// Statement-cache counters (all zero while no statement consulted
     /// the cache: optimizer off or cost-based optimization on).
     pub planner: PlannerStats,
@@ -102,6 +105,7 @@ impl MetricsSnapshot {
         o.raw("wal", &wal_json(&self.wal));
         o.raw("compile", &compile_json(&self.compile));
         o.raw("exec", &exec_json(self.rows_decoded));
+        o.u64("columnar_batches", self.columnar_batches);
         o.finish()
     }
 }
@@ -164,6 +168,9 @@ impl std::fmt::Display for MetricsSnapshot {
         }
         if self.rows_decoded > 0 {
             writeln!(f, "exec: {}", exec_line(self.rows_decoded))?;
+        }
+        if self.columnar_batches > 0 {
+            writeln!(f, "columnar: {} batch(es)", self.columnar_batches)?;
         }
         write!(f, "{}", self.phases)
     }
@@ -391,6 +398,7 @@ mod tests {
                 fallbacks: vec![("impure-op".into(), 2)],
             },
             rows_decoded: 42,
+            columnar_batches: 3,
             planner: PlannerStats {
                 cache_hits: 9,
                 cache_misses: 2,
@@ -411,6 +419,7 @@ mod tests {
         );
         assert!(text.contains("plan cache: 9 hit(s), 2 miss(es), 1 invalidation(s), 2 entrie(s)"));
         assert!(text.contains("exec: 42 row(s) decoded"));
+        assert!(text.contains("columnar: 3 batch(es)"));
         // Timing split renders only once optimization actually ran.
         assert!(!text.contains("planner time:"));
         let json = snap.to_json();
@@ -421,6 +430,7 @@ mod tests {
         assert!(json.contains(r#""page_images":2"#));
         assert!(json.contains(r#""syncs":1,"checkpoints":2}"#));
         assert!(json.contains(r#""exec":{"rows_decoded":42}"#));
+        assert!(json.contains(r#""columnar_batches":3"#));
         let ckpt = CheckpointStats {
             pages_written: 3,
             start_lsn: 100,

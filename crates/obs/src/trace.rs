@@ -1,12 +1,12 @@
 //! Phase tracing: per-phase wall time for the statement pipeline.
 //!
 //! A [`Tracer`] lives inside the `Database` and is shared by reference
-//! with the processing code. Its atomic counters make the recording
-//! methods `&self`, so tracing never fights the borrow of the database
-//! it observes. When disabled (the default) [`Tracer::start`] is a
-//! single atomic load and no clock is read.
+//! with the processing code. Its counters are `Cell`s, which make the
+//! recording methods `&self`, so tracing never fights the borrow of the
+//! database it observes. When disabled (the default) [`Tracer::start`]
+//! is a single flag read and no clock is read.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// The phases of statement processing, in pipeline order.
@@ -76,8 +76,8 @@ impl PhaseTimings {
         self.counts.iter().all(|&c| c == 0)
     }
 
-    /// Fold a span into the accumulated timings (used when merging
-    /// snapshots; the live path records through [`Tracer`]).
+    /// Fold a span into the accumulated timings (what [`Tracer::finish`]
+    /// does to its own copy).
     pub fn record(&mut self, p: Phase, nanos: u64) {
         self.counts[p.index()] += 1;
         self.nanos[p.index()] += nanos;
@@ -114,30 +114,29 @@ pub fn fmt_nanos(nanos: u64) -> String {
 /// once per phase in [`Tracer::start`].
 #[derive(Debug, Default)]
 pub struct Tracer {
-    enabled: AtomicBool,
-    counts: [AtomicU64; 4],
-    nanos: [AtomicU64; 4],
+    enabled: Cell<bool>,
+    timings: Cell<PhaseTimings>,
 }
 
 impl Tracer {
     pub fn new(enabled: bool) -> Tracer {
         let t = Tracer::default();
-        t.enabled.store(enabled, Ordering::Relaxed);
+        t.enabled.set(enabled);
         t
     }
 
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.enabled.get()
     }
 
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled.set(on);
     }
 
     /// Open a span: `None` (and no clock read) when tracing is off.
     /// This is the one flag check a phase pays.
     pub fn start(&self) -> Option<Instant> {
-        if self.enabled.load(Ordering::Relaxed) {
+        if self.enabled.get() {
             Some(Instant::now())
         } else {
             None
@@ -149,27 +148,20 @@ impl Tracer {
     pub fn finish(&self, p: Phase, started: Option<Instant>) -> Option<u64> {
         let started = started?;
         let nanos = started.elapsed().as_nanos() as u64;
-        self.counts[p.index()].fetch_add(1, Ordering::Relaxed);
-        self.nanos[p.index()].fetch_add(nanos, Ordering::Relaxed);
+        let mut t = self.timings.get();
+        t.record(p, nanos);
+        self.timings.set(t);
         Some(nanos)
     }
 
     /// Snapshot of the accumulated timings.
     pub fn timings(&self) -> PhaseTimings {
-        let mut t = PhaseTimings::default();
-        for p in Phase::ALL {
-            t.counts[p.index()] = self.counts[p.index()].load(Ordering::Relaxed);
-            t.nanos[p.index()] = self.nanos[p.index()].load(Ordering::Relaxed);
-        }
-        t
+        self.timings.get()
     }
 
     /// Clear the accumulated timings (the enabled flag is unchanged).
     pub fn reset(&self) {
-        for i in 0..4 {
-            self.counts[i].store(0, Ordering::Relaxed);
-            self.nanos[i].store(0, Ordering::Relaxed);
-        }
+        self.timings.set(PhaseTimings::default());
     }
 }
 

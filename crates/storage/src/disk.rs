@@ -6,9 +6,10 @@ use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A source and sink of fixed-size pages. Implementations must be safe to
-/// share across threads; the buffer pool serializes access per frame but
-/// may read and write distinct pages concurrently.
+/// A source and sink of fixed-size pages. The buffer pool above is
+/// single-threaded, but disks stay `Send + Sync`: a disk is shared
+/// through an `Arc` with the log, a fault-injection wrapper or a reopened
+/// pool, and its lock is taken once per physical I/O, not per page touch.
 pub trait DiskManager: Send + Sync {
     /// Read page `pid` into `buf` (exactly [`PAGE_SIZE`] bytes).
     fn read_page(&self, pid: PageId, buf: &mut [u8]) -> StorageResult<()>;

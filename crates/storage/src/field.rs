@@ -242,13 +242,13 @@ pub fn decode_record_shared<T>(
     mut buf: &[u8],
     mut conv: impl FnMut(Field) -> T,
     placeholder: impl Fn() -> T,
-) -> StorageResult<std::sync::Arc<[T]>> {
+) -> StorageResult<std::rc::Rc<[T]>> {
     if buf.len() < 2 {
         return Err(StorageError::Corrupt("record shorter than header".into()));
     }
     let n = buf.get_u16_le() as usize;
     let mut err = None;
-    let fields: std::sync::Arc<[T]> = (0..n)
+    let fields: std::rc::Rc<[T]> = (0..n)
         .map(|_| {
             if err.is_some() {
                 return placeholder();
@@ -363,7 +363,7 @@ impl<'a> RecordView<'a> {
 
     /// Decode every field, converting each through `conv`, into one
     /// shared slice (one allocation).
-    pub fn decode<T>(&self, mut conv: impl FnMut(FieldRef<'a>) -> T) -> std::sync::Arc<[T]> {
+    pub fn decode<T>(&self, mut conv: impl FnMut(FieldRef<'a>) -> T) -> std::rc::Rc<[T]> {
         let mut rest = &self.buf[2..];
         (0..self.len)
             .map(|_| conv(read_field(&mut rest).expect("fields were checked by RecordView::new")))

@@ -8,7 +8,7 @@
 
 use crate::page::SlottedPage;
 use crate::{BufferPool, PageId, StorageError, StorageResult, TupleId};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// An unordered record file over the buffer pool.
@@ -16,7 +16,7 @@ pub struct HeapFile {
     pool: Arc<BufferPool>,
     /// Pages of the file in allocation order. The last page is the
     /// insertion target until full.
-    pages: Mutex<Vec<PageId>>,
+    pages: RefCell<Vec<PageId>>,
 }
 
 impl HeapFile {
@@ -24,7 +24,7 @@ impl HeapFile {
     pub fn create(pool: Arc<BufferPool>) -> StorageResult<Self> {
         Ok(HeapFile {
             pool,
-            pages: Mutex::new(Vec::new()),
+            pages: RefCell::new(Vec::new()),
         })
     }
 
@@ -32,18 +32,18 @@ impl HeapFile {
     pub fn from_pages(pool: Arc<BufferPool>, pages: Vec<PageId>) -> Self {
         HeapFile {
             pool,
-            pages: Mutex::new(pages),
+            pages: RefCell::new(pages),
         }
     }
 
     /// The page ids backing this file (for catalog persistence).
     pub fn pages(&self) -> Vec<PageId> {
-        self.pages.lock().clone()
+        self.pages.borrow().clone()
     }
 
     /// Insert a record, returning its stable tuple id.
     pub fn insert(&self, record: &[u8]) -> StorageResult<TupleId> {
-        let mut pages = self.pages.lock();
+        let mut pages = self.pages.borrow_mut();
         if let Some(&last) = pages.last() {
             let guard = self.pool.fetch(last)?;
             let mut buf = guard.write();
@@ -114,15 +114,20 @@ impl HeapFile {
     /// Full scan in page order. This is the physical realization of the
     /// paper's `feed` operator on `tidrel`/`srel` representations.
     pub fn scan(&self) -> HeapScan<'_> {
-        self.scan_pages(self.pages.lock().clone())
+        HeapScan {
+            heap: self,
+            pages: self.pages().into_iter(),
+            page: 0,
+            slots: Vec::new().into_iter(),
+        }
     }
 
     /// Hand `f` the live records of `page` in slot order, borrowed from
-    /// the pinned frame under a single page fetch and read latch — the
+    /// the pinned frame under a single page fetch and read borrow — the
     /// page-at-a-time path of the scan cursors. Each record's extent is
     /// checked against the page as it is reached (`Corrupt` otherwise).
-    /// `f` must not re-enter the buffer pool (the latch is held across
-    /// the whole visit).
+    /// `f` must not write to this page (it stays borrowed across the
+    /// whole visit).
     pub fn visit_page<R, E, F>(&self, page: PageId, f: F) -> Result<R, E>
     where
         E: From<StorageError>,
@@ -135,17 +140,6 @@ impl HeapFile {
             buf: &buf[..],
             slots,
         })
-    }
-
-    /// Scan only the given pages, in the order given.
-    pub fn scan_pages(&self, pages: Vec<PageId>) -> HeapScan<'_> {
-        HeapScan {
-            heap: self,
-            pages,
-            page_idx: 0,
-            slots: Vec::new(),
-            slot_idx: 0,
-        }
     }
 }
 
@@ -182,10 +176,9 @@ impl<'a> Iterator for PageRecords<'a> {
 /// real slotted-page scan cursor).
 pub struct HeapScan<'a> {
     heap: &'a HeapFile,
-    pages: Vec<PageId>,
-    page_idx: usize,
-    slots: Vec<u16>,
-    slot_idx: usize,
+    pages: std::vec::IntoIter<PageId>,
+    page: PageId,
+    slots: std::vec::IntoIter<u16>,
 }
 
 impl Iterator for HeapScan<'_> {
@@ -193,27 +186,20 @@ impl Iterator for HeapScan<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.slot_idx < self.slots.len() {
-                let pid = self.pages[self.page_idx - 1];
-                let slot = self.slots[self.slot_idx];
-                self.slot_idx += 1;
-                let tid = TupleId { page: pid, slot };
+            if let Some(slot) = self.slots.next() {
+                let tid = TupleId {
+                    page: self.page,
+                    slot,
+                };
                 return Some(self.heap.get(tid).map(|r| (tid, r)));
             }
-            if self.page_idx >= self.pages.len() {
-                return None;
-            }
-            let pid = self.pages[self.page_idx];
-            self.page_idx += 1;
-            match self.heap.pool.fetch(pid) {
-                Ok(guard) => {
-                    let buf = guard.read();
-                    match SlottedPage::live_slots(&buf[..]) {
-                        Ok(slots) => self.slots = slots.collect(),
-                        Err(e) => return Some(Err(e)),
-                    }
-                    self.slot_idx = 0;
-                }
+            self.page = self.pages.next()?;
+            let slots = self.heap.pool.fetch(self.page).and_then(|guard| {
+                let live = SlottedPage::live_slots(&guard.read()[..])?.collect::<Vec<_>>();
+                Ok(live)
+            });
+            match slots {
+                Ok(slots) => self.slots = slots.into_iter(),
                 Err(e) => return Some(Err(e)),
             }
         }

@@ -44,5 +44,23 @@ use std::sync::Arc;
 /// Convenience constructor: a buffer pool of `frames` frames over a fresh
 /// in-memory disk. This is what tests and most examples use.
 pub fn mem_pool(frames: usize) -> Arc<BufferPool> {
-    Arc::new(BufferPool::new(Arc::new(MemDisk::new()), frames))
+    BufferPool::new(Arc::new(MemDisk::new()), frames).shared()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The pool above is single-threaded; the disks and the log below it
+    /// stay shareable across threads.
+    #[test]
+    fn device_layer_stays_send_and_sync() {
+        fn send_sync<T: Send + Sync + ?Sized>() {}
+        send_sync::<dyn DiskManager>();
+        send_sync::<MemDisk>();
+        send_sync::<FileDisk>();
+        send_sync::<FaultDisk>();
+        send_sync::<FaultClock>();
+        send_sync::<Wal>();
+    }
 }

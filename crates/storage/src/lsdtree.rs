@@ -23,8 +23,8 @@
 //! deletion; queries stay correct, only pruning quality degrades).
 
 use crate::{BufferPool, PageId, StorageError, StorageResult, PAGE_SIZE};
-use parking_lot::Mutex;
 use sos_geom::{Point, Rect};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Largest payload per entry (rect header + payload must fit a page).
@@ -57,7 +57,7 @@ struct LsdInner {
 /// An LSD-tree handle.
 pub struct LsdTree {
     pool: Arc<BufferPool>,
-    inner: Mutex<LsdInner>,
+    inner: RefCell<LsdInner>,
 }
 
 /// One stored entry: the indexed rectangle plus an opaque record.
@@ -75,7 +75,7 @@ impl LsdTree {
         drop(guard);
         Ok(LsdTree {
             pool,
-            inner: Mutex::new(LsdInner {
+            inner: RefCell::new(LsdInner {
                 root: DirNode::Leaf {
                     page,
                     cover: None,
@@ -89,7 +89,7 @@ impl LsdTree {
 
     /// Number of stored entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().len
+        self.inner.borrow().len
     }
 
     pub fn is_empty(&self) -> bool {
@@ -99,7 +99,7 @@ impl LsdTree {
     /// Number of directory nodes (leaves + inner), a size metric reported
     /// by the experiment harness.
     pub fn directory_size(&self) -> usize {
-        self.inner.lock().directory_nodes
+        self.inner.borrow().directory_nodes
     }
 
     /// Insert `payload` indexed under `rect`.
@@ -110,7 +110,7 @@ impl LsdTree {
                 max: MAX_PAYLOAD,
             });
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let mut new_nodes = 0;
         insert_rec(&self.pool, &mut inner.root, rect, payload, &mut new_nodes)?;
         inner.len += 1;
@@ -121,7 +121,7 @@ impl LsdTree {
     /// All entries whose rectangle contains `p` (the paper's
     /// `point_search`).
     pub fn point_search(&self, p: Point) -> StorageResult<Vec<Entry>> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut out = Vec::new();
         search_rec(
             &self.pool,
@@ -136,7 +136,7 @@ impl LsdTree {
     /// All entries whose rectangle intersects `r` (the paper's
     /// `overlap_search`).
     pub fn overlap_search(&self, r: Rect) -> StorageResult<Vec<Entry>> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut out = Vec::new();
         search_rec(
             &self.pool,
@@ -150,7 +150,7 @@ impl LsdTree {
 
     /// Every entry, in bucket order (the `feed` of an LSD-tree).
     pub fn scan(&self) -> StorageResult<Vec<Entry>> {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let mut out = Vec::new();
         search_rec(&self.pool, &inner.root, &|_| true, &|_| true, &mut out)?;
         Ok(out)
@@ -159,7 +159,7 @@ impl LsdTree {
     /// Delete the first entry equal to (`rect`, `payload`). Returns
     /// whether an entry was removed.
     pub fn delete(&self, rect: Rect, payload: &[u8]) -> StorageResult<bool> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let removed = delete_rec(&self.pool, &mut inner.root, rect, payload)?;
         if removed {
             inner.len -= 1;
@@ -182,7 +182,7 @@ impl LsdTree {
                 });
             }
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.len != 0 {
             return Err(StorageError::Corrupt(
                 "bulk_load requires an empty LSD-tree".into(),
@@ -645,7 +645,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bulk.len(), 1500);
-        let root_cover = |t: &LsdTree| match &t.inner.lock().root {
+        let root_cover = |t: &LsdTree| match &t.inner.borrow().root {
             DirNode::Inner { cover, .. } | DirNode::Leaf { cover, .. } => *cover,
         };
         assert_eq!(root_cover(&bulk), root_cover(&serial));
@@ -773,7 +773,7 @@ fn from_snap(node: SnapNode) -> DirNode {
 impl LsdTree {
     /// Capture the directory for persistence.
     pub fn snapshot(&self) -> LsdSnapshot {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         LsdSnapshot {
             root: to_snap(&inner.root),
             len: inner.len,
@@ -786,7 +786,7 @@ impl LsdTree {
     pub fn from_snapshot(pool: Arc<BufferPool>, snap: LsdSnapshot) -> LsdTree {
         LsdTree {
             pool,
-            inner: Mutex::new(LsdInner {
+            inner: RefCell::new(LsdInner {
                 root: from_snap(snap.root),
                 len: snap.len,
                 directory_nodes: snap.directory_nodes,

@@ -66,7 +66,7 @@ impl DiskManager for FaultyDisk {
 fn btree_insert_surfaces_disk_failures() {
     // A tiny pool forces evictions (and hence disk traffic) early.
     let disk = Arc::new(FaultyDisk::new(60));
-    let pool = Arc::new(BufferPool::new(disk, 2));
+    let pool = BufferPool::new(disk, 2).shared();
     let tree = BTree::create(pool).unwrap();
     let rec = vec![7u8; 512];
     let mut saw_error = false;
@@ -89,7 +89,7 @@ fn btree_insert_surfaces_disk_failures() {
 #[test]
 fn heap_scan_surfaces_disk_failures() {
     let disk = Arc::new(FaultyDisk::new(40));
-    let pool = Arc::new(BufferPool::new(disk, 2));
+    let pool = BufferPool::new(disk, 2).shared();
     let heap = HeapFile::create(pool).unwrap();
     let rec = vec![3u8; 2000];
     // Fill until the fuse burns (inserts already error eventually).
@@ -107,7 +107,7 @@ fn heap_scan_surfaces_disk_failures() {
 
 #[test]
 fn exhausted_pool_reports_pool_exhausted() {
-    let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 1));
+    let pool = BufferPool::new(Arc::new(MemDisk::new()), 1).shared();
     let (_, guard) = pool.allocate().unwrap();
     // With the only frame pinned, any further page demand must fail
     // cleanly.
@@ -126,7 +126,7 @@ fn query_over_failing_disk_reports_error_at_system_level() {
     // A single-frame pool forces disk traffic on nearly every statement,
     // so the 10-op fuse burns within the first few inserts.
     let disk = Arc::new(FaultyDisk::new(4));
-    let pool = Arc::new(BufferPool::new(disk, 1));
+    let pool = BufferPool::new(disk, 1).shared();
     let mut db = sos_system::Database::builder().pool(pool).build();
     db.run(
         r#"

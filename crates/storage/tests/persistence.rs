@@ -22,7 +22,7 @@ fn heap_file_survives_reopen() {
     let pages: Vec<PageId>;
     {
         let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 16));
+        let pool = BufferPool::new(disk, 16).shared();
         let heap = HeapFile::create(pool.clone()).unwrap();
         for i in 0..500u32 {
             heap.insert(format!("record {i}").as_bytes()).unwrap();
@@ -32,7 +32,7 @@ fn heap_file_survives_reopen() {
     } // pool dropped: only flushed bytes survive
     {
         let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 16));
+        let pool = BufferPool::new(disk, 16).shared();
         let heap = HeapFile::from_pages(pool, pages);
         assert_eq!(heap.count().unwrap(), 500);
         let first = heap.scan().next().unwrap().unwrap().1;
@@ -47,7 +47,7 @@ fn btree_survives_reopen_with_root_and_len() {
     let (root, len);
     {
         let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 64));
+        let pool = BufferPool::new(disk, 64).shared();
         let tree = BTree::create(pool.clone()).unwrap();
         for i in 0..2000i64 {
             tree.insert(&int_key(i), format!("v{i}").as_bytes())
@@ -59,7 +59,7 @@ fn btree_survives_reopen_with_root_and_len() {
     }
     {
         let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 64));
+        let pool = BufferPool::new(disk, 64).shared();
         let tree = BTree::from_root(pool, root, len);
         assert_eq!(tree.len(), 2000);
         assert_eq!(tree.lookup(&int_key(999)).unwrap(), vec![b"v999".to_vec()]);
@@ -80,7 +80,7 @@ fn unflushed_data_is_lost_flushed_data_is_not() {
     let pages;
     {
         let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 16));
+        let pool = BufferPool::new(disk, 16).shared();
         let heap = HeapFile::create(pool.clone()).unwrap();
         heap.insert(b"flushed").unwrap();
         pool.flush_all().unwrap();
@@ -90,7 +90,7 @@ fn unflushed_data_is_lost_flushed_data_is_not() {
     }
     {
         let disk = Arc::new(FileDisk::open(&path).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 16));
+        let pool = BufferPool::new(disk, 16).shared();
         let heap = HeapFile::from_pages(pool, pages);
         let records: Vec<Vec<u8>> = heap.scan().map(|r| r.unwrap().1).collect();
         assert_eq!(records, vec![b"flushed".to_vec()]);

@@ -1,15 +1,17 @@
 //! Property-based tests for the storage engine: the B-tree against a
-//! `BTreeMap`-based model, the heap file against a vector model, the
+//! `BTreeMap`-based model, the heap file against a vector model,
+//! interleaved heap scans against the buffer pool's accounting, the
 //! slotted page against a map model, and the memcomparable key encoding
 //! against direct value comparison.
 
 use proptest::prelude::*;
 use sos_storage::btree::BTree;
 use sos_storage::field::{decode_record, encode_record, Field};
-use sos_storage::heap::HeapFile;
+use sos_storage::heap::{HeapFile, HeapScan};
 use sos_storage::keys;
-use sos_storage::mem_pool;
-use std::collections::BTreeMap;
+use sos_storage::{mem_pool, BufferPool, MemDisk, TupleId};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Key encoding
@@ -282,6 +284,124 @@ proptest! {
         scanned.sort();
         expected.sort();
         prop_assert_eq!(scanned, expected);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Interleaved heap scans over a small pool
+// ---------------------------------------------------------------------
+
+/// One step of an interleaving of heap scans and inserts.
+#[derive(Debug, Clone)]
+enum ScanStep {
+    /// Insert a record of this many bytes.
+    Insert(usize),
+    /// Open a scan and keep it live.
+    Open,
+    /// Pull up to this many records from one live scan.
+    Pull(prop::sample::Index, usize),
+    /// Drop one live scan wherever it stands.
+    Drop(prop::sample::Index),
+    /// Scan the whole file in one go.
+    Full,
+}
+
+fn arb_scan_step() -> impl Strategy<Value = ScanStep> {
+    prop_oneof![
+        (1usize..900).prop_map(ScanStep::Insert),
+        Just(ScanStep::Open),
+        (any::<prop::sample::Index>(), 1usize..40).prop_map(|(i, n)| ScanStep::Pull(i, n)),
+        any::<prop::sample::Index>().prop_map(ScanStep::Drop),
+        Just(ScanStep::Full),
+    ]
+}
+
+/// A scan in progress: the records that existed when it was opened,
+/// and the tuple ids it has returned so far.
+struct LiveScan<'a> {
+    scan: HeapScan<'a>,
+    at_open: Vec<TupleId>,
+    seen: Vec<TupleId>,
+}
+
+/// Whether `seen` holds every tuple id of `expected` and no id twice.
+fn exactly_once(seen: &[TupleId], expected: &[TupleId]) -> bool {
+    let unique: BTreeSet<TupleId> = seen.iter().copied().collect();
+    unique.len() == seen.len() && expected.iter().all(|t| unique.contains(t))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Full, partial and dropped heap scans interleaved with inserts over
+    /// a 4–8 frame pool: every page request is a hit or a miss, no scan
+    /// leaves a page pinned, and a scan that runs to its end returns
+    /// each record that existed when it opened exactly once (records
+    /// inserted while it runs it may or may not see, but never twice).
+    #[test]
+    fn interleaved_heap_scans_keep_the_pool_accounted(
+        frames in 4usize..9,
+        initial in prop::collection::vec(1usize..900, 0..120),
+        steps in prop::collection::vec(arb_scan_step(), 1..120),
+    ) {
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), frames).shared();
+        let heap = HeapFile::create(Arc::clone(&pool)).unwrap();
+        let mut model: BTreeMap<TupleId, Vec<u8>> = BTreeMap::new();
+        // Record `i` starts with `i`, so no two records are equal.
+        let insert = |model: &mut BTreeMap<TupleId, Vec<u8>>, len: usize| {
+            let mut rec = format!("{:06}", model.len()).into_bytes();
+            rec.resize(len.max(6), b'p');
+            model.insert(heap.insert(&rec).unwrap(), rec);
+        };
+        for len in initial {
+            insert(&mut model, len);
+        }
+        let mut live: Vec<LiveScan> = Vec::new();
+        for step in steps {
+            match step {
+                ScanStep::Insert(len) => insert(&mut model, len),
+                ScanStep::Open => live.push(LiveScan {
+                    scan: heap.scan(),
+                    at_open: model.keys().copied().collect(),
+                    seen: Vec::new(),
+                }),
+                ScanStep::Pull(i, n) if !live.is_empty() => {
+                    let i = i.index(live.len());
+                    let s = &mut live[i];
+                    let before = s.seen.len();
+                    for r in s.scan.by_ref().take(n) {
+                        let (tid, rec) = r.unwrap();
+                        prop_assert_eq!(model.get(&tid), Some(&rec));
+                        s.seen.push(tid);
+                    }
+                    if s.seen.len() - before < n {
+                        let s = live.remove(i);
+                        prop_assert!(exactly_once(&s.seen, &s.at_open));
+                    }
+                }
+                ScanStep::Drop(i) if !live.is_empty() => {
+                    drop(live.remove(i.index(live.len())));
+                }
+                ScanStep::Pull(..) | ScanStep::Drop(_) => {}
+                ScanStep::Full => {
+                    let mut tids = Vec::new();
+                    for r in heap.scan() {
+                        let (tid, rec) = r.unwrap();
+                        prop_assert_eq!(model.get(&tid), Some(&rec));
+                        tids.push(tid);
+                    }
+                    prop_assert_eq!(tids.len(), model.len());
+                    prop_assert!(exactly_once(&tids, &model.keys().copied().collect::<Vec<_>>()));
+                }
+            }
+            // A scan holds no pin between two pulls, so no page is pinned
+            // between steps, whether scans are live, finished or dropped.
+            prop_assert_eq!(pool.pinned_frames(), 0);
+            let s = pool.stats();
+            prop_assert_eq!(s.logical_reads, s.cache_hits + s.physical_reads);
+        }
+        drop(live);
+        prop_assert_eq!(pool.pinned_frames(), 0);
     }
 }
 

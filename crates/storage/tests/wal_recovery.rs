@@ -36,7 +36,7 @@ fn open(
         Arc::new(FaultDisk::new(Arc::clone(&env.wal), Arc::clone(&clock)));
     let (wal, meta, _info) = Wal::recover(wal_disk, &data).unwrap();
     (
-        Arc::new(BufferPool::with_wal(data, cap, Arc::new(wal))),
+        BufferPool::with_wal(data, cap, Arc::new(wal)).shared(),
         clock,
         meta,
     )

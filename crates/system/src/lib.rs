@@ -417,7 +417,7 @@ impl DatabaseBuilder {
                 let (wal, meta, info) = Wal::recover_with(wal_disk, &data, cfg.policy)?;
                 recovery = Some(info);
                 recovered_meta = meta;
-                Arc::new(BufferPool::with_wal(data, frames, Arc::new(wal)))
+                BufferPool::with_wal(data, frames, Arc::new(wal)).shared()
             }
         };
         let mut engine = ExecEngine::new(pool);
@@ -451,6 +451,17 @@ impl DatabaseBuilder {
 }
 
 /// The SOS database system.
+///
+/// A `Database` runs every statement on the thread that calls it, and
+/// its buffer pool, storage handles and counters are single-threaded
+/// (`Rc`, `Cell`, `RefCell`): it is neither `Send` nor `Sync`. A
+/// `Database` and the values it hands out stay on the thread that built
+/// it; open one database per thread instead.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<sos_system::Database>();
+/// ```
 pub struct Database {
     sig: Signature,
     catalog: Catalog,
@@ -564,6 +575,7 @@ impl Database {
             wal: self.engine.pool.wal_stats(),
             compile: self.engine.stats.compile_snapshot(),
             rows_decoded: self.engine.stats.rows_decoded(),
+            columnar_batches: self.engine.stats.columnar_batches(),
             planner: PlannerStats {
                 cache_hits: self.plan_cache.hits,
                 cache_misses: self.plan_cache.misses,
@@ -783,10 +795,7 @@ impl Database {
     /// always loads the field.
     pub fn add_op_impl<F>(&mut self, name: &str, f: F) -> Result<(), SystemError>
     where
-        F: Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> sos_exec::ExecResult<Value>
-            + Send
-            + Sync
-            + 'static,
+        F: Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> sos_exec::ExecResult<Value> + 'static,
     {
         let op = Symbol::new(name);
         if !self.sig.is_fixed_op(&op) {

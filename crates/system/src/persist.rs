@@ -107,7 +107,7 @@ impl Database {
     pub fn open_dir(dir: &Path) -> Result<Database, SystemError> {
         std::fs::create_dir_all(dir).map_err(persist_err)?;
         let disk = FileDisk::open(&dir.join(PAGES)).map_err(SystemError::from)?;
-        let pool = Arc::new(BufferPool::new(Arc::new(disk), 4096));
+        let pool = BufferPool::new(Arc::new(disk), 4096).shared();
         let mut db = Database::builder().pool(pool).build();
         let snap_path = dir.join(SNAPSHOT);
         if snap_path.exists() {

@@ -18,7 +18,8 @@ use sos_exec::{render, Value};
 use sos_geom::gen;
 use sos_storage::{DiskManager, MemDisk};
 use sos_system::{Database, DurabilityConfig};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 const N_ITEMS: usize = 2000;
 const N_MATES: usize = 6400;
@@ -285,10 +286,14 @@ fn plan_cache_hits_are_byte_identical_and_result_equal() {
 /// One shared pair of databases for the rebinding property: building
 /// and loading per case would dominate the run. The cost-based one
 /// optimizes every statement with its own literals; the rule-based one
-/// serves repeated shapes from the statement cache.
-fn shared_dbs() -> &'static Mutex<(Database, Database)> {
-    static DBS: OnceLock<Mutex<(Database, Database)>> = OnceLock::new();
-    DBS.get_or_init(|| Mutex::new((corpus_db(1024, true), corpus_db(1024, false))))
+/// serves repeated shapes from the statement cache. A `Database` stays
+/// on its thread, so the pair is thread-local.
+fn with_shared_dbs<R>(f: impl FnOnce(&mut Database, &mut Database) -> R) -> R {
+    thread_local! {
+        static DBS: RefCell<(Database, Database)> =
+            RefCell::new((corpus_db(1024, true), corpus_db(1024, false)));
+    }
+    DBS.with_borrow_mut(|(cold, cached)| f(cold, cached))
 }
 
 proptest! {
@@ -312,20 +317,21 @@ proptest! {
             ),
             format!("update items := delete(items, fun (t: item) t k = {b});"),
         ];
-        let mut dbs = shared_dbs().lock().unwrap();
-        let (cold, cached) = &mut *dbs;
-        for q in &queries {
-            let want = canon(&cold.query(q).unwrap());
-            let got = canon(&cached.query(q).unwrap());
-            prop_assert!(got == want, "rebinding diverged on `{}`: {} != {}", q, got, want);
-        }
-        for u in &updates {
-            cold.run(u).unwrap();
-            cached.run(u).unwrap();
-            let want = canon(&cold.query("bt_rep feed consume").unwrap());
-            let got = canon(&cached.query("bt_rep feed consume").unwrap());
-            prop_assert!(got == want, "bags diverged after `{}`", u);
-        }
+        with_shared_dbs(|cold, cached| {
+            for q in &queries {
+                let want = canon(&cold.query(q).unwrap());
+                let got = canon(&cached.query(q).unwrap());
+                prop_assert!(got == want, "rebinding diverged on `{}`: {} != {}", q, got, want);
+            }
+            for u in &updates {
+                cold.run(u).unwrap();
+                cached.run(u).unwrap();
+                let want = canon(&cold.query("bt_rep feed consume").unwrap());
+                let got = canon(&cached.query("bt_rep feed consume").unwrap());
+                prop_assert!(got == want, "bags diverged after `{}`", u);
+            }
+            Ok(())
+        })?;
     }
 }
 

@@ -73,6 +73,7 @@ fn render(out: &mut String, name: &str, m: &MetricsSnapshot) {
     writeln!(out, "wal.bytes {}", m.wal.bytes).unwrap();
     writeln!(out, "compile.compiled {}", m.compile.compiled).unwrap();
     writeln!(out, "exec.rows_decoded {}", m.rows_decoded).unwrap();
+    writeln!(out, "exec.columnar_batches {}", m.columnar_batches).unwrap();
     for (reason, n) in &m.compile.fallbacks {
         writeln!(out, "compile.fallback.{reason} {n}").unwrap();
     }
