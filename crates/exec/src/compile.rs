@@ -1,59 +1,48 @@
-//! The expression compiler: checked [`TypedExpr`] trees lowered to a
-//! flat register bytecode.
+//! The expression compiler: every function value is a checked lambda
+//! lowered once to a flat register program (DESIGN.md §9).
 //!
-//! The paper's second-order signature separates specification from
-//! execution; since the checker resolves every type before a term
-//! reaches the engine, a predicate like `k mod 7 = 0` can be lowered to
-//! monomorphic code with no interpreter frames. A [`CompiledFun`] is
-//! such a lowering of a [`Closure`] body: a postorder instruction
-//! sequence over a flat register file, evaluated once per tuple without
-//! environment pushes, name lookups, operator-table probes, or per-node
-//! argument vectors.
+//! Since the checker resolves every type before a term reaches the
+//! engine, a lambda like `fun (t) t k mod 7 = 0` lowers to monomorphic
+//! code: a postorder instruction sequence over a flat register file
+//! ([`CompiledFun`]), run per tuple without environment pushes or name
+//! lookups. A [`Closure`] is a program plus the values it captured.
 //!
-//! Two tiers:
+//! Every typed node lowers. Pure operator-table entries (the atomic
+//! built-ins of [`crate::ops::basic`]) become `Call`s with integer fast
+//! paths that delegate every other operand shape to [`Atomic::eval`],
+//! the table entry's own implementation, so errors are the table's
+//! (evaluation is strict: arguments left to right, `and` / `or` do not
+//! short-circuit). Every other entry (stream, index and update
+//! operators, overrides through [`ExecEngine::add_op`]) becomes a
+//! `CallOp` with the typed node and the evaluation context; an object
+//! reference a `LoadObject`, read when it runs (cached plans outlive
+//! updates); function application a `CallClosure`. A lambda nested in
+//! the body compiles with its parent, as a child program that
+//! `MakeClosure` pairs with the registers of its free variables, which
+//! become its input slots after the parameters. A plan-level lambda
+//! compiles when [`EvalCtx::eval`] reaches it, so compiles depend on
+//! the plan, never on the rows.
 //!
-//! * **Tier A (register bytecode)** — any pure body compiles: constants,
-//!   parameters, captured variables (frozen as constants — a closure's
-//!   captured environment is immutable), checked attribute access, and
-//!   applications whose operator-table entry is pure (the atomic
-//!   built-ins of [`crate::ops::basic`]). Binary calls carry integer
-//!   fast paths and delegate every other operand shape to
-//!   [`Atomic::eval`] — the same single implementation the interpreter's
-//!   table entry runs — so a compiled program is extensionally equal to
-//!   the interpreted closure *by construction*, including error text and
-//!   error order (evaluation is strict in both: argument subterms
-//!   evaluate left-to-right, `and` / `or` do not short-circuit).
-//! * **Tier B (columnar kernel)** — when the whole body is int/bool
-//!   typed (int field loads and constants, checked arithmetic, integer
-//!   `div`/`mod`, comparisons, logic), the program additionally lowers
-//!   to a columnar form executed over unboxed `i64` / `bool` vectors for
-//!   a whole batch: the roadmap's "tight loop, no frames". On *any*
-//!   irregularity — overflow, division by zero, a non-int value in an
-//!   int-typed field — the kernel bails out and the batch re-runs
-//!   row-by-row through tier A, which reproduces the exact
-//!   first-error-in-row-order behavior of the interpreter (tier A is
-//!   pure, so the abandoned columnar attempt has no side effects).
+//! A program without `LoadObject`, `CallOp` or `CallClosure` runs
+//! without a context; one that also reads its row only through field
+//! loads runs on records read in place
+//! ([`CompiledFun::reads_fields_only`]). Programs nest (a `CallOp count`
+//! drains a cursor whose filter runs another program), so each running
+//! program holds a register frame of its own.
 //!
-//! Anything outside the pure subset — object references, nested
-//! function values, impure or overridden operators, unbound
-//! variables — refuses to compile with a named [`Fallback`] reason; the
-//! caller keeps the interpreter path and the engine counts the fallback
-//! (surfaced through `.metrics` and EXPLAIN ANALYZE).
+//! **Tier B.** When a one-parameter body is int/bool typed throughout,
+//! it also lowers to a columnar kernel over unboxed `i64` / `bool`
+//! vectors for a whole batch. On any irregularity (overflow, division by
+//! zero, a non-int value in an int-typed field) the kernel bails and
+//! the batch re-runs row by row through the register program, which
+//! reproduces the first error in row order.
 //!
-//! Every lowered program additionally passes the **bytecode verifier**
-//! ([`CompiledFun::verify`]) before it is accepted: a static pass that
-//! proves single assignment, read-after-write, in-bounds register and
-//! input-slot indices, that every call names a pure operator-table
-//! entry, and opcode-kind consistency — the invariants the
-//! dirty-register-file executor and the split-borrowing columnar kernel
-//! rely on. A program that fails verification is rejected with
-//! [`Fallback::Rejected`] (`verifier-reject` in the compile counters)
-//! and the interpreter keeps the closure.
-//!
-//! `tests/prop_compiled_vs_interp.rs` checks compiled ≡ interpreted
-//! differentially over random expressions and batch widths.
+//! Every lowered program passes the bytecode verifier
+//! ([`CompiledFun::verify`]); a rejection is an [`ExecError::Internal`].
+//! `tests/prop_compiled_vs_interp.rs` checks programs against a
+//! reference evaluator written in plain Rust.
 
-use crate::engine::ExecEngine;
+use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::{ExecError, ExecResult};
 use crate::handles::load_field;
 use crate::ops::basic::{div_int, mod_int, Atomic};
@@ -64,70 +53,26 @@ use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{DataType, Symbol};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
-/// Why a closure could not be compiled. [`Fallback::reason`] is the
-/// stable key recorded in [`crate::stats::CompileStats`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Fallback {
-    /// The body reads a database object (needs the store).
-    Object(Symbol),
-    /// The body builds or applies a function value (re-enters the
-    /// interpreter).
-    Function,
-    /// An operator whose table entry is not pure (or that has no entry).
-    ImpureOp(Symbol),
-    /// A variable bound neither by the parameters nor the captured
-    /// environment; the interpreter owns the error.
-    UnboundVar(Symbol),
-    /// The lowered program failed the bytecode verifier (see
-    /// [`CompiledFun::verify`]); the payload is the verifier's finding.
-    /// Under a correct lowering this is unreachable, but the verifier
-    /// keeps the single-assignment invariants the executor relies on
-    /// checked rather than assumed.
-    Rejected(String),
-}
-
-impl Fallback {
-    /// Every counter key, sorted; [`Fallback::index`] positions a reason
-    /// in this list.
-    pub const REASONS: [&'static str; 5] = [
-        "impure-op",
-        "nested-function",
-        "object-ref",
-        "unbound-variable",
-        "verifier-reject",
-    ];
-
-    /// This reason's position in [`Fallback::REASONS`].
-    pub fn index(&self) -> usize {
-        match self {
-            Fallback::ImpureOp(_) => 0,
-            Fallback::Function => 1,
-            Fallback::Object(_) => 2,
-            Fallback::UnboundVar(_) => 3,
-            Fallback::Rejected(_) => 4,
-        }
-    }
-
-    /// The stable counter key for this reason.
-    pub fn reason(&self) -> &'static str {
-        Self::REASONS[self.index()]
-    }
-}
+/// A lambda's parameters, shared with the term it was lowered from.
+type Params = Arc<[(Symbol, DataType)]>;
 
 /// One bytecode instruction. Registers are allocated in postorder (SSA:
-/// each written exactly once per evaluation), so a dirty register file
-/// can be reused across rows without clearing.
+/// each written exactly once and read at most once per evaluation), so
+/// a register file can be reused across rows without clearing, and an
+/// instruction may move a value out of the register it reads.
 #[derive(Debug)]
 enum Inst {
-    /// Load a constant (source constants and frozen captured values).
+    /// Load a constant.
     Const(usize, Value),
-    /// Load the argument in input slot `.1`.
+    /// Load input slot `.1`: a parameter (slots `0..arity`) or a
+    /// captured value (the slots after them).
     Input(usize, usize),
     /// Tuple attribute access: `dst, src, field index, attribute name`
     /// (the name only feeds the error message).
     Field(usize, usize, usize, Symbol),
-    /// Attribute access straight on an argument: `dst, input slot, field
+    /// Attribute access straight on a parameter: `dst, input slot, field
     /// index, attribute name`. A program whose arguments are read only
     /// this way never needs them as values, so it runs on records read
     /// in place ([`CompiledFun::reads_fields_only`]).
@@ -140,6 +85,16 @@ enum Inst {
     MakeList(usize, Box<[usize]>),
     /// `(a, b)` product construction.
     MakePair(usize, Box<[usize]>),
+    /// Read a database object from the store: `dst, name, its type`.
+    LoadObject(usize, Symbol, DataType),
+    /// Any other table entry, run with the evaluation context:
+    /// `dst, entry, the typed application, arguments`.
+    CallOp(usize, OpId, Box<TypedExpr>, Box<[usize]>),
+    /// Build a closure of a child program over captured registers:
+    /// `dst, the child's parameters, the child, captures`.
+    MakeClosure(usize, Params, Rc<CompiledFun>, Box<[usize]>),
+    /// Apply the function value in `.1` to argument registers.
+    CallClosure(usize, usize, Box<[usize]>),
 }
 
 // ---------------------------------------------------------------------
@@ -172,6 +127,11 @@ enum ColInst {
     BroadcastBool {
         dst: usize,
         v: bool,
+    },
+    /// Broadcast captured value `capture`, an int or bool variable.
+    Captured {
+        dst: ColReg,
+        capture: usize,
     },
     /// `+ - * div mod` over two int columns (checked; errors bail).
     Arith {
@@ -225,7 +185,7 @@ impl ColProgram {
     // Index loops are deliberate: each arm reads and writes different
     // rows of one `Vec<Vec<_>>`, which iterator zips can't split-borrow.
     #[allow(clippy::needless_range_loop)]
-    fn run<R: Row>(&self, batch: &[R]) -> ColOutcome {
+    fn run<R: Row>(&self, batch: &[R], captured: &[Value]) -> ColOutcome {
         let n = batch.len();
         let mut ints: Vec<Vec<i64>> = (0..self.n_int).map(|_| vec![0; n]).collect();
         let mut bools: Vec<Vec<bool>> = (0..self.n_bool).map(|_| vec![false; n]).collect();
@@ -251,6 +211,11 @@ impl ColProgram {
                 }
                 ColInst::BroadcastInt { dst, v } => ints[*dst].fill(*v),
                 ColInst::BroadcastBool { dst, v } => bools[*dst].fill(*v),
+                ColInst::Captured { dst, capture } => match (dst, &captured[*capture]) {
+                    (ColReg::I(d), Value::Int(v)) => ints[*d].fill(*v),
+                    (ColReg::B(d), Value::Bool(v)) => bools[*d].fill(*v),
+                    _ => return ColOutcome::Bail,
+                },
                 ColInst::Arith { op, dst, a, b } => {
                     // Split-borrow via raw index juggling: dst is always a
                     // fresh register (postorder SSA), never equal to a/b.
@@ -310,8 +275,9 @@ impl ColProgram {
     /// Verify the columnar kernel: the same single-assignment and
     /// read-after-write discipline as tier A, per register file, plus
     /// opcode-kind consistency (`Arith` must carry an arithmetic opcode
-    /// and `Cmp` a comparison — `run` panics otherwise).
-    fn verify(&self) -> Result<(), String> {
+    /// and `Cmp` a comparison — `run` panics otherwise) and captured
+    /// values within the `n_captured` the closure holds.
+    fn verify(&self, n_captured: usize) -> Result<(), String> {
         let mut ints = vec![false; self.n_int];
         let mut bools = vec![false; self.n_bool];
         for (pc, inst) in self.insts.iter().enumerate() {
@@ -321,6 +287,18 @@ impl ColProgram {
                 }
                 ColInst::GatherBool { dst, .. } | ColInst::BroadcastBool { dst, .. } => {
                     reg_write(&mut bools, *dst, pc)?;
+                }
+                ColInst::Captured { dst, capture } => {
+                    if *capture >= n_captured {
+                        return Err(format!(
+                            "columnar inst {pc} broadcasts captured value {capture}, but \
+                             the closure captures {n_captured}"
+                        ));
+                    }
+                    match dst {
+                        ColReg::I(d) => reg_write(&mut ints, *d, pc)?,
+                        ColReg::B(d) => reg_write(&mut bools, *d, pc)?,
+                    }
                 }
                 ColInst::Arith { op, dst, a, b } => {
                     if !is_arith(*op) {
@@ -415,21 +393,58 @@ fn reg_write(init: &mut [bool], r: usize, pc: usize) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// The compiled function.
+// Register frames.
 // ---------------------------------------------------------------------
 
 thread_local! {
-    /// Shared register scratch: compiled programs never nest (the pure
-    /// subset has no function calls), so one register file per thread
-    /// suffices and per-row evaluation allocates nothing.
-    static REGS: RefCell<Vec<Value>> = const { RefCell::new(Vec::new()) };
+    /// Free register files. A running program holds one of its own,
+    /// taken on entry and given back on exit, so a program that runs
+    /// another (through a cursor a `CallOp` drains, or a `CallClosure`)
+    /// never shares registers with it, and steady-state evaluation
+    /// allocates nothing.
+    static FRAMES: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A closure lowered to register bytecode (and, when the body is
+/// Run `f` on a frame of `n` registers. The frame is emptied before it
+/// goes back, so no value outlives the call in a stale register.
+fn with_frame<T>(n: usize, f: impl FnOnce(&mut [Value]) -> T) -> T {
+    let mut regs = FRAMES.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+    regs.resize(n, Value::Undefined);
+    let out = f(&mut regs);
+    regs.clear();
+    FRAMES.with(|s| s.borrow_mut().push(regs));
+    out
+}
+
+/// Move a value out of a register (each is read at most once).
+fn take(regs: &mut [Value], r: usize) -> Value {
+    std::mem::replace(&mut regs[r], Value::Undefined)
+}
+
+fn take_all(regs: &mut [Value], rs: &[usize]) -> Vec<Value> {
+    rs.iter().map(|&r| take(regs, r)).collect()
+}
+
+/// The context an instruction that reads the store or runs a table
+/// entry needs.
+fn need<'c, 'a>(ctx: &'c mut Option<&mut EvalCtx<'a>>) -> ExecResult<&'c mut EvalCtx<'a>> {
+    ctx.as_deref_mut().ok_or_else(|| {
+        ExecError::Internal("a program that reads the store ran without a context".into())
+    })
+}
+
+// ---------------------------------------------------------------------
+// The compiled function.
+// ---------------------------------------------------------------------
+
+/// A lambda lowered to register bytecode (and, when the body is
 /// int/bool typed throughout, a columnar batch kernel).
 #[derive(Debug)]
 pub struct CompiledFun {
     arity: usize,
+    /// Captured values the program reads, in input slots
+    /// `arity..arity + n_captured`.
+    n_captured: usize,
     insts: Box<[Inst]>,
     out: usize,
     n_regs: usize,
@@ -440,107 +455,128 @@ pub struct CompiledFun {
 }
 
 impl CompiledFun {
-    /// Lower `closure`'s body, or report why the interpreter must keep
-    /// it. Captured variables are frozen into the program as constants
-    /// (a closure's captured environment never changes after capture).
-    pub fn compile(engine: &ExecEngine, closure: &Closure) -> Result<CompiledFun, Fallback> {
+    /// Lower `body` over `params`, verify the program, and count one
+    /// compile. Also returns the variables of enclosing lambdas the body
+    /// reads, in the order of their input slots after the parameters.
+    fn lower(
+        engine: &ExecEngine,
+        params: &[(Symbol, DataType)],
+        body: &TypedExpr,
+    ) -> ExecResult<(CompiledFun, Vec<(Symbol, DataType)>)> {
         let mut c = Lowering {
             engine,
-            params: &closure.params,
-            captured: &closure.captured,
+            params,
+            captures: Vec::new(),
             insts: Vec::new(),
             next: 0,
         };
-        let out = c.lower(&closure.body)?;
-        let n_regs = c.next;
-        let insts = c.insts.into_boxed_slice();
-        let col = lower_columnar(engine, closure);
+        let out = c.lower(body)?;
         let cf = CompiledFun {
-            arity: closure.params.len(),
-            insts,
+            arity: params.len(),
+            n_captured: c.captures.len(),
+            n_regs: c.next,
+            insts: c.insts.into_boxed_slice(),
             out,
-            n_regs,
-            col,
+            col: lower_columnar(engine, params, &c.captures, body),
             stats: Rc::clone(&engine.stats),
         };
-        cf.verify(engine.ops()).map_err(Fallback::Rejected)?;
-        Ok(cf)
+        cf.verify(engine.ops()).map_err(|e| {
+            ExecError::Internal(format!("the bytecode verifier rejected a program: {e}"))
+        })?;
+        engine.stats.record_compiled();
+        Ok((cf, c.captures))
     }
 
     /// The bytecode verifier: a static pass over the lowered program,
     /// run once at compile time before the program is ever executed.
     ///
-    /// The executor reuses a dirty per-thread register file without
-    /// clearing and the columnar kernel split-borrows its column
-    /// vectors; both are sound only if programs are single-assignment
-    /// and every read happens after the (unique) write. The verifier
-    /// checks those invariants instead of assuming them:
+    /// The executor reuses register files without clearing them between
+    /// rows, moves values out of the registers it reads, and the
+    /// columnar kernel split-borrows its column vectors; all of that is
+    /// sound only if programs are single-assignment and every read
+    /// happens once, after the (unique) write. The verifier checks those
+    /// invariants instead of assuming them:
     ///
-    /// * every register is written exactly once, read only afterwards,
-    ///   and in bounds for its register file;
-    /// * input slots are within the closure's arity;
+    /// * every register is written exactly once, read at most once and
+    ///   only afterwards, and in bounds for its register file;
+    /// * input slots are within the parameters plus the captured values,
+    ///   and field loads in place read a parameter;
     /// * every `Call` names an entry of `ops` whose `pure` evaluation is
-    ///   the one it carries, and `Arith`/`Cmp` carry an opcode of the
-    ///   right kind (the executor would panic on a mismatch);
+    ///   the one it carries, every `CallOp` an entry that exists, and
+    ///   `Arith`/`Cmp` carry an opcode of the right kind (the executor
+    ///   would panic on a mismatch);
+    /// * every `MakeClosure` gives its child as many parameters and
+    ///   captured values as the child takes;
     /// * the output register is defined.
-    ///
-    /// A rejected program falls back to the interpreter and counts as
-    /// `verifier-reject` in the compile statistics.
     pub fn verify(&self, ops: &OpTable) -> Result<(), String> {
         let mut init = vec![false; self.n_regs];
-        for (pc, inst) in self.insts.iter().enumerate() {
-            match inst {
-                Inst::Const(dst, _) => reg_write(&mut init, *dst, pc)?,
-                Inst::Input(dst, slot) => {
-                    if *slot >= self.arity {
-                        return Err(format!(
-                            "inst {pc} reads input slot {slot}, but the function \
-                             takes {} argument(s)",
-                            self.arity
-                        ));
-                    }
-                    reg_write(&mut init, *dst, pc)?;
-                }
-                Inst::Field(dst, src, _, _) => {
-                    reg_read(&init, *src, pc)?;
-                    reg_write(&mut init, *dst, pc)?;
-                }
-                Inst::InputField(dst, slot, _, _) => {
-                    if *slot >= self.arity {
-                        return Err(format!(
-                            "inst {pc} reads a field of input slot {slot}, but the \
-                             function takes {} argument(s)",
-                            self.arity
-                        ));
-                    }
-                    reg_write(&mut init, *dst, pc)?;
-                }
-                Inst::Call(dst, id, op, arg_regs) => {
-                    let entry = ops.entries().get(*id).ok_or_else(|| {
-                        format!("inst {pc} calls operator #{id}, which is not in the table")
-                    })?;
-                    if entry.pure != Some(*op) {
-                        return Err(format!(
-                            "inst {pc} calls `{}`, which is not a pure operator",
-                            entry.name
-                        ));
-                    }
-                    for r in arg_regs.iter() {
-                        reg_read(&init, *r, pc)?;
-                    }
-                    reg_write(&mut init, *dst, pc)?;
-                }
-                Inst::MakeList(dst, arg_regs) | Inst::MakePair(dst, arg_regs) => {
-                    for r in arg_regs.iter() {
-                        reg_read(&init, *r, pc)?;
-                    }
-                    reg_write(&mut init, *dst, pc)?;
+        let mut read = vec![false; self.n_regs];
+        let mut reads = |init: &[bool], rs: &[usize], pc: usize| -> Result<(), String> {
+            for &r in rs {
+                reg_read(init, r, pc)?;
+                if std::mem::replace(&mut read[r], true) {
+                    return Err(format!(
+                        "inst {pc} reads register r{r} a second time (each register \
+                         feeds one instruction)"
+                    ));
                 }
             }
+            Ok(())
+        };
+        let inputs = self.arity + self.n_captured;
+        for (pc, inst) in self.insts.iter().enumerate() {
+            let entry = |id: usize| {
+                (ops.entries().get(id)).ok_or_else(|| {
+                    format!("inst {pc} calls operator #{id}, which is not in the table")
+                })
+            };
+            let (dst, args): (&usize, &[usize]) = match inst {
+                Inst::Const(dst, _) | Inst::LoadObject(dst, ..) => (dst, &[]),
+                Inst::Input(dst, slot) if *slot < inputs => (dst, &[]),
+                Inst::InputField(dst, slot, ..) if *slot < self.arity => (dst, &[]),
+                Inst::Input(_, slot) | Inst::InputField(_, slot, ..) => {
+                    return Err(format!(
+                        "inst {pc} reads input slot {slot}, but the function takes {} \
+                         argument(s) (the only slots a field load reads) and captures {}",
+                        self.arity, self.n_captured
+                    ));
+                }
+                Inst::Field(dst, src, ..) => (dst, std::slice::from_ref(src)),
+                Inst::Call(dst, id, op, args) => match entry(*id)? {
+                    e if e.pure == Some(*op) => (dst, args),
+                    e => {
+                        let name = &e.name;
+                        return Err(format!(
+                            "inst {pc} calls `{name}`, which is not a pure operator"
+                        ));
+                    }
+                },
+                Inst::CallOp(dst, id, _, args) => entry(*id).map(|_| (dst, &args[..]))?,
+                Inst::MakeList(dst, args) | Inst::MakePair(dst, args) => (dst, args),
+                Inst::MakeClosure(dst, params, child, captures) => {
+                    if params.len() != child.arity || captures.len() != child.n_captured {
+                        return Err(format!(
+                            "inst {pc} builds a closure of {} parameter(s) and {} captured \
+                             value(s) over a program that takes {} and captures {}",
+                            params.len(),
+                            captures.len(),
+                            child.arity,
+                            child.n_captured
+                        ));
+                    }
+                    (dst, captures)
+                }
+                Inst::CallClosure(dst, fun, args) => {
+                    reads(&init, &[*fun], pc)?;
+                    (dst, args)
+                }
+            };
+            reads(&init, args, pc)?;
+            reg_write(&mut init, *dst, pc)?;
         }
-        reg_read(&init, self.out, self.insts.len()).map_err(|e| format!("output register: {e}"))?;
+        reads(&init, &[self.out], self.insts.len()).map_err(|e| format!("output register: {e}"))?;
         if let Some(col) = &self.col {
-            col.verify()?;
+            col.verify(self.n_captured)?;
         }
         Ok(())
     }
@@ -550,120 +586,59 @@ impl CompiledFun {
         self.col.is_some()
     }
 
-    /// Whether this is a predicate-shaped program over one row that
-    /// reads the row only through field loads, never as a whole value.
-    /// Such a program runs on records read in place
-    /// ([`sos_storage::field::RecordView`]) with the same values and
-    /// errors as on decoded tuples, so a scan can evaluate it before it
-    /// decodes anything.
-    pub fn reads_fields_only(&self) -> bool {
-        self.arity == 1 && !self.insts.iter().any(|i| matches!(i, Inst::Input(..)))
-    }
-
-    /// Apply to argument values: tier A, one row. Arity errors match
-    /// `EvalCtx::call_bound` exactly.
-    pub fn call(&self, args: &[Value]) -> ExecResult<Value> {
-        self.call_on(args)
-    }
-
-    /// [`CompiledFun::call`] on any rows (decoded tuples or records read
-    /// in place).
-    fn call_on<R: Row>(&self, args: &[R]) -> ExecResult<Value> {
-        if self.arity != args.len() {
-            return Err(ExecError::Other(format!(
-                "function expects {} argument(s), got {}",
-                self.arity,
-                args.len()
-            )));
-        }
-        REGS.with(|cell| {
-            let mut regs = cell.borrow_mut();
-            if regs.len() < self.n_regs {
-                regs.resize(self.n_regs, Value::Undefined);
-            }
-            self.exec(&mut regs, args)
-        })
-    }
-
-    /// Evaluate as a predicate over a whole batch, returning the keep
-    /// mask. Columnar when possible; otherwise row-by-row, surfacing the
-    /// first error in row order (the interpreter's order).
-    pub fn eval_mask<R: Row>(&self, batch: &[R], op: &'static str) -> ExecResult<Vec<bool>> {
-        let mut failed = Vec::new();
-        let mask = self.eval_each(batch, op, &mut failed);
-        match failed.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(mask),
-        }
-    }
-
-    /// Evaluate as a predicate over a whole batch, row by row when the
-    /// columnar kernel bails, where an error on one row does not stop
-    /// the others: returns the keep mask, `false` on each failed row,
-    /// and appends `(row, error)` for those to `failed`, in row order.
-    pub(crate) fn eval_each<R: Row>(
-        &self,
-        batch: &[R],
-        op: &'static str,
-        failed: &mut Vec<(usize, ExecError)>,
-    ) -> Vec<bool> {
-        if let Some(col) = &self.col {
-            if let ColOutcome::Bools(mask) = col.run(batch) {
-                self.stats.record_columnar_batch();
-                return mask;
-            }
-        }
-        let mut mask = Vec::with_capacity(batch.len());
-        for (r, t) in batch.iter().enumerate() {
-            match self
-                .call_on(std::slice::from_ref(t))
-                .and_then(|v| v.as_bool(op))
-            {
-                Ok(keep) => mask.push(keep),
-                Err(e) => {
-                    failed.push((r, e));
-                    mask.push(false);
-                }
-            }
-        }
-        mask
-    }
-
-    /// Evaluate over a whole batch, returning one value per row.
-    /// Columnar when possible; otherwise row-by-row.
-    pub fn eval_column(&self, batch: &[Value]) -> ExecResult<Vec<Value>> {
-        if let Some(vs) = self.try_columnar(batch) {
-            return Ok(vs);
-        }
-        batch
-            .iter()
-            .map(|t| self.call(std::slice::from_ref(t)))
-            .collect()
-    }
-
-    /// Run the tier-B kernel alone: `Some(values)` only when the whole
-    /// batch evaluated columnar with no bail-out. Callers that interleave
-    /// the per-row result with other fallible work (`replace` rebuilds
-    /// the tuple per row) use this so that on `None` they can fall back
-    /// to fully interleaved per-row evaluation, keeping the
-    /// interpreter's error order exactly.
-    pub fn try_columnar(&self, batch: &[Value]) -> Option<Vec<Value>> {
-        let vs = match self.col.as_ref()?.run(batch) {
-            ColOutcome::Ints(vs) => vs.into_iter().map(Value::Int).collect(),
-            ColOutcome::Bools(vs) => vs.into_iter().map(Value::Bool).collect(),
-            ColOutcome::Bail => return None,
+    /// Whether the program reads the store or runs a table entry, and
+    /// so runs only with an evaluation context.
+    pub fn needs_context(&self) -> bool {
+        let ctx = |i: &Inst| {
+            matches!(
+                i,
+                Inst::LoadObject(..) | Inst::CallOp(..) | Inst::CallClosure(..)
+            )
         };
-        self.stats.record_columnar_batch();
-        Some(vs)
+        self.insts.iter().any(ctx)
     }
 
-    fn exec<R: Row>(&self, regs: &mut [Value], args: &[R]) -> ExecResult<Value> {
+    /// Whether this is a predicate-shaped program over one row that
+    /// needs no context and reads the row only through field loads,
+    /// never as a whole value. Such a program runs on records read in
+    /// place ([`sos_storage::field::RecordView`]) with the same values
+    /// and errors as on decoded tuples, so a scan can evaluate it before
+    /// it decodes anything.
+    pub fn reads_fields_only(&self) -> bool {
+        self.arity == 1
+            && !self.needs_context()
+            && !self.insts.iter().any(|i| matches!(i, Inst::Input(_, 0)))
+    }
+
+    /// The arity check of every call.
+    fn check_arity(&self, got: usize) -> ExecResult<()> {
+        if self.arity == got {
+            return Ok(());
+        }
+        Err(ExecError::Other(format!(
+            "function expects {} argument(s), got {got}",
+            self.arity
+        )))
+    }
+
+    fn exec<R: Row>(
+        &self,
+        regs: &mut [Value],
+        args: &[R],
+        captured: &[Value],
+        mut ctx: Option<&mut EvalCtx<'_>>,
+    ) -> ExecResult<Value> {
         for inst in self.insts.iter() {
             match inst {
                 Inst::Const(dst, v) => regs[*dst] = v.clone(),
-                Inst::Input(dst, slot) => regs[*dst] = args[*slot].value(),
+                Inst::Input(dst, slot) => {
+                    regs[*dst] = match args.get(*slot) {
+                        Some(a) => a.value(),
+                        None => captured[*slot - self.arity].clone(),
+                    };
+                }
                 Inst::Field(dst, src, idx, attr) => {
-                    regs[*dst] = load_field(&regs[*src], *idx, attr)?;
+                    regs[*dst] = load_field(&take(regs, *src), *idx, attr)?;
                 }
                 Inst::InputField(dst, slot, idx, attr) => {
                     regs[*dst] = args[*slot].load(*idx, attr)?;
@@ -672,24 +647,188 @@ impl CompiledFun {
                     let v = match **arg_regs {
                         [a] => op.eval(std::slice::from_ref(&regs[a])),
                         [a, b] => bin_op(*op, &regs[a], &regs[b]),
-                        _ => op.eval(
-                            &arg_regs
-                                .iter()
-                                .map(|&r| regs[r].clone())
-                                .collect::<Vec<_>>(),
-                        ),
+                        _ => op.eval(&take_all(regs, arg_regs)),
                     };
                     regs[*dst] = v?;
                 }
-                Inst::MakeList(dst, arg_regs) => {
-                    regs[*dst] = Value::List(arg_regs.iter().map(|&r| regs[r].clone()).collect());
+                Inst::MakeList(dst, arg_regs) => regs[*dst] = Value::List(take_all(regs, arg_regs)),
+                Inst::MakePair(dst, arg_regs) => regs[*dst] = Value::Pair(take_all(regs, arg_regs)),
+                Inst::LoadObject(dst, name, ty) => regs[*dst] = need(&mut ctx)?.object(name, ty),
+                Inst::CallOp(dst, id, node, arg_regs) => {
+                    let ctx = need(&mut ctx)?;
+                    let argv = take_all(regs, arg_regs);
+                    let engine = ctx.engine;
+                    regs[*dst] = (engine.ops().entries()[*id].imp)(ctx, node, argv)?;
                 }
-                Inst::MakePair(dst, arg_regs) => {
-                    regs[*dst] = Value::Pair(arg_regs.iter().map(|&r| regs[r].clone()).collect());
+                Inst::MakeClosure(dst, params, program, captures) => {
+                    regs[*dst] = Value::Closure(Rc::new(Closure {
+                        params: params.clone(),
+                        program: program.clone(),
+                        captured: take_all(regs, captures).into(),
+                    }));
+                }
+                Inst::CallClosure(dst, fun, arg_regs) => {
+                    let ctx = need(&mut ctx)?;
+                    let fun = take(regs, *fun);
+                    let argv = take_all(regs, arg_regs);
+                    let closure = fun.as_closure("function application")?;
+                    regs[*dst] = closure.apply(Some(ctx), &argv)?;
                 }
             }
         }
-        Ok(std::mem::replace(&mut regs[self.out], Value::Undefined))
+        Ok(take(regs, self.out))
+    }
+}
+
+impl Closure {
+    /// Compile a plan-level lambda: `body` may read only `params` (the
+    /// checker guarantees it), so the closure captures nothing. Lambdas
+    /// nested in the body compile with it, as child programs.
+    pub fn compile(engine: &ExecEngine, params: &Params, body: &TypedExpr) -> ExecResult<Closure> {
+        let (program, captures) = CompiledFun::lower(engine, params, body)?;
+        if let Some((name, _)) = captures.first() {
+            return Err(ExecError::Other(format!("unbound variable `{name}`")));
+        }
+        Ok(Closure {
+            params: params.clone(),
+            program: Rc::new(program),
+            captured: Box::default(),
+        })
+    }
+
+    /// The closure's program, shared by every closure of its lambda.
+    pub fn program(&self) -> &Rc<CompiledFun> {
+        &self.program
+    }
+
+    /// Apply to argument values (decoded tuples, or records read in
+    /// place). `ctx` may be `None` only for a program that needs no
+    /// context ([`CompiledFun::needs_context`]).
+    pub fn apply<R: Row>(&self, ctx: Option<&mut EvalCtx<'_>>, args: &[R]) -> ExecResult<Value> {
+        let p = &self.program;
+        p.check_arity(args.len())?;
+        with_frame(p.n_regs, |regs| p.exec(regs, args, &self.captured, ctx))
+    }
+
+    /// Run the one-parameter program on each row of `batch` in order,
+    /// in one register frame, handing `f` each row's index and result;
+    /// stops at the first error `f` returns.
+    fn each<R: Row>(
+        &self,
+        mut ctx: Option<&mut EvalCtx<'_>>,
+        batch: &[R],
+        mut f: impl FnMut(usize, ExecResult<Value>) -> ExecResult<()>,
+    ) -> ExecResult<()> {
+        let p = &self.program;
+        p.check_arity(1)?;
+        with_frame(p.n_regs, |regs| {
+            for (r, t) in batch.iter().enumerate() {
+                let v = p.exec(
+                    regs,
+                    std::slice::from_ref(t),
+                    &self.captured,
+                    ctx.as_deref_mut(),
+                );
+                f(r, v)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Evaluate as a predicate over a whole batch, returning the keep
+    /// mask. Columnar when possible; otherwise row by row, stopping at
+    /// the first error in row order.
+    pub fn eval_mask<R: Row>(
+        &self,
+        ctx: Option<&mut EvalCtx<'_>>,
+        batch: &[R],
+        op: &'static str,
+    ) -> ExecResult<Vec<bool>> {
+        match self.columnar_mask(batch) {
+            Some(mask) => Ok(mask),
+            None => self.map_rows(ctx, batch, |v| v.as_bool(op)),
+        }
+    }
+
+    /// Evaluate a predicate that needs no context over a whole batch,
+    /// where an error on one row does not stop the others: returns the
+    /// keep mask, `false` on each failed row, and appends `(row, error)`
+    /// for those to `failed`, in row order.
+    pub(crate) fn eval_each<R: Row>(
+        &self,
+        batch: &[R],
+        op: &'static str,
+        failed: &mut Vec<(usize, ExecError)>,
+    ) -> Vec<bool> {
+        if let Some(mask) = self.columnar_mask(batch) {
+            return mask;
+        }
+        let mut mask = Vec::with_capacity(batch.len());
+        let run = self.each(None, batch, |r, v| {
+            match v.and_then(|v| v.as_bool(op)) {
+                Ok(keep) => mask.push(keep),
+                Err(e) => {
+                    failed.push((r, e));
+                    mask.push(false);
+                }
+            }
+            Ok(())
+        });
+        if let Err(e) = run {
+            // Only the arity check fails the whole batch.
+            failed.push((0, e));
+            mask = vec![false; batch.len()];
+        }
+        mask
+    }
+
+    /// Evaluate over a whole batch, returning one value per row.
+    /// Columnar when possible; otherwise row by row.
+    pub fn eval_column(
+        &self,
+        ctx: Option<&mut EvalCtx<'_>>,
+        batch: &[Value],
+    ) -> ExecResult<Vec<Value>> {
+        match self.try_columnar(batch) {
+            Some(vs) => Ok(vs),
+            None => self.map_rows(ctx, batch, Ok),
+        }
+    }
+
+    /// `f` of each row's value, in row order, until the first error.
+    fn map_rows<R: Row, T>(
+        &self,
+        ctx: Option<&mut EvalCtx<'_>>,
+        batch: &[R],
+        f: impl Fn(Value) -> ExecResult<T>,
+    ) -> ExecResult<Vec<T>> {
+        let mut out = Vec::with_capacity(batch.len());
+        self.each(ctx, batch, |_, v| {
+            out.push(f(v?)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Run the tier-B kernel alone: `Some(values)` only when the whole
+    /// batch evaluated columnar with no bail-out.
+    pub fn try_columnar(&self, batch: &[Value]) -> Option<Vec<Value>> {
+        let vs = match self.program.col.as_ref()?.run(batch, &self.captured) {
+            ColOutcome::Ints(vs) => vs.into_iter().map(Value::Int).collect(),
+            ColOutcome::Bools(vs) => vs.into_iter().map(Value::Bool).collect(),
+            ColOutcome::Bail => return None,
+        };
+        self.program.stats.record_columnar_batch();
+        Some(vs)
+    }
+
+    /// The tier-B keep mask, when the kernel finishes the batch.
+    fn columnar_mask<R: Row>(&self, batch: &[R]) -> Option<Vec<bool>> {
+        let ColOutcome::Bools(mask) = self.program.col.as_ref()?.run(batch, &self.captured) else {
+            return None;
+        };
+        self.program.stats.record_columnar_batch();
+        Some(mask)
     }
 }
 
@@ -731,7 +870,9 @@ fn bin_op(op: Atomic, a: &Value, b: &Value) -> ExecResult<Value> {
 struct Lowering<'a> {
     engine: &'a ExecEngine,
     params: &'a [(Symbol, DataType)],
-    captured: &'a [(Symbol, Value)],
+    /// The variables of enclosing lambdas read so far, in the input
+    /// slots after the parameters.
+    captures: Vec<(Symbol, DataType)>,
     insts: Vec<Inst>,
     next: usize,
 }
@@ -743,69 +884,88 @@ impl Lowering<'_> {
         r
     }
 
-    fn lower(&mut self, te: &TypedExpr) -> Result<usize, Fallback> {
-        match &te.node {
-            TypedNode::Const(c) => {
-                let dst = self.fresh();
-                self.insts.push(Inst::Const(dst, Value::from_const(c)));
-                Ok(dst)
+    fn emit(&mut self, inst: impl FnOnce(usize) -> Inst) -> usize {
+        let dst = self.fresh();
+        self.insts.push(inst(dst));
+        dst
+    }
+
+    /// The input slot of variable `name` of type `ty`: a parameter (the
+    /// last of its name), or else a captured variable, given the next
+    /// slot when first read.
+    fn slot(&mut self, name: &Symbol, ty: &DataType) -> usize {
+        if let Some(p) = self.params.iter().rposition(|(n, _)| n == name) {
+            return p;
+        }
+        let c = self.captures.iter().position(|(n, _)| n == name);
+        self.params.len()
+            + c.unwrap_or_else(|| {
+                self.captures.push((name.clone(), ty.clone()));
+                self.captures.len() - 1
+            })
+    }
+
+    fn lower(&mut self, te: &TypedExpr) -> ExecResult<usize> {
+        Ok(match &te.node {
+            TypedNode::Const(c) => self.emit(|dst| Inst::Const(dst, Value::from_const(c))),
+            TypedNode::Object(name) => {
+                self.emit(|dst| Inst::LoadObject(dst, name.clone(), te.ty.clone()))
             }
-            TypedNode::Object(name) => Err(Fallback::Object(name.clone())),
-            TypedNode::Lambda { .. } | TypedNode::ApplyFun { .. } => Err(Fallback::Function),
             TypedNode::Var(name) => {
-                let dst = self.fresh();
-                // The interpreter's environment is captured ++ params,
-                // searched innermost-first: parameters shadow captures.
-                if let Some(slot) = self.params.iter().rposition(|(n, _)| n == name) {
-                    self.insts.push(Inst::Input(dst, slot));
-                } else if let Some((_, v)) = self.captured.iter().rev().find(|(n, _)| n == name) {
-                    self.insts.push(Inst::Const(dst, v.clone()));
-                } else {
-                    return Err(Fallback::UnboundVar(name.clone()));
-                }
-                Ok(dst)
+                let slot = self.slot(name, &te.ty);
+                self.emit(|dst| Inst::Input(dst, slot))
             }
             TypedNode::List(items) => {
                 let regs = self.lower_all(items)?;
-                let dst = self.fresh();
-                self.insts.push(Inst::MakeList(dst, regs));
-                Ok(dst)
+                self.emit(|dst| Inst::MakeList(dst, regs))
             }
             TypedNode::Tuple(items) => {
                 let regs = self.lower_all(items)?;
-                let dst = self.fresh();
-                self.insts.push(Inst::MakePair(dst, regs));
-                Ok(dst)
+                self.emit(|dst| Inst::MakePair(dst, regs))
             }
             TypedNode::Field { attr, idx, arg, .. } => {
-                if let TypedNode::Var(name) = &arg.node {
-                    if let Some(slot) = self.params.iter().rposition(|(n, _)| n == name) {
-                        let dst = self.fresh();
-                        self.insts
-                            .push(Inst::InputField(dst, slot, *idx, attr.clone()));
-                        return Ok(dst);
+                let param = match &arg.node {
+                    TypedNode::Var(name) => self.params.iter().rposition(|(n, _)| n == name),
+                    _ => None,
+                };
+                match param {
+                    Some(slot) => self.emit(|dst| Inst::InputField(dst, slot, *idx, attr.clone())),
+                    None => {
+                        let src = self.lower(arg)?;
+                        self.emit(|dst| Inst::Field(dst, src, *idx, attr.clone()))
                     }
                 }
-                let src = self.lower(arg)?;
-                let dst = self.fresh();
-                self.insts.push(Inst::Field(dst, src, *idx, attr.clone()));
-                Ok(dst)
             }
             TypedNode::Apply { op, spec, args } => {
-                let Some((id, Some(pure))) =
-                    self.engine.ops().of_spec(*spec).map(|(id, e)| (id, e.pure))
-                else {
-                    return Err(Fallback::ImpureOp(op.clone()));
+                let (id, pure) = match self.engine.ops().of_spec(*spec) {
+                    Some((id, entry)) => (id, entry.pure),
+                    None => return Err(ExecError::NoImpl(op.clone())),
                 };
                 let regs = self.lower_all(args)?;
-                let dst = self.fresh();
-                self.insts.push(Inst::Call(dst, id, pure, regs));
-                Ok(dst)
+                match pure {
+                    Some(pure) => self.emit(|dst| Inst::Call(dst, id, pure, regs)),
+                    None => self.emit(|dst| Inst::CallOp(dst, id, Box::new(te.clone()), regs)),
+                }
             }
-        }
+            TypedNode::Lambda { params, body } => {
+                let (child, captures) = CompiledFun::lower(self.engine, params, body)?;
+                let regs = (captures.iter())
+                    .map(|(name, ty)| {
+                        let slot = self.slot(name, ty);
+                        self.emit(|dst| Inst::Input(dst, slot))
+                    })
+                    .collect();
+                self.emit(|dst| Inst::MakeClosure(dst, params.clone(), Rc::new(child), regs))
+            }
+            TypedNode::ApplyFun { fun, args } => {
+                let f = self.lower(fun)?;
+                let regs = self.lower_all(args)?;
+                self.emit(|dst| Inst::CallClosure(dst, f, regs))
+            }
+        })
     }
 
-    fn lower_all(&mut self, items: &[TypedExpr]) -> Result<Box<[usize]>, Fallback> {
+    fn lower_all(&mut self, items: &[TypedExpr]) -> ExecResult<Box<[usize]>> {
         items.iter().map(|i| self.lower(i)).collect()
     }
 }
@@ -820,19 +980,24 @@ fn is_atom(ty: &DataType, name: &str) -> bool {
 
 /// Try to lower the body to the int/bool columnar kernel. `None` keeps
 /// tier A only — never an error, since tier A already compiled.
-fn lower_columnar(engine: &ExecEngine, closure: &Closure) -> Option<ColProgram> {
-    let [(param, _)] = &closure.params[..] else {
+fn lower_columnar(
+    engine: &ExecEngine,
+    params: &[(Symbol, DataType)],
+    captures: &[(Symbol, DataType)],
+    body: &TypedExpr,
+) -> Option<ColProgram> {
+    let [(param, _)] = params else {
         return None;
     };
     let mut c = ColLowering {
         engine,
         param,
-        captured: &closure.captured,
+        captures,
         insts: Vec::new(),
         n_int: 0,
         n_bool: 0,
     };
-    let out = c.lower(&closure.body)?;
+    let out = c.lower(body)?;
     Some(ColProgram {
         insts: c.insts,
         n_int: c.n_int,
@@ -844,7 +1009,7 @@ fn lower_columnar(engine: &ExecEngine, closure: &Closure) -> Option<ColProgram> 
 struct ColLowering<'a> {
     engine: &'a ExecEngine,
     param: &'a Symbol,
-    captured: &'a [(Symbol, Value)],
+    captures: &'a [(Symbol, DataType)],
     insts: Vec<ColInst>,
     n_int: usize,
     n_bool: usize,
@@ -861,39 +1026,41 @@ impl ColLowering<'_> {
         self.n_bool - 1
     }
 
+    fn int(&mut self, inst: impl FnOnce(usize) -> ColInst) -> Option<ColReg> {
+        let dst = self.fresh_int();
+        self.insts.push(inst(dst));
+        Some(ColReg::I(dst))
+    }
+
+    fn bool(&mut self, inst: impl FnOnce(usize) -> ColInst) -> Option<ColReg> {
+        let dst = self.fresh_bool();
+        self.insts.push(inst(dst));
+        Some(ColReg::B(dst))
+    }
+
     fn lower(&mut self, te: &TypedExpr) -> Option<ColReg> {
         match &te.node {
             TypedNode::Const(sos_core::Const::Int(v)) => {
-                let dst = self.fresh_int();
-                self.insts.push(ColInst::BroadcastInt { dst, v: *v });
-                Some(ColReg::I(dst))
+                self.int(|dst| ColInst::BroadcastInt { dst, v: *v })
             }
             TypedNode::Const(sos_core::Const::Bool(v)) => {
-                let dst = self.fresh_bool();
-                self.insts.push(ColInst::BroadcastBool { dst, v: *v });
-                Some(ColReg::B(dst))
+                self.bool(|dst| ColInst::BroadcastBool { dst, v: *v })
             }
             TypedNode::Var(name) => {
                 // The tuple parameter itself is not a column; captured
-                // int/bool values broadcast (parameters shadow captures,
-                // so a captured value under the parameter's name is
-                // unreachable and must not broadcast).
+                // int/bool variables broadcast (the parameter shadows a
+                // capture of its name).
                 if name == self.param {
                     return None;
                 }
-                match self.captured.iter().rev().find(|(n, _)| n == name)? {
-                    (_, Value::Int(v)) => {
-                        let dst = self.fresh_int();
-                        self.insts.push(ColInst::BroadcastInt { dst, v: *v });
-                        Some(ColReg::I(dst))
-                    }
-                    (_, Value::Bool(v)) => {
-                        let dst = self.fresh_bool();
-                        self.insts.push(ColInst::BroadcastBool { dst, v: *v });
-                        Some(ColReg::B(dst))
-                    }
-                    _ => None,
-                }
+                let capture = self.captures.iter().position(|(n, _)| n == name)?;
+                let dst = match () {
+                    _ if is_atom(&te.ty, "int") => ColReg::I(self.fresh_int()),
+                    _ if is_atom(&te.ty, "bool") => ColReg::B(self.fresh_bool()),
+                    _ => return None,
+                };
+                self.insts.push(ColInst::Captured { dst, capture });
+                Some(dst)
             }
             // Attribute access directly on the tuple parameter, for
             // int- and bool-typed fields.
@@ -903,14 +1070,10 @@ impl ColLowering<'_> {
                 }
                 let field = *idx;
                 if is_atom(&te.ty, "int") {
-                    let dst = self.fresh_int();
-                    self.insts.push(ColInst::GatherInt { dst, field });
-                    return Some(ColReg::I(dst));
+                    return self.int(|dst| ColInst::GatherInt { dst, field });
                 }
                 if is_atom(&te.ty, "bool") {
-                    let dst = self.fresh_bool();
-                    self.insts.push(ColInst::GatherBool { dst, field });
-                    return Some(ColReg::B(dst));
+                    return self.bool(|dst| ColInst::GatherBool { dst, field });
                 }
                 None
             }
@@ -928,53 +1091,22 @@ impl ColLowering<'_> {
             let ColReg::B(a) = self.lower(arg)? else {
                 return None;
             };
-            let dst = self.fresh_bool();
-            self.insts.push(ColInst::Not { dst, a });
-            return Some(ColReg::B(dst));
+            return self.bool(|dst| ColInst::Not { dst, a });
         }
         let [x, y] = args else { return None };
         let (ra, rb) = (self.lower(x)?, self.lower(y)?);
         match (op, ra, rb) {
             (_, ColReg::I(a), ColReg::I(b)) if is_arith(op) => {
-                let dst = self.fresh_int();
-                self.insts.push(ColInst::Arith { op, dst, a, b });
-                Some(ColReg::I(dst))
+                self.int(|dst| ColInst::Arith { op, dst, a, b })
             }
             (_, ColReg::I(a), ColReg::I(b)) if is_cmp(op) => {
-                let dst = self.fresh_bool();
-                self.insts.push(ColInst::Cmp { op, dst, a, b });
-                Some(ColReg::B(dst))
+                self.bool(|dst| ColInst::Cmp { op, dst, a, b })
             }
-            (Atomic::And, ColReg::B(a), ColReg::B(bb)) => {
-                let dst = self.fresh_bool();
-                self.insts.push(ColInst::And { dst, a, b: bb });
-                Some(ColReg::B(dst))
+            (Atomic::And, ColReg::B(a), ColReg::B(b)) => {
+                self.bool(|dst| ColInst::And { dst, a, b })
             }
-            (Atomic::Or, ColReg::B(a), ColReg::B(bb)) => {
-                let dst = self.fresh_bool();
-                self.insts.push(ColInst::Or { dst, a, b: bb });
-                Some(ColReg::B(dst))
-            }
+            (Atomic::Or, ColReg::B(a), ColReg::B(b)) => self.bool(|dst| ColInst::Or { dst, a, b }),
             _ => None,
-        }
-    }
-}
-
-/// Compile a shared closure through the engine's knob and counters:
-/// `None` (interpreter) when compilation is disabled or the body falls
-/// outside the pure subset, recording the outcome either way.
-pub fn compile_gated(engine: &ExecEngine, closure: &Rc<Closure>) -> Option<Rc<CompiledFun>> {
-    if !engine.compile_exprs_enabled() {
-        return None;
-    }
-    match CompiledFun::compile(engine, closure) {
-        Ok(cf) => {
-            engine.stats.record_compiled();
-            Some(Rc::new(cf))
-        }
-        Err(f) => {
-            engine.stats.record_fallback(&f);
-            None
         }
     }
 }
@@ -1034,11 +1166,26 @@ mod tests {
         )
     }
 
-    fn closure1(body: TypedExpr) -> Closure {
-        Closure {
-            params: [(Symbol::new("t"), item_ty())].into(),
-            body: Arc::new(body),
-            captured: vec![],
+    fn params_t() -> Params {
+        [(Symbol::new("t"), item_ty())].into()
+    }
+
+    /// Context-free calls and the program's shape, for the tests.
+    impl Closure {
+        fn call(&self, args: &[Value]) -> ExecResult<Value> {
+            self.apply(None, args)
+        }
+
+        fn call_on<R: Row>(&self, args: &[R]) -> ExecResult<Value> {
+            self.apply(None, args)
+        }
+
+        fn is_columnar(&self) -> bool {
+            self.program.is_columnar()
+        }
+
+        fn reads_fields_only(&self) -> bool {
+            self.program.reads_fields_only()
         }
     }
 
@@ -1051,8 +1198,31 @@ mod tests {
         ])
     }
 
-    fn compile1(body: TypedExpr) -> CompiledFun {
-        CompiledFun::compile(&engine(), &closure1(body)).expect("compiles")
+    fn compile1(body: TypedExpr) -> Closure {
+        Closure::compile(&engine(), &params_t(), &body).expect("compiles")
+    }
+
+    fn lambda(param: (&str, DataType), body: TypedExpr) -> TypedExpr {
+        let fun_ty = DataType::Fun(vec![param.1.clone()], Box::new(body.ty.clone()));
+        let lambda = TypedNode::Lambda {
+            params: [(Symbol::new(param.0), param.1)].into(),
+            body: Arc::new(body),
+        };
+        TypedExpr::new(lambda, fun_ty)
+    }
+
+    /// `fun (outer) fun (t: item) body`, compiled.
+    fn nested(e: &ExecEngine, outer: (&str, DataType), body: TypedExpr) -> Closure {
+        let params = [(Symbol::new(outer.0), outer.1)].into();
+        Closure::compile(e, &params, &lambda(("t", item_ty()), body)).unwrap()
+    }
+
+    /// The closure `outer` builds for `arg`.
+    fn inner(outer: &Closure, arg: Value) -> Rc<Closure> {
+        match outer.call(&[arg]).unwrap() {
+            Value::Closure(c) => c,
+            other => panic!("expected a closure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1068,21 +1238,26 @@ mod tests {
         // Field
         let cf = compile1(field("k", "int"));
         assert_eq!(cf.call(&[item(9, 1, "x", true)]).unwrap(), Value::Int(9));
-        // Field on a too-short tuple: identical error to the interpreter.
+        // Field on a too-short tuple: the error of every attribute access.
         let cf = compile1(field("b", "bool"));
         let short = Value::tuple(vec![Value::Int(1)]);
         assert_eq!(
             cf.call(&[short]).unwrap_err().to_string(),
             "tuple too short for attribute `b`"
         );
-        // Captured variables freeze as constants; parameters shadow them.
-        let c = Closure {
-            params: [(Symbol::new("t"), item_ty())].into(),
-            body: Arc::new(var("n", ty("int"))),
-            captured: vec![(Symbol::new("n"), Value::Int(5))],
-        };
-        let cf = CompiledFun::compile(&e, &c).unwrap();
-        assert_eq!(cf.call(&[item(0, 0, "", false)]).unwrap(), Value::Int(5));
+        // `fun (n: int) fun (t: item) n`: the inner lambda compiles with
+        // the outer one and reads `n` from the input slot after its
+        // parameter; every closure it builds shares its program.
+        let outer = nested(&e, ("n", ty("int")), var("n", ty("int")));
+        let (five, six) = (inner(&outer, Value::Int(5)), inner(&outer, Value::Int(6)));
+        assert!(Rc::ptr_eq(&five.program, &six.program));
+        let t = item(3, 0, "", true);
+        assert_eq!(five.call(std::slice::from_ref(&t)).unwrap(), Value::Int(5));
+        assert_eq!(six.call(std::slice::from_ref(&t)).unwrap(), Value::Int(6));
+        // A parameter shadows a captured variable of its name.
+        let shadow = nested(&e, ("t", ty("int")), var("t", item_ty()));
+        let c = inner(&shadow, Value::Int(1));
+        assert_eq!(c.call(std::slice::from_ref(&t)).unwrap(), t);
     }
 
     #[test]
@@ -1106,11 +1281,11 @@ mod tests {
         let views: Vec<RecordView<'_>> =
             bytes.iter().map(|b| RecordView::new(b).unwrap()).collect();
         assert_eq!(
-            pred.eval_mask(&views, "filter").unwrap(),
+            pred.eval_mask(None, &views, "filter").unwrap(),
             vec![false, true, false]
         );
         assert_eq!(
-            pred.eval_mask(&tuples, "filter").unwrap(),
+            pred.eval_mask(None, &tuples, "filter").unwrap(),
             vec![false, true, false]
         );
         let s = compile1(field("s", "string"));
@@ -1144,7 +1319,7 @@ mod tests {
                 "{op}"
             );
         }
-        // Overflow and zero divisors carry the interpreter's messages.
+        // Overflow and zero divisors carry the table entry's messages.
         let cf = compile1(apply("+", vec![k(), cint(1)], ty("int")));
         assert_eq!(
             cf.call(&[item(i64::MAX, 0, "", false)])
@@ -1163,7 +1338,7 @@ mod tests {
             "arithmetic error: modulo by zero"
         );
         // `i64::MIN div -1` overflows and `i64::MIN mod -1` is exactly 0,
-        // in the interpreter, tier A and tier B alike.
+        // in the table entry, tier A and tier B alike.
         let min = item(i64::MIN, 0, "", false);
         for (op, atomic, want) in [
             (
@@ -1175,7 +1350,7 @@ mod tests {
         ] {
             let want = want.map_err(str::to_string);
             let interp = atomic.eval(&[Value::Int(i64::MIN), Value::Int(-1)]);
-            assert_eq!(interp.map_err(|e| e.to_string()), want, "{op}: interpreter");
+            assert_eq!(interp.map_err(|e| e.to_string()), want, "{op}: table entry");
             let cf = compile1(apply(op, vec![k(), cint(-1)], ty("int")));
             assert!(cf.is_columnar(), "{op}");
             let tier_a = cf.call(std::slice::from_ref(&min));
@@ -1300,73 +1475,75 @@ mod tests {
         );
     }
 
+    /// Every typed node lowers. Object references, function application
+    /// and operators that are not pure (a user override of a pure
+    /// built-in included) run with the evaluation context; only a
+    /// variable bound nowhere, which the checker rules out, fails.
     #[test]
-    fn every_fallback_reason_is_reported() {
+    fn every_typed_node_lowers() {
         let mut e = engine();
-        // object-ref
-        let c = closure1(TypedExpr::new(
-            TypedNode::Object(Symbol::new("cities")),
-            ty("int"),
-        ));
-        let f = CompiledFun::compile(&e, &c).unwrap_err();
-        assert_eq!(f.reason(), "object-ref");
-        // nested-function (both lambda construction and application)
-        let lam = TypedExpr::new(
-            TypedNode::Lambda {
-                params: [(Symbol::new("x"), ty("int"))].into(),
-                body: Arc::new(cint(1)),
-            },
-            ty("fun"),
+        let compile = |e: &ExecEngine, body| Closure::compile(e, &params_t(), &body).unwrap();
+        let object = compile(
+            &e,
+            TypedExpr::new(TypedNode::Object(Symbol::new("n")), ty("int")),
         );
-        let f = CompiledFun::compile(&e, &closure1(lam.clone())).unwrap_err();
-        assert_eq!(f.reason(), "nested-function");
-        let appf = TypedExpr::new(
-            TypedNode::ApplyFun {
-                fun: Box::new(lam),
-                args: vec![cint(1)],
-            },
-            ty("int"),
-        );
-        let f = CompiledFun::compile(&e, &closure1(appf)).unwrap_err();
-        assert_eq!(f.reason(), "nested-function");
-        // impure-op: a non-atomic operator...
-        let c = closure1(apply("count", vec![var("t", item_ty())], ty("int")));
-        let f = CompiledFun::compile(&e, &c).unwrap_err();
-        assert_eq!(f.reason(), "impure-op");
-        // ...and an overridden atomic one.
-        let plus = closure1(apply("+", vec![cint(1), cint(2)], ty("int")));
-        assert!(CompiledFun::compile(&e, &plus).is_ok());
+        let t = [item(0, 0, "", false)];
+        let err = object.call(&t).unwrap_err().to_string();
+        assert!(err.contains("without a context"), "{err}");
+        // Building a closure needs no context; applying one does.
+        let lam = lambda(("x", ty("int")), cint(1));
+        assert!(!compile(&e, lam.clone()).program().needs_context());
+        let args = vec![cint(1)];
+        let appf = TypedNode::ApplyFun {
+            fun: Box::new(lam),
+            args,
+        };
+        let appf = compile(&e, TypedExpr::new(appf, ty("int")));
+        let count = apply("count", vec![var("t", item_ty())], ty("int"));
+        assert!(compile(&e, count).program().needs_context());
+        let plus = apply("+", vec![cint(1), cint(2)], ty("int"));
+        assert!(!compile(&e, plus.clone()).program().needs_context());
         e.add_op("+", |_, _, _| Ok(Value::Int(0)));
-        let f = CompiledFun::compile(&e, &plus).unwrap_err();
-        assert_eq!(f.reason(), "impure-op");
-        // unbound-variable
-        let c = closure1(var("nowhere", ty("int")));
-        let f = CompiledFun::compile(&e, &c).unwrap_err();
-        assert_eq!(f.reason(), "unbound-variable");
+        let plus = compile(&e, plus);
+        let mut store = std::collections::HashMap::from([(Symbol::new("n"), Value::Int(7))]);
+        let mut cat = sos_catalog::Catalog::new();
+        let mut ctx = EvalCtx::new(&e, &mut store, &mut cat);
+        for (c, want) in [(plus, 0), (object, 7), (appf, 1)] {
+            assert!(c.program().needs_context());
+            assert_eq!(c.apply(Some(&mut ctx), &t).unwrap(), Value::Int(want));
+        }
+        let Err(err) = Closure::compile(&e, &params_t(), &var("nowhere", ty("int"))) else {
+            panic!("an unbound variable compiled");
+        };
+        assert_eq!(err.to_string(), "unbound variable `nowhere`");
     }
 
+    /// One compile per lowered lambda, a nested one included; running
+    /// the program, and building closures of the nested lambda, compiles
+    /// nothing more. The nested lambda's captured int broadcasts in the
+    /// columnar kernel.
     #[test]
-    fn gating_respects_the_engine_knob_and_counts() {
-        let mut e = engine();
-        let pred = Rc::new(closure1(apply(
+    fn each_lowered_lambda_counts_one_compile() {
+        let e = engine();
+        compile1(apply("=", vec![field("k", "int"), cint(0)], ty("bool")));
+        assert_eq!(e.stats.compile_snapshot().compiled, 0, "another engine");
+        let eq_n = apply(
             "=",
-            vec![field("k", "int"), cint(0)],
+            vec![field("k", "int"), var("n", ty("int"))],
             ty("bool"),
-        )));
-        assert!(compile_gated(&e, &pred).is_some());
-        assert_eq!(e.stats.compile_snapshot().compiled, 1);
-        let impure = Rc::new(closure1(TypedExpr::new(
-            TypedNode::Object(Symbol::new("r")),
-            ty("int"),
-        )));
-        assert!(compile_gated(&e, &impure).is_none());
-        assert_eq!(e.stats.compile_snapshot().fallback("object-ref"), 1);
-        e.set_compile_exprs(false);
-        assert!(!e.compile_exprs_enabled());
-        assert!(compile_gated(&e, &pred).is_none());
-        // Disabled is not a fallback: the counters are untouched.
+        );
+        let outer = nested(&e, ("n", ty("int")), eq_n);
+        assert_eq!(e.stats.compile_snapshot().compiled, 2);
+        let batch: Vec<Value> = (0..10).map(|k| item(k, 0, "", false)).collect();
+        for n in 0..10 {
+            let inner = inner(&outer, Value::Int(n));
+            assert!(inner.is_columnar() && inner.reads_fields_only());
+            let mask = inner.eval_mask(None, &batch, "filter").unwrap();
+            assert_eq!(mask.iter().position(|&k| k), Some(n as usize));
+        }
+        assert_eq!(e.stats.columnar_batches(), 10);
         let snap = e.stats.compile_snapshot();
-        assert_eq!((snap.compiled, snap.total_fallbacks()), (1, 1));
+        assert_eq!((snap.compiled, snap.total_fallbacks()), (2, 0));
     }
 
     #[test]
@@ -1390,7 +1567,7 @@ mod tests {
         let cf = compile1(body);
         assert!(cf.is_columnar());
         let batch: Vec<Value> = (0..100).map(|i| item(i, i % 10, "p", false)).collect();
-        let mask = cf.eval_mask(&batch, "filter").unwrap();
+        let mask = cf.eval_mask(None, &batch, "filter").unwrap();
         for (t, got) in batch.iter().zip(&mask) {
             assert_eq!(cf.call(std::slice::from_ref(t)).unwrap(), Value::Bool(*got));
         }
@@ -1404,12 +1581,15 @@ mod tests {
             ty("bool"),
         ));
         assert!(!cf.is_columnar());
-        assert_eq!(cf.eval_mask(&batch, "filter").unwrap(), vec![true; 100]);
+        assert_eq!(
+            cf.eval_mask(None, &batch, "filter").unwrap(),
+            vec![true; 100]
+        );
         // Int columns for project/replace-shaped programs.
         let cf = compile1(apply("*", vec![field("k", "int"), cint(2)], ty("int")));
         assert!(cf.is_columnar());
         assert_eq!(
-            cf.eval_column(&batch[..3]).unwrap(),
+            cf.eval_column(None, &batch[..3]).unwrap(),
             vec![Value::Int(0), Value::Int(2), Value::Int(4)]
         );
     }
@@ -1417,18 +1597,18 @@ mod tests {
     #[test]
     fn columnar_batches_count_only_batches_the_kernel_finished() {
         let e = engine();
-        let compile = |body| CompiledFun::compile(&e, &closure1(body)).expect("compiles");
+        let compile = |body| Closure::compile(&e, &params_t(), &body).expect("compiles");
         let ok = vec![item(1, 0, "", false), item(2, 0, "", false)];
         let overflow = vec![item(1, 0, "", false), item(i64::MAX, 0, "", false)];
         let pred = compile(apply("<", vec![field("k", "int"), cint(10)], ty("bool")));
-        pred.eval_mask(&ok, "filter").unwrap();
+        pred.eval_mask(None, &ok, "filter").unwrap();
         assert_eq!(e.stats.columnar_batches(), 1);
         let double = compile(apply("*", vec![field("k", "int"), cint(2)], ty("int")));
         assert!(double.try_columnar(&ok).is_some());
         assert_eq!(e.stats.columnar_batches(), 2);
         // A batch the kernel bails on runs row by row and is not counted.
         assert!(double.try_columnar(&overflow).is_none());
-        assert!(double.eval_column(&overflow).is_err());
+        assert!(double.eval_column(None, &overflow).is_err());
         // Neither is a batch of a program with no kernel.
         let ne = compile(apply(
             "!=",
@@ -1438,14 +1618,14 @@ mod tests {
             ],
             ty("bool"),
         ));
-        ne.eval_mask(&ok, "filter").unwrap();
+        ne.eval_mask(None, &ok, "filter").unwrap();
         assert_eq!(e.stats.columnar_batches(), 2);
     }
 
     #[test]
     fn columnar_bailout_reruns_tier_a_with_identical_errors() {
         // Overflow in the middle of a batch: the columnar attempt bails
-        // and the row-order first error surfaces, as the interpreter
+        // and the row-order first error surfaces, as a row-at-a-time loop
         // would.
         let cf = compile1(apply("*", vec![field("k", "int"), cint(2)], ty("int")));
         assert!(cf.is_columnar());
@@ -1455,7 +1635,7 @@ mod tests {
             item(2, 0, "", false),
         ];
         assert_eq!(
-            cf.eval_column(&batch).unwrap_err().to_string(),
+            cf.eval_column(None, &batch).unwrap_err().to_string(),
             "arithmetic error: integer overflow in `*`"
         );
         // A division by zero bails the mask path the same way.
@@ -1470,11 +1650,13 @@ mod tests {
         assert!(cf.is_columnar());
         let batch = vec![item(100, 0, "", false), item(0, 0, "", false)];
         assert_eq!(
-            cf.eval_mask(&batch, "filter").unwrap_err().to_string(),
+            cf.eval_mask(None, &batch, "filter")
+                .unwrap_err()
+                .to_string(),
             "arithmetic error: division by zero"
         );
         // A non-int runtime value in an int-typed field bails to tier A
-        // *successfully* (the interpreter promotes int/real compares).
+        // *successfully* (the table entry promotes int/real compares).
         let cf = compile1(apply("<", vec![field("k", "int"), cint(10)], ty("bool")));
         assert!(cf.is_columnar());
         let odd = vec![Value::tuple(vec![
@@ -1483,7 +1665,7 @@ mod tests {
             Value::Str("".into()),
             Value::Bool(false),
         ])];
-        assert_eq!(cf.eval_mask(&odd, "filter").unwrap(), vec![true]);
+        assert_eq!(cf.eval_mask(None, &odd, "filter").unwrap(), vec![true]);
     }
 
     /// Hand-built malformed programs trip each verifier check. The
@@ -1494,6 +1676,7 @@ mod tests {
         let e = engine();
         let tier_a = |insts: Vec<Inst>, out: usize, n_regs: usize| CompiledFun {
             arity: 1,
+            n_captured: 0,
             insts: insts.into_boxed_slice(),
             out,
             n_regs,
@@ -1529,6 +1712,13 @@ mod tests {
         let err = cf.verify(ops).unwrap_err();
         assert!(err.contains("input slot 3"), "{err}");
 
+        // A register feeds one instruction: the executor moves values
+        // out of the registers it reads.
+        let add = Inst::Call(1, id("+"), Atomic::Add, vec![0, 0].into());
+        let cf = tier_a(vec![Inst::Const(0, Value::Int(1)), add], 1, 2);
+        let err = cf.verify(ops).unwrap_err();
+        assert!(err.contains("a second time"), "{err}");
+
         // Double write breaks single assignment.
         let cf = tier_a(
             vec![Inst::Const(0, Value::Int(1)), Inst::Const(0, Value::Int(2))],
@@ -1556,6 +1746,23 @@ mod tests {
             assert!(err.contains("not a pure operator"), "{err}");
         }
 
+        // A `CallOp` names an entry of the table.
+        let call = Inst::CallOp(0, ops.entries().len(), Box::new(cint(1)), [].into());
+        let err = tier_a(vec![call], 0, 1).verify(ops).unwrap_err();
+        assert!(err.contains("not in the table"), "{err}");
+
+        // A `MakeClosure` gives its child the parameters and captured
+        // values it takes: this child takes one parameter and captures
+        // nothing.
+        let child = Rc::new(tier_a(vec![Inst::Const(0, Value::Int(1))], 0, 1));
+        let two: Params = [(Symbol::new("a"), ty("int")), (Symbol::new("b"), ty("int"))].into();
+        for (params, captures) in [(two, vec![]), (params_t(), vec![0])] {
+            let make = Inst::MakeClosure(1, params, child.clone(), captures.into());
+            let cf = tier_a(vec![Inst::Const(0, Value::Int(1)), make], 1, 2);
+            let err = cf.verify(ops).unwrap_err();
+            assert!(err.contains("builds a closure"), "{err}");
+        }
+
         // Columnar kernel: an opcode of the wrong kind in Arith/Cmp.
         let col = ColProgram {
             insts: vec![
@@ -1573,7 +1780,7 @@ mod tests {
             out: ColReg::I(2),
         };
         assert!(col
-            .verify()
+            .verify(0)
             .unwrap_err()
             .contains("not an arithmetic opcode"));
 
@@ -1584,15 +1791,25 @@ mod tests {
             n_bool: 1,
             out: ColReg::B(0),
         };
-        let err = col.verify().unwrap_err();
+        let err = col.verify(0).unwrap_err();
         assert!(err.contains("columnar output register"), "{err}");
 
-        // The counter key for a verifier rejection.
-        assert_eq!(Fallback::Rejected("r0".into()).reason(), "verifier-reject");
+        // Columnar kernel: a captured value the closure does not hold.
+        let col = ColProgram {
+            insts: vec![ColInst::Captured {
+                dst: ColReg::I(0),
+                capture: 0,
+            }],
+            n_int: 1,
+            n_bool: 0,
+            out: ColReg::I(0),
+        };
+        let err = col.verify(0).unwrap_err();
+        assert!(err.contains("broadcasts captured value 0"), "{err}");
     }
 
     /// Every program the lowering produces passes the verifier (it runs
-    /// inside `compile`, so a failure would surface as a fallback; this
+    /// inside `compile`, so a failure would surface as an error; this
     /// pins the property explicitly on representative shapes, columnar
     /// kernels included).
     #[test]
@@ -1623,6 +1840,7 @@ mod tests {
         ];
         for body in bodies {
             compile1(body)
+                .program
                 .verify(engine().ops())
                 .expect("lowered program verifies");
         }

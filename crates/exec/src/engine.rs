@@ -7,10 +7,11 @@
 //! checker has already resolved every node, and the engine follows that
 //! resolution instead of deciding again: an `Apply` runs the table entry
 //! bound to its spec, and a `Field` (tuple attribute access) loads the
-//! field position the checker matched. Evaluation is an
-//! environment-passing interpreter: lambdas close over the current
-//! variable bindings, and operator applications evaluate their arguments
-//! and call the entry.
+//! field position the checker matched. A plan is evaluated by walking
+//! it: operator applications evaluate their arguments and call the
+//! entry. Function values are different: every lambda compiles to a
+//! program once, and its closures run that program
+//! ([`crate::compile`]) — there is one evaluator for function values.
 
 use crate::error::{ExecError, ExecResult};
 use crate::handles::{attr_index, load_field, BTreeHandle, KeyExtractor, LsdHandle};
@@ -41,9 +42,6 @@ pub struct ExecEngine {
     /// by the draining consumers — a parameter of the one pipeline, so
     /// `1` is tuple-at-a-time through the same code.
     batch: usize,
-    /// Whether closures are lowered to bytecode where possible (see
-    /// [`crate::compile`]); `false` keeps the interpreter everywhere.
-    compile: bool,
     /// Per-operator execution counters.
     pub stats: Rc<crate::stats::ExecStats>,
 }
@@ -61,7 +59,6 @@ impl ExecEngine {
             pool,
             ops: OpTable::default(),
             batch: DEFAULT_BATCH,
-            compile: true,
             stats: Rc::new(crate::stats::ExecStats::default()),
         };
         crate::ops::register_builtins(&mut e);
@@ -108,18 +105,6 @@ impl ExecEngine {
     /// The current vectorized batch width.
     pub fn batch_size(&self) -> usize {
         self.batch
-    }
-
-    /// Enable or disable expression compilation. `false` keeps the
-    /// interpreter on every path (the A/B switch for the differential
-    /// compiled-vs-interpreted harness).
-    pub fn set_compile_exprs(&mut self, on: bool) {
-        self.compile = on;
-    }
-
-    /// Whether closures are currently lowered to bytecode.
-    pub fn compile_exprs_enabled(&self) -> bool {
-        self.compile
     }
 
     /// Create the initial value for a freshly created object of `ty`
@@ -184,11 +169,11 @@ impl ExecEngine {
                     [TypeArg::Type(t), TypeArg::Expr(e)] => (t.clone(), e.clone()),
                     _ => return Err(ExecError::Other(format!("malformed kbtree type {ty}"))),
                 };
-                let checked = check_keyfun(sig, env, &keyfun, &tuple_type)?;
+                let keyfun = self.compile_keyfun(sig, env, &keyfun, &tuple_type)?;
                 Ok(Value::BTree(Rc::new(BTreeHandle {
                     tree: BTree::create(self.pool.clone())?,
                     tuple_type,
-                    key: KeyExtractor::Fun(checked),
+                    key: KeyExtractor::Fun(keyfun),
                 })))
             }
             "lsdtree" => {
@@ -196,60 +181,57 @@ impl ExecEngine {
                     [TypeArg::Type(t), TypeArg::Expr(e)] => (t.clone(), e.clone()),
                     _ => return Err(ExecError::Other(format!("malformed lsdtree type {ty}"))),
                 };
-                let checked = check_keyfun(sig, env, &keyfun, &tuple_type)?;
+                let keyfun = self.compile_keyfun(sig, env, &keyfun, &tuple_type)?;
                 Ok(Value::LsdTree(Rc::new(LsdHandle {
                     tree: LsdTree::create(self.pool.clone())?,
                     tuple_type,
-                    keyfun: checked,
+                    keyfun,
                 })))
             }
             _ => Ok(Value::Undefined),
         }
     }
-}
 
-/// Type-check a key function expression embedded in a type (`kbtree` /
-/// `lsdtree` key expressions). An attribute name is accepted as a unary
-/// function per the paper's shorthand.
-fn check_keyfun(
-    sig: &Signature,
-    env: &dyn sos_core::check::ObjectEnv,
-    e: &sos_core::Expr,
-    tuple_type: &DataType,
-) -> ExecResult<TypedExpr> {
-    let checker = Checker::new(sig, env);
-    // Wrap a bare attribute name as a lambda.
-    let expr = match e {
-        sos_core::Expr::Lambda { .. } => e.clone(),
-        sos_core::Expr::Name(n) | sos_core::Expr::Const(sos_core::Const::Ident(n)) => {
-            sos_core::Expr::Lambda {
-                params: vec![(Symbol::new("%k"), tuple_type.clone())],
-                body: Box::new(sos_core::Expr::Apply {
-                    op: n.clone(),
-                    args: vec![sos_core::Expr::Name(Symbol::new("%k"))],
-                }),
+    /// Check and compile a key function expression embedded in a type
+    /// (`kbtree` / `lsdtree` key expressions), once per handle. An
+    /// attribute name is accepted as a unary function per the paper's
+    /// shorthand.
+    fn compile_keyfun(
+        &self,
+        sig: &Signature,
+        env: &dyn sos_core::check::ObjectEnv,
+        e: &sos_core::Expr,
+        tuple_type: &DataType,
+    ) -> ExecResult<Rc<Closure>> {
+        let checker = Checker::new(sig, env);
+        // Wrap a bare attribute name as a lambda.
+        let expr = match e {
+            sos_core::Expr::Name(n) | sos_core::Expr::Const(sos_core::Const::Ident(n)) => {
+                sos_core::Expr::Lambda {
+                    params: vec![(Symbol::new("%k"), tuple_type.clone())],
+                    body: Box::new(sos_core::Expr::Apply {
+                        op: n.clone(),
+                        args: vec![sos_core::Expr::Name(Symbol::new("%k"))],
+                    }),
+                }
             }
-        }
-        other => other.clone(),
-    };
-    Ok(checker.check_expr(&expr)?)
+            other => other.clone(),
+        };
+        let checked = checker.check_expr(&expr)?;
+        let TypedNode::Lambda { params, body } = &checked.node else {
+            return Err(ExecError::Other(format!(
+                "key function must be a lambda or an attribute name, got {checked:?}"
+            )));
+        };
+        Ok(Rc::new(Closure::compile(self, params, body)?))
+    }
 }
 
-/// A saved variable environment plus the length of the installed
-/// captured prefix — the bookkeeping for one amortized batch of closure
-/// calls (see [`EvalCtx::begin_call`]).
-pub struct CallFrame {
-    saved: Vec<(Symbol, Value)>,
-    base: usize,
-}
-
-/// Per-evaluation context: the mutable object store, the catalog, and
-/// the lambda-variable environment.
+/// Per-evaluation context: the mutable object store and the catalog.
 pub struct EvalCtx<'a> {
     pub engine: &'a ExecEngine,
     pub store: &'a mut HashMap<Symbol, Value>,
     pub catalog: &'a mut Catalog,
-    vars: Vec<(Symbol, Value)>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -262,40 +244,22 @@ impl<'a> EvalCtx<'a> {
             engine,
             store,
             catalog,
-            vars: Vec::new(),
         }
     }
 
-    /// Evaluate a typed term to a value.
+    /// Evaluate a typed term to a value. A lambda compiles here, once
+    /// per evaluation of the term (see [`crate::compile`]); variables
+    /// occur only inside lambdas, so a bare one is unbound.
     pub fn eval(&mut self, te: &TypedExpr) -> ExecResult<Value> {
         match &te.node {
             TypedNode::Const(c) => Ok(Value::from_const(c)),
-            TypedNode::Object(name) => match self.store.get(name) {
-                Some(Value::Undefined) | None => {
-                    // "create" gives an object an undefined value
-                    // (Section 2.4). A freshly created relation reads as
-                    // empty; other objects read as Undefined and the
-                    // operator that receives one reports the error.
-                    if matches!(&te.ty, DataType::Cons(n, _) if n.as_str() == "rel") {
-                        Ok(Value::Rel(Vec::new()))
-                    } else {
-                        Ok(Value::Undefined)
-                    }
-                }
-                Some(v) => Ok(v.clone()),
-            },
-            TypedNode::Var(name) => self
-                .vars
-                .iter()
-                .rev()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| ExecError::Other(format!("unbound variable `{name}`"))),
-            TypedNode::Lambda { params, body } => Ok(Value::Closure(Rc::new(Closure {
-                params: params.clone(),
-                body: body.clone(),
-                captured: self.vars.clone(),
-            }))),
+            TypedNode::Object(name) => Ok(self.object(name, &te.ty)),
+            TypedNode::Var(name) => Err(ExecError::Other(format!("unbound variable `{name}`"))),
+            TypedNode::Lambda { params, body } => Ok(Value::Closure(Rc::new(Closure::compile(
+                self.engine,
+                params,
+                body,
+            )?))),
             TypedNode::List(items) => Ok(Value::List(
                 items
                     .iter()
@@ -333,72 +297,26 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// Apply a closure to argument values.
+    /// The value of database object `name` of type `ty`. "create" gives
+    /// an object an undefined value (Section 2.4): a freshly created
+    /// relation reads as empty; other objects read as Undefined and the
+    /// operator that receives one reports the error.
+    pub fn object(&self, name: &Symbol, ty: &DataType) -> Value {
+        match self.store.get(name) {
+            Some(Value::Undefined) | None => {
+                if matches!(ty, DataType::Cons(n, _) if n.as_str() == "rel") {
+                    Value::Rel(Vec::new())
+                } else {
+                    Value::Undefined
+                }
+            }
+            Some(v) => v.clone(),
+        }
+    }
+
+    /// Apply a closure to argument values: run its program.
     pub fn call(&mut self, closure: &Closure, args: Vec<Value>) -> ExecResult<Value> {
-        let frame = self.begin_call(closure);
-        let out = self.call_bound(closure, &frame, args);
-        self.end_call(frame);
-        out
-    }
-
-    /// Install `closure`'s captured environment once, so a batch of
-    /// [`EvalCtx::call_bound`] invocations pays the environment clone a
-    /// single time instead of per tuple. Must be balanced by
-    /// [`EvalCtx::end_call`] with the returned frame.
-    pub fn begin_call(&mut self, closure: &Closure) -> CallFrame {
-        let saved = std::mem::take(&mut self.vars);
-        self.vars = closure.captured.clone();
-        CallFrame {
-            saved,
-            base: self.vars.len(),
-        }
-    }
-
-    /// Apply `closure` to `args` inside an installed frame: rebinds only
-    /// the parameters (the captured prefix stays in place). Semantically
-    /// identical to [`EvalCtx::call`] for the same closure.
-    pub fn call_bound(
-        &mut self,
-        closure: &Closure,
-        frame: &CallFrame,
-        args: Vec<Value>,
-    ) -> ExecResult<Value> {
-        if closure.params.len() != args.len() {
-            return Err(ExecError::Other(format!(
-                "function expects {} argument(s), got {}",
-                closure.params.len(),
-                args.len()
-            )));
-        }
-        self.vars.truncate(frame.base);
-        for ((name, _), v) in closure.params.iter().zip(args) {
-            self.vars.push((name.clone(), v));
-        }
-        self.eval(&closure.body)
-    }
-
-    /// Single-argument [`EvalCtx::call_bound`] without the argument
-    /// vector: the per-tuple shape of batched `filter`/`project`/`replace`.
-    pub fn call_bound1(
-        &mut self,
-        closure: &Closure,
-        frame: &CallFrame,
-        arg: Value,
-    ) -> ExecResult<Value> {
-        if closure.params.len() != 1 {
-            return Err(ExecError::Other(format!(
-                "function expects {} argument(s), got 1",
-                closure.params.len()
-            )));
-        }
-        self.vars.truncate(frame.base);
-        self.vars.push((closure.params[0].0.clone(), arg));
-        self.eval(&closure.body)
-    }
-
-    /// Restore the variable environment saved by [`EvalCtx::begin_call`].
-    pub fn end_call(&mut self, frame: CallFrame) {
-        self.vars = frame.saved;
+        closure.apply(Some(self), &args)
     }
 
     /// Derive the B-tree key value for a tuple.
@@ -420,19 +338,16 @@ impl<'a> EvalCtx<'a> {
                 }
                 Ok(Value::Pair(comps))
             }
-            KeyExtractor::Fun(f) => {
-                let v = self.eval(f)?;
-                let closure = v.as_closure("btree key function")?.clone();
-                self.call(&closure, vec![tuple.clone()])
-            }
+            KeyExtractor::Fun(f) => f.apply(Some(self), std::slice::from_ref(tuple)),
         }
     }
 
     /// Derive the indexed rectangle for an LSD-tree entry.
     pub fn rect_value(&mut self, handle: &LsdHandle, tuple: &Value) -> ExecResult<sos_geom::Rect> {
-        let v = self.eval(&handle.keyfun.clone())?;
-        let closure = v.as_closure("lsdtree key function")?.clone();
-        match self.call(&closure, vec![tuple.clone()])? {
+        match handle
+            .keyfun
+            .apply(Some(self), std::slice::from_ref(tuple))?
+        {
             Value::Rect(r) => Ok(r),
             other => Err(crate::error::mismatch(
                 "lsdtree key",

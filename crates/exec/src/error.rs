@@ -20,6 +20,10 @@ pub enum ExecError {
     },
     /// Arithmetic failure (division by zero, overflow).
     Arithmetic(String),
+    /// A broken engine invariant: a lowered program the bytecode
+    /// verifier rejected, or one that reads the store run without an
+    /// evaluation context. No input should raise it.
+    Internal(String),
     /// Anything else.
     Other(String),
 }
@@ -37,6 +41,7 @@ impl std::fmt::Display for ExecError {
                 found,
             } => write!(f, "`{op}` expected {expected}, found {found}"),
             ExecError::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
+            ExecError::Internal(m) => write!(f, "internal error: {m}"),
             ExecError::Other(m) => write!(f, "{m}"),
         }
     }

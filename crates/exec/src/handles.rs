@@ -2,12 +2,12 @@
 //! `btree(...)`, `kbtree(...)` and `lsdtree(...)` types denote at run time.
 
 use crate::error::{mismatch, ExecError, ExecResult};
-use crate::value::Value;
-use sos_core::typed::TypedExpr;
+use crate::value::{Closure, Value};
 use sos_core::{DataType, Symbol};
 use sos_storage::btree::BTree;
 use sos_storage::keys::{self, KeyBytes};
 use sos_storage::lsdtree::LsdTree;
+use std::rc::Rc;
 
 /// How a B-tree derives its key from a tuple: a plain attribute
 /// (`btree(city, pop, int)`) or a key expression
@@ -18,8 +18,8 @@ pub enum KeyExtractor {
     /// Several attribute indices forming a composite key (the
     /// multi-attribute B-tree mentioned at the end of Section 4).
     Attrs(Vec<usize>),
-    /// A checked key function, evaluated per tuple by the engine.
-    Fun(TypedExpr),
+    /// A key function, compiled once when the handle is made.
+    Fun(Rc<Closure>),
 }
 
 /// A clustered B-tree plus its key derivation.
@@ -33,8 +33,9 @@ pub struct BTreeHandle {
 pub struct LsdHandle {
     pub tree: LsdTree,
     pub tuple_type: DataType,
-    /// The checked key function producing the indexed `rect`.
-    pub keyfun: TypedExpr,
+    /// The key function producing the indexed `rect`, compiled once when
+    /// the handle is made.
+    pub keyfun: Rc<Closure>,
 }
 
 /// Encode an ORD value (`int`, `real`, `string`, `bool`) as a
@@ -64,7 +65,7 @@ pub fn attr_index(tuple_ty: &DataType, attr: &Symbol) -> Option<usize> {
 }
 
 /// Load field `idx` of a tuple value: the evaluation of a checked
-/// attribute access `attr(t)`, shared by the interpreter and the
+/// attribute access `attr(t)`, shared by the plan evaluator and the
 /// bytecode.
 pub(crate) fn load_field(tuple: &Value, idx: usize, attr: &Symbol) -> ExecResult<Value> {
     tuple

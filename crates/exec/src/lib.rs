@@ -23,7 +23,7 @@ pub mod txn;
 #[cfg(test)]
 mod testing;
 
-pub use compile::{CompiledFun, Fallback};
+pub use compile::CompiledFun;
 pub use engine::{EvalCtx, ExecEngine};
 pub use error::{ExecError, ExecResult};
 pub use handles::{encode_key, BTreeHandle, KeyExtractor, LsdHandle};

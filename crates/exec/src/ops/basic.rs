@@ -4,8 +4,8 @@
 //! values to a result, touching neither the object store nor the
 //! catalog. [`Atomic::eval`] is the single implementation: it is what
 //! the operator's table entry runs and what the bytecode calls. Sharing
-//! one code path is what makes compiled plans extensionally equal to
-//! the interpreter by construction.
+//! one code path is what makes a program's fast paths and its table
+//! calls agree, error text included, by construction.
 
 use crate::engine::ExecEngine;
 use crate::error::{mismatch, ExecError, ExecResult};

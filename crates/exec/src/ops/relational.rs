@@ -34,7 +34,7 @@ pub fn register(e: &mut ExecEngine) {
         let tuples = tuples_of(&args[0], "select")?;
         let n_in = tuples.len();
         let pred = args[1].as_closure("select")?.clone();
-        let mut cursor = Cursor::filter(ctx.engine, Cursor::materialized(tuples), pred);
+        let mut cursor = Cursor::filter(Cursor::materialized(tuples), pred);
         let out = cursor.drain_as(ctx, "select")?;
         ctx.engine.stats.record("select", n_in, out.len());
         Ok(Value::Rel(out))

@@ -211,15 +211,15 @@ pub fn register(e: &mut ExecEngine) {
     // The operators below read their other arguments first and then
     // take the input out of the owned argument list, so a uniquely held
     // pipeline is moved, not wrapped in `Cursor::Shared`.
-    e.add_op("filter", |ctx, _, mut args| {
+    e.add_op("filter", |_, _, mut args| {
         let pred = args[1].as_closure("filter")?.clone();
         let input = into_cursor(args.swap_remove(0))?;
-        Ok(cursor_value(Cursor::filter(ctx.engine, input, pred)))
+        Ok(cursor_value(Cursor::filter(input, pred)))
     });
 
     // project[(name, fun-or-attr), ...] — generalized projection; the
     // result schema comes from the type operator at check time.
-    e.add_op("project", |ctx, _, mut args| {
+    e.add_op("project", |_, _, mut args| {
         let Value::List(pairs) = &args[1] else {
             return Err(mismatch("project", "list of pairs", &args[1].kind_name()));
         };
@@ -231,18 +231,28 @@ pub fn register(e: &mut ExecEngine) {
             funs.push(comps[1].as_closure("project")?.clone());
         }
         let input = into_cursor(args.swap_remove(0))?;
-        Ok(cursor_value(Cursor::project(ctx.engine, input, funs)))
+        Ok(cursor_value(Cursor::Project {
+            input: Box::new(input),
+            funs,
+        }))
     });
 
     // replace[attr, fun] — replace one attribute value per tuple.
-    e.add_op("replace", |ctx, node, mut args| {
+    e.add_op("replace", |_, node, mut args| {
         let Value::Ident(attr) = &args[1] else {
             return Err(mismatch("replace", "attribute name", &args[1].kind_name()));
         };
-        let idx = crate::ops::relational::attr_index_of_node(node, attr)?;
+        let field = (
+            crate::ops::relational::attr_index_of_node(node, attr)?,
+            attr.clone(),
+        );
         let fun = args[2].as_closure("replace")?.clone();
         let input = into_cursor(args.swap_remove(0))?;
-        Ok(cursor_value(Cursor::replace(ctx.engine, input, idx, fun)))
+        Ok(cursor_value(Cursor::Replace {
+            input: Box::new(input),
+            field,
+            fun,
+        }))
     });
 
     // collect — materialize a stream into a temporary relation (srel).

@@ -6,7 +6,6 @@
 //! and in how many batches. Tests and the `sos` shell's `.stats`
 //! command read it.
 
-use crate::compile::Fallback;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
@@ -36,65 +35,48 @@ impl OpStats {
     }
 }
 
-/// Expression-compiler counters: how many closures were lowered to
-/// bytecode and how many fell back to the interpreter, keyed by the
-/// fallback reason (see [`crate::compile::Fallback`]).
+/// Expression-compiler counters: how many lambdas were lowered to
+/// bytecode (see [`crate::compile`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompileStats {
-    /// Closures lowered to bytecode (one per compilation event; a
-    /// `search_join` whose inner predicate recompiles per outer tuple
-    /// counts each instance).
+    /// Lambdas lowered to bytecode: one per plan-level lambda each time
+    /// its plan is evaluated, plus one per lambda nested in it, and one
+    /// per key function of an index handle. Never per row: a
+    /// `search_join` builds its inner closures from one child program.
     pub compiled: u64,
-    /// Interpreter fallbacks as `(reason, count)`, sorted by reason.
+    /// Always empty: every lambda compiles, so nothing falls back to an
+    /// interpreter. Kept only because the end-to-end benchmark still
+    /// reads it (`exec.compiled_ratio`).
     pub fallbacks: Vec<(String, u64)>,
 }
 
 impl CompileStats {
-    /// Total fallbacks across every reason.
+    /// Always 0 (see [`CompileStats::fallbacks`]).
     pub fn total_fallbacks(&self) -> u64 {
         self.fallbacks.iter().map(|(_, n)| n).sum()
     }
 
-    /// The count for one fallback reason (0 if it never occurred).
-    pub fn fallback(&self, reason: &str) -> u64 {
-        self.fallbacks
-            .iter()
-            .find_map(|(r, n)| (r == reason).then_some(*n))
-            .unwrap_or(0)
-    }
-
-    /// Whether nothing was compiled and nothing fell back.
+    /// Whether nothing was compiled.
     pub fn is_empty(&self) -> bool {
-        self.compiled == 0 && self.fallbacks.is_empty()
+        self.compiled == 0
     }
 
     /// Counter difference `self - before`: the compilation events
     /// attributable to one run.
     pub fn delta(&self, before: &CompileStats) -> CompileStats {
-        let fallbacks = self
-            .fallbacks
-            .iter()
-            .filter_map(|(r, n)| {
-                let d = n - before.fallback(r);
-                (d > 0).then(|| (r.clone(), d))
-            })
-            .collect();
         CompileStats {
             compiled: self.compiled - before.compiled,
-            fallbacks,
+            fallbacks: Vec::new(),
         }
     }
 }
 
 /// Engine-wide per-operator counters, shared behind the engine on its
-/// one thread. The compile counters are plain cells: one for compiled
-/// closures and one per fallback reason (a `search_join` compiles once
-/// per outer tuple).
+/// one thread.
 #[derive(Debug, Default)]
 pub struct ExecStats {
     ops: RefCell<HashMap<&'static str, OpStats>>,
     compiled: Cell<u64>,
-    fallbacks: [Cell<u64>; Fallback::REASONS.len()],
     rows_decoded: Cell<u64>,
     columnar_batches: Cell<u64>,
 }
@@ -173,27 +155,16 @@ impl ExecStats {
         self.columnar_batches.get()
     }
 
-    /// Record one closure lowered to bytecode.
+    /// Record one lambda lowered to bytecode.
     pub fn record_compiled(&self) {
         bump(&self.compiled, 1);
     }
 
-    /// Record one interpreter fallback under its reason.
-    pub fn record_fallback(&self, reason: &Fallback) {
-        bump(&self.fallbacks[reason.index()], 1);
-    }
-
-    /// The expression-compiler counters, fallbacks sorted by reason.
+    /// The expression-compiler counters.
     pub fn compile_snapshot(&self) -> CompileStats {
-        let fallbacks = Fallback::REASONS
-            .iter()
-            .zip(&self.fallbacks)
-            .map(|(r, n)| (r.to_string(), n.get()))
-            .filter(|(_, n)| *n > 0)
-            .collect();
         CompileStats {
             compiled: self.compiled.get(),
-            fallbacks,
+            fallbacks: Vec::new(),
         }
     }
 
@@ -203,9 +174,6 @@ impl ExecStats {
         self.compiled.set(0);
         self.rows_decoded.set(0);
         self.columnar_batches.set(0);
-        for n in &self.fallbacks {
-            n.set(0);
-        }
     }
 }
 
@@ -241,28 +209,15 @@ mod tests {
     #[test]
     fn compile_counters_accumulate_delta_and_reset() {
         let s = ExecStats::default();
-        let object = Fallback::Object(sos_core::Symbol::new("r"));
-        let impure = Fallback::ImpureOp(sos_core::Symbol::new("count"));
         assert!(s.compile_snapshot().is_empty());
         s.record_compiled();
         s.record_compiled();
-        s.record_fallback(&object);
-        s.record_fallback(&impure);
-        s.record_fallback(&impure);
         let snap = s.compile_snapshot();
-        assert_eq!(snap.compiled, 2);
-        assert_eq!(snap.total_fallbacks(), 3);
-        assert_eq!(snap.fallback("impure-op"), 2);
-        assert_eq!(snap.fallback("object-ref"), 1);
-        assert_eq!(snap.fallback("never"), 0);
-        // Fallbacks come back sorted by reason for stable rendering.
-        assert!(Fallback::REASONS.is_sorted());
-        assert_eq!(snap.fallbacks[0].0, "impure-op");
+        assert_eq!((snap.compiled, snap.total_fallbacks()), (2, 0));
         s.record_compiled();
-        s.record_fallback(&object);
         let d = s.compile_snapshot().delta(&snap);
         assert_eq!(d.compiled, 1);
-        assert_eq!(d.fallbacks, vec![("object-ref".to_string(), 1)]);
+        assert!(d.fallbacks.is_empty());
         s.reset();
         assert!(s.compile_snapshot().is_empty());
     }

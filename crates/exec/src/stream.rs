@@ -14,12 +14,12 @@
 //! drained stream stays drained). Crossing the statement boundary, the
 //! system materializes cursors into plain [`Value::Stream`] results.
 
-use crate::compile::{compile_gated, CompiledFun};
-use crate::engine::{EvalCtx, ExecEngine};
+use crate::engine::EvalCtx;
 use crate::error::{ExecError, ExecResult};
 use crate::handles::BTreeHandle;
 use crate::ops::streams::Fold;
 use crate::value::{Closure, Row, Value};
+use sos_core::Symbol;
 use sos_storage::field::RecordView;
 use sos_storage::heap::HeapFile;
 use sos_storage::keys::KeyBytes;
@@ -35,12 +35,10 @@ pub enum Cursor {
     /// Page-at-a-time scan of a heap file or a B-tree range, with the
     /// `filter` steps pushed into it.
     Scan(Scan),
-    /// Pipelined selection. `compiled` holds the predicate lowered to
-    /// bytecode (see [`crate::compile`]); `None` keeps the interpreter.
+    /// Pipelined selection.
     Filter {
         input: Box<Cursor>,
         pred: Rc<Closure>,
-        compiled: Option<Rc<CompiledFun>>,
     },
     /// Pipelined prefix (stops pulling once exhausted).
     Head {
@@ -48,19 +46,16 @@ pub enum Cursor {
         remaining: usize,
     },
     /// Pipelined generalized projection: each output tuple is built by
-    /// applying the attribute functions to the input tuple. `compiled`
-    /// parallels `funs` (compilation is per attribute function).
+    /// applying the attribute functions to the input tuple.
     Project {
         input: Box<Cursor>,
         funs: Vec<Rc<Closure>>,
-        compiled: Vec<Option<Rc<CompiledFun>>>,
     },
-    /// Pipelined attribute replacement.
+    /// Pipelined attribute replacement of `field` (index and name).
     Replace {
         input: Box<Cursor>,
-        idx: usize,
+        field: (usize, Symbol),
         fun: Rc<Closure>,
-        compiled: Option<Rc<CompiledFun>>,
     },
     /// Pipelined search join: for each outer tuple, the parameter
     /// function produces the matching inner stream (Section 4).
@@ -130,48 +125,22 @@ impl Cursor {
         }
     }
 
-    /// A filter step, compiling the predicate when the engine allows
-    /// (recording the compile/fallback either way). A compiled predicate
-    /// that reads its tuple only through field loads is pushed into a
-    /// scan source beneath it: the scan then tests it on records read in
-    /// place and decodes only the records that pass.
-    pub fn filter(engine: &ExecEngine, input: Cursor, pred: Rc<Closure>) -> Cursor {
-        let compiled = compile_gated(engine, &pred);
-        match (input, compiled) {
-            (Cursor::Scan(mut scan), Some(cf))
-                if cf.reads_fields_only() && scan.at_page_boundary() =>
+    /// A filter step. A predicate that needs no context and reads its
+    /// tuple only through field loads is pushed into a scan source
+    /// beneath it: the scan then tests it on records read in place and
+    /// decodes only the records that pass.
+    pub fn filter(input: Cursor, pred: Rc<Closure>) -> Cursor {
+        match input {
+            Cursor::Scan(mut scan)
+                if pred.program().reads_fields_only() && scan.at_page_boundary() =>
             {
-                scan.preds.push(cf);
+                scan.preds.push(pred);
                 Cursor::Scan(scan)
             }
-            (input, compiled) => Cursor::Filter {
+            input => Cursor::Filter {
                 input: Box::new(input),
                 pred,
-                compiled,
             },
-        }
-    }
-
-    /// A projection step; each attribute function compiles independently
-    /// (a mix of compiled and interpreted columns is fine).
-    pub fn project(engine: &ExecEngine, input: Cursor, funs: Vec<Rc<Closure>>) -> Cursor {
-        let compiled = funs.iter().map(|f| compile_gated(engine, f)).collect();
-        Cursor::Project {
-            input: Box::new(input),
-            funs,
-            compiled,
-        }
-    }
-
-    /// An attribute-replacement step, compiling the field function when
-    /// the engine allows.
-    pub fn replace(engine: &ExecEngine, input: Cursor, idx: usize, fun: Rc<Closure>) -> Cursor {
-        let compiled = compile_gated(engine, &fun);
-        Cursor::Replace {
-            input: Box::new(input),
-            idx,
-            fun,
-            compiled,
         }
     }
 
@@ -188,17 +157,17 @@ impl Cursor {
     /// width is a parameter (`n = 1` is tuple-at-a-time).
     ///
     /// Sources read a whole page per refill ([`Cursor::scan_into`]);
-    /// `Filter`, `Project` and `Replace` evaluate their closures over
-    /// the whole batch — through the bytecode when the closure compiled,
-    /// otherwise through [`EvalCtx::call_bound1`] inside one installed
-    /// [`crate::engine::CallFrame`], paying the captured-environment
-    /// clone once per batch instead of per tuple.
+    /// `Filter`, `Project` and `Replace` run their closures' programs
+    /// over the whole batch, in one register frame.
     ///
     /// The first error in row order surfaces, with one documented
     /// exception: `Project` evaluates column-wise (each function over
     /// the whole batch), so when several projection functions fail
     /// within one batch the error surfaced is the first in (function,
-    /// row) order rather than (row, function) order.
+    /// row) order rather than (row, function) order. `Replace` likewise
+    /// runs its function over the whole batch before it rebuilds the
+    /// tuples, so a function error anywhere in the batch wins over a
+    /// tuple too short for the replaced attribute.
     pub fn next_batch_into(
         &mut self,
         ctx: &mut EvalCtx,
@@ -217,141 +186,52 @@ impl Cursor {
                 }
                 res?;
             }
-            Cursor::Filter {
-                input,
-                pred,
-                compiled,
-            } => {
-                let pred = pred.clone();
-                let compiled = compiled.clone();
+            Cursor::Filter { input, pred } => {
                 let mut scratch = Vec::with_capacity(n.min(4096));
                 loop {
                     scratch.clear();
                     if input.next_batch_into(ctx, n, &mut scratch)? == 0 {
                         break;
                     }
-                    if let Some(cf) = &compiled {
-                        // Compiled path: the whole batch through the
-                        // bytecode (columnar when the predicate is
-                        // int/bool throughout), then push by mask.
-                        let mask = cf.eval_mask(&scratch, "filter")?;
-                        for (t, keep) in scratch.drain(..).zip(mask) {
-                            if keep {
-                                out.push(t);
-                            }
+                    // The whole batch through the program (columnar
+                    // when the predicate is int/bool throughout), then
+                    // push by mask.
+                    let mask = pred.eval_mask(Some(&mut *ctx), &scratch, "filter")?;
+                    for (t, keep) in scratch.drain(..).zip(mask) {
+                        if keep {
+                            out.push(t);
                         }
-                    } else {
-                        let frame = ctx.begin_call(&pred);
-                        let mut res = Ok(());
-                        for t in scratch.drain(..) {
-                            match ctx
-                                .call_bound1(&pred, &frame, t.clone())
-                                .and_then(|v| v.as_bool("filter"))
-                            {
-                                Ok(true) => out.push(t),
-                                Ok(false) => {}
-                                Err(e) => {
-                                    res = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                        ctx.end_call(frame);
-                        res?;
                     }
                     if out.len() > start {
                         break;
                     }
                 }
             }
-            Cursor::Project {
-                input,
-                funs,
-                compiled,
-            } => {
+            Cursor::Project { input, funs } => {
                 let mut batch = Vec::with_capacity(n.min(4096));
                 if input.next_batch_into(ctx, n, &mut batch)? > 0 {
-                    let funs = funs.clone();
-                    let compiled = compiled.clone();
-                    let mut cols: Vec<Vec<Value>> = Vec::with_capacity(funs.len());
-                    for (f, cf) in funs.iter().zip(&compiled) {
-                        if let Some(cf) = cf {
-                            // Compiled column: same (function, row) error
-                            // order as the interpreted batch loop below.
-                            cols.push(cf.eval_column(&batch)?);
-                            continue;
-                        }
-                        let frame = ctx.begin_call(f);
-                        let mut col = Vec::with_capacity(batch.len());
-                        let mut res = Ok(());
-                        for t in &batch {
-                            match ctx.call_bound1(f, &frame, t.clone()) {
-                                Ok(v) => col.push(v),
-                                Err(e) => {
-                                    res = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                        ctx.end_call(frame);
-                        res?;
-                        cols.push(col);
+                    let mut cols = Vec::with_capacity(funs.len());
+                    for f in funs.iter() {
+                        cols.push(f.eval_column(Some(&mut *ctx), &batch)?.into_iter());
                     }
-                    let mut iters: Vec<_> = cols.into_iter().map(|c| c.into_iter()).collect();
                     for _ in 0..batch.len() {
                         out.push(Value::tuple(
-                            iters
-                                .iter_mut()
+                            cols.iter_mut()
                                 .map(|it| it.next().expect("column length matches batch"))
                                 .collect(),
                         ));
                     }
                 }
             }
-            Cursor::Replace {
-                input,
-                idx,
-                fun,
-                compiled,
-            } => {
+            Cursor::Replace { input, field, fun } => {
                 let mut batch = Vec::with_capacity(n.min(4096));
                 if input.next_batch_into(ctx, n, &mut batch)? > 0 {
-                    let (idx, fun, compiled) = (*idx, fun.clone(), compiled.clone());
-                    if let Some(cf) = &compiled {
-                        // Columnar only when the whole batch evaluates
-                        // clean (`try_columnar`); otherwise interleave
-                        // call-then-rebuild per row like the interpreted
-                        // loop, so the first error (function vs. tuple
-                        // rebuild) lands in the same place.
-                        let vals = cf.try_columnar(&batch);
-                        for (r, t) in batch.iter().enumerate() {
-                            let v = match &vals {
-                                Some(vs) => vs[r].clone(),
-                                None => cf.call(std::slice::from_ref(t))?,
-                            };
-                            let mut fields = t.as_tuple("replace")?.to_vec();
-                            fields[idx] = v;
-                            out.push(Value::tuple(fields));
-                        }
-                    } else {
-                        let frame = ctx.begin_call(&fun);
-                        let mut res = Ok(());
-                        for t in &batch {
-                            let built = ctx.call_bound1(&fun, &frame, t.clone()).and_then(|v| {
-                                let mut fields = t.as_tuple("replace")?.to_vec();
-                                fields[idx] = v;
-                                Ok(Value::tuple(fields))
-                            });
-                            match built {
-                                Ok(v) => out.push(v),
-                                Err(e) => {
-                                    res = Err(e);
-                                    break;
-                                }
-                            }
-                        }
-                        ctx.end_call(frame);
-                        res?;
+                    let vals = fun.eval_column(Some(&mut *ctx), &batch)?;
+                    for (t, v) in batch.iter().zip(vals) {
+                        let mut fields = t.as_tuple("replace")?.to_vec();
+                        let slot = fields.get_mut(field.0);
+                        *slot.ok_or_else(|| crate::handles::too_short(&field.1))? = v;
+                        out.push(Value::tuple(fields));
                     }
                 }
             }
@@ -382,7 +262,7 @@ impl Cursor {
                     let Some(o) = outer.next(ctx)? else {
                         break;
                     };
-                    let produced = ctx.call(fun, vec![o.clone()])?;
+                    let produced = fun.apply(Some(&mut *ctx), std::slice::from_ref(&o))?;
                     *inner = materialize(ctx, produced)?.into();
                     *current_outer = Some(o);
                 }
@@ -524,7 +404,7 @@ pub struct Scan {
     pages: Pages,
     /// Tested in order on records read in place; a record is decoded
     /// only if every predicate keeps it.
-    preds: Vec<Rc<CompiledFun>>,
+    preds: Vec<Rc<Closure>>,
     ahead: ReadAhead,
 }
 
@@ -725,7 +605,7 @@ enum Sink<'s> {
 /// record straight away (the decode checks it as it goes).
 fn read_page(
     records: Records<'_, '_>,
-    preds: &[Rc<CompiledFun>],
+    preds: &[Rc<Closure>],
     ahead: &mut ReadAhead,
     sink: &mut Sink<'_>,
 ) -> ExecResult<()> {
@@ -812,6 +692,7 @@ pub fn into_cursor(v: Value) -> ExecResult<Cursor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExecEngine;
     use sos_catalog::Catalog;
     use std::collections::HashMap;
 

@@ -1,8 +1,8 @@
 //! Runtime values: the carrier sets of the second-order algebra.
 
+use crate::compile::CompiledFun;
 use crate::error::{mismatch, ExecError, ExecResult};
 use crate::handles::{BTreeHandle, LsdHandle};
-use sos_core::typed::TypedExpr;
 use sos_core::{Const, DataType, Symbol};
 use sos_geom::{Point, Polygon, Rect};
 use sos_storage::field::{Field, FieldRef, RecordView};
@@ -36,7 +36,7 @@ pub enum Value {
     /// A pipelined stream: tuples are pulled on demand (Section 4's
     /// "pipelined fashion"); see [`crate::stream::Cursor`].
     Cursor(Rc<RefCell<crate::stream::Cursor>>),
-    /// A function value: a closure over the evaluation environment.
+    /// A function value: a compiled lambda plus its captured values.
     Closure(Rc<Closure>),
     /// A list argument (`<a, b, c>`).
     List(Vec<Value>),
@@ -51,15 +51,16 @@ pub enum Value {
     Undefined,
 }
 
-/// A lambda closed over its environment. Parameters and body are shared
-/// with the `TypedNode::Lambda` it was evaluated from, not copied, so
-/// building a closure per outer tuple costs two reference-count bumps
-/// plus the captured-environment clone.
+/// A function value: the program its lambda compiled to (see
+/// [`crate::compile`]) plus the values of the enclosing lambdas'
+/// variables it reads. Parameters and program are shared by every
+/// closure of one lambda, so building a closure per outer tuple costs
+/// two reference-count bumps plus the captured values.
 pub struct Closure {
     pub params: Arc<[(Symbol, DataType)]>,
-    pub body: Arc<TypedExpr>,
-    /// Captured variables (outer lambda parameters).
-    pub captured: Vec<(Symbol, Value)>,
+    pub(crate) program: Rc<CompiledFun>,
+    /// The program's input slots after the parameters.
+    pub(crate) captured: Box<[Value]>,
 }
 
 impl Value {

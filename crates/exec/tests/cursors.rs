@@ -173,9 +173,8 @@ fn feed_value_drains_the_same_scan_sources_the_pipeline_pulls() {
 
 /// `filter` takes its input out of the owned argument list: the uniquely
 /// held `feed` pipeline over a heap is moved into the filter, not wrapped
-/// in `Cursor::Shared` (which takes a mutex on every batch). A compiled
-/// predicate is pushed into the moved heap scan itself; an interpreted
-/// one wraps it.
+/// in `Cursor::Shared`. A predicate that reads only fields is pushed into
+/// the moved heap scan itself; one that reads the whole tuple wraps it.
 #[test]
 fn filter_moves_a_uniquely_held_input_pipeline() {
     use sos_core::typed::{TypedExpr, TypedNode};
@@ -189,16 +188,21 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
         TypedExpr::new(TypedNode::Apply { op, spec, args }, DataType::atom("bool"))
     };
     let tuple = DataType::tuple(vec![(sym("k"), DataType::atom("int"))]);
-    let pred = TypedExpr::new(
-        TypedNode::Lambda {
-            params: Arc::from(vec![(sym("t"), tuple.clone())]),
-            body: Arc::new(TypedExpr::new(
-                TypedNode::Const(Const::Bool(true)),
-                DataType::atom("bool"),
-            )),
-        },
-        DataType::Fun(vec![tuple], Box::new(DataType::atom("bool"))),
-    );
+    let lambda = |body: TypedExpr| {
+        TypedExpr::new(
+            TypedNode::Lambda {
+                params: Arc::from(vec![(sym("t"), tuple.clone())]),
+                body: Arc::new(body),
+            },
+            DataType::Fun(vec![tuple.clone()], Box::new(DataType::atom("bool"))),
+        )
+    };
+    let pred = lambda(TypedExpr::new(
+        TypedNode::Const(Const::Bool(true)),
+        DataType::atom("bool"),
+    ));
+    let t = || TypedExpr::new(TypedNode::Var(sym("t")), tuple.clone());
+    let whole = lambda(apply("=", vec![t(), t()]));
     let feed = apply(
         "feed",
         vec![TypedExpr::new(
@@ -206,7 +210,7 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
             DataType::atom("bool"),
         )],
     );
-    let filter = apply("filter", vec![feed, pred]);
+    let filter = apply("filter", vec![feed.clone(), pred]);
 
     let mut store = HashMap::new();
     store.insert(sym("h"), Value::TidRel(heap));
@@ -220,8 +224,7 @@ fn filter_moves_a_uniquely_held_input_pipeline() {
         "cursor[heap-scan, 1 pushed filter(s)]"
     );
 
-    engine.set_compile_exprs(false);
-    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
+    let filter = apply("filter", vec![feed, whole]);
     let Value::Cursor(c) = ctx.eval(&filter).unwrap() else {
         panic!("feed filter over a heap is a pipelined cursor");
     };

@@ -88,16 +88,16 @@ fn closures_capture_outer_parameters() {
     let g = ctx.call(&fc, vec![Value::Int(10)]).unwrap();
     let Value::Closure(gc) = g else { panic!() };
     assert_eq!(ctx.call(&gc, vec![Value::Int(32)]).unwrap(), Value::Int(42));
-    // Each closure shares its lambda's parameters and body with the term
-    // instead of copying them.
+    // Each closure shares its lambda's parameters with the term instead
+    // of copying them.
     let TypedNode::Lambda { params, body } = &outer.node else {
         unreachable!()
     };
-    assert!(Arc::ptr_eq(&fc.params, params) && Arc::ptr_eq(&fc.body, body));
-    let TypedNode::Lambda { params, body } = &body.node else {
+    assert!(Arc::ptr_eq(&fc.params, params));
+    let TypedNode::Lambda { params, .. } = &body.node else {
         unreachable!()
     };
-    assert!(Arc::ptr_eq(&gc.params, params) && Arc::ptr_eq(&gc.body, body));
+    assert!(Arc::ptr_eq(&gc.params, params));
 }
 
 #[test]

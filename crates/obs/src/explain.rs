@@ -41,8 +41,8 @@ pub struct ExplainAnalysis {
     /// WAL traffic attributable to this run (zero for queries and for
     /// non-durable databases: only committed updates write the log).
     pub wal: WalStats,
-    /// Expression-compiler events attributable to this run: closures
-    /// lowered to batch bytecode and interpreter fallbacks by reason.
+    /// Expression-compiler events attributable to this run: lambdas
+    /// lowered to bytecode.
     pub compile: CompileStats,
     /// Stored records this run decoded into tuples.
     pub rows_decoded: u64,

@@ -27,8 +27,7 @@ pub struct MetricsSnapshot {
     pub phases: PhaseTimings,
     /// Write-ahead log traffic (all zero for a non-durable database).
     pub wal: WalStats,
-    /// Expression-compiler counters: closures lowered to bytecode and
-    /// interpreter fallbacks keyed by reason (empty with `.compile off`).
+    /// Expression-compiler counters: lambdas lowered to bytecode.
     pub compile: CompileStats,
     /// Stored records decoded into tuples by scans and index searches
     /// (`exec.rows_decoded`; records a pushed-down filter rejects or a
@@ -229,20 +228,7 @@ pub fn checkpoint_json(c: &CheckpointStats) -> String {
 /// The one-line rendering of expression-compiler counters shared by
 /// `.metrics` and EXPLAIN ANALYZE output.
 pub fn compile_line(c: &CompileStats) -> String {
-    let mut line = format!("{} expr(s) compiled", c.compiled);
-    if c.total_fallbacks() > 0 {
-        let reasons: Vec<String> = c
-            .fallbacks
-            .iter()
-            .map(|(r, n)| format!("{n} {r}"))
-            .collect();
-        line.push_str(&format!(
-            ", {} interpreter fallback(s): {}",
-            c.total_fallbacks(),
-            reasons.join(", ")
-        ));
-    }
-    line
+    format!("{} expr(s) compiled", c.compiled)
 }
 
 /// The one-line rendering of the executor's decode counter shared by
@@ -256,17 +242,7 @@ pub(crate) fn exec_json(rows_decoded: u64) -> String {
 }
 
 pub(crate) fn compile_json(c: &CompileStats) -> String {
-    Obj::new()
-        .u64("compiled", c.compiled)
-        .raw(
-            "fallbacks",
-            &array(
-                c.fallbacks
-                    .iter()
-                    .map(|(r, n)| Obj::new().str("reason", r).u64("count", *n).finish()),
-            ),
-        )
-        .finish()
+    Obj::new().u64("compiled", c.compiled).finish()
 }
 
 pub(crate) fn wal_json(w: &WalStats) -> String {
@@ -395,7 +371,7 @@ mod tests {
             },
             compile: CompileStats {
                 compiled: 5,
-                fallbacks: vec![("impure-op".into(), 2)],
+                fallbacks: Vec::new(),
             },
             rows_decoded: 42,
             columnar_batches: 3,
@@ -414,9 +390,7 @@ mod tests {
         assert!(snap.op("feed").is_none());
         assert!(text.contains("wal: 4 record(s) (2 page image(s), 1 commit(s)"));
         assert!(text.contains("16500 byte(s), 1 sync(s), 2 checkpoint(s)"));
-        assert!(
-            text.contains("compile: 5 expr(s) compiled, 2 interpreter fallback(s): 2 impure-op")
-        );
+        assert!(text.contains("compile: 5 expr(s) compiled\n"));
         assert!(text.contains("plan cache: 9 hit(s), 2 miss(es), 1 invalidation(s), 2 entrie(s)"));
         assert!(text.contains("exec: 42 row(s) decoded"));
         assert!(text.contains("columnar: 3 batch(es)"));
@@ -442,8 +416,7 @@ mod tests {
             "3 page(s) written, log scan start 100 -> 900, 42 µs"
         );
         assert!(checkpoint_json(&ckpt).contains(r#""pages_written":3"#));
-        assert!(json.contains(r#""compiled":5"#));
-        assert!(json.contains(r#""reason":"impure-op","count":2"#));
+        assert!(json.contains(r#""compile":{"compiled":5}"#));
         // A zeroed WAL and an idle compiler stay out of the human
         // rendering but keep their JSON shape.
         let quiet = MetricsSnapshot::default();

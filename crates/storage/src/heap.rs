@@ -101,24 +101,25 @@ impl HeapFile {
         })
     }
 
-    /// Number of live records (scans the file).
+    /// Number of live records: the live slots of each page, one fetch
+    /// per page, no record copied.
     pub fn count(&self) -> StorageResult<usize> {
         let mut n = 0;
-        for item in self.scan() {
-            item?;
-            n += 1;
+        for page in self.pages() {
+            let guard = self.pool.fetch(page)?;
+            n += SlottedPage::live_slots(&guard.read()[..])?.count();
         }
         Ok(n)
     }
 
-    /// Full scan in page order. This is the physical realization of the
-    /// paper's `feed` operator on `tidrel`/`srel` representations.
+    /// Full scan in page order, one page fetch per page. This is the
+    /// physical realization of the paper's `feed` operator on
+    /// `tidrel`/`srel` representations.
     pub fn scan(&self) -> HeapScan<'_> {
         HeapScan {
             heap: self,
             pages: self.pages().into_iter(),
-            page: 0,
-            slots: Vec::new().into_iter(),
+            page: Vec::new().into_iter(),
         }
     }
 
@@ -150,6 +151,20 @@ pub struct PageRecords<'a> {
     slots: std::ops::Range<u16>,
 }
 
+impl<'a> PageRecords<'a> {
+    /// The next live record and its slot.
+    fn next_slot(&mut self) -> Option<StorageResult<(u16, &'a [u8])>> {
+        loop {
+            let slot = self.slots.next()?;
+            match SlottedPage::get(self.buf, slot) {
+                Ok(Some(rec)) => return Some(Ok((slot, rec))),
+                Ok(None) => {}
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
 impl<'a> Iterator for PageRecords<'a> {
     type Item = StorageResult<&'a [u8]>;
 
@@ -158,27 +173,21 @@ impl<'a> Iterator for PageRecords<'a> {
     }
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let slot = self.slots.next()?;
-            match SlottedPage::get(self.buf, slot) {
-                Ok(Some(rec)) => return Some(Ok(rec)),
-                Ok(None) => {}
-                Err(e) => return Some(Err(e)),
-            }
-        }
+        Some(self.next_slot()?.map(|(_, rec)| rec))
     }
 }
 
 /// Iterator over the live records of a heap file.
 ///
-/// The scan snapshots the page list at creation; records inserted into
-/// earlier pages during the scan may or may not be seen (same contract as a
-/// real slotted-page scan cursor).
+/// The scan snapshots the page list at creation, and copies out a
+/// page's live records under one fetch when it reaches the page: a
+/// change to a page already read is not seen, one to a page further on
+/// may be (same contract as a real slotted-page scan cursor).
 pub struct HeapScan<'a> {
     heap: &'a HeapFile,
     pages: std::vec::IntoIter<PageId>,
-    page: PageId,
-    slots: std::vec::IntoIter<u16>,
+    /// The current page's records not yet returned.
+    page: std::vec::IntoIter<StorageResult<(TupleId, Vec<u8>)>>,
 }
 
 impl Iterator for HeapScan<'_> {
@@ -186,20 +195,19 @@ impl Iterator for HeapScan<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if let Some(slot) = self.slots.next() {
-                let tid = TupleId {
-                    page: self.page,
-                    slot,
-                };
-                return Some(self.heap.get(tid).map(|r| (tid, r)));
+            if let Some(item) = self.page.next() {
+                return Some(item);
             }
-            self.page = self.pages.next()?;
-            let slots = self.heap.pool.fetch(self.page).and_then(|guard| {
-                let live = SlottedPage::live_slots(&guard.read()[..])?.collect::<Vec<_>>();
-                Ok(live)
+            let page = self.pages.next()?;
+            let read = self.heap.visit_page(page, |mut records| {
+                let mut items = Vec::new();
+                while let Some(r) = records.next_slot() {
+                    items.push(r.map(|(slot, rec)| (TupleId { page, slot }, rec.to_vec())));
+                }
+                Ok::<_, StorageError>(items)
             });
-            match slots {
-                Ok(slots) => self.slots = slots.into_iter(),
+            match read {
+                Ok(items) => self.page = items.into_iter(),
                 Err(e) => return Some(Err(e)),
             }
         }
@@ -245,6 +253,25 @@ mod tests {
         let seen: Vec<Vec<u8>> = h.scan().map(|r| r.unwrap().1).collect();
         assert_eq!(seen, vec![b"b".to_vec()]);
         assert_eq!(h.get(b).unwrap(), b"b");
+    }
+
+    #[test]
+    fn a_full_scan_fetches_each_page_once() {
+        let pool = mem_pool(64);
+        let h = HeapFile::create(pool.clone()).unwrap();
+        let rec = vec![7u8; 600]; // ~13 per page
+        let ids: Vec<TupleId> = (0..200).map(|_| h.insert(&rec).unwrap()).collect();
+        h.delete(ids[3]).unwrap();
+        let pages = h.pages().len() as u64;
+        assert!(pages > 10, "{pages} page(s)");
+        let before = pool.stats().logical_reads;
+        let scanned: Vec<TupleId> = h.scan().map(|r| r.unwrap().0).collect();
+        assert_eq!(pool.stats().logical_reads - before, pages);
+        let live: Vec<TupleId> = ids.iter().copied().filter(|&t| t != ids[3]).collect();
+        assert_eq!(scanned, live);
+        let before = pool.stats().logical_reads;
+        assert_eq!(h.count().unwrap(), 199);
+        assert_eq!(pool.stats().logical_reads - before, pages);
     }
 
     #[test]

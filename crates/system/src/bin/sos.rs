@@ -25,7 +25,6 @@
 //! * `.cost [on|off]` — show or toggle cost-based optimization
 //! * `.cache [clear]` — statement-cache counters, or empty the cache
 //! * `.batch [n]`    — show or set the vectorized batch width
-//! * `.compile [on|off]` — show or toggle the expression compiler
 //! * `.objects`      — list catalog objects
 //! * `.quit`
 //!
@@ -240,7 +239,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cost [on|off] | .cache [clear] | .batch [n] | .compile [on|off] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cost [on|off] | .cache [clear] | .batch [n] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -380,25 +379,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
                 }
             }
         }
-        ".compile" => match rest.trim() {
-            "on" => {
-                db.set_compile_exprs(true);
-                println!("expression compiler on");
-            }
-            "off" => {
-                db.set_compile_exprs(false);
-                println!("expression compiler off");
-            }
-            "" => println!(
-                "expression compiler {}",
-                if db.compile_exprs_enabled() {
-                    "on"
-                } else {
-                    "off"
-                }
-            ),
-            _ => println!("error: `.compile` takes `on` or `off`"),
-        },
         ".objects" => {
             let mut entries: Vec<String> = db
                 .catalog()

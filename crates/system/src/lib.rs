@@ -220,7 +220,6 @@ pub struct DatabaseBuilder {
     durability: Option<DurabilityConfig>,
     frame_capacity: Option<usize>,
     batch_size: Option<usize>,
-    compile_exprs: Option<bool>,
     optimize: Option<bool>,
     trace: bool,
     strict_lint: bool,
@@ -327,15 +326,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Enable or disable the expression compiler (default: enabled).
-    /// When on, checked predicate and map closures lower to flat batch
-    /// bytecode; when off, every closure runs through the tree-walking
-    /// interpreter. The two modes compute identical results and errors.
-    pub fn compile_exprs(mut self, on: bool) -> DatabaseBuilder {
-        self.compile_exprs = Some(on);
-        self
-    }
-
     /// Enable or disable the rule optimizer (default: enabled).
     pub fn optimize(mut self, enabled: bool) -> DatabaseBuilder {
         self.optimize = Some(enabled);
@@ -423,9 +413,6 @@ impl DatabaseBuilder {
         let mut engine = ExecEngine::new(pool);
         if let Some(n) = self.batch_size {
             engine.set_batch_size(n);
-        }
-        if let Some(on) = self.compile_exprs {
-            engine.set_compile_exprs(on);
         }
         let mut db = Database {
             sig: builtin::builtin_signature(),
@@ -631,19 +618,6 @@ impl Database {
     /// The current vectorized batch width.
     pub fn batch_size(&self) -> usize {
         self.engine.batch_size()
-    }
-
-    /// Turn the expression compiler on or off at runtime. `false`
-    /// forces every closure through the tree-walking interpreter; the
-    /// differential suite runs both modes over the same statements.
-    /// (Initial value: [`DatabaseBuilder::compile_exprs`], default on.)
-    pub fn set_compile_exprs(&mut self, on: bool) {
-        self.engine.set_compile_exprs(on);
-    }
-
-    /// Whether closures are compiled to batch bytecode when possible.
-    pub fn compile_exprs_enabled(&self) -> bool {
-        self.engine.compile_exprs_enabled()
     }
 
     /// Turn the rule optimizer off/on at runtime (benchmarks compare

@@ -4,7 +4,7 @@
 //!
 //! Timings drift from run to run; these counts do not. A change that
 //! adds a rule attempt, a statement-cache miss, a page touch, a log
-//! byte, a batch or an interpreter fallback to any of the statements
+//! byte, a batch or a compile to any of the statements
 //! below fails this test with a diff, whatever the machine. Each layer runs on a fresh
 //! database, and its counters are read as the delta over the statement
 //! list only, setup excluded.
@@ -74,9 +74,6 @@ fn render(out: &mut String, name: &str, m: &MetricsSnapshot) {
     writeln!(out, "compile.compiled {}", m.compile.compiled).unwrap();
     writeln!(out, "exec.rows_decoded {}", m.rows_decoded).unwrap();
     writeln!(out, "exec.columnar_batches {}", m.columnar_batches).unwrap();
-    for (reason, n) in &m.compile.fallbacks {
-        writeln!(out, "compile.fallback.{reason} {n}").unwrap();
-    }
     for (op, s) in &m.ops {
         writeln!(
             out,
@@ -158,6 +155,22 @@ fn scan_layer(out: &mut String) {
 /// The paper's spatial join (`search_join` over LSD-tree point
 /// searches) and a direct point search.
 fn spatial_layer(out: &mut String) {
+    let mut db = spatial_db(120);
+    layer(
+        out,
+        "spatial",
+        &mut db,
+        &[
+            "query cities states join[center inside region] count;",
+            "query cities select[pop > 50000] states join[center inside region] count;",
+            "query states_rep makepoint(500.0, 500.0) point_search count;",
+            "query states_rep makepoint(125.0, 875.0) point_search count;",
+        ],
+    );
+}
+
+/// States on a grid in an LSD-tree, and `n` cities in a B-tree.
+fn spatial_db(n: usize) -> Database {
     let mut db = Database::builder().build();
     db.run(
         r#"
@@ -178,7 +191,7 @@ fn spatial_layer(out: &mut String) {
         .map(|(name, poly)| Value::tuple(vec![Value::Str(name), Value::Pgon(poly)]))
         .collect();
     db.bulk_insert("states_rep", states).unwrap();
-    let cities = gen::uniform_points(120, 12)
+    let cities = gen::uniform_points(n, 12)
         .into_iter()
         .enumerate()
         .map(|(i, p)| {
@@ -190,17 +203,26 @@ fn spatial_layer(out: &mut String) {
         })
         .collect();
     db.bulk_insert("cities_rep", cities).unwrap();
-    layer(
-        out,
-        "spatial",
-        &mut db,
-        &[
-            "query cities states join[center inside region] count;",
-            "query cities select[pop > 50000] states join[center inside region] count;",
-            "query states_rep makepoint(500.0, 500.0) point_search count;",
-            "query states_rep makepoint(125.0, 875.0) point_search count;",
-        ],
-    );
+    db
+}
+
+/// The search join builds one inner closure per outer tuple, all from
+/// one program compiled with the plan: its compiles depend on the plan,
+/// not on the number of outer tuples.
+#[test]
+fn spatial_join_compiles_depend_on_the_plan_not_the_outer_rows() {
+    let compiled = |n: usize| {
+        let mut db = spatial_db(n);
+        db.reset_metrics();
+        db.run("query cities states join[center inside region] count;")
+            .unwrap();
+        let m = db.metrics();
+        assert_eq!(m.ops.iter().filter(|(op, _)| op == "join").count(), 0);
+        m.compile.compiled
+    };
+    let once = compiled(120);
+    assert!(once > 0);
+    assert_eq!(compiled(240), once);
 }
 
 /// Single-row inserts, one WAL commit each, under `PerCommit`.

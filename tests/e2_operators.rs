@@ -168,31 +168,29 @@ fn geometry_operators_resolve_and_evaluate() {
 fn sum_of_no_rows_is_a_zero_of_the_attribute_type() {
     // `sum: stream(tuple) x attr -> dtype`: with no rows the result is
     // still of the attribute's type, on the fused and the decoding path.
+    // `keep(t)` hands the whole tuple to a function object, so a filter
+    // on it stays a step over the decoding scan.
     let mut db = Database::builder().build();
     db.run(
         r#"
         type x = tuple(<(a, real), (b, int)>);
         create xs_rep : tidrel(x);
         update xs_rep := insert(xs_rep, mktuple[(a, 1.5), (b, 2)]);
+        create keep : (x -> bool);
+        update keep := fun (u: x) true;
     "#,
     )
     .unwrap();
-    for compile in [true, false] {
-        db.set_compile_exprs(compile);
-        let q = |db: &mut Database, s: &str| db.query(s).unwrap();
+    for feed in ["xs_rep feed", "xs_rep feed filter[fun (t: x) keep(t)]"] {
+        let mut q = |s: &str| db.query(&s.replace("FEED", feed)).unwrap();
+        assert_eq!(q("FEED filter[b > 5] sum[a]"), Value::Real(0.0), "{feed}");
+        assert_eq!(q("FEED filter[b > 5] sum[b]"), Value::Int(0), "{feed}");
         assert_eq!(
-            q(&mut db, "xs_rep feed filter[b > 5] sum[a]"),
-            Value::Real(0.0)
+            q("(FEED filter[b > 5] sum[a]) = 0.0"),
+            Value::Bool(true),
+            "{feed}"
         );
-        assert_eq!(
-            q(&mut db, "xs_rep feed filter[b > 5] sum[b]"),
-            Value::Int(0)
-        );
-        assert_eq!(
-            q(&mut db, "(xs_rep feed filter[b > 5] sum[a]) = 0.0"),
-            Value::Bool(true)
-        );
-        assert_eq!(q(&mut db, "xs_rep feed sum[a]"), Value::Real(1.5));
-        assert_eq!(q(&mut db, "xs_rep feed sum[b]"), Value::Int(2));
+        assert_eq!(q("FEED sum[a]"), Value::Real(1.5), "{feed}");
+        assert_eq!(q("FEED sum[b]"), Value::Int(2), "{feed}");
     }
 }

@@ -138,34 +138,35 @@ fn extension_with_new_operator() {
 
 /// An operator named like an attribute does not shadow the attribute.
 /// The checker resolves `pop` on a city tuple to the field and `7 pop` to
-/// the declared operator; the engine follows both resolutions, compiled
-/// or interpreted.
+/// the declared operator; the engine follows both resolutions, in a
+/// compiled predicate and at plan level.
 #[test]
 fn operator_named_like_an_attribute_does_not_shadow_it() {
     let cities: Vec<Value> = (0..100)
         .map(|i| Value::tuple(vec![Value::Str(format!("c{i}")), Value::Int(i * 10)]))
         .collect();
-    for compile in [true, false] {
-        let mut db = Database::builder().compile_exprs(compile).build();
-        db.run(
-            r#"
-            type city = tuple(<(cname, string), (pop, int)>);
-            create cities : rel(city);
-        "#,
-        )
+    let mut db = Database::builder().build();
+    db.run(
+        r#"
+        type city = tuple(<(cname, string), (pop, int)>);
+        create cities : rel(city);
+    "#,
+    )
+    .unwrap();
+    db.bulk_insert("cities", cities).unwrap();
+    db.load_spec(r##"op pop : int -> int syntax "_ #""##)
         .unwrap();
-        db.bulk_insert("cities", cities.clone()).unwrap();
-        db.load_spec(r##"op pop : int -> int syntax "_ #""##)
-            .unwrap();
-        db.add_op_impl("pop", |_, _, _| Ok(Value::Int(-1))).unwrap();
-        let case = format!("compile {compile}");
-        assert_eq!(
-            db.query("cities select[pop > 100] count").unwrap(),
-            Value::Int(89),
-            "{case}"
-        );
-        assert_eq!(db.query("7 pop").unwrap(), Value::Int(-1), "{case}");
-    }
+    db.add_op_impl("pop", |_, _, _| Ok(Value::Int(-1))).unwrap();
+    assert_eq!(
+        db.query("cities select[pop > 100] count").unwrap(),
+        Value::Int(89)
+    );
+    assert_eq!(db.query("7 pop").unwrap(), Value::Int(-1));
+    assert_eq!(
+        db.query("cities select[fun (c: city) (c pop) pop < 0] count")
+            .unwrap(),
+        Value::Int(100)
+    );
     // Without the spec, `pop` names only an attribute: no implementation
     // could ever run, so registering one is an error.
     let mut db = Database::builder().build();
@@ -173,6 +174,54 @@ fn operator_named_like_an_attribute_does_not_shadow_it() {
         .add_op_impl("pop", |_, _, _| Ok(Value::Int(-1)))
         .unwrap_err();
     assert_eq!(err.to_string(), "unknown operator `pop`");
+}
+
+/// A user override of a pure built-in is an ordinary table entry: a
+/// predicate that applies it lowers to a call with the evaluation
+/// context, so the override sees the store on every row, the filter is
+/// not pushed into the scan (it decodes every record) and no columnar
+/// kernel runs it.
+#[test]
+fn user_override_of_a_pure_builtin_runs_through_call_op() {
+    use std::cell::Cell;
+    use std::rc::Rc;
+    let mut db = Database::builder().build();
+    db.run(
+        r#"
+        type item = tuple(<(k, int), (pad, string)>);
+        create items_rep : tidrel(item);
+        create divisor : int;
+        update divisor := 2;
+    "#,
+    )
+    .unwrap();
+    let rows = (0..500)
+        .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("{i:0100}"))]))
+        .collect();
+    db.bulk_insert("items_rep", rows).unwrap();
+    let q = "items_rep feed filter[k mod 7 = 0] count";
+    db.reset_metrics();
+    assert_eq!(db.query(q).unwrap(), Value::Int(72));
+    let pure = db.metrics();
+    assert_eq!(pure.rows_decoded, 0, "the pure predicate runs in place");
+    assert!(pure.columnar_batches > 0);
+
+    // `mod` now reads its divisor from the store.
+    let calls = Rc::new(Cell::new(0));
+    let seen = calls.clone();
+    db.add_op_impl("mod", move |ctx, _, args| {
+        seen.set(seen.get() + 1);
+        let divisor = ctx.object(&sos_core::sym("divisor"), &sos_core::DataType::atom("int"));
+        Ok(Value::Int(args[0].as_int("mod")? % divisor.as_int("mod")?))
+    })
+    .unwrap();
+    db.reset_metrics();
+    assert_eq!(db.query(q).unwrap(), Value::Int(250));
+    assert_eq!(calls.get(), 500, "one call per row");
+    let over = db.metrics();
+    assert_eq!(over.rows_decoded, 500, "the overridden predicate decodes");
+    assert_eq!(over.columnar_batches, 0);
+    assert_eq!(over.compile.compiled, 1);
 }
 
 /// Geometry substrate consistency check at the integration level: a

@@ -24,6 +24,7 @@ fn big_db(n: usize) -> Database {
     "#,
     )
     .unwrap();
+    db.run(WHOLE_DDL).unwrap();
     let tuples: Vec<Value> = (0..n)
         .map(|i| {
             Value::tuple(vec![
@@ -211,6 +212,26 @@ fn self_referential_stream_insert_uses_a_snapshot() {
 
 const WIDTHS: &[usize] = &[1, 7, 1024];
 
+/// A function object that keeps every `item`. A filter on `whole(t)`
+/// hands the function the whole tuple, so it is never pushed into a
+/// scan: put first over a source, it keeps every step after it on
+/// decoded tuples.
+const WHOLE_DDL: &str = r#"
+    create whole : (item -> bool);
+    update whole := fun (u: item) true;
+"#;
+
+/// `q` with a `whole(t)` filter right after its source (the first
+/// `feed`, or else the first `[...]` argument list): the same result,
+/// on the decoding path.
+fn decoding(q: &str) -> String {
+    let at = match q.find(" feed") {
+        Some(i) => i + " feed".len(),
+        None => q.find(']').expect("a source with arguments") + 1,
+    };
+    format!("{} filter[fun (t: item) whole(t)]{}", &q[..at], &q[at..])
+}
+
 #[test]
 fn first_error_is_identical_at_every_width_and_tier() {
     // k = 1234 is the only failing row and sits mid-page (page 35 of
@@ -224,12 +245,13 @@ fn first_error_is_identical_at_every_width_and_tier() {
     "#,
     )
     .unwrap();
+    db.run(WHOLE_DDL).unwrap();
     let tuples: Vec<Value> = (0..3000)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("{:0200}", i))]))
         .collect();
     db.bulk_insert("heap_rep", tuples).unwrap();
     let zero = "division by zero";
-    for (q, msg) in [
+    let cases = [
         ("heap_rep feed filter[100 div (k - 1234) > 0] count", zero),
         ("heap_rep feed filter[100 div (k - 1234) > 0] consume", zero),
         (
@@ -245,19 +267,16 @@ fn first_error_is_identical_at_every_width_and_tier() {
             "heap_rep feed filter[(0 - 9223372036854775807 - 1) div (0 - 1 - (k - 1234) * (k - 1234)) < 0] count",
             "integer overflow in `div`",
         ),
-    ] {
+    ];
+    for (q, msg) in cases {
         let mut seen: Option<String> = None;
-        for compile in [true, false] {
+        for q in [q.to_string(), decoding(q)] {
             for &width in WIDTHS {
-                db.set_compile_exprs(compile);
                 db.set_batch_size(width);
-                let err = db
-                    .query(q)
-                    .expect_err("row k = 1234 fails")
-                    .to_string();
+                let err = db.query(&q).expect_err("row k = 1234 fails").to_string();
                 assert!(err.contains(msg), "`{q}`: {err}");
                 let first = seen.get_or_insert_with(|| err.clone());
-                assert_eq!(&err, first, "`{q}` at compile={compile} width={width}");
+                assert_eq!(&err, first, "`{q}` at width={width}");
                 // An error aborts the drain without leaking a page pin.
                 assert_eq!(pool.pinned_frames(), 0, "`{q}` leaked pins");
             }
@@ -353,6 +372,7 @@ fn heap_with_raw_record(pool: &std::sync::Arc<sos_storage::BufferPool>, raw: &[u
     "#,
     )
     .unwrap();
+    db.run(WHOLE_DDL).unwrap();
     let row = |i: i64| Value::tuple(vec![Value::Int(i), Value::Str(format!("{i:0200}"))]);
     db.bulk_insert("heap_rep", (0..200).map(row).collect())
         .unwrap();
@@ -391,14 +411,13 @@ fn malformed_records_fail_alike_on_every_path() {
             "heap_rep feed sum[k]",
         ] {
             let mut seen: Option<String> = None;
-            for compile in [true, false] {
+            for q in [q.to_string(), decoding(q)] {
                 for &width in WIDTHS {
-                    db.set_compile_exprs(compile);
                     db.set_batch_size(width);
-                    let err = db.query(q).expect_err(q).to_string();
+                    let err = db.query(&q).expect_err(&q).to_string();
                     assert!(err.contains(msg), "`{q}`: {err}");
                     let first = seen.get_or_insert_with(|| err.clone());
-                    assert_eq!(&err, first, "`{q}` at compile={compile} width={width}");
+                    assert_eq!(&err, first, "`{q}` at width={width}");
                     assert_eq!(pool.pinned_frames(), 0, "`{q}` leaked pins");
                 }
             }
@@ -429,9 +448,9 @@ fn a_corrupt_heap_page_fails_a_query_instead_of_panicking() {
 
 #[test]
 fn head_over_a_pushed_filter_reads_what_the_filter_chain_reads() {
-    // The interpreted predicate stays a filter step over the decoding
-    // scan; the compiled one is pushed into the scan. Both must touch
-    // the same pages at every width, and stop early.
+    // Behind a `whole(t)` filter the predicate stays a filter step over
+    // the decoding scan; alone it is pushed into the scan. Both must
+    // touch the same pages at every width, and stop early.
     let mut db = big_db(20_000);
     db.reset_metrics();
     db.query("heap_rep feed count").unwrap();
@@ -445,10 +464,9 @@ fn head_over_a_pushed_filter_reads_what_the_filter_chain_reads() {
         for &width in WIDTHS {
             db.set_batch_size(width);
             let mut reads = Vec::new();
-            for compile in [true, false] {
-                db.set_compile_exprs(compile);
+            for q in [q.to_string(), decoding(q)] {
                 db.reset_metrics();
-                let n = as_count(&db.query(q).unwrap());
+                let n = as_count(&db.query(&q).unwrap());
                 assert!(n == 10 || n == 3, "`{q}`: {n}");
                 reads.push(db.metrics().pool.logical_reads);
             }
@@ -460,22 +478,22 @@ fn head_over_a_pushed_filter_reads_what_the_filter_chain_reads() {
 
 #[test]
 fn a_record_shorter_than_its_schema_fails_an_aggregate_on_every_path() {
-    // One stored record with only `k`: aggregating `pad` is an error on
-    // the fused and on the decoding path, never an index past the tuple.
+    // One stored record with only `k`: aggregating or replacing `pad` is
+    // an error on the fused and on the decoding path, never an index
+    // past the tuple.
     let mut short = vec![1, 0, 1];
     short.extend(7i64.to_le_bytes());
     let pool = sos_storage::mem_pool(4096);
     let mut db = heap_with_raw_record(&pool, &short);
-    for compile in [true, false] {
+    for feed in ["heap_rep feed", &decoding("heap_rep feed")] {
         for &width in WIDTHS {
-            db.set_compile_exprs(compile);
             db.set_batch_size(width);
-            assert_eq!(db.query("heap_rep feed count").unwrap(), Value::Int(301));
-            let err = db.query("heap_rep feed max[pad]").unwrap_err().to_string();
-            assert_eq!(
-                err, "tuple too short for attribute `pad`",
-                "compile={compile}"
-            );
+            let count = format!("{feed} count");
+            assert_eq!(db.query(&count).unwrap(), Value::Int(301));
+            for q in ["max[pad]", "replace[pad, fun (t: item) \"x\"] count"] {
+                let err = db.query(&format!("{feed} {q}")).unwrap_err().to_string();
+                assert_eq!(err, "tuple too short for attribute `pad`", "{feed} {q}");
+            }
         }
     }
 }
