@@ -1,8 +1,9 @@
-//! Per-object statistics for cost-based optimization.
+//! Per-object statistics for cardinality estimates.
 //!
 //! Collected by `Database::analyze`, stored in the catalog (so they ride
 //! the same snapshot/WAL machinery as object types),
-//! and consumed by the optimizer's page-touch cost model. The shapes are
+//! and read by the optimizer crate's cardinality estimator, whose
+//! estimates EXPLAIN ANALYZE prints. The shapes are
 //! deliberately simple: a row count, a page count, and an equi-width
 //! histogram over the numeric key domain (B-tree key attribute, or the
 //! center-x of indexed rectangles for `lsdtree` objects).

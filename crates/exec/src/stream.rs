@@ -64,6 +64,10 @@ pub enum Cursor {
         fun: Rc<Closure>,
         current_outer: Option<Value>,
         inner: VecDeque<Value>,
+        /// Batches and rows drained from inner streams so far, recorded
+        /// under `search_join` once the outer input runs out.
+        inner_batches: u64,
+        inner_rows: u64,
     },
     /// A cursor shared through a cloned stream value.
     Shared(Rc<RefCell<Cursor>>),
@@ -252,6 +256,8 @@ impl Cursor {
                 fun,
                 current_outer,
                 inner,
+                inner_batches,
+                inner_rows,
             } => {
                 while out.len() < target {
                     if let Some(i) = inner.pop_front() {
@@ -260,10 +266,24 @@ impl Cursor {
                         continue;
                     }
                     let Some(o) = outer.next(ctx)? else {
+                        ctx.engine.stats.record_batches(
+                            "search_join",
+                            std::mem::take(inner_batches),
+                            std::mem::take(inner_rows),
+                        );
                         break;
                     };
                     let produced = fun.apply(Some(&mut *ctx), std::slice::from_ref(&o))?;
-                    *inner = materialize(ctx, produced)?.into();
+                    let tuples = match produced {
+                        Value::Cursor(c) => {
+                            let (tuples, batches) = c.borrow_mut().drain_unrecorded(ctx)?;
+                            *inner_batches += batches;
+                            *inner_rows += tuples.len() as u64;
+                            tuples
+                        }
+                        other => materialize(ctx, other)?,
+                    };
+                    *inner = tuples.into();
                     *current_outer = Some(o);
                 }
             }
@@ -357,6 +377,16 @@ impl Cursor {
         ctx: &mut EvalCtx,
         op: &'static str,
     ) -> ExecResult<Vec<Value>> {
+        let (out, batches) = self.drain_unrecorded(ctx)?;
+        ctx.engine
+            .stats
+            .record_batches(op, batches, out.len() as u64);
+        Ok(out)
+    }
+
+    /// Drain the remaining tuples at the engine's width, returning them
+    /// and the number of batches, and record nothing.
+    fn drain_unrecorded(&mut self, ctx: &mut EvalCtx) -> ExecResult<(Vec<Value>, u64)> {
         // Batches land in the result directly: no per-batch buffer to
         // copy out of, unlike the folding consumers of `for_each_batch`.
         let width = ctx.engine.batch_size();
@@ -365,10 +395,7 @@ impl Cursor {
         while self.next_batch_into(ctx, width, &mut out)? > 0 {
             batches += 1;
         }
-        ctx.engine
-            .stats
-            .record_batches(op, batches, out.len() as u64);
-        Ok(out)
+        Ok((out, batches))
     }
 }
 

@@ -49,7 +49,7 @@ pub struct ExplainAnalysis {
     /// A short summary of the produced value (kind and cardinality).
     pub result: String,
     /// Worst estimated-vs-actual row ratio across operators with both
-    /// numbers (`None` when the cost model produced no estimates).
+    /// numbers (`None` when no operator has both).
     pub misestimate_factor: Option<f64>,
 }
 
@@ -74,12 +74,11 @@ pub struct Explain {
     /// (the plan is the cached template rebound to this statement's
     /// literals, and `rewrites` is empty), `Some(false)` when it does not
     /// (the plan is a fresh optimize of this statement's own literals),
-    /// `None` when the cache is not consulted (optimizer off, or
-    /// cost-based optimization on).
+    /// `None` when the cache is not consulted (optimizer off).
     pub plan_cache: Option<bool>,
-    /// Cost-model estimated output rows per operator of the final plan
-    /// (summed across occurrences, in order of first appearance). Empty
-    /// when cost-based optimization is off.
+    /// Estimated output rows per operator of the final plan (summed
+    /// across occurrences, in order of first appearance). Empty except
+    /// for `explain_analyze`.
     pub estimates: Vec<(String, f64)>,
     /// Present only for `explain_analyze`.
     pub analysis: Option<ExplainAnalysis>,

@@ -37,7 +37,7 @@ pub struct MetricsSnapshot {
     /// end (`exec.columnar_batches`; 0 when every batch ran row by row).
     pub columnar_batches: u64,
     /// Statement-cache counters (all zero while no statement consulted
-    /// the cache: optimizer off or cost-based optimization on).
+    /// the cache: optimizer off).
     pub planner: PlannerStats,
 }
 
@@ -82,8 +82,6 @@ impl MetricsSnapshot {
                     self.optimizer.plan_validation_failures as u64,
                 )
                 .u64("optimize_ns", self.optimizer.optimize_ns)
-                .u64("rewrite_ns", self.optimizer.rewrite_ns)
-                .u64("cost_ns", self.optimizer.cost_ns)
                 .u64("cache_lookup_ns", self.optimizer.cache_lookup_ns)
                 .finish(),
         );
@@ -136,10 +134,8 @@ impl std::fmt::Display for MetricsSnapshot {
         if self.optimizer.optimize_ns > 0 {
             writeln!(
                 f,
-                "planner time: {} µs total ({} µs rewrite, {} µs cost, {} µs cache lookup)",
+                "planner time: {} µs total ({} µs cache lookup)",
                 self.optimizer.optimize_ns / 1_000,
-                self.optimizer.rewrite_ns / 1_000,
-                self.optimizer.cost_ns / 1_000,
                 self.optimizer.cache_lookup_ns / 1_000
             )?;
         }

@@ -1,11 +1,8 @@
-//! A page-touch cost model over typed terms, fed by catalog statistics.
+//! A cardinality estimator over typed terms, fed by catalog statistics.
 //!
-//! The model walks a (typed) plan bottom-up and produces, per node, an
-//! estimated output cardinality and an estimated number of page touches.
-//! The rewrite driver uses the total page estimate to choose among rule
-//! alternatives (index access vs scan, hash join vs index-probe join);
-//! `EXPLAIN ANALYZE` renders the per-operator cardinalities next to the
-//! measured ones.
+//! The estimator walks a (typed) plan bottom-up and produces, per node,
+//! an estimated output cardinality. `EXPLAIN ANALYZE` renders the
+//! per-operator estimates next to the measured rows.
 //!
 //! Estimates are deliberately coarse: equi-width histograms on B-tree
 //! key attributes (and rect center-x for `lsdtree`) give selectivities
@@ -18,8 +15,6 @@ use sos_core::{Const, DataType, Symbol, TypeArg};
 
 /// Default row count assumed for objects without statistics.
 const DEFAULT_ROWS: f64 = 1000.0;
-/// Tuples assumed to fit on one page when the catalog has no page count.
-const TUPLES_PER_PAGE: f64 = 64.0;
 /// Default selectivity of an equality predicate.
 const SEL_EQ: f64 = 0.1;
 /// Default selectivity of a range predicate.
@@ -29,28 +24,27 @@ const SEL_OTHER: f64 = 0.5;
 /// Default fraction of an lsdtree touched by a spatial probe.
 const SEL_SPATIAL: f64 = 0.1;
 
-/// Estimated cardinality and page touches for one (sub)term.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Estimate {
-    /// Estimated number of tuples the node produces.
-    pub rows: f64,
-    /// Estimated cumulative page touches to produce them.
-    pub pages: f64,
-}
-
-/// The page-touch cost model over a catalog's statistics.
+/// The cardinality estimator over a catalog's statistics.
 pub struct CostModel<'a> {
     catalog: &'a Catalog,
 }
 
-/// Internal per-node result: the estimate plus the storage object the
-/// stream (if any) originates from, so filters above a `feed` can consult
-/// that object's histogram.
+/// Internal per-node result: the estimated rows plus the storage object
+/// the stream (if any) originates from, so filters above a `feed` can
+/// consult that object's histogram.
 #[derive(Debug, Clone)]
 struct Flow {
-    est: Estimate,
+    rows: f64,
     /// The storage object whose tuples flow through this node.
     source: Option<Symbol>,
+}
+
+/// A key comparison `key cmp v` that a B-tree probe below a filter has
+/// already applied to every row it yields.
+#[derive(Debug, Clone, Copy)]
+struct Probe<'s> {
+    cmp: &'s str,
+    v: f64,
 }
 
 impl<'a> CostModel<'a> {
@@ -58,15 +52,9 @@ impl<'a> CostModel<'a> {
         CostModel { catalog }
     }
 
-    /// Total estimated page touches for a whole term — the quantity the
-    /// rewrite driver minimizes when choosing among rule alternatives.
-    pub fn page_cost(&self, term: &TypedExpr) -> f64 {
-        self.flow(term).est.pages
-    }
-
     /// Estimated output cardinality of a term.
     pub fn cardinality(&self, term: &TypedExpr) -> f64 {
-        self.flow(term).est.rows
+        self.flow(term).rows
     }
 
     /// Per-operator estimated cardinalities in visit (top-down) order:
@@ -83,7 +71,7 @@ impl<'a> CostModel<'a> {
 
     fn collect_estimates(&self, t: &TypedExpr, out: &mut Vec<(Symbol, f64)>) {
         if let Some((op, _, args)) = t.as_apply() {
-            out.push((op.clone(), self.flow(t).est.rows));
+            out.push((op.clone(), self.flow(t).rows));
             for a in args {
                 self.collect_estimates(a, out);
             }
@@ -116,18 +104,8 @@ impl<'a> CostModel<'a> {
     }
 
     fn object_flow(&self, name: &Symbol) -> Flow {
-        let est = match self.stats_of(name) {
-            Some(s) => Estimate {
-                rows: s.rows as f64,
-                pages: (s.pages as f64).max(1.0),
-            },
-            None => Estimate {
-                rows: DEFAULT_ROWS,
-                pages: (DEFAULT_ROWS / TUPLES_PER_PAGE).max(1.0),
-            },
-        };
         Flow {
-            est,
+            rows: self.stats_of(name).map_or(DEFAULT_ROWS, |s| s.rows as f64),
             source: Some(name.clone()),
         }
     }
@@ -140,20 +118,10 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Selectivity of comparing the histogrammed key attribute of
-    /// `source` with a known literal; `None` when no histogram applies.
-    fn histogram_fraction(
-        &self,
-        source: Option<&Symbol>,
-        attr: &Symbol,
-        cmp: &str,
-        v: f64,
-    ) -> Option<f64> {
-        let stats = self.stats_of(source?)?;
-        if stats.key_attr.as_ref() != Some(attr) {
-            return None;
-        }
-        let h = stats.key_histogram.as_ref()?;
+    /// Histogram selectivity of comparing the key attribute of `source`
+    /// with a known literal; `None` when `source` has no key histogram.
+    fn key_fraction(&self, source: Option<&Symbol>, cmp: &str, v: f64) -> Option<f64> {
+        let h = self.stats_of(source?)?.key_histogram.as_ref()?;
         Some(match cmp {
             "=" => h.fraction_eq(v),
             "<=" => h.fraction_le(v),
@@ -164,27 +132,73 @@ impl<'a> CostModel<'a> {
         })
     }
 
+    /// Selectivity of `attr cmp v` over the rows of `source`, or over the
+    /// rows a `probe` on the same key already qualified (the probe's own
+    /// fraction divided out); `None` when no key histogram applies.
+    fn histogram_fraction(
+        &self,
+        source: Option<&Symbol>,
+        attr: &Symbol,
+        cmp: &str,
+        v: f64,
+        probe: Option<Probe>,
+    ) -> Option<f64> {
+        if self.stats_of(source?)?.key_attr.as_ref() != Some(attr) {
+            return None;
+        }
+        let fc = self.key_fraction(source, cmp, v)?;
+        let Some(p) = probe else {
+            return Some(fc);
+        };
+        let Some(fp) = self.key_fraction(source, p.cmp, p.v) else {
+            return Some(fc);
+        };
+        // The fraction of the whole object satisfying both comparisons.
+        let joint = if p.cmp == "=" {
+            if holds(cmp, p.v, v) {
+                fp
+            } else {
+                0.0
+            }
+        } else if cmp == "=" {
+            if holds(p.cmp, v, p.v) {
+                fc
+            } else {
+                0.0
+            }
+        } else if lower_bound(cmp) == lower_bound(p.cmp) {
+            // Two bounds on the same side nest: the tighter one holds.
+            fc.min(fp)
+        } else {
+            // Opposite sides overlap in what neither excludes.
+            (fc + fp - 1.0).max(0.0)
+        };
+        Some(if fp > 0.0 { joint / fp } else { 0.0 })
+    }
+
     /// Selectivity of a boolean predicate body over tuples of `source`.
-    /// `param` is the lambda's tuple parameter.
+    /// `param` is the lambda's tuple parameter; `probe` is the key
+    /// comparison the input already applied.
     fn predicate_selectivity(
         &self,
         body: &TypedExpr,
         param: Option<&Symbol>,
         source: Option<&Symbol>,
+        probe: Option<Probe>,
     ) -> f64 {
         if let Some((op, _, args)) = body.as_apply() {
             match op.as_str() {
                 "and" if args.len() == 2 => {
-                    return self.predicate_selectivity(&args[0], param, source)
-                        * self.predicate_selectivity(&args[1], param, source);
+                    return self.predicate_selectivity(&args[0], param, source, probe)
+                        * self.predicate_selectivity(&args[1], param, source, probe);
                 }
                 "or" if args.len() == 2 => {
-                    let a = self.predicate_selectivity(&args[0], param, source);
-                    let b = self.predicate_selectivity(&args[1], param, source);
+                    let a = self.predicate_selectivity(&args[0], param, source, probe);
+                    let b = self.predicate_selectivity(&args[1], param, source, probe);
                     return (a + b - a * b).clamp(0.0, 1.0);
                 }
                 "not" if args.len() == 1 => {
-                    return (1.0 - self.predicate_selectivity(&args[0], param, source))
+                    return (1.0 - self.predicate_selectivity(&args[0], param, source, probe))
                         .clamp(0.0, 1.0);
                 }
                 "=" | "<=" | ">=" | "<" | ">" if args.len() == 2 => {
@@ -198,7 +212,7 @@ impl<'a> CostModel<'a> {
                         else {
                             continue;
                         };
-                        if let Some(fr) = self.histogram_fraction(source, &attr, cmp, v) {
+                        if let Some(fr) = self.histogram_fraction(source, &attr, cmp, v, probe) {
                             return fr.clamp(0.0, 1.0);
                         }
                     }
@@ -214,35 +228,39 @@ impl<'a> CostModel<'a> {
         SEL_OTHER
     }
 
+    /// The key comparison a one-sided B-tree probe applies, when `t` is
+    /// one with a literal key.
+    fn probe_of<'t>(&self, t: &'t TypedExpr) -> Option<Probe<'t>> {
+        let (op, _, [_, key]) = t.as_apply()? else {
+            return None;
+        };
+        let cmp = match op.as_str() {
+            "exactmatch" => "=",
+            "range_from" => ">=",
+            "range_to" => "<=",
+            _ => return None,
+        };
+        Some(Probe {
+            cmp,
+            v: self.numeric(key)?,
+        })
+    }
+
     fn flow(&self, term: &TypedExpr) -> Flow {
         if let Some((op, _, args)) = term.as_apply() {
             return self.apply_flow(op, args);
         }
         match &term.node {
             TypedNode::Object(name) => self.object_flow(name),
-            TypedNode::Const(_) | TypedNode::Var(_) => Flow {
-                est: Estimate {
-                    rows: 1.0,
-                    pages: 0.0,
-                },
-                source: None,
-            },
-            TypedNode::Lambda { body, .. } => self.flow(body),
-            TypedNode::List(items) | TypedNode::Tuple(items) => {
-                let pages = items.iter().map(|i| self.flow(i).est.pages).sum();
+            TypedNode::Const(_) | TypedNode::Var(_) | TypedNode::List(_) | TypedNode::Tuple(_) => {
                 Flow {
-                    est: Estimate { rows: 1.0, pages },
+                    rows: 1.0,
                     source: None,
                 }
             }
-            TypedNode::ApplyFun { fun, args } => {
-                // A view/lambda call: cost the body plus the arguments.
-                let mut f = self.flow(fun);
-                for a in args {
-                    f.est.pages += self.flow(a).est.pages;
-                }
-                f
-            }
+            TypedNode::Lambda { body, .. } => self.flow(body),
+            // A view/lambda call: the body's estimate.
+            TypedNode::ApplyFun { fun, .. } => self.flow(fun),
             TypedNode::Apply { .. } | TypedNode::Field { .. } => unreachable!("returned above"),
         }
     }
@@ -252,23 +270,23 @@ impl<'a> CostModel<'a> {
             // Stream sources.
             ("feed", [rel]) => self.flow(rel),
             // Filter / select keep the source, scale rows by predicate
-            // selectivity. Page touches: the input's (plus nothing — the
-            // predicate runs over tuples already read).
+            // selectivity — given the key comparison a probe input
+            // already applied.
             ("filter" | "select", [input, pred]) => {
                 let inf = self.flow(input);
                 let (param, body) = lambda_parts(pred);
-                let sel =
-                    self.predicate_selectivity(body.unwrap_or(pred), param, inf.source.as_ref());
+                let sel = self.predicate_selectivity(
+                    body.unwrap_or(pred),
+                    param,
+                    inf.source.as_ref(),
+                    self.probe_of(input),
+                );
                 Flow {
-                    est: Estimate {
-                        rows: (inf.est.rows * sel).max(0.0),
-                        pages: inf.est.pages,
-                    },
+                    rows: (inf.rows * sel).max(0.0),
                     source: inf.source,
                 }
             }
-            // B-tree probes: descend the tree (≈ its height) then read
-            // the qualifying fraction.
+            // B-tree probes: the qualifying fraction of the tree.
             ("exactmatch", [tree, key]) => self.btree_probe(tree, "=", self.numeric(key)),
             ("range_from", [tree, key]) => self.btree_probe(tree, ">=", self.numeric(key)),
             ("range_to", [tree, key]) => self.btree_probe(tree, "<=", self.numeric(key)),
@@ -276,123 +294,60 @@ impl<'a> CostModel<'a> {
             // Spatial probes.
             ("point_search" | "overlap_search", [tree, _probe]) => {
                 let tf = self.flow(tree);
-                let rows = (tf.est.rows * SEL_SPATIAL).max(0.0);
                 Flow {
-                    est: Estimate {
-                        rows,
-                        pages: probe_pages(tf.est.pages, rows),
-                    },
+                    rows: (tf.rows * SEL_SPATIAL).max(0.0),
                     source: tf.source,
-                }
-            }
-            // Hash join: read both inputs once; output via the classic
-            // containment assumption.
-            ("hashjoin", [left, right, _a1, _a2]) => {
-                let lf = self.flow(left);
-                let rf = self.flow(right);
-                let rows = join_rows(lf.est.rows, rf.est.rows);
-                Flow {
-                    est: Estimate {
-                        rows,
-                        pages: lf.est.pages + rf.est.pages,
-                    },
-                    source: None,
                 }
             }
             // Search join: the inner stream function runs once per outer
             // tuple.
-            ("search_join", [outer, inner]) => {
-                let of = self.flow(outer);
-                let inner_f = self.flow(inner);
-                Flow {
-                    est: Estimate {
-                        rows: of.est.rows * inner_f.est.rows,
-                        pages: of.est.pages + of.est.rows * inner_f.est.pages,
-                    },
-                    source: None,
-                }
-            }
-            ("product" | "join", [left, right, ..]) => {
-                let lf = self.flow(left);
-                let rf = self.flow(right);
-                let rows = if op.as_str() == "join" {
-                    join_rows(lf.est.rows, rf.est.rows)
-                } else {
-                    lf.est.rows * rf.est.rows
-                };
-                Flow {
-                    est: Estimate {
-                        rows,
-                        pages: lf.est.pages + rf.est.pages,
-                    },
-                    source: None,
-                }
-            }
+            ("search_join", [outer, inner]) => Flow {
+                rows: self.flow(outer).rows * self.flow(inner).rows,
+                source: None,
+            },
+            // Joins: output via the classic containment assumption.
+            ("hashjoin" | "join", [left, right, ..]) => Flow {
+                rows: join_rows(self.flow(left).rows, self.flow(right).rows),
+                source: None,
+            },
+            ("product", [left, right, ..]) => Flow {
+                rows: self.flow(left).rows * self.flow(right).rows,
+                source: None,
+            },
             // Aggregates collapse to one row.
-            ("count" | "sum" | "min" | "max" | "avg", args2) => {
-                let pages = args2.iter().map(|a| self.flow(a).est.pages).sum();
-                Flow {
-                    est: Estimate { rows: 1.0, pages },
-                    source: None,
-                }
-            }
+            ("count" | "sum" | "min" | "max" | "avg", _) => Flow {
+                rows: 1.0,
+                source: None,
+            },
             ("head", [input, n]) => {
                 let inf = self.flow(input);
                 let rows = match self.numeric(n) {
-                    Some(k) => inf.est.rows.min(k.max(0.0)),
-                    None => inf.est.rows,
+                    Some(k) => inf.rows.min(k.max(0.0)),
+                    None => inf.rows,
                 };
                 Flow {
-                    est: Estimate {
-                        rows,
-                        pages: inf.est.pages,
-                    },
+                    rows,
                     source: inf.source,
                 }
             }
-            // Materialization: write the output pages too.
-            ("consume", [input]) => {
-                let inf = self.flow(input);
-                Flow {
-                    est: Estimate {
-                        rows: inf.est.rows,
-                        pages: inf.est.pages + (inf.est.rows / TUPLES_PER_PAGE).ceil(),
-                    },
-                    source: inf.source,
-                }
-            }
-            ("project", [input, ..]) => self.flow(input),
-            ("union", all) if !all.is_empty() => {
-                let mut rows = 0.0;
-                let mut pages = 0.0;
-                for a in all {
-                    let f = self.flow(a);
-                    rows += f.est.rows;
-                    pages += f.est.pages;
-                }
-                Flow {
-                    est: Estimate { rows, pages },
-                    source: None,
-                }
-            }
-            // Unknown operator: sum children conservatively, keep the
-            // widest child cardinality, propagate a single source.
+            ("consume" | "project", [input, ..]) => self.flow(input),
+            ("union", all) if !all.is_empty() => Flow {
+                rows: all.iter().map(|a| self.flow(a).rows).sum(),
+                source: None,
+            },
+            // Unknown operator: keep the widest child cardinality and
+            // propagate a single source.
             _ => {
                 let mut rows: f64 = 1.0;
-                let mut pages = 0.0;
                 let mut source = None;
                 for a in args {
                     let f = self.flow(a);
-                    rows = rows.max(f.est.rows);
-                    pages += f.est.pages;
+                    rows = rows.max(f.rows);
                     if source.is_none() {
                         source = f.source;
                     }
                 }
-                Flow {
-                    est: Estimate { rows, pages },
-                    source,
-                }
+                Flow { rows, source }
             }
         }
     }
@@ -404,31 +359,15 @@ impl<'a> CostModel<'a> {
     fn btree_probe(&self, tree: &TypedExpr, cmp: &str, v: Option<f64>) -> Flow {
         let tf = self.flow(tree);
         let generic = if cmp == "=" {
-            1.0 / tf.est.rows.max(1.0)
+            1.0 / tf.rows.max(1.0)
         } else {
             SEL_RANGE
         };
-        let frac = match (tf.source.as_ref(), v) {
-            (Some(src), Some(v)) => self
-                .stats_of(src)
-                .and_then(|s| {
-                    let h = s.key_histogram.as_ref()?;
-                    Some(match cmp {
-                        "=" => h.fraction_eq(v),
-                        ">=" => h.fraction_ge(v),
-                        "<=" => h.fraction_le(v),
-                        _ => SEL_RANGE,
-                    })
-                })
-                .unwrap_or(generic),
-            _ => generic,
-        };
-        let rows = (tf.est.rows * frac.clamp(0.0, 1.0)).max(0.0);
+        let frac = v
+            .and_then(|v| self.key_fraction(tf.source.as_ref(), cmp, v))
+            .unwrap_or(generic);
         Flow {
-            est: Estimate {
-                rows,
-                pages: probe_pages(tf.est.pages, rows),
-            },
+            rows: (tf.rows * frac.clamp(0.0, 1.0)).max(0.0),
             source: tf.source,
         }
     }
@@ -443,23 +382,11 @@ impl<'a> CostModel<'a> {
                 .unwrap_or(SEL_RANGE),
             _ => SEL_RANGE,
         };
-        let rows = (tf.est.rows * frac.clamp(0.0, 1.0)).max(0.0);
         Flow {
-            est: Estimate {
-                rows,
-                pages: probe_pages(tf.est.pages, rows),
-            },
+            rows: (tf.rows * frac.clamp(0.0, 1.0)).max(0.0),
             source: tf.source,
         }
     }
-}
-
-/// Pages touched by an index probe that returns `rows` tuples out of a
-/// structure occupying `total_pages`: a logarithmic descent plus the
-/// leaf/data pages actually read.
-fn probe_pages(total_pages: f64, rows: f64) -> f64 {
-    let descent = total_pages.max(2.0).log2().ceil();
-    descent + (rows / TUPLES_PER_PAGE).ceil()
 }
 
 /// Join output cardinality under the containment assumption: the join
@@ -479,6 +406,23 @@ fn flipped(cmp: &str) -> &str {
         "<" => ">",
         ">" => "<",
         other => other,
+    }
+}
+
+/// Whether `cmp` bounds its attribute from below (`>`, `>=`).
+fn lower_bound(cmp: &str) -> bool {
+    matches!(cmp, ">" | ">=")
+}
+
+/// Whether `x cmp y` holds.
+fn holds(cmp: &str, x: f64, y: f64) -> bool {
+    match cmp {
+        "=" => x == y,
+        "<=" => x <= y,
+        ">=" => x >= y,
+        "<" => x < y,
+        ">" => x > y,
+        _ => true,
     }
 }
 
@@ -586,7 +530,7 @@ mod tests {
             },
             rel_ty(),
         );
-        assert!(m.page_cost(&probe) < m.page_cost(&scan) / 10.0);
+        assert!(m.cardinality(&probe) < m.cardinality(&scan) / 10.0);
     }
 
     #[test]
@@ -666,8 +610,8 @@ mod tests {
         };
         let small_cat = mk(10);
         let big_cat = mk(100_000);
-        let small = CostModel::new(&small_cat).page_cost(&term(&m));
-        let big = CostModel::new(&big_cat).page_cost(&term(&m));
+        let small = CostModel::new(&small_cat).cardinality(&term(&m));
+        let big = CostModel::new(&big_cat).cardinality(&term(&m));
         assert!(big > small * 100.0, "big={big} small={small}");
     }
 

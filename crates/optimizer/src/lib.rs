@@ -24,10 +24,10 @@ pub mod synth;
 mod validate;
 
 pub use condition::Condition;
-pub use cost::{btree_key_attr, CostModel, Estimate};
+pub use cost::{btree_key_attr, CostModel};
 pub use pattern::{OpPat, TermPattern};
 pub use rewrite::{
-    OptimizeOpts, Optimizer, OptimizerStats, Rule, RuleAlt, RuleApplication, RuleStep, Strategy,
+    OptimizeOpts, Optimizer, OptimizerStats, Rule, RuleApplication, RuleStep, Strategy,
 };
 pub use ruleparse::{parse_rules, parse_rules_with_spans};
 pub use validate::{types_equivalent, Validation};

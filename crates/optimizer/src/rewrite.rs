@@ -2,7 +2,6 @@
 //! optimizer driver.
 
 use crate::condition::Condition;
-use crate::cost::CostModel;
 use crate::pattern::{free_vars, match_term, RuleBindings, TermPattern};
 use crate::validate::{types_equivalent, Validation};
 use crate::OptError;
@@ -26,43 +25,15 @@ pub struct Rule {
     /// or view object; a type written `$v` inside a lambda parameter
     /// splices the type bound to `v`.
     pub rhs: Expr,
-    /// Alternative templates considered only under cost-based
-    /// optimization: when the rule fires, each alternative whose extra
-    /// conditions hold is instantiated alongside the primary template and
-    /// the cheapest (by estimated page touches) well-typed candidate
-    /// wins. With cost-based optimization off, alternatives are ignored
-    /// and the primary template applies unconditionally — the historical
-    /// behavior.
-    pub alternatives: Vec<RuleAlt>,
-}
-
-/// One cost-competitive alternative template of a [`Rule`] (same LHS,
-/// extra conditions, different RHS).
-#[derive(Debug, Clone)]
-pub struct RuleAlt {
-    /// Name recorded in the rewrite trace when this alternative wins
-    /// (e.g. `select-btree-=-scan`).
-    pub name: String,
-    /// Conditions evaluated as extensions of the primary rule's
-    /// solutions (they may bind additional variables).
-    pub conditions: Vec<Condition>,
-    pub rhs: Expr,
 }
 
 /// Knobs for one optimization run.
 #[derive(Debug, Clone, Default)]
 pub struct OptimizeOpts {
     pub validation: Validation,
-    /// Consider rule alternatives and pick the candidate with the lowest
-    /// estimated page cost (see [`CostModel`]).
-    pub cost_based: bool,
     /// Record every applied rewrite in application order.
     pub traced: bool,
 }
-
-/// Upper bound on instantiated candidates per redex under cost-based
-/// optimization (frontier solutions × alternatives can multiply).
-const MAX_CANDIDATES: usize = 16;
 
 /// How a step scans for redexes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,11 +79,6 @@ pub struct OptimizerStats {
     pub plan_validation_failures: usize,
     /// Wall time of the whole optimize call, in nanoseconds.
     pub optimize_ns: u64,
-    /// Portion of `optimize_ns` spent matching and rewriting rules.
-    pub rewrite_ns: u64,
-    /// Portion of `optimize_ns` spent checking and costing candidate
-    /// plans (zero when cost-based optimization is off).
-    pub cost_ns: u64,
     /// Time spent probing the plan cache before the rewriter ran (set by
     /// the system layer; zero when the cache is off).
     pub cache_lookup_ns: u64,
@@ -126,8 +92,6 @@ impl OptimizerStats {
         self.rule_attempts += other.rule_attempts;
         self.plan_validation_failures += other.plan_validation_failures;
         self.optimize_ns += other.optimize_ns;
-        self.rewrite_ns += other.rewrite_ns;
-        self.cost_ns += other.cost_ns;
         self.cache_lookup_ns += other.cache_lookup_ns;
     }
 }
@@ -183,7 +147,6 @@ impl Optimizer {
         let mut trace = opts.traced.then(Vec::new);
         let validation = opts.validation;
         let mut stats = OptimizerStats::default();
-        let mut cost_ns: u64 = 0;
         let mut current = term.clone();
         for (step_idx, step) in self.steps.iter().enumerate() {
             let mut rewrites_in_step = 0;
@@ -192,22 +155,26 @@ impl Optimizer {
                     rules: &step.rules,
                     catalog,
                     top_down: step.strategy != Strategy::ExhaustiveBottomUp,
-                    cost_based: opts.cost_based,
                     render: trace.is_some(),
                 };
-                let Some(candidates) = walk(&current, &search, &mut stats) else {
+                let Some(rewrite) = walk(&current, &search, &mut stats) else {
                     break;
                 };
                 let before = trace.is_some().then(|| current.to_string());
                 let prev_ty = current.ty.clone();
-                let chosen = choose(candidates, checker, catalog, &mut cost_ns)?;
-                current = chosen.term;
+                current = checker
+                    .check_expr(&rewrite.raw)
+                    .map_err(|e| OptError::Recheck {
+                        rule: rewrite.label.clone(),
+                        error: e,
+                        term: format!("{}", rewrite.raw),
+                    })?;
                 let validation_failure = (!types_equivalent(checker.sig, &prev_ty, &current.ty))
                     .then(|| format!("result type changed from {prev_ty} to {}", current.ty));
                 if validation_failure.is_some() {
                     if validation == Validation::Strict {
                         return Err(OptError::PlanTypeChanged {
-                            rule: chosen.label.clone(),
+                            rule: rewrite.label.clone(),
                             before: prev_ty.to_string(),
                             after: current.ty.to_string(),
                         });
@@ -217,8 +184,8 @@ impl Optimizer {
                 if let (Some(trace), Some(before)) = (trace.as_mut(), before) {
                     trace.push(RuleApplication {
                         step: step.name.clone(),
-                        rule: chosen.label,
-                        conditions: chosen.conditions,
+                        rule: rewrite.label,
+                        conditions: rewrite.conditions,
                         before,
                         after: current.to_string(),
                         validation_failure,
@@ -237,84 +204,8 @@ impl Optimizer {
                 }
             }
         }
-        stats.cost_ns = cost_ns;
         stats.optimize_ns = started.elapsed().as_nanos() as u64;
-        stats.rewrite_ns = stats.optimize_ns.saturating_sub(cost_ns);
         Ok((current, stats, trace.unwrap_or_default()))
-    }
-}
-
-/// The chosen rewrite at one redex: the re-checked whole term plus the
-/// winning rule (or alternative) label and its rendered conditions.
-struct Chosen {
-    label: String,
-    conditions: Vec<String>,
-    term: TypedExpr,
-}
-
-/// Re-check every candidate and pick the cheapest well-typed one by
-/// estimated page cost. A single candidate (the cost-off path) is
-/// checked without costing, preserving the historical behavior exactly.
-fn choose(
-    mut candidates: Vec<Candidate>,
-    checker: &Checker,
-    catalog: &Catalog,
-    cost_ns: &mut u64,
-) -> Result<Chosen, OptError> {
-    if candidates.len() == 1 {
-        let c = candidates.remove(0);
-        let term = checker.check_expr(&c.raw).map_err(|e| OptError::Recheck {
-            rule: c.label.clone(),
-            error: e,
-            term: format!("{}", c.raw),
-        })?;
-        return Ok(Chosen {
-            label: c.label,
-            conditions: c.conditions,
-            term,
-        });
-    }
-    let started = Instant::now();
-    let model = CostModel::new(catalog);
-    let mut best: Option<(f64, usize, TypedExpr)> = None;
-    let mut primary_err = None;
-    for (i, c) in candidates.iter().enumerate() {
-        match checker.check_expr(&c.raw) {
-            Ok(t) => {
-                let cost = model.page_cost(&t);
-                // Strict `<`: ties go to the earliest candidate (the
-                // primary template first, then alternatives in order).
-                if best.as_ref().map(|(b, _, _)| cost < *b).unwrap_or(true) {
-                    best = Some((cost, i, t));
-                }
-            }
-            // An ill-typed alternative just loses the competition; an
-            // ill-typed primary is only an error when nothing survives.
-            Err(e) => {
-                if i == 0 {
-                    primary_err = Some(e);
-                }
-            }
-        }
-    }
-    *cost_ns += started.elapsed().as_nanos() as u64;
-    match best {
-        Some((_, i, term)) => {
-            let c = candidates.swap_remove(i);
-            Ok(Chosen {
-                label: c.label,
-                conditions: c.conditions,
-                term,
-            })
-        }
-        None => {
-            let c = candidates.remove(0);
-            Err(OptError::Recheck {
-                rule: c.label.clone(),
-                error: primary_err.expect("no candidate checked, primary error recorded"),
-                term: format!("{}", c.raw),
-            })
-        }
     }
 }
 
@@ -323,38 +214,30 @@ struct Search<'a> {
     rules: &'a [Rule],
     catalog: &'a Catalog,
     top_down: bool,
-    cost_based: bool,
-    /// Render candidate conditions in the rule language (traced runs).
+    /// Render rule conditions in the rule language (traced runs).
     render: bool,
 }
 
-/// One instantiated rewrite candidate at a redex: the whole term in
-/// abstract syntax with the template spliced in.
-struct Candidate {
+/// The rewrite instantiated at a redex: the whole term in abstract
+/// syntax with the template spliced in, re-checked before it applies.
+struct Rewrite {
     label: String,
     conditions: Vec<String>,
     raw: Expr,
 }
 
-/// Find the first redex (by strategy order) and return the instantiated
-/// candidates there — exactly one with cost-based optimization off, the
-/// primary plus surviving alternatives with it on.
-fn walk(node: &TypedExpr, search: &Search, stats: &mut OptimizerStats) -> Option<Vec<Candidate>> {
+/// Find the first redex (by strategy order) and return the rewrite
+/// instantiated there: the first matching rule's template under its
+/// first condition solution.
+fn walk(node: &TypedExpr, search: &Search, stats: &mut OptimizerStats) -> Option<Rewrite> {
     if search.top_down {
         if let Some(r) = try_rules(node, search, stats) {
             return Some(r);
         }
     }
-    if let Some((i, children)) = walk_children(node, search, stats) {
-        return Some(
-            children
-                .into_iter()
-                .map(|mut c| {
-                    c.raw = rebuild(node, i, c.raw);
-                    c
-                })
-                .collect(),
-        );
+    if let Some((i, mut c)) = walk_children(node, search, stats) {
+        c.raw = rebuild(node, i, c.raw);
+        return Some(c);
     }
     if !search.top_down {
         if let Some(r) = try_rules(node, search, stats) {
@@ -368,7 +251,7 @@ fn walk_children(
     node: &TypedExpr,
     search: &Search,
     stats: &mut OptimizerStats,
-) -> Option<(usize, Vec<Candidate>)> {
+) -> Option<(usize, Rewrite)> {
     let children: Vec<&TypedExpr> = match &node.node {
         TypedNode::Apply { args, .. } | TypedNode::List(args) | TypedNode::Tuple(args) => {
             args.iter().collect()
@@ -379,18 +262,14 @@ fn walk_children(
         _ => Vec::new(),
     };
     for (i, c) in children.into_iter().enumerate() {
-        if let Some(cands) = walk(c, search, stats) {
-            return Some((i, cands));
+        if let Some(r) = walk(c, search, stats) {
+            return Some((i, r));
         }
     }
     None
 }
 
-fn try_rules(
-    node: &TypedExpr,
-    search: &Search,
-    stats: &mut OptimizerStats,
-) -> Option<Vec<Candidate>> {
+fn try_rules(node: &TypedExpr, search: &Search, stats: &mut OptimizerStats) -> Option<Rewrite> {
     for rule in search.rules {
         stats.rule_attempts += 1;
         let mut b = RuleBindings::default();
@@ -402,45 +281,17 @@ fn try_rules(
         for (p, (_, ty)) in b.params.clone() {
             b.types.insert(p, TypeArg::Type(ty));
         }
-        // Conditions: a frontier of alternative binding sets.
+        // Conditions: a frontier of alternative binding sets; the first
+        // solution instantiates the template.
         let frontier = eval_conditions(&rule.conditions, vec![b], search.catalog);
-        if frontier.is_empty() {
+        let Some(solution) = frontier.first() else {
             continue;
-        }
-        if !search.cost_based {
-            // Historical behavior: first solution, primary template.
-            let solution = &frontier[0];
-            return Some(vec![Candidate {
-                label: rule.name.clone(),
-                conditions: rendered(search, &rule.conditions, &[]),
-                raw: instantiate(&rule.rhs, solution),
-            }]);
-        }
-        let mut candidates = Vec::new();
-        'solutions: for solution in &frontier {
-            candidates.push(Candidate {
-                label: rule.name.clone(),
-                conditions: rendered(search, &rule.conditions, &[]),
-                raw: instantiate(&rule.rhs, solution),
-            });
-            if candidates.len() >= MAX_CANDIDATES {
-                break;
-            }
-            for alt in &rule.alternatives {
-                let ext = eval_conditions(&alt.conditions, vec![solution.clone()], search.catalog);
-                for asol in &ext {
-                    candidates.push(Candidate {
-                        label: alt.name.clone(),
-                        conditions: rendered(search, &rule.conditions, &alt.conditions),
-                        raw: instantiate(&alt.rhs, asol),
-                    });
-                    if candidates.len() >= MAX_CANDIDATES {
-                        break 'solutions;
-                    }
-                }
-            }
-        }
-        return Some(candidates);
+        };
+        return Some(Rewrite {
+            label: rule.name.clone(),
+            conditions: rendered(search, &rule.conditions),
+            raw: instantiate(&rule.rhs, solution),
+        });
     }
     None
 }
@@ -466,15 +317,11 @@ fn eval_conditions(
 
 /// Render conditions in the rule language for the rewrite trace (only on
 /// traced runs — the hot path allocates nothing here).
-fn rendered(search: &Search, primary: &[Condition], extra: &[Condition]) -> Vec<String> {
+fn rendered(search: &Search, conditions: &[Condition]) -> Vec<String> {
     if !search.render {
         return Vec::new();
     }
-    primary
-        .iter()
-        .chain(extra.iter())
-        .map(|c| c.to_string())
-        .collect()
+    conditions.iter().map(|c| c.to_string()).collect()
 }
 
 /// Rebuild a node in abstract syntax with child `i` replaced.

@@ -34,13 +34,10 @@
 //! * In the LHS, `v as p` binds the whole subterm matched by `p` to `v`,
 //!   and `f(t) as p` (a declared funvar) binds `f` to the lambda
 //!   abstraction of a subterm that also matches `p`.
-//! * After the `where` clause, each `or name: <rhs> [where <conds>];` is
-//!   a cost-based alternative: the same LHS, extra conditions, another
-//!   template (considered only under cost-based optimization).
 
 use crate::condition::Condition;
 use crate::pattern::{OpPat, TermPattern};
-use crate::rewrite::{Rule, RuleAlt};
+use crate::rewrite::Rule;
 use sos_core::pattern::{PatternNode, TypePattern};
 use sos_core::{sym, DataType, Expr, Symbol, TypeArg};
 use sos_parser::cursor::Cursor;
@@ -143,29 +140,11 @@ fn parse_rule(cur: &mut Cursor) -> Result<Rule, ParseError> {
         cur.expect(&TokenKind::Semicolon)?;
     }
 
-    let mut alternatives = Vec::new();
-    while cur.eat_keyword("or") {
-        let name = rule_name(cur)?;
-        cur.expect(&TokenKind::Colon)?;
-        let rhs = parse_rhs(cur)?;
-        let mut conditions = Vec::new();
-        if cur.eat_keyword("where") {
-            conditions = parse_conditions(cur)?;
-        }
-        cur.expect(&TokenKind::Semicolon)?;
-        alternatives.push(RuleAlt {
-            name,
-            conditions,
-            rhs,
-        });
-    }
-
     Ok(Rule {
         name,
         lhs,
         conditions,
         rhs,
-        alternatives,
     })
 }
 
@@ -597,22 +576,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_an_alternative_with_its_own_conditions() {
-        let rules = parse_rules(
-            r#"rule "select-btree-=":
+    fn rejects_an_or_clause_at_its_token() {
+        let src = r#"rule "select-btree-=":
                  vars rel1 obj, a op, c const;
                  lhs select(rel1, pred as fun (t) =(a(t), c));
                  rhs consume(exactmatch(b1, c));
                  where rep(rel1, b1), key(b1, a);
                  or "select-btree-=-scan": consume(filter(feed(rep1), pred))
-                   where rep(rel1, rep1);"#,
-        )
-        .unwrap();
-        let r = &rules[0];
-        assert_eq!(r.conditions.len(), 2);
-        assert_eq!(r.alternatives.len(), 1);
-        assert_eq!(r.alternatives[0].name, "select-btree-=-scan");
-        assert_eq!(r.alternatives[0].conditions.len(), 1);
+                   where rep(rel1, rep1);"#;
+        let err = parse_rules(src).unwrap_err();
+        assert_eq!(err.pos, src.find("or \"").unwrap(), "{err:?}");
     }
 
     #[test]

@@ -527,10 +527,6 @@ pub fn verify_rule(sig: &Signature, scenario: &Scenario, step_name: &str, rule: 
 }
 
 /// Verify every rule of an optimizer against the canonical scenario.
-/// Cost-based alternatives are verified as derived rules: the primary's
-/// LHS, the primary's conditions extended by the alternative's, and the
-/// alternative's template — so an alternative that could break type
-/// preservation is caught exactly like a broken primary rule.
 pub fn verify_optimizer(sig: &Signature, opt: &Optimizer) -> Vec<RuleReport> {
     let scenario = Scenario::build(sig);
     let mut out = Vec::new();
@@ -541,25 +537,6 @@ pub fn verify_optimizer(sig: &Signature, opt: &Optimizer) -> Vec<RuleReport> {
                 rule: rule.name.clone(),
                 verdict: verify_rule(sig, &scenario, &step.name, rule),
             });
-            for alt in &rule.alternatives {
-                let derived = Rule {
-                    name: alt.name.clone(),
-                    lhs: rule.lhs.clone(),
-                    conditions: rule
-                        .conditions
-                        .iter()
-                        .chain(alt.conditions.iter())
-                        .cloned()
-                        .collect(),
-                    rhs: alt.rhs.clone(),
-                    alternatives: Vec::new(),
-                };
-                out.push(RuleReport {
-                    step: step.name.clone(),
-                    rule: alt.name.clone(),
-                    verdict: verify_rule(sig, &scenario, &step.name, &derived),
-                });
-            }
         }
     }
     out

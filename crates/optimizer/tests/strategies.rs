@@ -42,7 +42,6 @@ fn f_to_g() -> Rule {
         lhs: TermPattern::apply("f", vec![TermPattern::var("x")]),
         conditions: vec![],
         rhs: Expr::apply("g", vec![Expr::name("x")]),
-        alternatives: Vec::new(),
     }
 }
 
@@ -53,7 +52,6 @@ fn g_to_h() -> Rule {
         lhs: TermPattern::apply("g", vec![TermPattern::var("x")]),
         conditions: vec![],
         rhs: Expr::apply("h", vec![Expr::name("x")]),
-        alternatives: Vec::new(),
     }
 }
 
@@ -126,7 +124,6 @@ fn diverging_rule_sets_hit_the_budget() {
         lhs: TermPattern::apply("f", vec![TermPattern::var("x")]),
         conditions: vec![],
         rhs: Expr::apply("f", vec![Expr::apply("f", vec![Expr::name("x")])]),
-        alternatives: Vec::new(),
     };
     let sig = sig();
     let env: HashMap<Symbol, DataType> = HashMap::new();
@@ -154,7 +151,6 @@ fn broken_rules_are_caught_by_recheck() {
         lhs: TermPattern::apply("f", vec![TermPattern::var("x")]),
         conditions: vec![],
         rhs: Expr::apply("bogus_operator", vec![Expr::name("x")]),
-        alternatives: Vec::new(),
     };
     let sig = sig();
     let env: HashMap<Symbol, DataType> = HashMap::new();

@@ -1,15 +1,14 @@
 //! `analyze`: collect per-object statistics into the catalog.
 //!
-//! Statistics drive the cost model (see `sos_optimizer::cost`): row
-//! counts, page counts, an equi-width histogram over a B-tree's key
-//! attribute, and the bounding box and a center-x histogram for
-//! LSD-trees. They live in the [`sos_catalog::Catalog`] and therefore
+//! Statistics feed the cardinality estimator behind EXPLAIN ANALYZE's
+//! `est=` lines (see `sos_optimizer::cost`): row counts, page counts,
+//! an equi-width histogram over a B-tree's key attribute, and the
+//! bounding box and a center-x histogram for LSD-trees. They live in the [`sos_catalog::Catalog`] and therefore
 //! persist through [`crate::Database::save`] /
 //! [`crate::Database::open_dir`] and through WAL crash recovery (the
 //! catalog rides in every commit's meta snapshot). Statistics are an
-//! *estimate* refreshed only by `analyze`; a stale histogram can
-//! mis-rank plans but never makes one incorrect — candidate plans are
-//! always type-checked.
+//! *estimate* refreshed only by `analyze`; plans never read them, so
+//! analyzing leaves cached plans in place.
 
 use crate::{Database, SystemError};
 use sos_catalog::{BBox, Histogram, ObjectStats, HISTOGRAM_BUCKETS};
@@ -19,8 +18,7 @@ use sos_exec::Value;
 use sos_optimizer::btree_key_attr;
 
 /// Heuristic tuples-per-page for representations that do not expose a
-/// physical page count (in-memory relations, streams); matches the cost
-/// model's `TUPLES_PER_PAGE`.
+/// physical page count (in-memory relations, streams).
 const TUPLES_PER_PAGE: u64 = 64;
 
 impl Database {
@@ -41,7 +39,6 @@ impl Database {
         let tx = self.begin_stmt()?;
         self.catalog.set_stats(key.clone(), stats.clone());
         self.commit_stmt(tx)?;
-        self.invalidate_plans_for(&key);
         Ok(stats)
     }
 

@@ -22,7 +22,6 @@
 //! * `.stats [op]`   — per-operator counters (one operator, or all)
 //! * `.ops [name]`   — list the signature's operators, or describe one
 //! * `.analyze [obj]` — collect statistics for one object or all
-//! * `.cost [on|off]` — show or toggle cost-based optimization
 //! * `.cache [clear]` — statement-cache counters, or empty the cache
 //! * `.batch [n]`    — show or set the vectorized batch width
 //! * `.objects`      — list catalog objects
@@ -239,7 +238,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cost [on|off] | .cache [clear] | .batch [n] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cache [clear] | .batch [n] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -304,7 +303,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
         }
         // `.analyze` collects statistics (row counts, histograms, MBR
         // distributions) for one object or every stored object; the
-        // cost model reads them from the catalog.
+        // estimates of `.explain analyze` read them from the catalog.
         ".analyze" => {
             let arg = rest.trim();
             if arg.is_empty() {
@@ -324,21 +323,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
                 }
             }
         }
-        ".cost" => match rest.trim() {
-            "on" => {
-                db.set_cost_based(true);
-                println!("cost-based optimization on");
-            }
-            "off" => {
-                db.set_cost_based(false);
-                println!("cost-based optimization off");
-            }
-            "" => println!(
-                "cost-based optimization {}",
-                if db.cost_based_enabled() { "on" } else { "off" }
-            ),
-            _ => println!("error: `.cost` takes `on` or `off`"),
-        },
         ".cache" => match rest.trim() {
             "clear" => {
                 let n = db.clear_plan_cache();

@@ -69,8 +69,9 @@ impl Database {
             }
         }
         self.engine.stats.record("bulk_load", loaded, loaded);
-        // A bulk load shifts the object's cardinality enough that any
-        // cost-chosen cached plan over it is suspect.
+        // A bulk load drops the cached plans over the object. Plans read
+        // no statistics, so this is conservative, not needed for
+        // correctness.
         self.invalidate_plans_for(&key);
         Ok(loaded)
     }

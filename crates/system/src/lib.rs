@@ -223,7 +223,6 @@ pub struct DatabaseBuilder {
     optimize: Option<bool>,
     trace: bool,
     strict_lint: bool,
-    cost_based: Option<bool>,
 }
 
 /// Where a durable database keeps its two files (or disks): the data
@@ -355,19 +354,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Choose among rule alternatives by estimated page cost (default:
-    /// off). When off, the optimizer always takes a rule's primary
-    /// template — the historical behavior — and statements are planned
-    /// through the statement cache ([`crate::plancache`]). When on,
-    /// rules with alternatives (index probe vs. scan, hash join vs.
-    /// index-probe join) are costed with the catalog statistics
-    /// collected by [`Database::analyze`], and every statement is
-    /// optimized with its own literals.
-    pub fn cost_based(mut self, enabled: bool) -> DatabaseBuilder {
-        self.cost_based = Some(enabled);
-        self
-    }
-
     /// Build, panicking on construction failure. In-memory databases
     /// cannot fail to construct; durable ones go through
     /// [`DatabaseBuilder::try_build`] when the caller wants the error.
@@ -426,7 +412,6 @@ impl DatabaseBuilder {
             tracer: Tracer::new(self.trace),
             strict_lint: self.strict_lint,
             plan_cache: plancache::PlanCache::default(),
-            cost_based: self.cost_based.unwrap_or(false),
             recovery,
         };
         db.engine.bind_signature(&db.sig);
@@ -465,11 +450,8 @@ pub struct Database {
     /// Reject spec/rule registrations with error-severity diagnostics.
     strict_lint: bool,
     /// Optimized plans keyed by parsed statement (see [`plancache`]);
-    /// consulted while the optimizer is on and cost-based choice is off.
+    /// consulted while the optimizer is on.
     plan_cache: plancache::PlanCache,
-    /// Choose among rule alternatives by estimated page cost (see
-    /// [`DatabaseBuilder::cost_based`]).
-    cost_based: bool,
     /// What crash recovery did at open (durable databases only).
     recovery: Option<RecoveryInfo>,
 }
@@ -629,20 +611,6 @@ impl Database {
     /// Whether the rule optimizer is applied to statements.
     pub fn optimizer_enabled(&self) -> bool {
         self.optimize_enabled
-    }
-
-    /// Turn cost-based rewrite selection off/on at runtime (initial
-    /// value: [`DatabaseBuilder::cost_based`], default off).
-    /// Cost-based statements bypass the statement cache, so its
-    /// rule-based entries stay valid across the switch.
-    pub fn set_cost_based(&mut self, enabled: bool) {
-        self.cost_based = enabled;
-    }
-
-    /// Whether rewrite alternatives are chosen by the page-touch cost
-    /// model.
-    pub fn cost_based_enabled(&self) -> bool {
-        self.cost_based
     }
 
     /// Drop every cached plan (counters survive; evictions count as
@@ -907,7 +875,7 @@ impl Database {
             unreachable!()
         };
         let (optimized, rewrites, plan_cache) = self.explain_plan(None, e, &mut phases)?;
-        let estimates = if self.cost_based {
+        let estimates = if analyze {
             let model = sos_optimizer::CostModel::new(&self.catalog);
             aggregate_estimates(model.op_estimates(&optimized))
         } else {
@@ -995,7 +963,7 @@ impl Database {
         expr: &Expr,
         phases: &mut Vec<(Phase, u64)>,
     ) -> Result<(TypedExpr, Vec<RuleApplication>, Option<bool>), SystemError> {
-        let consulted = self.cache_consulted();
+        let consulted = self.optimize_enabled;
         if consulted {
             let started = Instant::now();
             let (key, literals) = plancache::StmtKey::new(target, expr);
@@ -1197,14 +1165,6 @@ impl Database {
         }
     }
 
-    fn optimize(&mut self, t: &TypedExpr) -> Result<TypedExpr, SystemError> {
-        if !self.optimize_enabled {
-            return Ok(t.clone());
-        }
-        let (optimized, _) = self.optimize_inner(t, false)?;
-        Ok(optimized)
-    }
-
     /// Optimize while recording every applied rewrite (the explain path;
     /// timings there go through `Instant` directly, not the tracer).
     fn optimize_traced(
@@ -1227,7 +1187,6 @@ impl Database {
         let checker = Checker::new(&self.sig, &self.catalog);
         let opts = OptimizeOpts {
             validation: self.validation(),
-            cost_based: self.cost_based,
             traced,
         };
         let result = self.optimizer.optimize(t, &checker, &self.catalog, &opts);
@@ -1238,26 +1197,19 @@ impl Database {
         Ok((optimized, trace))
     }
 
-    /// Whether statements are planned through the statement cache. Rule
-    /// firing never depends on a literal's value, but cost-based choices
-    /// do, so a cost-based statement always optimizes its own literals.
-    fn cache_consulted(&self) -> bool {
-        self.optimize_enabled && !self.cost_based
-    }
-
     /// Plan one parsed query (`target` `None`) or update of `target` for
-    /// execution. When the cache is consulted, a hit rebinds the cached
-    /// template to this statement's literals, skipping resolution, check
-    /// and optimize. A miss checks the statement and its sentinel shape;
+    /// execution. While the optimizer is on, every statement goes through
+    /// the cache: a hit rebinds the cached template to this statement's
+    /// literals, skipping resolution, check and optimize. A miss checks the statement and its sentinel shape;
     /// if rebinding the checked shape gives exactly the checked
     /// statement, the shape is optimized, cached and rebound, and
     /// otherwise the statement is optimized with its own literals.
     fn plan(&mut self, target: Option<&Symbol>, expr: &Expr) -> Result<TypedExpr, SystemError> {
-        if !self.cache_consulted() {
+        if !self.optimize_enabled {
             let span = self.tracer.start();
             let checked = self.check(&self.resolve_expr(expr));
             self.tracer.finish(Phase::Check, span);
-            return self.optimize(&checked?);
+            return checked;
         }
         // The lookup span covers the whole hit path: keying, the probe
         // and the rebind.
@@ -1453,7 +1405,7 @@ impl Default for Database {
     }
 }
 
-/// Sum the cost model's per-occurrence row estimates by operator name,
+/// Sum the estimator's per-occurrence row estimates by operator name,
 /// preserving the order of first appearance (matches the aggregated
 /// per-operator actuals `ExplainAnalysis` reports).
 fn aggregate_estimates(per_node: Vec<(Symbol, f64)>) -> Vec<(String, f64)> {

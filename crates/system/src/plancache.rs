@@ -16,9 +16,8 @@
 //! Soundness: rule *firing* never depends on literal values — every
 //! rule condition is value-independent (enforced by the rule
 //! verification suite), so the sentinel term takes exactly the rewrites
-//! any same-shaped term takes. Cost-based choices do depend on values,
-//! so the database consults this cache only while cost-based
-//! optimization is off.
+//! any same-shaped term takes, and no plan choice reads statistics or
+//! literals, so every optimized statement goes through this cache.
 
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{Const, Expr, SeqAtom, Symbol};

@@ -139,10 +139,10 @@ fn update_translation_explain_matches_golden() {
     assert_golden("update_insert_explain.txt", &report.render(false));
 }
 
-/// An analyzed, cost-based database over the items schema: statistics
-/// feed the estimates the report renders.
+/// An analyzed database over the items schema: statistics feed the
+/// estimates the report renders.
 fn analyzed_items_db() -> Database {
-    let mut db = Database::builder().cost_based(true).build();
+    let mut db = Database::builder().build();
     db.run(
         r#"
         type item = tuple(<(k, int), (name, string)>);
@@ -164,11 +164,11 @@ fn analyzed_items_db() -> Database {
     db
 }
 
-/// Cost-based `EXPLAIN ANALYZE`: estimated vs actual rows per operator
+/// `EXPLAIN ANALYZE`: estimated vs actual rows per operator
 /// (`est=… act=…`) and the worst misestimate factor, as a stable
 /// report.
 #[test]
-fn cost_based_explain_analyze_matches_golden() {
+fn explain_analyze_estimates_match_golden() {
     let mut db = analyzed_items_db();
     let report = db.explain_analyze("items select[k <= 100] count").unwrap();
     let text = report.render(false);

@@ -31,7 +31,6 @@ fn type_breaking_rule() -> Rule {
             op: Symbol::new("count"),
             args: vec![Expr::Name(Symbol::new("rel1"))],
         },
-        alternatives: Vec::new(),
     }
 }
 

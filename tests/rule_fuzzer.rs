@@ -67,7 +67,6 @@ fn seeded_semantics_breaking_rule_is_caught() {
             "consume",
             vec![app("feed", vec![Expr::Name(Symbol::new("rep1"))])],
         ),
-        alternatives: Vec::new(),
     };
     let opt = Optimizer::new(vec![RuleStep::exhaustive("bad", vec![bad])]);
     let report = fuzz_optimizer(&opt, &FuzzConfig::default()).unwrap();

@@ -166,3 +166,13 @@ fn bad_rule_files_are_rejected() {
         .load_rules("x", "rule r: vars v banana; lhs f(v); rhs v;")
         .is_err());
 }
+
+/// The rule language has one template per rule: an `or` clause after
+/// it is a parse error at that token, not an ignored alternative.
+#[test]
+fn a_rule_with_an_or_clause_fails_to_load() {
+    let mut db = Database::builder().build();
+    let src = "rule r: lhs f(x); rhs x;\n  or alt: x;";
+    let err = db.load_rules("x", src).unwrap_err().to_string();
+    assert!(err.contains("found `or`"), "error: {err}");
+}
