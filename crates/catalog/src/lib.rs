@@ -20,9 +20,6 @@ use sos_core::spec::Level;
 use sos_core::{Const, DataType, Signature, Symbol, TypeArg};
 use std::collections::HashMap;
 
-pub mod stats;
-pub use stats::{BBox, Histogram, ObjectStats, HISTOGRAM_BUCKETS};
-
 /// Errors raised by catalog operations.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CatalogError {
@@ -104,34 +101,17 @@ fn matches_row(row: &[Const], pattern: &[Option<Const>]) -> bool {
 }
 
 /// The catalog: named types, named objects, catalog relations.
-#[derive(Debug, Clone, Default, serde::Serialize)]
+///
+/// Deserialization finds fields by name and ignores unknown keys, so a
+/// snapshot or WAL meta record that still carries an older `stats` map
+/// opens, and the map is dropped on the next save. A format-1
+/// snapshot's `partitions` map is not read here: `sos-system` refuses a
+/// snapshot whose map is non-empty before it builds the catalog.
+#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct Catalog {
     types: HashMap<Symbol, DataType>,
     objects: HashMap<Symbol, ObjectEntry>,
     relations: HashMap<Symbol, CatalogRelation>,
-    /// Per-object statistics collected by `analyze`.
-    stats: HashMap<Symbol, ObjectStats>,
-}
-
-// Hand-written so `stats` defaults to empty when absent: snapshots
-// written before statistics existed stay loadable (the vendored serde
-// derive has no `#[serde(default)]`). A format-1 snapshot's
-// `partitions` map is not read here: `sos-system` refuses a snapshot
-// whose map is non-empty before it builds the catalog.
-impl<'de> serde::Deserialize<'de> for Catalog {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let json = deserializer.take_json()?;
-        let obj = serde::expect_obj::<D::Error>(&json, "Catalog")?;
-        Ok(Catalog {
-            types: serde::field_of(obj, "types", "Catalog")?,
-            objects: serde::field_of(obj, "objects", "Catalog")?,
-            relations: serde::field_of(obj, "relations", "Catalog")?,
-            stats: match obj.iter().find(|(k, _)| k == "stats") {
-                Some((_, v)) => serde::value_of::<_, D::Error>(v)?,
-                None => HashMap::new(),
-            },
-        })
-    }
 }
 
 impl Catalog {
@@ -237,33 +217,9 @@ impl Catalog {
     /// Delete an object (the `delete <identifier>` statement).
     pub fn delete_object(&mut self, name: &Symbol) -> Result<ObjectEntry, CatalogError> {
         self.relations.remove(name);
-        self.stats.remove(name);
         self.objects
             .remove(name)
             .ok_or_else(|| CatalogError::UnknownObject(name.clone()))
-    }
-
-    // ---- per-object statistics ----
-
-    /// Record statistics for object `name` (collected by `analyze`).
-    pub fn set_stats(&mut self, name: Symbol, stats: ObjectStats) {
-        self.stats.insert(name, stats);
-    }
-
-    pub fn stats(&self, name: &Symbol) -> Option<&ObjectStats> {
-        self.stats.get(name)
-    }
-
-    pub fn remove_stats(&mut self, name: &Symbol) -> Option<ObjectStats> {
-        self.stats.remove(name)
-    }
-
-    /// Names of objects with recorded statistics (sorted for
-    /// deterministic reporting).
-    pub fn analyzed_objects(&self) -> Vec<Symbol> {
-        let mut names: Vec<Symbol> = self.stats.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     // ---- catalog relations ----
@@ -470,49 +426,31 @@ mod tests {
     }
 
     #[test]
-    fn stats_recorded_and_removed_with_object() {
+    fn delete_object_forgets_the_object() {
         let mut cat = Catalog::new();
         let s = sig();
         cat.create_object(&s, sym("cities"), DataType::rel(city()))
             .unwrap();
-        let values: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        cat.set_stats(
-            sym("cities"),
-            ObjectStats {
-                rows: 100,
-                pages: 4,
-                key_attr: Some(sym("pop")),
-                key_histogram: Histogram::build(&values, HISTOGRAM_BUCKETS),
-                ..ObjectStats::default()
-            },
-        );
-        assert_eq!(cat.stats(&sym("cities")).unwrap().rows, 100);
-        assert_eq!(cat.analyzed_objects(), vec![sym("cities")]);
-        // Stats survive a serde round-trip (the snapshot path).
-        let json = serde_json::to_string(&cat).unwrap();
-        let back: Catalog = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.stats(&sym("cities")), cat.stats(&sym("cities")));
-        // And deleting the object drops them.
         cat.delete_object(&sym("cities")).unwrap();
-        assert!(cat.stats(&sym("cities")).is_none());
-        assert!(cat.analyzed_objects().is_empty());
+        assert!(cat.object(&sym("cities")).is_none());
+        assert_eq!(cat.object_type(&sym("cities")), None);
     }
 
     #[test]
-    fn snapshots_without_stats_field_still_load() {
-        let mut cat = Catalog::new();
-        let s = sig();
-        cat.create_object(&s, sym("cities"), DataType::rel(city()))
+    fn snapshots_with_a_populated_stats_field_load_and_drop_it() {
+        // A catalog as versions with `analyze` wrote it: one analyzed
+        // object with row and page counts, two histograms and a bounding
+        // box.
+        let json = r#"{"types":{},"objects":{"cities":{"name":"cities","ty":{"Cons":["rel",[{"Type":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"pop"}}},{"Type":{"Cons":["int",[]]}}]}]}]]}}]]},"level":"Model"}},"relations":{},"stats":{"cities":{"rows":100,"pages":4,"key_attr":"pop","key_histogram":{"lo":0.0,"hi":99.0,"buckets":[25,25,25,25]},"rect_histogram":{"lo":1.0,"hi":2.5,"buckets":[1,1]},"bbox":{"x0":0.0,"y0":1.0,"x1":2.0,"y1":3.0}}}}"#;
+        let back: Catalog = serde_json::from_str(json).unwrap();
+        let mut expected = Catalog::new();
+        expected
+            .create_object(&sig(), sym("cities"), DataType::rel(city()))
             .unwrap();
-        let json = serde_json::to_string(&cat).unwrap();
-        // Simulate a pre-stats snapshot by stripping the field.
-        let stripped = json
-            .replace(",\"stats\":{}", "")
-            .replace("\"stats\":{},", "");
-        assert_ne!(json, stripped, "expected to strip a stats field");
-        let back: Catalog = serde_json::from_str(&stripped).unwrap();
-        assert!(back.object(&sym("cities")).is_some());
-        assert!(back.stats(&sym("cities")).is_none());
+        assert_eq!(back.object(&sym("cities")), expected.object(&sym("cities")));
+        let saved = serde_json::to_string(&back).unwrap();
+        assert!(!saved.contains("stats"), "{saved}");
+        assert_eq!(saved, serde_json::to_string(&expected).unwrap());
     }
 
     #[test]

@@ -252,18 +252,23 @@ impl<'a> Checker<'a> {
                 // Avoid infinite recursion on a single bare-word sequence.
                 if let Expr::Seq(inner) = &e {
                     if inner.len() == 1 {
-                        return Err(CheckError::BadSequence(format!("cannot resolve `{e}`")));
+                        return Err(CheckError::BadSequence(format!(
+                            "cannot resolve `{}`",
+                            excerpt(&e.to_string())
+                        )));
                     }
                 }
                 self.check_in(&e, scope)
             }
             n => Err(CheckError::BadSequence(format!(
                 "sequence leaves {n} operands (expected exactly 1): {}",
-                atoms
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ")
+                excerpt(
+                    &atoms
+                        .iter()
+                        .map(|a| a.to_string())
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                )
             ))),
         }
     }
@@ -771,6 +776,24 @@ fn display_op_name(n: &OpName) -> String {
         OpName::Fixed(s) => s.to_string(),
         OpName::Var(s) => format!("<{s}>"),
     }
+}
+
+/// Bytes of source text an error message quotes before it elides the
+/// rest.
+const EXCERPT_BYTES: usize = 80;
+
+/// `text` as an error message quotes it: whole when short, otherwise its
+/// first [`EXCERPT_BYTES`] (cut at a character boundary) followed by
+/// `… (N more bytes)`, so a huge input never echoes back whole.
+fn excerpt(text: &str) -> String {
+    if text.len() <= EXCERPT_BYTES {
+        return text.to_string();
+    }
+    let cut = (0..=EXCERPT_BYTES)
+        .rev()
+        .find(|&i| text.is_char_boundary(i))
+        .unwrap_or(0);
+    format!("{}… ({} more bytes)", &text[..cut], text.len() - cut)
 }
 
 /// The type of a literal constant.

@@ -317,8 +317,6 @@ pub fn register(e: &mut ExecEngine) {
             fun,
             current_outer: None,
             inner: std::collections::VecDeque::new(),
-            inner_batches: 0,
-            inner_rows: 0,
         }))
     });
 

@@ -64,10 +64,6 @@ pub enum Cursor {
         fun: Rc<Closure>,
         current_outer: Option<Value>,
         inner: VecDeque<Value>,
-        /// Batches and rows drained from inner streams so far, recorded
-        /// under `search_join` once the outer input runs out.
-        inner_batches: u64,
-        inner_rows: u64,
     },
     /// A cursor shared through a cloned stream value.
     Shared(Rc<RefCell<Cursor>>),
@@ -250,15 +246,17 @@ impl Cursor {
                 c.borrow_mut().next_batch_into(ctx, n, out)?;
             }
             // One outer tuple per refill of the inner buffer, so a
-            // `head` above stops the outer scan as early as it can.
+            // `head` above stops the outer scan as early as it can. The
+            // inner batches drained by this call are recorded once,
+            // before it returns, so a consumer that stops early still
+            // sees them.
             Cursor::SearchJoin {
                 outer,
                 fun,
                 current_outer,
                 inner,
-                inner_batches,
-                inner_rows,
             } => {
+                let (mut inner_batches, mut inner_rows) = (0, 0);
                 while out.len() < target {
                     if let Some(i) = inner.pop_front() {
                         let o = current_outer.as_ref().expect("outer set with inner");
@@ -266,19 +264,14 @@ impl Cursor {
                         continue;
                     }
                     let Some(o) = outer.next(ctx)? else {
-                        ctx.engine.stats.record_batches(
-                            "search_join",
-                            std::mem::take(inner_batches),
-                            std::mem::take(inner_rows),
-                        );
                         break;
                     };
                     let produced = fun.apply(Some(&mut *ctx), std::slice::from_ref(&o))?;
                     let tuples = match produced {
                         Value::Cursor(c) => {
                             let (tuples, batches) = c.borrow_mut().drain_unrecorded(ctx)?;
-                            *inner_batches += batches;
-                            *inner_rows += tuples.len() as u64;
+                            inner_batches += batches;
+                            inner_rows += tuples.len() as u64;
                             tuples
                         }
                         other => materialize(ctx, other)?,
@@ -286,6 +279,9 @@ impl Cursor {
                     *inner = tuples.into();
                     *current_outer = Some(o);
                 }
+                ctx.engine
+                    .stats
+                    .record_batches("search_join", inner_batches, inner_rows);
             }
         }
         Ok(out.len() - start)

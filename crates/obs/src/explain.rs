@@ -48,9 +48,6 @@ pub struct ExplainAnalysis {
     pub rows_decoded: u64,
     /// A short summary of the produced value (kind and cardinality).
     pub result: String,
-    /// Worst estimated-vs-actual row ratio across operators with both
-    /// numbers (`None` when no operator has both).
-    pub misestimate_factor: Option<f64>,
 }
 
 /// The structured result of `Database::explain` / `explain_update` /
@@ -76,10 +73,6 @@ pub struct Explain {
     /// (the plan is a fresh optimize of this statement's own literals),
     /// `None` when the cache is not consulted (optimizer off).
     pub plan_cache: Option<bool>,
-    /// Estimated output rows per operator of the final plan (summed
-    /// across occurrences, in order of first appearance). Empty except
-    /// for `explain_analyze`.
-    pub estimates: Vec<(String, f64)>,
     /// Present only for `explain_analyze`.
     pub analysis: Option<ExplainAnalysis>,
 }
@@ -140,26 +133,6 @@ impl Explain {
         }
         if let Some(hit) = self.plan_cache {
             let _ = writeln!(out, "plan cache: {}", if hit { "hit" } else { "miss" });
-        }
-        if !self.estimates.is_empty() {
-            let _ = writeln!(out, "cardinality:");
-            for (name, est) in &self.estimates {
-                let act = self
-                    .analysis
-                    .as_ref()
-                    .and_then(|a| actual_rows(&a.ops, name));
-                match act {
-                    Some(act) => {
-                        let _ = writeln!(out, "  {name}: est={} act={act}", est.round() as u64);
-                    }
-                    None => {
-                        let _ = writeln!(out, "  {name}: est={}", est.round() as u64);
-                    }
-                }
-            }
-            if let Some(f) = self.analysis.as_ref().and_then(|a| a.misestimate_factor) {
-                let _ = writeln!(out, "  misestimate: {f:.1}x");
-            }
         }
         if with_timings && !self.phases.is_empty() {
             let rendered: Vec<String> = self
@@ -235,47 +208,19 @@ impl Explain {
         if let Some(hit) = self.plan_cache {
             o.str("plan_cache", if hit { "hit" } else { "miss" });
         }
-        if !self.estimates.is_empty() {
-            o.raw(
-                "estimates",
-                &array(
-                    self.estimates.iter().map(|(n, est)| {
-                        Obj::new().str("op", n).f64("estimated_rows", *est).finish()
-                    }),
-                ),
-            );
-        }
         if let Some(a) = &self.analysis {
-            let mut ao = Obj::new();
-            ao.str("result", &a.result)
+            let analysis = Obj::new()
+                .str("result", &a.result)
                 .raw("pool", &pool_json(&a.pool))
                 .raw("wal", &wal_json(&a.wal))
                 .raw("compile", &compile_json(&a.compile))
                 .raw("exec", &exec_json(a.rows_decoded))
-                .raw("ops", &array(a.ops.iter().map(|(n, s)| op_json(n, s))));
-            if let Some(f) = a.misestimate_factor {
-                ao.f64("misestimate_factor", f);
-            }
-            o.raw("analysis", &ao.finish());
+                .raw("ops", &array(a.ops.iter().map(|(n, s)| op_json(n, s))))
+                .finish();
+            o.raw("analysis", &analysis);
         }
         o.finish()
     }
-}
-
-/// The observed output rows for operator `op` in an analysis's recorded
-/// actuals. Pipelined cursors account their final drain under the
-/// `materialize` pseudo-operator (batch counters, not `tuples_out`), so
-/// a plan's `consume` joins against that when it has no entry of its own.
-pub fn actual_rows(ops: &[(String, OpStats)], op: &str) -> Option<u64> {
-    if let Some((_, s)) = ops.iter().find(|(n, _)| n == op) {
-        return Some(s.tuples_out);
-    }
-    if op == "consume" {
-        if let Some((_, s)) = ops.iter().find(|(n, _)| n == "materialize") {
-            return Some(s.tuples_out.max(s.batched_rows));
-        }
-    }
-    None
 }
 
 impl std::fmt::Display for Explain {
@@ -424,7 +369,6 @@ mod tests {
             plan: "consume(filter(feed(r_rep), p))".into(),
             plan_tree: "consume\n  filter".into(),
             plan_cache: None,
-            estimates: Vec::new(),
             analysis: None,
         };
         let stable = e.render(false);
@@ -453,7 +397,6 @@ mod tests {
             plan: "insert(cities_rep, c)".into(),
             plan_tree: "insert(cities_rep, c)".into(),
             plan_cache: None,
-            estimates: Vec::new(),
             analysis: None,
         };
         assert_eq!(e.statement(), "update cities_rep := insert(cities_rep, c)");
@@ -462,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_and_estimates_render_and_serialize() {
+    fn plan_cache_renders_and_serializes() {
         let mut e = Explain {
             source: "r select[k > 0]".into(),
             kind: ExplainKind::Query,
@@ -471,7 +414,6 @@ mod tests {
             plan: "consume(filter(feed(r_rep), p))".into(),
             plan_tree: "consume".into(),
             plan_cache: Some(false),
-            estimates: vec![("feed".into(), 1000.0), ("filter".into(), 333.4)],
             analysis: Some(ExplainAnalysis {
                 ops: vec![(
                     "filter".into(),
@@ -487,18 +429,13 @@ mod tests {
                 compile: CompileStats::default(),
                 rows_decoded: 0,
                 result: "rel of 340 tuple(s)".into(),
-                misestimate_factor: Some(1.02),
             }),
         };
         let text = e.render(false);
         assert!(text.contains("plan cache: miss"));
-        assert!(text.contains("filter: est=333 act=340"));
-        assert!(text.contains("feed: est=1000"));
-        assert!(text.contains("misestimate: 1.0x"));
+        assert!(text.contains("op filter: "));
         let json = e.to_json();
         assert!(json.contains(r#""plan_cache":"miss""#));
-        assert!(json.contains(r#""estimated_rows":333.4"#));
-        assert!(json.contains(r#""misestimate_factor":1.02"#));
 
         e.plan_cache = Some(true);
         assert!(e.render(false).contains("plan cache: hit"));

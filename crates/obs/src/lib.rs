@@ -26,6 +26,6 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
-pub use explain::{actual_rows, Explain, ExplainAnalysis, ExplainKind};
+pub use explain::{Explain, ExplainAnalysis, ExplainKind};
 pub use metrics::{MetricsSnapshot, PlannerStats};
 pub use trace::{Phase, PhaseTimings, Tracer};

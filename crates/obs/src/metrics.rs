@@ -44,7 +44,7 @@ pub struct MetricsSnapshot {
 /// Statement-cache traffic: hits rebind a cached plan and skip check
 /// and rewrite; misses check, optimize and (when the shape's typing does
 /// not depend on its literals) populate the cache; invalidations are
-/// entries evicted by DDL, new specs, bulk loads, or `analyze`.
+/// entries evicted by DDL or new specs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PlannerStats {
     pub cache_hits: u64,

@@ -16,7 +16,6 @@
 //! framework gives an extensible optimizer.
 
 mod condition;
-pub mod cost;
 mod pattern;
 mod rewrite;
 mod ruleparse;
@@ -24,7 +23,6 @@ pub mod synth;
 mod validate;
 
 pub use condition::Condition;
-pub use cost::{btree_key_attr, CostModel};
 pub use pattern::{OpPat, TermPattern};
 pub use rewrite::{
     OptimizeOpts, Optimizer, OptimizerStats, Rule, RuleApplication, RuleStep, Strategy,

@@ -21,7 +21,6 @@
 //!   watermarks, counters) or switch the commit sync policy
 //! * `.stats [op]`   — per-operator counters (one operator, or all)
 //! * `.ops [name]`   — list the signature's operators, or describe one
-//! * `.analyze [obj]` — collect statistics for one object or all
 //! * `.cache [clear]` — statement-cache counters, or empty the cache
 //! * `.batch [n]`    — show or set the vectorized batch width
 //! * `.objects`      — list catalog objects
@@ -220,25 +219,12 @@ fn print_output(out: &Output) {
     }
 }
 
-/// Render one object's collected statistics the way `.analyze` reports
-/// them.
-fn stats_line(s: &sos_catalog::ObjectStats) -> String {
-    let mut line = format!("{} row(s), {} page(s)", s.rows, s.pages);
-    if let (Some(attr), Some(_)) = (&s.key_attr, &s.key_histogram) {
-        line.push_str(&format!(", histogram on {attr}"));
-    }
-    if s.rect_histogram.is_some() || s.bbox.is_some() {
-        line.push_str(", rect distribution");
-    }
-    line
-}
-
 fn meta_command(db: &mut Database, cmd: &str) -> bool {
     let (head, rest) = cmd.split_once(' ').unwrap_or((cmd, ""));
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .analyze [obj] | .cache [clear] | .batch [n] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .cache [clear] | .batch [n] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -300,28 +286,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
         }
         ".metrics" => {
             println!("{}", db.metrics());
-        }
-        // `.analyze` collects statistics (row counts, histograms, MBR
-        // distributions) for one object or every stored object; the
-        // estimates of `.explain analyze` read them from the catalog.
-        ".analyze" => {
-            let arg = rest.trim();
-            if arg.is_empty() {
-                match db.analyze_all() {
-                    Ok(all) if all.is_empty() => println!("analyze: no stored objects"),
-                    Ok(all) => {
-                        for (name, s) in &all {
-                            println!("{name}: {}", stats_line(s));
-                        }
-                    }
-                    Err(e) => println!("error: {e}"),
-                }
-            } else {
-                match db.analyze(arg) {
-                    Ok(s) => println!("{arg}: {}", stats_line(&s)),
-                    Err(e) => println!("error: {e}"),
-                }
-            }
         }
         ".cache" => match rest.trim() {
             "clear" => {

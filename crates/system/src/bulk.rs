@@ -68,11 +68,9 @@ impl Database {
                 result.and(restored)?;
             }
         }
+        // Cached plans over the object stay: a load changes neither its
+        // handle nor its type, and plans read no data.
         self.engine.stats.record("bulk_load", loaded, loaded);
-        // A bulk load drops the cached plans over the object. Plans read
-        // no statistics, so this is conservative, not needed for
-        // correctness.
-        self.invalidate_plans_for(&key);
         Ok(loaded)
     }
 

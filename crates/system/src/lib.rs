@@ -38,7 +38,6 @@
 //! recording on, and [`Database::explain`] / [`Database::explain_analyze`]
 //! return a structured [`Explain`] with the ordered rewrite trace.
 
-pub mod analyze;
 pub mod builtin;
 pub mod bulk;
 pub mod fuzz;
@@ -619,13 +618,6 @@ impl Database {
         self.plan_cache.invalidate_all()
     }
 
-    /// Evict cached plans whose footprint includes `name` — called by
-    /// every code path that changes what the optimizer would produce
-    /// for that object (DDL, bulk loads, `analyze`).
-    pub(crate) fn invalidate_plans_for(&mut self, name: &Symbol) {
-        self.plan_cache.invalidate_object(name);
-    }
-
     // ---- extensibility ----
 
     /// Load an additional specification (new kinds, constructors,
@@ -875,12 +867,6 @@ impl Database {
             unreachable!()
         };
         let (optimized, rewrites, plan_cache) = self.explain_plan(None, e, &mut phases)?;
-        let estimates = if analyze {
-            let model = sos_optimizer::CostModel::new(&self.catalog);
-            aggregate_estimates(model.op_estimates(&optimized))
-        } else {
-            Vec::new()
-        };
         let analysis = if analyze {
             let pool_before = self.engine.pool.stats();
             let ops_before = self.engine.stats.snapshot();
@@ -890,10 +876,8 @@ impl Database {
             let started = Instant::now();
             let value = self.eval(&optimized)?;
             phases.push((Phase::Execute, started.elapsed().as_nanos() as u64));
-            let ops = ops_delta(&ops_before, &self.engine.stats.snapshot());
             Some(ExplainAnalysis {
-                misestimate_factor: misestimate_factor(&estimates, &ops),
-                ops,
+                ops: ops_delta(&ops_before, &self.engine.stats.snapshot()),
                 pool: pool_delta(&pool_before, &self.engine.pool.stats()),
                 result: value_summary(&value),
                 wal: self.engine.pool.wal_stats().delta(&wal_before),
@@ -911,7 +895,6 @@ impl Database {
             plan: optimized.to_string(),
             plan_tree: plan_tree(&optimized),
             plan_cache,
-            estimates,
             analysis,
         })
     }
@@ -944,7 +927,6 @@ impl Database {
             plan: optimized.to_string(),
             plan_tree: plan_tree(&optimized),
             plan_cache,
-            estimates: Vec::new(),
             analysis: None,
         })
     }
@@ -1086,7 +1068,7 @@ impl Database {
                 if is_catalog {
                     self.plan_cache.invalidate_all();
                 } else {
-                    self.invalidate_plans_for(name);
+                    self.plan_cache.invalidate_object(name);
                 }
                 Ok(Output::Deleted(name.clone()))
             }
@@ -1403,39 +1385,6 @@ impl Default for Database {
     fn default() -> Self {
         Database::builder().build()
     }
-}
-
-/// Sum the estimator's per-occurrence row estimates by operator name,
-/// preserving the order of first appearance (matches the aggregated
-/// per-operator actuals `ExplainAnalysis` reports).
-fn aggregate_estimates(per_node: Vec<(Symbol, f64)>) -> Vec<(String, f64)> {
-    let mut out: Vec<(String, f64)> = Vec::new();
-    for (op, est) in per_node {
-        match out.iter_mut().find(|(n, _)| *n == op.as_str()) {
-            Some((_, total)) => *total += est,
-            None => out.push((op.to_string(), est)),
-        }
-    }
-    out
-}
-
-/// The worst estimated-vs-actual row ratio across operators that have
-/// both numbers, with +1 smoothing so empty results don't divide by
-/// zero. `None` when no operator has both.
-fn misestimate_factor(
-    estimates: &[(String, f64)],
-    ops: &[(String, sos_exec::OpStats)],
-) -> Option<f64> {
-    let mut worst: Option<f64> = None;
-    for (name, est) in estimates {
-        let Some(act) = sos_obs::actual_rows(ops, name) else {
-            continue;
-        };
-        let act = act as f64;
-        let ratio = ((est + 1.0) / (act + 1.0)).max((act + 1.0) / (est + 1.0));
-        worst = Some(worst.map_or(ratio, |w: f64| w.max(ratio)));
-    }
-    worst
 }
 
 /// A short, deterministic summary of a produced value: kind and

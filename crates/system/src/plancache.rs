@@ -16,7 +16,7 @@
 //! Soundness: rule *firing* never depends on literal values — every
 //! rule condition is value-independent (enforced by the rule
 //! verification suite), so the sentinel term takes exactly the rewrites
-//! any same-shaped term takes, and no plan choice reads statistics or
+//! any same-shaped term takes, and no plan choice reads data or
 //! literals, so every optimized statement goes through this cache.
 
 use sos_core::typed::{TypedExpr, TypedNode};
@@ -89,7 +89,7 @@ pub struct PlanCache {
     order: VecDeque<StmtKey>,
     pub hits: u64,
     pub misses: u64,
-    /// Entries evicted by DDL, bulk loads, or `analyze` (capacity
+    /// Entries evicted by DDL or a spec or rule load (capacity
     /// evictions are not counted here).
     pub invalidations: u64,
 }
@@ -132,8 +132,8 @@ impl PlanCache {
         self.entries.is_empty()
     }
 
-    /// Drop every entry whose footprint contains `name` (DDL on one
-    /// object, a bulk load, or fresh statistics).
+    /// Drop every entry whose footprint contains `name` (deleting that
+    /// object).
     pub fn invalidate_object(&mut self, name: &Symbol) -> usize {
         let before = self.entries.len();
         self.entries.retain(|_, p| !p.objects.contains(name));

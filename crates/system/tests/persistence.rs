@@ -245,6 +245,35 @@ fn partitioned_snapshots_are_refused_with_a_typed_error() {
     }
 }
 
+/// The `stats` key of a catalog as versions with `analyze` wrote it:
+/// row and page counts and a key histogram for `items_rep`.
+const OLD_STATS: &str = r#""stats":{"items_rep":{"rows":2,"pages":1,"key_attr":"k","key_histogram":{"lo":3.0,"hi":7.0,"buckets":[1,1]},"rect_histogram":null,"bbox":null}}"#;
+
+const TWO_ITEMS: &str = r#"
+    type item = tuple(<(k, int), (label, string)>);
+    create items_rep : btree(item, k, int);
+    update items_rep := insert(items_rep, mktuple[(k, 7), (label, "seven")]);
+    update items_rep := insert(items_rep, mktuple[(k, 3), (label, "three")]);
+"#;
+
+fn with_old_stats(snapshot: &str) -> String {
+    let old = snapshot.replacen(
+        r#""relations":{}"#,
+        &format!(r#""relations":{{}},{OLD_STATS}"#),
+        1,
+    );
+    assert_ne!(old, snapshot, "unexpected snapshot layout: {snapshot}");
+    old
+}
+
+fn answers_two_items(db: &mut Database) {
+    assert_eq!(
+        db.query("items_rep exactmatch[7] count").unwrap(),
+        Value::Int(1)
+    );
+    assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 2);
+}
+
 /// A snapshot saved by this version, rewritten into format 1 (no
 /// `format` field, an empty `partitions` map), opens with the same
 /// contents.
@@ -253,22 +282,14 @@ fn format_1_snapshots_without_partitions_still_open() {
     let dir = temp_dir("format1");
     {
         let mut db = Database::open_dir(&dir).unwrap();
-        db.run(
-            r#"
-            type item = tuple(<(k, int), (label, string)>);
-            create items_rep : btree(item, k, int);
-            update items_rep := insert(items_rep, mktuple[(k, 7), (label, "seven")]);
-            update items_rep := insert(items_rep, mktuple[(k, 3), (label, "three")]);
-        "#,
-        )
-        .unwrap();
+        db.run(TWO_ITEMS).unwrap();
         db.save(&dir).unwrap();
     }
     let path = dir.join("snapshot.json");
     let current = std::fs::read_to_string(&path).unwrap();
     let format_1 = current.replacen(r#""format":2,"#, "", 1).replacen(
-        r#""relations":{},"#,
-        r#""relations":{},"partitions":{},"#,
+        r#""relations":{}"#,
+        r#""relations":{},"partitions":{},"stats":{}"#,
         1,
     );
     assert!(
@@ -277,10 +298,69 @@ fn format_1_snapshots_without_partitions_still_open() {
     );
     std::fs::write(&path, format_1).unwrap();
     let mut db = Database::open_dir(&dir).unwrap();
-    assert_eq!(
-        db.query("items_rep exactmatch[7] count").unwrap(),
-        Value::Int(1)
-    );
-    assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 2);
+    answers_two_items(&mut db);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A saved directory whose catalog still holds a populated `stats` key
+/// opens and answers as before, and the next save drops the key.
+#[test]
+fn snapshots_with_statistics_open_and_drop_them() {
+    let dir = temp_dir("stats");
+    {
+        let mut db = Database::open_dir(&dir).unwrap();
+        db.run(TWO_ITEMS).unwrap();
+        db.save(&dir).unwrap();
+    }
+    let path = dir.join("snapshot.json");
+    let current = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, with_old_stats(&current)).unwrap();
+    let mut db = Database::open_dir(&dir).unwrap();
+    answers_two_items(&mut db);
+    db.save(&dir).unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), current);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same for the meta record of the last committed WAL transaction:
+/// recovery installs it, and the next commit logs the catalog without
+/// the key.
+#[test]
+fn wal_meta_records_with_statistics_recover() {
+    use sos_storage::{DiskManager, MemDisk, Wal};
+    use sos_system::DurabilityConfig;
+    use std::sync::Arc;
+
+    let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
+    let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
+    let open = || {
+        Database::builder()
+            .durability(DurabilityConfig::disks(
+                Arc::clone(&data),
+                Arc::clone(&wal_disk),
+            ))
+            .try_build()
+            .unwrap()
+    };
+    // `save` writes the snapshot a durable commit logs as its meta record.
+    let dir = temp_dir("stats_wal");
+    {
+        let mut db = open();
+        db.run(TWO_ITEMS).unwrap();
+        db.save(&dir).unwrap();
+    }
+    let current = std::fs::read_to_string(dir.join("snapshot.json")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    {
+        let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
+        wal.commit(wal.alloc_txid(), Some(with_old_stats(&current).as_bytes()))
+            .unwrap();
+    }
+    let mut db = open();
+    answers_two_items(&mut db);
+    db.run(r#"update items_rep := insert(items_rep, mktuple[(k, 5), (label, "five")]);"#)
+        .unwrap();
+    drop(db);
+    let mut db = open();
+    assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 3);
 }

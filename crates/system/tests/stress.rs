@@ -139,3 +139,15 @@ fn interleaved_model_and_rep_updates_stay_consistent() {
         expected
     );
 }
+
+/// A sequence error quotes a bounded excerpt of the input, not the
+/// whole of it, and still counts the operands it was left with.
+#[test]
+fn sequence_errors_quote_a_bounded_excerpt() {
+    let mut db = Database::builder().build();
+    let query = format!("{}true", "not ".repeat(50_000));
+    let err = db.query(&query).unwrap_err().to_string();
+    assert!(err.len() < 1024, "a {}-byte error", err.len());
+    assert!(err.contains("leaves 50001 operands"), "{err}");
+    assert!(err.contains("more bytes)"), "{err}");
+}

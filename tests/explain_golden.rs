@@ -139,9 +139,8 @@ fn update_translation_explain_matches_golden() {
     assert_golden("update_insert_explain.txt", &report.render(false));
 }
 
-/// An analyzed database over the items schema: statistics feed the
-/// estimates the report renders.
-fn analyzed_items_db() -> Database {
+/// The items schema with 640 rows bulk-loaded into its B-tree.
+fn loaded_items_db() -> Database {
     let mut db = Database::builder().build();
     db.run(
         r#"
@@ -160,22 +159,20 @@ fn analyzed_items_db() -> Database {
             .collect(),
     )
     .unwrap();
-    db.analyze("items_rep").unwrap();
     db
 }
 
-/// `EXPLAIN ANALYZE`: estimated vs actual rows per operator
-/// (`est=… act=…`) and the worst misestimate factor, as a stable
-/// report.
+/// `EXPLAIN ANALYZE`: the plan, then what the run actually did
+/// (result, pool traffic, per-operator batches, decoded rows), as a
+/// stable report.
 #[test]
-fn explain_analyze_estimates_match_golden() {
-    let mut db = analyzed_items_db();
+fn explain_analyze_matches_golden() {
+    let mut db = loaded_items_db();
     let report = db.explain_analyze("items select[k <= 100] count").unwrap();
     let text = report.render(false);
-    assert!(text.contains("est="), "report: {text}");
-    assert!(text.contains("act="), "report: {text}");
-    assert!(text.contains("misestimate:"), "report: {text}");
-    assert_golden("cost_select_explain_analyze.txt", &text);
+    assert!(!text.contains("est="), "report: {text}");
+    assert!(text.contains("analyze:"), "report: {text}");
+    assert_golden("select_explain_analyze.txt", &text);
 }
 
 /// The plan-cache line: before the statement runs, explain reports

@@ -5,23 +5,19 @@
 //! what it computes: every query in the corpus must produce the
 //! identical bag of tuples when optimized (at batch widths 1 and 1024,
 //! planned through the statement cache) as when run unoptimized over
-//! the model relations (`optimize(false)`), over objects with collected
-//! statistics.
+//! the model relations (`optimize(false)`).
 //!
 //! On top of the bag-equality net, the suite checks that a hand-written
-//! index-probe join agrees with the optimizer's hash join, that
+//! index-probe join agrees with the optimizer's hash join, and that
 //! statement-cache hits rebind byte-identical plans for queries and
-//! updates, and that collected statistics round-trip through save/open
-//! and WAL crash recovery.
+//! updates.
 
 use proptest::prelude::*;
-use sos_core::Symbol;
 use sos_exec::{render, Value};
 use sos_geom::gen;
-use sos_storage::{DiskManager, MemDisk};
-use sos_system::{Database, DurabilityConfig};
+use sos_system::Database;
 use std::cell::RefCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const N_ITEMS: usize = 2000;
 const N_MATES: usize = 6400;
@@ -160,7 +156,6 @@ fn canon(v: &Value) -> String {
 fn corpus_db(batch: usize) -> Database {
     let mut db = build_db(batch, true);
     load_db(&mut db, false);
-    db.analyze_all().unwrap();
     db
 }
 
@@ -169,7 +164,6 @@ fn corpus_db(batch: usize) -> Database {
 fn reference_db() -> Database {
     let mut db = build_db(1024, false);
     load_db(&mut db, true);
-    db.analyze_all().unwrap();
     db
 }
 
@@ -275,28 +269,6 @@ fn plan_cache_hits_are_byte_identical_and_result_equal() {
     assert!(m.cache_entries > 0);
 }
 
-/// A residual filter over a one-sided B-tree probe is estimated given
-/// the comparison the probe already applied, not over the whole tree
-/// again. (`grp` is `k mod 10`, so the default equality selectivity is
-/// exact for it and the factor measures the key comparison alone.)
-#[test]
-fn residual_filters_over_probes_estimate_within_one_and_a_half() {
-    let mut db = corpus_db(1024);
-    for q in [
-        "items select[k > 1500] count",
-        "items select[fun (t: item) t k < 500 and t grp = 3] count",
-    ] {
-        let report = db.explain_analyze(q).unwrap();
-        let text = report.render(false);
-        assert!(text.contains("filter"), "{text}");
-        let factor = report.analysis.and_then(|a| a.misestimate_factor);
-        assert!(
-            factor.is_some_and(|f| f <= 1.5),
-            "misestimate {factor:?} on `{q}`:\n{text}"
-        );
-    }
-}
-
 // ---- proptest: random literal rebindings through the cache ----
 
 /// One shared pair of databases for the rebinding property: building
@@ -357,71 +329,4 @@ proptest! {
             Ok(())
         })?;
     }
-}
-
-// ---- statistics persistence ----
-
-/// Collected statistics live in the catalog and must survive save/open.
-#[test]
-fn statistics_survive_save_and_open() {
-    let dir = std::env::temp_dir().join(format!("sos_stats_persist_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let expected;
-    {
-        let mut db = Database::open_dir(&dir).unwrap();
-        db.run(
-            r#"
-            type item = tuple(<(k, int), (grp, int), (pad, string)>);
-            create bt_rep : btree(item, k, int);
-        "#,
-        )
-        .unwrap();
-        db.bulk_load("bt_rep", (0..500).map(item_tuple).collect())
-            .unwrap();
-        expected = db.analyze("bt_rep").unwrap();
-        assert_eq!(expected.rows, 500);
-        assert!(expected.key_histogram.is_some());
-        db.save(&dir).unwrap();
-    }
-    let db = Database::open_dir(&dir).unwrap();
-    assert_eq!(
-        db.catalog().stats(&Symbol::new("bt_rep")),
-        Some(&expected),
-        "statistics changed across save/open"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Statistics committed before a crash are restored by WAL recovery.
-#[test]
-fn statistics_survive_crash_recovery() {
-    let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-    let wal: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-    let expected;
-    {
-        let mut db = Database::builder()
-            .durability(DurabilityConfig::disks(Arc::clone(&data), Arc::clone(&wal)))
-            .try_build()
-            .unwrap();
-        db.run(
-            r#"
-            type item = tuple(<(k, int), (grp, int), (pad, string)>);
-            create bt_rep : btree(item, k, int);
-        "#,
-        )
-        .unwrap();
-        db.bulk_load("bt_rep", (0..500).map(item_tuple).collect())
-            .unwrap();
-        expected = db.analyze("bt_rep").unwrap();
-        // Dropped without save: recovery must replay the WAL.
-    }
-    let db = Database::builder()
-        .durability(DurabilityConfig::disks(data, wal))
-        .try_build()
-        .unwrap();
-    assert_eq!(
-        db.catalog().stats(&Symbol::new("bt_rep")),
-        Some(&expected),
-        "statistics lost in crash recovery"
-    );
 }

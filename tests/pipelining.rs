@@ -168,6 +168,38 @@ fn search_join_head_early_terminates() {
     );
 }
 
+/// EXPLAIN ANALYZE reports the inner batches a `search_join` drained
+/// even when the consumer stops early: under `head[4]` over a unique
+/// key, four probes of one row each.
+#[test]
+fn search_join_under_head_records_its_inner_batches() {
+    let mut db = big_db(50);
+    db.run(
+        r#"
+        type probe = tuple(<(pk, int), (plabel, string)>);
+        create probes : btree(probe, pk, int);
+    "#,
+    )
+    .unwrap();
+    let probes: Vec<Value> = (0..50)
+        .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]))
+        .collect();
+    db.bulk_insert("probes", probes).unwrap();
+    let join = "heap_rep feed (fun (t: item) probes exactmatch[t k]) search_join";
+    for (q, probes) in [
+        (format!("{join} head[4] count"), 4),
+        (format!("{join} count"), 50),
+    ] {
+        let report = db.explain_analyze(&q).unwrap();
+        let ops = &report.analysis.expect("analyze ran the plan").ops;
+        let (_, sj) = ops
+            .iter()
+            .find(|(n, _)| n == "search_join")
+            .unwrap_or_else(|| panic!("no search_join entry for `{q}`: {ops:?}"));
+        assert_eq!((sj.batches, sj.batched_rows), (probes, probes), "`{q}`");
+    }
+}
+
 #[test]
 fn project_replace_pipelines() {
     let mut db = big_db(20_000);
