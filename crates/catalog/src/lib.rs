@@ -103,8 +103,8 @@ fn matches_row(row: &[Const], pattern: &[Option<Const>]) -> bool {
 /// The catalog: named types, named objects, catalog relations.
 ///
 /// Deserialization finds fields by name and ignores unknown keys, so a
-/// snapshot or WAL meta record that still carries an older `stats` map
-/// opens, and the map is dropped on the next save. A format-1
+/// WAL meta record that still carries an older `stats` map opens, and
+/// the map is dropped from the next snapshot logged. A format-1
 /// snapshot's `partitions` map is not read here: `sos-system` refuses a
 /// snapshot whose map is non-empty before it builds the catalog.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]

@@ -24,6 +24,7 @@ use crate::symbol::Symbol;
 use crate::typed::{TypedExpr, TypedNode};
 use crate::types::{Const, DataType, Expr, SeqAtom, TypeArg};
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// Where object (database) names get their types during checking.
@@ -254,7 +255,7 @@ impl<'a> Checker<'a> {
                     if inner.len() == 1 {
                         return Err(CheckError::BadSequence(format!(
                             "cannot resolve `{}`",
-                            excerpt(&e.to_string())
+                            excerpt(&e)
                         )));
                     }
                 }
@@ -262,13 +263,7 @@ impl<'a> Checker<'a> {
             }
             n => Err(CheckError::BadSequence(format!(
                 "sequence leaves {n} operands (expected exactly 1): {}",
-                excerpt(
-                    &atoms
-                        .iter()
-                        .map(|a| a.to_string())
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                )
+                excerpt(&SpaceSeparated(atoms))
             ))),
         }
     }
@@ -784,16 +779,58 @@ const EXCERPT_BYTES: usize = 80;
 
 /// `text` as an error message quotes it: whole when short, otherwise its
 /// first [`EXCERPT_BYTES`] (cut at a character boundary) followed by
-/// `… (N more bytes)`, so a huge input never echoes back whole.
-fn excerpt(text: &str) -> String {
-    if text.len() <= EXCERPT_BYTES {
-        return text.to_string();
+/// `… (N more bytes)`, so a huge input never echoes back whole. The
+/// rendering goes through an [`Excerpt`] sink, so only the quoted head
+/// is ever stored.
+fn excerpt(text: &impl fmt::Display) -> String {
+    let mut sink = Excerpt::default();
+    let _ = write!(sink, "{text}");
+    if sink.total <= EXCERPT_BYTES {
+        return sink.head;
     }
-    let cut = (0..=EXCERPT_BYTES)
-        .rev()
-        .find(|&i| text.is_char_boundary(i))
-        .unwrap_or(0);
-    format!("{}… ({} more bytes)", &text[..cut], text.len() - cut)
+    let more = sink.total - sink.head.len();
+    format!("{}… ({more} more bytes)", sink.head)
+}
+
+/// A [`fmt::Write`] sink that keeps the first [`EXCERPT_BYTES`] of what
+/// is written (whole characters only) and counts the rest.
+#[derive(Default)]
+struct Excerpt {
+    head: String,
+    /// Bytes written in all, kept or not.
+    total: usize,
+}
+
+impl fmt::Write for Excerpt {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // Once a character has been dropped the head is final, even if a
+        // later, narrower one would fit.
+        if self.total == self.head.len() {
+            for c in s.chars() {
+                if self.head.len() + c.len_utf8() > EXCERPT_BYTES {
+                    break;
+                }
+                self.head.push(c);
+            }
+        }
+        self.total += s.len();
+        Ok(())
+    }
+}
+
+/// Sequence atoms rendered as the source spelled them, one space apart.
+struct SpaceSeparated<'a>(&'a [SeqAtom]);
+
+impl fmt::Display for SpaceSeparated<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, atom) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{atom}")?;
+        }
+        Ok(())
+    }
 }
 
 /// The type of a literal constant.

@@ -703,3 +703,50 @@ fn object_names_shadowed_by_operators_prefer_the_operator() {
     let e2 = Expr::apply("feed", vec![Expr::name("cities_rep")]);
     assert!(c.check_expr(&e2).is_ok());
 }
+
+/// A sequence error quotes its input as a cut of the whole rendering:
+/// the first 80 bytes, whole characters only, then `… (N more bytes)`.
+/// The checker streams the rendering through a bounded sink; this pins
+/// it to the plain cut byte for byte, at every length around the limit
+/// and with characters of every UTF-8 width straddling it.
+#[test]
+fn sequence_error_excerpts_are_a_cut_of_the_whole_rendering() {
+    const EXCERPT_BYTES: usize = 80;
+    let cut_whole = |text: &str| {
+        if text.len() <= EXCERPT_BYTES {
+            return text.to_string();
+        }
+        let cut = (0..=EXCERPT_BYTES)
+            .rev()
+            .find(|&i| text.is_char_boundary(i))
+            .unwrap_or(0);
+        format!("{}… ({} more bytes)", &text[..cut], text.len() - cut)
+    };
+    let sig = mini_sig();
+    let env = objects();
+    let c = Checker::new(&sig, &env);
+    for unit in ["a", "é", "日", "𝄞", "ab日", "日a"] {
+        for n in 0..=60 {
+            let atoms = vec![
+                SeqAtom::Operand(Expr::str(&unit.repeat(n))),
+                SeqAtom::Operand(Expr::int(7)),
+                SeqAtom::Operand(Expr::str(unit)),
+            ];
+            let whole = atoms
+                .iter()
+                .map(|a| a.to_string())
+                .collect::<Vec<_>>()
+                .join(" ");
+            match c.check_expr(&Expr::Seq(atoms)) {
+                Err(CheckError::BadSequence(m)) => assert_eq!(
+                    m,
+                    format!(
+                        "sequence leaves 3 operands (expected exactly 1): {}",
+                        cut_whole(&whole)
+                    )
+                ),
+                other => panic!("expected a sequence error, got {other:?}"),
+            }
+        }
+    }
+}

@@ -653,7 +653,7 @@ impl CompiledFun {
                 }
                 Inst::MakeList(dst, arg_regs) => regs[*dst] = Value::List(take_all(regs, arg_regs)),
                 Inst::MakePair(dst, arg_regs) => regs[*dst] = Value::Pair(take_all(regs, arg_regs)),
-                Inst::LoadObject(dst, name, ty) => regs[*dst] = need(&mut ctx)?.object(name, ty),
+                Inst::LoadObject(dst, name, ty) => regs[*dst] = need(&mut ctx)?.object(name, ty)?,
                 Inst::CallOp(dst, id, node, arg_regs) => {
                     let ctx = need(&mut ctx)?;
                     let argv = take_all(regs, arg_regs);

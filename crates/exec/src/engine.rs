@@ -253,7 +253,7 @@ impl<'a> EvalCtx<'a> {
     pub fn eval(&mut self, te: &TypedExpr) -> ExecResult<Value> {
         match &te.node {
             TypedNode::Const(c) => Ok(Value::from_const(c)),
-            TypedNode::Object(name) => Ok(self.object(name, &te.ty)),
+            TypedNode::Object(name) => self.object(name, &te.ty),
             TypedNode::Var(name) => Err(ExecError::Other(format!("unbound variable `{name}`"))),
             TypedNode::Lambda { params, body } => Ok(Value::Closure(Rc::new(Closure::compile(
                 self.engine,
@@ -299,18 +299,19 @@ impl<'a> EvalCtx<'a> {
 
     /// The value of database object `name` of type `ty`. "create" gives
     /// an object an undefined value (Section 2.4): a freshly created
-    /// relation reads as empty; other objects read as Undefined and the
-    /// operator that receives one reports the error.
-    pub fn object(&self, name: &Symbol, ty: &DataType) -> Value {
+    /// relation reads as empty; an undefined function (a view, also
+    /// after a durable reopen, since function values have no stored
+    /// image) is an [`ExecError::UndefinedObject`] error; any other
+    /// object reads as Undefined, which the operators of an extension
+    /// model may take as its empty value.
+    pub fn object(&self, name: &Symbol, ty: &DataType) -> ExecResult<Value> {
         match self.store.get(name) {
-            Some(Value::Undefined) | None => {
-                if matches!(ty, DataType::Cons(n, _) if n.as_str() == "rel") {
-                    Value::Rel(Vec::new())
-                } else {
-                    Value::Undefined
-                }
-            }
-            Some(v) => v.clone(),
+            Some(Value::Undefined) | None => match ty {
+                DataType::Cons(n, _) if n.as_str() == "rel" => Ok(Value::Rel(Vec::new())),
+                DataType::Fun(..) => Err(ExecError::UndefinedObject(name.clone())),
+                DataType::Cons(..) => Ok(Value::Undefined),
+            },
+            Some(v) => Ok(v.clone()),
         }
     }
 

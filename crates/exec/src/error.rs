@@ -8,7 +8,8 @@ pub enum ExecError {
     /// A checker error while preparing embedded expressions (key
     /// functions inside types).
     Check(sos_core::CheckError),
-    /// An object was used before a value was assigned to it.
+    /// A function-typed object (a view) was read before a value was
+    /// assigned to it, or after a durable reopen dropped its value.
     UndefinedObject(Symbol),
     /// No implementation registered for an operator.
     NoImpl(Symbol),
@@ -33,7 +34,11 @@ impl std::fmt::Display for ExecError {
         match self {
             ExecError::Storage(e) => write!(f, "storage error: {e}"),
             ExecError::Check(e) => write!(f, "check error: {e}"),
-            ExecError::UndefinedObject(n) => write!(f, "object `{n}` has no value"),
+            ExecError::UndefinedObject(n) => write!(
+                f,
+                "object `{n}` has no value: assign it with an update (a function value \
+                 is not kept across a reopen, so a view's defining update must be re-run)"
+            ),
             ExecError::NoImpl(n) => write!(f, "no implementation for operator `{n}`"),
             ExecError::TypeMismatch {
                 op,

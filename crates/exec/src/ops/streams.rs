@@ -181,12 +181,6 @@ impl Fold {
     }
 }
 
-/// Scan any relation representation into a stream of tuple values
-/// (the `feed` of the `relrep` subtype hierarchy).
-pub fn feed_value(v: &Value) -> ExecResult<Vec<Value>> {
-    Cursor::scan_of(v)?.scan_all()
-}
-
 fn cursor_value(c: Cursor) -> Value {
     Value::Cursor(Rc::new(RefCell::new(c)))
 }

@@ -1,9 +1,9 @@
-//! Persistent images of runtime values: what `Database::save` writes
-//! next to the page file. Representation handles persist as their
-//! storage metadata (page lists, roots, directory snapshots); model
-//! values persist as encoded records. Function values (views) cannot be
-//! persisted — they are reported to the caller so the user can re-create
-//! them from their defining statements.
+//! Persistent images of runtime values: the object half of the catalog
+//! snapshot a durable commit logs as its WAL meta record.
+//! Representation handles persist as their storage metadata (page
+//! lists, roots, directory snapshots); model values persist as encoded
+//! records. Function values (views) cannot be persisted — after a
+//! reopen they read as undefined until their defining update is re-run.
 
 use crate::engine::ExecEngine;
 use crate::error::{ExecError, ExecResult};

@@ -156,7 +156,7 @@ impl Cursor {
     /// and every scan source is evaluated here and nowhere else — the
     /// width is a parameter (`n = 1` is tuple-at-a-time).
     ///
-    /// Sources read a whole page per refill ([`Cursor::scan_into`]);
+    /// Sources read a whole page per refill (`Cursor::scan_into`);
     /// `Filter`, `Project` and `Replace` run their closures' programs
     /// over the whole batch, in one register frame.
     ///
@@ -293,8 +293,7 @@ impl Cursor {
     /// chunks of `n` records until one has survivors
     /// ([`Scan::next_chunk`]) and appends those, decoded; without pushed
     /// predicates every chunk is all survivors. Sources read storage
-    /// only, so callers without an evaluation context
-    /// ([`Cursor::scan_all`]) pull them here directly.
+    /// only, so they need no evaluation context.
     pub(crate) fn scan_into(&mut self, n: usize, out: &mut Vec<Value>) -> ExecResult<usize> {
         let start = out.len();
         match self {
@@ -329,13 +328,6 @@ impl Cursor {
         let rows = fold.rows() - before;
         ctx.engine.stats.record_batches(fold.op(), batches, rows);
         Ok(true)
-    }
-
-    /// Drain a scan source to its tuples (see [`Cursor::scan_into`]).
-    pub(crate) fn scan_all(mut self) -> ExecResult<Vec<Value>> {
-        let mut out = Vec::new();
-        while self.scan_into(crate::engine::DEFAULT_BATCH, &mut out)? > 0 {}
-        Ok(out)
     }
 
     /// Pull every remaining tuple through `f` in batches of the engine's

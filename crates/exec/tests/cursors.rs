@@ -158,19 +158,6 @@ fn next_is_the_batch_kernel_at_width_one() {
     assert_eq!(c.next_batch_into(&mut ctx, 7, &mut seen).unwrap(), 0);
 }
 
-#[test]
-fn feed_value_drains_the_same_scan_sources_the_pipeline_pulls() {
-    let (engine, heap) = engine_with_heap(300);
-    let mut store = HashMap::new();
-    let mut cat = Catalog::new();
-    let mut ctx = EvalCtx::new(&engine, &mut store, &mut cat);
-    let fed = sos_exec::ops::streams::feed_value(&Value::TidRel(heap.clone())).unwrap();
-    let pulled = Cursor::heap_scan(heap).drain(&mut ctx).unwrap();
-    assert_eq!(fed.len(), 300);
-    assert_eq!(fed, pulled);
-    assert!(sos_exec::ops::streams::feed_value(&Value::Int(1)).is_err());
-}
-
 /// `filter` takes its input out of the owned argument list: the uniquely
 /// held `feed` pipeline over a heap is moved into the filter, not wrapped
 /// in `Cursor::Shared`. A predicate that reads only fields is pushed into

@@ -44,8 +44,9 @@ use sos_optimizer::Optimizer;
 mod rules;
 mod spec;
 
-/// How bad a finding is. `Error` diagnostics are the ones
-/// `DatabaseBuilder::strict_lint(true)` rejects registration on.
+/// How bad a finding is. `Error` diagnostics are the ones spec and
+/// rule registration (`Database::load_spec`, `Database::add_rule_step`)
+/// is rejected on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     Error,

@@ -119,9 +119,6 @@ impl Explain {
                 }
                 let _ = writeln!(out, "     before {}", r.before);
                 let _ = writeln!(out, "     after  {}", r.after);
-                if let Some(v) = &r.validation_failure {
-                    let _ = writeln!(out, "     !! plan validation: {v}");
-                }
             }
         }
         if let ExplainKind::Update { target } = &self.kind {
@@ -198,9 +195,6 @@ impl Explain {
                     })),
                 );
                 o.str("before", &r.before).str("after", &r.after);
-                if let Some(v) = &r.validation_failure {
-                    o.str("validation_failure", v);
-                }
                 o.finish()
             })),
         );
@@ -364,7 +358,6 @@ mod tests {
                 conditions: vec!["rep(rel1, rep1)".into()],
                 before: "select(r, p)".into(),
                 after: "consume(filter(feed(r_rep), p))".into(),
-                validation_failure: None,
             }],
             plan: "consume(filter(feed(r_rep), p))".into(),
             plan_tree: "consume\n  filter".into(),

@@ -77,10 +77,6 @@ impl MetricsSnapshot {
             &Obj::new()
                 .u64("rewrites", self.optimizer.rewrites as u64)
                 .u64("rule_attempts", self.optimizer.rule_attempts as u64)
-                .u64(
-                    "plan_validation_failures",
-                    self.optimizer.plan_validation_failures as u64,
-                )
                 .u64("optimize_ns", self.optimizer.optimize_ns)
                 .u64("cache_lookup_ns", self.optimizer.cache_lookup_ns)
                 .finish(),
@@ -118,19 +114,11 @@ impl std::fmt::Display for MetricsSnapshot {
             self.pool.physical_writes,
             self.pool.evictions
         )?;
-        write!(
+        writeln!(
             f,
             "optimizer: {} rewrite(s) from {} rule attempt(s)",
             self.optimizer.rewrites, self.optimizer.rule_attempts
         )?;
-        if self.optimizer.plan_validation_failures > 0 {
-            write!(
-                f,
-                ", {} plan validation failure(s)",
-                self.optimizer.plan_validation_failures
-            )?;
-        }
-        writeln!(f)?;
         if self.optimizer.optimize_ns > 0 {
             writeln!(
                 f,
@@ -351,7 +339,6 @@ mod tests {
             optimizer: OptimizerStats {
                 rewrites: 3,
                 rule_attempts: 17,
-                plan_validation_failures: 0,
                 ..OptimizerStats::default()
             },
             ops: vec![("filter".into(), row(2, 100))],

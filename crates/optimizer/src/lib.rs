@@ -24,11 +24,9 @@ mod validate;
 
 pub use condition::Condition;
 pub use pattern::{OpPat, TermPattern};
-pub use rewrite::{
-    OptimizeOpts, Optimizer, OptimizerStats, Rule, RuleApplication, RuleStep, Strategy,
-};
+pub use rewrite::{Optimizer, OptimizerStats, Rule, RuleApplication, RuleStep, Strategy};
 pub use ruleparse::{parse_rules, parse_rules_with_spans};
-pub use validate::{types_equivalent, Validation};
+pub use validate::types_equivalent;
 
 /// Errors raised during optimization.
 #[derive(Debug)]
@@ -41,8 +39,8 @@ pub enum OptError {
     },
     /// The rewrite loop failed to terminate within the step's budget.
     NoFixpoint { step: usize, budget: usize },
-    /// A rewrite changed the plan's result type and strict plan
-    /// validation is on (see [`Validation::Strict`]).
+    /// A rewrite changed the plan's result type (modulo representation,
+    /// see [`types_equivalent`]): a broken rule.
     PlanTypeChanged {
         rule: String,
         before: String,
@@ -67,8 +65,7 @@ impl std::fmt::Display for OptError {
                 after,
             } => write!(
                 f,
-                "rule `{rule}` changed the plan's result type from {before} to {after} \
-                 (rejected by strict plan validation)"
+                "rule `{rule}` changed the plan's result type from {before} to {after}"
             ),
         }
     }

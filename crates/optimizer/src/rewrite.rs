@@ -3,7 +3,7 @@
 
 use crate::condition::Condition;
 use crate::pattern::{free_vars, match_term, RuleBindings, TermPattern};
-use crate::validate::{types_equivalent, Validation};
+use crate::validate::types_equivalent;
 use crate::OptError;
 use sos_catalog::Catalog;
 use sos_core::check::Checker;
@@ -25,14 +25,6 @@ pub struct Rule {
     /// or view object; a type written `$v` inside a lambda parameter
     /// splices the type bound to `v`.
     pub rhs: Expr,
-}
-
-/// Knobs for one optimization run.
-#[derive(Debug, Clone, Default)]
-pub struct OptimizeOpts {
-    pub validation: Validation,
-    /// Record every applied rewrite in application order.
-    pub traced: bool,
 }
 
 /// How a step scans for redexes.
@@ -73,10 +65,6 @@ impl RuleStep {
 pub struct OptimizerStats {
     pub rewrites: usize,
     pub rule_attempts: usize,
-    /// Rewrites whose result type was not equivalent to the type before
-    /// the rewrite (counted under [`Validation::Count`]; under
-    /// [`Validation::Strict`] the first violation aborts instead).
-    pub plan_validation_failures: usize,
     /// Wall time of the whole optimize call, in nanoseconds.
     pub optimize_ns: u64,
     /// Time spent probing the plan cache before the rewriter ran (set by
@@ -90,7 +78,6 @@ impl OptimizerStats {
     pub fn absorb(&mut self, other: OptimizerStats) {
         self.rewrites += other.rewrites;
         self.rule_attempts += other.rule_attempts;
-        self.plan_validation_failures += other.plan_validation_failures;
         self.optimize_ns += other.optimize_ns;
         self.cache_lookup_ns += other.cache_lookup_ns;
     }
@@ -112,10 +99,6 @@ pub struct RuleApplication {
     pub before: String,
     /// The whole (re-checked) term after the rewrite.
     pub after: String,
-    /// `Some(reason)` when plan validation found the rewrite changed
-    /// the term's result type (recorded under [`Validation::Count`];
-    /// `EXPLAIN` marks the step with it).
-    pub validation_failure: Option<String>,
 }
 
 /// A sequence of rule steps.
@@ -129,23 +112,21 @@ impl Optimizer {
         Optimizer { steps }
     }
 
-    /// Optimize a closed, checked term under `opts`. Every rewrite is
-    /// re-checked, and its result type is compared (modulo
-    /// representation) with the type before the rewrite:
-    /// [`Validation::Count`] records violations in the stats,
-    /// [`Validation::Strict`] rejects the plan on the first one. The
-    /// rewrite trace (the one behind `EXPLAIN`) is empty unless
-    /// `opts.traced`; untraced runs render no term strings.
+    /// Optimize a closed, checked term. Every rewrite is re-checked,
+    /// and its result type is compared (modulo representation) with the
+    /// type before the rewrite: a rewrite that changes it rejects the
+    /// plan with [`OptError::PlanTypeChanged`]. The rewrite trace (the
+    /// one behind `EXPLAIN`) is empty unless `traced`; untraced runs
+    /// render no term strings.
     pub fn optimize(
         &self,
         term: &TypedExpr,
         checker: &Checker,
         catalog: &Catalog,
-        opts: &OptimizeOpts,
+        traced: bool,
     ) -> Result<(TypedExpr, OptimizerStats, Vec<RuleApplication>), OptError> {
         let started = Instant::now();
-        let mut trace = opts.traced.then(Vec::new);
-        let validation = opts.validation;
+        let mut trace = traced.then(Vec::new);
         let mut stats = OptimizerStats::default();
         let mut current = term.clone();
         for (step_idx, step) in self.steps.iter().enumerate() {
@@ -169,17 +150,12 @@ impl Optimizer {
                         error: e,
                         term: format!("{}", rewrite.raw),
                     })?;
-                let validation_failure = (!types_equivalent(checker.sig, &prev_ty, &current.ty))
-                    .then(|| format!("result type changed from {prev_ty} to {}", current.ty));
-                if validation_failure.is_some() {
-                    if validation == Validation::Strict {
-                        return Err(OptError::PlanTypeChanged {
-                            rule: rewrite.label.clone(),
-                            before: prev_ty.to_string(),
-                            after: current.ty.to_string(),
-                        });
-                    }
-                    stats.plan_validation_failures += 1;
+                if !types_equivalent(checker.sig, &prev_ty, &current.ty) {
+                    return Err(OptError::PlanTypeChanged {
+                        rule: rewrite.label,
+                        before: prev_ty.to_string(),
+                        after: current.ty.to_string(),
+                    });
                 }
                 if let (Some(trace), Some(before)) = (trace.as_mut(), before) {
                     trace.push(RuleApplication {
@@ -188,7 +164,6 @@ impl Optimizer {
                         conditions: rewrite.conditions,
                         before,
                         after: current.to_string(),
-                        validation_failure,
                     });
                 }
                 stats.rewrites += 1;

@@ -14,7 +14,7 @@
 //! [`crate::types_equivalent`]).
 
 use crate::pattern::{OpPat, TermPattern};
-use crate::rewrite::{OptimizeOpts, Optimizer, Rule, RuleStep, Strategy};
+use crate::rewrite::{Optimizer, Rule, RuleStep, Strategy};
 use crate::OptError;
 use sos_catalog::Catalog;
 use sos_core::check::Checker;
@@ -489,30 +489,25 @@ pub fn verify_rule(sig: &Signature, scenario: &Scenario, step_name: &str, rule: 
         sig,
         objects: &scenario.catalog,
     };
-    let traced = OptimizeOpts {
-        traced: true,
-        ..OptimizeOpts::default()
-    };
     let mut fired = 0;
     for w in &ws {
-        match one.optimize(w, &checker, &scenario.catalog, &traced) {
+        match one.optimize(w, &checker, &scenario.catalog, true) {
             Err(OptError::Recheck { error, .. }) => {
                 return Verdict::IllTyped {
                     witness: w.to_string(),
                     error: error.to_string(),
                 };
             }
+            Err(OptError::PlanTypeChanged { before, after, .. }) => {
+                return Verdict::TypeChanged {
+                    witness: w.to_string(),
+                    detail: format!("result type changed from {before} to {after}"),
+                };
+            }
             Err(_) => continue,
             Ok((_, _, trace)) => {
-                if trace.is_empty() {
-                    continue;
-                }
-                fired += 1;
-                if let Some(reason) = trace.iter().find_map(|a| a.validation_failure.clone()) {
-                    return Verdict::TypeChanged {
-                        witness: w.to_string(),
-                        detail: reason,
-                    };
+                if !trace.is_empty() {
+                    fired += 1;
                 }
             }
         }

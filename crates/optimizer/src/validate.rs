@@ -15,18 +15,6 @@
 use sos_core::pattern::PatternNode;
 use sos_core::{DataType, Signature, Symbol, TypeArg};
 
-/// The per-rewrite validation mode the optimizer driver runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Validation {
-    /// Count violations in [`crate::OptimizerStats`] and mark the
-    /// offending step in the rewrite trace, but keep the plan.
-    #[default]
-    Count,
-    /// Reject the plan: a violating rewrite aborts optimization with
-    /// [`crate::OptError::PlanTypeChanged`].
-    Strict,
-}
-
 /// Are two plan result types equivalent modulo representation?
 pub fn types_equivalent(sig: &Signature, a: &DataType, b: &DataType) -> bool {
     if a == b {

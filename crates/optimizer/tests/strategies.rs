@@ -9,7 +9,7 @@ use sos_core::spec::{
     Level, OpName, OperatorSpec, Quantifier, ResultSpec, SyntaxPattern, TypeConstructorDef,
 };
 use sos_core::{sym, DataType, Expr, Signature, Symbol};
-use sos_optimizer::{OptimizeOpts, Optimizer, Rule, RuleStep, Strategy, TermPattern};
+use sos_optimizer::{Optimizer, Rule, RuleStep, Strategy, TermPattern};
 use std::collections::HashMap;
 
 /// A toy signature with unary operators f, g, h over int.
@@ -68,7 +68,7 @@ fn run(strategy: Strategy, rules: Vec<Rule>, term: &Expr) -> (String, usize) {
         budget: 50,
     }]);
     let (out, stats, _) = optimizer
-        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .optimize(&checked, &checker, &catalog, false)
         .unwrap();
     (out.to_string(), stats.rewrites)
 }
@@ -109,7 +109,7 @@ fn bottom_up_rewrites_leaves_first() {
         budget: 50,
     }]);
     let (out, _, _) = optimizer
-        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .optimize(&checked, &checker, &catalog, false)
         .unwrap();
     // Fixpoint is the same; the strategy test is that it terminates and
     // agrees with top-down.
@@ -137,7 +137,7 @@ fn diverging_rule_sets_hit_the_budget() {
         budget: 10,
     }]);
     let err = optimizer
-        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .optimize(&checked, &checker, &catalog, false)
         .unwrap_err();
     assert!(err.to_string().contains("fixpoint"));
 }
@@ -159,7 +159,7 @@ fn broken_rules_are_caught_by_recheck() {
     let checked = checker.check_expr(&f_of_g_of_one()).unwrap();
     let optimizer = Optimizer::new(vec![RuleStep::exhaustive("broken", vec![broken])]);
     let err = optimizer
-        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .optimize(&checked, &checker, &catalog, false)
         .unwrap_err();
     let shown = err.to_string();
     assert!(shown.contains("broken"), "{shown}");
@@ -179,7 +179,7 @@ fn steps_apply_in_order() {
         RuleStep::exhaustive("second", vec![g_to_h()]),
     ]);
     let (out, _, _) = optimizer
-        .optimize(&checked, &checker, &catalog, &OptimizeOpts::default())
+        .optimize(&checked, &checker, &catalog, false)
         .unwrap();
     assert_eq!(out.to_string(), "h(h(1))");
 }

@@ -93,8 +93,8 @@ enum WriteVerdict {
 
 /// A [`DiskManager`] wrapper with a volatile write cache and scripted
 /// crashes. Durable state lives in the wrapped inner disk; retrieve it
-/// with [`FaultDisk::into_inner`]-style access via [`FaultDisk::inner`]
-/// after a crash to reopen "the disk that survived the power loss".
+/// with [`FaultDisk::inner`] after a crash to reopen "the disk that
+/// survived the power loss".
 pub struct FaultDisk {
     inner: Arc<dyn DiskManager>,
     clock: Arc<FaultClock>,

@@ -14,7 +14,6 @@
 //! * `.metrics`      — the unified metrics snapshot (pool, optimizer,
 //!   operators, phase timings)
 //! * `.run <file>`   — run a program file
-//! * `.save <dir>`   — persist the database (see `Database::save`)
 //! * `.checkpoint`   — durable fuzzy checkpoint (WAL databases; see
 //!   `Database::checkpoint`); prints what it did
 //! * `.wal [policy <p>]` — inspect the WAL (sync policy, LSN
@@ -47,7 +46,10 @@
 //! database in `<dir>` (running crash recovery first); every statement
 //! commits through the log. `<p>` is `percommit` (default: each commit
 //! is synced before it is acknowledged) or `nosync` (commits are
-//! written but not synced; a crash may lose the latest ones).
+//! written but not synced; a crash may lose the latest ones). This is
+//! the shell's one on-disk form: a later `sos --durable <dir>` answers
+//! from the recovered state (views come back without a value; re-run
+//! their defining update).
 
 use sos_exec::render;
 use sos_system::{Database, DurabilityConfig, Output, SyncPolicy};
@@ -224,7 +226,7 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
     match head {
         ".quit" | ".exit" => return false,
         ".help" => {
-            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .save <dir> | .checkpoint | .wal [policy <p>] | .stats [op] | .cache [clear] | .batch [n] | .objects | .quit");
+            println!(".run <file> | .spec <file> | .rules <file> | .lint [json] | .explain [analyze] <query> | .trace on|off | .metrics | .ops [name] | .checkpoint | .wal [policy <p>] | .stats [op] | .cache [clear] | .batch [n] | .objects | .quit");
         }
         ".checkpoint" => {
             if !db.is_durable() {
@@ -348,18 +350,6 @@ fn meta_command(db: &mut Database, cmd: &str) -> bool {
                 Err(e) => println!("error: {e}"),
             },
             Err(e) => println!("error reading {rest}: {e}"),
-        },
-        ".save" => match db.save(std::path::Path::new(rest.trim())) {
-            Ok(skipped) if skipped.is_empty() => println!("saved"),
-            Ok(skipped) => println!(
-                "saved; views not persisted (re-create them after open): {}",
-                skipped
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-            Err(e) => println!("error: {e}"),
         },
         ".ops" => {
             let arg = rest.trim();

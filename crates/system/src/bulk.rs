@@ -1,10 +1,15 @@
 //! Bulk loading.
 //!
-//! [`Database::bulk_load`] loads a batch of tuples through the fast
-//! paths: a sorted build into an empty B-tree, a bulk pack into an
-//! empty LSD-tree, and — on a durable database — one statement
-//! transaction under [`SyncPolicy::NoSync`] closed by a single
-//! checkpoint, so the load pays one fsync instead of one per statement.
+//! [`Database::bulk_load`] is the one way to load a batch of tuples
+//! outside the statement language. It takes the fast paths: a sorted
+//! build into an empty B-tree, a bulk pack into an empty LSD-tree, and
+//! — on a durable database — one statement transaction under
+//! [`SyncPolicy::NoSync`] closed by a single checkpoint, so the load
+//! pays one fsync instead of one per statement.
+//!
+//! A load is atomic in memory too: every tuple is encoded and keyed
+//! (or, for a model `rel`, appended to a copy of its value) before the
+//! object changes, so a bad tuple leaves the object as it was.
 //!
 //! Durability contract of a bulk load: the whole load is ONE statement.
 //! A crash mid-load recovers to the state before it (the commit record
@@ -21,8 +26,9 @@ use sos_storage::lsdtree::Entry;
 use sos_storage::SyncPolicy;
 
 impl Database {
-    /// Bulk-load `tuples` into the storage object `name` as ONE
-    /// statement, taking the fast paths the per-statement insert cannot:
+    /// Bulk-load `tuples` into the object `name` — a model `rel` or a
+    /// storage structure — as ONE statement, taking the fast paths the
+    /// per-statement insert cannot:
     ///
     /// * an empty B-tree is built from one sorted run
     ///   ([`sos_storage::btree::BTree::bulk_load`]) and an empty
@@ -38,22 +44,9 @@ impl Database {
         if self.catalog.object(&key).is_none() {
             return Err(SystemError::UnknownObject(key));
         }
-        let target = self
-            .store
-            .get(&key)
-            .cloned()
-            .ok_or_else(|| SystemError::UnknownObject(key.clone()))?;
-        match &target {
-            Value::SRel(_) | Value::TidRel(_) | Value::BTree(_) | Value::LsdTree(_) => {}
-            _ => {
-                let n = tuples.len();
-                self.bulk_insert(name, tuples)?;
-                return Ok(n);
-            }
-        }
         let loaded = tuples.len();
         match self.sync_policy() {
-            None => self.bulk_load_inner(&target, tuples)?,
+            None => self.bulk_load_inner(&key, tuples)?,
             Some(saved) => {
                 // Relax the sync policy for the load; the closing
                 // checkpoint syncs what NoSync deferred. The saved policy
@@ -62,7 +55,7 @@ impl Database {
                 // error is returned.
                 let result = self
                     .set_sync_policy(SyncPolicy::NoSync)
-                    .and_then(|()| self.bulk_load_inner(&target, tuples))
+                    .and_then(|()| self.bulk_load_inner(&key, tuples))
                     .and_then(|()| self.checkpoint().map(drop));
                 let restored = self.set_sync_policy(saved);
                 result.and(restored)?;
@@ -74,27 +67,47 @@ impl Database {
         Ok(loaded)
     }
 
-    fn bulk_load_inner(&mut self, target: &Value, tuples: Vec<Value>) -> Result<(), SystemError> {
+    fn bulk_load_inner(&mut self, key: &Symbol, tuples: Vec<Value>) -> Result<(), SystemError> {
+        let target = self
+            .store
+            .get(key)
+            .cloned()
+            .ok_or_else(|| SystemError::UnknownObject(key.clone()))?;
         let tx = self.begin_stmt()?;
-        {
+        let loaded = {
             let mut ctx = EvalCtx::new(&self.engine, &mut self.store, &mut self.catalog);
-            load(&mut ctx, target, tuples)?;
+            load(&mut ctx, target, tuples)?
+        };
+        let prev = self.store.insert(key.clone(), loaded);
+        if let Err(e) = self.commit_stmt(tx) {
+            if let Some(v) = prev {
+                self.store.insert(key.clone(), v);
+            }
+            return Err(e);
         }
-        self.commit_stmt(tx)?;
         Ok(())
     }
 }
 
-/// Load `tuples` into one storage structure. Every tuple is encoded and
-/// keyed before the first page is written (key and rect functions may
-/// evaluate arbitrary expressions, so a bad tuple fails the load before
-/// it touches storage); each tuple is dropped once encoded, so the load
-/// never holds both forms of the whole batch. An empty tree gets one
-/// sorted build or bulk pack; a non-empty structure takes ordinary
-/// inserts.
-fn load(ctx: &mut EvalCtx, target: &Value, tuples: Vec<Value>) -> ExecResult<()> {
+/// Load `tuples` into one object and return its new value: a model
+/// `rel` is extended by value, a storage structure in place (its handle
+/// is returned unchanged). Every tuple is encoded and keyed before the
+/// first page is written (key and rect functions may evaluate arbitrary
+/// expressions, so a bad tuple fails the load before it touches
+/// storage); each tuple is dropped once encoded, so the load never
+/// holds both forms of the whole batch. An empty tree gets one sorted
+/// build or bulk pack; a non-empty structure takes ordinary inserts.
+fn load(ctx: &mut EvalCtx, target: Value, tuples: Vec<Value>) -> ExecResult<Value> {
     let encode = |t: &Value| t.encode_tuple("bulk_load");
-    match target {
+    match &target {
+        Value::Rel(ts) => {
+            let mut ts = ts.clone();
+            for t in tuples {
+                t.as_tuple("bulk_load")?;
+                ts.push(t);
+            }
+            return Ok(Value::Rel(ts));
+        }
         Value::SRel(h) | Value::TidRel(h) => {
             let records = tuples
                 .into_iter()
@@ -149,5 +162,5 @@ fn load(ctx: &mut EvalCtx, target: &Value, tuples: Vec<Value>) -> ExecResult<()>
             )))
         }
     }
-    Ok(())
+    Ok(target)
 }

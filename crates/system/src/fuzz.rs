@@ -26,7 +26,7 @@ use sos_core::{Const, DataType, Symbol};
 use sos_exec::{EvalCtx, Value};
 use sos_geom::{Point, Polygon};
 use sos_optimizer::synth::{self, Scenario};
-use sos_optimizer::{OptimizeOpts, Optimizer, RuleStep, Strategy};
+use sos_optimizer::{Optimizer, RuleStep, Strategy};
 
 /// Fuzzer parameters. The defaults are what CI runs.
 #[derive(Debug, Clone)]
@@ -206,9 +206,9 @@ fn scenario_database(cfg: &FuzzConfig) -> Result<Database, SystemError> {
         };
         // The model and each linked representation hold the same bag, as
         // a translated plan assumes.
-        db.bulk_insert(name.as_str(), rows.clone())?;
+        db.bulk_load(name.as_str(), rows.clone())?;
         for rep in db.catalog.linked(&Symbol::new("rep"), name) {
-            db.bulk_insert(rep.as_str(), rows.clone())?;
+            db.bulk_load(rep.as_str(), rows.clone())?;
         }
     }
     Ok(db)
@@ -254,10 +254,6 @@ pub fn fuzz_optimizer(opt: &Optimizer, cfg: &FuzzConfig) -> Result<FuzzReport, S
     let mut db = scenario_database(cfg)?;
     let scenario = Scenario::build(&db.sig);
     let mut report = FuzzReport::default();
-    let traced = OptimizeOpts {
-        traced: true,
-        ..OptimizeOpts::default()
-    };
     for step in &opt.steps {
         for rule in &step.rules {
             report.rules += 1;
@@ -275,7 +271,7 @@ pub fn fuzz_optimizer(opt: &Optimizer, cfg: &FuzzConfig) -> Result<FuzzReport, S
                     continue;
                 }
                 let checker = sos_core::check::Checker::new(&db.sig, &db.catalog);
-                let rewritten = match one.optimize(w, &checker, &db.catalog, &traced) {
+                let rewritten = match one.optimize(w, &checker, &db.catalog, true) {
                     // An ill-typed rewrite is the type verifier's
                     // finding (L006), not a semantics mismatch.
                     Err(_) => continue,

@@ -54,9 +54,7 @@ use sos_exec::{EvalCtx, ExecEngine, ExecError, StatementTx, Value};
 use sos_obs::explain::plan_tree;
 use sos_obs::metrics::{ops_delta, pool_delta};
 use sos_obs::trace::Tracer;
-use sos_optimizer::{
-    OptError, OptimizeOpts, Optimizer, OptimizerStats, RuleApplication, Validation,
-};
+use sos_optimizer::{OptError, Optimizer, OptimizerStats, RuleApplication};
 use sos_parser::{parse_program, ParseError, Statement};
 use sos_storage::{BufferPool, DiskManager, FileDisk, RecoveryInfo, Wal};
 use std::collections::HashMap;
@@ -99,13 +97,13 @@ pub enum SystemError {
         value_type: String,
     },
     UnknownObject(Symbol),
-    /// Saving or opening a database directory failed.
+    /// Opening a durable database or reading its snapshot failed.
     Persist(String),
-    /// A saved directory or WAL holds an object stored partitioned, a
-    /// layout written by older versions and no longer readable.
+    /// The WAL holds an object stored partitioned, a layout written by
+    /// older versions and no longer readable.
     PartitionedObject(Symbol),
-    /// `strict_lint` rejected a spec or rule registration: the new
-    /// declarations produced error-severity diagnostics.
+    /// A spec or rule registration was rejected: the new declarations
+    /// produced error-severity lint diagnostics.
     Lint(Vec<sos_lint::Diagnostic>),
 }
 
@@ -132,7 +130,7 @@ impl std::fmt::Display for SystemError {
                 "object `{n}` is stored partitioned, which this version no longer reads"
             ),
             SystemError::Lint(diags) => {
-                write!(f, "rejected by strict lint:")?;
+                write!(f, "rejected by lint:")?;
                 for d in diags {
                     write!(f, "\n  {d}")?;
                 }
@@ -221,7 +219,6 @@ pub struct DatabaseBuilder {
     batch_size: Option<usize>,
     optimize: Option<bool>,
     trace: bool,
-    strict_lint: bool,
 }
 
 /// Where a durable database keeps its two files (or disks): the data
@@ -337,22 +334,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Reject [`Database::load_spec`] / [`Database::load_rules`] /
-    /// [`Database::add_rule_step`] registrations that produce
-    /// error-severity lint diagnostics (default: off). Warnings never
-    /// reject; [`Database::lint`] reports everything either way.
-    ///
-    /// The optimizer always validates rewritten plans: after every
-    /// rewrite it compares the plan's result type with the type before
-    /// the rewrite (modulo representation). With `strict_lint` on, a
-    /// violating rewrite rejects the plan; otherwise violations are
-    /// counted in `plan_validation_failures` (see `.metrics`) and the
-    /// offending step is marked in the EXPLAIN rewrite trace.
-    pub fn strict_lint(mut self, enabled: bool) -> DatabaseBuilder {
-        self.strict_lint = enabled;
-        self
-    }
-
     /// Build, panicking on construction failure. In-memory databases
     /// cannot fail to construct; durable ones go through
     /// [`DatabaseBuilder::try_build`] when the caller wants the error.
@@ -409,7 +390,6 @@ impl DatabaseBuilder {
             last_opt_stats: OptimizerStats::default(),
             total_opt_stats: OptimizerStats::default(),
             tracer: Tracer::new(self.trace),
-            strict_lint: self.strict_lint,
             plan_cache: plancache::PlanCache::default(),
             recovery,
         };
@@ -446,8 +426,6 @@ pub struct Database {
     total_opt_stats: OptimizerStats,
     /// Per-phase span recorder (off by default).
     tracer: Tracer,
-    /// Reject spec/rule registrations with error-severity diagnostics.
-    strict_lint: bool,
     /// Optimized plans keyed by parsed statement (see [`plancache`]);
     /// consulted while the optimizer is on.
     plan_cache: plancache::PlanCache,
@@ -635,22 +613,12 @@ impl Database {
     /// assert_eq!(db.query("14 triple").unwrap(), Value::Int(42));
     /// ```
     pub fn load_spec(&mut self, src: &str) -> Result<(), SystemError> {
-        // Parse into a trial copy and commit only if it parses and, under
-        // strict lint, is free of error-severity diagnostics (the
-        // built-in signature lints clean, so any error is new).
+        // Parse into a trial copy and commit only if it parses and is
+        // free of error-severity diagnostics (the built-in signature
+        // lints clean, so any error is new).
         let mut trial = self.sig.clone();
         sos_parser::parse_spec(src, &mut trial)?;
-        if self.strict_lint {
-            let diags = sos_lint::lint_spec(&trial);
-            if sos_lint::has_errors(&diags) {
-                return Err(SystemError::Lint(
-                    diags
-                        .into_iter()
-                        .filter(|d| d.severity == sos_lint::Severity::Error)
-                        .collect(),
-                ));
-            }
-        }
+        reject_lint_errors(sos_lint::lint_spec(&trial))?;
         self.sig = trial;
         // New specs of an implemented name (overloads) run its entry.
         self.engine.bind_signature(&self.sig);
@@ -740,23 +708,14 @@ impl Database {
         Ok(())
     }
 
-    /// Append an optimizer rule step. With `strict_lint` on, the step
-    /// is linted against the current signature first and rejected on
-    /// error-severity diagnostics.
+    /// Append an optimizer rule step. The step is linted against the
+    /// current signature first and rejected on error-severity
+    /// diagnostics (warnings never reject; [`Database::lint`] reports
+    /// everything).
     pub fn add_rule_step(&mut self, step: sos_optimizer::RuleStep) -> Result<(), SystemError> {
-        if self.strict_lint {
-            let trial = Optimizer::new(vec![step.clone()]);
-            let diags = sos_lint::lint_rules(&trial, &self.sig);
-            if sos_lint::has_errors(&diags) {
-                return Err(SystemError::Lint(
-                    diags
-                        .into_iter()
-                        .filter(|d| d.severity == sos_lint::Severity::Error)
-                        .collect(),
-                ));
-            }
-        }
-        self.optimizer.steps.push(step);
+        let trial = Optimizer::new(vec![step]);
+        reject_lint_errors(sos_lint::lint_rules(&trial, &self.sig))?;
+        self.optimizer.steps.extend(trial.steps);
         // New rules change what every shape optimizes to.
         self.plan_cache.invalidate_all();
         Ok(())
@@ -772,33 +731,6 @@ impl Database {
     /// Read an object's current value (tests and benchmarks).
     pub fn object_value(&self, name: &str) -> Option<&Value> {
         self.store.get(&Symbol::new(name))
-    }
-
-    /// Bulk-load tuple values into a named object, bypassing the
-    /// statement layer (workload generators use this; each tuple still
-    /// goes through the normal representation insert path).
-    pub fn bulk_insert(&mut self, name: &str, tuples: Vec<Value>) -> Result<(), SystemError> {
-        let key = Symbol::new(name);
-        if self.catalog.object(&key).is_none() {
-            return Err(SystemError::UnknownObject(key));
-        }
-        let mut target = self.store.get(&key).cloned().unwrap_or(Value::Undefined);
-        let tx = self.begin_stmt()?;
-        {
-            let mut ctx = EvalCtx::new(&self.engine, &mut self.store, &mut self.catalog);
-            for t in tuples {
-                target = sos_exec::ops::updates::insert_into(&mut ctx, &target, &t)?;
-            }
-        }
-        let prev = self.store.insert(key.clone(), target);
-        if let Err(e) = self.commit_stmt(tx) {
-            match prev {
-                Some(v) => self.store.insert(key, v),
-                None => self.store.remove(&key),
-            };
-            return Err(e);
-        }
-        Ok(())
     }
 
     // ---- program processing ----
@@ -1136,17 +1068,6 @@ impl Database {
         Ok(self.checker().check_expr(e)?)
     }
 
-    /// Plan-validation level for the optimizer: `Strict` (reject
-    /// violating plans) under strict lint, counting + trace-marking
-    /// otherwise.
-    fn validation(&self) -> Validation {
-        if self.strict_lint {
-            Validation::Strict
-        } else {
-            Validation::Count
-        }
-    }
-
     /// Optimize while recording every applied rewrite (the explain path;
     /// timings there go through `Instant` directly, not the tracer).
     fn optimize_traced(
@@ -1167,11 +1088,7 @@ impl Database {
     ) -> Result<(TypedExpr, Vec<RuleApplication>), SystemError> {
         let span = self.tracer.start();
         let checker = Checker::new(&self.sig, &self.catalog);
-        let opts = OptimizeOpts {
-            validation: self.validation(),
-            traced,
-        };
-        let result = self.optimizer.optimize(t, &checker, &self.catalog, &opts);
+        let result = self.optimizer.optimize(t, &checker, &self.catalog, traced);
         self.tracer.finish(Phase::Optimize, span);
         let (optimized, stats, trace) = result?;
         self.last_opt_stats = stats;
@@ -1385,6 +1302,20 @@ impl Default for Database {
     fn default() -> Self {
         Database::builder().build()
     }
+}
+
+/// `Ok` unless `diags` holds an error-severity finding; otherwise the
+/// [`SystemError::Lint`] carrying just the errors.
+fn reject_lint_errors(diags: Vec<sos_lint::Diagnostic>) -> Result<(), SystemError> {
+    if !sos_lint::has_errors(&diags) {
+        return Ok(());
+    }
+    Err(SystemError::Lint(
+        diags
+            .into_iter()
+            .filter(|d| d.severity == sos_lint::Severity::Error)
+            .collect(),
+    ))
 }
 
 /// A short, deterministic summary of a produced value: kind and

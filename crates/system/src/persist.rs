@@ -1,33 +1,28 @@
-//! Saving and opening databases (an engineering extension; see
-//! DESIGN.md).
+//! The catalog snapshot a durable database logs (an engineering
+//! extension; see DESIGN.md).
 //!
-//! A database directory holds two artifacts: `pages.db` — the page file
-//! all representation structures live in — and `snapshot.json` — the
-//! catalog (named types, objects, catalog relations) plus the persistent
-//! image of every object value ([`sos_exec::stored::StoredValue`]).
-//! Function values (views) have no persistent image; `save` reports
-//! their names so callers can re-create them from their defining
-//! statements.
+//! Every durable commit carries, as its WAL meta record, the catalog
+//! (named types, objects, catalog relations) plus the persistent image
+//! of every object value ([`sos_exec::stored::StoredValue`]); recovery
+//! reinstalls the last committed one over the recovered pages. Function
+//! values (views) have no persistent image: a view comes back with its
+//! type and no value, and reading it names the defining update to
+//! re-run.
 //!
-//! The same snapshot is the meta record of every durable commit, so the
-//! format rules below hold for the WAL too. Format 2 dropped partitioned
-//! storage: a format-1 snapshot opens unchanged unless it holds a
-//! partitioned object, which is refused with
-//! [`SystemError::PartitionedObject`].
+//! Format 2 dropped partitioned storage: a format-1 snapshot opens
+//! unchanged unless it holds a partitioned object, which is refused
+//! with [`SystemError::PartitionedObject`].
 
 use crate::{Database, SystemError};
 use serde::Json;
 use sos_catalog::Catalog;
 use sos_core::Symbol;
 use sos_exec::stored::{from_stored, to_stored, StoredValue};
-use sos_storage::{BufferPool, FileDisk};
-use std::path::Path;
-use std::sync::Arc;
 
 /// The snapshot format this version writes and the newest it reads.
 const FORMAT: u64 = 2;
 
-/// The serialized sidecar next to the page file.
+/// The serialized catalog and object images.
 #[derive(serde::Serialize)]
 struct Snapshot {
     format: u64,
@@ -97,33 +92,23 @@ fn partitioned_object(obj: &[(String, Json)]) -> Option<Symbol> {
     })
 }
 
-const PAGES: &str = "pages.db";
-const SNAPSHOT: &str = "snapshot.json";
-
 impl Database {
-    /// Create a database whose pages live in `dir` (created if absent).
-    /// If the directory holds a previous [`Database::save`], its catalog
-    /// and objects are restored.
-    pub fn open_dir(dir: &Path) -> Result<Database, SystemError> {
-        std::fs::create_dir_all(dir).map_err(persist_err)?;
-        let disk = FileDisk::open(&dir.join(PAGES)).map_err(SystemError::from)?;
-        let pool = BufferPool::new(Arc::new(disk), 4096).shared();
-        let mut db = Database::builder().pool(pool).build();
-        let snap_path = dir.join(SNAPSHOT);
-        if snap_path.exists() {
-            let json = std::fs::read_to_string(&snap_path).map_err(persist_err)?;
-            db.install_snapshot(json.as_bytes())?;
-        }
-        Ok(db)
-    }
-
     /// Serialize the current catalog + object values — the payload a
-    /// durable commit logs as its meta record, and what `save` writes
-    /// next to the page file. Function-valued objects (views) have no
-    /// persistent image and are silently skipped here; [`Database::save`]
-    /// reports them.
+    /// durable commit logs as its meta record. Function-valued objects
+    /// (views) have no persistent image and are skipped.
     pub(crate) fn snapshot_bytes(&self) -> Result<Vec<u8>, SystemError> {
-        let (snap, _) = self.make_snapshot()?;
+        let mut store = Vec::new();
+        for (name, value) in &self.store {
+            if let Some(sv) = to_stored(value)? {
+                store.push((name.clone(), sv));
+            }
+        }
+        store.sort_by(|a, b| a.0.cmp(&b.0));
+        let snap = Snapshot {
+            format: FORMAT,
+            catalog: self.catalog.clone(),
+            store,
+        };
         let json = serde_json::to_string(&snap).map_err(persist_err)?;
         Ok(json.into_bytes())
     }
@@ -150,41 +135,6 @@ impl Database {
             self.store.insert(name, value);
         }
         Ok(())
-    }
-
-    fn make_snapshot(&self) -> Result<(Snapshot, Vec<Symbol>), SystemError> {
-        let mut store = Vec::new();
-        let mut skipped = Vec::new();
-        for (name, value) in &self.store {
-            match to_stored(value)? {
-                Some(sv) => store.push((name.clone(), sv)),
-                None => skipped.push(name.clone()),
-            }
-        }
-        store.sort_by(|a, b| a.0.cmp(&b.0));
-        skipped.sort();
-        Ok((
-            Snapshot {
-                format: FORMAT,
-                catalog: self.catalog.clone(),
-                store,
-            },
-            skipped,
-        ))
-    }
-
-    /// Persist the database into `dir`: flush all pages and write the
-    /// catalog + value snapshot. Returns the names of objects whose
-    /// values could not be persisted (function-valued views) — their
-    /// types survive, their defining `update` must be re-run after
-    /// [`Database::open_dir`].
-    pub fn save(&self, dir: &Path) -> Result<Vec<Symbol>, SystemError> {
-        std::fs::create_dir_all(dir).map_err(persist_err)?;
-        self.engine.pool.flush_all().map_err(SystemError::from)?;
-        let (snap, skipped) = self.make_snapshot()?;
-        let json = serde_json::to_string(&snap).map_err(persist_err)?;
-        std::fs::write(dir.join(SNAPSHOT), json).map_err(persist_err)?;
-        Ok(skipped)
     }
 }
 

@@ -1,11 +1,16 @@
-//! Database-level persistence: save a populated database to a directory,
-//! reopen it in a fresh process-equivalent, and verify catalogs, data,
-//! indexes, optimization and updates all survive.
+//! Database-level persistence: populate a durable database, reopen it
+//! in a fresh process-equivalent, and verify catalogs, data, indexes,
+//! optimization and updates all survive. The catalog snapshot each
+//! commit logs as its WAL meta record is read back with
+//! [`Wal::recover`] and rewritten to test the formats recovery accepts
+//! and refuses.
 
-use sos_exec::Value;
+use sos_exec::{ExecError, Value};
 use sos_geom::gen;
-use sos_system::Database;
-use std::path::PathBuf;
+use sos_storage::{DiskManager, MemDisk, Wal};
+use sos_system::{Database, DurabilityConfig, SystemError};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn as_count(v: &Value) -> i64 {
     match v {
@@ -21,11 +26,57 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Open (or reopen, running recovery) the durable database in `dir`.
+fn open_durable(dir: &Path) -> Database {
+    Database::builder()
+        .durability(DurabilityConfig::dir(dir))
+        .try_build()
+        .unwrap()
+}
+
+/// The data and WAL disks of one durable database, kept across
+/// process-equivalent lifetimes.
+struct Disks {
+    data: Arc<dyn DiskManager>,
+    wal: Arc<dyn DiskManager>,
+}
+
+impl Disks {
+    fn new() -> Disks {
+        Disks {
+            data: Arc::new(MemDisk::new()),
+            wal: Arc::new(MemDisk::new()),
+        }
+    }
+
+    fn open(&self) -> Result<Database, SystemError> {
+        Database::builder()
+            .durability(DurabilityConfig::disks(
+                Arc::clone(&self.data),
+                Arc::clone(&self.wal),
+            ))
+            .try_build()
+    }
+
+    /// The meta record of the last committed transaction: the snapshot
+    /// text recovery installs.
+    fn last_meta(&self) -> String {
+        let (_, meta, _) = Wal::recover(Arc::clone(&self.wal), &self.data).unwrap();
+        String::from_utf8(meta.expect("a committed meta record")).unwrap()
+    }
+
+    /// Commit one more transaction whose meta record is `meta`.
+    fn commit_meta(&self, meta: &str) {
+        let (wal, _, _) = Wal::recover(Arc::clone(&self.wal), &self.data).unwrap();
+        wal.commit(wal.alloc_txid(), Some(meta.as_bytes())).unwrap();
+    }
+}
+
 #[test]
 fn full_database_roundtrip() {
     let dir = temp_dir("roundtrip");
     {
-        let mut db = Database::open_dir(&dir).unwrap();
+        let mut db = open_durable(&dir);
         db.run(
             r#"
             type city = tuple(<(cname, string), (center, point), (pop, int)>);
@@ -52,18 +103,16 @@ fn full_database_roundtrip() {
                 ])
             })
             .collect();
-        db.bulk_insert("cities_rep", cities).unwrap();
+        db.bulk_load("cities_rep", cities).unwrap();
         let states: Vec<Value> = gen::state_grid(6, 6)
             .into_iter()
             .map(|(n, poly)| Value::tuple(vec![Value::Str(n), Value::Pgon(poly)]))
             .collect();
-        db.bulk_insert("states_rep", states).unwrap();
-        let skipped = db.save(&dir).unwrap();
-        assert!(skipped.is_empty());
+        db.bulk_load("states_rep", states).unwrap();
     }
     // Reopen: everything is back.
     {
-        let mut db = Database::open_dir(&dir).unwrap();
+        let mut db = open_durable(&dir);
         assert_eq!(as_count(&db.query("cities_rep feed count").unwrap()), 300);
         assert_eq!(as_count(&db.query("states_rep feed count").unwrap()), 36);
         // Named types survive (used in a lambda annotation).
@@ -95,7 +144,7 @@ fn full_database_roundtrip() {
 fn model_values_and_catalog_rows_roundtrip() {
     let dir = temp_dir("model");
     {
-        let mut db = Database::open_dir(&dir).unwrap();
+        let mut db = open_durable(&dir);
         db.run(
             r#"
             type t = tuple(<(a, int), (b, string)>);
@@ -107,10 +156,9 @@ fn model_values_and_catalog_rows_roundtrip() {
         "#,
         )
         .unwrap();
-        db.save(&dir).unwrap();
     }
     {
-        let mut db = Database::open_dir(&dir).unwrap();
+        let mut db = open_durable(&dir);
         assert_eq!(as_count(&db.query("r count").unwrap()), 2);
         let v = db.query("r select[a = 2]").unwrap();
         let Value::Rel(ts) = v else { panic!() };
@@ -125,62 +173,67 @@ fn model_values_and_catalog_rows_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Run `query`, which must fail on reading an undefined object, and
+/// return the name that object's error carries.
+fn undefined_object(db: &mut Database, query: &str) -> String {
+    match db.query(query) {
+        Err(SystemError::Exec(ExecError::UndefinedObject(name))) => name.to_string(),
+        Err(e) => panic!("`{query}`: wrong error: {e}"),
+        Ok(v) => panic!("`{query}` read an undefined object: {v:?}"),
+    }
+}
+
+/// A view has no stored image, so the snapshot skips it: reading one
+/// that has no value — fresh from `create`, or back from a durable
+/// reopen — is a typed error that reports it by name, and re-running
+/// its defining update restores it.
 #[test]
 fn views_are_reported_as_skipped() {
+    const SCHEMA: &str = r#"
+        type t = tuple(<(a, int)>);
+        create r : rel(t);
+        update r := insert(r, mktuple[(a, 1)]);
+        create v : ( -> rel(t));
+    "#;
+    const DEFINE: &str = "update v := fun () r select[a > 0];";
     let dir = temp_dir("views");
     {
-        let mut db = Database::open_dir(&dir).unwrap();
-        db.run(
-            r#"
-            type t = tuple(<(a, int)>);
-            create r : rel(t);
-            create v : ( -> rel(t));
-            update v := fun () r select[a > 0];
-        "#,
-        )
-        .unwrap();
-        let skipped = db.save(&dir).unwrap();
-        assert_eq!(skipped, vec![sos_core::Symbol::new("v")]);
+        let mut db = open_durable(&dir);
+        db.run(SCHEMA).unwrap();
+        assert_eq!(undefined_object(&mut db, "v count"), "v");
+        let err = db.query("v count").unwrap_err().to_string();
+        assert!(
+            err.contains("object `v` has no value") && err.contains("re-run"),
+            "{err}"
+        );
+        db.run(DEFINE).unwrap();
+        assert_eq!(as_count(&db.query("v count").unwrap()), 1);
     }
     {
-        let mut db = Database::open_dir(&dir).unwrap();
-        // The view's type survives; re-running its defining update
-        // restores it.
-        db.run("update v := fun () r select[a > 0];").unwrap();
-        assert_eq!(as_count(&db.query("v count").unwrap()), 0);
+        let mut db = open_durable(&dir);
+        // The view's type survives the reopen; its value does not.
+        assert_eq!(undefined_object(&mut db, "v count"), "v");
+        db.run(DEFINE).unwrap();
+        assert_eq!(as_count(&db.query("v count").unwrap()), 1);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn save_into_fresh_directory_and_double_save() {
-    let dir = temp_dir("double");
-    let mut db = Database::open_dir(&dir).unwrap();
-    db.run("type t = tuple(<(a, int)>); create r : rel(t);")
-        .unwrap();
-    db.save(&dir).unwrap();
-    db.run("update r := insert(r, mktuple[(a, 5)]);").unwrap();
-    db.save(&dir).unwrap(); // overwrite with newer state
-    let mut db2 = Database::open_dir(&dir).unwrap();
-    assert_eq!(as_count(&db2.query("r count").unwrap()), 1);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
+/// A committed meta record that is not a snapshot fails the open with a
+/// persistence error.
 #[test]
 fn corrupt_snapshots_error_cleanly() {
-    let dir = temp_dir("corrupt");
-    {
-        let mut db = Database::open_dir(&dir).unwrap();
-        db.run("type t = tuple(<(a, int)>); create r : rel(t);")
-            .unwrap();
-        db.save(&dir).unwrap();
-    }
-    std::fs::write(dir.join("snapshot.json"), b"{ not json !").unwrap();
-    let Err(err) = Database::open_dir(&dir) else {
+    let disks = Disks::new();
+    disks
+        .open()
+        .unwrap()
+        .run("type t = tuple(<(a, int)>); create r : rel(t);")
+        .unwrap();
+    disks.commit_meta("{ not json !");
+    let Err(err) = disks.open() else {
         panic!("opening a corrupt snapshot must fail");
     };
     assert!(err.to_string().contains("persistence error"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A hand-written format-1 snapshot (no `format` field) with one B-tree
@@ -197,15 +250,11 @@ fn format_1_snapshot(partitions: &str, image: &str) -> String {
         .replace("IMAGE", image)
 }
 
-/// A saved directory or a WAL whose catalog snapshot holds a partitioned
-/// object is refused with a typed error — never opened with the spec
-/// dropped and the object served wrong.
+/// A WAL whose last catalog snapshot holds a partitioned object is
+/// refused with a typed error — never opened with the spec dropped and
+/// the object served wrong.
 #[test]
 fn partitioned_snapshots_are_refused_with_a_typed_error() {
-    use sos_storage::{DiskManager, MemDisk, Wal};
-    use sos_system::{DurabilityConfig, SystemError};
-    use std::sync::Arc;
-
     let spec_map = format!(r#"{{"items_rep":{HASH_2_SPEC}}}"#);
     let part_image =
         format!(r#"{{"Part":{{"spec":{HASH_2_SPEC},"parts":[{BTREE_IMAGE},{BTREE_IMAGE}]}}}}"#);
@@ -215,32 +264,12 @@ fn partitioned_snapshots_are_refused_with_a_typed_error() {
         ("image only", format_1_snapshot("{}", &part_image)),
     ];
     for (case, snapshot) in &refused {
-        let dir = temp_dir("partitioned");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("snapshot.json"), snapshot).unwrap();
-        match Database::open_dir(&dir) {
+        let disks = Disks::new();
+        disks.commit_meta(snapshot);
+        match disks.open() {
             Err(SystemError::PartitionedObject(name)) => assert_eq!(name.as_str(), "items_rep"),
             Err(e) => panic!("{case}: wrong error: {e}"),
-            Ok(_) => panic!("{case}: a partitioned snapshot opened"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-
-        // The same snapshot as the meta record of a committed WAL
-        // transaction.
-        let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-        let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-        {
-            let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
-            wal.commit(wal.alloc_txid(), Some(snapshot.as_bytes()))
-                .unwrap();
-        }
-        match Database::builder()
-            .durability(DurabilityConfig::disks(data, wal_disk))
-            .try_build()
-        {
-            Err(SystemError::PartitionedObject(name)) => assert_eq!(name.as_str(), "items_rep"),
-            Err(e) => panic!("{case} (WAL): wrong error: {e}"),
-            Ok(_) => panic!("{case} (WAL): a partitioned snapshot recovered"),
+            Ok(_) => panic!("{case}: a partitioned snapshot recovered"),
         }
     }
 }
@@ -274,19 +303,14 @@ fn answers_two_items(db: &mut Database) {
     assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 2);
 }
 
-/// A snapshot saved by this version, rewritten into format 1 (no
-/// `format` field, an empty `partitions` map), opens with the same
-/// contents.
+/// The meta record of a commit by this version, rewritten into format 1
+/// (no `format` field, an empty `partitions` map), recovers with the
+/// same contents.
 #[test]
 fn format_1_snapshots_without_partitions_still_open() {
-    let dir = temp_dir("format1");
-    {
-        let mut db = Database::open_dir(&dir).unwrap();
-        db.run(TWO_ITEMS).unwrap();
-        db.save(&dir).unwrap();
-    }
-    let path = dir.join("snapshot.json");
-    let current = std::fs::read_to_string(&path).unwrap();
+    let disks = Disks::new();
+    disks.open().unwrap().run(TWO_ITEMS).unwrap();
+    let current = disks.last_meta();
     let format_1 = current.replacen(r#""format":2,"#, "", 1).replacen(
         r#""relations":{}"#,
         r#""relations":{},"partitions":{},"stats":{}"#,
@@ -296,71 +320,42 @@ fn format_1_snapshots_without_partitions_still_open() {
         !format_1.contains(r#""format""#) && format_1.contains(r#""partitions":{}"#),
         "unexpected snapshot layout: {current}"
     );
-    std::fs::write(&path, format_1).unwrap();
-    let mut db = Database::open_dir(&dir).unwrap();
-    answers_two_items(&mut db);
-    std::fs::remove_dir_all(&dir).ok();
+    disks.commit_meta(&format_1);
+    answers_two_items(&mut disks.open().unwrap());
 }
 
-/// A saved directory whose catalog still holds a populated `stats` key
-/// opens and answers as before, and the next save drops the key.
+/// A meta record whose catalog still holds a populated `stats` key
+/// recovers and answers as before, and the next snapshot logged (here
+/// by a checkpoint) is the one this version wrote, without the key.
 #[test]
 fn snapshots_with_statistics_open_and_drop_them() {
-    let dir = temp_dir("stats");
+    let disks = Disks::new();
+    disks.open().unwrap().run(TWO_ITEMS).unwrap();
+    let current = disks.last_meta();
+    disks.commit_meta(&with_old_stats(&current));
     {
-        let mut db = Database::open_dir(&dir).unwrap();
-        db.run(TWO_ITEMS).unwrap();
-        db.save(&dir).unwrap();
+        let mut db = disks.open().unwrap();
+        answers_two_items(&mut db);
+        db.checkpoint().unwrap();
     }
-    let path = dir.join("snapshot.json");
-    let current = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, with_old_stats(&current)).unwrap();
-    let mut db = Database::open_dir(&dir).unwrap();
-    answers_two_items(&mut db);
-    db.save(&dir).unwrap();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), current);
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(disks.last_meta(), current);
 }
 
-/// The same for the meta record of the last committed WAL transaction:
-/// recovery installs it, and the next commit logs the catalog without
-/// the key.
+/// The same for a statement committed after recovery: it logs the
+/// catalog without the key, and the next recovery installs that.
 #[test]
 fn wal_meta_records_with_statistics_recover() {
-    use sos_storage::{DiskManager, MemDisk, Wal};
-    use sos_system::DurabilityConfig;
-    use std::sync::Arc;
-
-    let data: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-    let wal_disk: Arc<dyn DiskManager> = Arc::new(MemDisk::new());
-    let open = || {
-        Database::builder()
-            .durability(DurabilityConfig::disks(
-                Arc::clone(&data),
-                Arc::clone(&wal_disk),
-            ))
-            .try_build()
-            .unwrap()
-    };
-    // `save` writes the snapshot a durable commit logs as its meta record.
-    let dir = temp_dir("stats_wal");
+    let disks = Disks::new();
+    disks.open().unwrap().run(TWO_ITEMS).unwrap();
+    let current = disks.last_meta();
+    disks.commit_meta(&with_old_stats(&current));
     {
-        let mut db = open();
-        db.run(TWO_ITEMS).unwrap();
-        db.save(&dir).unwrap();
-    }
-    let current = std::fs::read_to_string(dir.join("snapshot.json")).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    {
-        let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
-        wal.commit(wal.alloc_txid(), Some(with_old_stats(&current).as_bytes()))
+        let mut db = disks.open().unwrap();
+        answers_two_items(&mut db);
+        db.run(r#"update items_rep := insert(items_rep, mktuple[(k, 5), (label, "five")]);"#)
             .unwrap();
     }
-    let mut db = open();
-    answers_two_items(&mut db);
-    db.run(r#"update items_rep := insert(items_rep, mktuple[(k, 5), (label, "five")]);"#)
-        .unwrap();
-    drop(db);
-    let mut db = open();
+    assert!(!disks.last_meta().contains(r#""stats""#));
+    let mut db = disks.open().unwrap();
     assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 3);
 }

@@ -5,8 +5,13 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_shell(input: &str) -> String {
+    run_shell_with(&[], input)
+}
+
+fn run_shell_with(args: &[&str], input: &str) -> String {
     let exe = env!("CARGO_BIN_EXE_sos");
     let mut child = Command::new(exe)
+        .args(args)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -130,4 +135,49 @@ fn shell_describes_operators() {
     let out = run_shell(".ops join\n.quit\n");
     assert!(out.contains("op join :"), "{out}");
     assert!(out.contains("rel1 x rel2"), "{out}");
+}
+
+/// `sos --durable <dir>` is the shell's on-disk form: a second shell on
+/// the same directory answers from the recovered state, and a view comes
+/// back without a value until its defining update is re-run.
+#[test]
+fn shell_durable_directory_survives_a_restart() {
+    let dir = std::env::temp_dir().join(format!("sos_repl_durable_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let path = dir.to_str().unwrap();
+    let first = run_shell_with(
+        &["--durable", path],
+        "type t = tuple(<(a, int)>);\n\
+         create r : btree(t, a, int);\n\
+         update r := insert(r, mktuple[(a, 41)]);\n\
+         update r := insert(r, mktuple[(a, 7)]);\n\
+         create v : ( -> int);\n\
+         update v := fun () r feed count;\n\
+         query v();\n\
+         .quit\n",
+    );
+    assert!(first.contains("updated v"), "{first}");
+    assert_eq!(first.lines().last(), Some("2"), "{first}");
+    let second = run_shell_with(
+        &["--durable", path],
+        "query r feed filter[a > 10] count;\n\
+         query r exactmatch[7] count;\n\
+         query v();\n\
+         update v := fun () r feed count;\n\
+         query v();\n\
+         .quit\n",
+    );
+    // The shell reports what recovery did before it reads a statement.
+    let (recovered, answers) = second.split_once('\n').unwrap();
+    assert!(recovered.starts_with("recovered: "), "{second}");
+    let lines: Vec<&str> = answers.lines().collect();
+    assert_eq!(lines[0], "1", "{second}");
+    assert_eq!(lines[1], "1", "{second}");
+    assert!(
+        lines[2].starts_with("error: object `v` has no value"),
+        "{second}"
+    );
+    assert_eq!(lines[3], "updated v", "{second}");
+    assert_eq!(lines[4], "2", "{second}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -72,7 +72,7 @@ fn deep_pipelines_check_and_run() {
     let tuples: Vec<Value> = (0..500)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("t{}", i % 3))]))
         .collect();
-    db.bulk_insert("s", tuples).unwrap();
+    db.bulk_load("s", tuples).unwrap();
     // 24-stage pipeline.
     let mut q = String::from("s feed");
     for i in 0..24 {

@@ -51,12 +51,12 @@ fn main() {
             ])
         })
         .collect();
-    db.bulk_insert("cities_rep", cities).expect("load cities");
+    db.bulk_load("cities_rep", cities).expect("load cities");
     let states: Vec<Value> = gen::state_grid(grid, 7)
         .into_iter()
         .map(|(name, poly)| Value::tuple(vec![Value::Str(name), Value::Pgon(poly)]))
         .collect();
-    db.bulk_insert("states_rep", states).expect("load states");
+    db.bulk_load("states_rep", states).expect("load states");
     println!("loaded {n_cities} cities and {} states\n", grid * grid);
 
     // 1. What the optimizer does with the model-level join: the full

@@ -58,17 +58,17 @@ fn rep_db_on(pool: Arc<BufferPool>, n: usize) -> Database {
     )
     .unwrap();
     let tuples: Vec<Value> = (0..n).map(item).collect();
-    db.bulk_insert("heap_rep", tuples.clone()).unwrap();
-    db.bulk_insert("items_rep", tuples).unwrap();
-    db.bulk_insert("items", (0..200).map(small).collect())
+    db.bulk_load("heap_rep", tuples.clone()).unwrap();
+    db.bulk_load("items_rep", tuples).unwrap();
+    db.bulk_load("items", (0..200).map(small).collect())
         .unwrap();
     let probes = (0..100).map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]));
-    db.bulk_insert("probes", probes.collect()).unwrap();
+    db.bulk_load("probes", probes.collect()).unwrap();
     let mates: Vec<Value> = (0..60)
         .map(|i| Value::tuple(vec![Value::Int(i * 3), Value::Str(format!("m{i}"))]))
         .collect();
-    db.bulk_insert("mate_rep", mates.clone()).unwrap();
-    db.bulk_insert("mates", mates).unwrap();
+    db.bulk_load("mate_rep", mates.clone()).unwrap();
+    db.bulk_load("mates", mates).unwrap();
     db
 }
 
@@ -515,7 +515,7 @@ proptest! {
             .iter()
             .map(|k| Value::tuple(vec![Value::Int(*k), Value::Str(format!("{k:0150}"))]))
             .collect();
-        db.bulk_insert("h", tuples).unwrap();
+        db.bulk_load("h", tuples).unwrap();
         let queries = [
             format!("h feed filter[k mod {m} = 0] count"),
             "h feed consume".to_string(),
@@ -567,8 +567,8 @@ fn wide_db() -> Database {
     )
     .unwrap();
     let rows: Vec<Value> = (0..1000).map(wide).collect();
-    db.bulk_insert("wheap", rows.clone()).unwrap();
-    db.bulk_insert("wtree", rows).unwrap();
+    db.bulk_load("wheap", rows.clone()).unwrap();
+    db.bulk_load("wtree", rows).unwrap();
     db
 }
 

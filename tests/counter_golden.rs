@@ -89,7 +89,7 @@ fn render(out: &mut String, name: &str, m: &MetricsSnapshot) {
 fn point_layer(out: &mut String) {
     let mut db = Database::builder().build();
     db.run(ITEMS_DDL).unwrap();
-    db.bulk_insert("items_rep", items(500)).unwrap();
+    db.bulk_load("items_rep", items(500)).unwrap();
     layer(
         out,
         "point",
@@ -125,16 +125,16 @@ fn scan_layer(out: &mut String) {
     "#,
     )
     .unwrap();
-    db.bulk_insert("items_rep", items(2000)).unwrap();
-    db.bulk_insert("hitems", hitems(700)).unwrap();
+    db.bulk_load("items_rep", items(2000)).unwrap();
+    db.bulk_load("hitems", hitems(700)).unwrap();
     let emps = (0..300)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Int(i % 20), Value::Int(i * 7)]))
         .collect();
-    db.bulk_insert("emps_rep", emps).unwrap();
+    db.bulk_load("emps_rep", emps).unwrap();
     let depts = (0..20)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("dept{i}"))]))
         .collect();
-    db.bulk_insert("depts_rep", depts).unwrap();
+    db.bulk_load("depts_rep", depts).unwrap();
     layer(
         out,
         "scan",
@@ -190,7 +190,7 @@ fn spatial_db(n: usize) -> Database {
         .into_iter()
         .map(|(name, poly)| Value::tuple(vec![Value::Str(name), Value::Pgon(poly)]))
         .collect();
-    db.bulk_insert("states_rep", states).unwrap();
+    db.bulk_load("states_rep", states).unwrap();
     let cities = gen::uniform_points(n, 12)
         .into_iter()
         .enumerate()
@@ -202,7 +202,7 @@ fn spatial_db(n: usize) -> Database {
             ])
         })
         .collect();
-    db.bulk_insert("cities_rep", cities).unwrap();
+    db.bulk_load("cities_rep", cities).unwrap();
     db
 }
 
@@ -234,7 +234,7 @@ fn wal_layer(out: &mut String) {
         .try_build()
         .unwrap();
     db.run(ITEMS_DDL).unwrap();
-    db.bulk_insert("items_rep", items(200)).unwrap();
+    db.bulk_load("items_rep", items(200)).unwrap();
     let inserts: Vec<String> = (1000..1012)
         .map(|k| {
             format!(
@@ -258,7 +258,7 @@ fn cold_layer(out: &mut String) {
     "#,
     )
     .unwrap();
-    db.bulk_insert("hitems", hitems(1400)).unwrap();
+    db.bulk_load("hitems", hitems(1400)).unwrap();
     layer(
         out,
         "cold",

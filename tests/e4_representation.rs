@@ -37,12 +37,12 @@ fn rep_db(n_cities: usize, grid: usize) -> Database {
         .enumerate()
         .map(|(i, p)| city_tuple(&format!("city{i}"), p, (i as i64 * 7919) % 1_000_000))
         .collect();
-    db.bulk_insert("cities_rep", cities).unwrap();
+    db.bulk_load("cities_rep", cities).unwrap();
     let states: Vec<Value> = gen::state_grid(grid, 43)
         .into_iter()
         .map(|(n, p)| state_tuple(&n, p))
         .collect();
-    db.bulk_insert("states_rep", states).unwrap();
+    db.bulk_load("states_rep", states).unwrap();
     db
 }
 
@@ -64,9 +64,9 @@ fn feed_works_on_every_relrep_subtype() {
     "#,
     )
     .unwrap();
-    db.bulk_insert("tmp_srel", vec![city_tuple("a", Point::new(1.0, 1.0), 5)])
+    db.bulk_load("tmp_srel", vec![city_tuple("a", Point::new(1.0, 1.0), 5)])
         .unwrap();
-    db.bulk_insert("tmp_tid", vec![city_tuple("b", Point::new(2.0, 2.0), 6)])
+    db.bulk_load("tmp_tid", vec![city_tuple("b", Point::new(2.0, 2.0), 6)])
         .unwrap();
     // feed is specified once, on relrep(tuple); subtyping admits all four.
     assert_eq!(count(&db.query("cities_rep feed count").unwrap()), 100);
@@ -124,7 +124,7 @@ fn exactmatch_finds_duplicate_keys() {
     let tuples: Vec<Value> = (0..30)
         .map(|i| Value::tuple(vec![Value::Int(i % 3), Value::Str(format!("v{i}"))]))
         .collect();
-    db.bulk_insert("idx", tuples).unwrap();
+    db.bulk_load("idx", tuples).unwrap();
     assert_eq!(count(&db.query("idx exactmatch[1] count").unwrap()), 10);
     assert_eq!(count(&db.query("idx exactmatch[7] count").unwrap()), 0);
 }
@@ -143,7 +143,7 @@ fn kbtree_indexes_by_key_expression() {
     let cities: Vec<Value> = (0..100)
         .map(|i| city_tuple(&format!("c{i}"), Point::new(0.0, 0.0), i * 500))
         .collect();
-    db.bulk_insert("kidx", cities).unwrap();
+    db.bulk_load("kidx", cities).unwrap();
     // keys are pop div 1000: values 0..=49, two cities per key.
     assert_eq!(count(&db.query("kidx range[10, 19] count").unwrap()), 20);
 }
@@ -234,7 +234,7 @@ fn aggregates_over_streams() {
             ])
         })
         .collect();
-    db.bulk_insert("r", tuples).unwrap();
+    db.bulk_load("r", tuples).unwrap();
     assert_eq!(db.query("r feed sum[k]").unwrap(), Value::Int(55));
     assert_eq!(db.query("r feed min[k]").unwrap(), Value::Int(1));
     assert_eq!(db.query("r feed max[k]").unwrap(), Value::Int(10));
@@ -272,8 +272,8 @@ fn hashjoin_agrees_with_search_join_on_equijoins() {
     let depts: Vec<Value> = (0..10)
         .map(|d| Value::tuple(vec![Value::Int(d), Value::Str(format!("d{d}"))]))
         .collect();
-    db.bulk_insert("emps", emps).unwrap();
-    db.bulk_insert("depts", depts).unwrap();
+    db.bulk_load("emps", emps).unwrap();
+    db.bulk_load("depts", depts).unwrap();
 
     let via_hash = db
         .query("emps feed depts feed hashjoin[dept, dno] count")
@@ -310,4 +310,55 @@ fn hashjoin_agrees_with_search_join_on_equijoins() {
                 ) == 0
             }
     );
+}
+
+/// `bulk_load` keys and encodes every tuple before it writes, so a load
+/// whose third tuple is bad fails and leaves its target as it was — an
+/// empty and a non-empty B-tree, a heap and a model relation alike.
+#[test]
+fn a_failed_bulk_load_leaves_its_target_unchanged() {
+    let mut db = Database::builder().build();
+    db.run(
+        r#"
+        type item = tuple(<(name, string), (k, int)>);
+        create empty_bt : btree(item, k, int);
+        create bt : btree(item, k, int);
+        create heap : tidrel(item);
+        create r : rel(item);
+        update bt := insert(bt, mktuple[(name, "old"), (k, 0)]);
+        update heap := insert(heap, mktuple[(name, "old"), (k, 0)]);
+        update r := insert(r, mktuple[(name, "old"), (k, 0)]);
+    "#,
+    )
+    .unwrap();
+    let item = |k: i64| Value::tuple(vec![Value::Str(format!("i{k}")), Value::Int(k)]);
+    // The B-trees get a tuple without the key field, the heap and the
+    // relation a value that is not a tuple.
+    let keyless = Value::tuple(vec![Value::Str("keyless".into())]);
+    for (object, bad, before) in [
+        ("empty_bt", keyless.clone(), 0),
+        ("bt", keyless, 1),
+        ("heap", Value::Int(3), 1),
+        ("r", Value::Int(3), 1),
+    ] {
+        let tuples = vec![item(1), item(2), bad, item(4)];
+        assert!(db.bulk_load(object, tuples).is_err(), "{object}");
+        let count = if object == "r" {
+            format!("{object} count")
+        } else {
+            format!("{object} feed count")
+        };
+        assert_eq!(
+            db.query(&count).unwrap(),
+            Value::Int(before),
+            "{object} changed"
+        );
+        // The same load without the bad tuple goes through.
+        assert_eq!(
+            db.bulk_load(object, vec![item(1), item(2), item(4)])
+                .unwrap(),
+            3
+        );
+        assert_eq!(db.query(&count).unwrap(), Value::Int(before + 3));
+    }
 }

@@ -35,12 +35,12 @@ fn rep_db(n_cities: usize, grid: usize) -> Database {
         .enumerate()
         .map(|(i, p)| city_tuple(&format!("city{i}"), p, (i as i64 * 37) % 100_000))
         .collect();
-    db.bulk_insert("cities_rep", cities).unwrap();
+    db.bulk_load("cities_rep", cities).unwrap();
     let states: Vec<Value> = gen::state_grid(grid, 8)
         .into_iter()
         .map(|(n, p)| state_tuple(&n, p))
         .collect();
-    db.bulk_insert("states_rep", states).unwrap();
+    db.bulk_load("states_rep", states).unwrap();
     db
 }
 

@@ -45,12 +45,12 @@ fn model_db(n_cities: usize, grid: usize) -> Database {
         .enumerate()
         .map(|(i, p)| city_tuple(&format!("city{i}"), p, (i as i64 * 991) % 100_000))
         .collect();
-    db.bulk_insert("cities_rep", cities).unwrap();
+    db.bulk_load("cities_rep", cities).unwrap();
     let states: Vec<Value> = gen::state_grid(grid, 4)
         .into_iter()
         .map(|(n, p)| state_tuple(&n, p))
         .collect();
-    db.bulk_insert("states_rep", states).unwrap();
+    db.bulk_load("states_rep", states).unwrap();
     db
 }
 
@@ -252,8 +252,8 @@ fn equi_join_rewrites_to_hashjoin() {
     let depts: Vec<Value> = (0..7)
         .map(|d| Value::tuple(vec![Value::Int(d), Value::Str(format!("d{d}"))]))
         .collect();
-    db.bulk_insert("emps_rep", emps).unwrap();
-    db.bulk_insert("depts_rep", depts).unwrap();
+    db.bulk_load("emps_rep", emps).unwrap();
+    db.bulk_load("depts_rep", depts).unwrap();
 
     let plan = db.explain("emps depts join[dept = dno]").unwrap().plan;
     assert!(plan.contains("hashjoin"), "plan: {plan}");
@@ -363,11 +363,11 @@ fn rule_templates_do_not_capture_outer_variables() {
     )
     .unwrap();
     let pair = |x: i64, y: i64| Value::tuple(vec![Value::Int(x), Value::Int(y)]);
-    db.bulk_insert("a_rep", (1..=3).map(|k| pair(k, 0)).collect())
+    db.bulk_load("a_rep", (1..=3).map(|k| pair(k, 0)).collect())
         .unwrap();
-    db.bulk_insert("b_rep", vec![pair(1, 10), pair(2, 20)])
+    db.bulk_load("b_rep", vec![pair(1, 10), pair(2, 20)])
         .unwrap();
-    db.bulk_insert("c_rep", vec![pair(10, 1), pair(20, 2)])
+    db.bulk_load("c_rep", vec![pair(10, 1), pair(20, 2)])
         .unwrap();
     let query = |outer: &str| {
         format!(

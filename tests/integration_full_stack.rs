@@ -47,12 +47,12 @@ fn a_complete_session() {
             ])
         })
         .collect();
-    db.bulk_insert("cities_rep", cities).unwrap();
+    db.bulk_load("cities_rep", cities).unwrap();
     let states: Vec<Value> = gen::state_grid(8, 100)
         .into_iter()
         .map(|(name, poly)| Value::tuple(vec![Value::Str(name), Value::Pgon(poly)]))
         .collect();
-    db.bulk_insert("states_rep", states).unwrap();
+    db.bulk_load("states_rep", states).unwrap();
 
     // 3. Model-level selection: optimized to the B-tree, same result as
     //    a manual scan.
@@ -153,7 +153,7 @@ fn operator_named_like_an_attribute_does_not_shadow_it() {
     "#,
     )
     .unwrap();
-    db.bulk_insert("cities", cities).unwrap();
+    db.bulk_load("cities", cities).unwrap();
     db.load_spec(r##"op pop : int -> int syntax "_ #""##)
         .unwrap();
     db.add_op_impl("pop", |_, _, _| Ok(Value::Int(-1))).unwrap();
@@ -198,7 +198,7 @@ fn user_override_of_a_pure_builtin_runs_through_call_op() {
     let rows = (0..500)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("{i:0100}"))]))
         .collect();
-    db.bulk_insert("items_rep", rows).unwrap();
+    db.bulk_load("items_rep", rows).unwrap();
     let q = "items_rep feed filter[k mod 7 = 0] count";
     db.reset_metrics();
     assert_eq!(db.query(q).unwrap(), Value::Int(72));
@@ -211,7 +211,7 @@ fn user_override_of_a_pure_builtin_runs_through_call_op() {
     let seen = calls.clone();
     db.add_op_impl("mod", move |ctx, _, args| {
         seen.set(seen.get() + 1);
-        let divisor = ctx.object(&sos_core::sym("divisor"), &sos_core::DataType::atom("int"));
+        let divisor = ctx.object(&sos_core::sym("divisor"), &sos_core::DataType::atom("int"))?;
         Ok(Value::Int(args[0].as_int("mod")? % divisor.as_int("mod")?))
     })
     .unwrap();
@@ -240,7 +240,7 @@ fn bbox_superset_property_holds_in_queries() {
         .into_iter()
         .map(|(name, poly)| Value::tuple(vec![Value::Str(name), Value::Pgon(poly)]))
         .collect();
-    db.bulk_insert("states_rep", states).unwrap();
+    db.bulk_load("states_rep", states).unwrap();
     for p in gen::uniform_points(40, 6) {
         let via_index = as_count(
             &db.query(&format!(

@@ -111,12 +111,12 @@ fn clean_corpus_and_builtins_lint_clean() {
     );
 }
 
-/// `strict_lint(true)` rejects registration of specs and rule sets with
-/// error-severity findings, and accepts clean ones; warnings never
-/// reject.
+/// Registration always lints: a default database rejects specs and rule
+/// sets with error-severity findings, and accepts clean ones; warnings
+/// never reject.
 #[test]
-fn strict_lint_gates_registration() {
-    let mut db = Database::builder().strict_lint(true).build();
+fn registration_is_gated_by_lint() {
+    let mut db = Database::builder().build();
 
     let broken_spec =
         std::fs::read_to_string(repo_path("tests/lint_fixtures/l002_unreachable.spec")).unwrap();
@@ -124,7 +124,7 @@ fn strict_lint_gates_registration() {
     match &err {
         SystemError::Lint(diags) => {
             assert!(diags.iter().all(|d| d.code == "L002"), "{diags:?}");
-            assert!(err.to_string().contains("rejected by strict lint"));
+            assert!(err.to_string().contains("rejected by lint:"));
         }
         other => panic!("expected SystemError::Lint, got {other}"),
     }
@@ -142,11 +142,38 @@ fn strict_lint_gates_registration() {
         std::fs::read_to_string(repo_path("tests/lint_fixtures/clean/select_rules.rules")).unwrap();
     db.load_rules("select", &clean_rules).unwrap();
 
-    // A warning-only spec (unused quantifier) is accepted: strict mode
+    // A warning-only spec (unused quantifier) is accepted: registration
     // only rejects on error severity.
-    let mut db2 = Database::builder().strict_lint(true).build();
+    let mut db2 = Database::builder().build();
     db2.load_spec("op bulk : forall r in REL . forall d in DATA . r -> int")
         .unwrap();
+}
+
+/// Every file of the clean corpus registers on a default database, whose
+/// `load_spec` / `load_rules` always lint: nothing clean is rejected.
+#[test]
+fn every_clean_fixture_registers_on_a_default_database() {
+    let mut files: Vec<_> = std::fs::read_dir(repo_path("tests/lint_fixtures/clean"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert!(!files.is_empty());
+    for path in files {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let mut db = Database::builder().build();
+        let registered = match path.extension().and_then(|e| e.to_str()) {
+            Some("spec") => db.load_spec(&src),
+            Some("rules") => {
+                let step = path.file_stem().and_then(|s| s.to_str()).unwrap();
+                db.load_rules(step, &src)
+            }
+            _ => panic!("unexpected fixture {}", path.display()),
+        };
+        if let Err(e) = registered {
+            panic!("{} was rejected: {e}", path.display());
+        }
+    }
 }
 
 /// `Database::lint` checks the signature against the engine's operator
@@ -181,11 +208,12 @@ fn declared_operator_without_implementation_is_l009() {
     assert!(l009(&db).is_empty());
 }
 
-/// The shipped example program runs end to end on a strict-lint
-/// database: the built-in pipeline itself is lint-clean.
+/// The shipped example program runs end to end on a default database,
+/// whose registrations are linted: the built-in pipeline itself is
+/// lint-clean.
 #[test]
-fn cities_program_runs_under_strict_lint() {
-    let mut db = Database::builder().strict_lint(true).build();
+fn cities_program_runs_on_a_linted_database() {
+    let mut db = Database::builder().build();
     assert!(!sos_lint::has_errors(&db.lint()));
     let src = std::fs::read_to_string(repo_path("examples/programs/cities.sos")).unwrap();
     let outputs = db.run(&src).unwrap();

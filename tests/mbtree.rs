@@ -35,7 +35,7 @@ fn db_with_orders() -> Database {
             }
         }
     }
-    db.bulk_insert("orders", tuples).unwrap();
+    db.bulk_load("orders", tuples).unwrap();
     db
 }
 

@@ -33,8 +33,8 @@ fn big_db(n: usize) -> Database {
             ])
         })
         .collect();
-    db.bulk_insert("items_rep", tuples.clone()).unwrap();
-    db.bulk_insert("heap_rep", tuples).unwrap();
+    db.bulk_load("items_rep", tuples.clone()).unwrap();
+    db.bulk_load("heap_rep", tuples).unwrap();
     db
 }
 
@@ -121,7 +121,7 @@ fn search_join_inner_pipelines_per_probe() {
     let probes: Vec<Value> = (0..1000)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]))
         .collect();
-    db.bulk_insert("probes", probes).unwrap();
+    db.bulk_load("probes", probes).unwrap();
     let v = db
         .query(
             "items_rep range[0, 9] \
@@ -147,7 +147,7 @@ fn search_join_head_early_terminates() {
     let probes: Vec<Value> = (0..10_000)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]))
         .collect();
-    db.bulk_insert("probes", probes).unwrap();
+    db.bulk_load("probes", probes).unwrap();
 
     db.reset_metrics();
     let v = db
@@ -184,7 +184,7 @@ fn search_join_under_head_records_its_inner_batches() {
     let probes: Vec<Value> = (0..50)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]))
         .collect();
-    db.bulk_insert("probes", probes).unwrap();
+    db.bulk_load("probes", probes).unwrap();
     let join = "heap_rep feed (fun (t: item) probes exactmatch[t k]) search_join";
     for (q, probes) in [
         (format!("{join} head[4] count"), 4),
@@ -281,7 +281,7 @@ fn first_error_is_identical_at_every_width_and_tier() {
     let tuples: Vec<Value> = (0..3000)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("{:0200}", i))]))
         .collect();
-    db.bulk_insert("heap_rep", tuples).unwrap();
+    db.bulk_load("heap_rep", tuples).unwrap();
     let zero = "division by zero";
     let cases = [
         ("heap_rep feed filter[100 div (k - 1234) > 0] count", zero),
@@ -331,7 +331,7 @@ fn search_join_under_head_pulls_one_outer_page_at_every_width() {
     let probes: Vec<Value> = (0..1003)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("p{i}"))]))
         .collect();
-    db.bulk_insert("probes", probes).unwrap();
+    db.bulk_load("probes", probes).unwrap();
     let reads = |db: &mut Database, q: &str, expect: i64| {
         db.reset_metrics();
         assert_eq!(as_count(&db.query(q).unwrap()), expect, "`{q}`");
@@ -374,7 +374,7 @@ fn impure_in_memory_select_stays_serial_in_the_same_order() {
     let rows: Vec<Value> = (0..300)
         .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("i{i}"))]))
         .collect();
-    db.bulk_insert("items", rows.clone()).unwrap();
+    db.bulk_load("items", rows.clone()).unwrap();
     db.set_optimizer_enabled(false);
     let pure = db.query("items select[k < 150]").unwrap();
     db.reset_metrics();
@@ -406,7 +406,7 @@ fn heap_with_raw_record(pool: &std::sync::Arc<sos_storage::BufferPool>, raw: &[u
     .unwrap();
     db.run(WHOLE_DDL).unwrap();
     let row = |i: i64| Value::tuple(vec![Value::Int(i), Value::Str(format!("{i:0200}"))]);
-    db.bulk_insert("heap_rep", (0..200).map(row).collect())
+    db.bulk_load("heap_rep", (0..200).map(row).collect())
         .unwrap();
     let Some(Value::TidRel(h)) = db.object_value("heap_rep") else {
         panic!("heap_rep is a tidrel");

@@ -2,16 +2,14 @@
 //!
 //! A deliberately type-breaking rule — `select(rel1, pred) =>
 //! count(rel1)`, well-typed but returning `int` where the plan produced
-//! a relation — is (a) rejected at load time under strict lint via
-//! L006, (b) accepted under the default mode but flagged: the rewrite
-//! step is marked in the EXPLAIN trace and counted in
-//! `plan_validation_failures`, and (c) rejected at optimize time under
-//! `Validation::Strict`.
+//! a relation — is (a) rejected at registration on a default database
+//! via L006, and (b) run directly through the optimizer, rejects the
+//! plan with `PlanTypeChanged` naming the rule.
 
 use sos_core::check::Checker;
 use sos_core::{Expr, Symbol};
 use sos_optimizer::synth::{self, Scenario};
-use sos_optimizer::{OptError, OptimizeOpts, Optimizer, Rule, RuleStep, TermPattern, Validation};
+use sos_optimizer::{OptError, Optimizer, Rule, RuleStep, TermPattern};
 use sos_system::{Database, SystemError};
 
 /// `select(rel1, pred) => count(rel1)`: fires on any select over an
@@ -35,8 +33,8 @@ fn type_breaking_rule() -> Rule {
 }
 
 #[test]
-fn strict_lint_rejects_type_breaking_rule_with_l006() {
-    let mut db = Database::builder().strict_lint(true).build();
+fn registration_rejects_type_breaking_rule_with_l006() {
+    let mut db = Database::builder().build();
     let err = db
         .add_rule_step(RuleStep::exhaustive("bad", vec![type_breaking_rule()]))
         .unwrap_err();
@@ -57,38 +55,8 @@ fn strict_lint_rejects_type_breaking_rule_with_l006() {
     }
 }
 
-#[test]
-fn default_mode_counts_and_marks_the_violation() {
-    // Non-strict database: the rule loads, and a select over an object
-    // with no representation links survives the builtin translation
-    // steps so the bad rule is what fires.
-    let mut db = Database::builder().build();
-    db.run("type t = tuple(<(k, int)>); create r : rel(t);")
-        .unwrap();
-    db.add_rule_step(RuleStep::exhaustive("bad", vec![type_breaking_rule()]))
-        .unwrap();
-
-    let report = db.explain("r select[k > 0]").unwrap();
-    let step = report
-        .rewrites
-        .iter()
-        .find(|a| a.rule == "select-to-count")
-        .expect("the bad rule fired");
-    let failure = step
-        .validation_failure
-        .as_deref()
-        .expect("the violating step is marked in the trace");
-    assert!(failure.contains("result type changed"), "{failure}");
-    assert!(
-        report.render(false).contains("!! plan validation:"),
-        "rendered EXPLAIN flags the step:\n{}",
-        report.render(false)
-    );
-    assert!(db.metrics().optimizer.plan_validation_failures > 0);
-    let shown = db.metrics().to_string();
-    assert!(shown.contains("plan validation failure"), "{shown}");
-}
-
+/// Validation is always strict: run directly through the optimizer,
+/// traced or not, the rule's rewrite rejects the plan.
 #[test]
 fn strict_validation_rejects_the_plan_at_optimize_time() {
     let sig = sos_system::builtin::builtin_signature();
@@ -100,42 +68,36 @@ fn strict_validation_rejects_the_plan_at_optimize_time() {
         .expect("the scenario yields a select witness");
     let opt = Optimizer::new(vec![RuleStep::exhaustive("bad", vec![rule])]);
     let checker = Checker::new(&sig, &scenario.catalog);
-    let opts = |validation| OptimizeOpts {
-        validation,
-        ..OptimizeOpts::default()
-    };
-
-    // Count mode: the rewrite goes through, the failure is counted.
-    let (_, stats, _) = opt
-        .optimize(
-            &witness,
-            &checker,
-            &scenario.catalog,
-            &opts(Validation::Count),
-        )
-        .unwrap();
-    assert_eq!(stats.plan_validation_failures, 1);
-
-    // Strict mode: the plan is rejected with the offending rule named.
-    let err = opt
-        .optimize(
-            &witness,
-            &checker,
-            &scenario.catalog,
-            &opts(Validation::Strict),
-        )
-        .unwrap_err();
-    match &err {
-        OptError::PlanTypeChanged {
-            rule,
-            before,
-            after,
-        } => {
-            assert_eq!(rule, "select-to-count");
-            assert!(before.starts_with("rel("), "{before}");
-            assert_eq!(after, "int");
+    for traced in [false, true] {
+        let err = opt
+            .optimize(&witness, &checker, &scenario.catalog, traced)
+            .unwrap_err();
+        match &err {
+            OptError::PlanTypeChanged {
+                rule,
+                before,
+                after,
+            } => {
+                assert_eq!(rule, "select-to-count");
+                assert!(before.starts_with("rel("), "{before}");
+                assert_eq!(after, "int");
+            }
+            other => panic!("expected PlanTypeChanged, got {other}"),
         }
-        other => panic!("expected PlanTypeChanged, got {other}"),
+        assert!(err.to_string().contains("changed the plan's result type"));
     }
-    assert!(err.to_string().contains("strict plan validation"));
+
+    // The rule verifier reports the same rewrite as a type change, with
+    // the detail the L006 finding quotes.
+    let verdict = synth::verify_rule(&sig, &scenario, "bad", &type_breaking_rule());
+    match verdict {
+        synth::Verdict::TypeChanged { detail, .. } => {
+            assert!(
+                detail.starts_with("result type changed from rel("),
+                "{detail}"
+            );
+            assert!(detail.ends_with(" to int"), "{detail}");
+        }
+        other => panic!("expected TypeChanged, got {other:?}"),
+    }
 }

@@ -235,9 +235,9 @@ fn build_db(rows: &[Row]) -> Database {
     )
     .unwrap();
     let tuples: Vec<Value> = rows.iter().copied().map(tuple).collect();
-    db.bulk_insert("heap", tuples.clone()).unwrap();
-    db.bulk_insert("bitems_rep", tuples.clone()).unwrap();
-    db.bulk_insert("items", tuples).unwrap();
+    db.bulk_load("heap", tuples.clone()).unwrap();
+    db.bulk_load("bitems_rep", tuples.clone()).unwrap();
+    db.bulk_load("items", tuples).unwrap();
     db
 }
 

@@ -27,7 +27,7 @@ fn load(db: &mut Database, keys: &[i64]) {
         .enumerate()
         .map(|(i, k)| Value::tuple(vec![Value::Int(*k), Value::Str(format!("t{i}"))]))
         .collect();
-    db.bulk_insert("items_rep", tuples).unwrap();
+    db.bulk_load("items_rep", tuples).unwrap();
 }
 
 fn as_count(v: &Value) -> i64 {

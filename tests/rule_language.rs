@@ -4,7 +4,7 @@
 //! tests compare against are text plans by construction.
 
 use sos_exec::Value;
-use sos_optimizer::{parse_rules, OptimizeOpts, Optimizer, RuleStep};
+use sos_optimizer::{parse_rules, Optimizer, RuleStep};
 use sos_system::Database;
 
 fn as_count(v: &Value) -> i64 {
@@ -32,7 +32,7 @@ fn text_rule_db() -> Database {
     "#,
     )
     .unwrap();
-    db.bulk_insert(
+    db.bulk_load(
         "items_rep",
         (0..100)
             .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("l{i}"))]))
@@ -103,7 +103,7 @@ fn db2_plan(
     let raw = sos_parser::parse_expr_str("items select[k = 7]", db.signature()).unwrap();
     let checked = checker.check_expr(&raw).unwrap();
     let (optimized, stats, _) = optimizer
-        .optimize(&checked, checker, db.catalog(), &OptimizeOpts::default())
+        .optimize(&checked, checker, db.catalog(), false)
         .unwrap();
     assert_eq!(optimized.to_string(), builtin_plan);
     assert_eq!(stats.rewrites, 1);
@@ -152,7 +152,7 @@ fn textual_funvar_rule_matches_spatial_join() {
             .unwrap();
     let checked = checker.check_expr(&raw).unwrap();
     let (optimized, _, _) = optimizer
-        .optimize(&checked, &checker, db.catalog(), &OptimizeOpts::default())
+        .optimize(&checked, &checker, db.catalog(), false)
         .unwrap();
     assert_eq!(optimized.to_string(), reference);
 }
