@@ -34,6 +34,31 @@ use std::sync::Arc;
 /// schema information and the already-evaluated argument values.
 pub type OpImpl = Box<dyn Fn(&mut EvalCtx, &TypedExpr, Vec<Value>) -> ExecResult<Value>>;
 
+/// What an object's catalog type makes of its value
+/// ([`ExecEngine::layout`]).
+pub enum Layout {
+    /// A catalog relation (`catalog(...)`): its value is its name token.
+    Catalog,
+    /// A model relation: starts empty.
+    Rel,
+    /// A heap file addressed by scan only.
+    SRel,
+    /// A heap file addressed by tuple id.
+    TidRel,
+    /// A `btree`, `mbtree` or `kbtree` with its key derivation.
+    BTree {
+        tuple_type: DataType,
+        key: KeyExtractor,
+    },
+    /// An `lsdtree` with its compiled rectangle function.
+    LsdTree {
+        tuple_type: DataType,
+        keyfun: Rc<Closure>,
+    },
+    /// Any other type: a plain value, undefined until the first update.
+    Value,
+}
+
 /// The execution engine: operator implementations over a buffer pool.
 pub struct ExecEngine {
     pub pool: Arc<BufferPool>,
@@ -107,89 +132,95 @@ impl ExecEngine {
         self.batch
     }
 
-    /// Create the initial value for a freshly created object of `ty`
-    /// (the `create` statement): representation structures are
-    /// materialized immediately; model relations start empty; everything
-    /// else starts `Undefined` until the first update.
-    pub fn init_value(
+    /// Derive what an object's catalog type makes of its value: which
+    /// structure it is, with the tuple type and the key attribute,
+    /// attribute list or compiled key function a structure needs. The
+    /// one place a type is read for this: `create` allocates from it
+    /// ([`ExecEngine::init_value`]) and a reopen attaches to it
+    /// ([`crate::stored::from_stored`]). Allocates nothing.
+    pub fn layout(
         &self,
         sig: &Signature,
         env: &dyn sos_core::check::ObjectEnv,
         ty: &DataType,
-    ) -> ExecResult<Value> {
+    ) -> ExecResult<Layout> {
         let DataType::Cons(name, args) = ty else {
-            return Ok(Value::Undefined);
+            return Ok(Layout::Value);
         };
-        match name.as_str() {
-            "rel" => Ok(Value::Rel(Vec::new())),
-            "srel" => Ok(Value::SRel(Rc::new(HeapFile::create(self.pool.clone())?))),
-            "tidrel" => Ok(Value::TidRel(Rc::new(HeapFile::create(self.pool.clone())?))),
-            "btree" => {
-                let (tuple_type, attr) = match args.as_slice() {
-                    [TypeArg::Type(t), TypeArg::Expr(sos_core::Expr::Const(sos_core::Const::Ident(a))), _] => {
-                        (t.clone(), a.clone())
-                    }
-                    _ => return Err(ExecError::Other(format!("malformed btree type {ty}"))),
-                };
-                let idx = attr_index(&tuple_type, &attr).ok_or_else(|| {
+        let attr = |tuple_type: &DataType, a: &TypeArg| match a {
+            TypeArg::Expr(sos_core::Expr::Const(sos_core::Const::Ident(attr))) => {
+                attr_index(tuple_type, attr).ok_or_else(|| {
                     ExecError::Other(format!("attribute `{attr}` not in {tuple_type}"))
-                })?;
-                Ok(Value::BTree(Rc::new(BTreeHandle {
-                    tree: BTree::create(self.pool.clone())?,
-                    tuple_type,
-                    key: KeyExtractor::Attr(idx),
-                })))
+                })
             }
-            "mbtree" => {
-                let (tuple_type, attr_args) = match args.as_slice() {
-                    [TypeArg::Type(t), TypeArg::List(items)] => (t.clone(), items.clone()),
-                    _ => return Err(ExecError::Other(format!("malformed mbtree type {ty}"))),
-                };
-                let mut idxs = Vec::with_capacity(attr_args.len());
-                for a in &attr_args {
-                    let TypeArg::Expr(sos_core::Expr::Const(sos_core::Const::Ident(name))) = a
-                    else {
-                        return Err(ExecError::Other(format!(
-                            "mbtree attribute list must hold attribute names, got {a}"
-                        )));
-                    };
-                    let idx = attr_index(&tuple_type, name).ok_or_else(|| {
-                        ExecError::Other(format!("attribute `{name}` not in {tuple_type}"))
-                    })?;
-                    idxs.push(idx);
-                }
-                Ok(Value::BTree(Rc::new(BTreeHandle {
-                    tree: BTree::create(self.pool.clone())?,
-                    tuple_type,
-                    key: KeyExtractor::Attrs(idxs),
-                })))
+            other => Err(ExecError::Other(format!(
+                "{name} key attributes must be attribute names, got {other}"
+            ))),
+        };
+        Ok(match (name.as_str(), args.as_slice()) {
+            ("catalog", _) => Layout::Catalog,
+            ("rel", _) => Layout::Rel,
+            ("srel", _) => Layout::SRel,
+            ("tidrel", _) => Layout::TidRel,
+            ("btree", [TypeArg::Type(t), a, _]) => Layout::BTree {
+                key: KeyExtractor::Attr(attr(t, a)?),
+                tuple_type: t.clone(),
+            },
+            ("mbtree", [TypeArg::Type(t), TypeArg::List(items)]) => Layout::BTree {
+                key: KeyExtractor::Attrs(
+                    items
+                        .iter()
+                        .map(|a| attr(t, a))
+                        .collect::<ExecResult<_>>()?,
+                ),
+                tuple_type: t.clone(),
+            },
+            ("kbtree", [TypeArg::Type(t), TypeArg::Expr(e)]) => Layout::BTree {
+                key: KeyExtractor::Fun(self.compile_keyfun(sig, env, e, t)?),
+                tuple_type: t.clone(),
+            },
+            ("lsdtree", [TypeArg::Type(t), TypeArg::Expr(e)]) => Layout::LsdTree {
+                keyfun: self.compile_keyfun(sig, env, e, t)?,
+                tuple_type: t.clone(),
+            },
+            ("btree" | "mbtree" | "kbtree" | "lsdtree", _) => {
+                return Err(ExecError::Other(format!("malformed {name} type {ty}")))
             }
-            "kbtree" => {
-                let (tuple_type, keyfun) = match args.as_slice() {
-                    [TypeArg::Type(t), TypeArg::Expr(e)] => (t.clone(), e.clone()),
-                    _ => return Err(ExecError::Other(format!("malformed kbtree type {ty}"))),
-                };
-                let keyfun = self.compile_keyfun(sig, env, &keyfun, &tuple_type)?;
-                Ok(Value::BTree(Rc::new(BTreeHandle {
-                    tree: BTree::create(self.pool.clone())?,
-                    tuple_type,
-                    key: KeyExtractor::Fun(keyfun),
-                })))
-            }
-            "lsdtree" => {
-                let (tuple_type, keyfun) = match args.as_slice() {
-                    [TypeArg::Type(t), TypeArg::Expr(e)] => (t.clone(), e.clone()),
-                    _ => return Err(ExecError::Other(format!("malformed lsdtree type {ty}"))),
-                };
-                let keyfun = self.compile_keyfun(sig, env, &keyfun, &tuple_type)?;
-                Ok(Value::LsdTree(Rc::new(LsdHandle {
-                    tree: LsdTree::create(self.pool.clone())?,
-                    tuple_type,
-                    keyfun,
-                })))
-            }
-            _ => Ok(Value::Undefined),
-        }
+            _ => Layout::Value,
+        })
+    }
+
+    /// Create the initial value for a freshly created object `name` of
+    /// `ty` (the `create` statement), allocating from its
+    /// [`Layout`]: representation structures are materialized
+    /// immediately, model relations start empty, a catalog object's
+    /// value is its name token, and everything else starts `Undefined`
+    /// until the first update.
+    pub fn init_value(
+        &self,
+        sig: &Signature,
+        env: &dyn sos_core::check::ObjectEnv,
+        name: &Symbol,
+        ty: &DataType,
+    ) -> ExecResult<Value> {
+        let pool = || self.pool.clone();
+        Ok(match self.layout(sig, env, ty)? {
+            Layout::Catalog => Value::Ident(name.clone()),
+            Layout::Rel => Value::Rel(Vec::new()),
+            Layout::SRel => Value::SRel(Rc::new(HeapFile::create(pool())?)),
+            Layout::TidRel => Value::TidRel(Rc::new(HeapFile::create(pool())?)),
+            Layout::BTree { tuple_type, key } => Value::BTree(Rc::new(BTreeHandle {
+                tree: BTree::create(pool())?,
+                tuple_type,
+                key,
+            })),
+            Layout::LsdTree { tuple_type, keyfun } => Value::LsdTree(Rc::new(LsdHandle {
+                tree: LsdTree::create(pool())?,
+                tuple_type,
+                keyfun,
+            })),
+            Layout::Value => Value::Undefined,
+        })
     }
 
     /// Check and compile a key function expression embedded in a type

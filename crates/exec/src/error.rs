@@ -13,6 +13,14 @@ pub enum ExecError {
     UndefinedObject(Symbol),
     /// No implementation registered for an operator.
     NoImpl(Symbol),
+    /// A stored object image that does not fit the object's declared
+    /// type (a B-tree image for an `srel` object, say); the image is
+    /// not installed.
+    ImageMismatch {
+        object: Symbol,
+        image: &'static str,
+        object_type: String,
+    },
     /// A value of an unexpected shape reached an operator.
     TypeMismatch {
         op: String,
@@ -40,6 +48,14 @@ impl std::fmt::Display for ExecError {
                  is not kept across a reopen, so a view's defining update must be re-run)"
             ),
             ExecError::NoImpl(n) => write!(f, "no implementation for operator `{n}`"),
+            ExecError::ImageMismatch {
+                object,
+                image,
+                object_type,
+            } => write!(
+                f,
+                "stored image of `{object}` is a {image} image, which does not fit its type {object_type}"
+            ),
             ExecError::TypeMismatch {
                 op,
                 expected,

@@ -12,6 +12,7 @@ use std::rc::Rc;
 /// How a B-tree derives its key from a tuple: a plain attribute
 /// (`btree(city, pop, int)`) or a key expression
 /// (`kbtree(city, fun (c: city) c pop div 1000)`).
+#[derive(Clone)]
 pub enum KeyExtractor {
     /// Attribute index within the tuple.
     Attr(usize),

@@ -18,15 +18,13 @@ pub mod ops;
 pub mod stats;
 pub mod stored;
 pub mod stream;
-pub mod txn;
 
 #[cfg(test)]
 mod testing;
 
 pub use compile::CompiledFun;
-pub use engine::{EvalCtx, ExecEngine};
+pub use engine::{EvalCtx, ExecEngine, Layout};
 pub use error::{ExecError, ExecResult};
 pub use handles::{encode_key, BTreeHandle, KeyExtractor, LsdHandle};
 pub use stats::{CompileStats, ExecStats, OpStats};
-pub use txn::StatementTx;
 pub use value::{compare, render, Closure, Row, Value};

@@ -9,9 +9,10 @@
 //!
 //! Durability: these operators never touch the disk or the log
 //! themselves. They dirty pages through the shared buffer pool, and the
-//! statement processor brackets each update statement in a
-//! [`crate::txn::StatementTx`] — over a WAL-backed pool the dirtied
-//! pages are logged and committed (or rolled back) as one atomic unit.
+//! statement processor (the statement bracket in `sos-system`) runs each
+//! update statement in one pool transaction — over a WAL-backed pool the
+//! dirtied pages are logged and committed (or rolled back) as one
+//! atomic unit.
 
 use crate::engine::{EvalCtx, ExecEngine};
 use crate::error::{mismatch, ExecError, ExecResult};

@@ -1,19 +1,26 @@
 //! Persistent images of runtime values: the object half of the catalog
 //! snapshot a durable commit logs as its WAL meta record.
 //! Representation handles persist as their storage metadata (page
-//! lists, roots, directory snapshots); model values persist as encoded
+//! lists, roots, LSD-tree directories); model values persist as encoded
 //! records. Function values (views) cannot be persisted — after a
 //! reopen they read as undefined until their defining update is re-run.
+//!
+//! An object is built one way per origin, both from the [`Layout`] its
+//! catalog type derives: `create` allocates
+//! ([`ExecEngine::init_value`]), and a reopen — or a failed statement
+//! putting a structure back — attaches to existing pages
+//! ([`from_stored`]). The statement bracket that takes and restores
+//! these images lives in `sos-system`.
 
-use crate::engine::ExecEngine;
+use crate::engine::{ExecEngine, Layout};
 use crate::error::{ExecError, ExecResult};
-use crate::handles::{BTreeHandle, KeyExtractor, LsdHandle};
+use crate::handles::{BTreeHandle, LsdHandle};
 use crate::value::Value;
 use sos_core::check::ObjectEnv;
-use sos_core::{DataType, Signature};
+use sos_core::{DataType, Signature, Symbol};
 use sos_storage::btree::BTree;
 use sos_storage::heap::HeapFile;
-use sos_storage::lsdtree::{LsdSnapshot, LsdTree};
+use sos_storage::lsdtree::{LsdInner, LsdTree};
 use sos_storage::PageId;
 use std::rc::Rc;
 
@@ -34,15 +41,51 @@ pub enum StoredValue {
         root: PageId,
         len: usize,
     },
-    LsdTree(LsdSnapshot),
+    LsdTree(LsdInner),
     /// A catalog object's name token.
     CatalogToken(String),
     Undefined,
 }
 
+impl StoredValue {
+    /// The image's variant name, for errors.
+    fn kind(&self) -> &'static str {
+        match self {
+            StoredValue::Record { .. } => "Record",
+            StoredValue::Rel(_) => "Rel",
+            StoredValue::SRel(_) => "SRel",
+            StoredValue::TidRel(_) => "TidRel",
+            StoredValue::BTree { .. } => "BTree",
+            StoredValue::LsdTree(_) => "LsdTree",
+            StoredValue::CatalogToken(_) => "CatalogToken",
+            StoredValue::Undefined => "Undefined",
+        }
+    }
+}
+
+/// The image of a storage structure (heap file, B-tree, LSD-tree): the
+/// in-memory half of its state — page list, root and length, or
+/// directory — that a statement changes besides its pages. `None` for
+/// any other value.
+pub fn structure_image(v: &Value) -> Option<StoredValue> {
+    Some(match v {
+        Value::SRel(h) => StoredValue::SRel(h.pages()),
+        Value::TidRel(h) => StoredValue::TidRel(h.pages()),
+        Value::BTree(h) => StoredValue::BTree {
+            root: h.tree.root(),
+            len: h.tree.len(),
+        },
+        Value::LsdTree(h) => StoredValue::LsdTree(h.tree.snapshot()),
+        _ => return None,
+    })
+}
+
 /// Convert a runtime value into its persistent image. Returns `None` for
 /// values that cannot be persisted (function values / views).
 pub fn to_stored(v: &Value) -> ExecResult<Option<StoredValue>> {
+    if let Some(image) = structure_image(v) {
+        return Ok(Some(image));
+    }
     Ok(Some(match v {
         Value::Closure(_) => return Ok(None),
         Value::Cursor(_) => {
@@ -61,13 +104,6 @@ pub fn to_stored(v: &Value) -> ExecResult<Option<StoredValue>> {
                 .map(|t| t.encode_tuple("save"))
                 .collect::<ExecResult<_>>()?,
         ),
-        Value::SRel(h) => StoredValue::SRel(h.pages()),
-        Value::TidRel(h) => StoredValue::TidRel(h.pages()),
-        Value::BTree(h) => StoredValue::BTree {
-            root: h.tree.root(),
-            len: h.tree.len(),
-        },
-        Value::LsdTree(h) => StoredValue::LsdTree(h.tree.snapshot()),
         // Atomic data values: one-field record.
         atomic => StoredValue::Record {
             bytes: Value::tuple(vec![atomic.clone()]).encode_tuple("save")?,
@@ -76,77 +112,68 @@ pub fn to_stored(v: &Value) -> ExecResult<Option<StoredValue>> {
     }))
 }
 
-/// Re-attach a persistent image over the engine's pool, using the
-/// object's declared type to rebuild key extractors (the same logic as
-/// `ExecEngine::init_value`).
+/// Attach object `name`'s persistent image to the [`Layout`] its
+/// declared type `ty` derives ([`ExecEngine::layout`]): a structure
+/// re-attaches to the pages already on — or recovered to — the engine's
+/// pool and allocates none. An image that does not fit the layout (a
+/// B-tree image for an `srel` object, say) is refused with
+/// [`ExecError::ImageMismatch`].
 pub fn from_stored(
     engine: &ExecEngine,
     sig: &Signature,
     env: &dyn ObjectEnv,
+    name: &Symbol,
     ty: &DataType,
     stored: StoredValue,
 ) -> ExecResult<Value> {
-    match stored {
-        StoredValue::Undefined => Ok(Value::Undefined),
-        StoredValue::CatalogToken(n) => Ok(Value::Ident(sos_core::Symbol::new(&n))),
-        StoredValue::Record { bytes, tuple } => {
-            let decoded = Value::decode_tuple(&bytes)?;
-            if tuple {
-                Ok(decoded)
-            } else {
-                let mut fields = decoded.into_tuple("load")?;
-                if fields.len() == 1 {
-                    Ok(fields.pop().expect("one field"))
-                } else {
-                    Err(ExecError::Other("malformed atomic record".into()))
-                }
-            }
+    let pool = || engine.pool.clone();
+    Ok(match (engine.layout(sig, env, ty)?, stored) {
+        (Layout::Catalog, StoredValue::CatalogToken(_)) => Value::Ident(name.clone()),
+        (Layout::SRel, StoredValue::SRel(pages)) => {
+            Value::SRel(Rc::new(HeapFile::from_pages(pool(), pages)))
         }
-        StoredValue::Rel(rows) => Ok(Value::Rel(
+        (Layout::TidRel, StoredValue::TidRel(pages)) => {
+            Value::TidRel(Rc::new(HeapFile::from_pages(pool(), pages)))
+        }
+        (Layout::BTree { tuple_type, key }, StoredValue::BTree { root, len }) => {
+            Value::BTree(Rc::new(BTreeHandle {
+                tree: BTree::from_root(pool(), root, len),
+                tuple_type,
+                key,
+            }))
+        }
+        (Layout::LsdTree { tuple_type, keyfun }, StoredValue::LsdTree(directory)) => {
+            Value::LsdTree(Rc::new(LsdHandle {
+                tree: LsdTree::from_directory(pool(), directory),
+                tuple_type,
+                keyfun,
+            }))
+        }
+        (Layout::Rel | Layout::Value, StoredValue::Undefined) => Value::Undefined,
+        (Layout::Rel | Layout::Value, StoredValue::Rel(rows)) => Value::Rel(
             rows.iter()
                 .map(|r| Value::decode_tuple(r))
                 .collect::<ExecResult<_>>()?,
-        )),
-        StoredValue::SRel(pages) => Ok(Value::SRel(Rc::new(HeapFile::from_pages(
-            engine.pool.clone(),
-            pages,
-        )))),
-        StoredValue::TidRel(pages) => Ok(Value::TidRel(Rc::new(HeapFile::from_pages(
-            engine.pool.clone(),
-            pages,
-        )))),
-        StoredValue::BTree { root, len } => {
-            // Rebuild the key extractor from the declared type by
-            // initializing a throwaway handle, then swap in the real tree.
-            let template = engine.init_value(sig, env, ty)?;
-            let Value::BTree(th) = template else {
-                return Err(ExecError::Other(format!(
-                    "stored B-tree but type {ty} is not a B-tree constructor"
-                )));
-            };
-            let key = match &th.key {
-                KeyExtractor::Attr(i) => KeyExtractor::Attr(*i),
-                KeyExtractor::Attrs(is) => KeyExtractor::Attrs(is.clone()),
-                KeyExtractor::Fun(f) => KeyExtractor::Fun(f.clone()),
-            };
-            Ok(Value::BTree(Rc::new(BTreeHandle {
-                tree: BTree::from_root(engine.pool.clone(), root, len),
-                tuple_type: th.tuple_type.clone(),
-                key,
-            })))
+        ),
+        (Layout::Value, StoredValue::CatalogToken(n)) => Value::Ident(Symbol::new(&n)),
+        (Layout::Value, StoredValue::Record { bytes, tuple }) => {
+            let decoded = Value::decode_tuple(&bytes)?;
+            if tuple {
+                decoded
+            } else {
+                let mut fields = decoded.into_tuple("load")?;
+                if fields.len() != 1 {
+                    return Err(ExecError::Other("malformed atomic record".into()));
+                }
+                fields.pop().expect("one field")
+            }
         }
-        StoredValue::LsdTree(snap) => {
-            let template = engine.init_value(sig, env, ty)?;
-            let Value::LsdTree(th) = template else {
-                return Err(ExecError::Other(format!(
-                    "stored LSD-tree but type {ty} is not an lsdtree constructor"
-                )));
-            };
-            Ok(Value::LsdTree(Rc::new(LsdHandle {
-                tree: LsdTree::from_snapshot(engine.pool.clone(), snap),
-                tuple_type: th.tuple_type.clone(),
-                keyfun: th.keyfun.clone(),
-            })))
+        (_, image) => {
+            return Err(ExecError::ImageMismatch {
+                object: name.clone(),
+                image: image.kind(),
+                object_type: ty.to_string(),
+            })
         }
-    }
+    })
 }

@@ -188,13 +188,13 @@ fn init_value_builds_representation_structures() {
     let city = city_ty();
     // rel -> empty model relation
     let v = e
-        .init_value(&sig, &env, &DataType::rel(city.clone()))
+        .init_value(&sig, &env, &sym("o"), &DataType::rel(city.clone()))
         .unwrap();
     assert_eq!(v, Value::Rel(vec![]));
     // tidrel -> heap handle
     let tid_ty = DataType::Cons(sym("tidrel"), vec![sos_core::TypeArg::Type(city.clone())]);
     assert!(matches!(
-        e.init_value(&sig, &env, &tid_ty).unwrap(),
+        e.init_value(&sig, &env, &sym("o"), &tid_ty).unwrap(),
         Value::TidRel(_)
     ));
     // btree -> handle with the right key attribute
@@ -206,7 +206,7 @@ fn init_value_builds_representation_structures() {
             sos_core::TypeArg::Type(DataType::atom("int")),
         ],
     );
-    let v = e.init_value(&sig, &env, &btree_ty).unwrap();
+    let v = e.init_value(&sig, &env, &sym("o"), &btree_ty).unwrap();
     let Value::BTree(h) = v else { panic!() };
     assert!(matches!(h.key, sos_exec::KeyExtractor::Attr(1)));
     // btree over a bogus attribute errors
@@ -218,7 +218,7 @@ fn init_value_builds_representation_structures() {
             sos_core::TypeArg::Type(DataType::atom("int")),
         ],
     );
-    assert!(e.init_value(&sig, &env, &bad).is_err());
+    assert!(e.init_value(&sig, &env, &sym("o"), &bad).is_err());
 }
 
 #[test]

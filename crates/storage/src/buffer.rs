@@ -455,6 +455,20 @@ mod tests {
     }
 
     #[test]
+    fn transactions_without_a_wal_are_no_ops() {
+        // The statement bracket begins and aborts unconditionally; in
+        // memory that must neither fail nor roll a write back.
+        let p = pool(4);
+        assert_eq!(p.begin_tx().unwrap(), 0);
+        let (pid, g) = p.allocate().unwrap();
+        g.write()[0] = 3;
+        drop(g);
+        p.abort_tx().unwrap();
+        p.commit_tx(None).unwrap();
+        assert_eq!(p.fetch(pid).unwrap().read()[0], 3);
+    }
+
+    #[test]
     fn fetch_hit_does_not_touch_disk() {
         let p = pool(4);
         let (pid, g) = p.allocate().unwrap();

@@ -9,6 +9,9 @@ pub enum StorageError {
     PageOutOfBounds(PageId),
     /// A record too large to ever fit on a page.
     RecordTooLarge { size: usize, max: usize },
+    /// A write-ahead log record over the log's record limit (refused
+    /// before anything is appended).
+    LogRecordTooLarge { size: u64, max: u64 },
     /// A tuple id whose slot does not hold a live record.
     InvalidTupleId { page: PageId, slot: u16 },
     /// The buffer pool has no evictable frame (everything pinned).
@@ -28,6 +31,10 @@ impl std::fmt::Display for StorageError {
             StorageError::RecordTooLarge { size, max } => {
                 write!(f, "record of {size} bytes exceeds page capacity {max}")
             }
+            StorageError::LogRecordTooLarge { size, max } => write!(
+                f,
+                "log record of {size} bytes exceeds the write-ahead log's record limit of {max} bytes"
+            ),
             StorageError::InvalidTupleId { page, slot } => {
                 write!(f, "invalid tuple id ({page}, {slot})")
             }

@@ -33,6 +33,7 @@ pub const MAX_PAYLOAD: usize = PAGE_SIZE / 4;
 const DIM_X: u8 = 0;
 const DIM_Y: u8 = 1;
 
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 enum DirNode {
     Inner {
         dim: u8,
@@ -48,7 +49,12 @@ enum DirNode {
     },
 }
 
-struct LsdInner {
+/// The in-memory directory of an LSD-tree: its split tree, entry count
+/// and node count. It is also the tree's persistent image
+/// ([`LsdTree::snapshot`]); its serialized field and variant names are
+/// part of the durable meta record format.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct LsdInner {
     root: DirNode,
     len: usize,
     directory_nodes: usize,
@@ -702,95 +708,20 @@ mod tests {
 
 // ---- persistence ----
 
-/// A serializable image of the in-memory directory (the buckets live on
-/// disk pages already). `LsdTree::snapshot` + [`LsdTree::from_snapshot`]
-/// give LSD-trees the same reopen story as heap files and B-trees.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LsdSnapshot {
-    root: SnapNode,
-    len: usize,
-    directory_nodes: usize,
-}
-
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-enum SnapNode {
-    Inner {
-        dim: u8,
-        pos: f64,
-        cover: Option<Rect>,
-        left: Box<SnapNode>,
-        right: Box<SnapNode>,
-    },
-    Leaf {
-        page: PageId,
-        cover: Option<Rect>,
-        count: usize,
-    },
-}
-
-fn to_snap(node: &DirNode) -> SnapNode {
-    match node {
-        DirNode::Inner {
-            dim,
-            pos,
-            cover,
-            left,
-            right,
-        } => SnapNode::Inner {
-            dim: *dim,
-            pos: *pos,
-            cover: *cover,
-            left: Box::new(to_snap(left)),
-            right: Box::new(to_snap(right)),
-        },
-        DirNode::Leaf { page, cover, count } => SnapNode::Leaf {
-            page: *page,
-            cover: *cover,
-            count: *count,
-        },
-    }
-}
-
-fn from_snap(node: SnapNode) -> DirNode {
-    match node {
-        SnapNode::Inner {
-            dim,
-            pos,
-            cover,
-            left,
-            right,
-        } => DirNode::Inner {
-            dim,
-            pos,
-            cover,
-            left: Box::new(from_snap(*left)),
-            right: Box::new(from_snap(*right)),
-        },
-        SnapNode::Leaf { page, cover, count } => DirNode::Leaf { page, cover, count },
-    }
-}
-
 impl LsdTree {
-    /// Capture the directory for persistence.
-    pub fn snapshot(&self) -> LsdSnapshot {
-        let inner = self.inner.borrow();
-        LsdSnapshot {
-            root: to_snap(&inner.root),
-            len: inner.len,
-            directory_nodes: inner.directory_nodes,
-        }
+    /// The directory as its own persistent image (the buckets live on
+    /// disk pages already). `LsdTree::snapshot` + [`LsdTree::from_directory`]
+    /// give LSD-trees the same reopen story as heap files and B-trees.
+    pub fn snapshot(&self) -> LsdInner {
+        self.inner.borrow().clone()
     }
 
     /// Re-attach a tree from a persisted directory over the pool that
     /// holds its bucket pages.
-    pub fn from_snapshot(pool: Arc<BufferPool>, snap: LsdSnapshot) -> LsdTree {
+    pub fn from_directory(pool: Arc<BufferPool>, directory: LsdInner) -> LsdTree {
         LsdTree {
             pool,
-            inner: RefCell::new(LsdInner {
-                root: from_snap(snap.root),
-                len: snap.len,
-                directory_nodes: snap.directory_nodes,
-            }),
+            inner: RefCell::new(directory),
         }
     }
 }
@@ -814,7 +745,7 @@ mod snapshot_tests {
         let json = serde_json_like(&snap);
         assert!(!json.is_empty());
         drop(t);
-        let t2 = LsdTree::from_snapshot(pool, snap);
+        let t2 = LsdTree::from_directory(pool, snap);
         assert_eq!(t2.len(), 800);
         for p in gen::uniform_points(25, 78) {
             let got = t2.point_search(p).unwrap().len();
@@ -831,7 +762,7 @@ mod snapshot_tests {
     /// crate into sos-storage: serde's Debug-ish via serde_test would be
     /// heavyweight; Debug formatting of the snapshot suffices to prove
     /// the derive compiles and the structure is complete.
-    fn serde_json_like(snap: &LsdSnapshot) -> String {
+    fn serde_json_like(snap: &LsdInner) -> String {
         format!("{snap:?}")
     }
 }

@@ -45,7 +45,11 @@
 //! an LSN is a byte offset into that record region.
 //!
 //! Each record is `len | gen | kind | txid | crc | payload`. The CRC
-//! covers everything after `len`. The generation number fences off stale
+//! covers everything after `len`. A payload is at most `MAX_PAYLOAD`
+//! bytes: the writer refuses a longer one with
+//! [`StorageError::LogRecordTooLarge`] before it appends anything, and
+//! the scan stops at a length over the limit, so no record the writer
+//! accepted is one the reader drops. The generation number fences off stale
 //! bytes: it is bumped (and durably written to a header slot) every time
 //! the log is opened, before any new append, so a scan that sees a record
 //! whose generation runs backwards knows it has walked past the live tail
@@ -67,7 +71,9 @@ const HEADER_SLOTS: u64 = 2;
 const HEADER_LEN: usize = 28;
 /// Record header: len u32 | gen u32 | kind u8 | txid u64 | crc u32.
 const REC_HEADER: usize = 21;
-/// Upper bound on a single record payload; anything larger is debris.
+/// Upper bound on a single record payload, shared by writer and reader:
+/// `Wal::append` refuses a longer payload, so a scan that meets a
+/// longer length has walked into a torn or stale record.
 const MAX_PAYLOAD: u64 = 1 << 26;
 
 const KIND_PAGE: u8 = 1;
@@ -532,11 +538,19 @@ impl Wal {
         Ok((wal, meta, info))
     }
 
-    /// Append one record to the tail. If it would leave more than
-    /// `TAIL_PAGES` filled pages pending, the pending pages are written
-    /// out first; when that write fails nothing is appended.
+    /// Append one record to the tail. A payload over `MAX_PAYLOAD` is
+    /// refused with [`StorageError::LogRecordTooLarge`]. If the record
+    /// would leave more than `TAIL_PAGES` filled pages pending, the
+    /// pending pages are written out first. Either way, an error means
+    /// nothing was appended.
     fn append(&self, t: &mut Tail, kind: u8, txid: u64, parts: &[&[u8]]) -> StorageResult<Lsn> {
         let len: usize = parts.iter().map(|p| p.len()).sum();
+        if len as u64 > MAX_PAYLOAD {
+            return Err(StorageError::LogRecordTooLarge {
+                size: len as u64,
+                max: MAX_PAYLOAD,
+            });
+        }
         let off = (t.next_lsn - t.page_idx * PAGE_SIZE as u64) as usize;
         if t.pending.len() + (off + REC_HEADER + len) / PAGE_SIZE > TAIL_PAGES {
             self.write(t)?;
@@ -649,7 +663,9 @@ impl Wal {
     }
 
     /// Commit: append the optional `Meta` payload (the engine's catalog
-    /// snapshot) and the `Commit` marker, then write the tail. Under
+    /// snapshot) and the `Commit` marker, then write the tail. A meta
+    /// payload over the record limit fails the commit before its marker
+    /// is appended. Under
     /// `PerCommit` the log is synced too and `Ok` means the transaction
     /// is durable; under `NoSync` it means the commit reached the log
     /// disk unsynced.
@@ -708,8 +724,9 @@ impl Wal {
     /// this appends a fresh `Meta` + `Commit` pair (so the catalog
     /// snapshot stays reachable from the new scan start), flushes, and
     /// only then durably moves the scan start forward. A crash anywhere
-    /// in between leaves the old checkpoint in force, which merely means
-    /// more redo — never lost data.
+    /// in between, or a meta payload over the record limit, leaves the
+    /// old checkpoint in force, which merely means more redo — never
+    /// lost data.
     pub fn checkpoint_mark(&self, meta: Option<&[u8]>) -> StorageResult<()> {
         let txid = self.alloc_txid();
         let mut t = self.tail.lock();
@@ -1066,6 +1083,36 @@ mod tests {
         assert_eq!(buf[0], 0, "rolled-back t1 must not be replayed");
         data.read_page(1, &mut buf).unwrap();
         assert_eq!(buf[0], 2, "t2 replays normally");
+    }
+
+    #[test]
+    fn a_record_at_the_limit_commits_and_one_byte_more_is_refused() {
+        let (wal_disk, data) = disks();
+        let (wal, _, _) = Wal::recover(Arc::clone(&wal_disk), &data).unwrap();
+        let over = vec![8u8; MAX_PAYLOAD as usize + 1];
+        let refused = |r: StorageResult<()>| match r {
+            Err(StorageError::LogRecordTooLarge { size, max }) => {
+                assert_eq!((size, max), (MAX_PAYLOAD + 1, MAX_PAYLOAD))
+            }
+            other => panic!("expected LogRecordTooLarge, got {other:?}"),
+        };
+        refused(wal.commit(wal.alloc_txid(), Some(&over)).map(drop));
+        refused(wal.checkpoint_mark(Some(&over)));
+        drop(over);
+        assert_eq!(wal.appended_lsn(), 0, "a refused record appends nothing");
+        assert_eq!(wal.stats(), WalStats::default());
+        assert_eq!(wal.checkpoint_lsn(), 0, "the old checkpoint stays in force");
+
+        let at_limit = vec![7u8; MAX_PAYLOAD as usize];
+        wal.commit(wal.alloc_txid(), Some(&at_limit)).unwrap();
+        drop(wal);
+        let (_, meta, info) = Wal::recover(wal_disk, &data).unwrap();
+        assert_eq!(info.committed_txs, 1);
+        assert!(!info.truncated);
+        assert!(
+            meta == Some(at_limit),
+            "the record at the limit is recovered"
+        );
     }
 
     #[test]

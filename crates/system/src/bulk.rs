@@ -3,27 +3,29 @@
 //! [`Database::bulk_load`] is the one way to load a batch of tuples
 //! outside the statement language. It takes the fast paths: a sorted
 //! build into an empty B-tree, a bulk pack into an empty LSD-tree, and
-//! — on a durable database — one statement transaction under
-//! [`SyncPolicy::NoSync`] closed by a single checkpoint, so the load
-//! pays one fsync instead of one per statement.
+//! — on a durable database — one statement transaction closed by a
+//! single checkpoint, so the load pays one log fsync (its commit's)
+//! instead of one per tuple.
 //!
 //! A load is atomic in memory too: every tuple is encoded and keyed
 //! (or, for a model `rel`, appended to a copy of its value) before the
 //! object changes, so a bad tuple leaves the object as it was.
 //!
-//! Durability contract of a bulk load: the whole load is ONE statement.
+//! Durability contract of a bulk load: the whole load is ONE statement,
+//! run through the same statement bracket as every writing statement.
 //! A crash mid-load recovers to the state before it (the commit record
 //! never became durable) or after it (it did) — never to a partially
-//! loaded object. Under `NoSync` the commit is written to the log but
-//! not synced; it becomes durable when the closing checkpoint syncs the
-//! log. The database's own policy is restored on every exit path, so a
-//! failed load never leaves later commits unsynced.
+//! loaded object. A load that fails, in its tuples or in its commit,
+//! leaves the object as it was. The closing checkpoint only moves the
+//! recovery scan start past the load, which its commit already made
+//! durable (under the database's own [`sos_storage::SyncPolicy`]); when
+//! that checkpoint fails, the old one stays in force and the load still
+//! counts, so an `Err` from `bulk_load` always means nothing was loaded.
 
 use crate::{Database, SystemError};
 use sos_core::Symbol;
 use sos_exec::{encode_key, EvalCtx, ExecResult, Value};
 use sos_storage::lsdtree::Entry;
-use sos_storage::SyncPolicy;
 
 impl Database {
     /// Bulk-load `tuples` into the object `name` — a model `rel` or a
@@ -34,58 +36,31 @@ impl Database {
     ///   ([`sos_storage::btree::BTree::bulk_load`]) and an empty
     ///   LSD-tree is bulk-packed; non-empty structures fall back to
     ///   ordinary inserts,
-    /// * on a durable database the load runs under
-    ///   [`SyncPolicy::NoSync`] and is closed by a single checkpoint,
-    ///   so it pays one fsync total.
+    /// * on a durable database the load is one commit, closed by a
+    ///   single checkpoint.
     ///
     /// Returns the number of tuples loaded.
     pub fn bulk_load(&mut self, name: &str, tuples: Vec<Value>) -> Result<usize, SystemError> {
         let key = Symbol::new(name);
-        if self.catalog.object(&key).is_none() {
-            return Err(SystemError::UnknownObject(key));
-        }
+        let target = self
+            .store
+            .get(&key)
+            .cloned()
+            .ok_or_else(|| SystemError::UnknownObject(key.clone()))?;
         let loaded = tuples.len();
-        match self.sync_policy() {
-            None => self.bulk_load_inner(&key, tuples)?,
-            Some(saved) => {
-                // Relax the sync policy for the load; the closing
-                // checkpoint syncs what NoSync deferred. The saved policy
-                // is restored whatever failed (setting a policy takes
-                // effect even when its flush fails), then the first
-                // error is returned.
-                let result = self
-                    .set_sync_policy(SyncPolicy::NoSync)
-                    .and_then(|()| self.bulk_load_inner(&key, tuples))
-                    .and_then(|()| self.checkpoint().map(drop));
-                let restored = self.set_sync_policy(saved);
-                result.and(restored)?;
-            }
+        self.write_statement(Some(&key), false, |db| {
+            let mut ctx = EvalCtx::new(&db.engine, &mut db.store, &mut db.catalog);
+            Ok(Some(load(&mut ctx, target, tuples)?))
+        })?;
+        if self.is_durable() {
+            // The load is committed; a failed checkpoint only leaves the
+            // old recovery scan start in force (see the module doc).
+            let _ = self.checkpoint();
         }
         // Cached plans over the object stay: a load changes neither its
         // handle nor its type, and plans read no data.
         self.engine.stats.record("bulk_load", loaded, loaded);
         Ok(loaded)
-    }
-
-    fn bulk_load_inner(&mut self, key: &Symbol, tuples: Vec<Value>) -> Result<(), SystemError> {
-        let target = self
-            .store
-            .get(key)
-            .cloned()
-            .ok_or_else(|| SystemError::UnknownObject(key.clone()))?;
-        let tx = self.begin_stmt()?;
-        let loaded = {
-            let mut ctx = EvalCtx::new(&self.engine, &mut self.store, &mut self.catalog);
-            load(&mut ctx, target, tuples)?
-        };
-        let prev = self.store.insert(key.clone(), loaded);
-        if let Err(e) = self.commit_stmt(tx) {
-            if let Some(v) = prev {
-                self.store.insert(key.clone(), v);
-            }
-            return Err(e);
-        }
-        Ok(())
     }
 }
 
@@ -99,15 +74,14 @@ impl Database {
 /// build or bulk pack; a non-empty structure takes ordinary inserts.
 fn load(ctx: &mut EvalCtx, target: Value, tuples: Vec<Value>) -> ExecResult<Value> {
     let encode = |t: &Value| t.encode_tuple("bulk_load");
-    match &target {
-        Value::Rel(ts) => {
-            let mut ts = ts.clone();
-            for t in tuples {
-                t.as_tuple("bulk_load")?;
-                ts.push(t);
-            }
-            return Ok(Value::Rel(ts));
+    if let Value::Rel(mut ts) = target {
+        for t in tuples {
+            t.as_tuple("bulk_load")?;
+            ts.push(t);
         }
+        return Ok(Value::Rel(ts));
+    }
+    match &target {
         Value::SRel(h) | Value::TidRel(h) => {
             let records = tuples
                 .into_iter()

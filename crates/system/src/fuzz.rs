@@ -177,14 +177,8 @@ fn scenario_database(cfg: &FuzzConfig) -> Result<Database, SystemError> {
     for (name, ty) in &objects {
         db.catalog
             .create_object(&db.sig, name.clone(), ty.clone())?;
-        // Mirror `Statement::Create`: catalog objects are addressed by
-        // name, everything else starts from its representation's init
-        // value.
-        let value = if matches!(ty, DataType::Cons(c, _) if c.as_str() == "catalog") {
-            Value::Ident(name.clone())
-        } else {
-            db.engine.init_value(&db.sig, &db.catalog, ty)?
-        };
+        // The same initial value `create` gives the object.
+        let value = db.engine.init_value(&db.sig, &db.catalog, name, ty)?;
         db.store.insert(name.clone(), value);
     }
     for (model, rep) in &links {

@@ -50,7 +50,8 @@ use sos_core::check::Checker;
 use sos_core::spec::Level;
 use sos_core::typed::{TypedExpr, TypedNode};
 use sos_core::{CheckError, DataType, Expr, Signature, Symbol, TypeArg};
-use sos_exec::{EvalCtx, ExecEngine, ExecError, StatementTx, Value};
+use sos_exec::stored::{from_stored, structure_image};
+use sos_exec::{EvalCtx, ExecEngine, ExecError, Value};
 use sos_obs::explain::plan_tree;
 use sos_obs::metrics::{ops_delta, pool_delta};
 use sos_obs::trace::Tracer;
@@ -896,15 +897,18 @@ impl Database {
         Ok((optimized, rewrites, consulted.then_some(false)))
     }
 
-    /// Execute one parsed statement.
+    /// Execute one parsed statement. Every writing statement runs through
+    /// the one statement bracket (`Database::write_statement`), so it
+    /// commits as one unit or leaves the database as it was.
     pub fn execute(&mut self, stmt: &Statement) -> Result<Output, SystemError> {
         match stmt {
             Statement::TypeDef(name, ty) => {
                 let resolved = self.resolve_type(ty)?;
                 self.checker().check_type(&resolved)?;
-                let tx = self.begin_stmt()?;
-                self.catalog.define_type(name.clone(), resolved)?;
-                self.commit_stmt(tx)?;
+                self.write_statement(None, true, |db| {
+                    db.catalog.define_type(name.clone(), resolved)?;
+                    Ok(None)
+                })?;
                 // A statement naming the type in a lambda parameter
                 // checks differently now.
                 self.plan_cache.invalidate_all();
@@ -913,25 +917,14 @@ impl Database {
             Statement::Create(name, ty) => {
                 let resolved = self.resolve_type(ty)?;
                 self.checker().check_type(&resolved)?;
-                let tx = self.begin_stmt()?;
-                self.catalog
-                    .create_object(&self.sig, name.clone(), resolved.clone())?;
-                // Catalog objects are addressed by name (their state
-                // lives in the catalog itself); their store value is a
-                // name token so update expressions over them evaluate.
-                let value = if matches!(&resolved, DataType::Cons(c, _) if c.as_str() == "catalog")
-                {
-                    Value::Ident(name.clone())
-                } else {
-                    self.engine
-                        .init_value(&self.sig, &self.catalog, &resolved)?
-                };
-                self.store.insert(name.clone(), value);
-                if let Err(e) = self.commit_stmt(tx) {
-                    self.store.remove(name);
-                    let _ = self.catalog.delete_object(name);
-                    return Err(e);
-                }
+                self.write_statement(Some(name), true, |db| {
+                    db.catalog
+                        .create_object(&db.sig, name.clone(), resolved.clone())?;
+                    let value = db
+                        .engine
+                        .init_value(&db.sig, &db.catalog, name, &resolved)?;
+                    Ok(Some(value))
+                })?;
                 // A new object (and any rep links a later catalog insert
                 // adds) can change what the rewriter produces for shapes
                 // that don't even mention it yet — drop everything.
@@ -948,53 +941,36 @@ impl Database {
                 let target = self
                     .update_target(&optimized)
                     .unwrap_or_else(|| name.clone());
-                let expected = self
+                let expected = &self
                     .catalog
                     .object(&target)
                     .ok_or_else(|| SystemError::UnknownObject(target.clone()))?
-                    .ty
-                    .clone();
-                if optimized.ty != expected {
+                    .ty;
+                if optimized.ty != *expected {
                     return Err(SystemError::UpdateTypeMismatch {
                         object: target.clone(),
                         object_type: expected.to_string(),
                         value_type: optimized.ty.to_string(),
                     });
                 }
-                // The update operators dirty pages inside this bracket;
-                // an Err out of eval drops `tx`, aborting: every touched
-                // page is restored, so a failed statement is a no-op.
-                let tx = self.begin_stmt()?;
-                let value = self.eval(&optimized)?;
-                let prev = self.store.insert(target.clone(), value);
-                if let Err(e) = self.commit_stmt(tx) {
-                    match prev {
-                        Some(v) => self.store.insert(target.clone(), v),
-                        None => self.store.remove(&target),
-                    };
-                    return Err(e);
-                }
                 // Updating a catalog relation (e.g. inserting a rep
-                // link) changes which rules fire for any shape; plain
-                // data updates leave cached plans valid.
-                if matches!(&expected, DataType::Cons(c, _) if c.as_str() == "catalog") {
+                // link) changes the catalog and which rules fire for any
+                // shape; plain data updates leave both alone.
+                let is_catalog = is_catalog(expected);
+                self.write_statement(Some(&target), is_catalog, |db| {
+                    db.eval(&optimized).map(Some)
+                })?;
+                if is_catalog {
                     self.plan_cache.invalidate_all();
                 }
                 Ok(Output::Updated(target))
             }
             Statement::Delete(name) => {
-                let is_catalog = self.catalog.object(name).is_some_and(
-                    |o| matches!(&o.ty, DataType::Cons(c, _) if c.as_str() == "catalog"),
-                );
-                let tx = self.begin_stmt()?;
-                self.catalog.delete_object(name)?;
-                let prev = self.store.remove(name);
-                if let Err(e) = self.commit_stmt(tx) {
-                    if let Some(v) = prev {
-                        self.store.insert(name.clone(), v);
-                    }
-                    return Err(e);
-                }
+                let is_catalog = self.catalog.object(name).is_some_and(|o| is_catalog(&o.ty));
+                self.write_statement(Some(name), true, |db| {
+                    db.catalog.delete_object(name)?;
+                    Ok(None)
+                })?;
                 // Dropping a catalog relation (e.g. `rep`) changes which
                 // rules fire for any shape.
                 if is_catalog {
@@ -1040,26 +1016,73 @@ impl Database {
         Checker::new(&self.sig, &self.catalog)
     }
 
-    /// Open a statement transaction when the pool is WAL-backed.
-    /// `None` means the database is in-memory and there is nothing to
-    /// commit; the mutating arms of [`Database::execute`] bracket
-    /// themselves with this so a failed statement aborts (restoring
-    /// every touched page) instead of leaving a half-applied update.
-    fn begin_stmt(&self) -> Result<Option<StatementTx>, SystemError> {
-        if self.engine.pool.has_wal() {
-            Ok(Some(StatementTx::begin(Arc::clone(&self.engine.pool))?))
-        } else {
-            Ok(None)
+    /// The one statement bracket, run by every writing statement and by
+    /// [`Database::bulk_load`]. It runs `effects` inside a statement
+    /// transaction, swaps the value they return into the store as
+    /// `object`'s (`None` removes it) and commits. On any error, in the
+    /// effects or in the commit, it aborts the transaction (restoring
+    /// every page the statement touched), puts back the catalog and
+    /// `object`'s displaced value, and re-attaches a durable structure
+    /// to its pre-statement image: its root, length, page list or
+    /// directory changed in memory along with the restored pages. The
+    /// catalog is copied only when `changes_catalog`, so a data update
+    /// costs one store swap.
+    fn write_statement(
+        &mut self,
+        object: Option<&Symbol>,
+        changes_catalog: bool,
+        effects: impl FnOnce(&mut Database) -> Result<Option<Value>, SystemError>,
+    ) -> Result<(), SystemError> {
+        let catalog = changes_catalog.then(|| self.catalog.clone());
+        let image = object
+            .filter(|_| self.is_durable())
+            .and_then(|name| self.store.get(name))
+            .and_then(structure_image);
+        self.engine.pool.begin_tx()?;
+        let err = match effects(self) {
+            Err(e) => e,
+            Ok(value) => {
+                let displaced = object.map(|name| swap(&mut self.store, name, value));
+                match self.commit() {
+                    Ok(()) => return Ok(()),
+                    Err(e) => {
+                        if let (Some(name), Some(prev)) = (object, displaced) {
+                            swap(&mut self.store, name, prev);
+                        }
+                        e
+                    }
+                }
+            }
+        };
+        self.engine.pool.abort_tx()?;
+        if let Some(catalog) = catalog {
+            self.catalog = catalog;
         }
+        if let (Some(name), Some(image)) = (object, image) {
+            let entry = self
+                .catalog
+                .object(name)
+                .ok_or_else(|| SystemError::UnknownObject(name.clone()))?;
+            let value = from_stored(
+                &self.engine,
+                &self.sig,
+                &self.catalog,
+                name,
+                &entry.ty,
+                image,
+            )?;
+            self.store.insert(name.clone(), value);
+        }
+        Err(err)
     }
 
-    /// Commit a statement transaction, logging the current catalog +
-    /// store snapshot as the commit's meta payload — what recovery
-    /// restores the in-memory side of the database from.
-    fn commit_stmt(&self, tx: Option<StatementTx>) -> Result<(), SystemError> {
-        if let Some(tx) = tx {
+    /// Commit the open statement transaction (a no-op in memory) with
+    /// the current catalog + store snapshot as its meta payload — what
+    /// recovery restores the in-memory side of the database from.
+    fn commit(&self) -> Result<(), SystemError> {
+        if self.is_durable() {
             let meta = self.snapshot_bytes()?;
-            tx.commit(Some(&meta))?;
+            self.engine.pool.commit_tx(Some(&meta))?;
         }
         Ok(())
     }
@@ -1302,6 +1325,20 @@ impl Default for Database {
     fn default() -> Self {
         Database::builder().build()
     }
+}
+
+/// Put `value` into the store as `name`'s value (`None` removes it) and
+/// return what it displaced, moved out: swapping that back undoes it.
+fn swap(store: &mut HashMap<Symbol, Value>, name: &Symbol, value: Option<Value>) -> Option<Value> {
+    match value {
+        Some(v) => store.insert(name.clone(), v),
+        None => store.remove(name),
+    }
+}
+
+/// Whether `ty` is a catalog relation type (`catalog(...)`).
+fn is_catalog(ty: &DataType) -> bool {
+    matches!(ty, DataType::Cons(c, _) if c.as_str() == "catalog")
 }
 
 /// `Ok` unless `diags` holds an error-severity finding; otherwise the

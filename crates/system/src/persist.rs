@@ -4,7 +4,11 @@
 //! Every durable commit carries, as its WAL meta record, the catalog
 //! (named types, objects, catalog relations) plus the persistent image
 //! of every object value ([`sos_exec::stored::StoredValue`]); recovery
-//! reinstalls the last committed one over the recovered pages. Function
+//! reinstalls the last committed one over the recovered pages, each
+//! structure attaching to its pages without allocating. The commit is
+//! made by the one statement bracket, `Database::write_statement` in
+//! this crate, which also puts the catalog and the touched object back
+//! when a statement fails. Function
 //! values (views) have no persistent image: a view comes back with its
 //! type and no value, and reading it names the defining update to
 //! re-run.
@@ -125,13 +129,18 @@ impl Database {
         self.catalog = snap.catalog;
         self.store.clear();
         for (name, stored) in snap.store {
-            let ty = self
+            let entry = self
                 .catalog
                 .object(&name)
-                .ok_or_else(|| SystemError::UnknownObject(name.clone()))?
-                .ty
-                .clone();
-            let value = from_stored(&self.engine, &self.sig, &self.catalog, &ty, stored)?;
+                .ok_or_else(|| SystemError::UnknownObject(name.clone()))?;
+            let value = from_stored(
+                &self.engine,
+                &self.sig,
+                &self.catalog,
+                &name,
+                &entry.ty,
+                stored,
+            )?;
             self.store.insert(name, value);
         }
         Ok(())
@@ -140,4 +149,34 @@ impl Database {
 
 fn persist_err(e: impl std::fmt::Display) -> SystemError {
     SystemError::Persist(e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sos_exec::Value;
+
+    /// A format-2 meta record as the previous version wrote it, before
+    /// the LSD-tree directory was serialized as itself: a B-tree, an
+    /// `srel`, a `tidrel`, a catalog and a 100-entry LSD-tree whose
+    /// directory has three inner nodes and four leaves.
+    const FORMAT_2_META: &str = r#"{"format":2,"catalog":{"types":{"state":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"sname"}}},{"Type":{"Cons":["string",[]]}}]},{"Pair":[{"Expr":{"Const":{"Ident":"region"}}},{"Type":{"Cons":["pgon",[]]}}]}]}]]}},"objects":{"rep":{"name":"rep","ty":{"Cons":["catalog",[{"List":[{"Type":{"Cons":["ident",[]]}},{"Type":{"Cons":["ident",[]]}}]}]]},"level":"Hybrid"},"bt":{"name":"bt","ty":{"Cons":["btree",[{"Type":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"k"}}},{"Type":{"Cons":["int",[]]}}]}]}]]}},{"Expr":{"Const":{"Ident":"k"}}},{"Type":{"Cons":["int",[]]}}]]},"level":"Representation"},"sr":{"name":"sr","ty":{"Cons":["srel",[{"Type":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"k"}}},{"Type":{"Cons":["int",[]]}}]}]}]]}}]]},"level":"Representation"},"tr":{"name":"tr","ty":{"Cons":["tidrel",[{"Type":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"k"}}},{"Type":{"Cons":["int",[]]}}]}]}]]}}]]},"level":"Representation"},"states_rep":{"name":"states_rep","ty":{"Cons":["lsdtree",[{"Type":{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"sname"}}},{"Type":{"Cons":["string",[]]}}]},{"Pair":[{"Expr":{"Const":{"Ident":"region"}}},{"Type":{"Cons":["pgon",[]]}}]}]}]]}},{"Expr":{"Lambda":{"params":[["s",{"Cons":["tuple",[{"List":[{"Pair":[{"Expr":{"Const":{"Ident":"sname"}}},{"Type":{"Cons":["string",[]]}}]},{"Pair":[{"Expr":{"Const":{"Ident":"region"}}},{"Type":{"Cons":["pgon",[]]}}]}]}]]}]],"body":{"Seq":[{"Word":{"name":"bbox","brackets":null,"parens":[{"Seq":[{"Word":{"name":"s","brackets":null,"parens":null}},{"Word":{"name":"region","brackets":null,"parens":null}}]}]}}]}}}}]]},"level":"Representation"}},"relations":{"rep":{"columns":2,"rows":[]}}},"store":[["bt",{"BTree":{"root":0,"len":1}}],["rep",{"CatalogToken":"rep"}],["sr",{"SRel":[2]}],["states_rep",{"LsdTree":{"root":{"Inner":{"dim":0,"pos":550.0,"cover":{"min_x":2.0,"min_y":2.0,"max_x":998.0,"max_y":998.0},"left":{"Inner":{"dim":1,"pos":550.0,"cover":{"min_x":2.0,"min_y":2.0,"max_x":498.0,"max_y":998.0},"left":{"Leaf":{"page":4,"cover":{"min_x":2.0,"min_y":2.0,"max_x":498.0,"max_y":498.0},"count":25}},"right":{"Leaf":{"page":5,"cover":{"min_x":2.0,"min_y":502.0,"max_x":498.0,"max_y":998.0},"count":25}}}},"right":{"Inner":{"dim":1,"pos":550.0,"cover":{"min_x":502.0,"min_y":2.0,"max_x":998.0,"max_y":998.0},"left":{"Leaf":{"page":6,"cover":{"min_x":502.0,"min_y":2.0,"max_x":998.0,"max_y":498.0},"count":25}},"right":{"Leaf":{"page":7,"cover":{"min_x":502.0,"min_y":502.0,"max_x":998.0,"max_y":998.0},"count":25}}}}}},"len":100,"directory_nodes":7}}],["tr",{"TidRel":[3]}]]}"#;
+
+    #[test]
+    fn a_format_2_meta_record_installs_and_writes_the_same_images() {
+        let mut db = Database::builder().build();
+        db.install_snapshot(FORMAT_2_META.as_bytes()).unwrap();
+        assert_eq!(db.query("states_rep count").unwrap(), Value::Int(100));
+        assert_eq!(db.query("bt count").unwrap(), Value::Int(1));
+        let Some(Value::LsdTree(h)) = db.object_value("states_rep") else {
+            panic!("states_rep is not an LSD-tree");
+        };
+        assert_eq!(h.tree.directory_size(), 7);
+        // The catalog's maps serialize in hash order; the store is
+        // sorted, so its images must come back byte for byte.
+        let written = String::from_utf8(db.snapshot_bytes().unwrap()).unwrap();
+        let store = |s: &str| s[s.find(r#""store":"#).unwrap()..].to_string();
+        assert!(written.starts_with(r#"{"format":2,"#), "{written}");
+        assert_eq!(store(&written), store(FORMAT_2_META));
+    }
 }

@@ -7,7 +7,7 @@
 
 use sos_exec::{ExecError, Value};
 use sos_geom::gen;
-use sos_storage::{DiskManager, MemDisk, Wal};
+use sos_storage::{DiskManager, MemDisk, StorageError, Wal};
 use sos_system::{Database, DurabilityConfig, SystemError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -358,4 +358,164 @@ fn wal_meta_records_with_statistics_recover() {
     assert!(!disks.last_meta().contains(r#""stats""#));
     let mut db = disks.open().unwrap();
     assert_eq!(as_count(&db.query("items_rep feed count").unwrap()), 3);
+}
+
+/// A statement whose meta record would exceed the write-ahead log's
+/// record limit fails with a typed error naming the size and the limit,
+/// changes nothing, and every later commit survives a reopen. (A 20 MiB
+/// string images as a record of about 70 MB, over the 64 MiB limit.)
+#[test]
+fn a_commit_over_the_log_record_limit_fails_and_later_commits_survive() {
+    let disks = Disks::new();
+    {
+        let mut db = disks.open().unwrap();
+        db.run("create k : int; update k := 1; create s : string;")
+            .unwrap();
+        let big = "x".repeat(20 << 20);
+        let err = db.run(&format!("update s := \"{big}\";")).unwrap_err();
+        let SystemError::Exec(ExecError::Storage(StorageError::LogRecordTooLarge { size, max })) =
+            &err
+        else {
+            panic!("expected a log record limit error, got {err}");
+        };
+        assert!(size > max, "{size} <= {max}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&size.to_string()) && msg.contains(&max.to_string()),
+            "{msg}"
+        );
+        assert_eq!(db.query("s").unwrap(), Value::Undefined);
+        db.run("update k := 2;").unwrap();
+        assert_eq!(db.query("k").unwrap(), Value::Int(2));
+    }
+    let mut db = disks.open().unwrap();
+    assert_eq!(db.query("k").unwrap(), Value::Int(2));
+    assert_eq!(db.query("s").unwrap(), Value::Undefined);
+}
+
+/// Every structure kind plus a model relation and the `rep` catalog.
+const ALL_STRUCTURES: &str = r#"
+    type city = tuple(<(cname, string), (center, point), (pop, int)>);
+    type state = tuple(<(sname, string), (region, pgon)>);
+    create cities : rel(city);
+    create bt : btree(city, pop, int);
+    create kb : kbtree(city, fun (c: city) c pop div 1000);
+    create mb : mbtree(city, <cname, pop>);
+    create states_rep : lsdtree(state, fun (s: state) bbox(s region));
+    create sr : srel(city);
+    create tr : tidrel(city);
+    create rep : catalog(<ident, ident>);
+    update rep := insert(rep, cities, bt);
+"#;
+
+fn structure_answers(db: &mut Database) -> Vec<String> {
+    [
+        "bt feed count",
+        "bt exactmatch[310] count",
+        "bt count",
+        "cities select[pop > 5000] count",
+        "kb range[2, 4] count",
+        "mb feed count",
+        "states_rep (makepoint(125.0, 125.0)) point_search count",
+        "states_rep (makerect(0.0, 0.0, 1000.0, 1000.0)) overlap_search count",
+        "sr feed count",
+        "tr feed count",
+    ]
+    .iter()
+    .map(|q| match db.query(q) {
+        Ok(v) => format!("{q}: {}", as_count(&v)),
+        Err(e) => format!("{q}: error: {e}"),
+    })
+    .collect()
+}
+
+/// A reopen attaches every stored structure to its pages and allocates
+/// none: reopening three times leaves the data disk's page count as it
+/// was, and every object answers the same queries each time.
+#[test]
+fn reopening_attaches_every_structure_and_allocates_no_page() {
+    let disks = Disks::new();
+    let want = {
+        let mut db = disks.open().unwrap();
+        db.run(ALL_STRUCTURES).unwrap();
+        let cities: Vec<Value> = gen::uniform_points(200, 9)
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                Value::tuple(vec![
+                    Value::Str(format!("city{i}")),
+                    Value::Point(p),
+                    Value::Int((i as i64 * 31) % 10_000),
+                ])
+            })
+            .collect();
+        for name in ["bt", "kb", "mb", "sr", "tr"] {
+            db.bulk_load(name, cities.clone()).unwrap();
+        }
+        let states: Vec<Value> = gen::state_grid(4, 4)
+            .into_iter()
+            .map(|(n, poly)| Value::tuple(vec![Value::Str(n), Value::Pgon(poly)]))
+            .collect();
+        db.bulk_load("states_rep", states).unwrap();
+        structure_answers(&mut db)
+    };
+    assert!(want.iter().all(|a| !a.contains("error")), "{want:?}");
+    let pages = disks.data.num_pages();
+    for reopen in 1..=3 {
+        let mut db = disks.open().unwrap();
+        assert_eq!(structure_answers(&mut db), want, "reopen {reopen}");
+        drop(db);
+        assert_eq!(
+            disks.data.num_pages(),
+            pages,
+            "reopen {reopen} grew the data disk"
+        );
+    }
+}
+
+/// Object images are bytes read from disk: an image that does not fit
+/// its object's type is refused with a typed error naming the object,
+/// and the database does not open.
+#[test]
+fn images_that_do_not_fit_their_type_are_refused() {
+    let disks = Disks::new();
+    disks
+        .open()
+        .unwrap()
+        .run("type t = tuple(<(k, int)>); create sr : srel(t); create bt : btree(t, k, int);")
+        .unwrap();
+    let current = disks.last_meta();
+    let cases = [
+        (
+            "sr",
+            r#"{"SRel":[]}"#,
+            r#"{"BTree":{"root":0,"len":0}}"#,
+            "BTree",
+        ),
+        ("sr", r#"{"SRel":[]}"#, r#"{"TidRel":[]}"#, "TidRel"),
+        (
+            "bt",
+            r#"{"BTree":{"root":0,"len":0}}"#,
+            r#"{"Rel":[]}"#,
+            "Rel",
+        ),
+    ];
+    for (name, fits, misfit, kind) in cases {
+        let meta = current.replacen(
+            &format!(r#"["{name}",{fits}]"#),
+            &format!(r#"["{name}",{misfit}]"#),
+            1,
+        );
+        assert_ne!(meta, current, "unexpected snapshot layout: {current}");
+        disks.commit_meta(&meta);
+        match disks.open() {
+            Err(SystemError::Exec(ExecError::ImageMismatch { object, image, .. })) => {
+                assert_eq!((object.as_str(), image), (name, kind))
+            }
+            Err(e) => panic!("{name} as {kind}: wrong error: {e}"),
+            Ok(_) => panic!("{name} as {kind}: a misfit image was installed"),
+        }
+    }
+    disks.commit_meta(&current);
+    disks.open().unwrap();
 }

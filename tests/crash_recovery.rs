@@ -12,8 +12,15 @@
 //! The bulk-load cases kill a durable `bulk_load` at every write index
 //! (the recovered object holds none of the load or all of it) and fail
 //! it with a transient write error at every write index (the database's
-//! sync policy is restored).
+//! sync policy is unchanged).
+//!
+//! The failure matrix fails each kind of writing statement — `type`,
+//! `create`, data updates, a catalog update, `delete` and `bulk_load` —
+//! with a transient write error at every write index it performs: the
+//! statement reports the error, the database is exactly as before it,
+//! and the next statement commits and survives a reopen.
 
+use sos_core::Symbol;
 use sos_exec::{render, Value};
 use sos_storage::{DiskManager, FaultClock, FaultDisk, FaultSchedule, MemDisk};
 use sos_system::{Database, DurabilityConfig, SyncPolicy, SystemError};
@@ -350,10 +357,9 @@ fn crash_mid_bulk_load_recovers_to_a_boundary() {
 }
 
 /// Fail one write of a durable create + `bulk_load` with a transient
-/// error, at every write index. `bulk_load` relaxes the policy to
-/// `NoSync` while it runs; whenever it returns `Err`, the default
-/// `PerCommit` must be back in force, or every later commit on this
-/// database would be acknowledged without an fsync.
+/// error, at every write index. Whenever the load returns `Err`, the
+/// default `PerCommit` must still be in force, or every later commit on
+/// this database would be acknowledged without an fsync.
 #[test]
 fn failed_bulk_load_restores_the_sync_policy() {
     let total_writes = {
@@ -386,4 +392,198 @@ fn failed_bulk_load_restores_the_sync_policy() {
         }
     }
     assert!(failed_loads > 0, "no injected error reached bulk_load");
+}
+
+// ---- a failed statement leaves the database as it was ----
+
+/// The failure matrix's database: a model relation translated onto a
+/// B-tree, an empty heap, a second model relation and the `rep`
+/// catalog.
+const FAIL_SETUP: &str = r#"
+    type item = tuple(<(k, int), (label, string)>);
+    create items : rel(item);
+    create items_rep : btree(item, k, int);
+    create others : rel(item);
+    create spare : tidrel(item);
+    create rep : catalog(<ident, ident>);
+    update rep := insert(rep, items, items_rep);
+    update items := insert(items, mktuple[(k, 5), (label, "five")]);
+"#;
+
+/// The statement the failure matrix commits after the failed one.
+const FOLLOW_UP: &str = r#"update items := insert(items, mktuple[(k, 1), (label, "one")]);"#;
+
+/// One writing statement of every kind the failure matrix covers.
+#[derive(Clone, Copy, Debug)]
+enum Write {
+    Stmt(&'static str),
+    /// `bulk_load` of `FAIL_LOAD_N` tuples into the non-empty B-tree:
+    /// enough to split its leaves and move its root.
+    BulkLoad,
+}
+
+const FAIL_LOAD_N: i64 = 200;
+
+const WRITES: &[(&str, Write)] = &[
+    ("type", Write::Stmt("type t2 = int;")),
+    ("create", Write::Stmt("create extra : btree(item, k, int);")),
+    (
+        "data update",
+        Write::Stmt(r#"update items := insert(items, mktuple[(k, 9), (label, "nine")]);"#),
+    ),
+    (
+        "heap update",
+        Write::Stmt(r#"update spare := insert(spare, mktuple[(k, 3), (label, "three")]);"#),
+    ),
+    (
+        "catalog update",
+        Write::Stmt("update rep := insert(rep, others, spare);"),
+    ),
+    ("delete", Write::Stmt("delete spare;")),
+    ("bulk_load", Write::BulkLoad),
+];
+
+fn apply(db: &mut Database, write: Write) -> Result<(), SystemError> {
+    match write {
+        Write::Stmt(stmt) => db.run(stmt).map(drop),
+        Write::BulkLoad => {
+            let tuples = (100..100 + FAIL_LOAD_N)
+                .map(|k| Value::tuple(vec![Value::Int(k), Value::Str(format!("{k:0100}"))]))
+                .collect();
+            db.bulk_load("items_rep", tuples).map(drop)
+        }
+    }
+}
+
+/// Everything a failed statement could leave behind: the catalog's
+/// objects, the named type and `rep` rows the statements add, and the
+/// contents and counts of every object, `count` included (a B-tree's
+/// count is its in-memory length, not a scan).
+fn observe_all(db: &mut Database) -> String {
+    let catalog = db.catalog();
+    let mut objects: Vec<String> = catalog
+        .objects()
+        .map(|o| format!("{}: {}", o.name, o.ty))
+        .collect();
+    objects.sort();
+    let t2 = catalog
+        .named_type(&Symbol::new("t2"))
+        .map(ToString::to_string);
+    let rep = catalog
+        .relation(&Symbol::new("rep"))
+        .map(|r| format!("{:?}", r.rows));
+    let mut out = format!("objects [{}] t2 {t2:?} rep {rep:?}", objects.join(", "));
+    for q in [
+        "items_rep feed",
+        "items_rep count",
+        "items select[k < 50] count",
+        "spare feed",
+        "extra feed count",
+    ] {
+        let v = db
+            .query(q)
+            .map(|v| render(&v))
+            .unwrap_or_else(|e| format!("error: {e}"));
+        out.push_str(&format!(" | {q}: {v}"));
+    }
+    out
+}
+
+/// Fail each kind of writing statement with a transient write error at
+/// every write index it performs. The statement must report the error
+/// and leave the database exactly as before it; the next statement must
+/// commit, and a reopen must find what that commit left. The one
+/// exception is `bulk_load`'s closing checkpoint: once the load has
+/// committed, a failed checkpoint only keeps the old recovery scan
+/// start, and the load counts (reported `Ok`, state after the load).
+#[test]
+fn a_failed_statement_leaves_the_database_as_it_was() {
+    let mut faults = Vec::new();
+    for &(kind, write) in WRITES {
+        // Fault-free references: the write's index range, and the states
+        // before it, after it, and after the follow-up either way.
+        let media = Media::new();
+        let (db, clock) = media.open(FaultSchedule::default());
+        let mut db = db.expect("fault-free open");
+        db.run(FAIL_SETUP).expect("setup");
+        let first = clock.writes();
+        let before = observe_all(&mut db);
+        apply(&mut db, write).expect("fault-free write");
+        let last = clock.writes();
+        let after = observe_all(&mut db);
+        db.run(FOLLOW_UP).expect("follow-up");
+        let after_follow_up = observe_all(&mut db);
+        drop(db);
+        let before_follow_up = {
+            let media = Media::new();
+            let (db, _) = media.open(FaultSchedule::default());
+            let mut db = db.expect("fault-free open");
+            db.run(FAIL_SETUP).expect("setup");
+            db.run(FOLLOW_UP).expect("follow-up");
+            observe_all(&mut db)
+        };
+        assert!(last > first, "{kind}: the write performs no disk write");
+
+        let mut failed = 0;
+        let mut committed_at = None;
+        for i in first..last {
+            let media = Media::new();
+            let schedule = FaultSchedule {
+                transient_write_errors: vec![i],
+                ..Default::default()
+            };
+            let (db, _) = media.open(schedule);
+            let mut db = db.expect("open");
+            db.run(FAIL_SETUP).expect("setup");
+            let (state, next) = match apply(&mut db, write) {
+                Err(_) => {
+                    failed += 1;
+                    if committed_at.is_some() {
+                        faults.push(format!("{kind} @{i}: failed after a committed index"));
+                    }
+                    (&before, &before_follow_up)
+                }
+                Ok(()) => {
+                    if !matches!(write, Write::BulkLoad) {
+                        faults.push(format!("{kind} @{i}: the write error was not reported"));
+                    }
+                    committed_at.get_or_insert(i);
+                    (&after, &after_follow_up)
+                }
+            };
+            let got = observe_all(&mut db);
+            if got != *state {
+                faults.push(format!(
+                    "{kind} @{i}: state\n  got:  {got}\n  want: {state}"
+                ));
+            }
+            if let Err(e) = db.run(FOLLOW_UP) {
+                faults.push(format!("{kind} @{i}: the follow-up failed: {e}"));
+                continue;
+            }
+            let got = observe_all(&mut db);
+            if got != *next {
+                faults.push(format!(
+                    "{kind} @{i}: after the follow-up\n  got:  {got}\n  want: {next}"
+                ));
+            }
+            drop(db);
+            let (db, _) = media.open(FaultSchedule::default());
+            match db {
+                Ok(mut db) => {
+                    let reopened = observe_all(&mut db);
+                    if reopened != got {
+                        faults.push(format!(
+                            "{kind} @{i}: reopened\n  got:  {reopened}\n  want: {got}"
+                        ));
+                    }
+                }
+                Err(e) => faults.push(format!("{kind} @{i}: reopen failed: {e}")),
+            }
+        }
+        if failed == 0 {
+            faults.push(format!("{kind}: no injected error failed the write"));
+        }
+    }
+    assert!(faults.is_empty(), "{}", faults.join("\n"));
 }
